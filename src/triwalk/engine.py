@@ -4,8 +4,9 @@ sampling and the two per-axis controllers into a closed loop.
 The engine advances one control cycle per ``tick``: it filters operator
 setpoints, runs the state observer on the measured outputs (with a gated
 push-recovery gain), windows the reference trajectories over the prediction
-horizon, schedules the phase constraint rows across the upcoming support
-phases, and returns the jerk commands for both axes.
+horizon, schedules the output bounds of the upcoming support phases sample by
+sample over the constraint window, and returns the jerk commands for both
+axes.
 
 Turning support: each axis controller is one-dimensional, so the engine keeps
 a working frame aligned with the current support heading.  At step boundaries
@@ -175,7 +176,6 @@ class WalkEngine:
         self._timeline: WalkTimeline | None = None
         self._timeline_origin = 0
         self._ref_table: np.ndarray | None = None   # cached world samples
-        self._row_cache: dict = {}
         self._set_stand_timeline()
 
         self.estimates = {"x": np.zeros(9), "y": np.zeros(9)}
@@ -240,12 +240,19 @@ class WalkEngine:
     # ------------------------------------------------------------- main cycle
 
     def tick(self, y_meas_x, y_meas_y) -> CycleDiagnostics:
-        """Advance one control cycle with the measured outputs of both axes."""
+        """Advance one control cycle with the measured outputs of both axes.
+
+        Raises ValueError, leaving the engine untouched, when a measurement
+        is not finite.
+        """
+        y_meas = np.vstack([np.asarray(y_meas_x, float), np.asarray(y_meas_y, float)])
+        if not np.all(np.isfinite(y_meas)):
+            raise ValueError("measurements must be finite")
         self.setpoints = filter_setpoints(self.setpoints, self.config.ts, self.lag_tau)
 
         R_wf = _rot(-self.frame_angle)   # world -> frame
-        y_pair = R_wf @ np.vstack([np.asarray(y_meas_x, float), np.asarray(y_meas_y, float)])
-        segments = self._segment_keys()
+        y_pair = R_wf @ y_meas
+        keys = self._window_phases()
         u_frame = {}
         status = {}
         softened = {}
@@ -276,9 +283,7 @@ class WalkEngine:
                                          boosted=boosted)
                 self.estimates[axis] = est
                 refs = self._bundle(axis)
-                constraints = [(self._rows_for(key, axis), (j0, j1))
-                               for j0, j1, key in segments]
-                u, info = ctrl.control_step(est, refs, constraints)
+                u, info = ctrl.control_step(est, refs, *self._bounds(keys, axis))
                 u_frame[axis] = u
                 status[axis] = info.status
                 softened[axis] = info.softened
@@ -437,7 +442,6 @@ class WalkEngine:
     def _set_timeline(self, timeline: WalkTimeline, origin: int) -> None:
         self._timeline = timeline
         self._timeline_origin = origin
-        self._row_cache = {}
         count = timeline.total_cycles + 2
         table = np.empty((count + 1, 9))
         for j in range(-1, count):
@@ -497,60 +501,50 @@ class WalkEngine:
             raise ValueError("foot heading too far from the working frame")
         return center, hl, hw
 
-    def _segment_keys(self) -> list[tuple[int, int, tuple[str, int]]]:
-        """Contiguous runs of equal timeline phase over the constrained window.
+    def _window_phases(self) -> list[tuple[str, int]]:
+        """Timeline phase of each sample k+1 .. k+constraint_window.
 
-        Scheduling the constraint rows per upcoming phase gives the controller
-        preview of support-box changes, so weight transfer starts before a
+        Scheduling the bounds per upcoming phase gives the controller preview
+        of support-box changes, so weight transfer starts before a
         single-support box tightens.  Samples beyond the constraint window are
         guided by the references only.
         """
         local = self._local_cycle(self.k)
-        horizon = self.config.constraint_window
-        segments = []
-        j = 1
-        while j <= horizon:
-            key = self._timeline.phase(local + j)
-            j_end = j
-            while j_end < horizon and self._timeline.phase(local + j_end + 1) == key:
-                j_end += 1
-            segments.append((j, j_end, key))
-            j = j_end + 1
-        return segments
+        return [self._timeline.phase(local + j)
+                for j in range(1, self.config.constraint_window + 1)]
 
-    def _rows_for(self, key: tuple[str, int], axis: str):
-        cached = self._row_cache.get((key, axis))
-        if cached is not None:
-            return cached
+    def _bounds(self, keys: list[tuple[str, int]], axis: str):
+        """Per-sample (lo, hi) output bounds for the phases ``keys``."""
+        boxes = {key: self._phase_box(key, axis) for key in dict.fromkeys(keys)}
+        box = np.array([boxes[key] for key in keys])   # (window, lo/hi, output)
+        return box[:, 0], box[:, 1]
+
+    def _phase_box(self, key: tuple[str, int], axis: str):
         name, idx = key
         plan = self._timeline.plan
         if name == "single":
             sup, hl, hw = self._frame_foot(plan.support(idx))
             if axis == "x":
-                rows = build_constraints(PHASE_SINGLE, sup[0], self.params, self.config,
+                return build_constraints(PHASE_SINGLE, sup[0], self.params, self.config,
                                          axis="x", half_extent=hl)
-            else:
-                target = _rot(-self.frame_angle) @ plan.swing_to(idx).xy()
-                side = 1.0 if target[1] - sup[1] >= 0.0 else -1.0
-                rows = build_constraints(PHASE_SINGLE, sup[1], self.params, self.config,
-                                         axis="y", swing_side=side, half_extent=hw)
+            target = _rot(-self.frame_angle) @ plan.swing_to(idx).xy()
+            side = 1.0 if target[1] - sup[1] >= 0.0 else -1.0
+            return build_constraints(PHASE_SINGLE, sup[1], self.params, self.config,
+                                     axis="y", swing_side=side, half_extent=hw)
+        if name == "double":
+            feet = (plan.support(idx), plan.swing_to(idx))
+            phase = PHASE_DOUBLE
+        elif name == "initialize" or idx < 0:
+            feet = (plan.footprints[0], plan.footprints[1])
+            phase = PHASE_STAND
         else:
-            if name == "double":
-                feet = (plan.support(idx), plan.swing_to(idx))
-                phase = PHASE_DOUBLE
-            elif name == "initialize" or idx < 0:
-                feet = (plan.footprints[0], plan.footprints[1])
-                phase = PHASE_STAND
-            else:
-                feet = (plan.footprints[-2], plan.footprints[-1])
-                phase = PHASE_STAND
-            geom = [self._frame_foot(fp) for fp in feet]
-            i = 0 if axis == "x" else 1
-            rows = build_constraints(
-                phase, (geom[0][0][i], geom[1][0][i]), self.params, self.config,
-                axis=axis, half_extent=np.array([geom[0][1 + i], geom[1][1 + i]]))
-        self._row_cache[(key, axis)] = rows
-        return rows
+            feet = (plan.footprints[-2], plan.footprints[-1])
+            phase = PHASE_STAND
+        geom = [self._frame_foot(fp) for fp in feet]
+        i = 0 if axis == "x" else 1
+        return build_constraints(
+            phase, (geom[0][0][i], geom[1][0][i]), self.params, self.config,
+            axis=axis, half_extent=np.array([geom[0][1 + i], geom[1][1 + i]]))
 
     # ----------------------------------------------------------------- frame
 
@@ -569,4 +563,3 @@ class WalkEngine:
         for ctrl in self.controllers.values():
             ctrl.drop_warm_start()
         self.frame_angle = wrap_angle(self.frame_angle + delta)
-        self._row_cache = {}

@@ -111,17 +111,6 @@ class ReferenceBundle:
 
 
 @dataclass(frozen=True)
-class ConstraintRow:
-    """One row of the mixed input/output constraint set:
-    ``e . u(k+j) + f . y(k+j) <= g`` applied across the horizon."""
-
-    e: tuple[float, float, float]
-    f: tuple[float, float, float]
-    g: float
-    soft: bool = False
-
-
-@dataclass(frozen=True)
 class PredictionMatrices:
     """Condensed prediction: ``Y = phi x + phi_u u_prev + gamma dU`` and
     ``U = tile(u_prev) + u_map dU`` with dU zero beyond the control horizon."""
@@ -167,12 +156,23 @@ def build_prediction(ss: StateSpace, config: MpcConfig) -> PredictionMatrices:
                               n_pred=np_, n_ctrl=nc)
 
 
-def output_weights(config: MpcConfig) -> np.ndarray:
-    return np.tile([config.w_stance, config.w_swing, config.w_zmp], config.n_pred)
+def cost_matrices(pred: PredictionMatrices, config: MpcConfig):
+    """Fixed parts of the tracking cost: the Hessian H and the weighted
+    transposes ``GtW``, ``UtW`` that map the free-response error and the held
+    input to the gradient (see ``cost_gradient``)."""
+    w_out = np.tile([config.w_stance, config.w_swing, config.w_zmp], config.n_pred)
+    w_in = np.tile(config.w_jerk, config.n_pred)
+    G, U = pred.gamma, pred.u_map
+    GW, UW = G * w_out[:, None], U * w_in[:, None]
+    H = 2.0 * (G.T @ GW + U.T @ UW)
+    H += 2.0 * config.w_move * np.eye(H.shape[0])
+    return 0.5 * (H + H.T), GW.T, UW.T
 
 
-def input_weights(config: MpcConfig) -> np.ndarray:
-    return np.tile(config.w_jerk, config.n_pred)
+def cost_gradient(GtW: np.ndarray, UtW: np.ndarray, err: np.ndarray,
+                  u_prev: np.ndarray) -> np.ndarray:
+    """Linear cost term for the free-response tracking error ``err``."""
+    return 2.0 * (GtW @ err + UtW @ np.tile(u_prev, UtW.shape[1] // N_INPUTS))
 
 
 def build_cost(pred: PredictionMatrices, refs: ReferenceBundle, config: MpcConfig,
@@ -185,28 +185,23 @@ def build_cost(pred: PredictionMatrices, refs: ReferenceBundle, config: MpcConfi
     """
     if len(refs) != pred.n_pred:
         raise ValueError("reference length must equal the prediction horizon")
-    w_out = output_weights(config)
-    w_in = input_weights(config)
-    G, U = pred.gamma, pred.u_map
-    H = 2.0 * (G.T @ (G * w_out[:, None]) + U.T @ (U * w_in[:, None]))
-    H += 2.0 * config.w_move * np.eye(H.shape[0])
-    H = 0.5 * (H + H.T)
+    H, GtW, UtW = cost_matrices(pred, config)
     free = pred.phi @ x + pred.phi_u @ u_prev
-    err = free - refs.stacked()
-    f = 2.0 * (G.T @ (w_out * err) + U.T @ (w_in * np.tile(u_prev, pred.n_pred)))
-    return H, f
+    return H, cost_gradient(GtW, UtW, free - refs.stacked(), u_prev)
 
 
 def build_constraints(phase: str, support, params: ThreeMassParams, config: MpcConfig,
                       axis: str = "x", swing_side: float = 0.0,
-                      half_extent: float | None = None) -> list[ConstraintRow]:
-    """Constraint rows for one axis and one walking phase.
+                      half_extent: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Output bounds for one axis and one walking phase.
 
-    ``support`` holds the support-foot center along the axis (a scalar in
-    single support, a pair in double support or standing).  ``swing_side``
-    gives the sign of the swing foot's lateral offset from the support and is
-    required for the frontal (``axis="y"``) swing corridor.  ``half_extent``
-    overrides the foot half-extent along the axis (used under turning).
+    Returns ``(lo, hi)``, each of shape (3,) in stacked output order (stance,
+    swing, zmp).  ``support`` holds the support-foot center along the axis (a
+    scalar in single support, a pair in double support or standing).
+    ``swing_side`` gives the sign of the swing foot's lateral offset from the
+    support and is required for the frontal (``axis="y"``) swing corridor.
+    ``half_extent`` overrides the foot half-extent along the axis (used under
+    turning).  The jerk bounds are ``config.jerk_limit`` in every phase.
     """
     if phase not in (PHASE_SINGLE, PHASE_DOUBLE, PHASE_STAND):
         raise ValueError(f"unknown phase {phase!r}")
@@ -221,15 +216,12 @@ def build_constraints(phase: str, support, params: ThreeMassParams, config: MpcC
         half_extent = params.foot_length / 2.0 if axis == "x" else params.foot_width / 2.0
     half = np.broadcast_to(np.asarray(half_extent, dtype=float), centers.shape)
 
-    rows: list[ConstraintRow] = []
     margin = params.zmp_safety_scale * half
     bias = config.zmp_bias if axis == "x" else 0.0
     z_lo = float(np.min(centers - margin)) + config.zmp_margin + bias
     z_hi = float(np.max(centers + margin)) - config.zmp_margin + bias
     if z_lo > z_hi:
         raise ValueError(f"inconsistent ZMP bounds [{z_lo}, {z_hi}]")
-    rows.append(ConstraintRow(e=(0.0, 0.0, 0.0), f=(0.0, 0.0, 1.0), g=z_hi))
-    rows.append(ConstraintRow(e=(0.0, 0.0, 0.0), f=(0.0, 0.0, -1.0), g=-z_lo))
 
     # The stance-leg mass belongs to a planted foot, so its position is
     # mechanically confined near the support.  The corridor also removes the
@@ -237,88 +229,63 @@ def build_constraints(phase: str, support, params: ThreeMassParams, config: MpcC
     # mass position can run away without moving the ZMP.
     st_lo = float(np.min(centers)) - config.swing_reach
     st_hi = float(np.max(centers)) + config.swing_reach
-    rows.append(ConstraintRow(e=(0.0, 0.0, 0.0), f=(1.0, 0.0, 0.0), g=st_hi))
-    rows.append(ConstraintRow(e=(0.0, 0.0, 0.0), f=(-1.0, 0.0, 0.0), g=-st_lo))
 
     if phase == PHASE_SINGLE:
         sup = float(centers[0])
         if axis == "x":
-            lo, hi = sup - config.swing_reach, sup + config.swing_reach
+            sw_lo, sw_hi = sup - config.swing_reach, sup + config.swing_reach
         else:
             if swing_side not in (-1.0, 1.0):
                 raise ValueError("frontal swing rows need swing_side of +1 or -1")
             a = sup + swing_side * config.swing_band[0]
             b = sup + swing_side * config.swing_band[1]
-            lo, hi = min(a, b), max(a, b)
-        if lo > hi:
-            raise ValueError(f"inconsistent swing bounds [{lo}, {hi}]")
-        rows.append(ConstraintRow(e=(0.0, 0.0, 0.0), f=(0.0, 1.0, 0.0), g=hi))
-        rows.append(ConstraintRow(e=(0.0, 0.0, 0.0), f=(0.0, -1.0, 0.0), g=-lo))
+            sw_lo, sw_hi = min(a, b), max(a, b)
+        if sw_lo > sw_hi:
+            raise ValueError(f"inconsistent swing bounds [{sw_lo}, {sw_hi}]")
     else:
         # Both feet planted: the swing-role mass is likewise confined.
-        rows.append(ConstraintRow(e=(0.0, 0.0, 0.0), f=(0.0, 1.0, 0.0), g=st_hi))
-        rows.append(ConstraintRow(e=(0.0, 0.0, 0.0), f=(0.0, -1.0, 0.0), g=-st_lo))
-
-    for i in range(N_INPUTS):
-        e_pos = tuple(1.0 if j == i else 0.0 for j in range(N_INPUTS))
-        e_neg = tuple(-1.0 if j == i else 0.0 for j in range(N_INPUTS))
-        rows.append(ConstraintRow(e=e_pos, f=(0.0, 0.0, 0.0), g=config.jerk_limit))
-        rows.append(ConstraintRow(e=e_neg, f=(0.0, 0.0, 0.0), g=config.jerk_limit))
-    return rows
+        sw_lo, sw_hi = st_lo, st_hi
+    return np.array([st_lo, sw_lo, z_lo]), np.array([st_hi, sw_hi, z_hi])
 
 
-def condense_constraints(pred: PredictionMatrices, rows: list[ConstraintRow],
-                         free: np.ndarray, u_prev: np.ndarray,
-                         samples: tuple[int, int] | None = None):
-    """Expand constraint rows across the horizon into ``A dU <= b``.
+# Output-row order of the constraint matrix: zmp, stance, swing.
+_OUTPUT_ROW_ORDER = [2, 0, 1]
 
-    Output rows apply to the predicted samples k+1 .. k+n_pred, or to the
-    1-based inclusive window ``samples`` when given (phase-scheduled rows);
-    pure input rows cover the n_ctrl decided moves (inputs are constant
-    beyond the control horizon) and are emitted only for windows containing
-    the first sample.  Returns (A, b, soft_mask, output_mask).
+
+def constraint_matrix(pred: PredictionMatrices, window: int) -> np.ndarray:
+    """The fixed rows of ``A dU <= b`` for one controller.
+
+    Per output in ``_OUTPUT_ROW_ORDER``, upper then lower bound rows over the
+    predicted samples k+1 .. k+window; then, per input, upper then lower jerk
+    rows over the n_ctrl decided moves (inputs are constant beyond the
+    control horizon).  Only ``b`` changes from cycle to cycle.
     """
-    blocks_a, blocks_b, soft, is_out = [], [], [], []
-    G, U = pred.gamma, pred.u_map
-    nc = pred.n_ctrl
-    j0, j1 = (1, pred.n_pred) if samples is None else samples
-    if not 1 <= j0 <= j1 <= pred.n_pred:
-        raise ValueError("sample window must lie within the prediction horizon")
-    sl = slice(j0 - 1, j1)
-    for row in rows:
-        e = np.asarray(row.e)
-        f = np.asarray(row.f)
-        has_e, has_f = bool(np.any(e)), bool(np.any(f))
-        if has_f:
-            A_blk = sum(f[i] * G[i::N_OUTPUTS][sl] for i in range(N_OUTPUTS) if f[i])
-            b_blk = row.g - sum(f[i] * free[i::N_OUTPUTS][sl] for i in range(N_OUTPUTS) if f[i])
-            if has_e:
-                # Mixed row: pair u(k+j) with y(k+j), holding the input at its
-                # last decided move beyond the control horizon.
-                U_rows = np.vstack([
-                    sum(e[i] * U[N_INPUTS * min(j, pred.n_pred - 1) + i]
-                        for i in range(N_INPUTS) if e[i])
-                    for j in range(j0, j1 + 1)
-                ])
-                A_blk = A_blk + U_rows
-                b_blk = b_blk - float(e @ u_prev)
-        elif has_e:
-            if j0 != 1:
-                continue
-            A_blk = sum(e[i] * U[i::N_INPUTS] for i in range(N_INPUTS) if e[i])[:nc]
-            b_blk = np.full(nc, row.g - float(e @ u_prev))
-        else:
-            raise ValueError("constraint row has neither input nor output part")
-        blocks_a.append(np.atleast_2d(A_blk))
-        blocks_b.append(np.atleast_1d(b_blk))
-        n_rows = blocks_a[-1].shape[0]
-        soft.extend([row.soft] * n_rows)
-        is_out.extend([has_f] * n_rows)
-    if not blocks_a:
-        z = np.zeros((0, N_INPUTS * nc))
-        return z, np.zeros(0), np.zeros(0, bool), np.zeros(0, bool)
-    return (np.vstack(blocks_a), np.concatenate(blocks_b),
-            np.asarray(soft, bool), np.asarray(is_out, bool))
+    blocks = []
+    for i in _OUTPUT_ROW_ORDER:
+        g = pred.gamma[i::N_OUTPUTS][:window]
+        blocks += [g, -g]
+    for i in range(N_INPUTS):
+        u = pred.u_map[i::N_INPUTS][:pred.n_ctrl]
+        blocks += [u, -u]
+    return np.vstack(blocks)
+
+
+def condense_constraints(config: MpcConfig, lo: np.ndarray, hi: np.ndarray,
+                         free: np.ndarray, u_prev: np.ndarray) -> np.ndarray:
+    """Right-hand side ``b`` of ``constraint_matrix`` for one cycle.
+
+    ``lo`` and ``hi`` have shape (constraint_window, 3): row j bounds the
+    outputs (stance, swing, zmp) at sample k+1+j.  ``free`` is the predicted
+    output response with zero increments.
+    """
+    window = config.constraint_window
+    if lo.shape != (window, N_OUTPUTS) or hi.shape != (window, N_OUTPUTS):
+        raise ValueError("output bounds must have shape (constraint_window, 3)")
+    y = free.reshape(-1, N_OUTPUTS)[:window]
+    out = np.stack([hi - y, y - lo]).transpose(2, 0, 1)[_OUTPUT_ROW_ORDER]
+    lim = config.jerk_limit
+    jerk = np.repeat(np.column_stack([lim - u_prev, lim + u_prev]).ravel(), config.n_ctrl)
+    return np.concatenate([out.ravel(), jerk])
 
 
 @dataclass(frozen=True)
@@ -465,8 +432,10 @@ class ControlCycleInfo:
 class AxisController:
     """Receding-horizon controller for one axis.
 
-    Holds the previous applied input and the previous active set for warm
-    starts; one instance per axis per walk session.
+    Holds the fixed cost and constraint matrices, the previous applied input
+    and the previous active set for warm starts; one instance per axis per
+    walk session.  Because ``A`` never changes, a warm-start row index always
+    names the same (bound family, sample).
     """
 
     def __init__(self, ss: StateSpace, config: MpcConfig,
@@ -474,76 +443,48 @@ class AxisController:
         self.config = config
         self.pred = build_prediction(ss, config)
         self.solver = solver or ActiveSetSolver(max_iter=2000)
-        w_out = output_weights(config)
-        w_in = input_weights(config)
-        G, U = self.pred.gamma, self.pred.u_map
-        H = 2.0 * (G.T @ (G * w_out[:, None]) + U.T @ (U * w_in[:, None]))
-        H += 2.0 * config.w_move * np.eye(H.shape[0])
-        self._H = 0.5 * (H + H.T)
-        self._GtW = (G * w_out[:, None]).T
-        self._UtW = (U * w_in[:, None]).T
+        self._H, self._GtW, self._UtW = cost_matrices(self.pred, config)
+        self.A = constraint_matrix(self.pred, config.constraint_window)
+        # The softened fallback relaxes every output row; jerk rows stay hard.
+        self._output_rows = np.arange(self.A.shape[0]) < 2 * N_OUTPUTS * config.constraint_window
         self.u_prev = np.zeros(N_INPUTS)
         self._warm: tuple[int, ...] | None = None
-        self._warm_rows = -1
 
     def reset(self, u_prev=None) -> None:
         self.u_prev = np.zeros(N_INPUTS) if u_prev is None else np.asarray(u_prev, float).copy()
         self._warm = None
-        self._warm_rows = -1
 
     def drop_warm_start(self) -> None:
         self._warm = None
-        self._warm_rows = -1
 
-    def control_step(self, x_est: np.ndarray, refs: ReferenceBundle,
-                     constraints) -> tuple[np.ndarray, ControlCycleInfo]:
+    def control_step(self, x_est: np.ndarray, refs: ReferenceBundle, lo: np.ndarray,
+                     hi: np.ndarray) -> tuple[np.ndarray, ControlCycleInfo]:
         """Solve the cycle subproblem and return the input to apply now.
 
-        ``constraints`` is either a flat list of rows applied over the whole
-        horizon, or a list of ``(rows, (j0, j1))`` segments scheduling rows
-        over 1-based sample windows.
+        ``lo`` and ``hi`` are the phase schedule as per-sample output bounds
+        of shape (constraint_window, 3): row j bounds (stance, swing, zmp) at
+        sample k+1+j.  Samples beyond the window follow the references only;
+        the jerks are boxed by ``config.jerk_limit``.
         """
         pred = self.pred
         if len(refs) != pred.n_pred:
             raise ValueError("reference window length must equal the horizon")
         free = pred.phi @ np.asarray(x_est, float) + pred.phi_u @ self.u_prev
-        err = free - refs.stacked()
-        f = 2.0 * (self._GtW @ err + self._UtW @ np.tile(self.u_prev, pred.n_pred))
-        if constraints and isinstance(constraints[0], ConstraintRow):
-            segments = [(constraints, None)]
-        else:
-            segments = constraints
-        parts = [condense_constraints(pred, rows, free, self.u_prev, samples)
-                 for rows, samples in segments]
-        if parts:
-            A = np.vstack([p[0] for p in parts])
-            b = np.concatenate([p[1] for p in parts])
-            soft = np.concatenate([p[2] for p in parts])
-            is_out = np.concatenate([p[3] for p in parts])
-        else:
-            A = np.zeros((0, N_INPUTS * pred.n_ctrl))
-            b = np.zeros(0)
-            soft = np.zeros(0, bool)
-            is_out = np.zeros(0, bool)
+        f = cost_gradient(self._GtW, self._UtW, free - refs.stacked(), self.u_prev)
+        b = condense_constraints(self.config, lo, hi, free, self.u_prev)
 
-        problem = QpProblem(H=self._H, f=f, A_ineq=A, b_ineq=b,
-                            soft=soft if soft.any() else None,
+        problem = QpProblem(H=self._H, f=f, A_ineq=self.A, b_ineq=b,
                             soft_penalty=self.config.soft_penalty)
-        warm = self._warm if self._warm_rows == b.shape[0] else None
-        sol = self.solver.solve(problem, warm_start=warm)
+        sol = self.solver.solve(problem, warm_start=self._warm)
         softened = False
         if sol.status == STATUS_INFEASIBLE:
             softened = True
-            relaxed = QpProblem(H=self._H, f=f, A_ineq=A, b_ineq=b,
-                                soft=soft | is_out, soft_penalty=self.config.soft_penalty)
+            relaxed = QpProblem(H=self._H, f=f, A_ineq=self.A, b_ineq=b,
+                                soft=self._output_rows, soft_penalty=self.config.soft_penalty)
             sol = self.solver.solve(relaxed)
             if sol.status == STATUS_INFEASIBLE:
                 raise ControllerFault("cycle subproblem infeasible even after softening outputs")
-        if sol.status == STATUS_OPTIMAL and not softened:
-            self._warm = sol.active_set
-            self._warm_rows = b.shape[0]
-        else:
-            self.drop_warm_start()
+        self._warm = sol.active_set if sol.status == STATUS_OPTIMAL and not softened else None
 
         u = self.u_prev + sol.z[:N_INPUTS]
         self.u_prev = u.copy()

@@ -113,6 +113,16 @@ def _augment_soft(problem: QpProblem):
     return H_aug, f_aug, A_aug, b_aug, n, scale
 
 
+def _drop(W: list[int], lam, V, S, pos: int) -> None:
+    """Remove working-set entry ``pos`` with its multiplier, its ``H^-1 a``
+    column and its Gram row and column, keeping the rest packed in order."""
+    k = len(W)
+    W.pop(pos)
+    lam[pos:k - 1] = lam[pos + 1:k]
+    V[:, pos:k - 1] = V[:, pos + 1:k]
+    S[:k - 1, :k - 1] = np.delete(np.delete(S[:k, :k], pos, 0), pos, 1)
+
+
 class ActiveSetSolver:
     """Dual active-set QP solver with working-set warm starts.
 
@@ -143,13 +153,6 @@ class ActiveSetSolver:
         lam = np.zeros(n)            # first len(W) entries are the multipliers
         V = np.zeros((n, n))         # columns 0..k-1 hold H^-1 A_W'
         S = np.zeros((n, n))         # leading k-by-k block holds A_W H^-1 A_W'
-
-        def drop(pos: int) -> None:
-            k = len(W)
-            W.pop(pos)
-            lam[pos:k - 1] = lam[pos + 1:k]
-            V[:, pos:k - 1] = V[:, pos + 1:k]
-            S[:k - 1, :k - 1] = np.delete(np.delete(S[:k, :k], pos, 0), pos, 1)
 
         if warm_start:
             self._seed_working_set(hsolve, A, b, f, z, W, lam, V, S, warm_start, m)
@@ -231,7 +234,7 @@ class ActiveSetSolver:
                         W.append(p)
                         lam[k] = lam_p
                         break
-                    drop(blk)
+                    _drop(W, lam, V, S, blk)
                 if status != STATUS_OPTIMAL:
                     break
 
@@ -298,11 +301,7 @@ class ActiveSetSolver:
             if np.min(mult) >= 0.0:
                 lam[:k] = mult
                 return
-            pos = int(np.argmin(mult))
-            W.pop(pos)
-            lam[pos:k - 1] = lam[pos + 1:k]
-            V[:, pos:k - 1] = V[:, pos + 1:k]
-            S[:k - 1, :k - 1] = np.delete(np.delete(S[:k, :k], pos, 0), pos, 1)
+            _drop(W, lam, V, S, int(np.argmin(mult)))
 
     @staticmethod
     def _polish(H, hsolve, A, b, f, W):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from triwalk.engine import (
     filter_setpoints,
 )
 from triwalk.footstep import footsteps_from_path, initial_feet_on_path
-from triwalk.mpc import MpcConfig
+from triwalk.mpc import PHASE_DOUBLE, PHASE_SINGLE, MpcConfig, build_constraints
 from triwalk.refgen import GaitTiming, WalkTimeline, assemble_bundle
 
 
@@ -276,6 +277,102 @@ class TestPlanWalkTracking:
         _, x_state, y_state = log[-1]
         assert abs(x_state[3] - final_mid[0]) < 0.02
         assert abs(y_state[3] - final_mid[1]) < 0.02
+
+
+class TestConstraintSchedule:
+    def test_bounds_switch_at_single_to_double_boundary(self, params, timing):
+        engine = make_engine(params, timing)
+        plan = straight_plan(2)
+        engine.command_path(plan)
+        calls = {"x": [], "y": []}
+        for axis, ctrl in engine.controllers.items():
+            def step(x_est, refs, lo, hi, _orig=ctrl.control_step, _axis=axis):
+                calls[_axis].append((engine._timeline, engine._local_cycle(engine.k), lo, hi))
+                return _orig(x_est, refs, lo, hi)
+            ctrl.control_step = step
+        run_closed_loop(engine, 1 + engine.n_init + engine.n_single)
+
+        cfg = engine.config
+        hl, hw = params.foot_length / 2.0, params.foot_width / 2.0
+        checked = 0
+        for (tl, local, lo_x, hi_x), (_, _, lo_y, hi_y) in zip(calls["x"], calls["y"]):
+            keys = [tl.phase(local + j) for j in range(1, cfg.constraint_window + 1)]
+            if keys[0][0] != "single" or keys[-1][0] != "double":
+                continue
+            idx = keys[0][1]
+            switch = keys.index(("double", idx))
+            sup, land = plan.support(idx), plan.swing_to(idx)
+            side = 1.0 if land.y >= sup.y else -1.0
+            expected = (
+                (lo_x, hi_x,
+                 build_constraints(PHASE_SINGLE, sup.x, params, cfg, axis="x", half_extent=hl),
+                 build_constraints(PHASE_DOUBLE, (sup.x, land.x), params, cfg, axis="x",
+                                   half_extent=np.array([hl, hl]))),
+                (lo_y, hi_y,
+                 build_constraints(PHASE_SINGLE, sup.y, params, cfg, axis="y",
+                                   swing_side=side, half_extent=hw),
+                 build_constraints(PHASE_DOUBLE, (sup.y, land.y), params, cfg, axis="y",
+                                   half_extent=np.array([hw, hw]))),
+            )
+            for lo, hi, single, double in expected:
+                assert not np.array_equal(np.stack(single), np.stack(double))
+                n = cfg.constraint_window - switch
+                np.testing.assert_array_equal(lo[:switch], np.tile(single[0], (switch, 1)))
+                np.testing.assert_array_equal(hi[:switch], np.tile(single[1], (switch, 1)))
+                np.testing.assert_array_equal(lo[switch:], np.tile(double[0], (n, 1)))
+                np.testing.assert_array_equal(hi[switch:], np.tile(double[1], (n, 1)))
+            checked += 1
+        assert checked > 0
+
+    def test_constraint_matrix_fixed_across_cycles_and_phases(self, params, timing):
+        engine = make_engine(params, timing)
+        engine.command_path(straight_plan(2))
+        seen = {"x": [], "y": []}
+        original = {}
+        for axis, ctrl in engine.controllers.items():
+            original[axis] = ctrl.A.copy()
+
+            def solve(problem, warm_start=None, _orig=ctrl.solver.solve, _axis=axis):
+                seen[_axis].append((problem.A_ineq, warm_start))
+                return _orig(problem, warm_start=warm_start)
+            ctrl.solver.solve = solve
+        log = run_closed_loop(engine, engine.n_init + 2 * engine.n_step)
+        phases = {d.phase for d, _, _ in log}
+        assert {WalkPhase.INITIALIZE, WalkPhase.SINGLE_SUPPORT,
+                WalkPhase.DOUBLE_SUPPORT} <= phases
+        for axis, ctrl in engine.controllers.items():
+            # Every solve sees the controller's one matrix, so a warm-start
+            # row index names the same (bound family, sample) every cycle.
+            assert all(A is ctrl.A for A, _ in seen[axis])
+            np.testing.assert_array_equal(ctrl.A, original[axis])
+
+
+class TestMeasurementValidation:
+    def test_non_finite_rejected_without_state_change(self, params, timing):
+        engine = make_engine(params, timing)
+        engine.command_path(straight_plan(2))
+        run_closed_loop(engine, engine.n_init + 3)
+        before = copy.deepcopy(engine)
+        y = engine.model.C @ engine.standing_state("x")
+        for bad in (np.nan, np.inf, -np.inf):
+            y_bad = y.copy()
+            y_bad[2] = bad
+            with pytest.raises(ValueError):
+                engine.tick(y, y_bad)
+            with pytest.raises(ValueError):
+                engine.tick(y_bad, y)
+        for name in ("k", "phase", "phase_cycles", "setpoints", "estimates",
+                     "_boost_cycles", "_sigma_window"):
+            np.testing.assert_equal(getattr(engine, name), getattr(before, name))
+        for axis in ("x", "y"):
+            np.testing.assert_equal(engine.controllers[axis].u_prev,
+                                    before.controllers[axis].u_prev)
+            assert engine.controllers[axis]._warm == before.controllers[axis]._warm
+        # The next valid cycle is the one the untouched copy computes.
+        diag, diag_ref = engine.tick(y, y), before.tick(y, y)
+        assert diag.k == diag_ref.k
+        np.testing.assert_array_equal(diag.u_x, diag_ref.u_x)
+        np.testing.assert_array_equal(diag.u_y, diag_ref.u_y)
 
 
 class TestSupportFeet:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,79 +134,69 @@ class TestCost:
         np.testing.assert_allclose(f, f_hand, atol=1e-12)
 
 
+def window_box(box, cfg):
+    """One phase's (lo, hi) box repeated over the whole constraint window."""
+    lo, hi = box
+    n = cfg.constraint_window
+    return np.tile(lo, (n, 1)), np.tile(hi, (n, 1))
+
+
 class TestConstraints:
     # Raw support-polygon arithmetic, without the optional headroom features.
     plain = dict(zmp_margin=0.0, zmp_bias=0.0)
 
     def test_single_support_zmp_bounds(self, params):
-        rows = build_constraints(PHASE_SINGLE, 0.3, params, MpcConfig(**self.plain), axis="x")
-        zmp_rows = [r for r in rows if r.f == (0.0, 0.0, 1.0) or r.f == (0.0, 0.0, -1.0)]
-        hi = next(r.g for r in zmp_rows if r.f[2] == 1.0)
-        lo = -next(r.g for r in zmp_rows if r.f[2] == -1.0)
-        assert (lo, hi) == pytest.approx((0.21, 0.39))
+        lo, hi = build_constraints(PHASE_SINGLE, 0.3, params, MpcConfig(**self.plain), axis="x")
+        assert (lo[2], hi[2]) == pytest.approx((0.21, 0.39))
 
     def test_stand_zmp_bounds_symmetric(self, params):
-        rows = build_constraints(PHASE_STAND, (0.0, 0.0), params, MpcConfig(**self.plain),
-                                 axis="x")
-        hi = next(r.g for r in rows if r.f == (0.0, 0.0, 1.0))
-        lo = -next(r.g for r in rows if r.f == (0.0, 0.0, -1.0))
-        assert hi == pytest.approx(0.09) and lo == pytest.approx(-0.09)
+        lo, hi = build_constraints(PHASE_STAND, (0.0, 0.0), params, MpcConfig(**self.plain),
+                                   axis="x")
+        assert hi[2] == pytest.approx(0.09) and lo[2] == pytest.approx(-0.09)
 
     def test_double_support_hull(self, params):
-        rows = build_constraints(PHASE_DOUBLE, (0.0, 0.1), params, MpcConfig(**self.plain),
-                                 axis="x")
-        hi = next(r.g for r in rows if r.f == (0.0, 0.0, 1.0))
-        lo = -next(r.g for r in rows if r.f == (0.0, 0.0, -1.0))
-        assert (lo, hi) == pytest.approx((-0.09, 0.19))
+        lo, hi = build_constraints(PHASE_DOUBLE, (0.0, 0.1), params, MpcConfig(**self.plain),
+                                   axis="x")
+        assert (lo[2], hi[2]) == pytest.approx((-0.09, 0.19))
 
     def test_margin_and_bias_shift_bounds(self, params):
         cfg = MpcConfig(zmp_margin=0.01, zmp_bias=0.005)
-        rows = build_constraints(PHASE_SINGLE, 0.3, params, cfg, axis="x")
-        hi = next(r.g for r in rows if r.f == (0.0, 0.0, 1.0))
-        lo = -next(r.g for r in rows if r.f == (0.0, 0.0, -1.0))
-        assert (lo, hi) == pytest.approx((0.21 + 0.01 + 0.005, 0.39 - 0.01 + 0.005))
-        rows_y = build_constraints(PHASE_SINGLE, 0.3, params, cfg, axis="y", swing_side=1.0)
-        hi_y = next(r.g for r in rows_y if r.f == (0.0, 0.0, 1.0))
-        assert hi_y == pytest.approx(0.3 + 0.045 - 0.01)  # bias is sagittal only
-
-    @staticmethod
-    def extract_bounds(rows, out_idx):
-        sel_hi = tuple(1.0 if i == out_idx else 0.0 for i in range(3))
-        sel_lo = tuple(-1.0 if i == out_idx else 0.0 for i in range(3))
-        hi = next(r.g for r in rows if r.f == sel_hi)
-        lo = -next(r.g for r in rows if r.f == sel_lo)
-        return lo, hi
+        lo, hi = build_constraints(PHASE_SINGLE, 0.3, params, cfg, axis="x")
+        assert (lo[2], hi[2]) == pytest.approx((0.21 + 0.01 + 0.005, 0.39 - 0.01 + 0.005))
+        _, hi_y = build_constraints(PHASE_SINGLE, 0.3, params, cfg, axis="y", swing_side=1.0)
+        assert hi_y[2] == pytest.approx(0.3 + 0.045 - 0.01)  # bias is sagittal only
 
     def test_frontal_mirroring(self, params):
         cfg = MpcConfig()
-        rows_pos = build_constraints(PHASE_SINGLE, 0.1, params, cfg, axis="y", swing_side=-1.0)
-        rows_neg = build_constraints(PHASE_SINGLE, -0.1, params, cfg, axis="y", swing_side=1.0)
+        lo_p, hi_p = build_constraints(PHASE_SINGLE, 0.1, params, cfg, axis="y", swing_side=-1.0)
+        lo_n, hi_n = build_constraints(PHASE_SINGLE, -0.1, params, cfg, axis="y", swing_side=1.0)
         for out_idx in (0, 1, 2):
-            lo_p, hi_p = self.extract_bounds(rows_pos, out_idx)
-            lo_n, hi_n = self.extract_bounds(rows_neg, out_idx)
-            assert (lo_p, hi_p) == (-hi_n, -lo_n)
+            assert (lo_p[out_idx], hi_p[out_idx]) == (-hi_n[out_idx], -lo_n[out_idx])
 
     def test_swing_corridor_band_in_single_support(self, params):
         cfg = MpcConfig()
-        single = build_constraints(PHASE_SINGLE, 0.1, params, cfg, axis="y", swing_side=-1.0)
-        lo, hi = self.extract_bounds(single, 1)
-        assert (lo, hi) == pytest.approx((0.1 - 0.30, 0.1 - 0.05))
+        lo, hi = build_constraints(PHASE_SINGLE, 0.1, params, cfg, axis="y", swing_side=-1.0)
+        assert (lo[1], hi[1]) == pytest.approx((0.1 - 0.30, 0.1 - 0.05))
 
     def test_stance_corridor_present_every_phase(self, params):
         cfg = MpcConfig()
-        for rows in (
-            build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"),
-            build_constraints(PHASE_DOUBLE, (0.0, 0.1), params, cfg, axis="x"),
-            build_constraints(PHASE_STAND, (0.0, 0.0), params, cfg, axis="x"),
-        ):
-            assert any(r.f == (1.0, 0.0, 0.0) for r in rows)
-            assert any(r.f == (-1.0, 0.0, 0.0) for r in rows)
+        for phase, support in ((PHASE_SINGLE, 0.0), (PHASE_DOUBLE, (0.0, 0.1)),
+                               (PHASE_STAND, (0.0, 0.0))):
+            lo, hi = build_constraints(phase, support, params, cfg, axis="x")
+            centers = np.atleast_1d(support)
+            assert (lo[0], hi[0]) == pytest.approx((centers.min() - cfg.swing_reach,
+                                                    centers.max() + cfg.swing_reach))
 
-    def test_jerk_rows_present(self, params):
-        rows = build_constraints(PHASE_STAND, (0.0, 0.0), params, MpcConfig(), axis="x")
-        jerk_rows = [r for r in rows if any(r.e)]
-        assert len(jerk_rows) == 6
-        assert all(r.g == 500.0 for r in jerk_rows)
+    def test_jerk_rows_present(self, ssd, params):
+        cfg = MpcConfig()
+        ctrl = AxisController(ssd, cfg)
+        lo, hi = window_box(
+            build_constraints(PHASE_STAND, (0.0, 0.0), params, cfg, axis="x"), cfg)
+        b = condense_constraints(cfg, lo, hi, np.zeros(3 * cfg.n_pred), np.zeros(3))
+        jerk = slice(6 * cfg.constraint_window, None)
+        assert ctrl.A[jerk].shape[0] == 6 * cfg.n_ctrl == b[jerk].shape[0]
+        assert set(np.unique(ctrl.A[jerk])) == {-1.0, 0.0, 1.0}
+        assert np.all(b[jerk] == 500.0)
 
     def test_inconsistent_geometry_rejected(self, params):
         with pytest.raises(ValueError):
@@ -218,7 +210,9 @@ class TestConstraints:
 
 class TestControlStep:
     def make_controller(self, ssd, **kwargs):
+        # Bounds over the whole prediction horizon.
         cfg = MpcConfig(**kwargs)
+        cfg = replace(cfg, n_constrained=cfg.n_pred)
         return AxisController(ssd, cfg), cfg
 
     def test_equilibrium_zero_command(self, ssd, params):
@@ -227,8 +221,9 @@ class TestControlStep:
         # sits exactly on its reference.
         x = make_state((0.0, 0.015, -0.05))
         refs = constant_refs(cfg.n_pred, 0.0, -0.05, 0.0)
-        rows = build_constraints(PHASE_STAND, (-0.05, 0.05), params, cfg, axis="x")
-        u, info = ctrl.control_step(x, refs, rows)
+        lo, hi = window_box(
+            build_constraints(PHASE_STAND, (-0.05, 0.05), params, cfg, axis="x"), cfg)
+        u, info = ctrl.control_step(x, refs, lo, hi)
         assert np.linalg.norm(u) < 1e-6
         assert info.status == "optimal"
 
@@ -236,23 +231,24 @@ class TestControlStep:
         ctrl, cfg = self.make_controller(ssd)
         target = 0.05
         refs = constant_refs(cfg.n_pred, 0.0, 0.0, target)
-        rows = build_constraints(PHASE_DOUBLE, (-0.1, 0.1), params, cfg, axis="x")
+        lo, hi = window_box(
+            build_constraints(PHASE_DOUBLE, (-0.1, 0.1), params, cfg, axis="x"), cfg)
         x = np.zeros(9)
         zmp_row = ssd.C[2]
         for _ in range(100):  # 2 s of closed loop
-            u, _ = ctrl.control_step(x, refs, rows)
+            u, _ = ctrl.control_step(x, refs, lo, hi)
             x = step_plant(ssd, x, u)
         assert abs(zmp_row @ x - target) < 2e-3
 
     def test_zmp_bound_saturates_without_violation(self, ssd, params):
         ctrl, cfg = self.make_controller(ssd)
         refs = constant_refs(cfg.n_pred, 0.0, 0.0, 0.2)  # outside the support polygon
-        rows = build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x")
+        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
         bound = 0.9 * params.foot_length / 2.0
         x = np.zeros(9)
         zmp_values = []
         for _ in range(150):
-            u, info = ctrl.control_step(x, refs, rows)
+            u, info = ctrl.control_step(x, refs, lo, hi)
             x = step_plant(ssd, x, u)
             zmp_values.append(ssd.C[2] @ x)
         assert max(zmp_values) <= bound + 1e-8
@@ -262,11 +258,12 @@ class TestControlStep:
         ctrl, cfg = self.make_controller(ssd)
         rng = np.random.default_rng(31)
         refs = constant_refs(cfg.n_pred, 0.0, 0.0, 0.15)
-        rows = build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x")
+        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
         x = rng.normal(size=9) * 0.01
         free = ctrl.pred.phi @ x + ctrl.pred.phi_u @ ctrl.u_prev
-        A, b, _, _ = condense_constraints(ctrl.pred, rows, free, ctrl.u_prev)
-        u, info = ctrl.control_step(x, refs, rows)
+        A = ctrl.A
+        b = condense_constraints(cfg, lo, hi, free, ctrl.u_prev)
+        u, info = ctrl.control_step(x, refs, lo, hi)
         assert info.status == "optimal"
         dU = np.zeros(3 * cfg.n_ctrl)
         dU[:3] = u - 0.0  # u_prev was zero
@@ -280,12 +277,13 @@ class TestControlStep:
     def test_receding_increments_shrink(self, ssd, params):
         ctrl, cfg = self.make_controller(ssd)
         refs = constant_refs(cfg.n_pred, 0.02, -0.03, 0.01)
-        rows = build_constraints(PHASE_DOUBLE, (-0.1, 0.1), params, cfg, axis="x")
+        lo, hi = window_box(
+            build_constraints(PHASE_DOUBLE, (-0.1, 0.1), params, cfg, axis="x"), cfg)
         x = np.zeros(9)
         u_last = np.zeros(3)
         diffs = []
         for _ in range(120):
-            u, _ = ctrl.control_step(x, refs, rows)
+            u, _ = ctrl.control_step(x, refs, lo, hi)
             x = step_plant(ssd, x, u)
             diffs.append(np.linalg.norm(u - u_last))
             u_last = u
@@ -295,9 +293,9 @@ class TestControlStep:
     def test_softening_fallback_on_infeasible_state(self, ssd, params):
         ctrl, cfg = self.make_controller(ssd, jerk_limit=1.0, swing_reach=0.01)
         refs = constant_refs(cfg.n_pred)
-        rows = build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x")
+        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
         x = make_state((0.0, 0.0, 1.0))  # swing mass far outside its corridor
-        u, info = ctrl.control_step(x, refs, rows)
+        u, info = ctrl.control_step(x, refs, lo, hi)
         assert info.softened
         assert np.all(np.isfinite(u))
         assert np.all(np.abs(u) <= 1.0 + 1e-9)  # input rows stayed hard

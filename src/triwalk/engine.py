@@ -220,7 +220,7 @@ class WalkEngine:
 
     def command_setpoints(self, x: float = 0.0, y: float = 0.0, alpha_deg: float = 0.0) -> None:
         """Start setpoint-driven walking (continues until the caller stops)."""
-        self.setpoints = replace(self.setpoints, x=x, y=y, alpha_deg=alpha_deg)
+        self.set_setpoints(x, y, alpha_deg)
         self.mode = "setpoints"
         self._pending_walk = True
         self._walk_done = False
@@ -443,10 +443,10 @@ class WalkEngine:
         self._timeline = timeline
         self._timeline_origin = origin
         count = timeline.total_cycles + 2
-        table = np.empty((count + 1, 9))
+        table = np.empty((count + 1, 6))
         for j in range(-1, count):
             s = timeline.sample(j)
-            table[j + 1] = np.concatenate([s.zmp, s.hip, s.swing, s.stance_mass])
+            table[j + 1] = np.concatenate([s.zmp, s.stance_mass, s.swing_mass])
         self._ref_table = table
 
     def _world_sample(self, local: int) -> RefSample:
@@ -461,18 +461,10 @@ class WalkEngine:
         n_pred = self.config.n_pred
         count = self._ref_table.shape[0] - 1
         idxs = np.clip(np.arange(local + 1, local + 1 + n_pred), -1, count - 1) + 1
-        rows = self._ref_table[idxs]
-        R = _rot(-self.frame_angle)
-        zmp = rows[:, 0:2] @ R.T
-        hip = rows[:, 2:4] @ R.T
-        swing = rows[:, 4:6] @ R.T
-        stance = rows[:, 7:9] @ R.T
-        i = 0 if axis == "x" else 1
-        return ReferenceBundle(
-            r_stance=stance[:, i],
-            r_swing=0.5 * (swing[:, i] + hip[:, i]),
-            r_zmp=zmp[:, i],
-        )
+        # Rows hold (zmp, stance mass, swing mass) as world-frame xy pairs.
+        rows = self._ref_table[idxs].reshape(n_pred, 3, 2)
+        frame = rows @ _rot(-self.frame_angle)[0 if axis == "x" else 1]
+        return ReferenceBundle(r_stance=frame[:, 1], r_swing=frame[:, 2], r_zmp=frame[:, 0])
 
     # ------------------------------------------------------------ constraints
 

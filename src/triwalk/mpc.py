@@ -10,6 +10,7 @@ from the three measured outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,12 +19,16 @@ from .qp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     ActiveSetSolver,
+    QpFactors,
     QpProblem,
 )
 
 PHASE_SINGLE = "single"
 PHASE_DOUBLE = "double"
 PHASE_STAND = "stand"
+
+# Iteration cap of the per-cycle QP.
+_QP_MAX_ITER = 2000
 
 
 class ControllerFault(RuntimeError):
@@ -432,23 +437,29 @@ class ControlCycleInfo:
 class AxisController:
     """Receding-horizon controller for one axis.
 
-    Holds the fixed cost and constraint matrices, the previous applied input
-    and the previous active set for warm starts; one instance per axis per
-    walk session.  Because ``A`` never changes, a warm-start row index always
-    names the same (bound family, sample).
+    Holds the fixed cost and constraint matrices, factored once for the QP
+    solver, the previous applied input and the previous active set for warm
+    starts; one instance per axis per walk session.  Because ``A`` never
+    changes, a warm-start row index always names the same (bound family,
+    sample).
     """
 
-    def __init__(self, ss: StateSpace, config: MpcConfig,
-                 solver: ActiveSetSolver | None = None):
+    def __init__(self, ss: StateSpace, config: MpcConfig):
         self.config = config
         self.pred = build_prediction(ss, config)
-        self.solver = solver or ActiveSetSolver(max_iter=2000)
-        self._H, self._GtW, self._UtW = cost_matrices(self.pred, config)
-        self.A = constraint_matrix(self.pred, config.constraint_window)
+        self.solver = ActiveSetSolver(max_iter=_QP_MAX_ITER)
+        H, self._GtW, self._UtW = cost_matrices(self.pred, config)
+        self._factors = QpFactors.build(H, constraint_matrix(self.pred, config.constraint_window))
+        self.A = self._factors.A
         # The softened fallback relaxes every output row; jerk rows stay hard.
         self._output_rows = np.arange(self.A.shape[0]) < 2 * N_OUTPUTS * config.constraint_window
         self.u_prev = np.zeros(N_INPUTS)
         self._warm: tuple[int, ...] | None = None
+
+    @cached_property
+    def _soft_factors(self) -> QpFactors:
+        """Factors of the softened fallback, derived from the hard ones on first use."""
+        return self._factors.soften(self._output_rows, self.config.soft_penalty)
 
     def reset(self, u_prev=None) -> None:
         self.u_prev = np.zeros(N_INPUTS) if u_prev is None else np.asarray(u_prev, float).copy()
@@ -473,14 +484,14 @@ class AxisController:
         f = cost_gradient(self._GtW, self._UtW, free - refs.stacked(), self.u_prev)
         b = condense_constraints(self.config, lo, hi, free, self.u_prev)
 
-        problem = QpProblem(H=self._H, f=f, A_ineq=self.A, b_ineq=b,
-                            soft_penalty=self.config.soft_penalty)
+        fac = self._factors
+        problem = QpProblem(H=fac.H, f=f, A_ineq=fac.A, b_ineq=b, factors=fac)
         sol = self.solver.solve(problem, warm_start=self._warm)
         softened = False
         if sol.status == STATUS_INFEASIBLE:
             softened = True
-            relaxed = QpProblem(H=self._H, f=f, A_ineq=self.A, b_ineq=b,
-                                soft=self._output_rows, soft_penalty=self.config.soft_penalty)
+            relaxed = QpProblem(H=fac.H, f=f, A_ineq=fac.A, b_ineq=b, soft=self._output_rows,
+                                soft_penalty=self.config.soft_penalty, factors=self._soft_factors)
             sol = self.solver.solve(relaxed)
             if sol.status == STATUS_INFEASIBLE:
                 raise ControllerFault("cycle subproblem infeasible even after softening outputs")

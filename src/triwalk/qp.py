@@ -10,6 +10,15 @@ time while keeping the working-set multipliers nonnegative, which terminates
 in finitely many steps and detects infeasibility exactly.  Rows flagged soft
 are reformulated internally with one nonnegative slack variable each and a
 quadratic penalty, so a soft problem is always feasible.
+
+Everything that depends on (H, A) alone is computed once per (H, A) and held
+read-only in ``QpFactors``: the inverse Cholesky factor, ``H^-1 A'`` and the
+Gram matrix ``A H^-1 A'``.  A solve then needs only ``f`` and ``b``: a cycle
+whose active set stays empty costs a few matrix-vector products, and an
+active-set step reads its columns and Gram entries instead of solving.  The
+slack-augmented factors of a soft problem are derived from the hard ones.
+A problem that carries no factors is factored first; every solve runs the
+same loop.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgetrf, dgetrs
 from scipy.optimize import nnls
 
 STATUS_OPTIMAL = "optimal"
@@ -25,9 +35,133 @@ STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_INFEASIBLE = "infeasible_hard"
 
 
+class ControlSolverError(RuntimeError):
+    """Structural failure: non-PD Hessian or inconsistent problem data."""
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _peak(v: np.ndarray) -> float:
+    """Largest entry of a non-empty vector (``argmax`` costs far less than
+    ``max`` on short vectors)."""
+    return float(v[v.argmax()])
+
+
+def _pad(v: np.ndarray, k: int) -> np.ndarray:
+    """``v`` followed by ``k`` zeros (the slack entries of f or b)."""
+    return np.concatenate([v, np.zeros(k)]) if k else v
+
+
+def _augment(H, A, soft, penalty):
+    """Return (H, A, soft rows, slack scale) with one slack per soft row.
+
+    Slack variables are scaled by sqrt(penalty) so the augmented Hessian keeps
+    the conditioning of the original H; physical slack values are the scaled
+    variables divided by the slack scale.  Without soft rows, (H, A) are
+    returned unchanged with no slack scale.
+    """
+    n, m = H.shape[0], A.shape[0]
+    soft = np.asarray(soft, bool)
+    if soft.shape != (m,):
+        raise ValueError("soft mask must have one flag per row")
+    idx = np.flatnonzero(soft)
+    if idx.size == 0:
+        return H, A, idx, None
+    w = np.broadcast_to(np.asarray(penalty, float), (m,))[idx]
+    if not np.all(w > 0.0):
+        raise ValueError("soft penalty weights must be positive")
+    scale = np.sqrt(w)
+    k = idx.size
+    H_aug = np.zeros((n + k, n + k))
+    H_aug[:n, :n] = H
+    H_aug[n:, n:] = np.eye(k)
+    A_aug = np.zeros((m + k, n + k))
+    A_aug[:m, :n] = A
+    A_aug[idx, n + np.arange(k)] = -1.0 / scale   # A_i z - s_i <= b_i
+    A_aug[m + np.arange(k), n + np.arange(k)] = -1.0   # scaled slack >= 0
+    return H_aug, A_aug, idx, scale
+
+
+@dataclass(frozen=True, eq=False)
+class QpFactors:
+    """The fixed part of a family of QPs sharing (H, A); arrays are read-only.
+
+    With soft rows the arrays describe the slack-augmented problem, whose
+    first ``n`` variables are the original ones.
+    """
+
+    H: np.ndarray       # (N, N)
+    A: np.ndarray       # (M, N)
+    L_inv: np.ndarray   # (N, N) lower triangular, H^-1 = L_inv' L_inv
+    V: np.ndarray       # (N, M) H^-1 A'
+    G: np.ndarray       # (M, M) A H^-1 A'
+    n: int
+    slack_scale: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, H, A) -> QpFactors:
+        """Validate and factor a hard problem's (H, A)."""
+        H = np.array(H, float)
+        A = np.array(A, float)
+        if np.max(np.abs(H - H.T), initial=0.0) > 1e-10:
+            raise ValueError("H must be symmetric to 1e-10")
+        try:
+            L = np.linalg.cholesky(H)
+        except np.linalg.LinAlgError as exc:
+            raise ControlSolverError("Hessian is not positive definite") from exc
+        L_inv = solve_triangular(L, np.eye(H.shape[0]), lower=True)
+        K = L_inv @ A.T
+        return cls(H=_frozen(H), A=_frozen(A), L_inv=_frozen(L_inv),
+                   V=_frozen(L_inv.T @ K), G=_frozen(K.T @ K), n=H.shape[0])
+
+    def soften(self, soft, penalty) -> QpFactors:
+        """Factors of the problem with the rows in the mask ``soft`` relaxed.
+
+        The augmented Hessian is diag(H, I), so no new factorization is
+        needed: with S the slack columns of the soft rows, ``H^-1 A'`` gains
+        the slack rows of ``A'`` and the Gram matrix is G + S S' on the
+        original rows, -S against the slack bounds and I among them.
+        """
+        H, A, idx, scale = _augment(self.H, self.A, soft, penalty)
+        if scale is None:
+            return self
+        n, m, k = self.n, self.A.shape[0], idx.size
+        L_inv = np.zeros_like(H)
+        L_inv[:n, :n] = self.L_inv
+        L_inv[n:, n:] = np.eye(k)
+        V = A.T.copy()
+        V[:n, :m] = self.V
+        slack = m + np.arange(k)
+        inv = 1.0 / scale
+        G = np.zeros((m + k, m + k))
+        G[:m, :m] = self.G
+        G[idx, idx] += inv * inv
+        G[idx, slack] = inv
+        G[slack, idx] = inv
+        G[slack, slack] = 1.0
+        return QpFactors(H=_frozen(H), A=_frozen(A), L_inv=_frozen(L_inv), V=_frozen(V),
+                         G=_frozen(G), n=n, slack_scale=_frozen(scale))
+
+    def hsolve(self, v: np.ndarray) -> np.ndarray:
+        return self.L_inv.T @ (self.L_inv @ v)
+
+    def extend(self, f: np.ndarray, b: np.ndarray):
+        """Gradient and bounds of the factored problem: zero for the slacks."""
+        k = self.H.shape[0] - self.n
+        return _pad(f, k), _pad(b, k)
+
+
 @dataclass
 class QpProblem:
-    """One inequality-constrained QP.  ``soft`` marks rows relaxed via slacks."""
+    """One inequality-constrained QP.  ``soft`` marks rows relaxed via slacks.
+
+    ``factors``, when given, must be the ``QpFactors`` of this problem's
+    (H, A_ineq, soft, soft_penalty); the solver then uses them as they are
+    instead of validating and factoring the problem.
+    """
 
     H: np.ndarray
     f: np.ndarray
@@ -35,6 +169,7 @@ class QpProblem:
     b_ineq: np.ndarray
     soft: np.ndarray | None = None
     soft_penalty: float | np.ndarray = 1e6
+    factors: QpFactors | None = None
 
     @property
     def n(self) -> int:
@@ -44,20 +179,17 @@ class QpProblem:
     def m(self) -> int:
         return self.b_ineq.shape[0]
 
-    def validate(self) -> None:
+    def factorize(self) -> QpFactors:
+        """Validate the problem and factor its fixed part."""
         n, m = self.n, self.m
         if self.H.shape != (n, n):
             raise ValueError("H must be square and match f")
         if self.A_ineq.shape != (m, n):
             raise ValueError("A_ineq shape must be (m, n)")
-        if np.max(np.abs(self.H - self.H.T), initial=0.0) > 1e-10:
-            raise ValueError("H must be symmetric to 1e-10")
-        if self.soft is not None:
-            if self.soft.shape != (m,):
-                raise ValueError("soft mask must have one flag per row")
-            w = np.broadcast_to(np.asarray(self.soft_penalty, float), (m,))
-            if np.any(self.soft) and not np.all(w[self.soft] > 0.0):
-                raise ValueError("soft penalty weights must be positive")
+        factors = QpFactors.build(self.H, self.A_ineq)
+        if self.soft is None:
+            return factors
+        return factors.soften(self.soft, self.soft_penalty)
 
 
 @dataclass
@@ -79,38 +211,16 @@ class QpSolution:
     slacks: np.ndarray | None = None
 
 
-class ControlSolverError(RuntimeError):
-    """Structural failure: non-PD Hessian or inconsistent problem data."""
+def _lu(S: np.ndarray):
+    """LU factors of a working-set Gram matrix, reused by every solve with it."""
+    lu, piv, info = dgetrf(S)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return lu, piv
 
 
-def _augment_soft(problem: QpProblem):
-    """Return hard-only (H, f, A, b, n_orig, slack_scale) with one slack per soft row.
-
-    Slack variables are scaled by sqrt(penalty) so the augmented Hessian keeps
-    the conditioning of the original H; physical slack values are the scaled
-    variables divided by ``slack_scale``.
-    """
-    H = np.asarray(problem.H, float)
-    f = np.asarray(problem.f, float)
-    A = np.asarray(problem.A_ineq, float)
-    b = np.asarray(problem.b_ineq, float)
-    if problem.soft is None or not np.any(problem.soft):
-        return H, f, A, b, f.shape[0], None
-    soft_idx = np.flatnonzero(problem.soft)
-    k = soft_idx.size
-    n, m = f.shape[0], b.shape[0]
-    w = np.broadcast_to(np.asarray(problem.soft_penalty, float), (m,))[soft_idx]
-    scale = np.sqrt(w)
-    H_aug = np.zeros((n + k, n + k))
-    H_aug[:n, :n] = H
-    H_aug[n:, n:] = np.eye(k)
-    f_aug = np.concatenate([f, np.zeros(k)])
-    A_aug = np.zeros((m + k, n + k))
-    A_aug[:m, :n] = A
-    A_aug[soft_idx, n + np.arange(k)] = -1.0 / scale   # A_i z - s_i <= b_i
-    A_aug[m + np.arange(k), n + np.arange(k)] = -1.0   # scaled slack >= 0
-    b_aug = np.concatenate([b, np.zeros(k)])
-    return H_aug, f_aug, A_aug, b_aug, n, scale
+def _lu_solve(lu, v: np.ndarray) -> np.ndarray:
+    return dgetrs(*lu, v)[0]
 
 
 def _drop(W: list[int], lam, V, S, pos: int) -> None:
@@ -126,8 +236,8 @@ def _drop(W: list[int], lam, V, S, pos: int) -> None:
 class ActiveSetSolver:
     """Dual active-set QP solver with working-set warm starts.
 
-    One instance holds scratch arrays for a solve in flight; use one instance
-    per thread.  Problems and solutions are plain values safe to share.
+    One instance holds no state between solves; problems, factors and
+    solutions are plain values safe to share.
     """
 
     def __init__(self, max_iter: int = 500, feas_tol: float = 1e-9):
@@ -135,39 +245,35 @@ class ActiveSetSolver:
         self.feas_tol = feas_tol
 
     def solve(self, problem: QpProblem, warm_start=None, max_iter: int | None = None) -> QpSolution:
-        problem.validate()
-        H, f, A, b, n_orig, slack_scale = _augment_soft(problem)
-        n, m = f.shape[0], b.shape[0]
+        fac = problem.factors if problem.factors is not None else problem.factorize()
+        f, b = fac.extend(np.asarray(problem.f, float), np.asarray(problem.b_ineq, float))
+        H, A, V_all, G = fac.H, fac.A, fac.V, fac.G
+        n, m = H.shape[0], A.shape[0]
         limit = self.max_iter if max_iter is None else max_iter
 
-        try:
-            L = np.linalg.cholesky(H)
-        except np.linalg.LinAlgError as exc:
-            raise ControlSolverError("Hessian is not positive definite") from exc
-
-        def hsolve(v):
-            return solve_triangular(L.T, solve_triangular(L, v, lower=True), lower=False)
-
-        z = -hsolve(f)
+        z0 = -fac.hsolve(f)
+        z = z0
         W: list[int] = []
         lam = np.zeros(n)            # first len(W) entries are the multipliers
-        V = np.zeros((n, n))         # columns 0..k-1 hold H^-1 A_W'
-        S = np.zeros((n, n))         # leading k-by-k block holds A_W H^-1 A_W'
+        V = np.empty((n, n))         # columns 0..k-1 hold H^-1 A_W' (columns of V_all)
+        S = np.empty((n, n))         # leading k-by-k block holds A_W H^-1 A_W' (of G)
 
         if warm_start:
-            self._seed_working_set(hsolve, A, b, f, z, W, lam, V, S, warm_start, m)
+            self._seed_working_set(fac, b, z0, W, lam, V, S, warm_start)
             if W:
-                z = -hsolve(f) - V[:, :len(W)] @ lam[:len(W)]
+                z = z0 - V[:, :len(W)] @ lam[:len(W)]
 
         iterations = 0
         status = STATUS_OPTIMAL
+        resid = A @ z - b            # kept current with z
         if m > 0:
             while True:
-                resid = A @ z - b
+                viol = resid
                 if W:
-                    resid[W] = -np.inf
-                p = int(np.argmax(resid))
-                if resid[p] <= self.feas_tol:
+                    viol = resid.copy()
+                    viol[W] = -np.inf
+                p = int(viol.argmax())
+                if viol[p] <= self.feas_tol:
                     break
                 if iterations >= limit:
                     status = STATUS_MAX_ITERATIONS
@@ -175,8 +281,8 @@ class ActiveSetSolver:
                 iterations += 1
 
                 a_p = A[p]
-                r = hsolve(a_p)
-                apr = float(a_p @ r)
+                r = V_all[:, p]
+                apr = float(G[p, p])
                 lam_p = 0.0
                 guard = 0
                 while True:
@@ -186,16 +292,17 @@ class ActiveSetSolver:
                         break
                     k = len(W)
                     if k:
-                        u = V[:, :k].T @ a_p
-                        e = -np.linalg.solve(S[:k, :k], u)
+                        u = G[W, p]
+                        lu = _lu(S[:k, :k])
+                        e = -_lu_solve(lu, u)
                         d = -r - V[:, :k] @ e
                         # One refinement pass keeps directions accurate when
                         # the working-set Gram matrix is poorly conditioned.
                         AW = A[W]
                         res1 = H @ d + AW.T @ e + a_p
                         res2 = AW @ d
-                        corr = hsolve(res1)
-                        de = np.linalg.solve(S[:k, :k], res2 - AW @ corr)
+                        corr = fac.hsolve(res1)
+                        de = _lu_solve(lu, res2 - AW @ corr)
                         e = e + de
                         d = d - corr - V[:, :k] @ de
                     else:
@@ -223,7 +330,7 @@ class ActiveSetSolver:
                     if not np.isfinite(t):
                         status = STATUS_INFEASIBLE
                         break
-                    z += t * d
+                    z = z + t * d
                     lam[:k] += t * e
                     lam_p += t
                     if t_full <= t_block:
@@ -235,6 +342,7 @@ class ActiveSetSolver:
                         lam[k] = lam_p
                         break
                     _drop(W, lam, V, S, blk)
+                resid = A @ z - b
                 if status != STATUS_OPTIMAL:
                     break
 
@@ -242,22 +350,22 @@ class ActiveSetSolver:
             # Re-solving on the final working set removes drift accumulated by
             # the incremental updates, but can itself lose accuracy when the
             # working-set Gram matrix is ill conditioned; keep the better one.
-            z_p, lam_p = self._polish(H, hsolve, A, b, f, W)
             k = len(W)
-            if (self._kkt_from_multipliers(H, f, A, b, z_p, W, lam_p)
-                    <= self._kkt_from_multipliers(H, f, A, b, z, W, lam[:k])):
-                z = z_p
+            z_p, lam_p = self._polish(fac, f, b, z0, W, V[:, :k], S[:k, :k])
+            resid_p = A @ z_p - b
+            if (self._kkt_from_multipliers(fac, f, z_p, resid_p, W, lam_p)[0]
+                    <= self._kkt_from_multipliers(fac, f, z, resid, W, lam[:k])[0]):
+                z, resid = z_p, resid_p
                 lam[:k] = lam_p
 
-        k = len(W)
-        kkt = self._kkt_from_multipliers(H, f, A, b, z, W, lam[:k])
+        kkt, Hz = self._kkt_from_multipliers(fac, f, z, resid, W, lam[:len(W)])
         # The convergence check is relative to the gradient scale so that
         # heavily penalised soft rows do not mask an accurate solve.
-        scale = 1.0 + float(np.max(np.abs(f), initial=0.0)) + float(np.max(np.abs(H @ z), initial=0.0))
+        scale = 1.0 + _peak(np.abs(f)) + _peak(np.abs(Hz))
         if status == STATUS_OPTIMAL and kkt >= 1e-8 * scale:
             status = STATUS_MAX_ITERATIONS
-        objective = float(0.5 * z @ H @ z + f @ z)
-        slacks = (z[n_orig:] / slack_scale) if n_orig < n else None
+        objective = float(z @ (0.5 * Hz + f))
+        n_orig = fac.n
         return QpSolution(
             z=z[:n_orig].copy(),
             objective=objective,
@@ -265,75 +373,71 @@ class ActiveSetSolver:
             status=status,
             active_set=tuple(W),
             iterations=iterations,
-            slacks=slacks,
+            slacks=None if fac.slack_scale is None else z[n_orig:] / fac.slack_scale,
         )
 
     @staticmethod
-    def _seed_working_set(hsolve, A, b, f, z, W, lam, V, S, warm_start, m) -> None:
+    def _seed_working_set(fac: QpFactors, b, z0, W, lam, V, S, warm_start) -> None:
         """Recreate a dual-feasible working set from a previous active set."""
-        n = V.shape[0]
+        A, G = fac.A, fac.G
+        n, m = fac.H.shape[0], A.shape[0]
         for i in sorted({int(i) for i in warm_start if 0 <= int(i) < m}):
             if len(W) >= n:
                 break
             k = len(W)
-            col = hsolve(A[i])
-            u = V[:, :k].T @ A[i]
-            s_new = float(A[i] @ col)
+            u = G[W, i]
+            s_new = float(G[i, i])
             if k:
                 # Schur complement must stay safely positive for independence.
-                w = np.linalg.solve(S[:k, :k], u)
-                schur = s_new - float(u @ w)
+                schur = s_new - float(u @ _lu_solve(_lu(S[:k, :k]), u))
             else:
                 schur = s_new
             if schur <= 1e-10 * max(1.0, s_new):
                 continue
-            V[:, k] = col
+            V[:, k] = fac.V[:, i]
             S[k, :k] = u
             S[:k, k] = u
             S[k, k] = s_new
             W.append(i)
         # Prune until the equality-constrained multipliers are all nonnegative.
-        z0 = -hsolve(f)
         while W:
             k = len(W)
-            rhs = b[W] - A[W] @ z0
-            mult = -np.linalg.solve(S[:k, :k], rhs)
+            mult = -_lu_solve(_lu(S[:k, :k]), b[W] - A[W] @ z0)
             if np.min(mult) >= 0.0:
                 lam[:k] = mult
                 return
             _drop(W, lam, V, S, int(np.argmin(mult)))
 
     @staticmethod
-    def _polish(H, hsolve, A, b, f, W):
+    def _polish(fac: QpFactors, f, b, z0, W, V, S):
         """Re-solve the equality-constrained problem on the final working set,
-        with one iterative-refinement pass on the KKT system."""
-        AW = A[W]
-        z0 = -hsolve(f)
-        V = hsolve(AW.T)
-        S = AW @ V
-        lam = -np.linalg.solve(S, b[W] - AW @ z0)
+        given its ``H^-1 A_W'`` columns ``V`` and Gram matrix ``S``, with one
+        iterative-refinement pass on the KKT system."""
+        AW = fac.A[W]
+        lu = _lu(S)
+        lam = -_lu_solve(lu, b[W] - AW @ z0)
         z = z0 - V @ lam
-        res1 = H @ z + f + AW.T @ lam
+        res1 = fac.H @ z + f + AW.T @ lam
         res2 = AW @ z - b[W]
-        corr = hsolve(res1)
-        dlam = np.linalg.solve(S, res2 - AW @ corr)
-        lam = lam + dlam
-        z = z - corr - V @ dlam
-        return z, lam
+        corr = fac.hsolve(res1)
+        dlam = _lu_solve(lu, res2 - AW @ corr)
+        return z - corr - V @ dlam, lam + dlam
 
     @staticmethod
-    def _kkt_from_multipliers(H, f, A, b, z, W, lam) -> float:
-        grad = H @ z + f
-        if len(W):
-            grad = grad + A[W].T @ lam
-            compl = float(np.max(np.abs(lam * (A[W] @ z - b[W]))))
-            dual = max(0.0, float(-np.min(lam)))
+    def _kkt_from_multipliers(fac: QpFactors, f, z, resid, W, lam):
+        """Return the KKT residual of (z, lam) on the working set, given
+        ``resid = A z - b``, and H z."""
+        Hz = fac.H @ z
+        grad = Hz + f
+        if W:
+            grad = grad + fac.A[W].T @ lam
+            compl = _peak(np.abs(lam * resid[W]))
+            dual = max(0.0, -float(lam.min()))
         else:
             compl = 0.0
             dual = 0.0
-        stationarity = float(np.max(np.abs(grad), initial=0.0))
-        primal = float(np.max(A @ z - b, initial=0.0)) if b.shape[0] else 0.0
-        return max(stationarity, max(primal, 0.0), compl, dual)
+        primal = max(0.0, _peak(resid)) if resid.size else 0.0
+        return max(_peak(np.abs(grad)), primal, compl, dual), Hz
 
 
 def kkt_residual(problem: QpProblem, z: np.ndarray, active_tol: float = 1e-6) -> float:
@@ -344,14 +448,19 @@ def kkt_residual(problem: QpProblem, z: np.ndarray, active_tol: float = 1e-6) ->
     a KKT point.  For problems with soft rows the slacks are reconstructed as
     the penalty-optimal values ``max(0, A z - b)``.
     """
-    H, f, A, b, n_orig, slack_scale = _augment_soft(problem)
+    f = np.asarray(problem.f, float)
+    b = np.asarray(problem.b_ineq, float)
     z = np.asarray(z, float)
-    if z.shape != (n_orig,):
+    if z.shape != f.shape:
         raise ValueError("z length must match the number of decision variables")
-    if n_orig < f.shape[0]:
-        soft_idx = np.flatnonzero(problem.soft)
-        s = np.maximum(0.0, problem.A_ineq[soft_idx] @ z - problem.b_ineq[soft_idx])
-        z = np.concatenate([z, s * slack_scale])
+    H = np.asarray(problem.H, float)
+    A = np.asarray(problem.A_ineq, float)
+    if problem.soft is not None:
+        H, A, soft_idx, slack_scale = _augment(H, A, problem.soft, problem.soft_penalty)
+        if slack_scale is not None:
+            s = np.maximum(0.0, A[soft_idx, :z.size] @ z - b[soft_idx])
+            z = np.concatenate([z, s * slack_scale])
+            f, b = _pad(f, s.size), _pad(b, s.size)
 
     grad = H @ z + f
     if b.shape[0] == 0:

@@ -300,6 +300,38 @@ class TestControlStep:
         assert np.all(np.isfinite(u))
         assert np.all(np.abs(u) <= 1.0 + 1e-9)  # input rows stayed hard
 
+    def test_qp_factored_once_per_controller(self, ssd, params, monkeypatch):
+        # (H, A) never change, so the QP is factored at construction only:
+        # neither hard cycles, with or without active rows, nor the softened
+        # fallback factor a Hessian again.
+        shapes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+        cfg = MpcConfig()
+        ctrl = AxisController(ssd, cfg)
+        assert shapes == [(3 * cfg.n_ctrl,) * 2]
+        refs = constant_refs(cfg.n_pred, 0.0, 0.0, 0.15)  # drives the ZMP onto its bound
+        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        x = np.zeros(9)
+        iterations = 0
+        for _ in range(50):
+            u, info = ctrl.control_step(x, refs, lo, hi)
+            assert info.status == "optimal"
+            iterations += info.iterations
+            x = step_plant(ssd, x, u)
+        assert iterations > 0
+        assert len(shapes) == 1
+        assert not ctrl.A.flags.writeable
+
+        cfg = MpcConfig(jerk_limit=1.0, swing_reach=0.01)
+        soft = AxisController(ssd, cfg)
+        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        for _ in range(2):
+            _, info = soft.control_step(make_state((0.0, 0.0, 1.0)), constant_refs(cfg.n_pred),
+                                        lo, hi)
+            assert info.softened
+        assert len(shapes) == 2
+
 
 class TestObserver:
     def test_exact_measurements_converge(self, ssd):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triwalk.qp import (
     STATUS_INFEASIBLE,
     STATUS_OPTIMAL,
     ActiveSetSolver,
     ControlSolverError,
+    QpFactors,
     QpProblem,
     kkt_residual,
 )
@@ -183,3 +186,77 @@ class TestWarmStart:
         sol = solver.solve(p, warm_start=(0, 3, 7, 99, -1))
         z_ref, obj_ref = solve_qp_by_enumeration(p.H, p.f, p.A_ineq, p.b_ineq)
         assert sol.objective == pytest.approx(obj_ref, abs=1e-8)
+
+
+def slack_augmented(H, f, A, b, soft, penalty):
+    """The soft problem written out with one physical slack per soft row."""
+    idx = np.flatnonzero(soft)
+    n, m, k = f.size, b.size, idx.size
+    H_aug = np.zeros((n + k, n + k))
+    H_aug[:n, :n] = H
+    H_aug[n:, n:] = penalty * np.eye(k)
+    A_aug = np.zeros((m + k, n + k))
+    A_aug[:m, :n] = A
+    A_aug[idx, n + np.arange(k)] = -1.0
+    A_aug[m + np.arange(k), n + np.arange(k)] = -1.0
+    return H_aug, np.concatenate([f, np.zeros(k)]), A_aug, np.concatenate([b, np.zeros(k)])
+
+
+class TestFactoredSequences:
+    """One factorization of a fixed (H, A), solved for a sequence of (f, b)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 5),
+           n_dup=st.integers(0, 2), n_par=st.integers(0, 2), n_soft=st.integers(0, 2),
+           n_solves=st.integers(2, 4))
+    def test_matches_oracle_and_cold_solve(self, seed, n, m, n_dup, n_par, n_soft, n_solves):
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(n, n))
+        H = G.T @ G + n * np.eye(n)
+        base = rng.normal(size=(m, n))
+        # Duplicate rows repeat a row exactly; parallel rows are positive or
+        # negative multiples of one, which makes boxes and redundant bounds.
+        src = rng.integers(0, m, size=n_dup + n_par)
+        mult = rng.choice([-2.0, -1.0, 0.5, 3.0], size=n_par)
+        A = np.vstack([base, base[src[:n_dup]], mult[:, None] * base[src[n_dup:]]])
+        rows = A.shape[0]
+        soft = np.zeros(rows, bool)
+        soft[rng.choice(rows, size=n_soft, replace=False)] = True
+        penalty = 100.0
+        factors = QpFactors.build(H, A)
+        if n_soft:
+            factors = factors.soften(soft, penalty)
+        solver = ActiveSetSolver()
+        warm = None
+        for _ in range(n_solves):
+            f = rng.normal(size=n)
+            margin = rng.uniform(0.05, 1.0, size=rows)
+            margin[m:m + n_dup] = margin[src[:n_dup]]   # exact duplicate constraints
+            b = A @ (rng.normal(size=n) * 0.3) + margin
+            common = dict(H=H, f=f, A_ineq=A, b_ineq=b, soft=soft if n_soft else None,
+                          soft_penalty=penalty)
+            problem = QpProblem(**common, factors=factors)
+            sol = solver.solve(problem, warm_start=warm)
+            assert sol.status == STATUS_OPTIMAL
+            if n_soft:
+                z_ref, obj_ref = solve_qp_by_enumeration(
+                    *slack_augmented(H, f, A, b, soft, penalty))
+            else:
+                z_ref, obj_ref = solve_qp_by_enumeration(H, f, A, b)
+            assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
+            assert sol.kkt_residual < 1e-8
+            assert kkt_residual(problem, sol.z) < 1e-8
+            cold = ActiveSetSolver().solve(QpProblem(**common))
+            assert cold.status == STATUS_OPTIMAL
+            np.testing.assert_allclose(sol.z, cold.z, atol=1e-8)
+            assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+            warm = sol.active_set
+
+    def test_factors_are_read_only(self):
+        rng = np.random.default_rng(7)
+        p = random_problem(rng, n=3, m=4)
+        p.soft = np.array([True, False, False, True])
+        factors = p.factorize()
+        for arr in (factors.H, factors.A, factors.L_inv, factors.V, factors.G, factors.slack_scale):
+            assert not arr.flags.writeable
+        assert factors.A.shape == (6, 5) and factors.n == 3

@@ -34,6 +34,7 @@ from .mpc import (
     MpcConfig,
     Observer,
     ObserverConfig,
+    PushGate,
     ReferenceBundle,
     build_constraints,
 )
@@ -111,6 +112,16 @@ class CycleDiagnostics:
     swing_target: np.ndarray | None = None   # landing position during single support
 
 
+def contact_feet(plan: FootstepPlan, key: tuple[str, int]) -> tuple[Footprint, ...]:
+    """Footprints of ``plan`` on the ground in the timeline phase ``key``."""
+    name, idx = key
+    if name == "single":
+        return (plan.support(idx),)
+    if name == "double":
+        return (plan.support(idx), plan.swing_to(idx))
+    return plan.footprints[:2] if name == "initialize" or idx < 0 else plan.footprints[-2:]
+
+
 def _rot(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
@@ -175,12 +186,10 @@ class WalkEngine:
 
         self._timeline: WalkTimeline | None = None
         self._timeline_origin = 0
-        self._ref_table: np.ndarray | None = None   # cached world samples
         self._set_stand_timeline()
 
         self.estimates = {"x": np.zeros(9), "y": np.zeros(9)}
-        self._boost_cycles = {"x": 0, "y": 0}
-        self._sigma_window = {"x": [], "y": []}
+        self.gates = {"x": PushGate(self.observer.config), "y": PushGate(self.observer.config)}
         self.reset_posture()
 
     # ------------------------------------------------------------------ setup
@@ -262,25 +271,8 @@ class WalkEngine:
                 ctrl = self.controllers[axis]
                 sigmas = self.observer.innovation_sigmas(
                     self.estimates[axis], ctrl.u_prev, y_pair[i])
-                peak = float(np.max(np.abs(sigmas)))
-                conf = self.observer.config
-                window = self._sigma_window[axis]
-                window.append(sigmas)
-                if len(window) > conf.boost_window:
-                    window.pop(0)
-                engaged = self._boost_cycles[axis] > 0
-                # A huge innovation is a push; so is a persistent one-signed
-                # bias in any channel (noise is zero-mean).  Either engages
-                # the recovery gain, which stays on while evidence remains.
-                bias = float(np.max(np.abs(np.sum(window, axis=0))))
-                if (peak > conf.boost_gate_high
-                        or bias > conf.boost_gate_sum
-                        or (engaged and peak > conf.boost_gate)):
-                    self._boost_cycles[axis] = conf.boost_hold
-                boosted = self._boost_cycles[axis] > 0
-                self._boost_cycles[axis] = max(0, self._boost_cycles[axis] - 1)
                 est = self.observer.step(self.estimates[axis], ctrl.u_prev, y_pair[i],
-                                         boosted=boosted)
+                                         boosted=self.gates[axis].update(sigmas))
                 self.estimates[axis] = est
                 refs = self._bundle(axis)
                 u, info = ctrl.control_step(est, refs, *self._bounds(keys, axis))
@@ -308,7 +300,7 @@ class WalkEngine:
             qp_status=(status["x"], status["y"]),
             softened=(softened["x"], softened["y"]),
             zmp_pred=zmp_pred_world,
-            refs=self._world_sample(self._local_cycle(self.k)),
+            refs=self._timeline.sample(self._local_cycle(self.k)),
             support_feet=self.support_feet(),
             clamped_step=self._clamped_step,
             step_index=self._step_index,
@@ -442,27 +434,13 @@ class WalkEngine:
     def _set_timeline(self, timeline: WalkTimeline, origin: int) -> None:
         self._timeline = timeline
         self._timeline_origin = origin
-        count = timeline.total_cycles + 2
-        table = np.empty((count + 1, 6))
-        for j in range(-1, count):
-            s = timeline.sample(j)
-            table[j + 1] = np.concatenate([s.zmp, s.stance_mass, s.swing_mass])
-        self._ref_table = table
-
-    def _world_sample(self, local: int) -> RefSample:
-        return self._timeline.sample(local)
 
     def _local_cycle(self, k: int) -> int:
         return k - self._timeline_origin
 
     def _bundle(self, axis: str) -> ReferenceBundle:
         """Reference window in the working frame for one axis."""
-        local = self._local_cycle(self.k)
-        n_pred = self.config.n_pred
-        count = self._ref_table.shape[0] - 1
-        idxs = np.clip(np.arange(local + 1, local + 1 + n_pred), -1, count - 1) + 1
-        # Rows hold (zmp, stance mass, swing mass) as world-frame xy pairs.
-        rows = self._ref_table[idxs].reshape(n_pred, 3, 2)
+        rows = self._timeline.window(self._local_cycle(self.k), self.config.n_pred)
         frame = rows @ _rot(-self.frame_angle)[0 if axis == "x" else 1]
         return ReferenceBundle(r_stance=frame[:, 1], r_swing=frame[:, 2], r_zmp=frame[:, 0])
 
@@ -472,16 +450,9 @@ class WalkEngine:
         """World-frame feet currently in ground contact."""
         hl = self.params.foot_length / 2.0
         hw = self.params.foot_width / 2.0
-
-        def foot(fp: Footprint) -> SupportFoot:
-            return SupportFoot(fp.x, fp.y, fp.theta, hl, hw)
-
-        if self.phase == WalkPhase.SINGLE_SUPPORT:
-            return (foot(self._plan.support(self._step_index)),)
-        if self.phase == WalkPhase.DOUBLE_SUPPORT:
-            return (foot(self._plan.support(self._step_index)),
-                    foot(self._plan.swing_to(self._step_index)))
-        return (foot(self.feet["L"]), foot(self.feet["R"]))
+        key = self._timeline.phase(self._local_cycle(self.k))
+        return tuple(SupportFoot(fp.x, fp.y, fp.theta, hl, hw)
+                     for fp in contact_feet(self._timeline.plan, key))
 
     def _frame_foot(self, fp: Footprint):
         """Foot center (frame coords) and inscribed extents for constraints."""
@@ -514,8 +485,9 @@ class WalkEngine:
     def _phase_box(self, key: tuple[str, int], axis: str):
         name, idx = key
         plan = self._timeline.plan
+        geom = [self._frame_foot(fp) for fp in contact_feet(plan, key)]
         if name == "single":
-            sup, hl, hw = self._frame_foot(plan.support(idx))
+            sup, hl, hw = geom[0]
             if axis == "x":
                 return build_constraints(PHASE_SINGLE, sup[0], self.params, self.config,
                                          axis="x", half_extent=hl)
@@ -523,19 +495,10 @@ class WalkEngine:
             side = 1.0 if target[1] - sup[1] >= 0.0 else -1.0
             return build_constraints(PHASE_SINGLE, sup[1], self.params, self.config,
                                      axis="y", swing_side=side, half_extent=hw)
-        if name == "double":
-            feet = (plan.support(idx), plan.swing_to(idx))
-            phase = PHASE_DOUBLE
-        elif name == "initialize" or idx < 0:
-            feet = (plan.footprints[0], plan.footprints[1])
-            phase = PHASE_STAND
-        else:
-            feet = (plan.footprints[-2], plan.footprints[-1])
-            phase = PHASE_STAND
-        geom = [self._frame_foot(fp) for fp in feet]
         i = 0 if axis == "x" else 1
         return build_constraints(
-            phase, (geom[0][0][i], geom[1][0][i]), self.params, self.config,
+            PHASE_DOUBLE if name == "double" else PHASE_STAND,
+            (geom[0][0][i], geom[1][0][i]), self.params, self.config,
             axis=axis, half_extent=np.array([geom[0][1 + i], geom[1][1 + i]]))
 
     # ----------------------------------------------------------------- frame

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 DEFAULT_CELL_SIZE = 0.1
 DEFAULT_STEP_DISTANCE = 0.1
@@ -138,38 +139,16 @@ def inflate(grid: GridMap) -> GridMap:
     """
     occ = grid.occupancy
     out = occ.copy()
-    seen = np.zeros_like(occ)
-    for r0 in range(grid.height):
-        for c0 in range(grid.width):
-            if not occ[r0, c0] or seen[r0, c0]:
-                continue
-            stack = [(r0, c0)]
-            seen[r0, c0] = True
-            cells = []
-            while stack:
-                r, c = stack.pop()
-                cells.append((r, c))
-                for dr, dc in _NEIGHBORS:
-                    nr, nc = r + dr, c + dc
-                    if grid.in_bounds((nr, nc)) and occ[nr, nc] and not seen[nr, nc]:
-                        seen[nr, nc] = True
-                        stack.append((nr, nc))
-            rows = [c[0] for c in cells]
-            cols = [c[1] for c in cells]
-            for lo, hi, limit, axis in ((min(rows), max(rows), grid.height, 0),
-                                        (min(cols), max(cols), grid.width, 1)):
-                extent = hi - lo + 1
-                grown = max(extent, _round_half_up(extent * grid.inflation_scale))
-                pad_lo = (grown - extent) // 2
-                pad_hi = grown - extent - pad_lo
-                if axis == 0:
-                    out[max(0, min(rows) - pad_lo):min(limit, max(rows) + pad_hi + 1),
-                        min(cols):max(cols) + 1] = True
-                else:
-                    out[min(rows):max(rows) + 1,
-                        max(0, min(cols) - pad_lo):min(limit, max(cols) + pad_hi + 1)] = True
-    if not np.all(out[occ]):
-        raise AssertionError("inflated obstacle set must contain the raw set")
+    labels, _ = ndimage.label(occ, structure=np.ones((3, 3)))
+    for box in ndimage.find_objects(labels):
+        grown = []
+        for span, limit in zip(box, occ.shape):
+            extent = span.stop - span.start
+            total = max(extent, _round_half_up(extent * grid.inflation_scale))
+            start = span.start - (total - extent) // 2
+            grown.append(slice(max(0, start), min(limit, start + total)))
+        out[grown[0], box[1]] = True
+        out[box[0], grown[1]] = True
     return replace(grid, occupancy=out)
 
 
@@ -477,19 +456,8 @@ def pad_obstacles(grid: GridMap, margin_cells: int) -> GridMap:
     """Chebyshev dilation of the occupied set by a whole number of cells."""
     if margin_cells <= 0:
         return grid
-    occ = grid.occupancy
-    out = occ.copy()
-    for dr in range(-margin_cells, margin_cells + 1):
-        for dc in range(-margin_cells, margin_cells + 1):
-            if dr == 0 and dc == 0:
-                continue
-            shifted = np.zeros_like(occ)
-            rs = slice(max(0, dr), min(grid.height, grid.height + dr))
-            rd = slice(max(0, -dr), min(grid.height, grid.height - dr))
-            cs = slice(max(0, dc), min(grid.width, grid.width + dc))
-            cd = slice(max(0, -dc), min(grid.width, grid.width - dc))
-            shifted[rd, cd] = occ[rs, cs]
-            out |= shifted
+    side = 2 * margin_cells + 1
+    out = ndimage.binary_dilation(grid.occupancy, structure=np.ones((side, side), dtype=bool))
     return replace(grid, occupancy=out)
 
 

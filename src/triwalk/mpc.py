@@ -9,6 +9,7 @@ from the three measured outputs.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -342,11 +343,40 @@ class ObserverConfig:
             raise ValueError("boost window parameters must be positive")
 
 
+class PushGate:
+    """Push detection for one axis: decides each cycle whether the observer
+    corrects with its recovery gain.
+
+    A huge innovation is a push; so is a persistent one-signed bias in any
+    channel (noise is zero-mean).  Either engages the recovery gain for
+    ``boost_hold`` cycles; while engaged, any innovation beyond ``boost_gate``
+    re-arms the hold.
+    """
+
+    def __init__(self, config: ObserverConfig):
+        self.config = config
+        self.window: deque[np.ndarray] = deque(maxlen=config.boost_window)
+        self.hold = 0
+
+    def update(self, sigmas: np.ndarray) -> bool:
+        """Record one cycle's innovations (in sigmas); True while boosted."""
+        conf = self.config
+        self.window.append(sigmas)
+        peak = float(np.max(np.abs(sigmas)))
+        bias = float(np.max(np.abs(np.sum(self.window, axis=0))))
+        if (peak > conf.boost_gate_high or bias > conf.boost_gate_sum
+                or (self.hold > 0 and peak > conf.boost_gate)):
+            self.hold = conf.boost_hold
+        boosted = self.hold > 0
+        self.hold = max(0, self.hold - 1)
+        return boosted
+
+
 class Observer:
     """Steady-state Kalman filter: predict with the model, correct with a
     precomputed gain.  Two gains are prepared: the nominal one and a stiffer
     push-recovery gain used while innovations are implausibly large.  The
-    object is immutable; callers own the estimate and the boost bookkeeping."""
+    object is immutable; callers own the estimate and a ``PushGate`` per axis."""
 
     def __init__(self, ss: StateSpace, config: ObserverConfig = ObserverConfig()):
         if not ss.is_discrete:

@@ -34,6 +34,9 @@ STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
 STATUS_INFEASIBLE = "infeasible_hard"
 
+# A row whose residual is at most this is treated as satisfied.
+_FEAS_TOL = 1e-9
+
 
 class ControlSolverError(RuntimeError):
     """Structural failure: non-PD Hessian or inconsistent problem data."""
@@ -240,16 +243,14 @@ class ActiveSetSolver:
     solutions are plain values safe to share.
     """
 
-    def __init__(self, max_iter: int = 500, feas_tol: float = 1e-9):
+    def __init__(self, max_iter: int = 500):
         self.max_iter = max_iter
-        self.feas_tol = feas_tol
 
-    def solve(self, problem: QpProblem, warm_start=None, max_iter: int | None = None) -> QpSolution:
+    def solve(self, problem: QpProblem, warm_start=None) -> QpSolution:
         fac = problem.factors if problem.factors is not None else problem.factorize()
         f, b = fac.extend(np.asarray(problem.f, float), np.asarray(problem.b_ineq, float))
         H, A, V_all, G = fac.H, fac.A, fac.V, fac.G
         n, m = H.shape[0], A.shape[0]
-        limit = self.max_iter if max_iter is None else max_iter
 
         z0 = -fac.hsolve(f)
         z = z0
@@ -273,9 +274,9 @@ class ActiveSetSolver:
                     viol = resid.copy()
                     viol[W] = -np.inf
                 p = int(viol.argmax())
-                if viol[p] <= self.feas_tol:
+                if viol[p] <= _FEAS_TOL:
                     break
-                if iterations >= limit:
+                if iterations >= self.max_iter:
                     status = STATUS_MAX_ITERATIONS
                     break
                 iterations += 1

@@ -20,7 +20,6 @@ import numpy as np
 
 from .dynamics import ThreeMassParams
 from .footstep import FootstepPlan
-from .mpc import ReferenceBundle
 
 
 @dataclass(frozen=True)
@@ -158,24 +157,26 @@ def mass_references(zmp_ref, hip_ref, swing_ref):
 
 @dataclass(frozen=True)
 class RefSample:
-    """All reference signals at one control cycle (world frame)."""
+    """All reference signals at one control cycle (world frame, read-only)."""
 
     zmp: np.ndarray          # (2,)
     hip: np.ndarray          # (2,)
     swing: np.ndarray        # (3,) swing-foot position incl. height
     stance_mass: np.ndarray  # (2,)
-    torso: np.ndarray        # (2,)
     swing_mass: np.ndarray   # (2,)
 
 
 class WalkTimeline:
-    """Cycle-indexed reference sampler for one footstep plan.
+    """Cycle-indexed references for one footstep plan.
 
     Layout: an optional initialization window (one double-support duration,
     ramping the ZMP from between the feet onto the first support foot),
     followed by the plan's steps, followed by standing on the terminal feet.
     Cycle indices below zero return the initial standing posture, so windows
     that start before the walk are well defined.
+
+    Every cycle from -1 to ``total_cycles`` is evaluated once, at
+    construction, into a read-only table; ``sample`` and ``window`` read it.
     """
 
     def __init__(self, plan: FootstepPlan, timing: GaitTiming, params: ThreeMassParams,
@@ -193,6 +194,10 @@ class WalkTimeline:
         fps = plan.footprints
         self._mid0 = 0.5 * (_xy(fps[0]) + _xy(fps[1]))
         self._mid_final = 0.5 * (_xy(fps[-2]) + _xy(fps[-1]))
+        # Row c + 1 holds cycle c: zmp, stance mass, swing mass, hip (xy
+        # pairs), then the swing foot (x, y, z).
+        self._table = np.array([self._row(c) for c in range(-1, self.total_cycles + 1)])
+        self._table.flags.writeable = False
 
     def phase(self, cycle: int) -> tuple[str, int]:
         """Phase name and step index at a cycle: stand/initialize/single/double."""
@@ -205,55 +210,41 @@ class WalkTimeline:
         return ("single" if local - i * self.n_step < self.n_single else "double", i)
 
     def sample(self, cycle: int) -> RefSample:
+        """References at one cycle; cycles outside the walk hold the stance."""
+        row = self._table[min(max(cycle, -1), self.total_cycles) + 1]
+        return RefSample(zmp=row[0:2], stance_mass=row[2:4], swing_mass=row[4:6],
+                         hip=row[6:8], swing=row[8:11])
+
+    def window(self, cycle: int, n: int) -> np.ndarray:
+        """World-frame (zmp, stance mass, swing mass) xy rows of the ``n``
+        cycles after ``cycle``, shape (n, 3, 2), clamped like ``sample``."""
+        idx = np.clip(np.arange(cycle + 1, cycle + 1 + n), -1, self.total_cycles) + 1
+        return self._table[idx, :6].reshape(n, 3, 2)
+
+    def _row(self, cycle: int) -> np.ndarray:
         plan, timing = self.plan, self.timing
         fps = plan.footprints
-        if cycle < 0:
-            return self._standing(self._mid0, _xy(fps[0]))
-        if cycle >= self.total_cycles:
-            return self._standing(self._mid_final, _xy(fps[-1]))
-        if cycle < self.n_init:
+        if cycle < 0 or cycle >= self.total_cycles:
+            mid, home = (self._mid0, fps[0]) if cycle < 0 else (self._mid_final, fps[-1])
+            zmp, hip, swing = mid, mid, np.array([*_xy(home), 0.0])
+        elif cycle < self.n_init:
             frac = cycle / self.n_init
             zmp = self._mid0 + (_xy(plan.support(0)) - self._mid0) * frac
-            return self._pack(zmp, self._mid0, np.array([*_xy(fps[0]), 0.0]))
-        local = cycle - self.n_init
-        i = int(local // self.n_step)
-        t_local = (local - i * self.n_step) * self.ts
-        zmp = _zmp_piece(plan, timing, i, t_local)
-        hip = hip_reference(
-            _xy(plan.support(i)),
-            0.5 * (_xy(fps[i]) + _xy(fps[i + 1])),
-            0.5 * (_xy(fps[i + 1]) + _xy(fps[i + 2])),
-            0.0, timing.step_period, t_local, self.params.omega)
-        swing = swing_reference(_xy(plan.swing_from(i)), _xy(plan.swing_to(i)), timing, t_local)
-        return self._pack(zmp, hip, swing)
-
-    def bundle(self, cycle: int, n_pred: int, axis: str) -> ReferenceBundle:
-        """Per-axis reference window for predictions at cycle+1 .. cycle+n_pred."""
-        idx = 0 if axis == "x" else 1
-        r_st = np.empty(n_pred)
-        r_sw = np.empty(n_pred)
-        r_z = np.empty(n_pred)
-        for j in range(n_pred):
-            s = self.sample(cycle + 1 + j)
-            r_st[j] = s.stance_mass[idx]
-            r_sw[j] = s.swing_mass[idx]
-            r_z[j] = s.zmp[idx]
-        return ReferenceBundle(r_stance=r_st, r_swing=r_sw, r_zmp=r_z)
-
-    def _standing(self, mid: np.ndarray, swing_xy: np.ndarray) -> RefSample:
-        return self._pack(mid.copy(), mid.copy(), np.array([swing_xy[0], swing_xy[1], 0.0]))
-
-    @staticmethod
-    def _pack(zmp, hip, swing) -> RefSample:
-        r_st, torso, r_sw = mass_references(zmp, hip, swing)
-        return RefSample(zmp=zmp, hip=hip, swing=swing,
-                         stance_mass=r_st, torso=torso, swing_mass=r_sw)
-
-
-def assemble_bundle(timeline: WalkTimeline, cycle: int, n_pred: int,
-                    axis: str = "x") -> ReferenceBundle:
-    """Reference window for the controller; pads by holding the final stance."""
-    return timeline.bundle(cycle, n_pred, axis)
+            hip, swing = self._mid0, np.array([*_xy(fps[0]), 0.0])
+        else:
+            local = cycle - self.n_init
+            i = int(local // self.n_step)
+            t_local = (local - i * self.n_step) * self.ts
+            zmp = _zmp_piece(plan, timing, i, t_local)
+            hip = hip_reference(
+                _xy(plan.support(i)),
+                0.5 * (_xy(fps[i]) + _xy(fps[i + 1])),
+                0.5 * (_xy(fps[i + 1]) + _xy(fps[i + 2])),
+                0.0, timing.step_period, t_local, self.params.omega)
+            swing = swing_reference(_xy(plan.swing_from(i)), _xy(plan.swing_to(i)),
+                                    timing, t_local)
+        r_st, _, r_sw = mass_references(zmp, hip, swing)
+        return np.concatenate([zmp, r_st, r_sw, hip, swing])
 
 
 REFERENCE_CSV_COLUMNS = ("t", "r_z_x", "r_z_y", "r_st_x", "r_st_y",

@@ -144,3 +144,49 @@ def dijkstra_all_costs(occupancy: np.ndarray, start, cell_size: float):
                 dist[nr, nc] = d + step
                 heapq.heappush(heap, (d + step, (nr, nc)))
     return dist
+
+
+def inflate_by_components(occupancy: np.ndarray, scale: float) -> np.ndarray:
+    """Obstacle inflation by an explicit 8-connected flood fill: each
+    component's bounding box grows about its centroid to ``scale`` times its
+    extent (rounded half up, split evenly, clipped), along each axis within
+    the component's extent on the other axis."""
+    rows, cols = occupancy.shape
+    out = occupancy.copy()
+    seen = np.zeros_like(occupancy)
+    for r0, c0 in itertools.product(range(rows), range(cols)):
+        if not occupancy[r0, c0] or seen[r0, c0]:
+            continue
+        stack, cells = [(r0, c0)], []
+        seen[r0, c0] = True
+        while stack:
+            r, c = stack.pop()
+            cells.append((r, c))
+            for dr, dc in itertools.product((-1, 0, 1), repeat=2):
+                nr, nc = r + dr, c + dc
+                if (0 <= nr < rows and 0 <= nc < cols and occupancy[nr, nc]
+                        and not seen[nr, nc]):
+                    seen[nr, nc] = True
+                    stack.append((nr, nc))
+        (r_lo, c_lo), (r_hi, c_hi) = np.min(cells, axis=0), np.max(cells, axis=0)
+        grown = []
+        for lo, hi, limit in ((r_lo, r_hi, rows), (c_lo, c_hi, cols)):
+            extent = hi - lo + 1
+            total = max(extent, int(math.floor(extent * scale + 0.5)))
+            pad_lo = (total - extent) // 2
+            grown.append((max(0, lo - pad_lo), min(limit, hi + total - extent - pad_lo + 1)))
+        out[grown[0][0]:grown[0][1], c_lo:c_hi + 1] = True
+        out[r_lo:r_hi + 1, grown[1][0]:grown[1][1]] = True
+    return out
+
+
+def dilate_by_shifts(occupancy: np.ndarray, margin: int) -> np.ndarray:
+    """Chebyshev dilation as the union of every shift by up to ``margin``
+    cells; cells shifted in from beyond the map are free."""
+    rows, cols = occupancy.shape
+    padded = np.zeros((rows + 2 * margin, cols + 2 * margin), dtype=bool)
+    padded[margin:margin + rows, margin:margin + cols] = occupancy
+    out = np.zeros_like(occupancy)
+    for dr, dc in itertools.product(range(2 * margin + 1), repeat=2):
+        out |= padded[dr:dr + rows, dc:dc + cols]
+    return out

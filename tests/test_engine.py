@@ -14,7 +14,8 @@ from triwalk.engine import (
 )
 from triwalk.footstep import footsteps_from_path, initial_feet_on_path
 from triwalk.mpc import PHASE_DOUBLE, PHASE_SINGLE, MpcConfig, build_constraints
-from triwalk.refgen import GaitTiming, WalkTimeline, assemble_bundle
+from triwalk import refgen
+from triwalk.refgen import GaitTiming, WalkTimeline
 
 
 @pytest.fixture(scope="module")
@@ -162,12 +163,27 @@ class TestReferenceWindows:
         run_closed_loop(engine, 3)  # inside Initialize now
         timeline = WalkTimeline(plan, timing, params, engine.config.ts)
         local = engine._local_cycle(engine.k)
-        for axis in ("x", "y"):
-            direct = assemble_bundle(timeline, local, engine.config.n_pred, axis)
+        rows = timeline.window(local, engine.config.n_pred)
+        for i, axis in enumerate(("x", "y")):
             windowed = engine._bundle(axis)
-            np.testing.assert_array_equal(windowed.r_zmp, direct.r_zmp)
-            np.testing.assert_array_equal(windowed.r_stance, direct.r_stance)
-            np.testing.assert_array_equal(windowed.r_swing, direct.r_swing)
+            np.testing.assert_array_equal(windowed.r_zmp, rows[:, 0, i])
+            np.testing.assert_array_equal(windowed.r_stance, rows[:, 1, i])
+            np.testing.assert_array_equal(windowed.r_swing, rows[:, 2, i])
+
+    def test_single_support_ticks_evaluate_no_reference_curves(self, params, timing,
+                                                               monkeypatch):
+        engine = make_engine(params, timing)
+        engine.command_path(straight_plan(2))
+        run_closed_loop(engine, 1 + engine.n_init)
+        calls = []
+        for name in ("hip_reference", "swing_reference"):
+            def counted(*args, _orig=getattr(refgen, name), _name=name):
+                calls.append(_name)
+                return _orig(*args)
+            monkeypatch.setattr(refgen, name, counted)
+        log = run_closed_loop(engine, engine.n_single)
+        assert all(d.phase == WalkPhase.SINGLE_SUPPORT for d, _, _ in log)
+        assert calls == []
 
 
 class TestPlanNextStep:
@@ -361,10 +377,13 @@ class TestMeasurementValidation:
                 engine.tick(y, y_bad)
             with pytest.raises(ValueError):
                 engine.tick(y_bad, y)
-        for name in ("k", "phase", "phase_cycles", "setpoints", "estimates",
-                     "_boost_cycles", "_sigma_window"):
+        for name in ("k", "phase", "phase_cycles", "setpoints", "estimates"):
             np.testing.assert_equal(getattr(engine, name), getattr(before, name))
         for axis in ("x", "y"):
+            gate, gate_ref = engine.gates[axis], before.gates[axis]
+            assert len(gate_ref.window) == gate_ref.window.maxlen
+            np.testing.assert_equal(list(gate.window), list(gate_ref.window))
+            assert gate.hold == gate_ref.hold
             np.testing.assert_equal(engine.controllers[axis].u_prev,
                                     before.controllers[axis].u_prev)
             assert engine.controllers[axis]._warm == before.controllers[axis]._warm

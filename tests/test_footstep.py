@@ -14,6 +14,7 @@ from triwalk.footstep import (
     inflate,
     initial_feet_on_path,
     load_map,
+    pad_obstacles,
     path_cost,
     plan_footsteps,
     plan_path,
@@ -22,7 +23,7 @@ from triwalk.footstep import (
     wrap_angle,
 )
 
-from oracles import dijkstra_all_costs, dijkstra_grid
+from oracles import dijkstra_all_costs, dijkstra_grid, dilate_by_shifts, inflate_by_components
 
 
 def fig_style_map():
@@ -31,6 +32,21 @@ def fig_style_map():
     grid = grid.with_block(6, 10, 11, 15)
     grid = grid.with_block(16, 22, 23, 27)
     return grid, (3, 3), (26, 36)
+
+
+def irregular_map(seed, shape=(40, 50)):
+    """Scattered cells plus L-shaped and diagonal obstacles, some on the border."""
+    rng = np.random.default_rng(seed)
+    occ = rng.random(shape) < 0.02
+    for _ in range(5):
+        r, c = (int(v) for v in rng.integers(0, shape, size=2))
+        h, w = (int(v) for v in rng.integers(1, 9, size=2))
+        occ[r:r + h, c] = True
+        occ[min(r + h, shape[0]) - 1, c:c + w] = True
+        for d in range(int(rng.integers(2, 7))):
+            occ[(r - d) % shape[0], (c + d) % shape[1]] = True
+    occ[0, 7] = occ[shape[0] - 1, shape[1] - 3] = True
+    return occ
 
 
 class TestWrapAngle:
@@ -70,6 +86,21 @@ class TestInflate:
         grid = GridMap.empty(12, 12).with_block(0, 0, 9, 9)
         out = inflate(grid)
         assert out.occupancy.shape == (12, 12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_flood_fill_oracle(self, seed):
+        occ = irregular_map(seed)
+        scale = (1.0, 1.1, 1.37, 2.0)[seed % 4]
+        out = inflate(GridMap(occ.shape[1], occ.shape[0], occ, inflation_scale=scale))
+        np.testing.assert_array_equal(out.occupancy, inflate_by_components(occ, scale))
+
+
+class TestPadObstacles:
+    @pytest.mark.parametrize("margin", [0, 1, 2, 3])
+    def test_matches_shift_oracle(self, margin):
+        occ = irregular_map(margin)
+        out = pad_obstacles(GridMap(occ.shape[1], occ.shape[0], occ), margin)
+        np.testing.assert_array_equal(out.occupancy, dilate_by_shifts(occ, margin))
 
 
 class TestPlanPath:

@@ -18,6 +18,7 @@ from triwalk.mpc import (
     MpcConfig,
     Observer,
     ObserverConfig,
+    PushGate,
     ReferenceBundle,
     build_constraints,
     build_cost,
@@ -394,3 +395,38 @@ class TestObserver:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             ObserverConfig(jerk_noise=(0.0, 1.0, 1.0))
+
+
+def run_gate(sigma_rows, gate=None):
+    """Feed per-cycle innovations (in sigmas) to a gate; boosted flag per cycle."""
+    gate = gate or PushGate(ObserverConfig())
+    return [gate.update(np.asarray(row, float)) for row in sigma_rows]
+
+
+class TestPushGate:
+    def test_spike_boosts_for_hold_cycles(self):
+        conf = ObserverConfig()
+        flags = run_gate([[0.0, 0.0, 4.5]] + [[0.0, 0.0, 0.0]] * 20)
+        assert sum(flags) == conf.boost_hold == 8
+        assert all(flags[:8]) and not any(flags[8:])
+
+    def test_persistent_bias_engages_on_fourth_cycle(self):
+        flags = run_gate([[0.0, 2.5, 0.0]] * 4)
+        assert flags == [False, False, False, True]
+
+    def test_moderate_innovation_rearms_but_does_not_start(self):
+        assert run_gate([[3.5, 0.0, 0.0]]) == [False]
+        gate = PushGate(ObserverConfig())
+        flags = run_gate([[4.5, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 5 + [[-3.5, 0.0, 0.0]]
+                         + [[0.0, 0.0, 0.0]] * 20, gate)
+        # Engaged at cycle 0 and re-armed at cycle 6: boosted through cycle 13.
+        assert all(flags[:14]) and not any(flags[14:])
+
+    def test_alternating_noise_never_engages(self):
+        flags = run_gate([[2.9, -2.9, 2.9], [-2.9, 2.9, -2.9]] * 50)
+        assert not any(flags)
+
+    def test_window_keeps_last_boost_window_cycles(self):
+        gate = PushGate(ObserverConfig())
+        run_gate([[float(k), 0.0, 0.0] for k in range(-3, 3)], gate)
+        assert [row[0] for row in gate.window] == [-1.0, 0.0, 1.0, 2.0]

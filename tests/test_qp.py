@@ -67,11 +67,11 @@ class TestBasics:
         with pytest.raises(ValueError):
             solver.solve(p)
 
-    def test_max_iterations_status(self, solver):
+    def test_max_iterations_status(self):
         rng = np.random.default_rng(3)
         p = random_problem(rng, n=6, m=12)
         p.b_ineq -= 2.0  # push several constraints active
-        sol = solver.solve(p, max_iter=1)
+        sol = ActiveSetSolver(max_iter=1).solve(p)
         assert sol.status != STATUS_OPTIMAL
 
 

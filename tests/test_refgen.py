@@ -8,7 +8,6 @@ from triwalk.footstep import FootstepPlan, footsteps_from_path, initial_feet_on_
 from triwalk.refgen import (
     GaitTiming,
     WalkTimeline,
-    assemble_bundle,
     export_references,
     hip_reference,
     mass_references,
@@ -246,30 +245,77 @@ class TestWalkTimeline:
                                       tl.sample(tl.total_cycles).zmp)
 
 
+def x_window(tl, cycle, n):
+    """The x column of ``tl.window`` as (zmp, stance mass, swing mass)."""
+    rows = tl.window(cycle, n)[:, :, 0]
+    return rows[:, 0], rows[:, 1], rows[:, 2]
+
+
 class TestAssembleBundle:
+    """Reference windows as the controller reads them (``WalkTimeline.window``)."""
+
     def test_standing_plan_constant(self, timing, params):
         fps = FootstepPlan(tuple(
             __import__("triwalk.footstep", fromlist=["Footprint"]).Footprint(x, y, 0.0, s)
             for x, y, s in ((0.0, 0.1, "L"), (0.0, -0.1, "R"))))
         tl = WalkTimeline(fps, timing, params, ts=0.02)
-        bundle = assemble_bundle(tl, 50, 30, axis="x")
-        assert np.ptp(bundle.r_zmp) == 0.0
-        assert np.ptp(bundle.r_stance) == 0.0
-        assert np.ptp(bundle.r_swing) == 0.0
+        r_zmp, r_stance, r_swing = x_window(tl, 50, 30)
+        assert np.ptp(r_zmp) == 0.0
+        assert np.ptp(r_stance) == 0.0
+        assert np.ptp(r_swing) == 0.0
 
     def test_window_crossing_step_boundary(self, plan, timing, params):
         tl = WalkTimeline(plan, timing, params, ts=0.02)
         k = tl.n_init + tl.n_single - 5
-        bundle = assemble_bundle(tl, k, 20, axis="x")
+        r_zmp, _, _ = x_window(tl, k, 20)
         direct = [tl.sample(k + 1 + j).zmp[0] for j in range(20)]
-        np.testing.assert_array_equal(bundle.r_zmp, direct)
-        assert np.ptp(bundle.r_zmp[:4]) == 0.0   # still holding
-        assert np.ptp(bundle.r_zmp[6:16]) > 0.0  # ramp segment in window
+        np.testing.assert_array_equal(r_zmp, direct)
+        assert np.ptp(r_zmp[:4]) == 0.0   # still holding
+        assert np.ptp(r_zmp[6:16]) > 0.0  # ramp segment in window
 
     def test_tail_padded_with_final_values(self, plan, timing, params):
         tl = WalkTimeline(plan, timing, params, ts=0.02)
-        bundle = assemble_bundle(tl, tl.total_cycles - 3, 10, axis="x")
-        assert np.ptp(bundle.r_zmp[4:]) == 0.0
+        r_zmp, _, _ = x_window(tl, tl.total_cycles - 3, 10)
+        assert np.ptp(r_zmp[4:]) == 0.0
+
+
+class TestReferenceTable:
+    def test_window_matches_sample_across_clamped_ends(self, plan, timing, params):
+        tl = WalkTimeline(plan, timing, params, ts=0.02)
+        first, last = -5, tl.total_cycles + 5
+        rows = tl.window(first - 1, last - first + 1)
+        assert rows.shape == (last - first + 1, 3, 2)
+        assert rows.flags.c_contiguous
+        for j, cycle in enumerate(range(first, last + 1)):
+            s = tl.sample(cycle)
+            np.testing.assert_array_equal(rows[j], [s.zmp, s.stance_mass, s.swing_mass])
+            np.testing.assert_array_equal(tl.window(cycle - 1, 1)[0], rows[j])
+
+    def test_sample_matches_reference_curves(self, plan, timing, params):
+        tl = WalkTimeline(plan, timing, params, ts=0.02)
+        k = tl.n_init + tl.n_step + 11
+        t = 11 * 0.02
+        s = tl.sample(k)
+        fps = plan.footprints
+        hip = hip_reference(plan.support(1).xy(), 0.5 * (fps[1].xy() + fps[2].xy()),
+                            0.5 * (fps[2].xy() + fps[3].xy()), 0.0, timing.step_period, t,
+                            params.omega)
+        swing = swing_reference(plan.swing_from(1).xy(), plan.swing_to(1).xy(), timing, t)
+        r_st, _, r_sw = mass_references(s.zmp, hip, swing)
+        np.testing.assert_array_equal(s.hip, hip)
+        np.testing.assert_array_equal(s.swing, swing)
+        np.testing.assert_array_equal(s.stance_mass, r_st)
+        np.testing.assert_array_equal(s.swing_mass, r_sw)
+
+    def test_table_is_read_only(self, plan, timing, params):
+        tl = WalkTimeline(plan, timing, params, ts=0.02)
+        s = tl.sample(tl.n_init + 3)
+        for arr in (s.zmp, s.hip, s.swing, s.stance_mass, s.swing_mass):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        rows = tl.window(0, 10)
+        rows[:] = 1.0   # a window is the caller's copy
+        assert tl.sample(1).zmp[0] != 1.0
 
 
 class TestExport:

@@ -35,7 +35,6 @@ from .mpc import (
     Observer,
     ObserverConfig,
     PushGate,
-    ReferenceBundle,
     build_constraints,
 )
 from .refgen import GaitTiming, RefSample, StepGeometry, WalkTimeline
@@ -122,6 +121,11 @@ def contact_feet(plan: FootstepPlan, key: tuple[str, int]) -> tuple[Footprint, .
     return plan.footprints[:2] if name == "initialize" or idx < 0 else plan.footprints[-2:]
 
 
+# Reference window columns (zmp, stance mass, swing mass) in stacked output
+# order (stance, swing, zmp).
+_STACKED = [1, 2, 0]
+
+
 def _rot(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
@@ -177,12 +181,10 @@ class WalkEngine:
         self.setpoints = Setpoints()
         self.mode: str | None = None
         self._pending_walk = False
-        self._walk_done = False
         self._plan: FootstepPlan | None = None
         self._step_index = -1
         self._first_swing = "R"
         self._clamped_step = False
-        self._fault: str | None = None
 
         self._timeline: WalkTimeline | None = None
         self._timeline_origin = 0
@@ -221,7 +223,6 @@ class WalkEngine:
         self.mode = "path"
         self._plan = plan
         self._pending_walk = True
-        self._walk_done = False
         if self.phase == WalkPhase.IDLE:
             self._update_frame(wrap_angle(0.5 * (first.theta + second.theta)))
             self._set_stand_timeline()
@@ -232,7 +233,6 @@ class WalkEngine:
         self.set_setpoints(x, y, alpha_deg)
         self.mode = "setpoints"
         self._pending_walk = True
-        self._walk_done = False
 
     def reset_posture(self) -> None:
         """Re-seed the state estimates with the current standing posture,
@@ -261,7 +261,9 @@ class WalkEngine:
 
         R_wf = _rot(-self.frame_angle)   # world -> frame
         y_pair = R_wf @ y_meas
-        keys = self._window_phases()
+        local = self._local_cycle(self.k)
+        refs = self._references()
+        ids = self._timeline.phase_ids(local, self.config.constraint_window)
         u_frame = {}
         status = {}
         softened = {}
@@ -274,15 +276,13 @@ class WalkEngine:
                 est = self.observer.step(self.estimates[axis], ctrl.u_prev, y_pair[i],
                                          boosted=self.gates[axis].update(sigmas))
                 self.estimates[axis] = est
-                refs = self._bundle(axis)
-                u, info = ctrl.control_step(est, refs, *self._bounds(keys, axis))
+                u, info = ctrl.control_step(est, refs[i], *self._bounds(ids, axis))
                 u_frame[axis] = u
                 status[axis] = info.status
                 softened[axis] = info.softened
                 zmp_pred[i] = info.predicted_output[2]
         except ControllerFault as exc:
-            self._fault = f"cycle {self.k}, phase {self.phase.value}: {exc}"
-            raise ControllerFault(self._fault) from exc
+            raise ControllerFault(f"cycle {self.k}, phase {self.phase.value}: {exc}") from exc
 
         R_fw = _rot(self.frame_angle)
         u_pair = R_fw @ np.vstack([u_frame["x"], u_frame["y"]])
@@ -300,7 +300,7 @@ class WalkEngine:
             qp_status=(status["x"], status["y"]),
             softened=(softened["x"], softened["y"]),
             zmp_pred=zmp_pred_world,
-            refs=self._timeline.sample(self._local_cycle(self.k)),
+            refs=self._timeline.sample(local),
             support_feet=self.support_feet(),
             clamped_step=self._clamped_step,
             step_index=self._step_index,
@@ -363,7 +363,6 @@ class WalkEngine:
         self._first_swing = self._plan.footprints[-1].side
         self.phase = WalkPhase.IDLE
         self.phase_cycles = 0
-        self._walk_done = True
         self._step_index = -1
         self._set_stand_timeline()
 
@@ -398,9 +397,7 @@ class WalkEngine:
             separation = min(hi, max(lo, separation))
         rel = np.array([forward, side_sign * separation])
         landing = support.xy() + _rot(heading) @ rel
-        travel = landing - support.xy()
-        return StepGeometry(footprint_xy=landing, heading=heading, side=landing_side,
-                            travel=travel, clamped=clamped)
+        return StepGeometry(footprint_xy=landing, heading=heading, clamped=clamped)
 
     def _synthesize_plan(self, start: bool) -> FootstepPlan:
         """Rolling plan: current stance plus one committed and several
@@ -434,25 +431,29 @@ class WalkEngine:
     def _set_timeline(self, timeline: WalkTimeline, origin: int) -> None:
         self._timeline = timeline
         self._timeline_origin = origin
+        self._feet_of: dict[tuple[str, int], tuple[SupportFoot, ...]] = {}
+        self._boxes = np.full((2, len(timeline.keys), 2, 3), np.nan)
 
     def _local_cycle(self, k: int) -> int:
         return k - self._timeline_origin
 
-    def _bundle(self, axis: str) -> ReferenceBundle:
-        """Reference window in the working frame for one axis."""
+    def _references(self) -> list[np.ndarray]:
+        """Working-frame (n_pred, 3) reference windows of the x and y axes."""
         rows = self._timeline.window(self._local_cycle(self.k), self.config.n_pred)
-        frame = rows @ _rot(-self.frame_angle)[0 if axis == "x" else 1]
-        return ReferenceBundle(r_stance=frame[:, 1], r_swing=frame[:, 2], r_zmp=frame[:, 0])
+        R_wf = _rot(-self.frame_angle)
+        return [(rows @ R_wf[i])[:, _STACKED] for i in range(2)]
 
     # ------------------------------------------------------------ constraints
 
     def support_feet(self) -> tuple[SupportFoot, ...]:
-        """World-frame feet currently in ground contact."""
-        hl = self.params.foot_length / 2.0
-        hw = self.params.foot_width / 2.0
+        """World-frame feet in ground contact, one shared tuple per phase."""
         key = self._timeline.phase(self._local_cycle(self.k))
-        return tuple(SupportFoot(fp.x, fp.y, fp.theta, hl, hw)
-                     for fp in contact_feet(self._timeline.plan, key))
+        if key not in self._feet_of:
+            hl = self.params.foot_length / 2.0
+            hw = self.params.foot_width / 2.0
+            self._feet_of[key] = tuple(SupportFoot(fp.x, fp.y, fp.theta, hl, hw)
+                                       for fp in contact_feet(self._timeline.plan, key))
+        return self._feet_of[key]
 
     def _frame_foot(self, fp: Footprint):
         """Foot center (frame coords) and inscribed extents for constraints."""
@@ -464,22 +465,20 @@ class WalkEngine:
             raise ValueError("foot heading too far from the working frame")
         return center, hl, hw
 
-    def _window_phases(self) -> list[tuple[str, int]]:
-        """Timeline phase of each sample k+1 .. k+constraint_window.
+    def _bounds(self, ids: np.ndarray, axis: str):
+        """Per-sample (lo, hi) output bounds of the timeline phases ``ids``.
 
         Scheduling the bounds per upcoming phase gives the controller preview
         of support-box changes, so weight transfer starts before a
-        single-support box tightens.  Samples beyond the constraint window are
-        guided by the references only.
+        single-support box tightens.
         """
-        local = self._local_cycle(self.k)
-        return [self._timeline.phase(local + j)
-                for j in range(1, self.config.constraint_window + 1)]
-
-    def _bounds(self, keys: list[tuple[str, int]], axis: str):
-        """Per-sample (lo, hi) output bounds for the phases ``keys``."""
-        boxes = {key: self._phase_box(key, axis) for key in dict.fromkeys(keys)}
-        box = np.array([boxes[key] for key in keys])   # (window, lo/hi, output)
+        # A phase's box (NaN until built) holds for its timeline in the
+        # current frame; a window's ids are one contiguous range.
+        boxes = self._boxes[0 if axis == "x" else 1]
+        for kid in range(ids[0], ids[-1] + 1):
+            if np.isnan(boxes[kid, 0, 0]):
+                boxes[kid] = self._phase_box(self._timeline.keys[kid], axis)
+        box = boxes[ids]   # (window, lo/hi, output)
         return box[:, 0], box[:, 1]
 
     def _phase_box(self, key: tuple[str, int], axis: str):
@@ -518,3 +517,4 @@ class WalkEngine:
         for ctrl in self.controllers.values():
             ctrl.drop_warm_start()
         self.frame_angle = wrap_angle(self.frame_angle + delta)
+        self._boxes[:] = np.nan

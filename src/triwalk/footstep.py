@@ -312,6 +312,8 @@ class FootstepPlan:
         fps = self.footprints
         if len(fps) < 2:
             raise ValueError("a plan needs at least the two initial footprints")
+        if not all(math.isfinite(v) for f in fps for v in (f.x, f.y, f.theta)):
+            raise ValueError("footprint x, y and theta must be finite")
         for a, b in zip(fps, fps[1:]):
             if a.side == b.side:
                 raise ValueError("footprint sides must alternate")

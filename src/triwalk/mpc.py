@@ -93,30 +93,6 @@ class MpcConfig:
 
 
 @dataclass(frozen=True)
-class ReferenceBundle:
-    """Per-axis reference samples over the prediction horizon (index 0 = k+1)."""
-
-    r_stance: np.ndarray
-    r_swing: np.ndarray
-    r_zmp: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = self.r_stance.shape[0]
-        if self.r_swing.shape != (n,) or self.r_zmp.shape != (n,):
-            raise ValueError("reference arrays must share one length")
-        for arr in (self.r_stance, self.r_swing, self.r_zmp):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("references must be finite")
-
-    def __len__(self) -> int:
-        return self.r_stance.shape[0]
-
-    def stacked(self) -> np.ndarray:
-        """Interleave to match the stacked output vector ordering."""
-        return np.column_stack([self.r_stance, self.r_swing, self.r_zmp]).ravel()
-
-
-@dataclass(frozen=True)
 class PredictionMatrices:
     """Condensed prediction: ``Y = phi x + phi_u u_prev + gamma dU`` and
     ``U = tile(u_prev) + u_map dU`` with dU zero beyond the control horizon."""
@@ -181,19 +157,27 @@ def cost_gradient(GtW: np.ndarray, UtW: np.ndarray, err: np.ndarray,
     return 2.0 * (GtW @ err + UtW @ np.tile(u_prev, UtW.shape[1] // N_INPUTS))
 
 
-def build_cost(pred: PredictionMatrices, refs: ReferenceBundle, config: MpcConfig,
+def _stacked_references(refs, n_pred: int) -> np.ndarray:
+    """Stacked output vector of a finite (n_pred, 3) reference window."""
+    refs = np.asarray(refs, dtype=float)
+    if refs.shape != (n_pred, N_OUTPUTS) or not np.isfinite(refs).all():
+        raise ValueError("references must be a finite (n_pred, 3) array")
+    return refs.ravel()
+
+
+def build_cost(pred: PredictionMatrices, refs: np.ndarray, config: MpcConfig,
                x: np.ndarray, u_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic cost in the input-increment variables.
 
     Encodes the weighted squared tracking errors of the three outputs over the
     prediction horizon plus the weighted squared jerks, as ``1/2 z'Hz + f'z``
-    (constant terms dropped).
+    (constant terms dropped).  ``refs`` is the (n_pred, 3) reference window
+    in stacked output order.
     """
-    if len(refs) != pred.n_pred:
-        raise ValueError("reference length must equal the prediction horizon")
+    r = _stacked_references(refs, pred.n_pred)
     H, GtW, UtW = cost_matrices(pred, config)
     free = pred.phi @ x + pred.phi_u @ u_prev
-    return H, cost_gradient(GtW, UtW, free - refs.stacked(), u_prev)
+    return H, cost_gradient(GtW, UtW, free - r, u_prev)
 
 
 def build_constraints(phase: str, support, params: ThreeMassParams, config: MpcConfig,
@@ -498,20 +482,19 @@ class AxisController:
     def drop_warm_start(self) -> None:
         self._warm = None
 
-    def control_step(self, x_est: np.ndarray, refs: ReferenceBundle, lo: np.ndarray,
+    def control_step(self, x_est: np.ndarray, refs: np.ndarray, lo: np.ndarray,
                      hi: np.ndarray) -> tuple[np.ndarray, ControlCycleInfo]:
         """Solve the cycle subproblem and return the input to apply now.
 
-        ``lo`` and ``hi`` are the phase schedule as per-sample output bounds
-        of shape (constraint_window, 3): row j bounds (stance, swing, zmp) at
-        sample k+1+j.  Samples beyond the window follow the references only;
-        the jerks are boxed by ``config.jerk_limit``.
+        Row j of ``refs`` (n_pred, 3), ``lo`` and ``hi`` (constraint_window,
+        3) holds the (stance, swing, zmp) target and bounds at sample k+1+j.
+        Samples beyond the window follow the references only; the jerks are
+        boxed by ``config.jerk_limit``.
         """
         pred = self.pred
-        if len(refs) != pred.n_pred:
-            raise ValueError("reference window length must equal the horizon")
+        r = _stacked_references(refs, pred.n_pred)
         free = pred.phi @ np.asarray(x_est, float) + pred.phi_u @ self.u_prev
-        f = cost_gradient(self._GtW, self._UtW, free - refs.stacked(), self.u_prev)
+        f = cost_gradient(self._GtW, self._UtW, free - r, self.u_prev)
         b = condense_constraints(self.config, lo, hi, free, self.u_prev)
 
         fac = self._factors

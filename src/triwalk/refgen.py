@@ -57,12 +57,10 @@ class GaitTiming:
 
 @dataclass(frozen=True)
 class StepGeometry:
-    """Next footprint plus the ZMP travel vector it implies."""
+    """Next footprint position and heading; ``clamped`` if cut back to reach."""
 
     footprint_xy: np.ndarray
     heading: float
-    side: str
-    travel: np.ndarray   # displacement of the ZMP anchor over the coming step
     clamped: bool = False
 
 
@@ -86,17 +84,12 @@ def zmp_reference(plan: FootstepPlan, timing: GaitTiming, t: float) -> np.ndarra
     if not 0.0 <= t <= total + 1e-12:
         raise ValueError(f"time {t} outside the plan duration [0, {total}]")
     i = min(int(t / period), n_steps - 1)
-    return _zmp_piece(plan, timing, i, t - i * period)
-
-
-def _zmp_piece(plan: FootstepPlan, timing: GaitTiming, i: int, t_local: float) -> np.ndarray:
+    t_local = t - i * period
     anchor = _xy(plan.support(i))
     if t_local < timing.t_single or timing.t_double == 0.0:
         return anchor
-    if i < plan.n_steps - 1:
-        target = _xy(plan.support(i + 1))
-    else:
-        target = 0.5 * (_xy(plan.footprints[-2]) + _xy(plan.footprints[-1]))
+    fps = plan.footprints
+    target = fps[i + 2].xy() if i < n_steps - 1 else 0.5 * (fps[-2].xy() + fps[-1].xy())
     frac = min((t_local - timing.t_single) / timing.t_double, 1.0)
     return anchor + (target - anchor) * frac
 
@@ -176,7 +169,9 @@ class WalkTimeline:
     that start before the walk are well defined.
 
     Every cycle from -1 to ``total_cycles`` is evaluated once, at
-    construction, into a read-only table; ``sample`` and ``window`` read it.
+    construction, into read-only tables of references and phase ids.  A
+    step's curves are its endpoints times per-sample weights, evaluated once
+    in the scalar arithmetic of the free functions, which they match exactly.
     """
 
     def __init__(self, plan: FootstepPlan, timing: GaitTiming, params: ThreeMassParams,
@@ -191,23 +186,32 @@ class WalkTimeline:
             raise ValueError("step period must span at least one cycle")
         self.n_init = self.n_double if include_initialize else 0
         self.total_cycles = self.n_init + plan.n_steps * self.n_step
-        fps = plan.footprints
-        self._mid0 = 0.5 * (_xy(fps[0]) + _xy(fps[1]))
-        self._mid_final = 0.5 * (_xy(fps[-2]) + _xy(fps[-1]))
+        n = plan.n_steps
+        # ``keys`` holds the distinct phases in time order and row c + 1 of
+        # ``_ids`` the index of cycle c's phase, so a window's ids are one
+        # contiguous range.
+        init = [("initialize", -1)] if self.n_init else []
+        names = ["single", "double"] if self.n_double else ["single"]
+        self.keys = (("stand", -1), *init, *((m, i) for i in range(n) for m in names), ("stand", n))
+        in_double = np.arange(self.n_step) >= self.n_single
+        steps = 1 + len(init) + np.arange(n)[:, None] * len(names) + in_double
+        self._ids = np.concatenate([[0], np.ones(self.n_init, int), steps.ravel(),
+                                    [len(self.keys) - 1]])
+        self._ids.flags.writeable = False
         # Row c + 1 holds cycle c: zmp, stance mass, swing mass, hip (xy
         # pairs), then the swing foot (x, y, z).
-        self._table = np.array([self._row(c) for c in range(-1, self.total_cycles + 1)])
+        zmp, hip, swing = self._curves()
+        self._table = np.column_stack(
+            [zmp, 0.5 * (zmp + hip), 0.5 * (swing[:, :2] + hip), hip, swing])
         self._table.flags.writeable = False
 
     def phase(self, cycle: int) -> tuple[str, int]:
         """Phase name and step index at a cycle: stand/initialize/single/double."""
-        if cycle < 0 or cycle >= self.total_cycles:
-            return "stand", -1 if cycle < 0 else self.plan.n_steps
-        if cycle < self.n_init:
-            return "initialize", -1
-        local = cycle - self.n_init
-        i = local // self.n_step
-        return ("single" if local - i * self.n_step < self.n_single else "double", i)
+        return self.keys[self._ids[min(max(cycle, -1), self.total_cycles) + 1]]
+
+    def phase_ids(self, cycle: int, n: int) -> np.ndarray:
+        """``keys`` indices of the ``n`` cycles after ``cycle`` (clamped)."""
+        return self._ids[self._rows(cycle, n)]
 
     def sample(self, cycle: int) -> RefSample:
         """References at one cycle; cycles outside the walk hold the stance."""
@@ -218,33 +222,57 @@ class WalkTimeline:
     def window(self, cycle: int, n: int) -> np.ndarray:
         """World-frame (zmp, stance mass, swing mass) xy rows of the ``n``
         cycles after ``cycle``, shape (n, 3, 2), clamped like ``sample``."""
-        idx = np.clip(np.arange(cycle + 1, cycle + 1 + n), -1, self.total_cycles) + 1
-        return self._table[idx, :6].reshape(n, 3, 2)
+        return self._table[self._rows(cycle, n), :6].reshape(n, 3, 2)
 
-    def _row(self, cycle: int) -> np.ndarray:
-        plan, timing = self.plan, self.timing
-        fps = plan.footprints
-        if cycle < 0 or cycle >= self.total_cycles:
-            mid, home = (self._mid0, fps[0]) if cycle < 0 else (self._mid_final, fps[-1])
-            zmp, hip, swing = mid, mid, np.array([*_xy(home), 0.0])
-        elif cycle < self.n_init:
-            frac = cycle / self.n_init
-            zmp = self._mid0 + (_xy(plan.support(0)) - self._mid0) * frac
-            hip, swing = self._mid0, np.array([*_xy(fps[0]), 0.0])
-        else:
-            local = cycle - self.n_init
-            i = int(local // self.n_step)
-            t_local = (local - i * self.n_step) * self.ts
-            zmp = _zmp_piece(plan, timing, i, t_local)
-            hip = hip_reference(
-                _xy(plan.support(i)),
-                0.5 * (_xy(fps[i]) + _xy(fps[i + 1])),
-                0.5 * (_xy(fps[i + 1]) + _xy(fps[i + 2])),
-                0.0, timing.step_period, t_local, self.params.omega)
-            swing = swing_reference(_xy(plan.swing_from(i)), _xy(plan.swing_to(i)),
-                                    timing, t_local)
-        r_st, _, r_sw = mass_references(zmp, hip, swing)
-        return np.concatenate([zmp, r_st, r_sw, hip, swing])
+    def _rows(self, cycle: int, n: int) -> np.ndarray:
+        return np.clip(np.arange(cycle + 1, cycle + 1 + n), -1, self.total_cycles) + 1
+
+    def _curves(self):
+        """ZMP, hip (rows, 2) and swing foot (rows, 3) of every table row."""
+        timing, omega = self.timing, self.params.omega
+        tf = timing.step_period
+        n = self.plan.n_steps
+        xy = np.array([fp.xy() for fp in self.plan.footprints])
+        mid0 = 0.5 * (xy[0] + xy[1])
+        mid_final = 0.5 * (xy[-2] + xy[-1])
+
+        def col(w):
+            return np.array(w)[None, :, None]
+
+        # Per-sample weights of one step, t = j * ts into the step.
+        t = [j * self.ts for j in range(self.n_step)]
+        landed = [t_j >= timing.t_single for t_j in t]
+        ramp = col(landed) & (timing.t_double != 0.0)
+        frac = [min((t_j - timing.t_single) / timing.t_double, 1.0) if done and timing.t_double
+                else 0.0 for t_j, done in zip(t, landed)]
+        s_from = [math.sinh((t_j - 0.0) * omega) for t_j in t]
+        s_to = [math.sinh((t_j - tf) * omega) for t_j in t]
+        s_span = math.sinh((0.0 - tf) * omega)
+        tau = [0.0 if done else t_j / timing.t_single for t_j, done in zip(t, landed)]
+        blend = [a * a * (3.0 - 2.0 * a) for a in tau]
+        lift = [16.0 * timing.swing_height * a * a * (1.0 - a) * (1.0 - a) for a in tau]
+
+        # Per-step endpoints, shape (steps, 1, 2).
+        sup = xy[1:n + 1, None]
+        target = np.concatenate([xy[2:n + 1], mid_final[None]])[:n, None]
+        h0 = 0.5 * (xy[:n] + xy[1:n + 1])[:, None]
+        hf = 0.5 * (xy[1:n + 1] + xy[2:n + 2])[:, None]
+        src, dst = xy[:n, None], xy[2:n + 2, None]
+
+        shape = (n * self.n_step, 2)
+        step_zmp = np.where(ramp, sup + (target - sup) * col(frac), sup).reshape(shape)
+        num = (sup - hf) * col(s_from) + (h0 - sup) * col(s_to)
+        step_hip = (sup + num / s_span).reshape(shape)
+        step_xy = np.where(col(landed), dst, src + (dst - src) * col(blend)).reshape(shape)
+
+        # Cycle -1 and the initialize window stand on the initial feet.
+        pre = self.n_init + 1
+        init_zmp = mid0 + (xy[1] - mid0) * (np.arange(self.n_init)[:, None] / max(self.n_init, 1))
+        zmp = np.vstack([mid0, init_zmp, step_zmp, mid_final])
+        hip = np.vstack([np.tile(mid0, (pre, 1)), step_hip, mid_final])
+        swing = np.vstack([np.tile([*xy[0], 0.0], (pre, 1)),
+                           np.column_stack([step_xy, np.tile(lift, n)]), [*xy[-1], 0.0]])
+        return zmp, hip, swing
 
 
 REFERENCE_CSV_COLUMNS = ("t", "r_z_x", "r_z_y", "r_st_x", "r_st_y",

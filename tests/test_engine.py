@@ -10,10 +10,12 @@ from triwalk.engine import (
     SupportFoot,
     WalkEngine,
     WalkPhase,
+    contact_feet,
     filter_setpoints,
 )
 from triwalk.footstep import footsteps_from_path, initial_feet_on_path
-from triwalk.mpc import PHASE_DOUBLE, PHASE_SINGLE, MpcConfig, build_constraints
+from triwalk.harness import omnidirectional_scenario, run
+from triwalk.mpc import PHASE_DOUBLE, PHASE_SINGLE, AxisController, MpcConfig, build_constraints
 from triwalk import refgen
 from triwalk.refgen import GaitTiming, WalkTimeline
 
@@ -164,11 +166,10 @@ class TestReferenceWindows:
         timeline = WalkTimeline(plan, timing, params, engine.config.ts)
         local = engine._local_cycle(engine.k)
         rows = timeline.window(local, engine.config.n_pred)
-        for i, axis in enumerate(("x", "y")):
-            windowed = engine._bundle(axis)
-            np.testing.assert_array_equal(windowed.r_zmp, rows[:, 0, i])
-            np.testing.assert_array_equal(windowed.r_stance, rows[:, 1, i])
-            np.testing.assert_array_equal(windowed.r_swing, rows[:, 2, i])
+        for i, windowed in enumerate(engine._references()):
+            np.testing.assert_array_equal(windowed[:, 2], rows[:, 0, i])
+            np.testing.assert_array_equal(windowed[:, 0], rows[:, 1, i])
+            np.testing.assert_array_equal(windowed[:, 1], rows[:, 2, i])
 
     def test_single_support_ticks_evaluate_no_reference_curves(self, params, timing,
                                                                monkeypatch):
@@ -340,6 +341,31 @@ class TestConstraintSchedule:
             checked += 1
         assert checked > 0
 
+    def test_bounds_and_feet_follow_phases_under_turns_and_rolls(self, params, monkeypatch):
+        # Setpoint walking rolls a new timeline every step; the turn from
+        # 42 s on rotates the working frame at every step.
+        ticks = record_schedule(monkeypatch)
+        assert run(omnidirectional_scenario(duration=45.0), keep_trace=False).completed
+        check_schedule(ticks, params)
+        assert len({tl for _, _, tl, _, _, _ in ticks}) > 40
+        assert len({frame for *_, frame, _ in ticks}) >= 3
+
+    def test_bounds_and_feet_follow_phases_on_a_path(self, params, timing, monkeypatch):
+        # A straight walk, then a 1 m radius arc: one timeline per walk, and
+        # on the arc the frame rotates at every step inside it.
+        angles = np.linspace(0.0, math.radians(30.0), 20)
+        arc = np.column_stack([np.sin(angles), 1.0 - np.cos(angles)])
+        ticks = record_schedule(monkeypatch)
+        for plan in (straight_plan(3), footsteps_from_path(arc, initial_feet_on_path(arc))):
+            ticks.clear()
+            engine = make_engine(params, timing)
+            engine.command_path(plan)
+            run_closed_loop(engine, engine.n_init + plan.n_steps * engine.n_step + 20)
+            check_schedule(ticks, params)
+            assert {key[0] for _, _, _, key, _, _ in ticks} == {"stand", "initialize",
+                                                                  "single", "double"}
+        assert len({frame for *_, frame, _ in ticks}) > plan.n_steps / 2
+
     def test_constraint_matrix_fixed_across_cycles_and_phases(self, params, timing):
         engine = make_engine(params, timing)
         engine.command_path(straight_plan(2))
@@ -361,6 +387,45 @@ class TestConstraintSchedule:
             # row index names the same (bound family, sample) every cycle.
             assert all(A is ctrl.A for A, _ in seen[axis])
             np.testing.assert_array_equal(ctrl.A, original[axis])
+
+
+def record_schedule(monkeypatch):
+    """Per tick: the boxes built afresh, sample by sample, from the tick's
+    timeline phases in the tick's frame; the (lo, hi) both axes passed to
+    ``control_step``; the timeline, phase key, frame and support feet."""
+    ticks, passed = [], []
+    tick, control_step = WalkEngine.tick, AxisController.control_step
+
+    def traced_step(ctrl, x_est, refs, lo, hi):
+        passed.append(np.stack([lo, hi], axis=1))
+        return control_step(ctrl, x_est, refs, lo, hi)
+
+    def traced_tick(engine, y_x, y_y):
+        tl, local = engine._timeline, engine._local_cycle(engine.k)
+        keys = [tl.phase(local + j) for j in range(1, engine.config.constraint_window + 1)]
+        expected = []
+        for axis in ("x", "y"):
+            boxes = {key: engine._phase_box(key, axis) for key in set(keys)}
+            expected.append(np.array([boxes[key] for key in keys]))
+        frame = engine.frame_angle
+        diag = tick(engine, y_x, y_y)
+        ticks.append((expected, passed[-2:], tl, tl.phase(local), frame, diag.support_feet))
+        return diag
+
+    monkeypatch.setattr(AxisController, "control_step", traced_step)
+    monkeypatch.setattr(WalkEngine, "tick", traced_tick)
+    return ticks
+
+
+def check_schedule(ticks, params):
+    hl, hw = params.foot_length / 2.0, params.foot_width / 2.0
+    shared = {}
+    for expected, passed, tl, key, _, feet in ticks:
+        for exp, got in zip(expected, passed):
+            np.testing.assert_array_equal(got, exp)
+        assert feet is shared.setdefault((tl, key), feet)
+        assert feet == tuple(SupportFoot(fp.x, fp.y, fp.theta, hl, hw)
+                             for fp in contact_feet(tl.plan, key))
 
 
 class TestMeasurementValidation:

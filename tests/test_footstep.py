@@ -245,6 +245,21 @@ class TestFootstepPlan:
         with pytest.raises(ValueError):
             FootstepPlan(fps, step_distance=0.1)
 
+    @pytest.mark.parametrize("field", ["x", "y", "theta"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_footprints_rejected(self, field, bad):
+        # A NaN would slip past the displacement check: abs(nan - d) > tol is False.
+        data = {"step_distance": 0.1, "footprints": [
+            {"x": 0.0, "y": 0.1, "theta": 0.0, "side": "L"},
+            {"x": 0.0, "y": -0.1, "theta": 0.0, "side": "R"},
+            {"x": 0.1, "y": 0.1, "theta": 0.0, "side": "L"}]}
+        data["footprints"][2][field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FootstepPlan.from_json(data)
+        data["step_distance"] = None
+        with pytest.raises(ValueError, match="finite"):
+            FootstepPlan.from_json(data)
+
     def test_accessors_and_truncate(self):
         path = np.column_stack([np.arange(0.0, 1.01, 0.1), np.zeros(11)])
         plan = footsteps_from_path(path, initial_feet_on_path(path))

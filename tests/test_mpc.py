@@ -19,7 +19,6 @@ from triwalk.mpc import (
     Observer,
     ObserverConfig,
     PushGate,
-    ReferenceBundle,
     build_constraints,
     build_cost,
     build_prediction,
@@ -38,11 +37,8 @@ def ssd(params):
 
 
 def constant_refs(n, stance=0.0, swing=0.0, zmp=0.0):
-    return ReferenceBundle(
-        r_stance=np.full(n, float(stance)),
-        r_swing=np.full(n, float(swing)),
-        r_zmp=np.full(n, float(zmp)),
-    )
+    """(n, 3) reference window in stacked output order."""
+    return np.tile([float(stance), float(swing), float(zmp)], (n, 1))
 
 
 class TestPrediction:
@@ -96,7 +92,7 @@ class TestCost:
         pred = build_prediction(ssd, cfg)
         x = rng.normal(size=9)
         free = pred.phi @ x  # u_prev = 0
-        refs = ReferenceBundle(r_stance=free[0::3], r_swing=free[1::3], r_zmp=free[2::3])
+        refs = np.column_stack([free[0::3], free[1::3], free[2::3]])
         H, f = build_cost(pred, refs, cfg, x, np.zeros(3))
         assert np.max(np.abs(f)) < 1e-9
         assert np.max(np.abs(np.linalg.solve(H, f))) < 1e-9

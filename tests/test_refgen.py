@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from triwalk.dynamics import ThreeMassParams
-from triwalk.footstep import FootstepPlan, footsteps_from_path, initial_feet_on_path
+from triwalk.footstep import Footprint, FootstepPlan, footsteps_from_path, initial_feet_on_path
 from triwalk.refgen import (
     GaitTiming,
     WalkTimeline,
@@ -279,33 +279,86 @@ class TestAssembleBundle:
         assert np.ptp(r_zmp[4:]) == 0.0
 
 
+def turning_plan(n_steps, turn=0.2, length=0.1, width=0.2):
+    """Footprints turning by ``turn`` rad per step (no fixed step length)."""
+    fps = [Footprint(0.0, width / 2, 0.0, "L"), Footprint(0.0, -width / 2, 0.0, "R")]
+    for _ in range(n_steps):
+        support, side = fps[-1], fps[-2].side
+        heading = support.theta + turn
+        lateral = width if side == "L" else -width
+        c, s = math.cos(heading), math.sin(heading)
+        fps.append(Footprint(support.x + c * length - s * lateral,
+                             support.y + s * length + c * lateral, heading, side))
+    return FootstepPlan(tuple(fps), step_distance=None)
+
+
+def table_cases(plan, timing, params):
+    """Timelines over straight, turning and one-step plans, with and without
+    the initialize window, and with a gait that has no double support."""
+    no_double = GaitTiming(t_single=0.8, t_double=0.0)
+    cases = [(plan, timing, True), (plan, timing, False), (turning_plan(4), timing, True),
+             (turning_plan(4), timing, False), (plan.truncated(1), timing, True),
+             (turning_plan(1), timing, False), (plan, no_double, True),
+             (turning_plan(3), no_double, False)]
+    return [WalkTimeline(p, t, params, ts=0.02, include_initialize=init)
+            for p, t, init in cases]
+
+
+def expected_sample(tl, cycle):
+    """(zmp, hip, swing) of one cycle from the free reference functions."""
+    plan, timing = tl.plan, tl.timing
+    fps = plan.footprints
+    if cycle < 0 or cycle >= tl.total_cycles:
+        pair, home = (fps[:2], fps[0]) if cycle < 0 else (fps[-2:], fps[-1])
+        mid = 0.5 * (pair[0].xy() + pair[1].xy())
+        return mid, mid, np.array([home.x, home.y, 0.0])
+    mid0 = 0.5 * (fps[0].xy() + fps[1].xy())
+    if cycle < tl.n_init:
+        zmp = mid0 + (plan.support(0).xy() - mid0) * (cycle / tl.n_init)
+        return zmp, mid0, np.array([fps[0].x, fps[0].y, 0.0])
+    i, j = divmod(cycle - tl.n_init, tl.n_step)
+    t = j * tl.ts
+    # Step i is the first step of the plan that starts at footprint i, so
+    # zmp_reference sees the step-local time exactly.
+    zmp = zmp_reference(FootstepPlan(fps[i:i + 4], step_distance=None), timing, t)
+    hip = hip_reference(plan.support(i).xy(), 0.5 * (fps[i].xy() + fps[i + 1].xy()),
+                        0.5 * (fps[i + 1].xy() + fps[i + 2].xy()), 0.0, timing.step_period,
+                        t, tl.params.omega)
+    swing = swing_reference(plan.swing_from(i).xy(), plan.swing_to(i).xy(), timing, t)
+    return zmp, hip, swing
+
+
 class TestReferenceTable:
     def test_window_matches_sample_across_clamped_ends(self, plan, timing, params):
-        tl = WalkTimeline(plan, timing, params, ts=0.02)
-        first, last = -5, tl.total_cycles + 5
-        rows = tl.window(first - 1, last - first + 1)
-        assert rows.shape == (last - first + 1, 3, 2)
-        assert rows.flags.c_contiguous
-        for j, cycle in enumerate(range(first, last + 1)):
-            s = tl.sample(cycle)
-            np.testing.assert_array_equal(rows[j], [s.zmp, s.stance_mass, s.swing_mass])
-            np.testing.assert_array_equal(tl.window(cycle - 1, 1)[0], rows[j])
+        for tl in table_cases(plan, timing, params):
+            first, last = -5, tl.total_cycles + 5
+            rows = tl.window(first - 1, last - first + 1)
+            assert rows.shape == (last - first + 1, 3, 2)
+            assert rows.flags.c_contiguous
+            for j, cycle in enumerate(range(first, last + 1)):
+                s = tl.sample(cycle)
+                np.testing.assert_array_equal(rows[j], [s.zmp, s.stance_mass, s.swing_mass])
+                np.testing.assert_array_equal(tl.window(cycle - 1, 1)[0], rows[j])
 
     def test_sample_matches_reference_curves(self, plan, timing, params):
-        tl = WalkTimeline(plan, timing, params, ts=0.02)
-        k = tl.n_init + tl.n_step + 11
-        t = 11 * 0.02
-        s = tl.sample(k)
-        fps = plan.footprints
-        hip = hip_reference(plan.support(1).xy(), 0.5 * (fps[1].xy() + fps[2].xy()),
-                            0.5 * (fps[2].xy() + fps[3].xy()), 0.0, timing.step_period, t,
-                            params.omega)
-        swing = swing_reference(plan.swing_from(1).xy(), plan.swing_to(1).xy(), timing, t)
-        r_st, _, r_sw = mass_references(s.zmp, hip, swing)
-        np.testing.assert_array_equal(s.hip, hip)
-        np.testing.assert_array_equal(s.swing, swing)
-        np.testing.assert_array_equal(s.stance_mass, r_st)
-        np.testing.assert_array_equal(s.swing_mass, r_sw)
+        for tl in table_cases(plan, timing, params):
+            for cycle in range(-1, tl.total_cycles + 1):
+                zmp, hip, swing = expected_sample(tl, cycle)
+                r_st, _, r_sw = mass_references(zmp, hip, swing)
+                s = tl.sample(cycle)
+                np.testing.assert_array_equal(s.zmp, zmp)
+                np.testing.assert_array_equal(s.hip, hip)
+                np.testing.assert_array_equal(s.swing, swing)
+                np.testing.assert_array_equal(s.stance_mass, r_st)
+                np.testing.assert_array_equal(s.swing_mass, r_sw)
+
+    def test_phase_ids_are_one_contiguous_range_per_window(self, plan, timing, params):
+        for tl in table_cases(plan, timing, params):
+            ids = tl.phase_ids(-4, tl.total_cycles + 8)
+            keys = [tl.phase(c) for c in range(-3, tl.total_cycles + 5)]
+            assert [tl.keys[i] for i in ids] == keys
+            assert len(set(keys)) == len(tl.keys)
+            assert np.all(np.diff(ids) >= 0) and np.all(np.diff(ids) <= 1)
 
     def test_table_is_read_only(self, plan, timing, params):
         tl = WalkTimeline(plan, timing, params, ts=0.02)

@@ -103,6 +103,7 @@ class CycleDiagnostics:
     u_y: np.ndarray
     qp_status: tuple[str, str]
     softened: tuple[bool, bool]
+    qp_iterations: tuple[int, int]
     zmp_pred: np.ndarray
     refs: RefSample
     support_feet: tuple[SupportFoot, ...]
@@ -267,6 +268,7 @@ class WalkEngine:
         u_frame = {}
         status = {}
         softened = {}
+        iterations = {}
         zmp_pred = np.zeros(2)
         try:
             for i, axis in enumerate(("x", "y")):
@@ -280,6 +282,7 @@ class WalkEngine:
                 u_frame[axis] = u
                 status[axis] = info.status
                 softened[axis] = info.softened
+                iterations[axis] = info.iterations
                 zmp_pred[i] = info.predicted_output[2]
         except ControllerFault as exc:
             raise ControllerFault(f"cycle {self.k}, phase {self.phase.value}: {exc}") from exc
@@ -299,6 +302,7 @@ class WalkEngine:
             u_y=u_pair[1].copy(),
             qp_status=(status["x"], status["y"]),
             softened=(softened["x"], softened["y"]),
+            qp_iterations=(iterations["x"], iterations["y"]),
             zmp_pred=zmp_pred_world,
             refs=self._timeline.sample(local),
             support_feet=self.support_feet(),

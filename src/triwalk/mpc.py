@@ -444,7 +444,7 @@ class ControlCycleInfo:
     status: str
     softened: bool
     objective: float
-    iterations: int
+    iterations: int                # QP iterations, the failed hard solve's included
     predicted_output: np.ndarray   # first predicted sample (stance, swing, zmp)
 
 
@@ -500,12 +500,14 @@ class AxisController:
         fac = self._factors
         problem = QpProblem(H=fac.H, f=f, A_ineq=fac.A, b_ineq=b, factors=fac)
         sol = self.solver.solve(problem, warm_start=self._warm)
+        iterations = sol.iterations
         softened = False
         if sol.status == STATUS_INFEASIBLE:
             softened = True
             relaxed = QpProblem(H=fac.H, f=f, A_ineq=fac.A, b_ineq=b, soft=self._output_rows,
                                 soft_penalty=self.config.soft_penalty, factors=self._soft_factors)
             sol = self.solver.solve(relaxed)
+            iterations += sol.iterations
             if sol.status == STATUS_INFEASIBLE:
                 raise ControllerFault("cycle subproblem infeasible even after softening outputs")
         self._warm = sol.active_set if sol.status == STATUS_OPTIMAL and not softened else None
@@ -516,7 +518,7 @@ class AxisController:
             status=sol.status,
             softened=softened,
             objective=sol.objective,
-            iterations=sol.iterations,
+            iterations=iterations,
             predicted_output=free[:N_OUTPUTS] + pred.gamma[:N_OUTPUTS] @ sol.z,
         )
         return u, info

@@ -19,6 +19,14 @@ active-set step reads its columns and Gram entries instead of solving.  The
 slack-augmented factors of a soft problem are derived from the hard ones.
 A problem that carries no factors is factored first; every solve runs the
 same loop.
+
+Within a solve, the working set W keeps a lower Cholesky factor R of its Gram
+block ``A_W H^-1 A_W' = R R'`` in a Fortran-ordered buffer whose leading
+block LAPACK reads in place.  A step direction costs two triangular solves;
+appending a row extends R by one row, and dropping one deletes its row of R
+and re-triangularises the rows below it.  No refinement pass runs between
+steps: the final working set is re-solved once (``_polish``) and the KKT
+gate checks the result.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.optimize import nnls
 
 STATUS_OPTIMAL = "optimal"
@@ -214,26 +222,49 @@ class QpSolution:
     slacks: np.ndarray | None = None
 
 
-def _lu(S: np.ndarray):
-    """LU factors of a working-set Gram matrix, reused by every solve with it."""
-    lu, piv, info = dgetrf(S)
-    if info > 0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    return lu, piv
+def _forward(R, k: int, v: np.ndarray) -> np.ndarray:
+    """``R_k^-1 v`` for the leading k-by-k block ``R_k`` of the working-set
+    factor (read in place: ``R`` is Fortran-ordered)."""
+    return dtrtrs(R[:, :k], v, lower=1)[0]
 
 
-def _lu_solve(lu, v: np.ndarray) -> np.ndarray:
-    return dgetrs(*lu, v)[0]
+def _gram_solve(R, k: int, v: np.ndarray) -> np.ndarray:
+    """``S^-1 v`` for the working-set Gram matrix ``S = R_k R_k'``."""
+    return dtrtrs(R[:, :k], _forward(R, k, v), lower=1, trans=1)[0]
 
 
-def _drop(W: list[int], lam, V, S, pos: int) -> None:
+def _append(W: list[int], V, R, p: int, v_p: np.ndarray, l: np.ndarray, schur: float) -> None:
+    """Append row ``p`` with its ``H^-1 a`` column ``v_p``.  ``l = R_k^-1 G[W, p]``
+    and ``schur = G[p, p] - l.l > 0`` give the new factor row [l', sqrt(schur)]."""
+    k = len(W)
+    V[:, k] = v_p
+    R[k, :k] = l
+    R[k, k] = np.sqrt(schur)
+    W.append(p)
+
+
+def _drop(W: list[int], lam, V, R, G, pos: int) -> None:
     """Remove working-set entry ``pos`` with its multiplier, its ``H^-1 a``
-    column and its Gram row and column, keeping the rest packed in order."""
+    column and its factor row, keeping the rest packed in order.
+
+    Without row ``pos`` of R, the rows below it still hold the Gram entries
+    among themselves in ``T = R[pos+1:k, pos:k]``; refactoring ``T T'``
+    re-triangularises them.  Should rounding have cost that block its
+    definiteness, the whole factor is rebuilt from ``G``.
+    """
     k = len(W)
     W.pop(pos)
     lam[pos:k - 1] = lam[pos + 1:k]
     V[:, pos:k - 1] = V[:, pos + 1:k]
-    S[:k - 1, :k - 1] = np.delete(np.delete(S[:k, :k], pos, 0), pos, 1)
+    T = R[pos + 1:k, pos:k]
+    R[pos:k - 1, :pos] = R[pos + 1:k, :pos]
+    block, info = dpotrf(T @ T.T, lower=1)
+    if info:
+        pos = 0
+        block, info = dpotrf(G[np.ix_(W, W)], lower=1)
+        if info:
+            raise np.linalg.LinAlgError("working-set Gram matrix is not positive definite")
+    R[pos:k - 1, pos:k - 1] = block
 
 
 class ActiveSetSolver:
@@ -257,10 +288,12 @@ class ActiveSetSolver:
         W: list[int] = []
         lam = np.zeros(n)            # first len(W) entries are the multipliers
         V = np.empty((n, n))         # columns 0..k-1 hold H^-1 A_W' (columns of V_all)
-        S = np.empty((n, n))         # leading k-by-k block holds A_W H^-1 A_W' (of G)
+        # Leading k-by-k block: lower Cholesky factor R of A_W H^-1 A_W' (of G).
+        # Nothing is ever written above the diagonal, which ``_drop`` reads.
+        R = np.zeros((n, n), order="F")
 
         if warm_start:
-            self._seed_working_set(fac, b, z0, W, lam, V, S, warm_start)
+            self._seed_working_set(fac, b, z0, W, lam, V, R, warm_start)
             if W:
                 z = z0 - V[:, :len(W)] @ lam[:len(W)]
 
@@ -293,22 +326,11 @@ class ActiveSetSolver:
                         break
                     k = len(W)
                     if k:
-                        u = G[W, p]
-                        lu = _lu(S[:k, :k])
-                        e = -_lu_solve(lu, u)
+                        l = _forward(R, k, G[W, p])
+                        e = -dtrtrs(R[:, :k], l, lower=1, trans=1)[0]
                         d = -r - V[:, :k] @ e
-                        # One refinement pass keeps directions accurate when
-                        # the working-set Gram matrix is poorly conditioned.
-                        AW = A[W]
-                        res1 = H @ d + AW.T @ e + a_p
-                        res2 = AW @ d
-                        corr = fac.hsolve(res1)
-                        de = _lu_solve(lu, res2 - AW @ corr)
-                        e = e + de
-                        d = d - corr - V[:, :k] @ de
                     else:
-                        u = np.zeros(0)
-                        e = np.zeros(0)
+                        l = e = np.zeros(0)
                         d = -r
                     s = float(a_p @ d)
                     v_p = float(a_p @ z - b[p])
@@ -335,14 +357,11 @@ class ActiveSetSolver:
                     lam[:k] += t * e
                     lam_p += t
                     if t_full <= t_block:
-                        V[:, k] = r
-                        S[k, :k] = u
-                        S[:k, k] = u
-                        S[k, k] = apr
-                        W.append(p)
+                        # apr - l.l equals -s, which ``dependent`` keeps positive.
+                        _append(W, V, R, p, r, l, apr - l @ l)
                         lam[k] = lam_p
                         break
-                    _drop(W, lam, V, S, blk)
+                    _drop(W, lam, V, R, G, blk)
                 resid = A @ z - b
                 if status != STATUS_OPTIMAL:
                     break
@@ -352,7 +371,7 @@ class ActiveSetSolver:
             # the incremental updates, but can itself lose accuracy when the
             # working-set Gram matrix is ill conditioned; keep the better one.
             k = len(W)
-            z_p, lam_p = self._polish(fac, f, b, z0, W, V[:, :k], S[:k, :k])
+            z_p, lam_p = self._polish(fac, f, b, z0, W, V[:, :k], R)
             resid_p = A @ z_p - b
             if (self._kkt_from_multipliers(fac, f, z_p, resid_p, W, lam_p)[0]
                     <= self._kkt_from_multipliers(fac, f, z, resid, W, lam[:k])[0]):
@@ -378,50 +397,42 @@ class ActiveSetSolver:
         )
 
     @staticmethod
-    def _seed_working_set(fac: QpFactors, b, z0, W, lam, V, S, warm_start) -> None:
+    def _seed_working_set(fac: QpFactors, b, z0, W, lam, V, R, warm_start) -> None:
         """Recreate a dual-feasible working set from a previous active set."""
         A, G = fac.A, fac.G
         n, m = fac.H.shape[0], A.shape[0]
         for i in sorted({int(i) for i in warm_start if 0 <= int(i) < m}):
             if len(W) >= n:
                 break
-            k = len(W)
-            u = G[W, i]
+            l = _forward(R, len(W), G[W, i])
             s_new = float(G[i, i])
-            if k:
-                # Schur complement must stay safely positive for independence.
-                schur = s_new - float(u @ _lu_solve(_lu(S[:k, :k]), u))
-            else:
-                schur = s_new
+            # Schur complement must stay safely positive for independence.
+            schur = s_new - float(l @ l)
             if schur <= 1e-10 * max(1.0, s_new):
                 continue
-            V[:, k] = fac.V[:, i]
-            S[k, :k] = u
-            S[:k, k] = u
-            S[k, k] = s_new
-            W.append(i)
+            _append(W, V, R, i, fac.V[:, i], l, schur)
         # Prune until the equality-constrained multipliers are all nonnegative.
         while W:
             k = len(W)
-            mult = -_lu_solve(_lu(S[:k, :k]), b[W] - A[W] @ z0)
+            mult = -_gram_solve(R, k, b[W] - A[W] @ z0)
             if np.min(mult) >= 0.0:
                 lam[:k] = mult
                 return
-            _drop(W, lam, V, S, int(np.argmin(mult)))
+            _drop(W, lam, V, R, G, int(np.argmin(mult)))
 
     @staticmethod
-    def _polish(fac: QpFactors, f, b, z0, W, V, S):
+    def _polish(fac: QpFactors, f, b, z0, W, V, R):
         """Re-solve the equality-constrained problem on the final working set,
-        given its ``H^-1 A_W'`` columns ``V`` and Gram matrix ``S``, with one
+        given its ``H^-1 A_W'`` columns ``V`` and Gram factor ``R``, with one
         iterative-refinement pass on the KKT system."""
         AW = fac.A[W]
-        lu = _lu(S)
-        lam = -_lu_solve(lu, b[W] - AW @ z0)
+        k = len(W)
+        lam = -_gram_solve(R, k, b[W] - AW @ z0)
         z = z0 - V @ lam
         res1 = fac.H @ z + f + AW.T @ lam
         res2 = AW @ z - b[W]
         corr = fac.hsolve(res1)
-        dlam = _lu_solve(lu, res2 - AW @ corr)
+        dlam = _gram_solve(R, k, res2 - AW @ corr)
         return z - corr - V @ dlam, lam + dlam
 
     @staticmethod

@@ -24,6 +24,7 @@ from triwalk.mpc import (
     build_prediction,
     condense_constraints,
 )
+from triwalk.qp import STATUS_INFEASIBLE, STATUS_OPTIMAL
 
 
 @pytest.fixture(scope="module")
@@ -296,6 +297,21 @@ class TestControlStep:
         assert info.softened
         assert np.all(np.isfinite(u))
         assert np.all(np.abs(u) <= 1.0 + 1e-9)  # input rows stayed hard
+
+    def test_softened_cycle_reports_both_solves_iterations(self, ssd, params, monkeypatch):
+        ctrl, cfg = self.make_controller(ssd, jerk_limit=1.0, swing_reach=0.01)
+        refs = constant_refs(cfg.n_pred)
+        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        solutions = []
+        solve = ctrl.solver.solve
+        monkeypatch.setattr(ctrl.solver, "solve",
+                            lambda *a, **kw: solutions.append(solve(*a, **kw)) or solutions[-1])
+        _, info = ctrl.control_step(make_state((0.0, 0.0, 1.0)), refs, lo, hi)
+        hard, relaxed = solutions
+        assert info.softened and hard.status == STATUS_INFEASIBLE
+        assert relaxed.status == STATUS_OPTIMAL
+        assert hard.iterations > 0 and relaxed.iterations > 0
+        assert info.iterations == hard.iterations + relaxed.iterations
 
     def test_qp_factored_once_per_controller(self, ssd, params, monkeypatch):
         # (H, A) never change, so the QP is factored at construction only:

@@ -10,7 +10,19 @@ from triwalk.qp import (
     ControlSolverError,
     QpFactors,
     QpProblem,
+    _append,
+    _drop,
+    _forward,
     kkt_residual,
+)
+from triwalk.dynamics import ThreeMassParams, build_continuous, discretize, make_state
+from triwalk.mpc import (
+    PHASE_SINGLE,
+    AxisController,
+    MpcConfig,
+    build_constraints,
+    condense_constraints,
+    cost_gradient,
 )
 
 from oracles import solve_qp_by_enumeration
@@ -260,3 +272,100 @@ class TestFactoredSequences:
         for arr in (factors.H, factors.A, factors.L_inv, factors.V, factors.G, factors.slack_scale):
             assert not arr.flags.writeable
         assert factors.A.shape == (6, 5) and factors.n == 3
+
+
+class TestWorkingSetFactor:
+    """The lower Cholesky factor R of the working-set Gram matrix, updated
+    in place as rows enter and leave the working set."""
+
+    @staticmethod
+    def empty_working_set(n):
+        return [], np.zeros(n), np.empty((n, n)), np.zeros((n, n), order="F")
+
+    @staticmethod
+    def append(W, lam, V, R, G, p):
+        l = _forward(R, len(W), G[W, p])
+        lam[len(W)] = p
+        _append(W, V, R, p, np.full(V.shape[0], float(p)), l, G[p, p] - l @ l)
+
+    @staticmethod
+    def assert_factor(W, lam, V, R, G):
+        k = len(W)
+        Rk = R[:k, :k]
+        S = G[np.ix_(W, W)]
+        assert np.array_equal(Rk, np.tril(Rk))
+        assert np.max(np.abs(Rk @ Rk.T - S), initial=0.0) <= 1e-10 * np.max(np.abs(S), initial=0.0)
+        # Multipliers and H^-1 a columns stay packed in working-set order.
+        np.testing.assert_array_equal(lam[:k], W)
+        np.testing.assert_array_equal(V[0, :k], W)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 16), fill=st.integers(0, 16),
+           ops=st.lists(st.sampled_from(["append", "first", "middle", "last"]),
+                        min_size=1, max_size=40))
+    def test_append_and_drop_keep_the_factor(self, seed, m, fill, ops):
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(m, m + 2)) * rng.uniform(0.1, 10.0, size=(m, 1))
+        G = B @ B.T
+        W, lam, V, R = self.empty_working_set(m)
+        for op in ["append"] * fill + ops:
+            if op == "append" and len(W) < m or not W:
+                free = [i for i in range(m) if i not in W]
+                self.append(W, lam, V, R, G, free[rng.integers(len(free))])
+            else:
+                pos = {"first": 0, "middle": len(W) // 2}.get(op, len(W) - 1)
+                kept = W[:pos] + W[pos + 1:]
+                _drop(W, lam, V, R, G, pos)
+                assert W == kept
+            self.assert_factor(W, lam, V, R, G)
+
+    def test_drop_refactors_a_factor_that_lost_definiteness(self):
+        rng = np.random.default_rng(3)
+        B = rng.normal(size=(6, 8))
+        G = B @ B.T
+        W, lam, V, R = self.empty_working_set(6)
+        for p in (4, 1, 5, 0, 2):
+            self.append(W, lam, V, R, G, p)
+        # A zero last row makes the trailing block's downdate singular, so the
+        # drop must rebuild the factor from G.
+        R[4, :5] = 0.0
+        _drop(W, lam, V, R, G, 1)
+        assert W == [4, 5, 0, 2]
+        self.assert_factor(W, lam, V, R, G)
+
+
+class TestLargeSoftenedSolves:
+    """The controller's softened fallback when a push makes the hard cycle
+    infeasible: dozens of working-set rows, entered and dropped many times."""
+
+    @pytest.fixture(scope="class")
+    def controller(self):
+        params = ThreeMassParams.nominal()
+        cfg = MpcConfig()
+        ctrl = AxisController(discretize(build_continuous(params), cfg.ts), cfg)
+        box = build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x")
+        lo, hi = (np.tile(v, (cfg.constraint_window, 1)) for v in box)
+        return ctrl, lo, hi
+
+    @pytest.mark.parametrize("velocities, accelerations", [
+        ((0.0, 3.0, 0.0), (0.0, 50.0, 0.0)),
+        ((-1.0, 3.0, 0.0), (0.0, 100.0, 0.0)),
+        ((1.0, 1.0, 1.0), (20.0, 50.0, -20.0)),
+    ])
+    def test_softened_solve_is_optimal(self, controller, velocities, accelerations):
+        ctrl, lo, hi = controller
+        free = ctrl.pred.phi @ make_state((0.1, 0.0, 0.0), velocities, accelerations)
+        f = cost_gradient(ctrl._GtW, ctrl._UtW, free, ctrl.u_prev)
+        b = condense_constraints(ctrl.config, lo, hi, free, ctrl.u_prev)
+        H = ctrl._factors.H
+        hard = ActiveSetSolver().solve(QpProblem(H=H, f=f, A_ineq=ctrl.A, b_ineq=b))
+        assert hard.status == STATUS_INFEASIBLE
+        problem = QpProblem(H=H, f=f, A_ineq=ctrl.A, b_ineq=b, soft=ctrl._output_rows,
+                            soft_penalty=ctrl.config.soft_penalty)
+        sol = ActiveSetSolver().solve(problem)
+        assert sol.status == STATUS_OPTIMAL
+        assert len(sol.active_set) > 40
+        # A cold solve appends once per iteration, so the surplus was dropped.
+        assert sol.iterations > len(sol.active_set)
+        scale = 1.0 + np.max(np.abs(f)) + np.max(np.abs(H @ sol.z))
+        assert kkt_residual(problem, sol.z) <= 1e-8 * scale

@@ -1,25 +1,28 @@
 """Scenario runner: closed-loop simulation with measurement noise, impulse
 disturbances, fall detection and trace export.
 
-A scenario couples the walking engine with the three-mass plant: per cycle the
-plant outputs are measured (optionally with truncated-Gaussian noise), the
-engine produces jerk commands, and disturbances enter as extra acceleration on
-a target mass.  Metrics are computed against the true plant state; a fall is
-declared when the true ZMP stays outside the unscaled support polygon for more
-than ``n_fall`` consecutive cycles.
+A ``Simulation`` couples the walking engine with the three-mass plant: per
+``step()`` the plant outputs are measured (optionally with truncated-Gaussian
+noise), the engine produces jerk commands, and disturbances enter as extra
+acceleration on a target mass.  ``run`` steps it and checks only for a fall
+online (the true ZMP outside the unscaled support polygon for more than
+``n_fall`` consecutive cycles); the metrics are scored afterwards from the
+recorded cycles, against the true plant state.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import lru_cache
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import ThreeMassParams, step_plant
-from .engine import SupportFoot, WalkEngine
+from .engine import CycleDiagnostics, SupportFoot, WalkEngine
 from .footstep import (
     FootstepPlan,
     footsteps_from_path,
@@ -83,6 +86,9 @@ class Scenario:
         if self.duration <= 0.0:
             raise ValueError("duration must be positive")
         for d in self.disturbances:
+            if not (all(map(math.isfinite, (d.t_start, d.duration, d.force)))
+                    and d.duration > 0.0):
+                raise ValueError("disturbance values must be finite and its duration positive")
             if not (0.0 <= d.t_start and d.t_start + d.duration <= self.duration):
                 raise ValueError("disturbance window must lie within the run")
             if d.mass_index not in (0, 1, 2) or d.axis not in ("x", "y"):
@@ -133,35 +139,21 @@ class Scenario:
             data = json.loads(Path(source).read_text())
         else:
             data = source
-        kwargs = {}
-        for key in ("name", "mode", "duration", "n_fall", "max_steps"):
+        kwargs = {key: data[key] for key in ("name", "mode", "duration", "n_fall", "max_steps")
+                  if key in data}
+        for key, kind in (("params", ThreeMassParams), ("config", MpcConfig),
+                          ("timing", GaitTiming), ("observer", ObserverConfig),
+                          ("noise", NoiseSpec)):
             if key in data:
-                kwargs[key] = data[key]
-        if "params" in data:
-            kwargs["params"] = ThreeMassParams(**data["params"])
-        if "config" in data:
-            cfg = dict(data["config"])
-            if "w_jerk" in cfg:
-                cfg["w_jerk"] = tuple(cfg["w_jerk"])
-            if "swing_band" in cfg:
-                cfg["swing_band"] = tuple(cfg["swing_band"])
-            kwargs["config"] = MpcConfig(**cfg)
-        if "timing" in data:
-            kwargs["timing"] = GaitTiming(**data["timing"])
-        if "observer" in data:
-            obs = {k: tuple(v) if isinstance(v, list) else v
-                   for k, v in data["observer"].items()}
-            kwargs["observer"] = ObserverConfig(**obs)
-        if "noise" in data:
-            kwargs["noise"] = NoiseSpec(**data["noise"])
+                kwargs[key] = kind(**{k: tuple(v) if isinstance(v, list) else v
+                                      for k, v in data[key].items()})
         if "disturbances" in data:
             kwargs["disturbances"] = tuple(Disturbance(**d) for d in data["disturbances"])
         if "map" in data:
             kwargs["map_source"] = data["map"]
-        if "path_points" in data:
-            kwargs["path_points"] = tuple(tuple(p) for p in data["path_points"])
-        if "schedule" in data:
-            kwargs["schedule"] = tuple(tuple(s) for s in data["schedule"])
+        for key in ("path_points", "schedule"):
+            if key in data:
+                kwargs[key] = tuple(tuple(p) for p in data[key])
         scenario = cls(**kwargs)
         scenario.validate()
         return scenario
@@ -197,18 +189,11 @@ class RunMetrics:
     trace: Trace | None = None
 
     def summary(self) -> dict:
-        return {
-            "completed": self.completed,
-            "fall_detected": self.fall_detected,
-            "fall_time": self.fall_time,
-            "zmp_violation_cycles": self.zmp_violation_cycles,
-            "zmp_max_excursion": self.zmp_max_excursion,
-            "scaled_violation_cycles": self.scaled_violation_cycles,
-            "tracking_rms": dict(self.tracking_rms),
-            "n_cycles": self.n_cycles,
-            "fault": self.fault,
-            "torso_sway_scores": list(self.torso_sway_scores),
-        }
+        """Every field but the trace, as JSON-ready values."""
+        data = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace"}
+        data.update(tracking_rms=dict(self.tracking_rms),
+                    torso_sway_scores=list(self.torso_sway_scores))
+        return data
 
 
 def noise_sample(rng: np.random.Generator, bound: float) -> float:
@@ -243,39 +228,52 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
     return np.asarray(lower[:-1] + upper[:-1])
 
 
-def polygon_excursion(point, hull: np.ndarray) -> float:
-    """Largest half-plane violation of ``point`` (<= 0 means inside)."""
-    p = np.asarray(point, dtype=float)
-    n = hull.shape[0]
-    if n == 0:
-        return math.inf
-    if n == 1:
-        return float(np.linalg.norm(p - hull[0]))
-    worst = -math.inf
-    for i in range(n):
-        a = hull[i]
-        b = hull[(i + 1) % n]
+def _half_planes(hull: np.ndarray) -> tuple[tuple[float, float, float, float], ...]:
+    """(unit outward normal, start vertex) of each non-degenerate edge of a
+    counter-clockwise polygon, as Python floats."""
+    planes = []
+    for a, b in zip(hull, np.roll(hull, -1, axis=0)):
         edge = b - a
         length = float(np.linalg.norm(edge))
-        if length < 1e-15:
-            continue
-        # Outward normal of a CCW polygon points right of the edge.
-        normal = np.array([edge[1], -edge[0]]) / length
-        worst = max(worst, float(normal @ (p - a)))
-    return worst
+        if length >= 1e-15:
+            # Outward normal of a CCW polygon points right of the edge.
+            normal = np.array([edge[1], -edge[0]]) / length
+            planes.append((float(normal[0]), float(normal[1]), float(a[0]), float(a[1])))
+    return tuple(planes)
+
+
+def _violation(point, hull: np.ndarray, planes) -> float:
+    if hull.shape[0] < 2:
+        return math.inf if hull.shape[0] == 0 else float(np.linalg.norm(point - hull[0]))
+    px, py = float(point[0]), float(point[1])
+    return max((nx * (px - ax) + ny * (py - ay) for nx, ny, ax, ay in planes),
+               default=-math.inf)
+
+
+def polygon_excursion(point, hull: np.ndarray) -> float:
+    """Largest half-plane violation of ``point`` (<= 0 means inside)."""
+    return _violation(np.asarray(point, dtype=float), hull, _half_planes(hull))
+
+
+@lru_cache(maxsize=8)
+def _support_polygon(feet: tuple[SupportFoot, ...], scale: float):
+    if scale != 1.0:
+        feet = tuple(replace(f, half_length=f.half_length * scale,
+                             half_width=f.half_width * scale) for f in feet)
+    hull = convex_hull(np.vstack([f.corners() for f in feet]))
+    hull.setflags(write=False)   # shared by every caller of the cache
+    return hull, _half_planes(hull)
 
 
 def support_excursion(zmp, feet: tuple[SupportFoot, ...], scale: float = 1.0) -> float:
     """Distance of the ZMP outside the support polygon (<= 0 inside).
 
     ``scale`` shrinks every footprint about its own center, matching the
-    safety margin the controller enforces.
+    safety margin the controller enforces.  The polygon of a (feet, scale)
+    pair comes from a small cache; the engine shares one feet tuple per
+    phase, so a run builds each polygon once per phase.
     """
-    if scale != 1.0:
-        feet = tuple(replace(f, half_length=f.half_length * scale,
-                             half_width=f.half_width * scale) for f in feet)
-    corners = np.vstack([f.corners() for f in feet])
-    return polygon_excursion(zmp, convex_hull(corners))
+    return _violation(np.asarray(zmp, dtype=float), *_support_polygon(tuple(feet), scale))
 
 
 def _disturbance_schedule(scenario: Scenario):
@@ -293,153 +291,125 @@ def _disturbance_schedule(scenario: Scenario):
     return table
 
 
+class Simulation:
+    """One closed-loop run of a scenario, one control cycle per ``step()``.
+
+    ``seed`` overrides the scenario's noise seed.  Setpoint entries apply in
+    time order, the earliest at construction.  After a step, ``measured``
+    holds the (axis, output) values the engine saw, ``outputs`` the true
+    outputs of the stepped plant (the next measurement before noise) and
+    ``zmp_true`` its true ZMP.
+    """
+
+    def __init__(self, scenario: Scenario, seed: int | None = None):
+        scenario.validate()
+        self.scenario = scenario
+        self.n_cycles = int(round(scenario.duration / scenario.config.ts))
+        self.engine = WalkEngine(scenario.params, scenario.config, scenario.timing,
+                                 observer=scenario.observer)
+        self._schedule = sorted(scenario.schedule) if scenario.mode == "setpoints" else []
+        if self._schedule:
+            self.engine.command_setpoints(*self._schedule.pop(0)[1:])
+        else:
+            self.engine.command_path(scenario.build_plan())
+        self.plant = {axis: self.engine.standing_state(axis) for axis in ("x", "y")}
+        self.outputs = np.array([self.engine.model.C @ self.plant[axis] for axis in ("x", "y")])
+        self._rng = np.random.default_rng(scenario.noise.seed if seed is None else seed)
+        self._kicks = _disturbance_schedule(scenario)
+
+    def step(self) -> CycleDiagnostics:
+        """Apply due setpoints, measure, tick the engine and step the plant.
+        A ``ControllerFault`` from the tick propagates, the plant unstepped."""
+        engine, noise = self.engine, self.scenario.noise
+        t = engine.k * engine.config.ts
+        while self._schedule and self._schedule[0][0] <= t + 1e-12:
+            engine.set_setpoints(*self._schedule.pop(0)[1:])
+        self.measured = self.outputs
+        if noise.enabled:
+            self.measured = self.outputs + [[noise_sample(self._rng, noise.bound)
+                                             for _ in range(3)] for _ in range(2)]
+        diag = engine.tick(*self.measured)
+        kick = self._kicks.get(diag.k)
+        ssd = engine.model
+        for axis, u in (("x", diag.u_x), ("y", diag.u_y)):
+            self.plant[axis] = step_plant(ssd, self.plant[axis], u, kick[axis] if kick else None)
+        self.outputs = np.array([ssd.C @ self.plant[axis] for axis in ("x", "y")])
+        self.zmp_true = np.array([ssd.C[2] @ self.plant[axis] for axis in ("x", "y")])
+        return diag
+
+
 def run(scenario: Scenario, out_dir=None, seed: int | None = None,
         keep_trace: bool = True) -> RunMetrics:
-    """Simulate one scenario and return its metrics.
+    """Simulate one scenario to its end, first fault or fall; return its metrics.
 
-    ``seed`` overrides the scenario's noise seed.  With ``out_dir`` set, the
-    trace CSV and a JSON summary are written there.
+    Only the fall is checked online; the rest is scored afterwards from the
+    recorded cycles.  ``seed`` overrides the scenario's noise seed; with
+    ``out_dir`` set, the trace CSV and a JSON summary are written there.
     """
-    scenario.validate()
-    cfg = scenario.config
-    engine = WalkEngine(scenario.params, cfg, scenario.timing, observer=scenario.observer)
-    if scenario.mode == "path":
-        engine.command_path(scenario.build_plan())
-    else:
-        t0, x0, y0, a0 = scenario.schedule[0]
-        engine.command_setpoints(x0, y0, a0)
-    plant = {"x": engine.standing_state("x"), "y": engine.standing_state("y")}
-
-    rng = np.random.default_rng(scenario.noise.seed if seed is None else seed)
-    extra = _disturbance_schedule(scenario)
-    ssd = engine.model
-    zmp_row = ssd.C[2]
-    n_cycles = int(round(scenario.duration / cfg.ts))
-    schedule = sorted(scenario.schedule)
-    next_entry = 1  # entry 0 consumed by command_setpoints
-
-    rec_t, rec_phase, rec_status = [], [], []
-    rec_u, rec_zm, rec_zp, rec_zt, rec_refs = [], [], [], [], []
-    err_st, err_sw, err_z = [], [], []
-
-    completed = True
-    fault = None
-    fall_detected = False
-    fall_time = None
-    violation_cycles = 0
-    scaled_violations = 0
-    max_excursion = -math.inf
+    sim = Simulation(scenario, seed)
+    n = sim.n_cycles
+    u, out = np.empty((n, 2, 3)), np.empty((n, 2, 3))
+    meas, pred, zmp, torso = (np.empty((n, 2)) for _ in range(4))
+    refs, excursion = np.empty((n, 6)), np.empty(n)
+    tags = []   # per cycle: phase, QP statuses, support feet, swing target, step index
+    fault = fall_time = None
     consecutive = 0
-    sway_scores: list[float] = []
-    sway_accum: list[float] = []
-    sway_step = None
-
-    for k in range(n_cycles):
-        t = k * cfg.ts
-        if scenario.mode == "setpoints":
-            while next_entry < len(schedule) and schedule[next_entry][0] <= t + 1e-12:
-                _, sx, sy, sa = schedule[next_entry]
-                engine.set_setpoints(sx, sy, sa)
-                next_entry += 1
-        y_x = ssd.C @ plant["x"]
-        y_y = ssd.C @ plant["y"]
-        if scenario.noise.enabled:
-            y_x = y_x + [noise_sample(rng, scenario.noise.bound) for _ in range(3)]
-            y_y = y_y + [noise_sample(rng, scenario.noise.bound) for _ in range(3)]
+    for k in range(n):
         try:
-            diag = engine.tick(y_x, y_y)
+            diag = sim.step()
         except ControllerFault as exc:
-            completed = False
             fault = str(exc)
             break
-        kick = extra.get(k)
-        plant["x"] = step_plant(ssd, plant["x"], diag.u_x,
-                                kick["x"] if kick else None)
-        plant["y"] = step_plant(ssd, plant["y"], diag.u_y,
-                                kick["y"] if kick else None)
-
-        zmp_true = np.array([zmp_row @ plant["x"], zmp_row @ plant["y"]])
-        excursion = support_excursion(zmp_true, diag.support_feet)
-        max_excursion = max(max_excursion, excursion)
-        if excursion > 1e-9:
-            violation_cycles += 1
-            consecutive += 1
-        else:
-            consecutive = 0
-        if support_excursion(zmp_true, diag.support_feet,
-                             scale=scenario.params.zmp_safety_scale) > 1e-9:
-            scaled_violations += 1
-
-        # Per-phase torso lean toward the support foot during single support.
-        if diag.swing_target is not None:
-            sup = diag.support_feet[0]
-            mid = 0.5 * (np.array([sup.x, sup.y]) + diag.swing_target)
-            lateral = np.array([-math.sin(sup.theta), math.cos(sup.theta)])
-            torso = np.array([plant["x"][3], plant["y"][3]])
-            side = math.copysign(1.0, (np.array([sup.x, sup.y]) - mid) @ lateral)
-            if sway_step is not None and diag.step_index != sway_step and sway_accum:
-                sway_scores.append(float(np.mean(sway_accum)))
-                sway_accum = []
-            sway_step = diag.step_index
-            sway_accum.append(((torso - mid) @ lateral) * side)
-        elif sway_accum:
-            sway_scores.append(float(np.mean(sway_accum)))
-            sway_accum = []
-            sway_step = None
-
-        out_true = np.array([ssd.C @ plant["x"], ssd.C @ plant["y"]])
-        refs = diag.refs
-        err_st.append(np.hypot(out_true[0, 0] - refs.stance_mass[0],
-                               out_true[1, 0] - refs.stance_mass[1]))
-        err_sw.append(np.hypot(out_true[0, 1] - refs.swing_mass[0],
-                               out_true[1, 1] - refs.swing_mass[1]))
-        err_z.append(np.hypot(out_true[0, 2] - refs.zmp[0],
-                              out_true[1, 2] - refs.zmp[1]))
-
-        if keep_trace:
-            rec_t.append(t)
-            rec_phase.append(diag.phase.value)
-            rec_status.append(diag.qp_status)
-            rec_u.append(np.vstack([diag.u_x, diag.u_y]))
-            rec_zm.append(np.array([y_x[2], y_y[2]]))
-            rec_zp.append(diag.zmp_pred)
-            rec_zt.append(zmp_true)
-            rec_refs.append(np.concatenate([refs.zmp, refs.stance_mass, refs.swing_mass]))
-
+        u[k] = diag.u_x, diag.u_y
+        out[k], zmp[k], meas[k] = sim.outputs, sim.zmp_true, sim.measured[:, 2]
+        pred[k], torso[k] = diag.zmp_pred, (sim.plant["x"][3], sim.plant["y"][3])
+        refs[k] = np.concatenate([diag.refs.zmp, diag.refs.stance_mass, diag.refs.swing_mass])
+        tags.append((diag.phase.value, diag.qp_status, diag.support_feet, diag.swing_target,
+                     diag.step_index))
+        excursion[k] = support_excursion(sim.zmp_true, diag.support_feet)
+        consecutive = consecutive + 1 if excursion[k] > 1e-9 else 0
         if consecutive > scenario.n_fall:
-            fall_detected = True
-            fall_time = t
+            fall_time = k * scenario.config.ts
             break
 
-    trace = None
-    if keep_trace:
-        trace = Trace(
-            t=np.asarray(rec_t),
-            phase=rec_phase,
-            qp_status=rec_status,
-            u=np.asarray(rec_u) if rec_u else np.zeros((0, 2, 3)),
-            zmp_meas=np.asarray(rec_zm) if rec_zm else np.zeros((0, 2)),
-            zmp_pred=np.asarray(rec_zp) if rec_zp else np.zeros((0, 2)),
-            zmp_true=np.asarray(rec_zt) if rec_zt else np.zeros((0, 2)),
-            refs=np.asarray(rec_refs) if rec_refs else np.zeros((0, 6)),
-        )
-    if sway_accum:
-        sway_scores.append(float(np.mean(sway_accum)))
+    # Scoring pass over the recorded cycles.
+    n = len(tags)
+    rms = {name: float(np.sqrt(np.mean(np.square(np.hypot(
+        out[:n, 0, i] - refs[:n, j], out[:n, 1, i] - refs[:n, j + 1]))))) if n else 0.0
+        for name, i, j in (("stance", 0, 2), ("swing", 1, 4), ("zmp", 2, 0))}
+
+    def lean(k):
+        """Torso offset toward the support foot, from the foot-to-target midpoint."""
+        _, _, feet, target, _ = tags[k]
+        sup = np.array([feet[0].x, feet[0].y])
+        mid = 0.5 * (sup + target)
+        lateral = np.array([-math.sin(feet[0].theta), math.cos(feet[0].theta)])
+        side = math.copysign(1.0, (sup - mid) @ lateral)
+        return ((torso[k] - mid) @ lateral) * side
+
+    def single_support_step(k):
+        _, _, _, target, step = tags[k]
+        return None if target is None else step
+
+    # One torso-sway score per single-support phase.
+    sway = [float(np.mean([lean(k) for k in ks]))
+            for step, ks in groupby(range(n), key=single_support_step) if step is not None]
+    scale = scenario.params.zmp_safety_scale
+    trace = Trace(t=np.arange(n) * scenario.config.ts, phase=[c[0] for c in tags],
+                  qp_status=[c[1] for c in tags], u=u[:n], zmp_meas=meas[:n],
+                  zmp_pred=pred[:n], zmp_true=zmp[:n], refs=refs[:n]) if keep_trace else None
     metrics = RunMetrics(
-        completed=completed,
-        fall_detected=fall_detected,
+        completed=fault is None,
+        fall_detected=fall_time is not None,
         fall_time=fall_time,
-        zmp_violation_cycles=violation_cycles,
-        zmp_max_excursion=max_excursion if max_excursion > -math.inf else 0.0,
-        scaled_violation_cycles=scaled_violations,
-        tracking_rms={
-            "stance": float(np.sqrt(np.mean(np.square(err_st)))) if err_st else 0.0,
-            "swing": float(np.sqrt(np.mean(np.square(err_sw)))) if err_sw else 0.0,
-            "zmp": float(np.sqrt(np.mean(np.square(err_z)))) if err_z else 0.0,
-        },
-        n_cycles=len(err_st),
+        zmp_violation_cycles=int(np.count_nonzero(excursion[:n] > 1e-9)),
+        zmp_max_excursion=float(excursion[:n].max()) if n else 0.0,
+        scaled_violation_cycles=sum(support_excursion(zmp[k], tags[k][2], scale) > 1e-9
+                                    for k in range(n)),
+        tracking_rms=rms,
+        n_cycles=n,
         fault=fault,
-        torso_sway_scores=tuple(sway_scores),
+        torso_sway_scores=tuple(sway),
         trace=trace,
     )
     if out_dir is not None:
@@ -499,9 +469,7 @@ def max_withstand(scenario: Scenario, direction, bracket=(100.0, 1000.0),
 
     def survives(amplitude: float) -> bool:
         m = run(with_impulse(scenario, sign * amplitude), keep_trace=False)
-        if not m.completed:
-            return False
-        return not m.fall_detected
+        return m.completed and not m.fall_detected
 
     if not survives(lo):
         raise BracketError(f"low bracket {lo} N already causes a fall")

@@ -15,10 +15,12 @@ from triwalk.dynamics import ThreeMassParams, build_continuous, discretize, step
 from triwalk.engine import WalkEngine
 from triwalk.footstep import inflate, plan_footsteps, plan_path, path_cost
 from triwalk.harness import (
+    Simulation,
     disturbance_scenario,
     max_withstand,
     omnidirectional_scenario,
     run,
+    support_excursion,
     tracking_scenario,
 )
 from triwalk.qp import ActiveSetSolver, QpProblem
@@ -240,29 +242,15 @@ class TestCriterion9RealTime:
 class TestCriterion10Omnidirectional:
     def test_setpoint_schedule(self):
         sc = omnidirectional_scenario()
-        engine = WalkEngine(sc.params, sc.config, sc.timing, observer=sc.observer)
-        t0s, x0, y0, a0 = sc.schedule[0]
-        engine.command_setpoints(x0, y0, a0)
-        ssd = engine.model
-        plant = {"x": engine.standing_state("x"), "y": engine.standing_state("y")}
-        schedule = sorted(sc.schedule)
-        next_entry = 1
+        sim = Simulation(sc)
+        engine = sim.engine
         filtered = {"x": [], "y": [], "a": []}
         consecutive = 0
         fell = False
-        n_cycles = int(round(sc.duration / sc.config.ts))
-        from triwalk.harness import support_excursion
-        for k in range(n_cycles):
-            t = k * sc.config.ts
-            while next_entry < len(schedule) and schedule[next_entry][0] <= t + 1e-12:
-                _, sx, sy, sa = schedule[next_entry]
-                engine.set_setpoints(sx, sy, sa)
-                next_entry += 1
-            diag = engine.tick(ssd.C @ plant["x"], ssd.C @ plant["y"])
-            plant["x"] = step_plant(ssd, plant["x"], diag.u_x)
-            plant["y"] = step_plant(ssd, plant["y"], diag.u_y)
-            zmp = np.array([ssd.C[2] @ plant["x"], ssd.C[2] @ plant["y"]])
-            exc = support_excursion(zmp, diag.support_feet)
+        n_cycles = sim.n_cycles
+        for _ in range(n_cycles):
+            diag = sim.step()
+            exc = support_excursion(sim.zmp_true, diag.support_feet)
             consecutive = consecutive + 1 if exc > 1e-9 else 0
             fell = fell or consecutive > sc.n_fall
             filtered["x"].append(engine.setpoints.filtered_x)

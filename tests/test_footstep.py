@@ -306,3 +306,9 @@ class TestMapIO:
         np.testing.assert_array_equal(loaded.occupancy, grid.occupancy)
         assert (s, g) == (start, goal)
         assert loaded.cell_size == grid.cell_size
+
+    @pytest.mark.parametrize("cell", [(-1, 2), (2, -1), (3, 2), (2, 4)])
+    def test_occupied_cell_outside_grid_rejected(self, cell):
+        data = {"width": 4, "height": 3, "occupied": [[1, 1], list(cell)]}
+        with pytest.raises(ValueError, match=rf"\[{cell[0]}, {cell[1]}\]"):
+            load_map(data)

@@ -11,6 +11,7 @@ from triwalk.harness import (
     Disturbance,
     NoiseSpec,
     Scenario,
+    Simulation,
     convex_hull,
     disturbance_scenario,
     inplace_scenario,
@@ -65,6 +66,27 @@ class TestGeometry:
         assert support_excursion((0.095, 0.0), (foot,)) < 0.0
         assert support_excursion((0.095, 0.0), (foot,), scale=0.9) > 0.0
 
+    def test_cached_polygon_matches_the_edge_loop(self):
+        def loop_excursion(point, hull):
+            # Reference: one numpy dot per hull edge.
+            worst = -math.inf
+            for a, b in zip(hull, np.roll(hull, -1, axis=0)):
+                edge = b - a
+                normal = np.array([edge[1], -edge[0]]) / np.linalg.norm(edge)
+                worst = max(worst, float(normal @ (point - a)))
+            return worst
+
+        rng = np.random.default_rng(3)
+        feet = (SupportFoot(0.0, 0.0, 0.3, 0.1, 0.05), SupportFoot(0.05, 0.2, -0.2, 0.1, 0.05))
+        for scale in (1.0, 0.9):
+            scaled = [replace(f, half_length=f.half_length * scale,
+                              half_width=f.half_width * scale) for f in feet]
+            hull = convex_hull(np.vstack([f.corners() for f in scaled]))
+            for p in rng.uniform(-0.3, 0.4, size=(50, 2)):
+                expected = loop_excursion(p, hull)
+                assert support_excursion(p, feet, scale) == pytest.approx(expected, abs=1e-15)
+                assert polygon_excursion(p, hull) == pytest.approx(expected, abs=1e-15)
+
     def test_rotated_foot_containment(self):
         foot = SupportFoot(0.0, 0.0, math.pi / 4, 0.1, 0.05)
         along = 0.09 * np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)])
@@ -83,6 +105,21 @@ class TestScenarioJson:
     def test_validation_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             Scenario(mode="fly").validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration", 0.0), ("duration", -0.01), ("duration", math.nan), ("duration", math.inf),
+        ("t_start", math.nan), ("t_start", math.inf), ("force", math.nan), ("force", math.inf),
+        ("force", -math.inf),
+    ])
+    def test_disturbance_values_checked(self, field, value):
+        sc = disturbance_scenario(300.0)
+        bad = replace(sc, disturbances=(replace(sc.disturbances[0], **{field: value}),))
+        with pytest.raises(ValueError):
+            bad.validate()
+        data = json.loads(json.dumps(sc.to_json()))
+        data["disturbances"][0][field] = value
+        with pytest.raises(ValueError):
+            Scenario.from_json(data)
 
     def test_disturbance_window_checked(self):
         sc = inplace_scenario(duration=1.0,
@@ -130,6 +167,29 @@ class TestRun:
         lines = (tmp_path / "short.csv").read_text().strip().splitlines()
         assert lines[0].startswith("#")       # versioned schema header
         assert len(lines) == 2 + 250          # comment + column header + rows
+
+
+class TestSimulation:
+    def test_steps_reproduce_run(self):
+        sc = disturbance_scenario(300.0, run_time=2.0)
+        m = run(sc)
+        sim = Simulation(sc)
+        u, zmp = [], []
+        for _ in range(sim.n_cycles):
+            diag = sim.step()
+            u.append(np.vstack([diag.u_x, diag.u_y]))
+            zmp.append(sim.zmp_true)
+        np.testing.assert_array_equal(np.asarray(u), m.trace.u)
+        np.testing.assert_array_equal(np.asarray(zmp), m.trace.zmp_true)
+
+    def test_unsorted_schedule_runs_as_sorted(self):
+        entries = ((1.0, 0.1, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (1.6, 0.1, 0.02, 5.0))
+        base = replace(inplace_scenario(noise=False), duration=2.4)
+        shuffled = run(replace(base, schedule=entries)).trace
+        ordered = run(replace(base, schedule=tuple(sorted(entries)))).trace
+        np.testing.assert_array_equal(shuffled.u, ordered.u)
+        np.testing.assert_array_equal(shuffled.zmp_true, ordered.zmp_true)
+        assert shuffled.phase == ordered.phase
 
 
 class TestExport:

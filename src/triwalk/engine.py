@@ -1,5 +1,5 @@
-"""Walking engine: the phase state machine wiring planner output, reference
-sampling and the two per-axis controllers into a closed loop.
+"""Walking engine: wires planner output, reference sampling and the two
+per-axis controllers into a closed loop.
 
 The engine advances one control cycle per ``tick``: it filters operator
 setpoints, runs the state observer on the measured outputs (with a gated
@@ -7,6 +7,11 @@ push-recovery gain), windows the reference trajectories over the prediction
 horizon, schedules the output bounds of the upcoming support phases sample by
 sample over the constraint window, and returns the jerk commands for both
 axes.
+
+The ``WalkTimeline`` the engine holds is its only clock: each cycle's phase,
+step index and footstep plan are read from it, and the engine acts only at the
+cycle boundaries where the timeline's phase key changes (rotating the frame,
+landing a foot, rolling the next setpoint step or returning to stand).
 
 Turning support: each axis controller is one-dimensional, so the engine keeps
 a working frame aligned with the current support heading.  At step boundaries
@@ -39,12 +44,21 @@ from .mpc import (
 )
 from .refgen import GaitTiming, RefSample, StepGeometry, WalkTimeline
 
+# First-order lag (s) of the operator setpoint filter.
+_LAG_TAU = 0.5
+# Provisional landings planned beyond the committed one in setpoint walking.
+_PROVISIONAL_STEPS = 3
+
 
 class WalkPhase(Enum):
     IDLE = "idle"
     INITIALIZE = "initialize"
     SINGLE_SUPPORT = "single_support"
     DOUBLE_SUPPORT = "double_support"
+
+
+_PHASE_OF = {"stand": WalkPhase.IDLE, "initialize": WalkPhase.INITIALIZE,
+             "single": WalkPhase.SINGLE_SUPPORT, "double": WalkPhase.DOUBLE_SUPPORT}
 
 
 @dataclass(frozen=True)
@@ -140,58 +154,35 @@ def _inscribed_extents(half_length: float, half_width: float, rel_angle: float):
 
 
 class WalkEngine:
-    """Owner of the walking state machine; advance with ``tick`` once per cycle."""
+    """Closed-loop walking driven by its timeline; advance with ``tick`` once
+    per cycle."""
 
     def __init__(self, params: ThreeMassParams, config: MpcConfig, timing: GaitTiming,
-                 observer: ObserverConfig | None = None,
-                 initial_feet: tuple[Footprint, Footprint] | None = None,
-                 lag_tau: float = 0.5,
-                 step_width: float = DEFAULT_STEP_WIDTH,
-                 sigma_max: float = DEFAULT_SIGMA_MAX,
-                 provisional_steps: int = 3):
+                 observer: ObserverConfig | None = None):
+        if timing.cycles(config.ts)[1] < 1:
+            raise ValueError("double-support duration must span at least one cycle")
         self.params = params
         self.config = config
         self.timing = timing
-        self.lag_tau = lag_tau
-        self.step_width = step_width
-        self.sigma_max = sigma_max
-        self.provisional_steps = provisional_steps
 
         self.model: StateSpace = discretize(build_continuous(params), config.ts)
         self.controllers = {"x": AxisController(self.model, config),
                             "y": AxisController(self.model, config)}
         self.observer = Observer(self.model, observer or ObserverConfig())
 
-        if initial_feet is None:
-            w = step_width / 2.0
-            initial_feet = (Footprint(0.0, w, 0.0, "L"), Footprint(0.0, -w, 0.0, "R"))
-        left = next(f for f in initial_feet if f.side == "L")
-        right = next(f for f in initial_feet if f.side == "R")
-        self.feet: dict[str, Footprint] = {"L": left, "R": right}
-
-        self.n_single, self.n_double = timing.cycles(config.ts)
-        if self.n_double < 1:
-            raise ValueError("double-support duration must span at least one cycle")
-        self.n_step = self.n_single + self.n_double
-        self.n_init = self.n_double
-
+        w = DEFAULT_STEP_WIDTH / 2.0
+        self.feet: dict[str, Footprint] = {"L": Footprint(0.0, w, 0.0, "L"),
+                                           "R": Footprint(0.0, -w, 0.0, "R")}
         self.k = 0
-        self.phase = WalkPhase.IDLE
-        self.phase_cycles = 0
-        self.frame_angle = wrap_angle(0.5 * (left.theta + right.theta))
+        self.frame_angle = 0.0
         self.setpoints = Setpoints()
         self.mode: str | None = None
         self._pending_walk = False
-        self._plan: FootstepPlan | None = None
-        self._step_index = -1
+        self._queued_path: FootstepPlan | None = None
         self._first_swing = "R"
         self._clamped_step = False
-
-        self._timeline: WalkTimeline | None = None
-        self._timeline_origin = 0
         self._set_stand_timeline()
 
-        self.estimates = {"x": np.zeros(9), "y": np.zeros(9)}
         self.gates = {"x": PushGate(self.observer.config), "y": PushGate(self.observer.config)}
         self.reset_posture()
 
@@ -213,8 +204,20 @@ class WalkEngine:
         c2 = (p.M * mid - p.m1 * c1 - p.m3 * c3) / p.m2
         return make_state((c1, c2, c3))
 
+    @property
+    def phase(self) -> WalkPhase:
+        """Phase of the next cycle, as the timeline fixes it."""
+        return _PHASE_OF[self._timeline.phase(self._local_cycle(self.k))[0]]
+
     def command_path(self, plan: FootstepPlan) -> None:
-        """Queue a planned walk; takes effect at the end of the current cycle."""
+        """Queue a planned walk from standing; it starts at the end of the
+        current cycle, on the plan's initial feet.
+
+        Raises ValueError, leaving the engine untouched, unless the engine is
+        idle and the plan has a step.
+        """
+        if self.phase != WalkPhase.IDLE:
+            raise ValueError(f"command_path needs an idle engine, not {self.phase.value}")
         if plan.n_steps < 1:
             raise ValueError("plan must contain at least one step")
         first, second = plan.footprints[0], plan.footprints[1]
@@ -222,12 +225,11 @@ class WalkEngine:
         self.feet[second.side] = second
         self._first_swing = first.side
         self.mode = "path"
-        self._plan = plan
+        self._queued_path = plan
         self._pending_walk = True
-        if self.phase == WalkPhase.IDLE:
-            self._update_frame(wrap_angle(0.5 * (first.theta + second.theta)))
-            self._set_stand_timeline()
-            self.reset_posture()
+        self._update_frame(wrap_angle(0.5 * (first.theta + second.theta)))
+        self._set_stand_timeline()
+        self.reset_posture()
 
     def command_setpoints(self, x: float = 0.0, y: float = 0.0, alpha_deg: float = 0.0) -> None:
         """Start setpoint-driven walking (continues until the caller stops)."""
@@ -258,11 +260,13 @@ class WalkEngine:
         y_meas = np.vstack([np.asarray(y_meas_x, float), np.asarray(y_meas_y, float)])
         if not np.all(np.isfinite(y_meas)):
             raise ValueError("measurements must be finite")
-        self.setpoints = filter_setpoints(self.setpoints, self.config.ts, self.lag_tau)
+        self.setpoints = filter_setpoints(self.setpoints, self.config.ts, _LAG_TAU)
 
         R_wf = _rot(-self.frame_angle)   # world -> frame
         y_pair = R_wf @ y_meas
         local = self._local_cycle(self.k)
+        key = (name, idx) = self._timeline.phase(local)
+        phase = _PHASE_OF[name]
         refs = self._references()
         ids = self._timeline.phase_ids(local, self.config.constraint_window)
         u_frame = {}
@@ -285,19 +289,16 @@ class WalkEngine:
                 iterations[axis] = info.iterations
                 zmp_pred[i] = info.predicted_output[2]
         except ControllerFault as exc:
-            raise ControllerFault(f"cycle {self.k}, phase {self.phase.value}: {exc}") from exc
+            raise ControllerFault(f"cycle {self.k}, phase {phase.value}: {exc}") from exc
 
         R_fw = _rot(self.frame_angle)
         u_pair = R_fw @ np.vstack([u_frame["x"], u_frame["y"]])
         zmp_pred_world = R_fw @ zmp_pred
 
-        swing_target = None
-        if self.phase == WalkPhase.SINGLE_SUPPORT:
-            swing_target = self._plan.swing_to(self._step_index).xy()
         diag = CycleDiagnostics(
             k=self.k,
             t=self.k * self.config.ts,
-            phase=self.phase,
+            phase=phase,
             u_x=u_pair[0].copy(),
             u_y=u_pair[1].copy(),
             qp_status=(status["x"], status["y"]),
@@ -307,76 +308,42 @@ class WalkEngine:
             refs=self._timeline.sample(local),
             support_feet=self.support_feet(),
             clamped_step=self._clamped_step,
-            step_index=self._step_index,
-            swing_target=swing_target,
+            step_index=idx if name in ("single", "double") else -1,
+            swing_target=self._timeline.plan.swing_to(idx).xy() if name == "single" else None,
         )
         self.k += 1
-        self.phase_cycles += 1
-        self._advance_state_machine()
+        self._advance_state_machine(key)
         return diag
 
     # ------------------------------------------------------- state machine
 
-    def _advance_state_machine(self) -> None:
-        if self.phase == WalkPhase.IDLE:
-            if self._pending_walk:
+    def _advance_state_machine(self, prev: tuple[str, int]) -> None:
+        """Act on the timeline's phase change at the boundary just crossed
+        (``prev`` is the phase of the cycle that ended)."""
+        key = self._timeline.phase(self._local_cycle(self.k))
+        if key == prev:
+            if key[0] == "stand" and self._pending_walk:
                 self._pending_walk = False
-                self._start_walk()
+                plan = (self._queued_path if self.mode == "path"
+                        else self._synthesize_plan(self._first_swing))
+                self._set_timeline(plan, initialize=True)
             return
-        if self.phase == WalkPhase.INITIALIZE and self.phase_cycles >= self.n_init:
-            self._enter_step(0)
-        elif self.phase == WalkPhase.SINGLE_SUPPORT and self.phase_cycles >= self.n_single:
-            self._enter_double()
-        elif self.phase == WalkPhase.DOUBLE_SUPPORT and self.phase_cycles >= self.n_double:
-            nxt = self._step_index + 1
-            if self.mode == "setpoints":
-                self._roll_setpoint_plan()
-            elif nxt < self._plan.n_steps:
-                self._enter_step(nxt)
-            else:
-                self._finish_walk()
-
-    def _start_walk(self) -> None:
-        if self.mode == "path":
-            plan = self._plan
-        else:
-            plan = self._synthesize_plan(start=True)
-            self._plan = plan
-        self._set_timeline(WalkTimeline(plan, self.timing, self.params, self.config.ts,
-                                        include_initialize=True),
-                           origin=self.k)
-        self.phase = WalkPhase.INITIALIZE
-        self.phase_cycles = 0
-        self._step_index = -1
-
-    def _enter_step(self, index: int) -> None:
-        self._step_index = index
-        self.phase = WalkPhase.SINGLE_SUPPORT
-        self.phase_cycles = 0
-        self._update_frame(self._plan.support(index).theta)
-
-    def _enter_double(self) -> None:
-        landed = self._plan.swing_to(self._step_index)
-        self.feet[landed.side] = landed
-        self.phase = WalkPhase.DOUBLE_SUPPORT
-        self.phase_cycles = 0
-
-    def _finish_walk(self) -> None:
-        # The reference for the swing-role mass stays anchored at the foot
-        # that landed last, keeping the standing references continuous.
-        self._first_swing = self._plan.footprints[-1].side
-        self.phase = WalkPhase.IDLE
-        self.phase_cycles = 0
-        self._step_index = -1
-        self._set_stand_timeline()
-
-    def _roll_setpoint_plan(self) -> None:
-        plan = self._synthesize_plan(start=False)
-        self._plan = plan
-        self._set_timeline(WalkTimeline(plan, self.timing, self.params, self.config.ts,
-                                        include_initialize=False),
-                           origin=self.k)
-        self._enter_step(0)
+        if prev[0] == "double" and self.mode == "setpoints":
+            # The foot that supported the finished step swings next.
+            self._set_timeline(self._synthesize_plan(self._timeline.plan.support(prev[1]).side))
+            key = self._timeline.phase(0)
+        name, idx = key
+        plan = self._timeline.plan
+        if name == "single":
+            self._update_frame(plan.support(idx).theta)
+        elif name == "double":
+            landed = plan.swing_to(idx)
+            self.feet[landed.side] = landed
+        elif name == "stand":
+            # The reference for the swing-role mass stays anchored at the foot
+            # that landed last, keeping the standing references continuous.
+            self._first_swing = plan.footprints[-1].side
+            self._set_stand_timeline()
 
     # --------------------------------------------------- setpoint synthesis
 
@@ -385,8 +352,8 @@ class WalkEngine:
         support foot and clamped to the reachable window."""
         sp = self.setpoints
         sigma = math.radians(sp.filtered_alpha_deg) * self.timing.step_period
-        clamped = abs(sigma) > self.sigma_max
-        sigma = max(-self.sigma_max, min(self.sigma_max, sigma))
+        clamped = abs(sigma) > DEFAULT_SIGMA_MAX
+        sigma = max(-DEFAULT_SIGMA_MAX, min(DEFAULT_SIGMA_MAX, sigma))
         heading = support.theta + sigma
 
         forward = sp.filtered_x
@@ -394,7 +361,7 @@ class WalkEngine:
             clamped = True
             forward = math.copysign(self.config.swing_reach, forward)
         side_sign = 1.0 if landing_side == "L" else -1.0
-        separation = self.step_width + side_sign * sp.filtered_y
+        separation = DEFAULT_STEP_WIDTH + side_sign * sp.filtered_y
         lo, hi = self.config.swing_band
         if not lo <= separation <= hi:
             clamped = True
@@ -403,16 +370,14 @@ class WalkEngine:
         landing = support.xy() + _rot(heading) @ rel
         return StepGeometry(footprint_xy=landing, heading=heading, clamped=clamped)
 
-    def _synthesize_plan(self, start: bool) -> FootstepPlan:
-        """Rolling plan: current stance plus one committed and several
-        provisional landings computed from the filtered setpoints."""
-        # After a step the just-landed foot becomes the support, so the foot
-        # that supported the previous step swings next.
-        swing = self._first_swing if start else self._plan.footprints[1].side
+    def _synthesize_plan(self, swing: str) -> FootstepPlan:
+        """Rolling plan: the current feet, ``swing`` stepping first, plus one
+        committed and several provisional landings computed from the
+        filtered setpoints."""
         other = "R" if swing == "L" else "L"
         prints = [self.feet[swing], self.feet[other]]
         self._clamped_step = False
-        for _ in range(1 + self.provisional_steps):
+        for _ in range(1 + _PROVISIONAL_STEPS):
             support = prints[-1]
             landing_side = prints[-2].side
             geo = self.plan_next_step(support, landing_side)
@@ -425,18 +390,18 @@ class WalkEngine:
 
     def _set_stand_timeline(self) -> None:
         # Ordered so the terminal footprint is the swing-role anchor.
-        stance = FootstepPlan((self.feet["R" if self._first_swing == "L" else "L"],
-                               self.feet[self._first_swing]),
-                              step_distance=None)
-        self._set_timeline(WalkTimeline(stance, self.timing, self.params, self.config.ts,
-                                        include_initialize=False),
-                           origin=self.k)
+        self._set_timeline(FootstepPlan((self.feet["R" if self._first_swing == "L" else "L"],
+                                         self.feet[self._first_swing]),
+                                        step_distance=None))
 
-    def _set_timeline(self, timeline: WalkTimeline, origin: int) -> None:
-        self._timeline = timeline
-        self._timeline_origin = origin
+    def _set_timeline(self, plan: FootstepPlan, initialize: bool = False) -> None:
+        """Follow ``plan`` from the current cycle on, optionally starting
+        with the initialization window."""
+        self._timeline = WalkTimeline(plan, self.timing, self.params, self.config.ts,
+                                      include_initialize=initialize)
+        self._timeline_origin = self.k
         self._feet_of: dict[tuple[str, int], tuple[SupportFoot, ...]] = {}
-        self._boxes = np.full((2, len(timeline.keys), 2, 3), np.nan)
+        self._boxes = np.full((2, len(self._timeline.keys), 2, 3), np.nan)
 
     def _local_cycle(self, k: int) -> int:
         return k - self._timeline_origin

@@ -97,6 +97,8 @@ def load_map(source) -> tuple[GridMap, tuple[int, int] | None, tuple[int, int] |
         data = source
     occ = np.zeros((data["height"], data["width"]), dtype=bool)
     for r, c in data.get("occupied", []):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (r, c)):
+            raise ValueError(f"occupied cell {[r, c]} must hold two integers")
         if not (0 <= r < occ.shape[0] and 0 <= c < occ.shape[1]):
             raise ValueError(f"occupied cell {[r, c]} lies outside the "
                              f"{occ.shape[0]}x{occ.shape[1]} grid")

@@ -83,8 +83,12 @@ class Scenario:
             raise ValueError("path mode needs map_source or path_points")
         if self.mode == "setpoints" and not self.schedule:
             raise ValueError("setpoints mode needs at least one schedule entry")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0.0):
+            raise ValueError("duration must be finite and positive")
+        if self.noise.enabled and not (math.isfinite(self.noise.bound) and self.noise.bound > 0.0):
+            raise ValueError("noise bound must be finite and positive")
+        if not (isinstance(self.n_fall, int) and self.n_fall >= 0):
+            raise ValueError("n_fall must be a nonnegative integer")
         for d in self.disturbances:
             if not (all(map(math.isfinite, (d.t_start, d.duration, d.force)))
                     and d.duration > 0.0):
@@ -145,10 +149,10 @@ class Scenario:
                           ("timing", GaitTiming), ("observer", ObserverConfig),
                           ("noise", NoiseSpec)):
             if key in data:
-                kwargs[key] = kind(**{k: tuple(v) if isinstance(v, list) else v
-                                      for k, v in data[key].items()})
+                kwargs[key] = _from_section(kind, key, data[key])
         if "disturbances" in data:
-            kwargs["disturbances"] = tuple(Disturbance(**d) for d in data["disturbances"])
+            kwargs["disturbances"] = tuple(_from_section(Disturbance, "disturbances", d)
+                                           for d in data["disturbances"])
         if "map" in data:
             kwargs["map_source"] = data["map"]
         for key in ("path_points", "schedule"):
@@ -157,6 +161,14 @@ class Scenario:
         scenario = cls(**kwargs)
         scenario.validate()
         return scenario
+
+
+def _from_section(kind, section: str, values: dict):
+    """``kind`` built from one JSON section; lists become tuples."""
+    unknown = sorted(set(values) - {f.name for f in fields(kind) if f.init})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in scenario section {section!r}")
+    return kind(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
 
 
 @dataclass

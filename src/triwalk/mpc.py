@@ -30,6 +30,9 @@ PHASE_STAND = "stand"
 
 # Iteration cap of the per-cycle QP.
 _QP_MAX_ITER = 2000
+# Standard deviation (m/s^2) added to the prior of each acceleration state
+# for the observer's push-recovery gain.
+_BOOST_ACCEL_NOISE = 6.0
 
 
 class ControllerFault(RuntimeError):
@@ -55,10 +58,6 @@ class MpcConfig:
     # estimation bias that hides in the ZMP output's zero direction after a
     # disturbance; keeps millimetre-scale drifts inside the true polygon.
     zmp_margin: float = 0.02
-    # Move suppression: penalizes per-cycle input increments so measurement
-    # noise does not chatter the commands; sized well below the gait's own
-    # phase-boundary input surges.
-    w_move: float = 0.0
     # Toe-ward shift of the sagittal enforcement box (m).  Forward walking
     # leaves more braking budget behind the ZMP than ahead of it; the bias
     # rebalances push tolerance between the two directions.
@@ -84,8 +83,6 @@ class MpcConfig:
             raise ValueError("jerk_limit and soft_penalty must be positive")
         if self.zmp_margin < 0.0:
             raise ValueError("zmp_margin must be nonnegative")
-        if self.w_move < 0.0:
-            raise ValueError("w_move must be nonnegative")
 
     @property
     def constraint_window(self) -> int:
@@ -147,7 +144,6 @@ def cost_matrices(pred: PredictionMatrices, config: MpcConfig):
     G, U = pred.gamma, pred.u_map
     GW, UW = G * w_out[:, None], U * w_in[:, None]
     H = 2.0 * (G.T @ GW + U.T @ UW)
-    H += 2.0 * config.w_move * np.eye(H.shape[0])
     return 0.5 * (H + H.T), GW.T, UW.T
 
 
@@ -282,22 +278,18 @@ def condense_constraints(config: MpcConfig, lo: np.ndarray, hi: np.ndarray,
 class ObserverConfig:
     """Noise levels (standard deviations) defining the steady-state filter.
 
-    ``jerk_noise`` covers model mismatch entering through the input channels;
-    ``accel_noise`` covers external pushes, which hit the acceleration states
-    directly, and steers impulse innovations into the acceleration estimates.
+    ``jerk_noise`` covers model mismatch entering through the input channels.
     The torso is observed only through the ZMP output, so its channels
     dominate the smoothing/responsiveness trade-off.
 
     A single gain cannot be both smooth under heavy measurement noise and
-    fast after a push, so a second, stiffer gain (computed with
-    ``boost_accel_noise``) is engaged while any normalized innovation exceeds
+    fast after a push, so a second, stiffer gain (with inflated acceleration
+    priors) is engaged while any normalized innovation exceeds
     ``boost_gate`` standard deviations, then held for ``boost_hold`` cycles.
     """
 
     jerk_noise: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    accel_noise: tuple[float, float, float] = (0.0, 0.0, 0.0)
     measurement_noise: tuple[float, float, float] = (0.0167, 0.0167, 0.0167)
-    boost_accel_noise: float = 6.0
     # Push detection: an innovation beyond ``boost_gate_high`` standard
     # deviations cannot be measurement noise and engages the recovery gain
     # immediately.  A smaller push biases the signed innovation of one
@@ -317,8 +309,6 @@ class ObserverConfig:
     def __post_init__(self) -> None:
         if min(self.jerk_noise) <= 0.0 or min(self.measurement_noise) <= 0.0:
             raise ValueError("noise levels must be positive")
-        if min(self.accel_noise) < 0.0 or self.boost_accel_noise < 0.0:
-            raise ValueError("accel noise levels must be nonnegative")
         if self.boost_gate <= 0.0 or self.boost_hold < 0 or self.boost_rate <= 0.0:
             raise ValueError("boost gate, hold and rate must be positive")
         if self.boost_gate_high < self.boost_gate:
@@ -369,32 +359,21 @@ class Observer:
         self.config = config
         r = np.asarray(config.measurement_noise, dtype=float) ** 2
         R = np.diag(r)
-        P = self._steady_state_covariance(ss.A, ss.C, self._process_noise(ss, config, 0.0), R)
+        Q = ss.B @ np.diag(np.asarray(config.jerk_noise, dtype=float) ** 2) @ ss.B.T
+        P = self._steady_state_covariance(ss.A, ss.C, Q, R)
         self.gain = P @ ss.C.T @ np.linalg.inv(ss.C @ P @ ss.C.T + R)
         poles = np.abs(np.linalg.eigvals((np.eye(N_STATES) - self.gain @ ss.C) @ ss.A))
         if np.max(poles) >= 1.0 - 1e-9:
             raise ValueError("observer configuration is not detectable")
         # Normalization for innovation gating under nominal operation.
         self.innovation_std = np.sqrt(np.diag(ss.C @ P @ ss.C.T + R))
-        if config.boost_accel_noise > 0.0:
-            # Push recovery: a fresh impulse corrupts the acceleration states
-            # only, so the stiff gain comes from inflating their prior
-            # variance while positions and velocities keep the nominal one.
-            Pb = P.copy()
-            for slot in (2, 5, 8):
-                Pb[slot, slot] += config.boost_accel_noise ** 2
-            self.gain_boost = Pb @ ss.C.T @ np.linalg.inv(ss.C @ Pb @ ss.C.T + R)
-        else:
-            self.gain_boost = self.gain
-
-    @staticmethod
-    def _process_noise(ss: StateSpace, config: ObserverConfig, extra_accel: float) -> np.ndarray:
-        q = np.asarray(config.jerk_noise, dtype=float) ** 2
-        qa = np.asarray(config.accel_noise, dtype=float) ** 2 + extra_accel ** 2
-        Q = ss.B @ np.diag(q) @ ss.B.T
-        for i, slot in enumerate((2, 5, 8)):
-            Q[slot, slot] += qa[i]
-        return Q
+        # Push recovery: a fresh impulse corrupts the acceleration states
+        # only, so the stiff gain comes from inflating their prior variance
+        # while positions and velocities keep the nominal one.
+        Pb = P.copy()
+        for slot in (2, 5, 8):
+            Pb[slot, slot] += _BOOST_ACCEL_NOISE ** 2
+        self.gain_boost = Pb @ ss.C.T @ np.linalg.inv(ss.C @ Pb @ ss.C.T + R)
 
     @staticmethod
     def _steady_state_covariance(A, C, Q, R, max_iter: int = 500_000) -> np.ndarray:

@@ -1,8 +1,11 @@
 import copy
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triwalk.dynamics import ThreeMassParams, step_plant
 from triwalk.engine import (
@@ -13,11 +16,23 @@ from triwalk.engine import (
     contact_feet,
     filter_setpoints,
 )
-from triwalk.footstep import footsteps_from_path, initial_feet_on_path
+from triwalk.footstep import (
+    DEFAULT_STEP_WIDTH,
+    Footprint,
+    FootstepPlan,
+    footsteps_from_path,
+    initial_feet_on_path,
+)
 from triwalk.harness import omnidirectional_scenario, run
 from triwalk.mpc import PHASE_DOUBLE, PHASE_SINGLE, AxisController, MpcConfig, build_constraints
 from triwalk import refgen
 from triwalk.refgen import GaitTiming, WalkTimeline
+
+# Cycle counts of the default gait at the default sample time; the walk
+# starts with one double-support duration of initialization.
+N_SINGLE, N_DOUBLE = GaitTiming().cycles(MpcConfig().ts)
+N_STEP = N_SINGLE + N_DOUBLE
+N_INIT = N_DOUBLE
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +45,9 @@ def timing():
     return GaitTiming()
 
 
-def straight_plan(n_steps=3, length=1.0):
+def straight_plan(n_steps=3, length=1.0, y=0.0):
     xs = np.arange(0.0, length + 0.05, 0.1)
-    path = np.column_stack([xs, np.zeros_like(xs)])
+    path = np.column_stack([xs, np.full_like(xs, y)])
     plan = footsteps_from_path(path, initial_feet_on_path(path))
     return plan.truncated(n_steps)
 
@@ -41,10 +56,12 @@ def make_engine(params, timing, **kwargs):
     return WalkEngine(params, MpcConfig(), timing, **kwargs)
 
 
-def run_closed_loop(engine, n_cycles):
-    """Ideal-plant loop: exact dynamics, exact measurements."""
+def run_closed_loop(engine, n_cycles, plant=None):
+    """Ideal-plant loop: exact dynamics, exact measurements.  The plant
+    starts from the (x, y) states ``plant``, or standing at the feet."""
     ssd = engine.model
-    plant = {"x": engine.standing_state("x"), "y": engine.standing_state("y")}
+    x, y = plant if plant is not None else (engine.standing_state("x"), engine.standing_state("y"))
+    plant = {"x": x, "y": y}
     log = []
     for _ in range(n_cycles):
         diag = engine.tick(ssd.C @ plant["x"], ssd.C @ plant["y"])
@@ -108,7 +125,7 @@ class TestPhaseSequence:
     def test_sequence_matches_grammar(self, params, timing):
         engine = make_engine(params, timing)
         engine.command_path(straight_plan(2))
-        n = engine.n_init + 2 * engine.n_step + 12
+        n = N_INIT + 2 * N_STEP + 12
         log = run_closed_loop(engine, n + 2)
         phases = [d.phase for d, _, _ in log]
         # Collapse runs: Idle+ Init+ (SS+ DS+)* Idle*
@@ -127,21 +144,21 @@ class TestPhaseSequence:
     def test_phase_durations_exact(self, params, timing):
         engine = make_engine(params, timing)
         engine.command_path(straight_plan(2))
-        log = run_closed_loop(engine, engine.n_init + 2 * engine.n_step + 5)
+        log = run_closed_loop(engine, N_INIT + 2 * N_STEP + 5)
         phases = [d.phase for d, _, _ in log]
-        assert phases.count(WalkPhase.INITIALIZE) == engine.n_init
-        assert phases.count(WalkPhase.SINGLE_SUPPORT) == 2 * engine.n_single
-        assert phases.count(WalkPhase.DOUBLE_SUPPORT) == 2 * engine.n_double
+        assert phases.count(WalkPhase.INITIALIZE) == N_INIT
+        assert phases.count(WalkPhase.SINGLE_SUPPORT) == 2 * N_SINGLE
+        assert phases.count(WalkPhase.DOUBLE_SUPPORT) == 2 * N_DOUBLE
 
     def test_single_to_double_at_next_tick(self, params, timing):
         engine = make_engine(params, timing)
         engine.command_path(straight_plan(1))
-        log = run_closed_loop(engine, 1 + engine.n_init + engine.n_single + 1)
+        log = run_closed_loop(engine, 1 + N_INIT + N_SINGLE + 1)
         phases = [d.phase for d, _, _ in log]
-        assert phases[engine.n_init] == WalkPhase.INITIALIZE
-        assert phases[1 + engine.n_init] == WalkPhase.SINGLE_SUPPORT
-        assert phases[engine.n_init + engine.n_single] == WalkPhase.SINGLE_SUPPORT
-        assert phases[1 + engine.n_init + engine.n_single] == WalkPhase.DOUBLE_SUPPORT
+        assert phases[N_INIT] == WalkPhase.INITIALIZE
+        assert phases[1 + N_INIT] == WalkPhase.SINGLE_SUPPORT
+        assert phases[N_INIT + N_SINGLE] == WalkPhase.SINGLE_SUPPORT
+        assert phases[1 + N_INIT + N_SINGLE] == WalkPhase.DOUBLE_SUPPORT
 
 
 class TestInitialize:
@@ -151,7 +168,7 @@ class TestInitialize:
         engine.command_path(plan)
         support_y = plan.support(0).y
         mid_y = 0.5 * (plan.footprints[0].y + plan.footprints[1].y)
-        log = run_closed_loop(engine, 1 + engine.n_init)
+        log = run_closed_loop(engine, 1 + N_INIT)
         _, _, y_state = log[-1]
         torso_y = y_state[3]
         assert math.copysign(1.0, torso_y - mid_y) == math.copysign(1.0, support_y - mid_y)
@@ -175,14 +192,14 @@ class TestReferenceWindows:
                                                                monkeypatch):
         engine = make_engine(params, timing)
         engine.command_path(straight_plan(2))
-        run_closed_loop(engine, 1 + engine.n_init)
+        run_closed_loop(engine, 1 + N_INIT)
         calls = []
         for name in ("hip_reference", "swing_reference"):
             def counted(*args, _orig=getattr(refgen, name), _name=name):
                 calls.append(_name)
                 return _orig(*args)
             monkeypatch.setattr(refgen, name, counted)
-        log = run_closed_loop(engine, engine.n_single)
+        log = run_closed_loop(engine, N_SINGLE)
         assert all(d.phase == WalkPhase.SINGLE_SUPPORT for d, _, _ in log)
         assert calls == []
 
@@ -193,7 +210,7 @@ class TestPlanNextStep:
         engine.command_setpoints(0.0, 0.0, 0.0)
         support = engine.feet["R"]
         geo = engine.plan_next_step(support, "L")
-        home = support.xy() + np.array([0.0, engine.step_width])
+        home = support.xy() + np.array([0.0, DEFAULT_STEP_WIDTH])
         np.testing.assert_allclose(geo.footprint_xy, home, atol=1e-12)
         assert not geo.clamped
 
@@ -225,36 +242,37 @@ class TestSetpointWalking:
     def test_walk_in_place_stays_put(self, params, timing):
         engine = make_engine(params, timing)
         engine.command_setpoints(0.0, 0.0, 0.0)
-        n = engine.n_init + 3 * engine.n_step + 2
+        n = N_INIT + 3 * N_STEP + 2
         log = run_closed_loop(engine, n)
         diag = log[-1][0]
         for foot in diag.support_feet:
             assert abs(foot.x) < 1e-9
-            assert abs(abs(foot.y) - engine.step_width / 2.0) < 1e-9
+            assert abs(abs(foot.y) - DEFAULT_STEP_WIDTH / 2.0) < 1e-9
         phases = {d.phase for d, _, _ in log}
         assert WalkPhase.SINGLE_SUPPORT in phases and WalkPhase.DOUBLE_SUPPORT in phases
 
     def test_forward_walk_advances(self, params, timing):
         engine = make_engine(params, timing)
         engine.command_setpoints(0.1, 0.0, 0.0)
-        n = engine.n_init + 5 * engine.n_step
+        n = N_INIT + 5 * N_STEP
         log = run_closed_loop(engine, n)
         diag = log[-1][0]
         assert max(f.x for f in diag.support_feet) > 0.25
 
     def test_rotated_scenario_equivalence(self, params, timing):
         # Quarter-turn rotation of the whole scenario commutes with the engine.
-        from triwalk.footstep import Footprint
-
         def run(rotated):
             if rotated:
-                feet = (Footprint(-0.1, 0.0, math.pi / 2, "L"),
-                        Footprint(0.1, 0.0, math.pi / 2, "R"))
+                left = Footprint(-0.1, 0.0, math.pi / 2, "L")
+                right = Footprint(0.1, 0.0, math.pi / 2, "R")
             else:
-                feet = None
-            engine = make_engine(params, timing, initial_feet=feet)
+                left, right = Footprint(0.0, 0.1, 0.0, "L"), Footprint(0.0, -0.1, 0.0, "R")
+            engine = make_engine(params, timing)
+            # A queued path places the feet (right foot swinging first); the
+            # setpoint command then replaces it before the walk starts.
+            engine.command_path(FootstepPlan((right, left, right), step_distance=None))
             engine.command_setpoints(0.08, 0.0, 0.0)
-            log = run_closed_loop(engine, engine.n_init + 2 * engine.n_step)
+            log = run_closed_loop(engine, N_INIT + 2 * N_STEP)
             return np.array([[d.u_x, d.u_y] for d, _, _ in log])
 
         base = run(False)
@@ -270,7 +288,7 @@ class TestPlanWalkTracking:
         engine = make_engine(params, timing)
         plan = straight_plan(3)
         engine.command_path(plan)
-        n = engine.n_init + 3 * engine.n_step + 50
+        n = N_INIT + 3 * N_STEP + 50
         log = run_closed_loop(engine, n)
         ssd = engine.model
         errs_st, errs_sw = [], []
@@ -287,7 +305,7 @@ class TestPlanWalkTracking:
         engine = make_engine(params, timing)
         plan = straight_plan(3)
         engine.command_path(plan)
-        n = engine.n_init + 3 * engine.n_step + 60
+        n = N_INIT + 3 * N_STEP + 60
         log = run_closed_loop(engine, n)
         assert log[-1][0].phase == WalkPhase.IDLE
         final_mid = 0.5 * (engine.feet["L"].xy() + engine.feet["R"].xy())
@@ -307,7 +325,7 @@ class TestConstraintSchedule:
                 calls[_axis].append((engine._timeline, engine._local_cycle(engine.k), lo, hi))
                 return _orig(x_est, refs, lo, hi)
             ctrl.control_step = step
-        run_closed_loop(engine, 1 + engine.n_init + engine.n_single)
+        run_closed_loop(engine, 1 + N_INIT + N_SINGLE)
 
         cfg = engine.config
         hl, hw = params.foot_length / 2.0, params.foot_width / 2.0
@@ -360,7 +378,7 @@ class TestConstraintSchedule:
             ticks.clear()
             engine = make_engine(params, timing)
             engine.command_path(plan)
-            run_closed_loop(engine, engine.n_init + plan.n_steps * engine.n_step + 20)
+            run_closed_loop(engine, N_INIT + plan.n_steps * N_STEP + 20)
             check_schedule(ticks, params)
             assert {key[0] for _, _, _, key, _, _ in ticks} == {"stand", "initialize",
                                                                   "single", "double"}
@@ -378,7 +396,7 @@ class TestConstraintSchedule:
                 seen[_axis].append((problem.A_ineq, warm_start))
                 return _orig(problem, warm_start=warm_start)
             ctrl.solver.solve = solve
-        log = run_closed_loop(engine, engine.n_init + 2 * engine.n_step)
+        log = run_closed_loop(engine, N_INIT + 2 * N_STEP)
         phases = {d.phase for d, _, _ in log}
         assert {WalkPhase.INITIALIZE, WalkPhase.SINGLE_SUPPORT,
                 WalkPhase.DOUBLE_SUPPORT} <= phases
@@ -428,11 +446,34 @@ def check_schedule(ticks, params):
                              for fp in contact_feet(tl.plan, key))
 
 
+def assert_untouched(engine, before):
+    """``engine`` matches its earlier deep copy ``before`` and computes the
+    same next cycle."""
+    for name in ("k", "phase", "setpoints", "estimates", "feet", "mode"):
+        np.testing.assert_equal(getattr(engine, name), getattr(before, name))
+    for axis in ("x", "y"):
+        gate, gate_ref = engine.gates[axis], before.gates[axis]
+        assert len(gate_ref.window) == gate_ref.window.maxlen
+        np.testing.assert_equal(list(gate.window), list(gate_ref.window))
+        assert gate.hold == gate_ref.hold
+        np.testing.assert_equal(engine.controllers[axis].u_prev,
+                                before.controllers[axis].u_prev)
+        assert engine.controllers[axis]._warm == before.controllers[axis]._warm
+    # The next valid cycle is the one the untouched copy computes.
+    y = engine.model.C @ engine.standing_state("x")
+    diag, diag_ref = engine.tick(y, y), before.tick(y, y)
+    assert diag.k == diag_ref.k
+    np.testing.assert_array_equal(diag.u_x, diag_ref.u_x)
+    np.testing.assert_array_equal(diag.u_y, diag_ref.u_y)
+    np.testing.assert_equal(diag.swing_target, diag_ref.swing_target)
+    assert diag.support_feet == diag_ref.support_feet
+
+
 class TestMeasurementValidation:
     def test_non_finite_rejected_without_state_change(self, params, timing):
         engine = make_engine(params, timing)
         engine.command_path(straight_plan(2))
-        run_closed_loop(engine, engine.n_init + 3)
+        run_closed_loop(engine, N_INIT + 3)
         before = copy.deepcopy(engine)
         y = engine.model.C @ engine.standing_state("x")
         for bad in (np.nan, np.inf, -np.inf):
@@ -442,28 +483,125 @@ class TestMeasurementValidation:
                 engine.tick(y, y_bad)
             with pytest.raises(ValueError):
                 engine.tick(y_bad, y)
-        for name in ("k", "phase", "phase_cycles", "setpoints", "estimates"):
-            np.testing.assert_equal(getattr(engine, name), getattr(before, name))
-        for axis in ("x", "y"):
-            gate, gate_ref = engine.gates[axis], before.gates[axis]
-            assert len(gate_ref.window) == gate_ref.window.maxlen
-            np.testing.assert_equal(list(gate.window), list(gate_ref.window))
-            assert gate.hold == gate_ref.hold
-            np.testing.assert_equal(engine.controllers[axis].u_prev,
-                                    before.controllers[axis].u_prev)
-            assert engine.controllers[axis]._warm == before.controllers[axis]._warm
-        # The next valid cycle is the one the untouched copy computes.
-        diag, diag_ref = engine.tick(y, y), before.tick(y, y)
-        assert diag.k == diag_ref.k
-        np.testing.assert_array_equal(diag.u_x, diag_ref.u_x)
-        np.testing.assert_array_equal(diag.u_y, diag_ref.u_y)
+        assert_untouched(engine, before)
+
+
+class TestCommandPath:
+    def test_rejected_while_walking_without_state_change(self, params, timing):
+        # Plan B, 0.5 m to the side, commanded during step 1 of plan A.
+        engine = make_engine(params, timing)
+        engine.command_path(straight_plan(4))
+        run_closed_loop(engine, 76)
+        assert engine.phase == WalkPhase.SINGLE_SUPPORT
+        before = copy.deepcopy(engine)
+        with pytest.raises(ValueError, match="idle"):
+            engine.command_path(straight_plan(2, y=0.5))
+        assert_untouched(engine, before)
+
+    def test_accepted_again_after_the_walk(self, params, timing):
+        engine = make_engine(params, timing)
+        engine.command_path(straight_plan(1))
+        log = run_closed_loop(engine, 1 + N_INIT + N_STEP)
+        assert log[-1][0].phase == WalkPhase.DOUBLE_SUPPORT
+        assert engine.phase == WalkPhase.IDLE
+        plan = straight_plan(1, y=0.5)
+        engine.command_path(plan)
+        assert engine.feet[plan.footprints[0].side] == plan.footprints[0]
+
+
+def support_side(diag):
+    """Side of the single-support foot: the swing foot lands to the left of
+    a right support foot, in the support's heading frame."""
+    (foot,) = diag.support_feet
+    dx, dy = diag.swing_target - (foot.x, foot.y)
+    return "R" if math.cos(foot.theta) * dy - math.sin(foot.theta) * dx > 0.0 else "L"
+
+
+def single_support_sides(diags):
+    return [support_side(next(run)) for phase, run in groupby(diags, key=lambda d: d.phase)
+            if phase == WalkPhase.SINGLE_SUPPORT]
+
+
+class TestPathToSetpoints:
+    @pytest.mark.parametrize("switch_step", [1, 2])
+    def test_support_sides_alternate(self, params, timing, switch_step):
+        engine = make_engine(params, timing)
+        engine.command_path(straight_plan(4))
+        log = run_closed_loop(engine, 1 + N_INIT + switch_step * N_STEP + 10)
+        assert log[-1][0].step_index == switch_step
+        engine.command_setpoints(0.1, 0.0, 0.0)
+        log += run_closed_loop(engine, 4 * N_STEP, plant=log[-1][1:])
+        assert not any(any(d.softened) for d, _, _ in log)
+        sides = single_support_sides([d for d, _, _ in log])
+        assert len(sides) >= switch_step + 4
+        assert all(a != b for a, b in zip(sides, sides[1:])), sides
+
+
+PHASE_OF_NAME = {"stand": WalkPhase.IDLE, "initialize": WalkPhase.INITIALIZE,
+                 "single": WalkPhase.SINGLE_SUPPORT, "double": WalkPhase.DOUBLE_SUPPORT}
+setpoint_entries = st.tuples(st.floats(-0.1, 0.1), st.floats(-0.03, 0.03), st.floats(-10.0, 10.0))
+
+
+class TestPhaseGrammar:
+    @settings(max_examples=10, deadline=None)
+    @given(path_steps=st.integers(0, 3),
+           switch=st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(0, N_STEP - 1))),
+           first=setpoint_entries,
+           later=st.lists(st.tuples(st.integers(1, 4 * N_STEP), setpoint_entries), max_size=3))
+    def test_phase_follows_the_timeline(self, params, timing, path_steps, switch, first, later):
+        """Setpoint walking from the start (``path_steps`` 0), or a path walk
+        switched to setpoints at a random cycle of a random step, or not
+        switched: every tick reports the timeline's phase, phases follow
+        idle, initialize, (single, double)+ with exact durations, and
+        support sides alternate."""
+        engine = make_engine(params, timing)
+        start = 0
+        if path_steps:
+            engine.command_path(straight_plan(path_steps))
+            start = None if switch is None else (
+                1 + N_INIT + min(switch[0], path_steps - 1) * N_STEP + switch[1])
+        schedule = [(0, first)] + sorted(later)
+        ssd = engine.model
+        plant = {"x": engine.standing_state("x"), "y": engine.standing_state("y")}
+        diags = []
+        for k in range(1 + N_INIT + 4 * N_STEP):
+            if start is not None and schedule and k - start >= schedule[0][0]:
+                entry = schedule.pop(0)[1]
+                if engine.mode == "setpoints":
+                    engine.set_setpoints(*entry)
+                else:
+                    engine.command_setpoints(*entry)
+            name, idx = engine._timeline.phase(engine._local_cycle(engine.k))
+            assert engine.phase == PHASE_OF_NAME[name]
+            diag = engine.tick(ssd.C @ plant["x"], ssd.C @ plant["y"])
+            assert diag.phase == PHASE_OF_NAME[name]
+            assert diag.step_index == (idx if name in ("single", "double") else -1)
+            for axis, u in (("x", diag.u_x), ("y", diag.u_y)):
+                plant[axis] = step_plant(ssd, plant[axis], u)
+            diags.append(diag)
+
+        runs = [(phase, len(list(run))) for phase, run in groupby(d.phase for d in diags)]
+        assert runs[0][0] == WalkPhase.IDLE
+        assert runs[1] == (WalkPhase.INITIALIZE, N_INIT)
+        body = runs[2:]
+        if body[-1][0] == WalkPhase.IDLE:
+            # Only an unswitched path walk ends.
+            assert start is None
+            body.pop()
+        assert body
+        expected = [(WalkPhase.SINGLE_SUPPORT, N_SINGLE), (WalkPhase.DOUBLE_SUPPORT, N_DOUBLE)]
+        for i, (phase, n) in enumerate(body):
+            assert phase == expected[i % 2][0]
+            assert n == expected[i % 2][1] or i == len(body) - 1
+        sides = single_support_sides(diags)
+        assert all(a != b for a, b in zip(sides, sides[1:])), sides
 
 
 class TestSupportFeet:
     def test_single_support_has_one_foot(self, params, timing):
         engine = make_engine(params, timing)
         engine.command_path(straight_plan(2))
-        log = run_closed_loop(engine, engine.n_init + 5)
+        log = run_closed_loop(engine, N_INIT + 5)
         diag = log[-1][0]
         assert diag.phase == WalkPhase.SINGLE_SUPPORT
         assert len(diag.support_feet) == 1

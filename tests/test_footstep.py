@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -311,4 +312,10 @@ class TestMapIO:
     def test_occupied_cell_outside_grid_rejected(self, cell):
         data = {"width": 4, "height": 3, "occupied": [[1, 1], list(cell)]}
         with pytest.raises(ValueError, match=rf"\[{cell[0]}, {cell[1]}\]"):
+            load_map(data)
+
+    @pytest.mark.parametrize("cell", [[1.5, 2], [1, 2.0], [True, 2]])
+    def test_non_integer_cell_rejected(self, cell):
+        data = {"width": 4, "height": 3, "occupied": [[1, 1], cell]}
+        with pytest.raises(ValueError, match=re.escape(str(cell))):
             load_map(data)

@@ -121,6 +121,30 @@ class TestScenarioJson:
         with pytest.raises(ValueError):
             Scenario.from_json(data)
 
+    @pytest.mark.parametrize("path, value", [
+        (("duration",), math.nan), (("duration",), math.inf), (("noise", "bound"), 0.0),
+        (("noise", "bound"), -0.05), (("n_fall",), -1),
+    ])
+    def test_scenario_values_checked(self, path, value):
+        data = json.loads(json.dumps(tracking_scenario(noise=True).to_json()))
+        *parents, key = path
+        section = data
+        for name in parents:
+            section = section[name]
+        section[key] = value
+        with pytest.raises(ValueError, match=key):
+            Scenario.from_json(data)
+
+    @pytest.mark.parametrize("section, key", [
+        ("config", "w_move"), ("observer", "accel_noise"), ("observer", "boost_accel_noise"),
+        ("params", "mass"), ("timing", "t_swing"), ("noise", "sigma"), ("disturbances", "mass"),
+    ])
+    def test_unknown_section_key_named(self, section, key):
+        data = json.loads(json.dumps(disturbance_scenario(300.0).to_json()))
+        (data[section][0] if section == "disturbances" else data[section])[key] = 1.0
+        with pytest.raises(ValueError, match=f"'{key}' in scenario section '{section}'"):
+            Scenario.from_json(data)
+
     def test_disturbance_window_checked(self):
         sc = inplace_scenario(duration=1.0,
                               disturbances=(Disturbance(t_start=0.9, duration=0.5, force=10.0),))

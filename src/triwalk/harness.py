@@ -143,6 +143,9 @@ class Scenario:
             data = json.loads(Path(source).read_text())
         else:
             data = source
+        unknown = sorted(set(data) - set(cls().to_json()) - {"map", "path_points", "max_steps"})
+        if unknown:
+            raise ValueError(f"unknown scenario key {unknown[0]!r}")
         kwargs = {key: data[key] for key in ("name", "mode", "duration", "n_fall", "max_steps")
                   if key in data}
         for key, kind in (("params", ThreeMassParams), ("config", MpcConfig),
@@ -196,6 +199,8 @@ class RunMetrics:
     tracking_rms: dict[str, float]
     n_cycles: int
     fault: str | None
+    softened_cycles: int = 0      # axis control steps solved softened, both axes summed
+    qp_iterations: int = 0        # QP iterations of both axes, softened fallbacks included
     torso_sway_scores: tuple[float, ...] = ()   # per single-support phase, >0 when
                                                 # the torso leans toward the support
     trace: Trace | None = None
@@ -363,6 +368,7 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None,
     u, out = np.empty((n, 2, 3)), np.empty((n, 2, 3))
     meas, pred, zmp, torso = (np.empty((n, 2)) for _ in range(4))
     refs, excursion = np.empty((n, 6)), np.empty(n)
+    qp_counts = np.empty((n, 2), dtype=np.int64)   # per cycle: softened axes, QP iterations
     tags = []   # per cycle: phase, QP statuses, support feet, swing target, step index
     fault = fall_time = None
     consecutive = 0
@@ -376,6 +382,7 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None,
         out[k], zmp[k], meas[k] = sim.outputs, sim.zmp_true, sim.measured[:, 2]
         pred[k], torso[k] = diag.zmp_pred, (sim.plant["x"][3], sim.plant["y"][3])
         refs[k] = np.concatenate([diag.refs.zmp, diag.refs.stance_mass, diag.refs.swing_mass])
+        qp_counts[k] = sum(diag.softened), sum(diag.qp_iterations)
         tags.append((diag.phase.value, diag.qp_status, diag.support_feet, diag.swing_target,
                      diag.step_index))
         excursion[k] = support_excursion(sim.zmp_true, diag.support_feet)
@@ -421,6 +428,8 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None,
         tracking_rms=rms,
         n_cycles=n,
         fault=fault,
+        softened_cycles=int(qp_counts[:n, 0].sum()),
+        qp_iterations=int(qp_counts[:n, 1].sum()),
         torso_sway_scores=tuple(sway),
         trace=trace,
     )

@@ -434,7 +434,11 @@ class AxisController:
     solver, the previous applied input and the previous active set for warm
     starts; one instance per axis per walk session.  Because ``A`` never
     changes, a warm-start row index always names the same (bound family,
-    sample).
+    sample).  The softened fallback keeps those rows first and adds its slack
+    bounds after them, so one warm set serves both solves of a cycle: after
+    every optimal cycle, softened or not, it becomes that cycle's active set,
+    and the next cycle seeds its hard solve and, if that is infeasible, its
+    softened fallback with it (the hard solve skips the slack rows).
     """
 
     def __init__(self, ss: StateSpace, config: MpcConfig):
@@ -485,11 +489,11 @@ class AxisController:
             softened = True
             relaxed = QpProblem(H=fac.H, f=f, A_ineq=fac.A, b_ineq=b, soft=self._output_rows,
                                 soft_penalty=self.config.soft_penalty, factors=self._soft_factors)
-            sol = self.solver.solve(relaxed)
+            sol = self.solver.solve(relaxed, warm_start=self._warm)
             iterations += sol.iterations
             if sol.status == STATUS_INFEASIBLE:
                 raise ControllerFault("cycle subproblem infeasible even after softening outputs")
-        self._warm = sol.active_set if sol.status == STATUS_OPTIMAL and not softened else None
+        self._warm = sol.active_set if sol.status == STATUS_OPTIMAL else None
 
         u = self.u_prev + sol.z[:N_INPUTS]
         self.u_prev = u.copy()

@@ -210,7 +210,11 @@ class QpSolution:
     ``objective`` is the value of the solved problem, including the quadratic
     penalty of any soft-row slacks.  ``active_set`` indexes rows of the
     internal (slack-augmented) constraint matrix and can seed the next solve's
-    warm start when the problem structure is unchanged.
+    warm start.  It may also seed a problem with the same hard rows and a
+    different soft mask: the augmented matrix keeps the m hard rows first, at
+    their own indices, and appends the slack bounds at m and above.  So a hard
+    active set names the same rows in the softened problem, and a hard problem
+    seeded with a softened active set ignores its slack rows.
     """
 
     z: np.ndarray
@@ -398,7 +402,13 @@ class ActiveSetSolver:
 
     @staticmethod
     def _seed_working_set(fac: QpFactors, b, z0, W, lam, V, R, warm_start) -> None:
-        """Recreate a dual-feasible working set from a previous active set."""
+        """Recreate a dual-feasible working set from a previous active set.
+
+        Any index set is accepted: indices outside this problem's rows (the
+        slack rows of a softened problem when this one is hard, stale or
+        negative ones) are skipped, as are rows dependent on those already
+        seeded; pruning then keeps only rows with nonnegative multipliers.
+        """
         A, G = fac.A, fac.G
         n, m = fac.H.shape[0], A.shape[0]
         for i in sorted({int(i) for i in warm_start if 0 <= int(i) < m}):

@@ -41,6 +41,7 @@ class TestRunCommand:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["completed"] is True
+        assert summary["softened_cycles"] == 0 and summary["qp_iterations"] > 0
         assert (tmp_path / "out" / f"{sc.name}.csv").exists()
         assert (tmp_path / "out" / f"{sc.name}.json").exists()
 

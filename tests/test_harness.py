@@ -145,6 +145,20 @@ class TestScenarioJson:
         with pytest.raises(ValueError, match=f"'{key}' in scenario section '{section}'"):
             Scenario.from_json(data)
 
+    @pytest.mark.parametrize("key", ["nosie", "disturbance", "noise_bound", "Name"])
+    def test_unknown_top_level_key_named(self, key):
+        # A misspelt section would otherwise fall back to its default silently.
+        data = json.loads(json.dumps(tracking_scenario().to_json()))
+        data[key] = {"enabled": True}
+        with pytest.raises(ValueError, match=f"unknown scenario key '{key}'"):
+            Scenario.from_json(data)
+
+    def test_every_written_key_loads(self):
+        sc = replace(tracking_scenario(), map_source={"rows": 2, "cols": 2}, max_steps=3)
+        data = json.loads(json.dumps(sc.to_json()))
+        assert {"map", "path_points", "max_steps"} <= set(data)
+        assert Scenario.from_json(data).to_json() == sc.to_json()
+
     def test_disturbance_window_checked(self):
         sc = inplace_scenario(duration=1.0,
                               disturbances=(Disturbance(t_start=0.9, duration=0.5, force=10.0),))
@@ -205,6 +219,19 @@ class TestSimulation:
             zmp.append(sim.zmp_true)
         np.testing.assert_array_equal(np.asarray(u), m.trace.u)
         np.testing.assert_array_equal(np.asarray(zmp), m.trace.zmp_true)
+
+    def test_softened_cycles_counted(self):
+        # +440 N struggles for seconds, then falls.  Whether a cycle softens
+        # depends only on its hard problem's feasibility, not on warm starts.
+        sc = disturbance_scenario(440.0)
+        m = run(sc, keep_trace=False)
+        assert m.fall_detected and m.fall_time == pytest.approx(5.32)
+        assert m.softened_cycles == 50
+        sim = Simulation(sc)
+        diags = [sim.step() for _ in range(m.n_cycles)]
+        assert m.softened_cycles == sum(sum(d.softened) for d in diags)
+        assert m.qp_iterations == sum(sum(d.qp_iterations) for d in diags)
+        assert m.summary()["softened_cycles"] == 50
 
     def test_unsorted_schedule_runs_as_sorted(self):
         entries = ((1.0, 0.1, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (1.6, 0.1, 0.02, 5.0))

@@ -24,7 +24,7 @@ from triwalk.mpc import (
     build_prediction,
     condense_constraints,
 )
-from triwalk.qp import STATUS_INFEASIBLE, STATUS_OPTIMAL
+from triwalk.qp import STATUS_INFEASIBLE, STATUS_OPTIMAL, ActiveSetSolver, kkt_residual
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +312,47 @@ class TestControlStep:
         assert relaxed.status == STATUS_OPTIMAL
         assert hard.iterations > 0 and relaxed.iterations > 0
         assert info.iterations == hard.iterations + relaxed.iterations
+
+    def test_warm_start_carries_through_a_softened_streak(self, ssd, params, monkeypatch):
+        # A torso pushed at 3 m/s makes three cycles in a row infeasible; the
+        # fourth is feasible again.  Every solve is seeded with the previous
+        # cycle's active set, softened or not.
+        cfg = MpcConfig()
+        ctrl = AxisController(ssd, cfg)
+        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        calls = []
+        solve = ctrl.solver.solve
+        monkeypatch.setattr(ctrl.solver, "solve", lambda problem, warm_start=None: calls.append(
+            (problem, warm_start, solve(problem, warm_start=warm_start))) or calls[-1][2])
+        x = make_state((0.1, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 50.0, 0.0))
+        cycles, iterations = [], 0
+        for _ in range(4):
+            start = len(calls)
+            u, info = ctrl.control_step(x, constant_refs(cfg.n_pred), lo, hi)
+            cycles.append(calls[start:])
+            iterations += info.iterations
+            x = step_plant(ssd, x, u)
+        assert [len(c) for c in cycles] == [2, 2, 2, 1]
+        assert cycles[3][0][2].status == STATUS_OPTIMAL
+        for prev, cur in zip(cycles, cycles[1:]):
+            seed = prev[-1][2].active_set
+            assert prev[-1][0].soft is not None and seed
+            # Both the hard solve and the softened fallback start from it.
+            assert all(warm == seed for _, warm, _ in cur)
+
+        cold_iterations = 0
+        for problem, _, sol in (call for cycle in cycles for call in cycle):
+            cold = ActiveSetSolver().solve(problem)
+            cold_iterations += cold.iterations
+            assert cold.status == sol.status
+            if problem.soft is None:
+                continue
+            scale = 1.0 + np.max(np.abs(problem.f)) + np.max(np.abs(problem.H @ sol.z))
+            assert kkt_residual(problem, sol.z) <= 1e-8 * scale
+            assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
+            np.testing.assert_allclose(sol.z, cold.z, atol=1e-5)
+        # Cold solves of the same problems are what a cleared warm start costs.
+        assert iterations < cold_iterations
 
     def test_qp_factored_once_per_controller(self, ssd, params, monkeypatch):
         # (H, A) never change, so the QP is factored at construction only:

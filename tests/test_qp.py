@@ -274,6 +274,61 @@ class TestFactoredSequences:
         assert factors.A.shape == (6, 5) and factors.n == 3
 
 
+class TestWarmStartAcrossSoftening:
+    """A warm start from a problem with the same hard rows and another soft
+    mask: the slack-augmented matrix keeps the hard rows first, so only
+    the slack rows (index >= m) differ between the two."""
+
+    @staticmethod
+    def soft_problem(seed, n, m, n_soft):
+        """A random problem whose hard rows hold at one point and whose
+        ``n_soft`` soft rows may conflict with them."""
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(n, n))
+        H = G.T @ G + n * np.eye(n)
+        A = rng.normal(size=(m, n))
+        soft = np.zeros(m, bool)
+        soft[rng.choice(m, size=n_soft, replace=False)] = True
+        margin = np.where(soft, rng.uniform(-0.5, 1.0, size=m), rng.uniform(0.05, 1.0, size=m))
+        b = A @ (rng.normal(size=n) * 0.3) + margin
+        return dict(H=H, f=rng.normal(size=n), A_ineq=A, b_ineq=b, soft=soft, soft_penalty=100.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 5),
+           n_soft=st.integers(1, 2), warm=st.lists(st.integers(-3, 10), max_size=12))
+    def test_soft_solve_from_any_index_set(self, seed, n, m, n_soft, warm):
+        # Hard rows, slack rows (index >= m), rows inactive at the optimum and
+        # indices outside the augmented problem, in any mix.
+        common = self.soft_problem(seed, n, m, n_soft)
+        problem = QpProblem(**common)
+        sol = ActiveSetSolver().solve(problem, warm_start=warm)
+        assert sol.status == STATUS_OPTIMAL
+        z_ref, obj_ref = solve_qp_by_enumeration(*slack_augmented(
+            common["H"], common["f"], common["A_ineq"], common["b_ineq"], common["soft"], 100.0))
+        assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
+        cold = ActiveSetSolver().solve(problem)
+        np.testing.assert_allclose(sol.z, cold.z, atol=1e-8)
+        assert kkt_residual(problem, sol.z) < 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 5),
+           n_soft=st.integers(1, 2))
+    def test_hard_solve_ignores_slack_rows(self, seed, n, m, n_soft):
+        common = self.soft_problem(seed, n, m, n_soft)
+        soft_set = ActiveSetSolver().solve(QpProblem(**common)).active_set
+        # Every slack row of the softened problem, active or not, rides along.
+        warm = soft_set + tuple(range(m, m + n_soft))
+        hard = QpProblem(**{**common, "soft": None})
+        sol = ActiveSetSolver().solve(hard, warm_start=warm)
+        ref = ActiveSetSolver().solve(hard, warm_start=[i for i in warm if i < m])
+        assert sol.status == ref.status and sol.iterations == ref.iterations
+        assert sol.active_set == ref.active_set and all(i < m for i in sol.active_set)
+        np.testing.assert_array_equal(sol.z, ref.z)
+        if sol.status == STATUS_OPTIMAL:
+            _, obj_ref = solve_qp_by_enumeration(hard.H, hard.f, hard.A_ineq, hard.b_ineq)
+            assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
+
+
 class TestWorkingSetFactor:
     """The lower Cholesky factor R of the working-set Gram matrix, updated
     in place as rows enter and leave the working set."""

@@ -283,6 +283,18 @@ class ActiveSetSolver:
 
     def solve(self, problem: QpProblem, warm_start=None) -> QpSolution:
         fac = problem.factors if problem.factors is not None else problem.factorize()
+        if warm_start:
+            try:
+                return self._solve(fac, problem, warm_start)
+            except np.linalg.LinAlgError:
+                # A seed can be nearly dependent in this problem (a softened
+                # active set may name more hard rows than there are
+                # variables), and the factor updates may then lose
+                # definiteness on the way; the warm start is only a hint.
+                pass
+        return self._solve(fac, problem, None)
+
+    def _solve(self, fac: QpFactors, problem: QpProblem, warm_start) -> QpSolution:
         f, b = fac.extend(np.asarray(problem.f, float), np.asarray(problem.b_ineq, float))
         H, A, V_all, G = fac.H, fac.A, fac.V, fac.G
         n, m = H.shape[0], A.shape[0]
@@ -408,6 +420,8 @@ class ActiveSetSolver:
         slack rows of a softened problem when this one is hard, stale or
         negative ones) are skipped, as are rows dependent on those already
         seeded; pruning then keeps only rows with nonnegative multipliers.
+        A seed can still be nearly dependent; should a factor update then
+        find its Gram block indefinite, ``solve`` starts over cold.
         """
         A, G = fac.A, fac.G
         n, m = fac.H.shape[0], A.shape[0]

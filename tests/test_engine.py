@@ -4,7 +4,7 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triwalk.dynamics import ThreeMassParams, step_plant
@@ -548,6 +548,10 @@ class TestPhaseGrammar:
            switch=st.one_of(st.none(), st.tuples(st.integers(0, 2), st.integers(0, N_STEP - 1))),
            first=setpoint_entries,
            later=st.lists(st.tuples(st.integers(1, 4 * N_STEP), setpoint_entries), max_size=3))
+    # A one-step path walk switched to setpoints at once: one axis softens
+    # cycle after cycle, and a hard solve seeded with a softened active set
+    # once lost the definiteness of its working-set factor.
+    @example(path_steps=1, switch=(0, 0), first=(0.015625, 0.0, 8.0), later=[])
     def test_phase_follows_the_timeline(self, params, timing, path_steps, switch, first, later):
         """Setpoint walking from the start (``path_steps`` 0), or a path walk
         switched to setpoints at a random cycle of a random step, or not

@@ -192,6 +192,23 @@ class TestWarmStart:
         np.testing.assert_allclose(warm.z, cold.z, atol=1e-9)
         assert warm.iterations <= cold.iterations
 
+    def test_warm_start_that_breaks_the_factor_solves_cold(self, solver, monkeypatch):
+        # A seed that leaves the working-set Gram factor indefinite is dropped:
+        # the solve restarts cold instead of raising.
+        rng = np.random.default_rng(21)
+        p = random_problem(rng, n=6, m=12)
+        p.b_ineq -= 0.04
+        cold = solver.solve(p)
+
+        def indefinite(*args):
+            raise np.linalg.LinAlgError("working-set Gram matrix is not positive definite")
+
+        monkeypatch.setattr(ActiveSetSolver, "_seed_working_set", staticmethod(indefinite))
+        sol = solver.solve(p, warm_start=cold.active_set)
+        assert sol.status == cold.status == STATUS_OPTIMAL
+        assert sol.iterations == cold.iterations and sol.active_set == cold.active_set
+        np.testing.assert_array_equal(sol.z, cold.z)
+
     def test_stale_warm_start_is_harmless(self, solver):
         rng = np.random.default_rng(22)
         p = random_problem(rng, n=5, m=8)

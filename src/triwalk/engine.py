@@ -1,5 +1,5 @@
-"""Walking engine: wires planner output, reference sampling and the two
-per-axis controllers into a closed loop.
+"""Walking engine: wires planner output, reference sampling and the
+two-axis controller into a closed loop.
 
 The engine advances one control cycle per ``tick``: it filters operator
 setpoints, runs the state observer on the measured outputs (with a gated
@@ -13,11 +13,12 @@ step index and footstep plan are read from it, and the engine acts only at the
 cycle boundaries where the timeline's phase key changes (rotating the frame,
 landing a foot, rolling the next setpoint step or returning to stand).
 
-Turning support: each axis controller is one-dimensional, so the engine keeps
-a working frame aligned with the current support heading.  At step boundaries
-the frame rotates with the gait and all stateful quantities (estimates,
-previous inputs) are re-projected; straight walking leaves the frame at the
-world axes and every re-projection is the identity.
+Turning support: the controller treats its two axes as decoupled, so the
+engine keeps a working frame aligned with the current support heading.  At
+step boundaries the frame rotates with the gait and the stateful quantities
+(the (2, 9) estimates, the (2, 3) previous inputs) are re-projected, one
+matrix product each; straight walking leaves the frame at the world axes and
+every re-projection is the identity.
 """
 
 from __future__ import annotations
@@ -28,7 +29,14 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import StateSpace, ThreeMassParams, build_continuous, discretize, make_state
+from .dynamics import (
+    N_OUTPUTS,
+    StateSpace,
+    ThreeMassParams,
+    build_continuous,
+    discretize,
+    make_state,
+)
 from .footstep import DEFAULT_SIGMA_MAX, DEFAULT_STEP_WIDTH, Footprint, FootstepPlan, wrap_angle
 from .mpc import (
     PHASE_DOUBLE,
@@ -166,8 +174,7 @@ class WalkEngine:
         self.timing = timing
 
         self.model: StateSpace = discretize(build_continuous(params), config.ts)
-        self.controllers = {"x": AxisController(self.model, config),
-                            "y": AxisController(self.model, config)}
+        self.controller = AxisController(self.model, config)
         self.observer = Observer(self.model, observer or ObserverConfig())
 
         w = DEFAULT_STEP_WIDTH / 2.0
@@ -183,7 +190,7 @@ class WalkEngine:
         self._clamped_step = False
         self._set_stand_timeline()
 
-        self.gates = {"x": PushGate(self.observer.config), "y": PushGate(self.observer.config)}
+        self.gates = (PushGate(self.observer.config), PushGate(self.observer.config))
         self.reset_posture()
 
     # ------------------------------------------------------------------ setup
@@ -241,10 +248,8 @@ class WalkEngine:
         """Re-seed the state estimates with the current standing posture,
         expressed in the working frame."""
         X = np.vstack([self.standing_state("x"), self.standing_state("y")])
-        X = _rot(-self.frame_angle) @ X
-        self.estimates = {"x": X[0].copy(), "y": X[1].copy()}
-        for ctrl in self.controllers.values():
-            ctrl.reset()
+        self.estimates = _rot(-self.frame_angle) @ X
+        self.controller.reset()
 
     def set_setpoints(self, x: float, y: float, alpha_deg: float) -> None:
         self.setpoints = replace(self.setpoints, x=x, y=y, alpha_deg=alpha_deg)
@@ -254,46 +259,33 @@ class WalkEngine:
     def tick(self, y_meas_x, y_meas_y) -> CycleDiagnostics:
         """Advance one control cycle with the measured outputs of both axes.
 
-        Raises ValueError, leaving the engine untouched, when a measurement
-        is not finite.
+        Raises ValueError, leaving the engine untouched, unless each
+        measurement is a finite (3,) array.
         """
-        y_meas = np.vstack([np.asarray(y_meas_x, float), np.asarray(y_meas_y, float)])
-        if not np.all(np.isfinite(y_meas)):
-            raise ValueError("measurements must be finite")
+        y_meas = [np.asarray(y, dtype=float) for y in (y_meas_x, y_meas_y)]
+        if any(y.shape != (N_OUTPUTS,) or not np.isfinite(y).all() for y in y_meas):
+            raise ValueError("measurements must be finite (3,) arrays")
         self.setpoints = filter_setpoints(self.setpoints, self.config.ts, _LAG_TAU)
 
-        R_wf = _rot(-self.frame_angle)   # world -> frame
-        y_pair = R_wf @ y_meas
+        y_pair = _rot(-self.frame_angle) @ np.vstack(y_meas)   # world -> frame
         local = self._local_cycle(self.k)
         key = (name, idx) = self._timeline.phase(local)
         phase = _PHASE_OF[name]
-        refs = self._references()
+        ctrl = self.controller
+        for i, gate in enumerate(self.gates):
+            sigmas = self.observer.innovation_sigmas(self.estimates[i], ctrl.u_prev[i], y_pair[i])
+            self.estimates[i] = self.observer.step(self.estimates[i], ctrl.u_prev[i], y_pair[i],
+                                                   boosted=gate.update(sigmas))
         ids = self._timeline.phase_ids(local, self.config.constraint_window)
-        u_frame = {}
-        status = {}
-        softened = {}
-        iterations = {}
-        zmp_pred = np.zeros(2)
         try:
-            for i, axis in enumerate(("x", "y")):
-                ctrl = self.controllers[axis]
-                sigmas = self.observer.innovation_sigmas(
-                    self.estimates[axis], ctrl.u_prev, y_pair[i])
-                est = self.observer.step(self.estimates[axis], ctrl.u_prev, y_pair[i],
-                                         boosted=self.gates[axis].update(sigmas))
-                self.estimates[axis] = est
-                u, info = ctrl.control_step(est, refs[i], *self._bounds(ids, axis))
-                u_frame[axis] = u
-                status[axis] = info.status
-                softened[axis] = info.softened
-                iterations[axis] = info.iterations
-                zmp_pred[i] = info.predicted_output[2]
+            u_frame, infos = ctrl.control_step(self.estimates, self._references(),
+                                               *self._bounds(ids))
         except ControllerFault as exc:
             raise ControllerFault(f"cycle {self.k}, phase {phase.value}: {exc}") from exc
 
         R_fw = _rot(self.frame_angle)
-        u_pair = R_fw @ np.vstack([u_frame["x"], u_frame["y"]])
-        zmp_pred_world = R_fw @ zmp_pred
+        u_pair = R_fw @ u_frame
+        zmp_pred_world = R_fw @ np.array([info.predicted_output[2] for info in infos])
 
         diag = CycleDiagnostics(
             k=self.k,
@@ -301,9 +293,9 @@ class WalkEngine:
             phase=phase,
             u_x=u_pair[0].copy(),
             u_y=u_pair[1].copy(),
-            qp_status=(status["x"], status["y"]),
-            softened=(softened["x"], softened["y"]),
-            qp_iterations=(iterations["x"], iterations["y"]),
+            qp_status=tuple(info.status for info in infos),
+            softened=tuple(info.softened for info in infos),
+            qp_iterations=tuple(info.iterations for info in infos),
             zmp_pred=zmp_pred_world,
             refs=self._timeline.sample(local),
             support_feet=self.support_feet(),
@@ -406,11 +398,11 @@ class WalkEngine:
     def _local_cycle(self, k: int) -> int:
         return k - self._timeline_origin
 
-    def _references(self) -> list[np.ndarray]:
-        """Working-frame (n_pred, 3) reference windows of the x and y axes."""
+    def _references(self) -> np.ndarray:
+        """Working-frame (2, n_pred, 3) reference windows of the x and y axes."""
         rows = self._timeline.window(self._local_cycle(self.k), self.config.n_pred)
         R_wf = _rot(-self.frame_angle)
-        return [(rows @ R_wf[i])[:, _STACKED] for i in range(2)]
+        return np.stack([(rows @ R_wf[i])[:, _STACKED] for i in range(2)])
 
     # ------------------------------------------------------------ constraints
 
@@ -434,21 +426,23 @@ class WalkEngine:
             raise ValueError("foot heading too far from the working frame")
         return center, hl, hw
 
-    def _bounds(self, ids: np.ndarray, axis: str):
-        """Per-sample (lo, hi) output bounds of the timeline phases ``ids``.
+    def _bounds(self, ids: np.ndarray):
+        """Per-sample (lo, hi) output bounds, each (2, window, 3), of the
+        timeline phases ``ids``.
 
         Scheduling the bounds per upcoming phase gives the controller preview
         of support-box changes, so weight transfer starts before a
         single-support box tightens.
         """
-        # A phase's box (NaN until built) holds for its timeline in the
+        # A phase's boxes (NaN until built) hold for its timeline in the
         # current frame; a window's ids are one contiguous range.
-        boxes = self._boxes[0 if axis == "x" else 1]
+        boxes = self._boxes
         for kid in range(ids[0], ids[-1] + 1):
-            if np.isnan(boxes[kid, 0, 0]):
-                boxes[kid] = self._phase_box(self._timeline.keys[kid], axis)
-        box = boxes[ids]   # (window, lo/hi, output)
-        return box[:, 0], box[:, 1]
+            if np.isnan(boxes[0, kid, 0, 0]):
+                key = self._timeline.keys[kid]
+                boxes[:, kid] = [self._phase_box(key, axis) for axis in ("x", "y")]
+        box = boxes[:, ids]   # (axis, window, lo/hi, output)
+        return box[:, :, 0], box[:, :, 1]
 
     def _phase_box(self, key: tuple[str, int], axis: str):
         name, idx = key
@@ -476,14 +470,7 @@ class WalkEngine:
         if delta == 0.0:
             return
         R = _rot(-delta)
-        X = np.vstack([self.estimates["x"], self.estimates["y"]])
-        X = R @ X
-        self.estimates["x"] = X[0].copy()
-        self.estimates["y"] = X[1].copy()
-        U = R @ np.vstack([self.controllers["x"].u_prev, self.controllers["y"].u_prev])
-        self.controllers["x"].u_prev = U[0].copy()
-        self.controllers["y"].u_prev = U[1].copy()
-        for ctrl in self.controllers.values():
-            ctrl.drop_warm_start()
+        self.estimates = R @ self.estimates
+        self.controller.reset(R @ self.controller.u_prev)
         self.frame_angle = wrap_angle(self.frame_angle + delta)
         self._boxes[:] = np.nan

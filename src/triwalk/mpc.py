@@ -1,10 +1,14 @@
-"""Receding-horizon walking controller for one axis of the three-mass model.
+"""Receding-horizon walking controller for the two horizontal axes of the
+three-mass model.
 
-The controller optimizes input increments over a control horizon against a
-prediction of the three outputs (stance mass, swing mass, zero-moment point),
-subject to phase-dependent bounds on the swing-mass position, the ZMP and the
-jerk inputs.  A steady-state Kalman observer reconstructs the 9-entry state
-from the three measured outputs.
+The sagittal (x) and frontal (y) axes have the same dynamics and the same
+controller, so one set of prediction, cost and constraint matrices serves
+both; row i of every (2, ...) array is axis i.  Per axis, the controller
+optimizes input increments over a control horizon against a prediction of the
+three outputs (stance mass, swing mass, zero-moment point), subject to
+phase-dependent bounds on the swing-mass position, the ZMP and the jerk
+inputs.  A steady-state Kalman observer reconstructs each axis's 9-entry
+state from its three measured outputs.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ PHASE_SINGLE = "single"
 PHASE_DOUBLE = "double"
 PHASE_STAND = "stand"
 
+# Horizontal axes (x, y), which share one controller.
+N_AXES = 2
 # Iteration cap of the per-cycle QP.
 _QP_MAX_ITER = 2000
 # Standard deviation (m/s^2) added to the prior of each acceleration state
@@ -149,31 +155,14 @@ def cost_matrices(pred: PredictionMatrices, config: MpcConfig):
 
 def cost_gradient(GtW: np.ndarray, UtW: np.ndarray, err: np.ndarray,
                   u_prev: np.ndarray) -> np.ndarray:
-    """Linear cost term for the free-response tracking error ``err``."""
-    return 2.0 * (GtW @ err + UtW @ np.tile(u_prev, UtW.shape[1] // N_INPUTS))
+    """Linear cost term for the free-response tracking error ``err``.
 
-
-def _stacked_references(refs, n_pred: int) -> np.ndarray:
-    """Stacked output vector of a finite (n_pred, 3) reference window."""
-    refs = np.asarray(refs, dtype=float)
-    if refs.shape != (n_pred, N_OUTPUTS) or not np.isfinite(refs).all():
-        raise ValueError("references must be a finite (n_pred, 3) array")
-    return refs.ravel()
-
-
-def build_cost(pred: PredictionMatrices, refs: np.ndarray, config: MpcConfig,
-               x: np.ndarray, u_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic cost in the input-increment variables.
-
-    Encodes the weighted squared tracking errors of the three outputs over the
-    prediction horizon plus the weighted squared jerks, as ``1/2 z'Hz + f'z``
-    (constant terms dropped).  ``refs`` is the (n_pred, 3) reference window
-    in stacked output order.
+    ``err`` (..., 3 n_pred) and ``u_prev`` (..., 3) may carry a leading axis
+    dimension; row i of the result is the gradient of row i.  ``np.matvec``
+    keeps every row bitwise equal to a one-axis call.
     """
-    r = _stacked_references(refs, pred.n_pred)
-    H, GtW, UtW = cost_matrices(pred, config)
-    free = pred.phi @ x + pred.phi_u @ u_prev
-    return H, cost_gradient(GtW, UtW, free - r, u_prev)
+    held = np.tile(u_prev, UtW.shape[1] // N_INPUTS)
+    return 2.0 * (np.matvec(GtW, err) + np.matvec(UtW, held))
 
 
 def build_constraints(phase: str, support, params: ThreeMassParams, config: MpcConfig,
@@ -260,18 +249,22 @@ def condense_constraints(config: MpcConfig, lo: np.ndarray, hi: np.ndarray,
                          free: np.ndarray, u_prev: np.ndarray) -> np.ndarray:
     """Right-hand side ``b`` of ``constraint_matrix`` for one cycle.
 
-    ``lo`` and ``hi`` have shape (constraint_window, 3): row j bounds the
-    outputs (stance, swing, zmp) at sample k+1+j.  ``free`` is the predicted
-    output response with zero increments.
+    ``lo`` and ``hi`` have shape (..., constraint_window, 3): row j bounds
+    the outputs (stance, swing, zmp) at sample k+1+j.  ``free``
+    (..., 3 n_pred) is the predicted output response with zero increments and
+    ``u_prev`` (..., 3) the held input.  Leading dimensions index the axes;
+    row i of the result is the right-hand side of row i.
     """
     window = config.constraint_window
-    if lo.shape != (window, N_OUTPUTS) or hi.shape != (window, N_OUTPUTS):
-        raise ValueError("output bounds must have shape (constraint_window, 3)")
-    y = free.reshape(-1, N_OUTPUTS)[:window]
-    out = np.stack([hi - y, y - lo]).transpose(2, 0, 1)[_OUTPUT_ROW_ORDER]
+    if lo.shape != hi.shape or lo.shape[-2:] != (window, N_OUTPUTS):
+        raise ValueError("output bounds must have shape (..., constraint_window, 3)")
+    lead = free.shape[:-1]
+    y = free.reshape(*lead, -1, N_OUTPUTS)[..., :window, :]
+    out = np.moveaxis(np.stack([hi - y, y - lo], axis=-3), -1, -3)[..., _OUTPUT_ROW_ORDER, :, :]
     lim = config.jerk_limit
-    jerk = np.repeat(np.column_stack([lim - u_prev, lim + u_prev]).ravel(), config.n_ctrl)
-    return np.concatenate([out.ravel(), jerk])
+    jerk = np.stack([lim - u_prev, lim + u_prev], axis=-1).reshape(*lead, -1)
+    return np.concatenate([out.reshape(*lead, -1), np.repeat(jerk, config.n_ctrl, axis=-1)],
+                          axis=-1)
 
 
 @dataclass(frozen=True)
@@ -428,17 +421,20 @@ class ControlCycleInfo:
 
 
 class AxisController:
-    """Receding-horizon controller for one axis.
+    """Receding-horizon controller of both axes.
 
-    Holds the fixed cost and constraint matrices, factored once for the QP
-    solver, the previous applied input and the previous active set for warm
-    starts; one instance per axis per walk session.  Because ``A`` never
-    changes, a warm-start row index always names the same (bound family,
-    sample).  The softened fallback keeps those rows first and adds its slack
-    bounds after them, so one warm set serves both solves of a cycle: after
-    every optimal cycle, softened or not, it becomes that cycle's active set,
-    and the next cycle seeds its hard solve and, if that is infeasible, its
-    softened fallback with it (the hard solve skips the slack rows).
+    Both axes share the model and ``MpcConfig``, so one instance holds the
+    fixed cost and constraint matrices, factored once for the QP solver, for
+    a whole walk session.  Row i of the (2, 3) previous applied inputs
+    ``u_prev`` and of every ``control_step`` argument is axis i (x, y), and
+    each axis keeps its own previous active set for warm starts.  Because
+    ``A`` never changes, a warm-start row index always names the same (bound
+    family, sample).  The softened fallback keeps those rows first and adds
+    its slack bounds after them, so one warm set serves both solves of an
+    axis's cycle: after every optimal cycle, softened or not, it becomes that
+    cycle's active set, and the next cycle seeds its hard solve and, if that
+    is infeasible, its softened fallback with it (the hard solve skips the
+    slack rows).
     """
 
     def __init__(self, ss: StateSpace, config: MpcConfig):
@@ -450,8 +446,7 @@ class AxisController:
         self.A = self._factors.A
         # The softened fallback relaxes every output row; jerk rows stay hard.
         self._output_rows = np.arange(self.A.shape[0]) < 2 * N_OUTPUTS * config.constraint_window
-        self.u_prev = np.zeros(N_INPUTS)
-        self._warm: tuple[int, ...] | None = None
+        self.reset()
 
     @cached_property
     def _soft_factors(self) -> QpFactors:
@@ -459,49 +454,56 @@ class AxisController:
         return self._factors.soften(self._output_rows, self.config.soft_penalty)
 
     def reset(self, u_prev=None) -> None:
-        self.u_prev = np.zeros(N_INPUTS) if u_prev is None else np.asarray(u_prev, float).copy()
-        self._warm = None
+        """Hold ``u_prev`` (2, 3), zero by default, and drop both warm
+        starts (after a frame rotation their rows bound other directions)."""
+        self.u_prev = (np.zeros((N_AXES, N_INPUTS)) if u_prev is None
+                       else np.array(u_prev, dtype=float))
+        self._warm: list[tuple[int, ...] | None] = [None] * N_AXES
 
-    def drop_warm_start(self) -> None:
-        self._warm = None
+    def control_step(self, X: np.ndarray, refs: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray) -> tuple[np.ndarray, tuple[ControlCycleInfo, ...]]:
+        """Solve both axes' cycle subproblems and return the (2, 3) inputs to
+        apply now, with one ``ControlCycleInfo`` per axis.
 
-    def control_step(self, x_est: np.ndarray, refs: np.ndarray, lo: np.ndarray,
-                     hi: np.ndarray) -> tuple[np.ndarray, ControlCycleInfo]:
-        """Solve the cycle subproblem and return the input to apply now.
-
-        Row j of ``refs`` (n_pred, 3), ``lo`` and ``hi`` (constraint_window,
-        3) holds the (stance, swing, zmp) target and bounds at sample k+1+j.
-        Samples beyond the window follow the references only; the jerks are
-        boxed by ``config.jerk_limit``.
+        Row i of the state estimates ``X`` (2, 9), ``refs`` (2, n_pred, 3),
+        ``lo`` and ``hi`` (2, constraint_window, 3) belongs to axis i; row j
+        of an axis's window holds the (stance, swing, zmp) target and bounds
+        at sample k+1+j.  Samples beyond the window follow the references
+        only; the jerks are boxed by ``config.jerk_limit``.
         """
         pred = self.pred
-        r = _stacked_references(refs, pred.n_pred)
-        free = pred.phi @ np.asarray(x_est, float) + pred.phi_u @ self.u_prev
-        f = cost_gradient(self._GtW, self._UtW, free - r, self.u_prev)
-        b = condense_constraints(self.config, lo, hi, free, self.u_prev)
+        refs = np.asarray(refs, dtype=float)
+        if refs.shape != (N_AXES, pred.n_pred, N_OUTPUTS) or not np.isfinite(refs).all():
+            raise ValueError("references must be a finite (2, n_pred, 3) array")
+        free = np.matvec(pred.phi, np.asarray(X, float)) + np.matvec(pred.phi_u, self.u_prev)
+        F = cost_gradient(self._GtW, self._UtW, free - refs.reshape(N_AXES, -1), self.u_prev)
+        B = condense_constraints(self.config, lo, hi, free, self.u_prev)
 
         fac = self._factors
-        problem = QpProblem(H=fac.H, f=f, A_ineq=fac.A, b_ineq=b, factors=fac)
-        sol = self.solver.solve(problem, warm_start=self._warm)
-        iterations = sol.iterations
-        softened = False
-        if sol.status == STATUS_INFEASIBLE:
-            softened = True
-            relaxed = QpProblem(H=fac.H, f=f, A_ineq=fac.A, b_ineq=b, soft=self._output_rows,
-                                soft_penalty=self.config.soft_penalty, factors=self._soft_factors)
-            sol = self.solver.solve(relaxed, warm_start=self._warm)
-            iterations += sol.iterations
-            if sol.status == STATUS_INFEASIBLE:
-                raise ControllerFault("cycle subproblem infeasible even after softening outputs")
-        self._warm = sol.active_set if sol.status == STATUS_OPTIMAL else None
-
-        u = self.u_prev + sol.z[:N_INPUTS]
-        self.u_prev = u.copy()
-        info = ControlCycleInfo(
-            status=sol.status,
-            softened=softened,
-            objective=sol.objective,
-            iterations=iterations,
-            predicted_output=free[:N_OUTPUTS] + pred.gamma[:N_OUTPUTS] @ sol.z,
-        )
-        return u, info
+        sols, infos = [], []
+        for f, b, warm, y_free in zip(F, B, self._warm, free):
+            problem = QpProblem(H=fac.H, f=f, A_ineq=fac.A, b_ineq=b, factors=fac)
+            sol = self.solver.solve(problem, warm_start=warm)
+            iterations = sol.iterations
+            softened = sol.status == STATUS_INFEASIBLE
+            if softened:
+                relaxed = QpProblem(H=fac.H, f=f, A_ineq=fac.A, b_ineq=b, soft=self._output_rows,
+                                    soft_penalty=self.config.soft_penalty,
+                                    factors=self._soft_factors)
+                sol = self.solver.solve(relaxed, warm_start=warm)
+                iterations += sol.iterations
+                if sol.status == STATUS_INFEASIBLE:
+                    raise ControllerFault(
+                        "cycle subproblem infeasible even after softening outputs")
+            sols.append(sol)
+            infos.append(ControlCycleInfo(
+                status=sol.status,
+                softened=softened,
+                objective=sol.objective,
+                iterations=iterations,
+                predicted_output=y_free[:N_OUTPUTS] + pred.gamma[:N_OUTPUTS] @ sol.z,
+            ))
+        self._warm = [sol.active_set if sol.status == STATUS_OPTIMAL else None for sol in sols]
+        U = self.u_prev + np.array([sol.z[:N_INPUTS] for sol in sols])
+        self.u_prev = U.copy()
+        return U, tuple(infos)

@@ -319,18 +319,19 @@ class TestConstraintSchedule:
         engine = make_engine(params, timing)
         plan = straight_plan(2)
         engine.command_path(plan)
-        calls = {"x": [], "y": []}
-        for axis, ctrl in engine.controllers.items():
-            def step(x_est, refs, lo, hi, _orig=ctrl.control_step, _axis=axis):
-                calls[_axis].append((engine._timeline, engine._local_cycle(engine.k), lo, hi))
-                return _orig(x_est, refs, lo, hi)
-            ctrl.control_step = step
+        calls = []
+        ctrl = engine.controller
+
+        def step(X, refs, lo, hi, _orig=ctrl.control_step):
+            calls.append((engine._timeline, engine._local_cycle(engine.k), lo, hi))
+            return _orig(X, refs, lo, hi)
+        ctrl.control_step = step
         run_closed_loop(engine, 1 + N_INIT + N_SINGLE)
 
         cfg = engine.config
         hl, hw = params.foot_length / 2.0, params.foot_width / 2.0
         checked = 0
-        for (tl, local, lo_x, hi_x), (_, _, lo_y, hi_y) in zip(calls["x"], calls["y"]):
+        for tl, local, (lo_x, lo_y), (hi_x, hi_y) in calls:
             keys = [tl.phase(local + j) for j in range(1, cfg.constraint_window + 1)]
             if keys[0][0] != "single" or keys[-1][0] != "double":
                 continue
@@ -387,24 +388,37 @@ class TestConstraintSchedule:
     def test_constraint_matrix_fixed_across_cycles_and_phases(self, params, timing):
         engine = make_engine(params, timing)
         engine.command_path(straight_plan(2))
-        seen = {"x": [], "y": []}
-        original = {}
-        for axis, ctrl in engine.controllers.items():
-            original[axis] = ctrl.A.copy()
+        seen = []
+        ctrl = engine.controller
+        original = ctrl.A.copy()
 
-            def solve(problem, warm_start=None, _orig=ctrl.solver.solve, _axis=axis):
-                seen[_axis].append((problem.A_ineq, warm_start))
-                return _orig(problem, warm_start=warm_start)
-            ctrl.solver.solve = solve
+        def solve(problem, warm_start=None, _orig=ctrl.solver.solve):
+            seen.append((problem.A_ineq, warm_start))
+            return _orig(problem, warm_start=warm_start)
+        ctrl.solver.solve = solve
         log = run_closed_loop(engine, N_INIT + 2 * N_STEP)
         phases = {d.phase for d, _, _ in log}
         assert {WalkPhase.INITIALIZE, WalkPhase.SINGLE_SUPPORT,
                 WalkPhase.DOUBLE_SUPPORT} <= phases
-        for axis, ctrl in engine.controllers.items():
-            # Every solve sees the controller's one matrix, so a warm-start
-            # row index names the same (bound family, sample) every cycle.
-            assert all(A is ctrl.A for A, _ in seen[axis])
-            np.testing.assert_array_equal(ctrl.A, original[axis])
+        # Every solve of both axes sees the controller's one matrix, so a
+        # warm-start row index names the same (bound family, sample) every
+        # cycle.
+        assert all(A is ctrl.A for A, _ in seen)
+        np.testing.assert_array_equal(ctrl.A, original)
+
+    def test_qp_factored_once_per_engine(self, params, timing, monkeypatch):
+        # Both axes share one controller, so an engine factors its QP once,
+        # softened cycles included.
+        shapes = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+        engine = make_engine(params, timing)
+        y_x = engine.model.C @ engine.standing_state("x")
+        y_x[1] += 1.0   # the swing mass measured 1 m off softens the x axis
+        y_y = engine.model.C @ engine.standing_state("y")
+        softened = [engine.tick(y_x, y_y).softened for _ in range(3)]
+        assert (True, False) in softened
+        assert shapes == [(3 * engine.config.n_ctrl,) * 2]
 
 
 def record_schedule(monkeypatch):
@@ -414,9 +428,9 @@ def record_schedule(monkeypatch):
     ticks, passed = [], []
     tick, control_step = WalkEngine.tick, AxisController.control_step
 
-    def traced_step(ctrl, x_est, refs, lo, hi):
-        passed.append(np.stack([lo, hi], axis=1))
-        return control_step(ctrl, x_est, refs, lo, hi)
+    def traced_step(ctrl, X, refs, lo, hi):
+        passed.append(np.stack([lo, hi], axis=2))
+        return control_step(ctrl, X, refs, lo, hi)
 
     def traced_tick(engine, y_x, y_y):
         tl, local = engine._timeline, engine._local_cycle(engine.k)
@@ -427,7 +441,7 @@ def record_schedule(monkeypatch):
             expected.append(np.array([boxes[key] for key in keys]))
         frame = engine.frame_angle
         diag = tick(engine, y_x, y_y)
-        ticks.append((expected, passed[-2:], tl, tl.phase(local), frame, diag.support_feet))
+        ticks.append((expected, passed[-1], tl, tl.phase(local), frame, diag.support_feet))
         return diag
 
     monkeypatch.setattr(AxisController, "control_step", traced_step)
@@ -451,14 +465,12 @@ def assert_untouched(engine, before):
     same next cycle."""
     for name in ("k", "phase", "setpoints", "estimates", "feet", "mode"):
         np.testing.assert_equal(getattr(engine, name), getattr(before, name))
-    for axis in ("x", "y"):
-        gate, gate_ref = engine.gates[axis], before.gates[axis]
+    for gate, gate_ref in zip(engine.gates, before.gates):
         assert len(gate_ref.window) == gate_ref.window.maxlen
         np.testing.assert_equal(list(gate.window), list(gate_ref.window))
         assert gate.hold == gate_ref.hold
-        np.testing.assert_equal(engine.controllers[axis].u_prev,
-                                before.controllers[axis].u_prev)
-        assert engine.controllers[axis]._warm == before.controllers[axis]._warm
+    np.testing.assert_equal(engine.controller.u_prev, before.controller.u_prev)
+    assert engine.controller._warm == before.controller._warm
     # The next valid cycle is the one the untouched copy computes.
     y = engine.model.C @ engine.standing_state("x")
     diag, diag_ref = engine.tick(y, y), before.tick(y, y)
@@ -476,13 +488,17 @@ class TestMeasurementValidation:
         run_closed_loop(engine, N_INIT + 3)
         before = copy.deepcopy(engine)
         y = engine.model.C @ engine.standing_state("x")
+        bad_values = []
         for bad in (np.nan, np.inf, -np.inf):
             y_bad = y.copy()
             y_bad[2] = bad
-            with pytest.raises(ValueError):
-                engine.tick(y, y_bad)
-            with pytest.raises(ValueError):
-                engine.tick(y_bad, y)
+            bad_values.append(y_bad)
+        # Wrong shapes: a scalar would broadcast to all three outputs.
+        bad_values += [0.0, y[:2], np.append(y, 0.0)]
+        for y_bad in bad_values:
+            for pair in ((y, y_bad), (y_bad, y), (y_bad, y_bad)):
+                with pytest.raises(ValueError):
+                    engine.tick(*pair)
         assert_untouched(engine, before)
 
 

@@ -20,9 +20,10 @@ from triwalk.mpc import (
     ObserverConfig,
     PushGate,
     build_constraints,
-    build_cost,
     build_prediction,
     condense_constraints,
+    cost_gradient,
+    cost_matrices,
 )
 from triwalk.qp import STATUS_INFEASIBLE, STATUS_OPTIMAL, ActiveSetSolver, kkt_residual
 
@@ -40,6 +41,21 @@ def ssd(params):
 def constant_refs(n, stance=0.0, swing=0.0, zmp=0.0):
     """(n, 3) reference window in stacked output order."""
     return np.tile([float(stance), float(swing), float(zmp)], (n, 1))
+
+
+def cost(pred, refs, cfg, x, u_prev):
+    """One axis's cost ``1/2 z'Hz + f'z`` through the controller's path:
+    H from ``cost_matrices``, f from ``cost_gradient``."""
+    H, GtW, UtW = cost_matrices(pred, cfg)
+    free = pred.phi @ x + pred.phi_u @ u_prev
+    return H, cost_gradient(GtW, UtW, free - refs.ravel(), u_prev)
+
+
+def step_both(ctrl, x, refs, lo, hi):
+    """One ``control_step`` with the same one-axis subproblem on both axes;
+    returns the first axis's input and info."""
+    U, infos = ctrl.control_step(*(np.stack([a, a]) for a in (x, refs, lo, hi)))
+    return U[0], infos[0]
 
 
 class TestPrediction:
@@ -94,7 +110,7 @@ class TestCost:
         x = rng.normal(size=9)
         free = pred.phi @ x  # u_prev = 0
         refs = np.column_stack([free[0::3], free[1::3], free[2::3]])
-        H, f = build_cost(pred, refs, cfg, x, np.zeros(3))
+        H, f = cost(pred, refs, cfg, x, np.zeros(3))
         assert np.max(np.abs(f)) < 1e-9
         assert np.max(np.abs(np.linalg.solve(H, f))) < 1e-9
 
@@ -107,8 +123,8 @@ class TestCost:
         x = rng.normal(size=9)
         u_prev = rng.normal(size=3)
         refs = constant_refs(8, 0.1, -0.2, 0.05)
-        H1, f1 = build_cost(pred, refs, cfg, x, u_prev)
-        H2, f2 = build_cost(pred, refs, cfg2, x, u_prev)
+        H1, f1 = cost(pred, refs, cfg, x, u_prev)
+        H2, f2 = cost(pred, refs, cfg2, x, u_prev)
         np.testing.assert_allclose(H2, 2.0 * H1, rtol=1e-12)
         np.testing.assert_allclose(f2, 2.0 * f1, rtol=1e-12)
         np.testing.assert_allclose(np.linalg.solve(H2, f2), np.linalg.solve(H1, f1), atol=1e-10)
@@ -121,7 +137,7 @@ class TestCost:
         x = rng.normal(size=9)
         u_prev = rng.normal(size=3)
         refs = constant_refs(1, 0.02, -0.01, 0.03)
-        H, f = build_cost(pred, refs, cfg, x, u_prev)
+        H, f = cost(pred, refs, cfg, x, u_prev)
         W = np.diag([5.0, 7.0, 3.0])
         CB = ssd.C @ ssd.B
         Wu = np.diag([0.1, 0.2, 0.3])
@@ -221,7 +237,7 @@ class TestControlStep:
         refs = constant_refs(cfg.n_pred, 0.0, -0.05, 0.0)
         lo, hi = window_box(
             build_constraints(PHASE_STAND, (-0.05, 0.05), params, cfg, axis="x"), cfg)
-        u, info = ctrl.control_step(x, refs, lo, hi)
+        u, info = step_both(ctrl, x, refs, lo, hi)
         assert np.linalg.norm(u) < 1e-6
         assert info.status == "optimal"
 
@@ -234,7 +250,7 @@ class TestControlStep:
         x = np.zeros(9)
         zmp_row = ssd.C[2]
         for _ in range(100):  # 2 s of closed loop
-            u, _ = ctrl.control_step(x, refs, lo, hi)
+            u, _ = step_both(ctrl, x, refs, lo, hi)
             x = step_plant(ssd, x, u)
         assert abs(zmp_row @ x - target) < 2e-3
 
@@ -246,7 +262,7 @@ class TestControlStep:
         x = np.zeros(9)
         zmp_values = []
         for _ in range(150):
-            u, info = ctrl.control_step(x, refs, lo, hi)
+            u, info = step_both(ctrl, x, refs, lo, hi)
             x = step_plant(ssd, x, u)
             zmp_values.append(ssd.C[2] @ x)
         assert max(zmp_values) <= bound + 1e-8
@@ -258,17 +274,17 @@ class TestControlStep:
         refs = constant_refs(cfg.n_pred, 0.0, 0.0, 0.15)
         lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
         x = rng.normal(size=9) * 0.01
-        free = ctrl.pred.phi @ x + ctrl.pred.phi_u @ ctrl.u_prev
+        free = ctrl.pred.phi @ x + ctrl.pred.phi_u @ ctrl.u_prev[0]
         A = ctrl.A
-        b = condense_constraints(cfg, lo, hi, free, ctrl.u_prev)
-        u, info = ctrl.control_step(x, refs, lo, hi)
+        b = condense_constraints(cfg, lo, hi, free, ctrl.u_prev[0])
+        u, info = step_both(ctrl, x, refs, lo, hi)
         assert info.status == "optimal"
         dU = np.zeros(3 * cfg.n_ctrl)
         dU[:3] = u - 0.0  # u_prev was zero
         # Reconstruct the full decision from the solver through a fresh solve.
         ctrl2, _ = self.make_controller(ssd)
         from triwalk.qp import QpProblem
-        H, f = build_cost(ctrl2.pred, refs, cfg, x, np.zeros(3))
+        H, f = cost(ctrl2.pred, refs, cfg, x, np.zeros(3))
         sol = ctrl2.solver.solve(QpProblem(H=H, f=f, A_ineq=A, b_ineq=b))
         assert np.max(A @ sol.z - b) <= 1e-8
 
@@ -281,7 +297,7 @@ class TestControlStep:
         u_last = np.zeros(3)
         diffs = []
         for _ in range(120):
-            u, _ = ctrl.control_step(x, refs, lo, hi)
+            u, _ = step_both(ctrl, x, refs, lo, hi)
             x = step_plant(ssd, x, u)
             diffs.append(np.linalg.norm(u - u_last))
             u_last = u
@@ -293,7 +309,7 @@ class TestControlStep:
         refs = constant_refs(cfg.n_pred)
         lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
         x = make_state((0.0, 0.0, 1.0))  # swing mass far outside its corridor
-        u, info = ctrl.control_step(x, refs, lo, hi)
+        u, info = step_both(ctrl, x, refs, lo, hi)
         assert info.softened
         assert np.all(np.isfinite(u))
         assert np.all(np.abs(u) <= 1.0 + 1e-9)  # input rows stayed hard
@@ -306,8 +322,8 @@ class TestControlStep:
         solve = ctrl.solver.solve
         monkeypatch.setattr(ctrl.solver, "solve",
                             lambda *a, **kw: solutions.append(solve(*a, **kw)) or solutions[-1])
-        _, info = ctrl.control_step(make_state((0.0, 0.0, 1.0)), refs, lo, hi)
-        hard, relaxed = solutions
+        _, info = step_both(ctrl, make_state((0.0, 0.0, 1.0)), refs, lo, hi)
+        hard, relaxed, _, _ = solutions   # two solves per axis
         assert info.softened and hard.status == STATUS_INFEASIBLE
         assert relaxed.status == STATUS_OPTIMAL
         assert hard.iterations > 0 and relaxed.iterations > 0
@@ -328,11 +344,12 @@ class TestControlStep:
         cycles, iterations = [], 0
         for _ in range(4):
             start = len(calls)
-            u, info = ctrl.control_step(x, constant_refs(cfg.n_pred), lo, hi)
+            U, infos = ctrl.control_step(*(np.stack([a, a]) for a in
+                                           (x, constant_refs(cfg.n_pred), lo, hi)))
             cycles.append(calls[start:])
-            iterations += info.iterations
-            x = step_plant(ssd, x, u)
-        assert [len(c) for c in cycles] == [2, 2, 2, 1]
+            iterations += sum(info.iterations for info in infos)
+            x = step_plant(ssd, x, U[0])
+        assert [len(c) for c in cycles] == [4, 4, 4, 2]   # both axes
         assert cycles[3][0][2].status == STATUS_OPTIMAL
         for prev, cur in zip(cycles, cycles[1:]):
             seed = prev[-1][2].active_set
@@ -369,7 +386,7 @@ class TestControlStep:
         x = np.zeros(9)
         iterations = 0
         for _ in range(50):
-            u, info = ctrl.control_step(x, refs, lo, hi)
+            u, info = step_both(ctrl, x, refs, lo, hi)
             assert info.status == "optimal"
             iterations += info.iterations
             x = step_plant(ssd, x, u)
@@ -381,10 +398,61 @@ class TestControlStep:
         soft = AxisController(ssd, cfg)
         lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
         for _ in range(2):
-            _, info = soft.control_step(make_state((0.0, 0.0, 1.0)), constant_refs(cfg.n_pred),
+            _, info = step_both(soft, make_state((0.0, 0.0, 1.0)), constant_refs(cfg.n_pred),
                                         lo, hi)
             assert info.softened
         assert len(shapes) == 2
+
+
+class TestTwoAxes:
+    """Row i of every (2, ...) array is axis i, computed exactly as a
+    one-axis call computes it."""
+
+    def test_helpers_match_per_row_calls_bitwise(self, ssd):
+        rng = np.random.default_rng(51)
+        cfg = MpcConfig()
+        _, GtW, UtW = cost_matrices(build_prediction(ssd, cfg), cfg)
+        err, free = rng.normal(size=(2, 2, 3 * cfg.n_pred))
+        u_prev = rng.normal(size=(2, 3))
+        lo = rng.normal(size=(2, cfg.constraint_window, 3)) - 1.0
+        hi = lo + 2.0
+        F = cost_gradient(GtW, UtW, err, u_prev)
+        B = condense_constraints(cfg, lo, hi, free, u_prev)
+        assert F.shape == (2, 3 * cfg.n_ctrl) and B.shape == (2, len(B[0]))
+        for i in range(2):
+            f = cost_gradient(GtW, UtW, err[i], u_prev[i])
+            np.testing.assert_array_equal(F[i], f)
+            # The matrix-vector products a one-axis controller would take.
+            np.testing.assert_array_equal(
+                f, 2.0 * (GtW @ err[i] + UtW @ np.tile(u_prev[i], cfg.n_pred)))
+            np.testing.assert_array_equal(
+                B[i], condense_constraints(cfg, lo[i], hi[i], free[i], u_prev[i]))
+
+    def test_swapping_axes_swaps_results(self, ssd, params):
+        # Axis 0 carries a torso pushed at 3 m/s and softens for three
+        # cycles; axis 1 tracks a ZMP offset in double support.
+        cfg = MpcConfig()
+        single = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        double = window_box(
+            build_constraints(PHASE_DOUBLE, (-0.1, 0.1), params, cfg, axis="x"), cfg)
+        lo, hi = (np.stack(pair) for pair in zip(single, double))
+        refs = np.stack([constant_refs(cfg.n_pred), constant_refs(cfg.n_pred, 0.0, 0.0, 0.05)])
+        X = np.stack([make_state((0.1, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 50.0, 0.0)),
+                      np.zeros(9)])
+        ctrl, swapped = AxisController(ssd, cfg), AxisController(ssd, cfg)
+        softened = []
+        for _ in range(5):
+            U, infos = ctrl.control_step(X, refs, lo, hi)
+            U_s, infos_s = swapped.control_step(X[::-1], refs[::-1], lo[::-1], hi[::-1])
+            np.testing.assert_array_equal(U_s, U[::-1])
+            for a, b in zip(infos, infos_s[::-1]):
+                assert (a.status, a.softened, a.objective, a.iterations) == (
+                    b.status, b.softened, b.objective, b.iterations)
+                np.testing.assert_array_equal(a.predicted_output, b.predicted_output)
+            assert swapped._warm == ctrl._warm[::-1]
+            softened.append(tuple(info.softened for info in infos))
+            X = np.stack([step_plant(ssd, x, u) for x, u in zip(X, U)])
+        assert softened == [(True, False)] * 3 + [(False, False)] * 2
 
 
 class TestObserver:

@@ -427,8 +427,8 @@ class TestLargeSoftenedSolves:
     def test_softened_solve_is_optimal(self, controller, velocities, accelerations):
         ctrl, lo, hi = controller
         free = ctrl.pred.phi @ make_state((0.1, 0.0, 0.0), velocities, accelerations)
-        f = cost_gradient(ctrl._GtW, ctrl._UtW, free, ctrl.u_prev)
-        b = condense_constraints(ctrl.config, lo, hi, free, ctrl.u_prev)
+        f = cost_gradient(ctrl._GtW, ctrl._UtW, free, ctrl.u_prev[0])
+        b = condense_constraints(ctrl.config, lo, hi, free, ctrl.u_prev[0])
         H = ctrl._factors.H
         hard = ActiveSetSolver().solve(QpProblem(H=H, f=f, A_ineq=ctrl.A, b_ineq=b))
         assert hard.status == STATUS_INFEASIBLE

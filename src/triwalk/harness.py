@@ -31,6 +31,7 @@ from .footstep import (
     plan_footsteps,
 )
 from .mpc import ControllerFault, MpcConfig, ObserverConfig
+from .qp import STATUS_OPTIMAL
 from .refgen import GaitTiming
 
 
@@ -201,6 +202,7 @@ class RunMetrics:
     fault: str | None
     softened_cycles: int = 0      # axis control steps solved softened, both axes summed
     qp_iterations: int = 0        # QP iterations of both axes, softened fallbacks included
+    nonoptimal_cycles: int = 0    # axis control steps whose final QP status is not optimal
     torso_sway_scores: tuple[float, ...] = ()   # per single-support phase, >0 when
                                                 # the torso leans toward the support
     trace: Trace | None = None
@@ -368,7 +370,8 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None,
     u, out = np.empty((n, 2, 3)), np.empty((n, 2, 3))
     meas, pred, zmp, torso = (np.empty((n, 2)) for _ in range(4))
     refs, excursion = np.empty((n, 6)), np.empty(n)
-    qp_counts = np.empty((n, 2), dtype=np.int64)   # per cycle: softened axes, QP iterations
+    # Per cycle: softened axes, QP iterations, axes whose final status is not optimal.
+    qp_counts = np.empty((n, 3), dtype=np.int64)
     tags = []   # per cycle: phase, QP statuses, support feet, swing target, step index
     fault = fall_time = None
     consecutive = 0
@@ -382,7 +385,8 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None,
         out[k], zmp[k], meas[k] = sim.outputs, sim.zmp_true, sim.measured[:, 2]
         pred[k], torso[k] = diag.zmp_pred, (sim.plant["x"][3], sim.plant["y"][3])
         refs[k] = np.concatenate([diag.refs.zmp, diag.refs.stance_mass, diag.refs.swing_mass])
-        qp_counts[k] = sum(diag.softened), sum(diag.qp_iterations)
+        qp_counts[k] = (sum(diag.softened), sum(diag.qp_iterations),
+                        sum(status != STATUS_OPTIMAL for status in diag.qp_status))
         tags.append((diag.phase.value, diag.qp_status, diag.support_feet, diag.swing_target,
                      diag.step_index))
         excursion[k] = support_excursion(sim.zmp_true, diag.support_feet)
@@ -430,6 +434,7 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None,
         fault=fault,
         softened_cycles=int(qp_counts[:n, 0].sum()),
         qp_iterations=int(qp_counts[:n, 1].sum()),
+        nonoptimal_cycles=int(qp_counts[:n, 2].sum()),
         torso_sway_scores=tuple(sway),
         trace=trace,
     )

@@ -14,7 +14,7 @@ state from its three measured outputs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -75,6 +75,10 @@ class MpcConfig:
     n_constrained: int | None = None
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not np.isfinite(value).all():
+                raise ValueError(f"{f.name} must be finite")
         if not 1 <= self.n_ctrl <= self.n_pred:
             raise ValueError("need 1 <= n_ctrl <= n_pred")
         if self.n_constrained is not None and not 1 <= self.n_constrained <= self.n_pred:
@@ -89,6 +93,10 @@ class MpcConfig:
             raise ValueError("jerk_limit and soft_penalty must be positive")
         if self.zmp_margin < 0.0:
             raise ValueError("zmp_margin must be nonnegative")
+        if self.swing_reach <= 0.0:
+            raise ValueError("swing_reach must be positive")
+        if not 0.0 <= self.swing_band[0] < self.swing_band[1]:
+            raise ValueError("swing_band must satisfy 0 <= low < high")
 
     @property
     def constraint_window(self) -> int:
@@ -416,8 +424,40 @@ class ControlCycleInfo:
     status: str
     softened: bool
     objective: float
-    iterations: int                # QP iterations, the failed hard solve's included
+    iterations: int                # QP iterations of the solves that ran: the
+                                   # softened fallback's, plus the failed hard
+                                   # solve's unless a certificate skipped it
     predicted_output: np.ndarray   # first predicted sample (stance, swing, zmp)
+
+
+class _Certificate:
+    """A hard cycle's Farkas certificate, kept to prove later cycles
+    infeasible without solving them.
+
+    ``y`` >= 0 weighs the constraint ``rows``.  ``A`` is fixed, so for any
+    cycle's ``b``, every z with ``A z <= b`` satisfies ``b'y >= (A'y)'z``.
+    The hard jerk rows bound every such z: |z_j| <= lim + |u_prev,i| on the
+    first move of input i and <= 2 lim on every later move.  So
+    ``b'y < -sum_j |(A'y)_j| zbar_j`` proves the cycle infeasible.  ``|A'y|``
+    is widened by the rounding of its own products and ``b'y`` by that of the
+    dot product, so a verdict never rests on rounding.
+    """
+
+    def __init__(self, A: np.ndarray, rows, y: np.ndarray, jerk_limit: float):
+        self.rows = np.asarray(rows)
+        self.y = y
+        self.ulps = (len(rows) + A.shape[1]) * np.finfo(float).eps
+        AW = A[self.rows]
+        slope = np.abs(y @ AW) + self.ulps * (y @ np.abs(AW))
+        self.lim = jerk_limit
+        self.first = slope[:N_INPUTS]
+        self.later = 2.0 * jerk_limit * float(slope[N_INPUTS:].sum())
+
+    def proves_infeasible(self, b: np.ndarray, u_prev: np.ndarray) -> bool:
+        """True when no z satisfies ``A z <= b`` given the held input ``u_prev``."""
+        bw = b[self.rows]
+        bound = (self.first @ (self.lim + np.abs(u_prev)) + self.later) * (1.0 + self.ulps)
+        return float(bw @ self.y) + self.ulps * float(np.abs(bw) @ self.y) < -bound
 
 
 class AxisController:
@@ -435,6 +475,19 @@ class AxisController:
     cycle's active set, and the next cycle seeds its hard solve and, if that
     is infeasible, its softened fallback with it (the hard solve skips the
     slack rows).
+
+    ``A`` being fixed also lets an infeasible hard solve speak for later
+    cycles.  Each axis keeps the Farkas certificate of its last infeasible
+    hard solve (``QpSolution.certificate``).  Before the next hard solve of
+    that axis, the certificate is tested against the new ``b``
+    (``_Certificate``): bᵀy < −Σ|(Aᵀy)_j|·z̄_j, with z̄ bounding |z| through
+    the hard jerk rows (``jerk_limit`` + |u_prev,i| on the first move of input
+    i, 2·``jerk_limit`` on every later one) and a rounding allowance.  If it
+    holds, no z meets the hard rows, and the axis goes straight to its
+    softened fallback with the same warm set; the skipped solve would have
+    returned infeasible, and the fallback does not depend on it, so the
+    command is the same.  Otherwise the hard solve runs, and an infeasible
+    one replaces the certificate.
     """
 
     def __init__(self, ss: StateSpace, config: MpcConfig):
@@ -446,6 +499,7 @@ class AxisController:
         self.A = self._factors.A
         # The softened fallback relaxes every output row; jerk rows stay hard.
         self._output_rows = np.arange(self.A.shape[0]) < 2 * N_OUTPUTS * config.constraint_window
+        self._certificates: list[_Certificate | None] = [None] * N_AXES
         self.reset()
 
     @cached_property
@@ -455,7 +509,8 @@ class AxisController:
 
     def reset(self, u_prev=None) -> None:
         """Hold ``u_prev`` (2, 3), zero by default, and drop both warm
-        starts (after a frame rotation their rows bound other directions)."""
+        starts (after a frame rotation their rows bound other directions).
+        The certificates stay: their test holds for any ``b`` and ``u_prev``."""
         self.u_prev = (np.zeros((N_AXES, N_INPUTS)) if u_prev is None
                        else np.array(u_prev, dtype=float))
         self._warm: list[tuple[int, ...] | None] = [None] * N_AXES
@@ -470,6 +525,14 @@ class AxisController:
         of an axis's window holds the (stance, swing, zmp) target and bounds
         at sample k+1+j.  Samples beyond the window follow the references
         only; the jerks are boxed by ``config.jerk_limit``.
+
+        Every axis applies its last solve's first move, whatever its status.
+        On ``STATUS_MAX_ITERATIONS`` (iteration cap or KKT gate missed) that
+        is the solver's last iterate: it meets the working-set rows and may
+        violate others.  The cycle reports the status, the axis's warm set is
+        dropped so the next cycle starts cold, and ``RunMetrics`` counts the
+        cycle in ``nonoptimal_cycles``.  Only a softened fallback that is
+        still infeasible raises ``ControllerFault``.
         """
         pred = self.pred
         refs = np.asarray(refs, dtype=float)
@@ -481,11 +544,18 @@ class AxisController:
 
         fac = self._factors
         sols, infos = [], []
-        for f, b, warm, y_free in zip(F, B, self._warm, free):
-            problem = QpProblem(H=fac.H, f=f, A_ineq=fac.A, b_ineq=b, factors=fac)
-            sol = self.solver.solve(problem, warm_start=warm)
-            iterations = sol.iterations
-            softened = sol.status == STATUS_INFEASIBLE
+        for axis, (f, b, warm, y_free) in enumerate(zip(F, B, self._warm, free)):
+            cert = self._certificates[axis]
+            iterations = 0
+            softened = cert is not None and cert.proves_infeasible(b, self.u_prev[axis])
+            if not softened:
+                sol = self.solver.solve(QpProblem(H=fac.H, f=f, A_ineq=fac.A, b_ineq=b,
+                                                  factors=fac), warm_start=warm)
+                iterations = sol.iterations
+                softened = sol.status == STATUS_INFEASIBLE
+                if softened:
+                    self._certificates[axis] = _Certificate(fac.A, *sol.certificate,
+                                                            self.config.jerk_limit)
             if softened:
                 relaxed = QpProblem(H=fac.H, f=f, A_ineq=fac.A, b_ineq=b, soft=self._output_rows,
                                     soft_penalty=self.config.soft_penalty,

@@ -27,6 +27,14 @@ appending a row extends R by one row, and dropping one deletes its row of R
 and re-triangularises the rows below it.  No refinement pass runs between
 steps: the final working set is re-solved once (``_polish``) and the KKT
 gate checks the result.
+
+A hard problem is infeasible exactly when the violated row p that the loop
+tries to add depends on the working set and no working-set multiplier blocks
+the dual step (Goldfarb & Idnani, Math. Prog. 1983): the step is then
+unbounded.  Its direction is a Farkas certificate, which the solution returns:
+y >= 0 on the rows W + [p] with ``A'y`` zero up to rounding and ``b'y`` < 0.
+It involves only ``A`` and ``b``, so a caller whose ``A`` is fixed can test it
+against a later ``b`` in O(|y|) without solving.
 """
 
 from __future__ import annotations
@@ -215,6 +223,13 @@ class QpSolution:
     their own indices, and appends the slack bounds at m and above.  So a hard
     active set names the same rows in the softened problem, and a hard problem
     seeded with a softened active set ignores its slack rows.
+
+    ``certificate`` is ``(rows, y)`` when the status is ``STATUS_INFEASIBLE``
+    and ``None`` otherwise: ``rows`` are the working set W followed by the
+    violated row p (indices like ``active_set``) and ``y`` = (max(e, 0), 1),
+    with e the working-set multiplier change per unit step on p.  So y >= 0,
+    ``A[rows]' y`` vanishes up to rounding and ``b[rows] @ y`` is negative:
+    about minus the violation of row p.
     """
 
     z: np.ndarray
@@ -224,6 +239,7 @@ class QpSolution:
     active_set: tuple[int, ...] = ()
     iterations: int = 0
     slacks: np.ndarray | None = None
+    certificate: tuple[tuple[int, ...], np.ndarray] | None = None
 
 
 def _forward(R, k: int, v: np.ndarray) -> np.ndarray:
@@ -315,6 +331,7 @@ class ActiveSetSolver:
 
         iterations = 0
         status = STATUS_OPTIMAL
+        certificate = None
         resid = A @ z - b            # kept current with z
         if m > 0:
             while True:
@@ -368,6 +385,7 @@ class ActiveSetSolver:
                     t = min(t_full, t_block)
                     if not np.isfinite(t):
                         status = STATUS_INFEASIBLE
+                        certificate = (tuple(W) + (p,), np.append(np.maximum(e, 0.0), 1.0))
                         break
                     z = z + t * d
                     lam[:k] += t * e
@@ -410,6 +428,7 @@ class ActiveSetSolver:
             active_set=tuple(W),
             iterations=iterations,
             slacks=None if fac.slack_scale is None else z[n_orig:] / fac.slack_scale,
+            certificate=certificate,
         )
 
     @staticmethod

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from triwalk import mpc
 from triwalk.engine import SupportFoot
 from triwalk.harness import (
     BracketError,
@@ -23,6 +24,7 @@ from triwalk.harness import (
     tracking_scenario,
     with_impulse,
 )
+from triwalk.qp import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL
 
 
 class TestNoiseSample:
@@ -124,6 +126,9 @@ class TestScenarioJson:
     @pytest.mark.parametrize("path, value", [
         (("duration",), math.nan), (("duration",), math.inf), (("noise", "bound"), 0.0),
         (("noise", "bound"), -0.05), (("n_fall",), -1),
+        (("config", "jerk_limit"), math.nan), (("config", "jerk_limit"), math.inf),
+        (("config", "soft_penalty"), math.nan), (("config", "w_zmp"), math.nan),
+        (("config", "swing_reach"), -0.1), (("config", "swing_band"), [0.3, 0.05]),
     ])
     def test_scenario_values_checked(self, path, value):
         data = json.loads(json.dumps(tracking_scenario(noise=True).to_json()))
@@ -232,6 +237,26 @@ class TestSimulation:
         assert m.softened_cycles == sum(sum(d.softened) for d in diags)
         assert m.qp_iterations == sum(sum(d.qp_iterations) for d in diags)
         assert m.summary()["softened_cycles"] == 50
+
+    def test_max_iterations_cycles_counted(self, monkeypatch):
+        # Capped at one iteration, the hard solve of every cycle that needs a
+        # second active row ends on max_iterations.  Its iterate is applied,
+        # the status reported, the axis's warm set dropped, and the run
+        # counts the cycle.
+        monkeypatch.setattr(mpc, "_QP_MAX_ITER", 1)
+        sc = tracking_scenario(n_steps=1, duration=2.0)
+        sim = Simulation(sc)
+        capped = 0
+        for _ in range(sim.n_cycles):
+            diag = sim.step()
+            for axis, status in enumerate(diag.qp_status):
+                if status != STATUS_OPTIMAL:
+                    assert status == STATUS_MAX_ITERATIONS and diag.qp_iterations[axis] == 1
+                    assert sim.engine.controller._warm[axis] is None
+                    capped += 1
+        m = run(sc)
+        assert capped > 0 and m.nonoptimal_cycles == capped
+        assert m.summary()["nonoptimal_cycles"] == capped
 
     def test_unsorted_schedule_runs_as_sorted(self):
         entries = ((1.0, 0.1, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (1.6, 0.1, 0.02, 5.0))

@@ -2,14 +2,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triwalk.dynamics import (
+    N_INPUTS,
     ThreeMassParams,
     build_continuous,
     discretize,
     make_state,
     step_plant,
 )
+from triwalk import mpc
 from triwalk.mpc import (
     PHASE_DOUBLE,
     PHASE_SINGLE,
@@ -25,7 +29,13 @@ from triwalk.mpc import (
     cost_gradient,
     cost_matrices,
 )
-from triwalk.qp import STATUS_INFEASIBLE, STATUS_OPTIMAL, ActiveSetSolver, kkt_residual
+from triwalk.qp import (
+    STATUS_INFEASIBLE,
+    STATUS_OPTIMAL,
+    ActiveSetSolver,
+    QpProblem,
+    kkt_residual,
+)
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +232,18 @@ class TestConstraints:
             build_constraints(PHASE_SINGLE, 0.0, params, MpcConfig(), axis="y")
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("jerk_limit", np.nan), ("jerk_limit", np.inf), ("soft_penalty", np.nan),
+        ("w_zmp", np.nan), ("w_jerk", (1e-4, np.inf, 1e-4)), ("ts", np.nan),
+        ("zmp_bias", -np.inf), ("swing_reach", -0.1), ("swing_reach", 0.0),
+        ("swing_band", (0.30, 0.05)), ("swing_band", (-0.01, 0.30)), ("swing_band", (0.1, 0.1)),
+    ])
+    def test_non_finite_or_inverted_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MpcConfig(**{field: value})
+
+
 class TestControlStep:
     def make_controller(self, ssd, **kwargs):
         # Bounds over the whole prediction horizon.
@@ -332,24 +354,30 @@ class TestControlStep:
     def test_warm_start_carries_through_a_softened_streak(self, ssd, params, monkeypatch):
         # A torso pushed at 3 m/s makes three cycles in a row infeasible; the
         # fourth is feasible again.  Every solve is seeded with the previous
-        # cycle's active set, softened or not.
+        # cycle's active set, softened or not.  The first cycle's infeasible
+        # hard solves leave certificates that prove the next two cycles
+        # infeasible, so those cycles run their softened fallbacks only.
         cfg = MpcConfig()
         ctrl = AxisController(ssd, cfg)
         lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
-        calls = []
+        calls, rhs = [], []
         solve = ctrl.solver.solve
         monkeypatch.setattr(ctrl.solver, "solve", lambda problem, warm_start=None: calls.append(
             (problem, warm_start, solve(problem, warm_start=warm_start))) or calls[-1][2])
+        condense = mpc.condense_constraints
+        monkeypatch.setattr(mpc, "condense_constraints",
+                            lambda *args: rhs.append(condense(*args)) or rhs[-1])
         x = make_state((0.1, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 50.0, 0.0))
         cycles, iterations = [], 0
         for _ in range(4):
             start = len(calls)
             U, infos = ctrl.control_step(*(np.stack([a, a]) for a in
                                            (x, constant_refs(cfg.n_pred), lo, hi)))
+            assert all(info.softened for info in infos) == (len(cycles) < 3)
             cycles.append(calls[start:])
             iterations += sum(info.iterations for info in infos)
             x = step_plant(ssd, x, U[0])
-        assert [len(c) for c in cycles] == [4, 4, 4, 2]   # both axes
+        assert [len(c) for c in cycles] == [4, 2, 2, 2]   # both axes
         assert cycles[3][0][2].status == STATUS_OPTIMAL
         for prev, cur in zip(cycles, cycles[1:]):
             seed = prev[-1][2].active_set
@@ -357,7 +385,15 @@ class TestControlStep:
             # Both the hard solve and the softened fallback start from it.
             assert all(warm == seed for _, warm, _ in cur)
 
+        # Every skipped hard problem is infeasible: a cold solve proves it.
         cold_iterations = 0
+        for cycle, B in zip(cycles[1:3], rhs[1:3]):
+            for (relaxed, _, _), b in zip(cycle, B):
+                assert relaxed.soft is not None
+                cold = ActiveSetSolver().solve(
+                    QpProblem(H=relaxed.H, f=relaxed.f, A_ineq=ctrl.A, b_ineq=b))
+                assert cold.status == STATUS_INFEASIBLE
+                cold_iterations += cold.iterations
         for problem, _, sol in (call for cycle in cycles for call in cycle):
             cold = ActiveSetSolver().solve(problem)
             cold_iterations += cold.iterations
@@ -368,7 +404,8 @@ class TestControlStep:
             assert kkt_residual(problem, sol.z) <= 1e-8 * scale
             assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
             np.testing.assert_allclose(sol.z, cold.z, atol=1e-5)
-        # Cold solves of the same problems are what a cleared warm start costs.
+        # Cold solves of the same problems, the skipped ones included, are
+        # what a cleared warm start and no certificate cost.
         assert iterations < cold_iterations
 
     def test_qp_factored_once_per_controller(self, ssd, params, monkeypatch):
@@ -402,6 +439,92 @@ class TestControlStep:
                                         lo, hi)
             assert info.softened
         assert len(shapes) == 2
+
+
+class TestCertificate:
+    """A certificate's verdict on the controller's own ``A`` and jerk box."""
+
+    @pytest.fixture(scope="class")
+    def streak(self, ssd, params):
+        """The three infeasible cycles of the softened-streak push, recorded
+        as ``condense_constraints`` arguments of axis 0, with the certificate
+        the first cycle leaves."""
+        cfg = MpcConfig()
+        ctrl = AxisController(ssd, cfg)
+        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        x = make_state((0.1, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 50.0, 0.0))
+        cycles, cert = [], None
+        for _ in range(3):
+            cycles.append((lo, hi, ctrl.pred.phi @ x + ctrl.pred.phi_u @ ctrl.u_prev[0],
+                           ctrl.u_prev[0].copy()))
+            U, infos = ctrl.control_step(*(np.stack([a, a]) for a in
+                                           (x, constant_refs(cfg.n_pred), lo, hi)))
+            assert infos[0].softened
+            cert = cert or ctrl._certificates[0]
+            x = step_plant(ssd, x, U[0])
+        assert cert is not None and np.all(cert.y >= 0.0)
+        return ctrl, cycles, cert
+
+    def test_infeasible_verdicts_agree_with_cold_solves(self, streak):
+        # Widen a recorded cycle's output box by ``reach`` times the width at
+        # which b'y reaches zero, move its free response and held input, and
+        # ask the certificate.  Every "infeasible" must survive a cold solve.
+        ctrl, cycles, cert = streak
+        cfg, H = ctrl.config, ctrl._factors.H
+        out_rows = ctrl._output_rows[cert.rows]
+        assert cert.y[out_rows].sum() > 0.0
+        verdicts = set()
+
+        @settings(max_examples=40, deadline=None)
+        @given(cycle=st.integers(0, len(cycles) - 1), reach=st.floats(0.0, 1.5),
+               noise=st.floats(0.0, 0.02), du=st.floats(0.0, 0.5 * cfg.jerk_limit),
+               seed=st.integers(0, 2**32 - 1))
+        def check(cycle, reach, noise, du, seed):
+            lo, hi, free, u_prev = cycles[cycle]
+            rng = np.random.default_rng(seed)
+            b = condense_constraints(cfg, lo, hi, free, u_prev)
+            width = -(b[cert.rows] @ cert.y) / cert.y[out_rows].sum()
+            free = free + noise * rng.standard_normal(free.shape)
+            u_prev = u_prev + du * rng.uniform(-1.0, 1.0, 3)
+            b = condense_constraints(cfg, lo - reach * width, hi + reach * width, free, u_prev)
+            proved = cert.proves_infeasible(b, u_prev)
+            verdicts.add(proved)
+            if proved:
+                cold = ActiveSetSolver().solve(
+                    QpProblem(H=H, f=np.zeros(H.shape[0]), A_ineq=ctrl.A, b_ineq=b))
+                assert cold.status == STATUS_INFEASIBLE
+
+        check()
+        assert verdicts == {True, False}
+
+    @settings(max_examples=60, deadline=None)
+    @given(kappa=st.floats(0.0, 2.0), u_prev=st.lists(st.floats(-1.0, 1.0), min_size=3,
+                                                      max_size=3))
+    def test_one_row_verdict_needs_the_whole_jerk_box(self, streak, kappa, u_prev):
+        # Any y >= 0 is a valid test direction.  With y on row 0 alone (the
+        # ZMP's upper bound at the next sample, which only the first move
+        # reaches) and a loose box elsewhere, the verdict must allow every
+        # first move the jerk rows allow, |z_i| <= lim + |u_prev,i|, before
+        # it declares the row unreachable.  ``kappa`` sets b_0 = -kappa times
+        # that bound; u_prev is drawn within the jerk box.
+        ctrl = streak[0]
+        cfg, H = ctrl.config, ctrl._factors.H
+        u_prev = cfg.jerk_limit * np.array(u_prev)
+        a = ctrl.A[0]
+        assert np.all(a[N_INPUTS:] == 0.0)
+        reach = np.abs(a[:N_INPUTS]) @ (cfg.jerk_limit + np.abs(u_prev))
+        hi = np.full((cfg.constraint_window, 3), 10.0)
+        hi[0, 2] = -kappa * reach
+        lo = np.full_like(hi, -10.0)
+        b = condense_constraints(cfg, lo, hi, np.zeros(3 * cfg.n_pred), u_prev)
+        cert = mpc._Certificate(ctrl.A, (0,), np.ones(1), cfg.jerk_limit)
+        proved = cert.proves_infeasible(b, u_prev)
+        if kappa > 1.0 + 1e-9:
+            assert proved
+        if proved:
+            cold = ActiveSetSolver().solve(
+                QpProblem(H=H, f=np.zeros(H.shape[0]), A_ineq=ctrl.A, b_ineq=b))
+            assert cold.status == STATUS_INFEASIBLE
 
 
 class TestTwoAxes:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from triwalk.qp import (
     STATUS_INFEASIBLE,
+    STATUS_MAX_ITERATIONS,
     STATUS_OPTIMAL,
     ActiveSetSolver,
     ControlSolverError,
@@ -85,6 +86,50 @@ class TestBasics:
         p.b_ineq -= 2.0  # push several constraints active
         sol = ActiveSetSolver(max_iter=1).solve(p)
         assert sol.status != STATUS_OPTIMAL
+
+
+class TestCertificate:
+    """An infeasible solve returns y >= 0 on rows W + [p] with A'y ~ 0 and
+    b'y < 0; every other solve returns no certificate."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_infeasible_solve_returns_a_farkas_certificate(self, solver, seed):
+        rng = np.random.default_rng(2000 + seed)
+        p = random_problem(rng, n=5, m=8)
+        # k rows whose weighted sum vanishes, with a right-hand side short of
+        # any common point by ``gap``.
+        k = int(rng.integers(2, 6))
+        C = rng.normal(size=(k, 5))
+        w = rng.uniform(0.5, 2.0, size=k)
+        C[-1] = -(w[:-1] @ C[:-1]) / w[-1]
+        c = C @ rng.normal(size=5) + rng.uniform(0.0, 1.0, size=k)
+        gap = rng.uniform(0.01, 1.0)
+        c[-1] -= (w @ c + gap) / w[-1]
+        A, b = np.vstack([p.A_ineq, C]), np.concatenate([p.b_ineq, c])
+        sol = solver.solve(QpProblem(H=p.H, f=p.f, A_ineq=A, b_ineq=b))
+        assert sol.status == STATUS_INFEASIBLE
+        rows, y = sol.certificate
+        rows = list(rows)
+        assert len(rows) == len(set(rows)) == y.size
+        assert np.all(y >= 0.0) and y[-1] == 1.0
+        assert b[rows] @ y < 0.0
+        assert np.max(np.abs(y @ A[rows])) <= 1e-9 * np.max(y @ np.abs(A[rows]))
+
+    def test_one_row_infeasibility(self, solver):
+        p = QpProblem(H=np.eye(1), f=np.zeros(1),
+                      A_ineq=np.array([[1.0], [-1.0]]), b_ineq=np.array([0.0, -1.0]))
+        rows, y = solver.solve(p).certificate
+        assert sorted(rows) == [0, 1]
+        np.testing.assert_array_equal(y, [1.0, 1.0])
+
+    def test_no_certificate_unless_infeasible(self, solver):
+        rng = np.random.default_rng(3)
+        p = random_problem(rng, n=6, m=12)
+        optimal = solver.solve(p)
+        assert optimal.status == STATUS_OPTIMAL and optimal.certificate is None
+        p.b_ineq -= 2.0  # push several constraints active
+        capped = ActiveSetSolver(max_iter=1).solve(p)
+        assert capped.status == STATUS_MAX_ITERATIONS and capped.certificate is None
 
 
 class TestAgainstEnumeration:

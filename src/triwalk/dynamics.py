@@ -175,19 +175,21 @@ def step_plant(ss: StateSpace, x: np.ndarray, u: np.ndarray,
                extra_accel: np.ndarray | None = None) -> np.ndarray:
     """Advance the discrete plant one cycle and inject optional disturbance.
 
-    ``extra_accel`` is added to the acceleration entry of each mass after the
-    nominal update (force disturbances enter as F/m during impact windows).
+    ``x`` (..., 9) and ``u`` (..., 3) may carry a leading axis dimension; each
+    row steps bitwise as a one-axis call.  ``extra_accel``, shaped like ``u``,
+    is added to the acceleration entry of each mass after the nominal update
+    (force disturbances enter as F/m during impact windows).
     """
     if not ss.is_discrete:
         raise ValueError("step_plant requires a discrete state space")
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if x.shape != (N_STATES,) or u.shape != (N_INPUTS,):
-        raise ValueError("state must have 9 entries and input 3 entries")
-    x_next = ss.A @ x + ss.B @ u
+    if x.shape[-1:] != (N_STATES,) or u.shape != x.shape[:-1] + (N_INPUTS,):
+        raise ValueError("state must have 9 entries and input 3 entries per axis")
+    x_next = np.matvec(ss.A, x) + np.matvec(ss.B, u)
     if extra_accel is not None:
         extra = np.asarray(extra_accel, dtype=float)
-        if extra.shape != (N_INPUTS,):
-            raise ValueError("extra_accel must hold three values")
-        x_next[list(ACC_SLOTS)] += extra
+        if extra.shape != u.shape:
+            raise ValueError("extra_accel must have the shape of the input")
+        x_next[..., list(ACC_SLOTS)] += extra
     return x_next

@@ -39,9 +39,6 @@ from .dynamics import (
 )
 from .footstep import DEFAULT_SIGMA_MAX, DEFAULT_STEP_WIDTH, Footprint, FootstepPlan, wrap_angle
 from .mpc import (
-    PHASE_DOUBLE,
-    PHASE_SINGLE,
-    PHASE_STAND,
     AxisController,
     ControllerFault,
     MpcConfig,
@@ -195,21 +192,19 @@ class WalkEngine:
 
     # ------------------------------------------------------------------ setup
 
-    def standing_state(self, axis: str) -> np.ndarray:
-        """Static standing posture for one axis at the current feet.
+    def standing_states(self) -> np.ndarray:
+        """Static standing posture at the current feet: the (2, 9)
+        world-frame states, row i for axis i.
 
         Leg masses sit on their standing references and the torso is placed so
         the static ZMP falls exactly on the feet midpoint, making the posture
         a true equilibrium of the standing references.
         """
-        idx = 0 if axis == "x" else 1
         p = self.params
-        mid = 0.5 * (self.feet["L"].xy() + self.feet["R"].xy())[idx]
-        swing_home = self.feet[self._first_swing].xy()[idx]
-        c1 = mid
-        c3 = 0.5 * (swing_home + mid)
-        c2 = (p.M * mid - p.m1 * c1 - p.m3 * c3) / p.m2
-        return make_state((c1, c2, c3))
+        mid = 0.5 * (self.feet["L"].xy() + self.feet["R"].xy())
+        c3 = 0.5 * (self.feet[self._first_swing].xy() + mid)
+        c2 = (p.M * mid - p.m1 * mid - p.m3 * c3) / p.m2
+        return np.array([make_state(c) for c in zip(mid, c2, c3)])
 
     @property
     def phase(self) -> WalkPhase:
@@ -247,8 +242,7 @@ class WalkEngine:
     def reset_posture(self) -> None:
         """Re-seed the state estimates with the current standing posture,
         expressed in the working frame."""
-        X = np.vstack([self.standing_state("x"), self.standing_state("y")])
-        self.estimates = _rot(-self.frame_angle) @ X
+        self.estimates = _rot(-self.frame_angle) @ self.standing_states()
         self.controller.reset()
 
     def set_setpoints(self, x: float, y: float, alpha_deg: float) -> None:
@@ -416,16 +410,6 @@ class WalkEngine:
                                        for fp in contact_feet(self._timeline.plan, key))
         return self._feet_of[key]
 
-    def _frame_foot(self, fp: Footprint):
-        """Foot center (frame coords) and inscribed extents for constraints."""
-        center = _rot(-self.frame_angle) @ fp.xy()
-        hl, hw = _inscribed_extents(self.params.foot_length / 2.0,
-                                    self.params.foot_width / 2.0,
-                                    wrap_angle(fp.theta - self.frame_angle))
-        if hl <= 0.0 or hw <= 0.0:
-            raise ValueError("foot heading too far from the working frame")
-        return center, hl, hw
-
     def _bounds(self, ids: np.ndarray):
         """Per-sample (lo, hi) output bounds, each (2, window, 3), of the
         timeline phases ``ids``.
@@ -439,29 +423,26 @@ class WalkEngine:
         boxes = self._boxes
         for kid in range(ids[0], ids[-1] + 1):
             if np.isnan(boxes[0, kid, 0, 0]):
-                key = self._timeline.keys[kid]
-                boxes[:, kid] = [self._phase_box(key, axis) for axis in ("x", "y")]
+                boxes[:, kid] = self._phase_box(self._timeline.keys[kid])
         box = boxes[:, ids]   # (axis, window, lo/hi, output)
         return box[:, :, 0], box[:, :, 1]
 
-    def _phase_box(self, key: tuple[str, int], axis: str):
+    def _phase_box(self, key: tuple[str, int]) -> np.ndarray:
+        """(axis, lo/hi, output) bounds of the timeline phase ``key`` in the working frame."""
         name, idx = key
         plan = self._timeline.plan
-        geom = [self._frame_foot(fp) for fp in contact_feet(plan, key)]
-        if name == "single":
-            sup, hl, hw = geom[0]
-            if axis == "x":
-                return build_constraints(PHASE_SINGLE, sup[0], self.params, self.config,
-                                         axis="x", half_extent=hl)
-            target = _rot(-self.frame_angle) @ plan.swing_to(idx).xy()
-            side = 1.0 if target[1] - sup[1] >= 0.0 else -1.0
-            return build_constraints(PHASE_SINGLE, sup[1], self.params, self.config,
-                                     axis="y", swing_side=side, half_extent=hw)
-        i = 0 if axis == "x" else 1
-        return build_constraints(
-            PHASE_DOUBLE if name == "double" else PHASE_STAND,
-            (geom[0][0][i], geom[1][0][i]), self.params, self.config,
-            axis=axis, half_extent=np.array([geom[0][1 + i], geom[1][1 + i]]))
+        R_wf = _rot(-self.frame_angle)
+        feet = contact_feet(plan, key)
+        hl, hw = self.params.foot_length / 2.0, self.params.foot_width / 2.0
+        centers = np.array([R_wf @ fp.xy() for fp in feet])
+        half = np.array([_inscribed_extents(hl, hw, wrap_angle(fp.theta - self.frame_angle))
+                         for fp in feet])
+        if np.any(half <= 0.0):
+            raise ValueError("foot heading too far from the working frame")
+        side = None
+        if name == "single":   # the side the swing foot lands on
+            side = 1.0 if (R_wf @ plan.swing_to(idx).xy())[1] >= centers[0, 1] else -1.0
+        return build_constraints(centers, half, self.params, self.config, side)
 
     # ----------------------------------------------------------------- frame
 

@@ -35,6 +35,9 @@ from .qp import STATUS_OPTIMAL
 from .refgen import GaitTiming
 
 
+_AXES = ("x", "y")   # ``Disturbance.axis`` names, in row order of (2, ...) arrays
+
+
 class BracketError(ValueError):
     """The bisection bracket does not straddle the survive/fall boundary."""
 
@@ -90,13 +93,23 @@ class Scenario:
             raise ValueError("noise bound must be finite and positive")
         if not (isinstance(self.n_fall, int) and self.n_fall >= 0):
             raise ValueError("n_fall must be a nonnegative integer")
+        if not (isinstance(self.noise.seed, int) and self.noise.seed >= 0):
+            raise ValueError("noise seed must be a nonnegative integer")
+        if self.max_steps is not None and not (isinstance(self.max_steps, int)
+                                               and self.max_steps >= 1):
+            raise ValueError("max_steps must be a positive integer")
+        if not all(len(row) == 4 and _finite(row) for row in self.schedule):
+            raise ValueError("schedule entries must be four finite numbers (t, x, y, alpha_deg)")
+        if self.path_points is not None and not all(len(p) == 2 and _finite(p)
+                                                    for p in self.path_points):
+            raise ValueError("path_points must be finite (x, y) pairs")
         for d in self.disturbances:
             if not (all(map(math.isfinite, (d.t_start, d.duration, d.force)))
                     and d.duration > 0.0):
                 raise ValueError("disturbance values must be finite and its duration positive")
             if not (0.0 <= d.t_start and d.t_start + d.duration <= self.duration):
                 raise ValueError("disturbance window must lie within the run")
-            if d.mass_index not in (0, 1, 2) or d.axis not in ("x", "y"):
+            if d.mass_index not in (0, 1, 2) or d.axis not in _AXES:
                 raise ValueError("disturbance target is out of range")
 
     def build_plan(self) -> FootstepPlan | None:
@@ -165,6 +178,11 @@ class Scenario:
         scenario = cls(**kwargs)
         scenario.validate()
         return scenario
+
+
+def _finite(values) -> bool:
+    """True when every entry is a finite real number."""
+    return all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
 
 
 def _from_section(kind, section: str, values: dict):
@@ -295,18 +313,19 @@ def support_excursion(zmp, feet: tuple[SupportFoot, ...], scale: float = 1.0) ->
     return _violation(np.asarray(zmp, dtype=float), *_support_polygon(tuple(feet), scale))
 
 
-def _disturbance_schedule(scenario: Scenario):
-    """Per-cycle extra acceleration, preserving each impulse under sampling."""
+def _disturbance_schedule(scenario: Scenario) -> dict[int, np.ndarray]:
+    """Per-cycle (axis, mass) extra acceleration, preserving each impulse
+    under sampling."""
     ts = scenario.config.ts
-    table: dict[int, dict[str, np.ndarray]] = {}
+    table: dict[int, np.ndarray] = {}
     masses = scenario.params.masses()
     for d in scenario.disturbances:
         n = max(1, math.ceil(d.duration / ts - 1e-9))
         accel = (d.force / masses[d.mass_index]) * (d.duration / (n * ts))
         k0 = int(round(d.t_start / ts))
+        row = _AXES.index(d.axis)
         for k in range(k0, k0 + n):
-            entry = table.setdefault(k, {"x": np.zeros(3), "y": np.zeros(3)})
-            entry[d.axis][d.mass_index] += accel
+            table.setdefault(k, np.zeros((2, 3)))[row, d.mass_index] += accel
     return table
 
 
@@ -314,10 +333,10 @@ class Simulation:
     """One closed-loop run of a scenario, one control cycle per ``step()``.
 
     ``seed`` overrides the scenario's noise seed.  Setpoint entries apply in
-    time order, the earliest at construction.  After a step, ``measured``
-    holds the (axis, output) values the engine saw, ``outputs`` the true
-    outputs of the stepped plant (the next measurement before noise) and
-    ``zmp_true`` its true ZMP.
+    time order, the earliest at construction.  ``plant`` is the true (2, 9)
+    state.  After a step, ``measured`` holds the (axis, output) values the
+    engine saw, ``outputs`` the true outputs of the stepped plant (the next
+    measurement before noise) and ``zmp_true`` their ZMP column.
     """
 
     def __init__(self, scenario: Scenario, seed: int | None = None):
@@ -331,8 +350,8 @@ class Simulation:
             self.engine.command_setpoints(*self._schedule.pop(0)[1:])
         else:
             self.engine.command_path(scenario.build_plan())
-        self.plant = {axis: self.engine.standing_state(axis) for axis in ("x", "y")}
-        self.outputs = np.array([self.engine.model.C @ self.plant[axis] for axis in ("x", "y")])
+        self.plant = self.engine.standing_states()
+        self.outputs = np.matvec(self.engine.model.C, self.plant)
         self._rng = np.random.default_rng(scenario.noise.seed if seed is None else seed)
         self._kicks = _disturbance_schedule(scenario)
 
@@ -348,12 +367,10 @@ class Simulation:
             self.measured = self.outputs + [[noise_sample(self._rng, noise.bound)
                                              for _ in range(3)] for _ in range(2)]
         diag = engine.tick(*self.measured)
-        kick = self._kicks.get(diag.k)
-        ssd = engine.model
-        for axis, u in (("x", diag.u_x), ("y", diag.u_y)):
-            self.plant[axis] = step_plant(ssd, self.plant[axis], u, kick[axis] if kick else None)
-        self.outputs = np.array([ssd.C @ self.plant[axis] for axis in ("x", "y")])
-        self.zmp_true = np.array([ssd.C[2] @ self.plant[axis] for axis in ("x", "y")])
+        self.plant = step_plant(engine.model, self.plant, np.stack([diag.u_x, diag.u_y]),
+                                self._kicks.get(diag.k))
+        self.outputs = np.matvec(engine.model.C, self.plant)
+        self.zmp_true = self.outputs[:, 2]
         return diag
 
 
@@ -383,7 +400,7 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None,
             break
         u[k] = diag.u_x, diag.u_y
         out[k], zmp[k], meas[k] = sim.outputs, sim.zmp_true, sim.measured[:, 2]
-        pred[k], torso[k] = diag.zmp_pred, (sim.plant["x"][3], sim.plant["y"][3])
+        pred[k], torso[k] = diag.zmp_pred, sim.plant[:, 3]
         refs[k] = np.concatenate([diag.refs.zmp, diag.refs.stance_mass, diag.refs.swing_mass])
         qp_counts[k] = (sum(diag.softened), sum(diag.qp_iterations),
                         sum(status != STATUS_OPTIMAL for status in diag.qp_status))

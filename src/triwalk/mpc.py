@@ -28,10 +28,6 @@ from .qp import (
     QpProblem,
 )
 
-PHASE_SINGLE = "single"
-PHASE_DOUBLE = "double"
-PHASE_STAND = "stand"
-
 # Horizontal axes (x, y), which share one controller.
 N_AXES = 2
 # Iteration cap of the per-cycle QP.
@@ -173,62 +169,46 @@ def cost_gradient(GtW: np.ndarray, UtW: np.ndarray, err: np.ndarray,
     return 2.0 * (np.matvec(GtW, err) + np.matvec(UtW, held))
 
 
-def build_constraints(phase: str, support, params: ThreeMassParams, config: MpcConfig,
-                      axis: str = "x", swing_side: float = 0.0,
-                      half_extent: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Output bounds for one axis and one walking phase.
+def build_constraints(centers, half, params: ThreeMassParams, config: MpcConfig,
+                      swing_side: float | None = None) -> np.ndarray:
+    """Output bounds of both axes for one support phase: (2, 2, 3) as (axis,
+    lo/hi, output), outputs in stacked order (stance, swing, zmp).
 
-    Returns ``(lo, hi)``, each of shape (3,) in stacked output order (stance,
-    swing, zmp).  ``support`` holds the support-foot center along the axis (a
-    scalar in single support, a pair in double support or standing).
-    ``swing_side`` gives the sign of the swing foot's lateral offset from the
-    support and is required for the frontal (``axis="y"``) swing corridor.
-    ``half_extent`` overrides the foot half-extent along the axis (used under
-    turning).  The jerk bounds are ``config.jerk_limit`` in every phase.
+    ``centers`` and ``half`` are (k, 2): per contact foot, its center and
+    half-extents along the working frame's (x, y).  One foot is single
+    support, where ``swing_side`` (+1 or -1) signs the swing foot's lateral
+    offset; two feet (double support or standing) take none.  The jerk
+    bounds are ``config.jerk_limit`` in every phase.
     """
-    if phase not in (PHASE_SINGLE, PHASE_DOUBLE, PHASE_STAND):
-        raise ValueError(f"unknown phase {phase!r}")
-    centers = np.atleast_1d(np.asarray(support, dtype=float))
-    if phase == PHASE_SINGLE and centers.size != 1:
-        raise ValueError("single support takes exactly one support center")
-    if phase != PHASE_SINGLE and centers.size != 2:
-        raise ValueError("double support and standing take two foot centers")
+    centers = np.asarray(centers, dtype=float)
+    half = np.asarray(half, dtype=float)
+    if centers.shape not in ((1, 2), (2, 2)) or half.shape != centers.shape:
+        raise ValueError("centers and half must both have shape (k, 2), k = 1 or 2")
+    if swing_side not in ((-1.0, 1.0) if len(centers) == 1 else (None,)):
+        raise ValueError("single support needs swing_side of +1 or -1, two feet none")
     if not np.all(np.isfinite(centers)):
         raise ValueError("support centers must be finite")
-    if half_extent is None:
-        half_extent = params.foot_length / 2.0 if axis == "x" else params.foot_width / 2.0
-    half = np.broadcast_to(np.asarray(half_extent, dtype=float), centers.shape)
 
+    # The toe-ward bias is sagittal only.
     margin = params.zmp_safety_scale * half
-    bias = config.zmp_bias if axis == "x" else 0.0
-    z_lo = float(np.min(centers - margin)) + config.zmp_margin + bias
-    z_hi = float(np.max(centers + margin)) - config.zmp_margin + bias
-    if z_lo > z_hi:
+    z_lo = (centers - margin).min(axis=0) + config.zmp_margin + (config.zmp_bias, 0.0)
+    z_hi = (centers + margin).max(axis=0) - config.zmp_margin + (config.zmp_bias, 0.0)
+    if np.any(z_lo > z_hi):
         raise ValueError(f"inconsistent ZMP bounds [{z_lo}, {z_hi}]")
 
     # The stance-leg mass belongs to a planted foot, so its position is
     # mechanically confined near the support.  The corridor also removes the
     # escape route along the ZMP output's unstable zero direction, where a
     # mass position can run away without moving the ZMP.
-    st_lo = float(np.min(centers)) - config.swing_reach
-    st_hi = float(np.max(centers)) + config.swing_reach
-
-    if phase == PHASE_SINGLE:
-        sup = float(centers[0])
-        if axis == "x":
-            sw_lo, sw_hi = sup - config.swing_reach, sup + config.swing_reach
-        else:
-            if swing_side not in (-1.0, 1.0):
-                raise ValueError("frontal swing rows need swing_side of +1 or -1")
-            a = sup + swing_side * config.swing_band[0]
-            b = sup + swing_side * config.swing_band[1]
-            sw_lo, sw_hi = min(a, b), max(a, b)
-        if sw_lo > sw_hi:
-            raise ValueError(f"inconsistent swing bounds [{sw_lo}, {sw_hi}]")
-    else:
-        # Both feet planted: the swing-role mass is likewise confined.
-        sw_lo, sw_hi = st_lo, st_hi
-    return np.array([st_lo, sw_lo, z_lo]), np.array([st_hi, sw_hi, z_hi])
+    st_lo = centers.min(axis=0) - config.swing_reach
+    st_hi = centers.max(axis=0) + config.swing_reach
+    # The swing-role mass shares that corridor, except in single support
+    # along y, where it keeps the swing band on the swing side.
+    lo = np.column_stack([st_lo, st_lo, z_lo])
+    hi = np.column_stack([st_hi, st_hi, z_hi])
+    if swing_side is not None:
+        lo[1, 1], hi[1, 1] = np.sort(centers[0, 1] + swing_side * np.array(config.swing_band))
+    return np.stack([lo, hi], axis=1)
 
 
 # Output-row order of the constraint matrix: zmp, stance, swing.
@@ -308,6 +288,12 @@ class ObserverConfig:
     boost_rate: float = 1.6
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)).all():
+                raise ValueError(f"{f.name} must be finite")
+        for name in ("boost_window", "boost_hold"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer")
         if min(self.jerk_noise) <= 0.0 or min(self.measurement_noise) <= 0.0:
             raise ValueError("noise levels must be positive")
         if self.boost_gate <= 0.0 or self.boost_hold < 0 or self.boost_rate <= 0.0:

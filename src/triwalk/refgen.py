@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +35,9 @@ class GaitTiming:
     swing_height: float = 0.05
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.t_single <= 0.0 or self.t_double < 0.0:
             raise ValueError("need t_single > 0 and t_double >= 0")
         if self.swing_height <= 0.0:

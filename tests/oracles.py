@@ -190,3 +190,32 @@ def dilate_by_shifts(occupancy: np.ndarray, margin: int) -> np.ndarray:
     for dr, dc in itertools.product(range(2 * margin + 1), repeat=2):
         out |= padded[dr:dr + rows, dc:dc + cols]
     return out
+
+
+def phase_box_per_axis(centers, half, params, config, swing_side=None) -> np.ndarray:
+    """Output bounds (axis, lo/hi, output) of one support phase, axis by axis
+    in scalar arithmetic.
+
+    ``centers`` and ``half`` are (k, 2) per contact foot; one foot is single
+    support.  Per axis: the ZMP box spans the feet shrunk by the safety
+    scale, narrowed by ``zmp_margin`` and shifted by ``zmp_bias`` along x
+    only; the stance corridor spans the foot centers widened by
+    ``swing_reach``; the swing corridor equals it, except along y in single
+    support, where it is the ``swing_band`` on the ``swing_side``.
+    """
+    out = np.empty((2, 2, 3))
+    for axis in range(2):
+        cs = [float(c[axis]) for c in centers]
+        margins = [params.zmp_safety_scale * float(h[axis]) for h in half]
+        bias = config.zmp_bias if axis == 0 else 0.0
+        z_lo = min(c - m for c, m in zip(cs, margins)) + config.zmp_margin + bias
+        z_hi = max(c + m for c, m in zip(cs, margins)) - config.zmp_margin + bias
+        if z_lo > z_hi:
+            raise ValueError("inconsistent ZMP bounds")
+        st_lo, st_hi = min(cs) - config.swing_reach, max(cs) + config.swing_reach
+        sw_lo, sw_hi = st_lo, st_hi
+        if len(cs) == 1 and axis == 1:
+            a, b = (cs[0] + swing_side * w for w in config.swing_band)
+            sw_lo, sw_hi = min(a, b), max(a, b)
+        out[axis] = [[st_lo, sw_lo, z_lo], [st_hi, sw_hi, z_hi]]
+    return out

@@ -221,7 +221,7 @@ class TestCriterion9RealTime:
         engine = WalkEngine(sc.params, sc.config, sc.timing, observer=sc.observer)
         engine.command_path(sc.build_plan())
         ssd = engine.model
-        plant = {"x": engine.standing_state("x"), "y": engine.standing_state("y")}
+        plant = dict(zip(("x", "y"), engine.standing_states()))
         times = []
         for k in range(300):
             y_x = ssd.C @ plant["x"]

@@ -159,3 +159,28 @@ class TestStepPlant:
             step_plant(ssd, np.zeros(8), np.zeros(3))
         with pytest.raises(ValueError):
             step_plant(ssd, np.zeros(9), np.zeros(2))
+
+    def test_both_axes_equal_one_axis_steps(self, ssd):
+        """A (2, 9) step, kick included, is bitwise two one-axis steps, and
+        each of those is bitwise the model's ``A x + B u`` plus the kick."""
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            X = rng.normal(size=(2, 9))
+            U = rng.normal(scale=50.0, size=(2, 3))
+            kick = np.zeros((2, 3))
+            kick[rng.integers(2), rng.integers(3)] = rng.normal(scale=10.0)
+            for extra in (None, kick):
+                both = step_plant(ssd, X, U, extra)
+                for i in range(2):
+                    row = None if extra is None else extra[i]
+                    nominal = ssd.A @ X[i] + ssd.B @ U[i]
+                    if row is not None:
+                        nominal[list(ACC_SLOTS)] += row
+                    assert both[i].tobytes() == step_plant(ssd, X[i], U[i], row).tobytes()
+                    assert both[i].tobytes() == nominal.tobytes()
+
+    def test_batch_shapes_checked(self, ssd):
+        with pytest.raises(ValueError):
+            step_plant(ssd, np.zeros((2, 9)), np.zeros(3))
+        with pytest.raises(ValueError):
+            step_plant(ssd, np.zeros((2, 9)), np.zeros((2, 3)), extra_accel=np.zeros(3))

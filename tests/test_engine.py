@@ -24,7 +24,7 @@ from triwalk.footstep import (
     initial_feet_on_path,
 )
 from triwalk.harness import omnidirectional_scenario, run
-from triwalk.mpc import PHASE_DOUBLE, PHASE_SINGLE, AxisController, MpcConfig, build_constraints
+from triwalk.mpc import AxisController, MpcConfig, build_constraints
 from triwalk import refgen
 from triwalk.refgen import GaitTiming, WalkTimeline
 
@@ -60,7 +60,7 @@ def run_closed_loop(engine, n_cycles, plant=None):
     """Ideal-plant loop: exact dynamics, exact measurements.  The plant
     starts from the (x, y) states ``plant``, or standing at the feet."""
     ssd = engine.model
-    x, y = plant if plant is not None else (engine.standing_state("x"), engine.standing_state("y"))
+    x, y = plant if plant is not None else engine.standing_states()
     plant = {"x": x, "y": y}
     log = []
     for _ in range(n_cycles):
@@ -117,8 +117,9 @@ class TestIdle:
         engine = make_engine(params, timing)
         log = run_closed_loop(engine, 30)
         _, x_final, y_final = log[-1]
-        np.testing.assert_allclose(x_final, engine.standing_state("x"), atol=1e-6)
-        np.testing.assert_allclose(y_final, engine.standing_state("y"), atol=1e-6)
+        standing = engine.standing_states()
+        np.testing.assert_allclose(x_final, standing[0], atol=1e-6)
+        np.testing.assert_allclose(y_final, standing[1], atol=1e-6)
 
 
 class TestPhaseSequence:
@@ -339,17 +340,9 @@ class TestConstraintSchedule:
             switch = keys.index(("double", idx))
             sup, land = plan.support(idx), plan.swing_to(idx)
             side = 1.0 if land.y >= sup.y else -1.0
-            expected = (
-                (lo_x, hi_x,
-                 build_constraints(PHASE_SINGLE, sup.x, params, cfg, axis="x", half_extent=hl),
-                 build_constraints(PHASE_DOUBLE, (sup.x, land.x), params, cfg, axis="x",
-                                   half_extent=np.array([hl, hl]))),
-                (lo_y, hi_y,
-                 build_constraints(PHASE_SINGLE, sup.y, params, cfg, axis="y",
-                                   swing_side=side, half_extent=hw),
-                 build_constraints(PHASE_DOUBLE, (sup.y, land.y), params, cfg, axis="y",
-                                   half_extent=np.array([hw, hw]))),
-            )
+            one = build_constraints([sup.xy()], [[hl, hw]], params, cfg, side)
+            two = build_constraints([sup.xy(), land.xy()], [[hl, hw]] * 2, params, cfg)
+            expected = ((lo_x, hi_x, one[0], two[0]), (lo_y, hi_y, one[1], two[1]))
             for lo, hi, single, double in expected:
                 assert not np.array_equal(np.stack(single), np.stack(double))
                 n = cfg.constraint_window - switch
@@ -413,9 +406,10 @@ class TestConstraintSchedule:
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
         engine = make_engine(params, timing)
-        y_x = engine.model.C @ engine.standing_state("x")
+        standing = engine.standing_states()
+        y_x = engine.model.C @ standing[0]
         y_x[1] += 1.0   # the swing mass measured 1 m off softens the x axis
-        y_y = engine.model.C @ engine.standing_state("y")
+        y_y = engine.model.C @ standing[1]
         softened = [engine.tick(y_x, y_y).softened for _ in range(3)]
         assert (True, False) in softened
         assert shapes == [(3 * engine.config.n_ctrl,) * 2]
@@ -435,10 +429,8 @@ def record_schedule(monkeypatch):
     def traced_tick(engine, y_x, y_y):
         tl, local = engine._timeline, engine._local_cycle(engine.k)
         keys = [tl.phase(local + j) for j in range(1, engine.config.constraint_window + 1)]
-        expected = []
-        for axis in ("x", "y"):
-            boxes = {key: engine._phase_box(key, axis) for key in set(keys)}
-            expected.append(np.array([boxes[key] for key in keys]))
+        boxes = {key: engine._phase_box(key) for key in set(keys)}
+        expected = np.array([boxes[key] for key in keys]).swapaxes(0, 1)
         frame = engine.frame_angle
         diag = tick(engine, y_x, y_y)
         ticks.append((expected, passed[-1], tl, tl.phase(local), frame, diag.support_feet))
@@ -472,7 +464,7 @@ def assert_untouched(engine, before):
     np.testing.assert_equal(engine.controller.u_prev, before.controller.u_prev)
     assert engine.controller._warm == before.controller._warm
     # The next valid cycle is the one the untouched copy computes.
-    y = engine.model.C @ engine.standing_state("x")
+    y = engine.model.C @ engine.standing_states()[0]
     diag, diag_ref = engine.tick(y, y), before.tick(y, y)
     assert diag.k == diag_ref.k
     np.testing.assert_array_equal(diag.u_x, diag_ref.u_x)
@@ -487,7 +479,7 @@ class TestMeasurementValidation:
         engine.command_path(straight_plan(2))
         run_closed_loop(engine, N_INIT + 3)
         before = copy.deepcopy(engine)
-        y = engine.model.C @ engine.standing_state("x")
+        y = engine.model.C @ engine.standing_states()[0]
         bad_values = []
         for bad in (np.nan, np.inf, -np.inf):
             y_bad = y.copy()
@@ -582,7 +574,7 @@ class TestPhaseGrammar:
                 1 + N_INIT + min(switch[0], path_steps - 1) * N_STEP + switch[1])
         schedule = [(0, first)] + sorted(later)
         ssd = engine.model
-        plant = {"x": engine.standing_state("x"), "y": engine.standing_state("y")}
+        plant = dict(zip(("x", "y"), engine.standing_states()))
         diags = []
         for k in range(1 + N_INIT + 4 * N_STEP):
             if start is not None and schedule and k - start >= schedule[0][0]:

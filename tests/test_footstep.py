@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triwalk.footstep import (
     FeetState,
@@ -145,6 +147,29 @@ class TestPlanPath:
         else:
             path = plan_path(grid, (0, 0), (14, 14))
             assert path_cost(grid, path) == pytest.approx(ref, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 20), cols=st.integers(1, 20), density=st.floats(0.0, 0.6),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_cost_matches_dijkstra_on_random_maps(self, rows, cols, density, seed, data):
+        """A* returns a legal path of the oracle's cost, or both find none."""
+        occ = np.random.default_rng(seed).random((rows, cols)) < density
+        start, goal = (data.draw(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)))
+                       for _ in range(2))
+        occ[start] = occ[goal] = False
+        grid = GridMap(cols, rows, occ)
+        ref = dijkstra_grid(occ, start, goal, grid.cell_size)
+        if ref is None:
+            with pytest.raises(PlanningError):
+                plan_path(grid, start, goal)
+            return
+        path = plan_path(grid, start, goal)
+        assert path[0] == start and path[-1] == goal
+        for (r, c), (nr, nc) in zip(path, path[1:]):
+            dr, dc = nr - r, nc - c
+            assert max(abs(dr), abs(dc)) == 1 and not occ[nr, nc]
+            assert not (dr and dc and (occ[r + dr, c] or occ[r, c + dc]))
+        assert path_cost(grid, path) == pytest.approx(ref, abs=1e-12)
 
     def test_heuristic_is_admissible(self):
         grid, start, goal = fig_style_map()

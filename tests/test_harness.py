@@ -129,6 +129,13 @@ class TestScenarioJson:
         (("config", "jerk_limit"), math.nan), (("config", "jerk_limit"), math.inf),
         (("config", "soft_penalty"), math.nan), (("config", "w_zmp"), math.nan),
         (("config", "swing_reach"), -0.1), (("config", "swing_band"), [0.3, 0.05]),
+        # Each of these loaded before, then failed mid-run or was misread.
+        (("schedule",), [[0, 0.1]]), (("schedule",), [[0.0, math.nan, 0.0, 0.0]]),
+        (("schedule",), [[math.inf, 0.0, 0.0, 0.0]]), (("max_steps",), 0),
+        (("max_steps",), -1), (("max_steps",), 1.5),
+        (("path_points",), [[0.0, 0.0], [math.nan, 0.0]]), (("noise", "seed"), "3"),
+        (("timing", "t_single"), math.nan), (("observer", "boost_rate"), math.nan),
+        (("observer", "boost_window"), 2.5), (("observer", "boost_hold"), 2.5),
     ])
     def test_scenario_values_checked(self, path, value):
         data = json.loads(json.dumps(tracking_scenario(noise=True).to_json()))
@@ -224,6 +231,29 @@ class TestSimulation:
             zmp.append(sim.zmp_true)
         np.testing.assert_array_equal(np.asarray(u), m.trace.u)
         np.testing.assert_array_equal(np.asarray(zmp), m.trace.zmp_true)
+
+    def test_true_zmp_is_the_output_column(self):
+        sim = Simulation(disturbance_scenario(300.0, run_time=2.0))
+        for _ in range(sim.n_cycles):
+            sim.step()
+            assert sim.plant.shape == (2, 9)
+            np.testing.assert_array_equal(sim.outputs, np.matvec(sim.engine.model.C, sim.plant))
+            assert sim.zmp_true.tobytes() == sim.outputs[:, 2].tobytes()
+
+    def test_frontal_push_moves_only_the_frontal_row(self):
+        # Without turning the axes are decoupled, so a y push leaves the x
+        # row of the plant bitwise as it was.
+        base = inplace_scenario(duration=3.0)
+        push = replace(base, disturbances=(Disturbance(t_start=1.0, duration=0.04, force=200.0,
+                                                       axis="y"),))
+        calm, pushed = Simulation(base), Simulation(push)
+        frontal_moved = False
+        for _ in range(calm.n_cycles):
+            calm.step()
+            pushed.step()
+            assert pushed.plant[0].tobytes() == calm.plant[0].tobytes()
+            frontal_moved |= not np.array_equal(pushed.plant[1], calm.plant[1])
+        assert frontal_moved
 
     def test_softened_cycles_counted(self):
         # +440 N struggles for seconds, then falls.  Whether a cycle softens

@@ -15,9 +15,6 @@ from triwalk.dynamics import (
 )
 from triwalk import mpc
 from triwalk.mpc import (
-    PHASE_DOUBLE,
-    PHASE_SINGLE,
-    PHASE_STAND,
     AxisController,
     MpcConfig,
     Observer,
@@ -36,6 +33,8 @@ from triwalk.qp import (
     QpProblem,
     kkt_residual,
 )
+
+from oracles import phase_box_per_axis
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +157,12 @@ class TestCost:
         np.testing.assert_allclose(f, f_hand, atol=1e-12)
 
 
+def foot_box(params, cfg, centers, swing_side=None):
+    """(axis, lo/hi, output) bounds of feet of nominal extents at ``centers`` (k, 2)."""
+    half = np.tile([params.foot_length / 2.0, params.foot_width / 2.0], (len(centers), 1))
+    return build_constraints(centers, half, params, cfg, swing_side)
+
+
 def window_box(box, cfg):
     """One phase's (lo, hi) box repeated over the whole constraint window."""
     lo, hi = box
@@ -170,43 +175,39 @@ class TestConstraints:
     plain = dict(zmp_margin=0.0, zmp_bias=0.0)
 
     def test_single_support_zmp_bounds(self, params):
-        lo, hi = build_constraints(PHASE_SINGLE, 0.3, params, MpcConfig(**self.plain), axis="x")
+        lo, hi = foot_box(params, MpcConfig(**self.plain), [[0.3, 0.0]], 1.0)[0]
         assert (lo[2], hi[2]) == pytest.approx((0.21, 0.39))
 
     def test_stand_zmp_bounds_symmetric(self, params):
-        lo, hi = build_constraints(PHASE_STAND, (0.0, 0.0), params, MpcConfig(**self.plain),
-                                   axis="x")
+        lo, hi = foot_box(params, MpcConfig(**self.plain), [[0.0, 0.0], [0.0, 0.0]])[0]
         assert hi[2] == pytest.approx(0.09) and lo[2] == pytest.approx(-0.09)
 
     def test_double_support_hull(self, params):
-        lo, hi = build_constraints(PHASE_DOUBLE, (0.0, 0.1), params, MpcConfig(**self.plain),
-                                   axis="x")
+        lo, hi = foot_box(params, MpcConfig(**self.plain), [[0.0, 0.0], [0.1, 0.0]])[0]
         assert (lo[2], hi[2]) == pytest.approx((-0.09, 0.19))
 
     def test_margin_and_bias_shift_bounds(self, params):
         cfg = MpcConfig(zmp_margin=0.01, zmp_bias=0.005)
-        lo, hi = build_constraints(PHASE_SINGLE, 0.3, params, cfg, axis="x")
+        (lo, hi), (_, hi_y) = foot_box(params, cfg, [[0.3, 0.3]], 1.0)
         assert (lo[2], hi[2]) == pytest.approx((0.21 + 0.01 + 0.005, 0.39 - 0.01 + 0.005))
-        _, hi_y = build_constraints(PHASE_SINGLE, 0.3, params, cfg, axis="y", swing_side=1.0)
         assert hi_y[2] == pytest.approx(0.3 + 0.045 - 0.01)  # bias is sagittal only
 
     def test_frontal_mirroring(self, params):
         cfg = MpcConfig()
-        lo_p, hi_p = build_constraints(PHASE_SINGLE, 0.1, params, cfg, axis="y", swing_side=-1.0)
-        lo_n, hi_n = build_constraints(PHASE_SINGLE, -0.1, params, cfg, axis="y", swing_side=1.0)
+        lo_p, hi_p = foot_box(params, cfg, [[0.0, 0.1]], -1.0)[1]
+        lo_n, hi_n = foot_box(params, cfg, [[0.0, -0.1]], 1.0)[1]
         for out_idx in (0, 1, 2):
             assert (lo_p[out_idx], hi_p[out_idx]) == (-hi_n[out_idx], -lo_n[out_idx])
 
     def test_swing_corridor_band_in_single_support(self, params):
         cfg = MpcConfig()
-        lo, hi = build_constraints(PHASE_SINGLE, 0.1, params, cfg, axis="y", swing_side=-1.0)
+        lo, hi = foot_box(params, cfg, [[0.0, 0.1]], -1.0)[1]
         assert (lo[1], hi[1]) == pytest.approx((0.1 - 0.30, 0.1 - 0.05))
 
     def test_stance_corridor_present_every_phase(self, params):
         cfg = MpcConfig()
-        for phase, support in ((PHASE_SINGLE, 0.0), (PHASE_DOUBLE, (0.0, 0.1)),
-                               (PHASE_STAND, (0.0, 0.0))):
-            lo, hi = build_constraints(phase, support, params, cfg, axis="x")
+        for support, side in (((0.0,), 1.0), ((0.0, 0.1), None), ((0.0, 0.0), None)):
+            lo, hi = foot_box(params, cfg, [[c, 0.0] for c in support], side)[0]
             centers = np.atleast_1d(support)
             assert (lo[0], hi[0]) == pytest.approx((centers.min() - cfg.swing_reach,
                                                     centers.max() + cfg.swing_reach))
@@ -215,7 +216,7 @@ class TestConstraints:
         cfg = MpcConfig()
         ctrl = AxisController(ssd, cfg)
         lo, hi = window_box(
-            build_constraints(PHASE_STAND, (0.0, 0.0), params, cfg, axis="x"), cfg)
+            foot_box(params, cfg, [[0.0, 0.0], [0.0, 0.0]])[0], cfg)
         b = condense_constraints(cfg, lo, hi, np.zeros(3 * cfg.n_pred), np.zeros(3))
         jerk = slice(6 * cfg.constraint_window, None)
         assert ctrl.A[jerk].shape[0] == 6 * cfg.n_ctrl == b[jerk].shape[0]
@@ -224,12 +225,50 @@ class TestConstraints:
 
     def test_inconsistent_geometry_rejected(self, params):
         with pytest.raises(ValueError):
-            build_constraints(PHASE_SINGLE, 0.0, params, MpcConfig(), axis="x",
-                              half_extent=-0.1)
+            build_constraints([[0.0, 0.0]], [[-0.1, 0.05]], params, MpcConfig(), 1.0)
 
     def test_frontal_needs_swing_side(self, params):
         with pytest.raises(ValueError):
-            build_constraints(PHASE_SINGLE, 0.0, params, MpcConfig(), axis="y")
+            foot_box(params, MpcConfig(), [[0.0, 0.0]])
+
+
+coords = st.floats(-5.0, 5.0)
+extents = st.floats(0.0, 0.15)
+
+
+class TestPhaseBox:
+    @settings(max_examples=300, deadline=None)
+    @given(feet=st.lists(st.tuples(coords, coords, extents, extents), min_size=1, max_size=2),
+           side=st.sampled_from([-1.0, 1.0]), margin=st.floats(0.0, 0.05),
+           bias=st.floats(-0.01, 0.01), reach=st.floats(0.05, 0.5),
+           band=st.tuples(st.floats(0.0, 0.2), st.floats(0.01, 0.3)))
+    def test_matches_per_axis_oracle(self, params, feet, side, margin, bias, reach, band):
+        """Both axes at once, bitwise the per-axis scalar rule, for one or
+        two feet; where that rule finds the ZMP box empty, so does this one."""
+        cfg = MpcConfig(zmp_margin=margin, zmp_bias=bias, swing_reach=reach,
+                        swing_band=(band[0], band[0] + band[1]))
+        centers, half = [f[:2] for f in feet], [f[2:] for f in feet]
+        side = side if len(feet) == 1 else None
+        try:
+            expected = phase_box_per_axis(centers, half, params, cfg, side)
+        except ValueError:
+            with pytest.raises(ValueError, match="inconsistent ZMP bounds"):
+                build_constraints(centers, half, params, cfg, side)
+            return
+        got = build_constraints(centers, half, params, cfg, side)
+        assert got.shape == (2, 2, 3)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("centers, side", [
+        ([[0.0, 0.0]], 0.5), ([[0.0, 0.0], [0.1, 0.0]], 1.0),
+        ([[0.0, 0.0]] * 3, None), ([[0.0, 0.0, 0.0]], 1.0), ([[np.nan, 0.0]], 1.0),
+    ])
+    def test_phase_follows_the_feet(self, params, centers, side):
+        # One foot needs a swing side of +-1 (``test_frontal_needs_swing_side``
+        # omits it), two feet none; k is 1 or 2 and the centers finite.
+        with pytest.raises(ValueError):
+            build_constraints(centers, np.full(np.shape(centers), 0.05), params, MpcConfig(),
+                              side)
 
 
 class TestConfig:
@@ -258,7 +297,7 @@ class TestControlStep:
         x = make_state((0.0, 0.015, -0.05))
         refs = constant_refs(cfg.n_pred, 0.0, -0.05, 0.0)
         lo, hi = window_box(
-            build_constraints(PHASE_STAND, (-0.05, 0.05), params, cfg, axis="x"), cfg)
+            foot_box(params, cfg, [[-0.05, 0.0], [0.05, 0.0]])[0], cfg)
         u, info = step_both(ctrl, x, refs, lo, hi)
         assert np.linalg.norm(u) < 1e-6
         assert info.status == "optimal"
@@ -268,7 +307,7 @@ class TestControlStep:
         target = 0.05
         refs = constant_refs(cfg.n_pred, 0.0, 0.0, target)
         lo, hi = window_box(
-            build_constraints(PHASE_DOUBLE, (-0.1, 0.1), params, cfg, axis="x"), cfg)
+            foot_box(params, cfg, [[-0.1, 0.0], [0.1, 0.0]])[0], cfg)
         x = np.zeros(9)
         zmp_row = ssd.C[2]
         for _ in range(100):  # 2 s of closed loop
@@ -279,7 +318,7 @@ class TestControlStep:
     def test_zmp_bound_saturates_without_violation(self, ssd, params):
         ctrl, cfg = self.make_controller(ssd)
         refs = constant_refs(cfg.n_pred, 0.0, 0.0, 0.2)  # outside the support polygon
-        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
         bound = 0.9 * params.foot_length / 2.0
         x = np.zeros(9)
         zmp_values = []
@@ -294,7 +333,7 @@ class TestControlStep:
         ctrl, cfg = self.make_controller(ssd)
         rng = np.random.default_rng(31)
         refs = constant_refs(cfg.n_pred, 0.0, 0.0, 0.15)
-        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
         x = rng.normal(size=9) * 0.01
         free = ctrl.pred.phi @ x + ctrl.pred.phi_u @ ctrl.u_prev[0]
         A = ctrl.A
@@ -314,7 +353,7 @@ class TestControlStep:
         ctrl, cfg = self.make_controller(ssd)
         refs = constant_refs(cfg.n_pred, 0.02, -0.03, 0.01)
         lo, hi = window_box(
-            build_constraints(PHASE_DOUBLE, (-0.1, 0.1), params, cfg, axis="x"), cfg)
+            foot_box(params, cfg, [[-0.1, 0.0], [0.1, 0.0]])[0], cfg)
         x = np.zeros(9)
         u_last = np.zeros(3)
         diffs = []
@@ -329,7 +368,7 @@ class TestControlStep:
     def test_softening_fallback_on_infeasible_state(self, ssd, params):
         ctrl, cfg = self.make_controller(ssd, jerk_limit=1.0, swing_reach=0.01)
         refs = constant_refs(cfg.n_pred)
-        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
         x = make_state((0.0, 0.0, 1.0))  # swing mass far outside its corridor
         u, info = step_both(ctrl, x, refs, lo, hi)
         assert info.softened
@@ -339,7 +378,7 @@ class TestControlStep:
     def test_softened_cycle_reports_both_solves_iterations(self, ssd, params, monkeypatch):
         ctrl, cfg = self.make_controller(ssd, jerk_limit=1.0, swing_reach=0.01)
         refs = constant_refs(cfg.n_pred)
-        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
         solutions = []
         solve = ctrl.solver.solve
         monkeypatch.setattr(ctrl.solver, "solve",
@@ -359,7 +398,7 @@ class TestControlStep:
         # infeasible, so those cycles run their softened fallbacks only.
         cfg = MpcConfig()
         ctrl = AxisController(ssd, cfg)
-        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
         calls, rhs = [], []
         solve = ctrl.solver.solve
         monkeypatch.setattr(ctrl.solver, "solve", lambda problem, warm_start=None: calls.append(
@@ -419,7 +458,7 @@ class TestControlStep:
         ctrl = AxisController(ssd, cfg)
         assert shapes == [(3 * cfg.n_ctrl,) * 2]
         refs = constant_refs(cfg.n_pred, 0.0, 0.0, 0.15)  # drives the ZMP onto its bound
-        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
         x = np.zeros(9)
         iterations = 0
         for _ in range(50):
@@ -433,7 +472,7 @@ class TestControlStep:
 
         cfg = MpcConfig(jerk_limit=1.0, swing_reach=0.01)
         soft = AxisController(ssd, cfg)
-        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
         for _ in range(2):
             _, info = step_both(soft, make_state((0.0, 0.0, 1.0)), constant_refs(cfg.n_pred),
                                         lo, hi)
@@ -451,7 +490,7 @@ class TestCertificate:
         the first cycle leaves."""
         cfg = MpcConfig()
         ctrl = AxisController(ssd, cfg)
-        lo, hi = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
         x = make_state((0.1, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 50.0, 0.0))
         cycles, cert = [], None
         for _ in range(3):
@@ -555,9 +594,9 @@ class TestTwoAxes:
         # Axis 0 carries a torso pushed at 3 m/s and softens for three
         # cycles; axis 1 tracks a ZMP offset in double support.
         cfg = MpcConfig()
-        single = window_box(build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x"), cfg)
+        single = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
         double = window_box(
-            build_constraints(PHASE_DOUBLE, (-0.1, 0.1), params, cfg, axis="x"), cfg)
+            foot_box(params, cfg, [[-0.1, 0.0], [0.1, 0.0]])[0], cfg)
         lo, hi = (np.stack(pair) for pair in zip(single, double))
         refs = np.stack([constant_refs(cfg.n_pred), constant_refs(cfg.n_pred, 0.0, 0.0, 0.05)])
         X = np.stack([make_state((0.1, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 50.0, 0.0)),

@@ -18,7 +18,6 @@ from triwalk.qp import (
 )
 from triwalk.dynamics import ThreeMassParams, build_continuous, discretize, make_state
 from triwalk.mpc import (
-    PHASE_SINGLE,
     AxisController,
     MpcConfig,
     build_constraints,
@@ -460,7 +459,8 @@ class TestLargeSoftenedSolves:
         params = ThreeMassParams.nominal()
         cfg = MpcConfig()
         ctrl = AxisController(discretize(build_continuous(params), cfg.ts), cfg)
-        box = build_constraints(PHASE_SINGLE, 0.0, params, cfg, axis="x")
+        half = [[params.foot_length / 2.0, params.foot_width / 2.0]]
+        box = build_constraints([[0.0, 0.0]], half, params, cfg, 1.0)[0]
         lo, hi = (np.tile(v, (cfg.constraint_window, 1)) for v in box)
         return ctrl, lo, hi
 

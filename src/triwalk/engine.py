@@ -187,7 +187,7 @@ class WalkEngine:
         self._clamped_step = False
         self._set_stand_timeline()
 
-        self.gates = (PushGate(self.observer.config), PushGate(self.observer.config))
+        self.gates = (PushGate(), PushGate())
         self.reset_posture()
 
     # ------------------------------------------------------------------ setup

@@ -52,12 +52,12 @@ class GridMap:
     inflation_scale: float = 1.1
 
     def __post_init__(self) -> None:
-        if self.cell_size <= 0.0:
-            raise ValueError("cell_size must be positive")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0.0):
+            raise ValueError("cell_size must be finite and positive")
         if self.occupancy.shape != (self.height, self.width):
             raise ValueError("occupancy shape must be (height, width)")
-        if self.inflation_scale < 1.0:
-            raise ValueError("inflation_scale must be >= 1")
+        if not (math.isfinite(self.inflation_scale) and self.inflation_scale >= 1.0):
+            raise ValueError("inflation_scale must be finite and >= 1")
 
     @classmethod
     def empty(cls, width: int, height: int, cell_size: float = DEFAULT_CELL_SIZE,
@@ -89,20 +89,20 @@ def load_map(source) -> tuple[GridMap, tuple[int, int] | None, tuple[int, int] |
     """Load a map from a JSON file path or an already-parsed dict.
 
     Schema: ``{width, height, cell_size, occupied: [[r, c], ...],
-    start: [r, c], goal: [r, c]}`` with start/goal optional.
+    start: [r, c], goal: [r, c]}`` with start/goal optional.  Width and
+    height are positive integers and every cell two integers inside the
+    grid; a malformed value raises a ``ValueError`` that names its field.
     """
     if isinstance(source, (str, Path)):
         data = json.loads(Path(source).read_text())
     else:
         data = source
+    for key in ("width", "height"):
+        if not (_is_int(data.get(key)) and data[key] > 0):
+            raise ValueError(f"{key} must be a positive integer")
     occ = np.zeros((data["height"], data["width"]), dtype=bool)
-    for r, c in data.get("occupied", []):
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (r, c)):
-            raise ValueError(f"occupied cell {[r, c]} must hold two integers")
-        if not (0 <= r < occ.shape[0] and 0 <= c < occ.shape[1]):
-            raise ValueError(f"occupied cell {[r, c]} lies outside the "
-                             f"{occ.shape[0]}x{occ.shape[1]} grid")
-        occ[r, c] = True
+    for cell in data.get("occupied", []):
+        occ[_grid_cell(cell, "occupied cell", occ.shape)] = True
     grid = GridMap(
         width=data["width"],
         height=data["height"],
@@ -110,9 +110,24 @@ def load_map(source) -> tuple[GridMap, tuple[int, int] | None, tuple[int, int] |
         cell_size=data.get("cell_size", DEFAULT_CELL_SIZE),
         inflation_scale=data.get("inflation_scale", 1.1),
     )
-    start = tuple(data["start"]) if "start" in data else None
-    goal = tuple(data["goal"]) if "goal" in data else None
+    start, goal = (_grid_cell(data[key], key, occ.shape) if key in data else None
+                   for key in ("start", "goal"))
     return grid, start, goal
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _grid_cell(cell, name: str, shape) -> tuple[int, int]:
+    """``cell`` as a (row, col) inside a grid of ``shape``; ``name`` is its
+    field in error messages."""
+    if not (isinstance(cell, (list, tuple)) and len(cell) == 2 and all(map(_is_int, cell))):
+        raise ValueError(f"{name} {cell!r} must hold two integers")
+    r, c = int(cell[0]), int(cell[1])
+    if not (0 <= r < shape[0] and 0 <= c < shape[1]):
+        raise ValueError(f"{name} {cell!r} lies outside the {shape[0]}x{shape[1]} grid")
+    return r, c
 
 
 def save_map(grid: GridMap, path, start=None, goal=None) -> None:

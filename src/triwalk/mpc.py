@@ -30,11 +30,25 @@ from .qp import (
 
 # Horizontal axes (x, y), which share one controller.
 N_AXES = 2
-# Iteration cap of the per-cycle QP.
-_QP_MAX_ITER = 2000
 # Standard deviation (m/s^2) added to the prior of each acceleration state
 # for the observer's push-recovery gain.
 _BOOST_ACCEL_NOISE = 6.0
+# Push detection: an innovation beyond ``_BOOST_GATE_HIGH`` standard
+# deviations cannot be measurement noise and engages the recovery gain
+# immediately.  A smaller push biases the signed innovation of one channel
+# persistently while noise is zero-mean, so a rolling ``_BOOST_WINDOW``-cycle
+# signed sum crossing ``_BOOST_GATE_SUM`` also engages it, for
+# ``_BOOST_HOLD`` cycles; ``_BOOST_GATE`` keeps it engaged while evidence
+# remains.
+_BOOST_GATE = 3.0
+_BOOST_GATE_HIGH = 4.0
+_BOOST_GATE_SUM = 9.0
+_BOOST_WINDOW = 4
+_BOOST_HOLD = 8
+# Robustness against outliers: while boosted, the per-cycle correction of
+# each acceleration estimate is clipped to this magnitude (m/s^2), so the
+# time to absorb a push grows with its size.
+_BOOST_RATE = 1.6
 
 
 class ControllerFault(RuntimeError):
@@ -265,43 +279,18 @@ class ObserverConfig:
 
     A single gain cannot be both smooth under heavy measurement noise and
     fast after a push, so a second, stiffer gain (with inflated acceleration
-    priors) is engaged while any normalized innovation exceeds
-    ``boost_gate`` standard deviations, then held for ``boost_hold`` cycles.
+    priors) is engaged while ``PushGate`` detects a push.
     """
 
     jerk_noise: tuple[float, float, float] = (1.0, 1.0, 1.0)
     measurement_noise: tuple[float, float, float] = (0.0167, 0.0167, 0.0167)
-    # Push detection: an innovation beyond ``boost_gate_high`` standard
-    # deviations cannot be measurement noise and engages the recovery gain
-    # immediately.  A smaller push biases the signed innovation of one
-    # channel persistently while noise is zero-mean, so a rolling
-    # ``boost_window``-cycle signed sum crossing ``boost_gate_sum`` also
-    # engages it; ``boost_gate`` keeps it engaged while evidence remains.
-    boost_gate: float = 3.0
-    boost_gate_high: float = 4.0
-    boost_gate_sum: float = 9.0
-    boost_window: int = 4
-    boost_hold: int = 8
-    # Robustness against outliers: while boosted, the per-cycle correction of
-    # each acceleration estimate is clipped to this magnitude (m/s^2), so the
-    # time to absorb a push grows with its size.
-    boost_rate: float = 1.6
 
     def __post_init__(self) -> None:
         for f in fields(self):
             if not np.isfinite(getattr(self, f.name)).all():
                 raise ValueError(f"{f.name} must be finite")
-        for name in ("boost_window", "boost_hold"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError(f"{name} must be an integer")
         if min(self.jerk_noise) <= 0.0 or min(self.measurement_noise) <= 0.0:
             raise ValueError("noise levels must be positive")
-        if self.boost_gate <= 0.0 or self.boost_hold < 0 or self.boost_rate <= 0.0:
-            raise ValueError("boost gate, hold and rate must be positive")
-        if self.boost_gate_high < self.boost_gate:
-            raise ValueError("boost_gate_high must not be below boost_gate")
-        if self.boost_gate_sum <= 0.0 or self.boost_window < 1:
-            raise ValueError("boost window parameters must be positive")
 
 
 class PushGate:
@@ -310,24 +299,22 @@ class PushGate:
 
     A huge innovation is a push; so is a persistent one-signed bias in any
     channel (noise is zero-mean).  Either engages the recovery gain for
-    ``boost_hold`` cycles; while engaged, any innovation beyond ``boost_gate``
-    re-arms the hold.
+    ``_BOOST_HOLD`` cycles; while engaged, any innovation beyond
+    ``_BOOST_GATE`` re-arms the hold.
     """
 
-    def __init__(self, config: ObserverConfig):
-        self.config = config
-        self.window: deque[np.ndarray] = deque(maxlen=config.boost_window)
+    def __init__(self):
+        self.window: deque[np.ndarray] = deque(maxlen=_BOOST_WINDOW)
         self.hold = 0
 
     def update(self, sigmas: np.ndarray) -> bool:
         """Record one cycle's innovations (in sigmas); True while boosted."""
-        conf = self.config
         self.window.append(sigmas)
         peak = float(np.max(np.abs(sigmas)))
         bias = float(np.max(np.abs(np.sum(self.window, axis=0))))
-        if (peak > conf.boost_gate_high or bias > conf.boost_gate_sum
-                or (self.hold > 0 and peak > conf.boost_gate)):
-            self.hold = conf.boost_hold
+        if (peak > _BOOST_GATE_HIGH or bias > _BOOST_GATE_SUM
+                or (self.hold > 0 and peak > _BOOST_GATE)):
+            self.hold = _BOOST_HOLD
         boosted = self.hold > 0
         self.hold = max(0, self.hold - 1)
         return boosted
@@ -343,7 +330,6 @@ class Observer:
         if not ss.is_discrete:
             raise ValueError("observer requires a discrete model")
         self.ss = ss
-        self.config = config
         r = np.asarray(config.measurement_noise, dtype=float) ** 2
         R = np.diag(r)
         Q = ss.B @ np.diag(np.asarray(config.jerk_noise, dtype=float) ** 2) @ ss.B.T
@@ -392,9 +378,8 @@ class Observer:
         gain = self.gain_boost if boosted else self.gain
         correction = gain @ (np.asarray(y_meas, dtype=float) - self.ss.C @ x_pred)
         if boosted:
-            cap = self.config.boost_rate
             for slot in (2, 5, 8):
-                correction[slot] = min(cap, max(-cap, correction[slot]))
+                correction[slot] = min(_BOOST_RATE, max(-_BOOST_RATE, correction[slot]))
         return x_pred + correction
 
     def innovation_sigmas(self, x_est: np.ndarray, u_prev: np.ndarray,
@@ -479,7 +464,7 @@ class AxisController:
     def __init__(self, ss: StateSpace, config: MpcConfig):
         self.config = config
         self.pred = build_prediction(ss, config)
-        self.solver = ActiveSetSolver(max_iter=_QP_MAX_ITER)
+        self.solver = ActiveSetSolver()
         H, self._GtW, self._UtW = cost_matrices(self.pred, config)
         self._factors = QpFactors.build(H, constraint_matrix(self.pred, config.constraint_window))
         self.A = self._factors.A
@@ -513,9 +498,10 @@ class AxisController:
         only; the jerks are boxed by ``config.jerk_limit``.
 
         Every axis applies its last solve's first move, whatever its status.
-        On ``STATUS_MAX_ITERATIONS`` (iteration cap or KKT gate missed) that
-        is the solver's last iterate: it meets the working-set rows and may
-        violate others.  The cycle reports the status, the axis's warm set is
+        On ``STATUS_MAX_ITERATIONS`` (iteration cap, a cold solve whose
+        working-set factor broke down, or KKT gate missed) that is the
+        solver's last iterate: it meets the working-set rows and may violate
+        others.  The cycle reports the status, the axis's warm set is
         dropped so the next cycle starts cold, and ``RunMetrics`` counts the
         cycle in ``nonoptimal_cycles``.  Only a softened fallback that is
         still infeasible raises ``ControllerFault``.
@@ -528,25 +514,20 @@ class AxisController:
         F = cost_gradient(self._GtW, self._UtW, free - refs.reshape(N_AXES, -1), self.u_prev)
         B = condense_constraints(self.config, lo, hi, free, self.u_prev)
 
-        fac = self._factors
         sols, infos = [], []
         for axis, (f, b, warm, y_free) in enumerate(zip(F, B, self._warm, free)):
             cert = self._certificates[axis]
             iterations = 0
             softened = cert is not None and cert.proves_infeasible(b, self.u_prev[axis])
             if not softened:
-                sol = self.solver.solve(QpProblem(H=fac.H, f=f, A_ineq=fac.A, b_ineq=b,
-                                                  factors=fac), warm_start=warm)
+                sol = self.solver.solve(QpProblem(self._factors, f, b), warm_start=warm)
                 iterations = sol.iterations
                 softened = sol.status == STATUS_INFEASIBLE
                 if softened:
-                    self._certificates[axis] = _Certificate(fac.A, *sol.certificate,
+                    self._certificates[axis] = _Certificate(self.A, *sol.certificate,
                                                             self.config.jerk_limit)
             if softened:
-                relaxed = QpProblem(H=fac.H, f=f, A_ineq=fac.A, b_ineq=b, soft=self._output_rows,
-                                    soft_penalty=self.config.soft_penalty,
-                                    factors=self._soft_factors)
-                sol = self.solver.solve(relaxed, warm_start=warm)
+                sol = self.solver.solve(QpProblem(self._soft_factors, f, b), warm_start=warm)
                 iterations += sol.iterations
                 if sol.status == STATUS_INFEASIBLE:
                     raise ControllerFault(

@@ -2,7 +2,7 @@
 
 Solves
 
-    min  1/2 z' H z + f' z      s.t.  A_ineq z <= b_ineq
+    min  1/2 z' H z + f' z      s.t.  A z <= b
 
 with H symmetric positive definite.  The solver is a dual active-set method:
 it starts from the unconstrained minimum and adds one violated constraint at a
@@ -17,8 +17,9 @@ Gram matrix ``A H^-1 A'``.  A solve then needs only ``f`` and ``b``: a cycle
 whose active set stays empty costs a few matrix-vector products, and an
 active-set step reads its columns and Gram entries instead of solving.  The
 slack-augmented factors of a soft problem are derived from the hard ones.
-A problem that carries no factors is factored first; every solve runs the
-same loop.
+So a problem is its factors plus (f, b), ``QpProblem(factors, f, b)``, with
+``QpFactors.build(H, A)`` as the factors, or its ``.soften(mask, penalty)``
+when rows are soft.
 
 Within a solve, the working set W keeps a lower Cholesky factor R of its Gram
 block ``A_W H^-1 A_W' = R R'`` in a Fortran-ordered buffer whose leading
@@ -26,7 +27,9 @@ block LAPACK reads in place.  A step direction costs two triangular solves;
 appending a row extends R by one row, and dropping one deletes its row of R
 and re-triangularises the rows below it.  No refinement pass runs between
 steps: the final working set is re-solved once (``_polish``) and the KKT
-gate checks the result.
+gate checks the result.  Should rounding leave the working-set Gram block
+indefinite, a warm-started solve starts over cold, and a cold solve ends
+there with status ``max_iterations``, as it does at the iteration cap.
 
 A hard problem is infeasible exactly when the violated row p that the loop
 tries to add depends on the working set and no working-set multiplier blocks
@@ -69,41 +72,6 @@ def _peak(v: np.ndarray) -> float:
     return float(v[v.argmax()])
 
 
-def _pad(v: np.ndarray, k: int) -> np.ndarray:
-    """``v`` followed by ``k`` zeros (the slack entries of f or b)."""
-    return np.concatenate([v, np.zeros(k)]) if k else v
-
-
-def _augment(H, A, soft, penalty):
-    """Return (H, A, soft rows, slack scale) with one slack per soft row.
-
-    Slack variables are scaled by sqrt(penalty) so the augmented Hessian keeps
-    the conditioning of the original H; physical slack values are the scaled
-    variables divided by the slack scale.  Without soft rows, (H, A) are
-    returned unchanged with no slack scale.
-    """
-    n, m = H.shape[0], A.shape[0]
-    soft = np.asarray(soft, bool)
-    if soft.shape != (m,):
-        raise ValueError("soft mask must have one flag per row")
-    idx = np.flatnonzero(soft)
-    if idx.size == 0:
-        return H, A, idx, None
-    w = np.broadcast_to(np.asarray(penalty, float), (m,))[idx]
-    if not np.all(w > 0.0):
-        raise ValueError("soft penalty weights must be positive")
-    scale = np.sqrt(w)
-    k = idx.size
-    H_aug = np.zeros((n + k, n + k))
-    H_aug[:n, :n] = H
-    H_aug[n:, n:] = np.eye(k)
-    A_aug = np.zeros((m + k, n + k))
-    A_aug[:m, :n] = A
-    A_aug[idx, n + np.arange(k)] = -1.0 / scale   # A_i z - s_i <= b_i
-    A_aug[m + np.arange(k), n + np.arange(k)] = -1.0   # scaled slack >= 0
-    return H_aug, A_aug, idx, scale
-
-
 @dataclass(frozen=True, eq=False)
 class QpFactors:
     """The fixed part of a family of QPs sharing (H, A); arrays are read-only.
@@ -118,13 +86,18 @@ class QpFactors:
     V: np.ndarray       # (N, M) H^-1 A'
     G: np.ndarray       # (M, M) A H^-1 A'
     n: int
-    slack_scale: np.ndarray | None = None
+    soft_rows: np.ndarray | None = None     # (k,) indices of the soft rows
+    slack_scale: np.ndarray | None = None   # (k,) scaled slack per physical slack
 
     @classmethod
     def build(cls, H, A) -> QpFactors:
         """Validate and factor a hard problem's (H, A)."""
         H = np.array(H, float)
         A = np.array(A, float)
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise ValueError("H must be square")
+        if A.ndim != 2 or A.shape[1] != H.shape[0]:
+            raise ValueError("A needs one column per variable")
         if np.max(np.abs(H - H.T), initial=0.0) > 1e-10:
             raise ValueError("H must be symmetric to 1e-10")
         try:
@@ -136,25 +109,43 @@ class QpFactors:
         return cls(H=_frozen(H), A=_frozen(A), L_inv=_frozen(L_inv),
                    V=_frozen(L_inv.T @ K), G=_frozen(K.T @ K), n=H.shape[0])
 
-    def soften(self, soft, penalty) -> QpFactors:
-        """Factors of the problem with the rows in the mask ``soft`` relaxed.
+    def soften(self, soft, penalty: float) -> QpFactors:
+        """Factors of the problem with the rows in the mask ``soft`` relaxed,
+        each by one slack with the quadratic weight ``penalty``.
 
-        The augmented Hessian is diag(H, I), so no new factorization is
+        Slacks are scaled by sqrt(penalty), so the augmented Hessian is
+        diag(H, I) and keeps the conditioning of H; a physical slack is its
+        scaled variable divided by ``slack_scale``.  No new factorization is
         needed: with S the slack columns of the soft rows, ``H^-1 A'`` gains
         the slack rows of ``A'`` and the Gram matrix is G + S S' on the
         original rows, -S against the slack bounds and I among them.
+        Without soft rows the factors are returned unchanged.
         """
-        H, A, idx, scale = _augment(self.H, self.A, soft, penalty)
-        if scale is None:
+        n, m = self.n, self.A.shape[0]
+        soft = np.asarray(soft, bool)
+        if soft.shape != (m,):
+            raise ValueError("soft mask must have one flag per row")
+        if not penalty > 0.0:
+            raise ValueError("soft penalty must be positive")
+        idx = np.flatnonzero(soft)
+        k = idx.size
+        if k == 0:
             return self
-        n, m, k = self.n, self.A.shape[0], idx.size
+        scale = np.full(k, np.sqrt(float(penalty)))
+        inv = 1.0 / scale
+        slack, cols = m + np.arange(k), n + np.arange(k)
+        H = np.zeros((n + k, n + k))
+        H[:n, :n] = self.H
+        H[n:, n:] = np.eye(k)
+        A = np.zeros((m + k, n + k))
+        A[:m, :n] = self.A
+        A[idx, cols] = -inv       # A_i z - s_i <= b_i
+        A[slack, cols] = -1.0     # scaled slack >= 0
         L_inv = np.zeros_like(H)
         L_inv[:n, :n] = self.L_inv
         L_inv[n:, n:] = np.eye(k)
         V = A.T.copy()
         V[:n, :m] = self.V
-        slack = m + np.arange(k)
-        inv = 1.0 / scale
         G = np.zeros((m + k, m + k))
         G[:m, :m] = self.G
         G[idx, idx] += inv * inv
@@ -162,7 +153,7 @@ class QpFactors:
         G[slack, idx] = inv
         G[slack, slack] = 1.0
         return QpFactors(H=_frozen(H), A=_frozen(A), L_inv=_frozen(L_inv), V=_frozen(V),
-                         G=_frozen(G), n=n, slack_scale=_frozen(scale))
+                         G=_frozen(G), n=n, soft_rows=_frozen(idx), slack_scale=_frozen(scale))
 
     def hsolve(self, v: np.ndarray) -> np.ndarray:
         return self.L_inv.T @ (self.L_inv @ v)
@@ -170,25 +161,20 @@ class QpFactors:
     def extend(self, f: np.ndarray, b: np.ndarray):
         """Gradient and bounds of the factored problem: zero for the slacks."""
         k = self.H.shape[0] - self.n
-        return _pad(f, k), _pad(b, k)
+        if not k:
+            return f, b
+        return np.concatenate([f, np.zeros(k)]), np.concatenate([b, np.zeros(k)])
 
 
 @dataclass
 class QpProblem:
-    """One inequality-constrained QP.  ``soft`` marks rows relaxed via slacks.
+    """One QP of the family that shares ``factors``: its gradient ``f`` (n,)
+    and the right-hand side ``b`` (m,) of its hard rows.  With softened
+    factors the slack entries of f and b are zero and not given."""
 
-    ``factors``, when given, must be the ``QpFactors`` of this problem's
-    (H, A_ineq, soft, soft_penalty); the solver then uses them as they are
-    instead of validating and factoring the problem.
-    """
-
-    H: np.ndarray
+    factors: QpFactors
     f: np.ndarray
-    A_ineq: np.ndarray
-    b_ineq: np.ndarray
-    soft: np.ndarray | None = None
-    soft_penalty: float | np.ndarray = 1e6
-    factors: QpFactors | None = None
+    b: np.ndarray
 
     @property
     def n(self) -> int:
@@ -196,19 +182,7 @@ class QpProblem:
 
     @property
     def m(self) -> int:
-        return self.b_ineq.shape[0]
-
-    def factorize(self) -> QpFactors:
-        """Validate the problem and factor its fixed part."""
-        n, m = self.n, self.m
-        if self.H.shape != (n, n):
-            raise ValueError("H must be square and match f")
-        if self.A_ineq.shape != (m, n):
-            raise ValueError("A_ineq shape must be (m, n)")
-        factors = QpFactors.build(self.H, self.A_ineq)
-        if self.soft is None:
-            return factors
-        return factors.soften(self.soft, self.soft_penalty)
+        return self.b.shape[0]
 
 
 @dataclass
@@ -291,27 +265,28 @@ class ActiveSetSolver:
     """Dual active-set QP solver with working-set warm starts.
 
     One instance holds no state between solves; problems, factors and
-    solutions are plain values safe to share.
+    solutions are plain values safe to share.  ``max_iter`` caps the
+    constraint additions of one solve; the default is the controller's.
     """
 
-    def __init__(self, max_iter: int = 500):
+    def __init__(self, max_iter: int = 2000):
         self.max_iter = max_iter
 
     def solve(self, problem: QpProblem, warm_start=None) -> QpSolution:
-        fac = problem.factors if problem.factors is not None else problem.factorize()
         if warm_start:
             try:
-                return self._solve(fac, problem, warm_start)
+                return self._solve(problem, warm_start)
             except np.linalg.LinAlgError:
                 # A seed can be nearly dependent in this problem (a softened
                 # active set may name more hard rows than there are
                 # variables), and the factor updates may then lose
                 # definiteness on the way; the warm start is only a hint.
                 pass
-        return self._solve(fac, problem, None)
+        return self._solve(problem, None)
 
-    def _solve(self, fac: QpFactors, problem: QpProblem, warm_start) -> QpSolution:
-        f, b = fac.extend(np.asarray(problem.f, float), np.asarray(problem.b_ineq, float))
+    def _solve(self, problem: QpProblem, warm_start) -> QpSolution:
+        fac = problem.factors
+        f, b = fac.extend(np.asarray(problem.f, float), np.asarray(problem.b, float))
         H, A, V_all, G = fac.H, fac.A, fac.V, fac.G
         n, m = H.shape[0], A.shape[0]
 
@@ -395,7 +370,15 @@ class ActiveSetSolver:
                         _append(W, V, R, p, r, l, apr - l @ l)
                         lam[k] = lam_p
                         break
-                    _drop(W, lam, V, R, G, blk)
+                    try:
+                        _drop(W, lam, V, R, G, blk)
+                    except np.linalg.LinAlgError:
+                        # A near-dependent working set: a warm start is
+                        # retried cold, a cold solve keeps its iterate.
+                        if warm_start:
+                            raise
+                        status = STATUS_MAX_ITERATIONS
+                        break
                 resid = A @ z - b
                 if status != STATUS_OPTIMAL:
                     break
@@ -503,19 +486,15 @@ def kkt_residual(problem: QpProblem, z: np.ndarray, active_tol: float = 1e-6) ->
     a KKT point.  For problems with soft rows the slacks are reconstructed as
     the penalty-optimal values ``max(0, A z - b)``.
     """
-    f = np.asarray(problem.f, float)
-    b = np.asarray(problem.b_ineq, float)
+    fac = problem.factors
+    f, b = fac.extend(np.asarray(problem.f, float), np.asarray(problem.b, float))
     z = np.asarray(z, float)
-    if z.shape != f.shape:
+    if z.shape != (fac.n,):
         raise ValueError("z length must match the number of decision variables")
-    H = np.asarray(problem.H, float)
-    A = np.asarray(problem.A_ineq, float)
-    if problem.soft is not None:
-        H, A, soft_idx, slack_scale = _augment(H, A, problem.soft, problem.soft_penalty)
-        if slack_scale is not None:
-            s = np.maximum(0.0, A[soft_idx, :z.size] @ z - b[soft_idx])
-            z = np.concatenate([z, s * slack_scale])
-            f, b = _pad(f, s.size), _pad(b, s.size)
+    H, A = fac.H, fac.A
+    if fac.soft_rows is not None:
+        s = np.maximum(0.0, A[fac.soft_rows, :z.size] @ z - b[fac.soft_rows])
+        z = np.concatenate([z, s * fac.slack_scale])
 
     grad = H @ z + f
     if b.shape[0] == 0:

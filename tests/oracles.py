@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the main code paths.
 
-Everything here is deliberately brute force: truncated series, exhaustive
-enumeration and uniform-cost search.  None of it shares code with the package.
+Everything here is deliberately brute force or off the shelf: truncated
+series, exhaustive enumeration, uniform-cost search and a linear-programming
+feasibility check.  None of it shares code with the package.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def zoh_discretize_series(A: np.ndarray, B: np.ndarray, ts: float, terms: int = 20):
@@ -85,6 +87,16 @@ def solve_qp_by_enumeration(H, f, A, b, tol=1e-8):
     if best_z is None:
         return None, None
     return best_z, best_obj
+
+
+def polyhedron_is_empty(A, b) -> bool:
+    """True when no z satisfies ``A z <= b``, by the HiGHS LP solver on a
+    zero objective with free variables."""
+    A = np.asarray(A, float)
+    result = linprog(np.zeros(A.shape[1]), A_ub=A, b_ub=b, bounds=(None, None), method="highs")
+    if result.status not in (0, 2):
+        raise RuntimeError(f"feasibility LP inconclusive: {result.message}")
+    return result.status == 2
 
 
 def dijkstra_grid(occupancy: np.ndarray, start, goal, cell_size: float):

@@ -23,7 +23,7 @@ from triwalk.harness import (
     support_excursion,
     tracking_scenario,
 )
-from triwalk.qp import ActiveSetSolver, QpProblem
+from triwalk.qp import ActiveSetSolver, QpFactors, QpProblem
 from triwalk.refgen import GaitTiming, hip_reference, swing_reference, zmp_reference
 
 from oracles import dijkstra_grid, solve_qp_by_enumeration, zoh_discretize_series
@@ -70,7 +70,7 @@ class TestCriterion2QpCorrectness:
             f = rng.normal(size=n)
             A = rng.normal(size=(m, n))
             b = A @ (rng.normal(size=n) * 0.3) + rng.uniform(0.05, 1.0, size=m)
-            problem = QpProblem(H=H, f=f, A_ineq=A, b_ineq=b)
+            problem = QpProblem(QpFactors.build(H, A), f, b)
             sol = solver.solve(problem)
             _, obj_ref = solve_qp_by_enumeration(H, f, A, b)
             worst_obj = max(worst_obj, abs(sol.objective - obj_ref))

@@ -1,8 +1,11 @@
 """The verdicts of ``tools/bench_pairs.py`` on hand-made pair values."""
 
+import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
@@ -35,3 +38,38 @@ def test_ties_count_for_neither_side_and_direction_follows_the_spec():
     assert worse["worse_than_bound"] and worse["change_wins"] == 0
     better = bench_pairs.compare(HIGHER, parent, [1.1, 1.1, 1.1, 1.1])
     assert better["change_wins"] == 4 and better["gain_shown"]
+
+
+def test_max_abs_du_reads_the_saved_commands(tmp_path):
+    u = np.arange(12.0).reshape(2, 6)
+    shifted = u.copy()
+    shifted[1, 4] += 0.25
+    for name, value in (("u", u), ("same", u.copy()), ("shifted", shifted), ("short", u[:1])):
+        np.save(tmp_path / f"{name}.npy", value)
+    du = bench_pairs.max_abs_du
+    assert du(tmp_path / "u.npy", tmp_path / "same.npy") == 0.0
+    assert du(tmp_path / "u.npy", tmp_path / "shifted.npy") == 0.25
+    assert du(tmp_path / "u.npy", tmp_path / "short.npy") == math.inf
+    assert du(tmp_path / "u.npy", tmp_path / "missing.npy") == math.inf
+    assert du(tmp_path / "missing.npy", tmp_path / "u.npy") == math.inf
+
+
+def test_each_pair_records_its_max_abs_du(tmp_path, monkeypatch):
+    # The change's command differs at seed 1 and is not written at seed 2,
+    # where a stale file of an earlier run must not count.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        u = np.zeros((3, 6))
+        u[0, 0] = 1e-3 if (checkout, seed) == (change, 1) else 0.0
+        if (checkout, seed) != (change, 2):
+            np.save(bench_pairs.u_file(checkout, workload, seed), u)
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}
+
+    for checkout in (parent, change):
+        (checkout / ".bench_out").mkdir(parents=True)
+    np.save(bench_pairs.u_file(change, "walk_map", 2), np.zeros((3, 6)))
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    args = SimpleNamespace(first_seed=0, pairs=3, seconds=1.0, traced=False)
+    record = bench_pairs.measure(parent, change, "walk_map", args, [{"name": "wall_s", **LOWER}])
+    assert record["max_abs_du"] == [0.0, 1e-3, math.inf]

@@ -386,7 +386,7 @@ class TestConstraintSchedule:
         original = ctrl.A.copy()
 
         def solve(problem, warm_start=None, _orig=ctrl.solver.solve):
-            seen.append((problem.A_ineq, warm_start))
+            seen.append((problem.factors, warm_start))
             return _orig(problem, warm_start=warm_start)
         ctrl.solver.solve = solve
         log = run_closed_loop(engine, N_INIT + 2 * N_STEP)
@@ -396,7 +396,7 @@ class TestConstraintSchedule:
         # Every solve of both axes sees the controller's one matrix, so a
         # warm-start row index names the same (bound family, sample) every
         # cycle.
-        assert all(A is ctrl.A for A, _ in seen)
+        assert all(factors.A is ctrl.A for factors, _ in seen)
         np.testing.assert_array_equal(ctrl.A, original)
 
     def test_qp_factored_once_per_engine(self, params, timing, monkeypatch):

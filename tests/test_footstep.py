@@ -344,3 +344,20 @@ class TestMapIO:
         data = {"width": 4, "height": 3, "occupied": [[1, 1], cell]}
         with pytest.raises(ValueError, match=re.escape(str(cell))):
             load_map(data)
+
+    @pytest.mark.parametrize("key, value", [
+        # Each of these loaded before, then failed mid-plan or was misread ...
+        ("cell_size", math.nan), ("cell_size", math.inf), ("inflation_scale", math.nan),
+        ("start", [0]), ("start", [0.5, 1]), ("start", [0, 4]), ("goal", [3, 0]),
+        ("goal", [1, 2, 0]), ("width", 0),
+        # ... or failed with an error other than ValueError.
+        ("height", None), ("width", 5.5), ("width", True), ("height", "3"),
+    ])
+    def test_malformed_value_named(self, key, value):
+        data = {"width": 4, "height": 3, "occupied": [[1, 1]], "start": [0, 0], "goal": [2, 3]}
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+        with pytest.raises(ValueError, match=key):
+            load_map(data)

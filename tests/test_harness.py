@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from triwalk import mpc
 from triwalk.engine import SupportFoot
 from triwalk.harness import (
     BracketError,
@@ -24,7 +23,7 @@ from triwalk.harness import (
     tracking_scenario,
     with_impulse,
 )
-from triwalk.qp import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL
+from triwalk.qp import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, ActiveSetSolver
 
 
 class TestNoiseSample:
@@ -273,7 +272,7 @@ class TestSimulation:
         # second active row ends on max_iterations.  Its iterate is applied,
         # the status reported, the axis's warm set dropped, and the run
         # counts the cycle.
-        monkeypatch.setattr(mpc, "_QP_MAX_ITER", 1)
+        monkeypatch.setattr(ActiveSetSolver.__init__, "__defaults__", (1,))
         sc = tracking_scenario(n_steps=1, duration=2.0)
         sim = Simulation(sc)
         capped = 0

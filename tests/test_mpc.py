@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triwalk.dynamics import (
@@ -28,13 +28,15 @@ from triwalk.mpc import (
 )
 from triwalk.qp import (
     STATUS_INFEASIBLE,
+    STATUS_MAX_ITERATIONS,
     STATUS_OPTIMAL,
     ActiveSetSolver,
+    QpFactors,
     QpProblem,
     kkt_residual,
 )
 
-from oracles import phase_box_per_axis
+from oracles import phase_box_per_axis, polyhedron_is_empty
 
 
 @pytest.fixture(scope="module")
@@ -344,9 +346,8 @@ class TestControlStep:
         dU[:3] = u - 0.0  # u_prev was zero
         # Reconstruct the full decision from the solver through a fresh solve.
         ctrl2, _ = self.make_controller(ssd)
-        from triwalk.qp import QpProblem
         H, f = cost(ctrl2.pred, refs, cfg, x, np.zeros(3))
-        sol = ctrl2.solver.solve(QpProblem(H=H, f=f, A_ineq=A, b_ineq=b))
+        sol = ctrl2.solver.solve(QpProblem(QpFactors.build(H, A), f, b))
         assert np.max(A @ sol.z - b) <= 1e-8
 
     def test_receding_increments_shrink(self, ssd, params):
@@ -420,7 +421,7 @@ class TestControlStep:
         assert cycles[3][0][2].status == STATUS_OPTIMAL
         for prev, cur in zip(cycles, cycles[1:]):
             seed = prev[-1][2].active_set
-            assert prev[-1][0].soft is not None and seed
+            assert prev[-1][0].factors.soft_rows is not None and seed
             # Both the hard solve and the softened fallback start from it.
             assert all(warm == seed for _, warm, _ in cur)
 
@@ -428,18 +429,17 @@ class TestControlStep:
         cold_iterations = 0
         for cycle, B in zip(cycles[1:3], rhs[1:3]):
             for (relaxed, _, _), b in zip(cycle, B):
-                assert relaxed.soft is not None
-                cold = ActiveSetSolver().solve(
-                    QpProblem(H=relaxed.H, f=relaxed.f, A_ineq=ctrl.A, b_ineq=b))
+                assert relaxed.factors.soft_rows is not None
+                cold = ActiveSetSolver().solve(QpProblem(ctrl._factors, relaxed.f, b))
                 assert cold.status == STATUS_INFEASIBLE
                 cold_iterations += cold.iterations
         for problem, _, sol in (call for cycle in cycles for call in cycle):
             cold = ActiveSetSolver().solve(problem)
             cold_iterations += cold.iterations
             assert cold.status == sol.status
-            if problem.soft is None:
+            if problem.factors.soft_rows is None:
                 continue
-            scale = 1.0 + np.max(np.abs(problem.f)) + np.max(np.abs(problem.H @ sol.z))
+            scale = 1.0 + np.max(np.abs(problem.f)) + np.max(np.abs(ctrl._factors.H @ sol.z))
             assert kkt_residual(problem, sol.z) <= 1e-8 * scale
             assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
             np.testing.assert_allclose(sol.z, cold.z, atol=1e-5)
@@ -504,37 +504,62 @@ class TestCertificate:
         assert cert is not None and np.all(cert.y >= 0.0)
         return ctrl, cycles, cert
 
-    def test_infeasible_verdicts_agree_with_cold_solves(self, streak):
-        # Widen a recorded cycle's output box by ``reach`` times the width at
-        # which b'y reaches zero, move its free response and held input, and
-        # ask the certificate.  Every "infeasible" must survive a cold solve.
+    @staticmethod
+    def widened(streak, cycle, reach, noise, du, seed):
+        """A recorded cycle's output box widened by ``reach`` times the width
+        at which b'y reaches zero, its free response and held input moved:
+        that cycle's (b, u_prev)."""
         ctrl, cycles, cert = streak
-        cfg, H = ctrl.config, ctrl._factors.H
-        out_rows = ctrl._output_rows[cert.rows]
-        assert cert.y[out_rows].sum() > 0.0
+        cfg = ctrl.config
+        lo, hi, free, u_prev = cycles[cycle]
+        rng = np.random.default_rng(seed)
+        b = condense_constraints(cfg, lo, hi, free, u_prev)
+        width = -(b[cert.rows] @ cert.y) / cert.y[ctrl._output_rows[cert.rows]].sum()
+        free = free + noise * rng.standard_normal(free.shape)
+        u_prev = u_prev + du * rng.uniform(-1.0, 1.0, 3)
+        return condense_constraints(cfg, lo - reach * width, hi + reach * width, free,
+                                    u_prev), u_prev
+
+    def test_infeasible_verdicts_agree_with_cold_solves(self, streak):
+        # Ask the certificate about widened and moved cycles.  Every
+        # "infeasible" must hold for an LP feasibility check of A z <= b, and
+        # a cold solve may never call such a problem optimal.
+        ctrl, cycles, cert = streak
+        cfg, n = ctrl.config, ctrl._factors.n
+        assert cert.y[ctrl._output_rows[cert.rows]].sum() > 0.0
         verdicts = set()
 
         @settings(max_examples=40, deadline=None)
         @given(cycle=st.integers(0, len(cycles) - 1), reach=st.floats(0.0, 1.5),
                noise=st.floats(0.0, 0.02), du=st.floats(0.0, 0.5 * cfg.jerk_limit),
                seed=st.integers(0, 2**32 - 1))
+        # The cold solve breaks down on a near-dependent working set here ...
+        @example(cycle=2, reach=0.75, noise=0.0, du=129.0, seed=61)
+        # ... and needs 763 iterations here.
+        @example(cycle=2, reach=0.5, noise=0.0, du=60.0, seed=61)
         def check(cycle, reach, noise, du, seed):
-            lo, hi, free, u_prev = cycles[cycle]
-            rng = np.random.default_rng(seed)
-            b = condense_constraints(cfg, lo, hi, free, u_prev)
-            width = -(b[cert.rows] @ cert.y) / cert.y[out_rows].sum()
-            free = free + noise * rng.standard_normal(free.shape)
-            u_prev = u_prev + du * rng.uniform(-1.0, 1.0, 3)
-            b = condense_constraints(cfg, lo - reach * width, hi + reach * width, free, u_prev)
+            b, u_prev = self.widened(streak, cycle, reach, noise, du, seed)
             proved = cert.proves_infeasible(b, u_prev)
             verdicts.add(proved)
             if proved:
-                cold = ActiveSetSolver().solve(
-                    QpProblem(H=H, f=np.zeros(H.shape[0]), A_ineq=ctrl.A, b_ineq=b))
-                assert cold.status == STATUS_INFEASIBLE
+                assert polyhedron_is_empty(ctrl.A, b)
+                cold = ActiveSetSolver().solve(QpProblem(ctrl._factors, np.zeros(n), b))
+                assert cold.status != STATUS_OPTIMAL
 
         check()
         assert verdicts == {True, False}
+
+    def test_cold_breakdown_ends_as_max_iterations(self, streak):
+        # A cold solve of this proved-infeasible cycle grows a working set of
+        # nearly all 60 variables, and dropping a row leaves its Gram block
+        # indefinite.  The solve keeps its iterate and reports the cap's
+        # status, with no certificate.
+        ctrl, _, cert = streak
+        b, u_prev = self.widened(streak, 2, 0.75, 0.0, 129.0, 61)
+        assert cert.proves_infeasible(b, u_prev)
+        sol = ActiveSetSolver().solve(QpProblem(ctrl._factors, np.zeros(ctrl._factors.n), b))
+        assert sol.status == STATUS_MAX_ITERATIONS and sol.certificate is None
+        assert np.all(np.isfinite(sol.z))
 
     @settings(max_examples=60, deadline=None)
     @given(kappa=st.floats(0.0, 2.0), u_prev=st.lists(st.floats(-1.0, 1.0), min_size=3,
@@ -547,7 +572,7 @@ class TestCertificate:
         # it declares the row unreachable.  ``kappa`` sets b_0 = -kappa times
         # that bound; u_prev is drawn within the jerk box.
         ctrl = streak[0]
-        cfg, H = ctrl.config, ctrl._factors.H
+        cfg, n = ctrl.config, ctrl._factors.n
         u_prev = cfg.jerk_limit * np.array(u_prev)
         a = ctrl.A[0]
         assert np.all(a[N_INPUTS:] == 0.0)
@@ -561,8 +586,7 @@ class TestCertificate:
         if kappa > 1.0 + 1e-9:
             assert proved
         if proved:
-            cold = ActiveSetSolver().solve(
-                QpProblem(H=H, f=np.zeros(H.shape[0]), A_ineq=ctrl.A, b_ineq=b))
+            cold = ActiveSetSolver().solve(QpProblem(ctrl._factors, np.zeros(n), b))
             assert cold.status == STATUS_INFEASIBLE
 
 
@@ -682,15 +706,14 @@ class TestObserver:
 
 def run_gate(sigma_rows, gate=None):
     """Feed per-cycle innovations (in sigmas) to a gate; boosted flag per cycle."""
-    gate = gate or PushGate(ObserverConfig())
+    gate = gate or PushGate()
     return [gate.update(np.asarray(row, float)) for row in sigma_rows]
 
 
 class TestPushGate:
     def test_spike_boosts_for_hold_cycles(self):
-        conf = ObserverConfig()
         flags = run_gate([[0.0, 0.0, 4.5]] + [[0.0, 0.0, 0.0]] * 20)
-        assert sum(flags) == conf.boost_hold == 8
+        assert sum(flags) == mpc._BOOST_HOLD == 8
         assert all(flags[:8]) and not any(flags[8:])
 
     def test_persistent_bias_engages_on_fourth_cycle(self):
@@ -699,7 +722,7 @@ class TestPushGate:
 
     def test_moderate_innovation_rearms_but_does_not_start(self):
         assert run_gate([[3.5, 0.0, 0.0]]) == [False]
-        gate = PushGate(ObserverConfig())
+        gate = PushGate()
         flags = run_gate([[4.5, 0.0, 0.0]] + [[0.0, 0.0, 0.0]] * 5 + [[-3.5, 0.0, 0.0]]
                          + [[0.0, 0.0, 0.0]] * 20, gate)
         # Engaged at cycle 0 and re-armed at cycle 6: boosted through cycle 13.
@@ -710,6 +733,6 @@ class TestPushGate:
         assert not any(flags)
 
     def test_window_keeps_last_boost_window_cycles(self):
-        gate = PushGate(ObserverConfig())
+        gate = PushGate()
         run_gate([[float(k), 0.0, 0.0] for k in range(-3, 3)], gate)
         assert [row[0] for row in gate.window] == [-1.0, 0.0, 1.0, 2.0]

@@ -28,6 +28,20 @@ from triwalk.mpc import (
 from oracles import solve_qp_by_enumeration
 
 
+def problem(H, f, A, b, soft=None, penalty=None):
+    """The QP built the way the controller builds one: the factors of (H, A),
+    softened on the rows of the mask ``soft`` if given, plus (f, b)."""
+    factors = QpFactors.build(H, A)
+    if soft is not None:
+        factors = factors.soften(soft, penalty)
+    return QpProblem(factors, np.asarray(f, float), np.asarray(b, float))
+
+
+def parts(p):
+    """(H, f, A, b) of a hard problem, as the enumeration oracle takes them."""
+    return p.factors.H, p.f, p.factors.A, p.b
+
+
 def random_problem(rng, n=5, m=8):
     """Random strictly feasible PD problem of the given size."""
     G = rng.normal(size=(n, n))
@@ -36,7 +50,7 @@ def random_problem(rng, n=5, m=8):
     A = rng.normal(size=(m, n))
     z_feas = rng.normal(size=n) * 0.3
     b = A @ z_feas + rng.uniform(0.05, 1.0, size=m)
-    return QpProblem(H=H, f=f, A_ineq=A, b_ineq=b)
+    return problem(H, f, A, b)
 
 
 @pytest.fixture
@@ -46,43 +60,55 @@ def solver():
 
 class TestBasics:
     def test_unconstrained_quadratic(self, solver):
-        p = QpProblem(H=np.eye(2), f=np.array([-2.0, 0.0]),
-                      A_ineq=np.zeros((0, 2)), b_ineq=np.zeros(0))
+        p = problem(np.eye(2), [-2.0, 0.0], np.zeros((0, 2)), np.zeros(0))
         sol = solver.solve(p)
         assert sol.status == STATUS_OPTIMAL
         np.testing.assert_allclose(sol.z, [2.0, 0.0], atol=1e-12)
         assert sol.objective == pytest.approx(-2.0)
 
     def test_active_bound(self, solver):
-        p = QpProblem(H=np.eye(1), f=np.array([-2.0]),
-                      A_ineq=np.array([[1.0]]), b_ineq=np.array([0.5]))
+        p = problem(np.eye(1), [-2.0], [[1.0]], [0.5])
         sol = solver.solve(p)
         assert sol.status == STATUS_OPTIMAL
         assert sol.z[0] == pytest.approx(0.5, abs=1e-12)
         assert sol.active_set == (0,)
 
     def test_infeasible_detected(self, solver):
-        p = QpProblem(H=np.eye(1), f=np.zeros(1),
-                      A_ineq=np.array([[1.0], [-1.0]]), b_ineq=np.array([0.0, -1.0]))
+        p = problem(np.eye(1), [0.0], [[1.0], [-1.0]], [0.0, -1.0])
         sol = solver.solve(p)
         assert sol.status == STATUS_INFEASIBLE
 
-    def test_non_pd_hessian_rejected(self, solver):
-        p = QpProblem(H=np.array([[1.0, 0.0], [0.0, -1.0]]), f=np.zeros(2),
-                      A_ineq=np.zeros((0, 2)), b_ineq=np.zeros(0))
+    def test_non_pd_hessian_rejected(self):
         with pytest.raises(ControlSolverError):
-            solver.solve(p)
+            QpFactors.build(np.array([[1.0, 0.0], [0.0, -1.0]]), np.zeros((0, 2)))
 
-    def test_asymmetric_hessian_rejected(self, solver):
-        p = QpProblem(H=np.array([[1.0, 0.5], [0.0, 1.0]]), f=np.zeros(2),
-                      A_ineq=np.zeros((0, 2)), b_ineq=np.zeros(0))
+    def test_asymmetric_hessian_rejected(self):
         with pytest.raises(ValueError):
-            solver.solve(p)
+            QpFactors.build(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize("H, A, match", [
+        (np.eye(2)[:1], np.zeros((0, 2)), "H must be square"),
+        (np.ones(2), np.zeros((0, 2)), "H must be square"),
+        (np.eye(2), np.zeros((3, 1)), "one column per variable"),
+        (np.eye(2), np.zeros(2), "one column per variable"),
+    ])
+    def test_shapes_checked(self, H, A, match):
+        with pytest.raises(ValueError, match=match):
+            QpFactors.build(H, A)
+
+    @pytest.mark.parametrize("soft, penalty, match", [
+        ([True], 1.0, "one flag per row"),
+        ([True, False], 0.0, "penalty must be positive"),
+        ([True, False], np.nan, "penalty must be positive"),
+    ])
+    def test_soften_checked(self, soft, penalty, match):
+        with pytest.raises(ValueError, match=match):
+            QpFactors.build(np.eye(2), np.eye(2)).soften(soft, penalty)
 
     def test_max_iterations_status(self):
         rng = np.random.default_rng(3)
         p = random_problem(rng, n=6, m=12)
-        p.b_ineq -= 2.0  # push several constraints active
+        p.b -= 2.0  # push several constraints active
         sol = ActiveSetSolver(max_iter=1).solve(p)
         assert sol.status != STATUS_OPTIMAL
 
@@ -104,8 +130,8 @@ class TestCertificate:
         c = C @ rng.normal(size=5) + rng.uniform(0.0, 1.0, size=k)
         gap = rng.uniform(0.01, 1.0)
         c[-1] -= (w @ c + gap) / w[-1]
-        A, b = np.vstack([p.A_ineq, C]), np.concatenate([p.b_ineq, c])
-        sol = solver.solve(QpProblem(H=p.H, f=p.f, A_ineq=A, b_ineq=b))
+        A, b = np.vstack([p.factors.A, C]), np.concatenate([p.b, c])
+        sol = solver.solve(problem(p.factors.H, p.f, A, b))
         assert sol.status == STATUS_INFEASIBLE
         rows, y = sol.certificate
         rows = list(rows)
@@ -115,8 +141,7 @@ class TestCertificate:
         assert np.max(np.abs(y @ A[rows])) <= 1e-9 * np.max(y @ np.abs(A[rows]))
 
     def test_one_row_infeasibility(self, solver):
-        p = QpProblem(H=np.eye(1), f=np.zeros(1),
-                      A_ineq=np.array([[1.0], [-1.0]]), b_ineq=np.array([0.0, -1.0]))
+        p = problem(np.eye(1), [0.0], [[1.0], [-1.0]], [0.0, -1.0])
         rows, y = solver.solve(p).certificate
         assert sorted(rows) == [0, 1]
         np.testing.assert_array_equal(y, [1.0, 1.0])
@@ -126,7 +151,7 @@ class TestCertificate:
         p = random_problem(rng, n=6, m=12)
         optimal = solver.solve(p)
         assert optimal.status == STATUS_OPTIMAL and optimal.certificate is None
-        p.b_ineq -= 2.0  # push several constraints active
+        p.b -= 2.0  # push several constraints active
         capped = ActiveSetSolver(max_iter=1).solve(p)
         assert capped.status == STATUS_MAX_ITERATIONS and capped.certificate is None
 
@@ -137,7 +162,7 @@ class TestAgainstEnumeration:
         rng = np.random.default_rng(1000 + seed)
         p = random_problem(rng, n=5, m=8)
         sol = solver.solve(p)
-        z_ref, obj_ref = solve_qp_by_enumeration(p.H, p.f, p.A_ineq, p.b_ineq)
+        z_ref, obj_ref = solve_qp_by_enumeration(*parts(p))
         assert sol.status == STATUS_OPTIMAL
         assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
         np.testing.assert_allclose(sol.z, z_ref, atol=1e-6)
@@ -148,7 +173,7 @@ class TestAgainstEnumeration:
         rng = np.random.default_rng(42)
         for _ in range(10):
             p = random_problem(rng, n=4, m=7)
-            z_ref, _ = solve_qp_by_enumeration(p.H, p.f, p.A_ineq, p.b_ineq)
+            z_ref, _ = solve_qp_by_enumeration(*parts(p))
             assert kkt_residual(p, z_ref) < 1e-8
 
 
@@ -156,8 +181,8 @@ class TestKktResidual:
     def test_unconstrained_minimum(self):
         rng = np.random.default_rng(5)
         p = random_problem(rng, n=4, m=6)
-        z_star = np.linalg.solve(p.H, -p.f)
-        if np.all(p.A_ineq @ z_star <= p.b_ineq):
+        z_star = np.linalg.solve(p.factors.H, -p.f)
+        if np.all(p.factors.A @ z_star <= p.b):
             assert kkt_residual(p, z_star) < 1e-12
 
     def test_perturbed_optimum_nonzero(self, solver):
@@ -175,8 +200,8 @@ class TestInvariants:
         count = 0
         while count < 1000:
             cand = sol.z + rng.normal(size=5) * rng.uniform(0.01, 2.0)
-            if np.all(p.A_ineq @ cand <= p.b_ineq):
-                obj = 0.5 * cand @ p.H @ cand + p.f @ cand
+            if np.all(p.factors.A @ cand <= p.b):
+                obj = 0.5 * cand @ p.factors.H @ cand + p.f @ cand
                 assert obj >= sol.objective - 1e-9
                 count += 1
 
@@ -185,7 +210,7 @@ class TestInvariants:
         p = random_problem(rng, n=5, m=8)
         sol = solver.solve(p)
         scale = rng.uniform(0.1, 10.0, size=8)
-        p2 = QpProblem(H=p.H, f=p.f, A_ineq=p.A_ineq * scale[:, None], b_ineq=p.b_ineq * scale)
+        p2 = problem(p.factors.H, p.f, p.factors.A * scale[:, None], p.b * scale)
         sol2 = solver.solve(p2)
         np.testing.assert_allclose(sol2.z, sol.z, atol=1e-8)
 
@@ -199,28 +224,22 @@ class TestInvariants:
 
 class TestSoftRows:
     def test_large_penalty_approaches_hard(self, solver):
-        p_hard = QpProblem(H=np.eye(1), f=np.array([-2.0]),
-                           A_ineq=np.array([[1.0]]), b_ineq=np.array([0.5]))
-        p_soft = QpProblem(H=np.eye(1), f=np.array([-2.0]),
-                           A_ineq=np.array([[1.0]]), b_ineq=np.array([0.5]),
-                           soft=np.array([True]), soft_penalty=1e9)
+        p_hard = problem(np.eye(1), [-2.0], [[1.0]], [0.5])
+        p_soft = problem(np.eye(1), [-2.0], [[1.0]], [0.5], soft=[True], penalty=1e9)
         z_hard = solver.solve(p_hard).z[0]
         z_soft = solver.solve(p_soft).z[0]
         assert z_soft == pytest.approx(z_hard, abs=1e-6)
 
     def test_soft_row_yields_to_objective(self, solver):
         # Weak penalty: minimiser sits between the bound and the unconstrained optimum.
-        p = QpProblem(H=np.eye(1), f=np.array([-2.0]),
-                      A_ineq=np.array([[1.0]]), b_ineq=np.array([0.5]),
-                      soft=np.array([True]), soft_penalty=1.0)
+        p = problem(np.eye(1), [-2.0], [[1.0]], [0.5], soft=[True], penalty=1.0)
         sol = solver.solve(p)
         assert 0.5 < sol.z[0] < 2.0
         assert sol.slacks is not None and sol.slacks[0] > 0.0
 
     def test_soft_rows_make_problem_feasible(self, solver):
-        p = QpProblem(H=np.eye(1), f=np.zeros(1),
-                      A_ineq=np.array([[1.0], [-1.0]]), b_ineq=np.array([0.0, -1.0]),
-                      soft=np.array([True, True]), soft_penalty=1e6)
+        p = problem(np.eye(1), [0.0], [[1.0], [-1.0]], [0.0, -1.0], soft=[True, True],
+                    penalty=1e6)
         sol = solver.solve(p)
         assert sol.status == STATUS_OPTIMAL
 
@@ -229,7 +248,7 @@ class TestWarmStart:
     def test_warm_start_reaches_same_solution_faster(self, solver):
         rng = np.random.default_rng(21)
         p = random_problem(rng, n=6, m=12)
-        p.b_ineq -= 0.04  # tighten so several rows go active, staying feasible
+        p.b -= 0.04  # tighten so several rows go active, staying feasible
         cold = solver.solve(p)
         assert cold.status == STATUS_OPTIMAL
         warm = solver.solve(p, warm_start=cold.active_set)
@@ -241,7 +260,7 @@ class TestWarmStart:
         # the solve restarts cold instead of raising.
         rng = np.random.default_rng(21)
         p = random_problem(rng, n=6, m=12)
-        p.b_ineq -= 0.04
+        p.b -= 0.04
         cold = solver.solve(p)
 
         def indefinite(*args):
@@ -257,7 +276,7 @@ class TestWarmStart:
         rng = np.random.default_rng(22)
         p = random_problem(rng, n=5, m=8)
         sol = solver.solve(p, warm_start=(0, 3, 7, 99, -1))
-        z_ref, obj_ref = solve_qp_by_enumeration(p.H, p.f, p.A_ineq, p.b_ineq)
+        z_ref, obj_ref = solve_qp_by_enumeration(*parts(p))
         assert sol.objective == pytest.approx(obj_ref, abs=1e-8)
 
 
@@ -306,10 +325,8 @@ class TestFactoredSequences:
             margin = rng.uniform(0.05, 1.0, size=rows)
             margin[m:m + n_dup] = margin[src[:n_dup]]   # exact duplicate constraints
             b = A @ (rng.normal(size=n) * 0.3) + margin
-            common = dict(H=H, f=f, A_ineq=A, b_ineq=b, soft=soft if n_soft else None,
-                          soft_penalty=penalty)
-            problem = QpProblem(**common, factors=factors)
-            sol = solver.solve(problem, warm_start=warm)
+            qp = QpProblem(factors, f, b)
+            sol = solver.solve(qp, warm_start=warm)
             assert sol.status == STATUS_OPTIMAL
             if n_soft:
                 z_ref, obj_ref = solve_qp_by_enumeration(
@@ -318,8 +335,8 @@ class TestFactoredSequences:
                 z_ref, obj_ref = solve_qp_by_enumeration(H, f, A, b)
             assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
             assert sol.kkt_residual < 1e-8
-            assert kkt_residual(problem, sol.z) < 1e-8
-            cold = ActiveSetSolver().solve(QpProblem(**common))
+            assert kkt_residual(qp, sol.z) < 1e-8
+            cold = ActiveSetSolver().solve(qp)
             assert cold.status == STATUS_OPTIMAL
             np.testing.assert_allclose(sol.z, cold.z, atol=1e-8)
             assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
@@ -328,11 +345,12 @@ class TestFactoredSequences:
     def test_factors_are_read_only(self):
         rng = np.random.default_rng(7)
         p = random_problem(rng, n=3, m=4)
-        p.soft = np.array([True, False, False, True])
-        factors = p.factorize()
-        for arr in (factors.H, factors.A, factors.L_inv, factors.V, factors.G, factors.slack_scale):
+        factors = p.factors.soften(np.array([True, False, False, True]), 1e6)
+        for arr in (factors.H, factors.A, factors.L_inv, factors.V, factors.G, factors.soft_rows,
+                    factors.slack_scale):
             assert not arr.flags.writeable
         assert factors.A.shape == (6, 5) and factors.n == 3
+        np.testing.assert_array_equal(factors.soft_rows, [0, 3])
 
 
 class TestWarmStartAcrossSoftening:
@@ -352,7 +370,7 @@ class TestWarmStartAcrossSoftening:
         soft[rng.choice(m, size=n_soft, replace=False)] = True
         margin = np.where(soft, rng.uniform(-0.5, 1.0, size=m), rng.uniform(0.05, 1.0, size=m))
         b = A @ (rng.normal(size=n) * 0.3) + margin
-        return dict(H=H, f=rng.normal(size=n), A_ineq=A, b_ineq=b, soft=soft, soft_penalty=100.0)
+        return H, rng.normal(size=n), A, b, soft
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 5),
@@ -360,33 +378,32 @@ class TestWarmStartAcrossSoftening:
     def test_soft_solve_from_any_index_set(self, seed, n, m, n_soft, warm):
         # Hard rows, slack rows (index >= m), rows inactive at the optimum and
         # indices outside the augmented problem, in any mix.
-        common = self.soft_problem(seed, n, m, n_soft)
-        problem = QpProblem(**common)
-        sol = ActiveSetSolver().solve(problem, warm_start=warm)
+        data = self.soft_problem(seed, n, m, n_soft)
+        qp = problem(*data, penalty=100.0)
+        sol = ActiveSetSolver().solve(qp, warm_start=warm)
         assert sol.status == STATUS_OPTIMAL
-        z_ref, obj_ref = solve_qp_by_enumeration(*slack_augmented(
-            common["H"], common["f"], common["A_ineq"], common["b_ineq"], common["soft"], 100.0))
+        z_ref, obj_ref = solve_qp_by_enumeration(*slack_augmented(*data, 100.0))
         assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
-        cold = ActiveSetSolver().solve(problem)
+        cold = ActiveSetSolver().solve(qp)
         np.testing.assert_allclose(sol.z, cold.z, atol=1e-8)
-        assert kkt_residual(problem, sol.z) < 1e-8
+        assert kkt_residual(qp, sol.z) < 1e-8
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 5),
            n_soft=st.integers(1, 2))
     def test_hard_solve_ignores_slack_rows(self, seed, n, m, n_soft):
-        common = self.soft_problem(seed, n, m, n_soft)
-        soft_set = ActiveSetSolver().solve(QpProblem(**common)).active_set
+        *hard_data, soft = self.soft_problem(seed, n, m, n_soft)
+        soft_set = ActiveSetSolver().solve(problem(*hard_data, soft, 100.0)).active_set
         # Every slack row of the softened problem, active or not, rides along.
         warm = soft_set + tuple(range(m, m + n_soft))
-        hard = QpProblem(**{**common, "soft": None})
+        hard = problem(*hard_data)
         sol = ActiveSetSolver().solve(hard, warm_start=warm)
         ref = ActiveSetSolver().solve(hard, warm_start=[i for i in warm if i < m])
         assert sol.status == ref.status and sol.iterations == ref.iterations
         assert sol.active_set == ref.active_set and all(i < m for i in sol.active_set)
         np.testing.assert_array_equal(sol.z, ref.z)
         if sol.status == STATUS_OPTIMAL:
-            _, obj_ref = solve_qp_by_enumeration(hard.H, hard.f, hard.A_ineq, hard.b_ineq)
+            _, obj_ref = solve_qp_by_enumeration(*parts(hard))
             assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
 
 
@@ -475,14 +492,13 @@ class TestLargeSoftenedSolves:
         f = cost_gradient(ctrl._GtW, ctrl._UtW, free, ctrl.u_prev[0])
         b = condense_constraints(ctrl.config, lo, hi, free, ctrl.u_prev[0])
         H = ctrl._factors.H
-        hard = ActiveSetSolver().solve(QpProblem(H=H, f=f, A_ineq=ctrl.A, b_ineq=b))
+        hard = ActiveSetSolver().solve(QpProblem(ctrl._factors, f, b))
         assert hard.status == STATUS_INFEASIBLE
-        problem = QpProblem(H=H, f=f, A_ineq=ctrl.A, b_ineq=b, soft=ctrl._output_rows,
-                            soft_penalty=ctrl.config.soft_penalty)
-        sol = ActiveSetSolver().solve(problem)
+        relaxed = QpProblem(ctrl._soft_factors, f, b)
+        sol = ActiveSetSolver().solve(relaxed)
         assert sol.status == STATUS_OPTIMAL
         assert len(sol.active_set) > 40
         # A cold solve appends once per iteration, so the surplus was dropped.
         assert sol.iterations > len(sol.active_set)
         scale = 1.0 + np.max(np.abs(f)) + np.max(np.abs(H @ sol.z))
-        assert kkt_residual(problem, sol.z) <= 1e-8 * scale
+        assert kkt_residual(relaxed, sol.z) <= 1e-8 * scale

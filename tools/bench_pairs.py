@@ -17,15 +17,20 @@ quartiles, the relative change of the medians and the pairs the change won
 nine tenths of the pairs and the medians differ by more than the parent's
 interquartile range; a metric is worse than its bound when the change's
 median is worse than the parent's by more than the bound, relative to the
-parent's median.  ``--traced`` adds one ``--trace 1`` run per side at the
-first seed and keeps its per-layer metrics.  ``--out`` writes everything,
-each run's value included, as JSON.
+parent's median.  After each pair, the two sides' per-tick commands
+(``.bench_out/u-<workload>-seed<seed>.npy``, written by ``perfbench/run.py``)
+give the pair's max |du|, inf when a file is missing or the shapes differ;
+the largest over the pairs is printed.  ``--traced`` adds one ``--trace 1``
+run per side at the first seed and keeps its per-layer metrics.  ``--out``
+writes everything, each run's value and each pair's max |du| included, as
+JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +49,22 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     result = json.loads(lines[-1])
     result["exit_code"] = proc.returncode
     return result
+
+
+def u_file(checkout: Path, workload: str, seed: int) -> Path:
+    return checkout / ".bench_out" / f"u-{workload}-seed{seed}.npy"
+
+
+def max_abs_du(path_a: Path, path_b: Path) -> float:
+    """Largest |du| between two saved command arrays; inf when either file
+    is missing or their shapes differ."""
+    try:
+        a, b = np.load(path_a), np.load(path_b)
+    except FileNotFoundError:
+        return math.inf
+    if a.shape != b.shape:
+        return math.inf
+    return float(np.max(np.abs(a - b), initial=0.0))
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -74,20 +95,26 @@ def measure(parent_dir: Path, change_dir: Path, workload: str, args, specs) -> d
     sides = {"parent": parent_dir, "change": change_dir}
     runs = {"parent": [], "change": []}
     seeds = [args.first_seed + i for i in range(args.pairs)]
+    du = []
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
+            # A stale file of an earlier run must not stand in for this one's.
+            u_file(sides[side], workload, seed).unlink(missing_ok=True)
             result = run_bench(sides[side], workload, seed, args.seconds, 0)
             runs[side].append(result)
             print(f"  {workload} seed {seed} {side}: correct={result['correct']} "
                   f"tick_p99_ms={result['metrics'].get('tick_p99_ms', {}).get('value')}",
                   file=sys.stderr, flush=True)
+        du.append(max_abs_du(*(u_file(sides[side], workload, seed)
+                               for side in ("parent", "change"))))
     record = {
         "pairs": args.pairs, "seeds": seeds, "seconds": args.seconds,
         "first_side": ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)],
         "correct": all(r["correct"] for side in runs.values() for r in side),
         "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
+        "max_abs_du": du,
         "metrics": {
             spec["name"]: compare(spec, *([r["metrics"][spec["name"]]["value"] for r in runs[side]]
                                           for side in ("parent", "change")))
@@ -105,7 +132,8 @@ def measure(parent_dir: Path, change_dir: Path, workload: str, args, specs) -> d
 
 def print_table(workload: str, record: dict) -> None:
     print(f"{workload}: {record['pairs']} pairs, seeds {record['seeds'][0]}.."
-          f"{record['seeds'][-1]}, all correct: {record['correct']}")
+          f"{record['seeds'][-1]}, all correct: {record['correct']}, "
+          f"max |du| over the pairs {max(record['max_abs_du']):.3e}")
     for name, m in record["metrics"].items():
         flags = ("  GAIN" if m["gain_shown"] else "") + ("  WORSE" if m["worse_than_bound"] else "")
         print(f"  {name:<18} parent {m['parent_median']:.6g} [{m['parent_q1']:.6g}, "

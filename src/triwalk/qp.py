@@ -25,9 +25,11 @@ Within a solve, the working set W keeps a lower Cholesky factor R of its Gram
 block ``A_W H^-1 A_W' = R R'`` in a Fortran-ordered buffer whose leading
 block LAPACK reads in place.  A step direction costs two triangular solves;
 appending a row extends R by one row, and dropping one deletes its row of R
-and re-triangularises the rows below it.  No refinement pass runs between
-steps: the final working set is re-solved once (``_polish``) and the KKT
-gate checks the result.  Should rounding leave the working-set Gram block
+and re-triangularises the rows below it.  A warm start seeds W from an
+earlier active set in one block: one triangular solve and one Cholesky
+factorization cover all its rows.  No refinement pass runs between steps:
+the final working set is re-solved once (``_polish``) and the KKT gate
+checks the result.  Should rounding leave the working-set Gram block
 indefinite, a warm-started solve starts over cold, and a cold solve ends
 there with status ``max_iterations``, as it does at the iteration cap.
 
@@ -273,7 +275,9 @@ class ActiveSetSolver:
         self.max_iter = max_iter
 
     def solve(self, problem: QpProblem, warm_start=None) -> QpSolution:
-        if warm_start:
+        """Solve ``problem`` from ``warm_start``: None (cold), or any sequence
+        of row indices, such as an earlier ``active_set``; empty is cold."""
+        if warm_start is not None and len(warm_start):
             try:
                 return self._solve(problem, warm_start)
             except np.linalg.LinAlgError:
@@ -299,7 +303,7 @@ class ActiveSetSolver:
         # Nothing is ever written above the diagonal, which ``_drop`` reads.
         R = np.zeros((n, n), order="F")
 
-        if warm_start:
+        if warm_start is not None:
             self._seed_working_set(fac, b, z0, W, lam, V, R, warm_start)
             if W:
                 z = z0 - V[:, :len(W)] @ lam[:len(W)]
@@ -375,7 +379,7 @@ class ActiveSetSolver:
                     except np.linalg.LinAlgError:
                         # A near-dependent working set: a warm start is
                         # retried cold, a cold solve keeps its iterate.
-                        if warm_start:
+                        if warm_start is not None:
                             raise
                         status = STATUS_MAX_ITERATIONS
                         break
@@ -418,33 +422,49 @@ class ActiveSetSolver:
     def _seed_working_set(fac: QpFactors, b, z0, W, lam, V, R, warm_start) -> None:
         """Recreate a dual-feasible working set from a previous active set.
 
-        Any index set is accepted: indices outside this problem's rows (the
-        slack rows of a softened problem when this one is hard, stale or
-        negative ones) are skipped, as are rows dependent on those already
-        seeded; pruning then keeps only rows with nonnegative multipliers.
-        A seed can still be nearly dependent; should a factor update then
-        find its Gram block indefinite, ``solve`` starts over cold.
+        Indices outside this problem's rows (the slack rows of a softened
+        problem when this one is hard, stale or negative ones) are skipped.
+        The sorted candidates are factored as one block: a triangular solve
+        against R, then a Cholesky factorization of their Schur block.  The
+        leading rows whose squared pivot exceeds 1e-10 max(1, G_ii) enter W,
+        at most n in all; the first row that fails depends on those before
+        it, is skipped, and the rest are factored again.  Pruning then drops
+        the most negative multiplier until none is negative.  Should a
+        factor update find a nearly dependent seed's Gram block indefinite,
+        ``solve`` starts over cold.
         """
         A, G = fac.A, fac.G
         n, m = fac.H.shape[0], A.shape[0]
-        for i in sorted({int(i) for i in warm_start if 0 <= int(i) < m}):
-            if len(W) >= n:
-                break
-            l = _forward(R, len(W), G[W, i])
-            s_new = float(G[i, i])
-            # Schur complement must stay safely positive for independence.
-            schur = s_new - float(l @ l)
-            if schur <= 1e-10 * max(1.0, s_new):
-                continue
-            _append(W, V, R, i, fac.V[:, i], l, schur)
+        cand = np.array(sorted({int(i) for i in warm_start if 0 <= int(i) < m}), dtype=int)
+        while cand.size and len(W) < n:
+            k = len(W)
+            S = G[cand[:, None], cand]
+            tol = 1e-10 * np.maximum(1.0, S.diagonal())
+            if k:
+                L = dtrtrs(R[:, :k], G[np.ix_(W, cand)], lower=1)[0]
+                S -= L.T @ L
+            F, info = dpotrf(S, lower=1)
+            c = info - 1 if info else cand.size
+            bad = np.flatnonzero(F.diagonal()[:c] ** 2 <= tol[:c])
+            j = min(int(bad[0]) if bad.size else c, n - k)
+            if k:
+                R[k:k + j, :k] = L[:, :j].T
+            R[k:k + j, k:k + j] = F[:j, :j]
+            V[:, k:k + j] = fac.V[:, cand[:j]]
+            W.extend(cand[:j].tolist())
+            cand = cand[j + 1:]
         # Prune until the equality-constrained multipliers are all nonnegative.
+        # A row's gap b_i - a_i z0 does not depend on the rest of W.
+        gap = b[W] - A[W] @ z0
         while W:
             k = len(W)
-            mult = -_gram_solve(R, k, b[W] - A[W] @ z0)
-            if np.min(mult) >= 0.0:
+            mult = -_gram_solve(R, k, gap)
+            if mult.min() >= 0.0:
                 lam[:k] = mult
                 return
-            _drop(W, lam, V, R, G, int(np.argmin(mult)))
+            pos = int(mult.argmin())
+            _drop(W, lam, V, R, G, pos)
+            gap = np.delete(gap, pos)
 
     @staticmethod
     def _polish(fac: QpFactors, f, b, z0, W, V, R):

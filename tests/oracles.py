@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the main code paths.
 
 Everything here is deliberately brute force or off the shelf: truncated
-series, exhaustive enumeration, uniform-cost search and a linear-programming
-feasibility check.  None of it shares code with the package.
+series, exhaustive enumeration, uniform-cost search, a linear-programming
+feasibility check and a row-by-row warm-start seed.  None of it shares code
+with the package.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
 
@@ -97,6 +99,43 @@ def polyhedron_is_empty(A, b) -> bool:
     if result.status not in (0, 2):
         raise RuntimeError(f"feasibility LP inconclusive: {result.message}")
     return result.status == 2
+
+
+def seed_working_set_by_rows(G, A, b, z0, warm_start):
+    """A QP warm start rebuilt one candidate row at a time.
+
+    The candidates are the distinct indices of ``warm_start`` that name a row
+    of ``A``, in ascending order.  Each enters the working set W unless W
+    already holds one row per variable or its Schur complement against W,
+    ``G_ii - l'l`` with ``R l = G[W, i]`` and ``R R' = G[W, W]``, is at most
+    1e-10 max(1, G_ii).  Then, while an equality-constrained multiplier
+    ``-G[W, W]^-1 (b[W] - A[W] z0)`` is negative, the row with the most
+    negative one leaves W.  Returns (seeded, W, lam): the rows that entered,
+    the rows kept and their multipliers.
+    """
+    G = np.asarray(G, float)
+    A = np.asarray(A, float)
+    m, n = A.shape
+    W: list[int] = []
+    R = np.zeros((0, 0))
+    for i in sorted({int(i) for i in warm_start if 0 <= int(i) < m}):
+        if len(W) >= n:
+            break
+        l = solve_triangular(R, G[W, i], lower=True)
+        schur = G[i, i] - l @ l
+        if schur <= 1e-10 * max(1.0, G[i, i]):
+            continue
+        R = np.block([[R, np.zeros((len(W), 1))], [l[None, :], np.sqrt(schur)]])
+        W.append(i)
+    seeded = list(W)
+    lam = np.zeros(0)
+    while W:
+        lam = -np.linalg.solve(G[np.ix_(W, W)], b[W] - A[W] @ z0)
+        if lam.min() >= 0.0:
+            break
+        W.pop(int(np.argmin(lam)))
+        lam = np.zeros(0)
+    return seeded, W, lam
 
 
 def dijkstra_grid(occupancy: np.ndarray, start, goal, cell_size: float):

@@ -37,7 +37,18 @@ def test_ties_count_for_neither_side_and_direction_follows_the_spec():
     worse = bench_pairs.compare(HIGHER, parent, [0.9, 0.9, 0.9, 0.9])
     assert worse["worse_than_bound"] and worse["change_wins"] == 0
     better = bench_pairs.compare(HIGHER, parent, [1.1, 1.1, 1.1, 1.1])
-    assert better["change_wins"] == 4 and better["gain_shown"]
+    # Four won pairs of four are too few to show a gain.
+    assert better["change_wins"] == 4 and not better["gain_shown"]
+    assert bench_pairs.compare(HIGHER, parent * 3, [1.1] * 12)["gain_shown"]
+
+
+def test_gain_needs_ten_pairs():
+    parent = [10.0, 11.0, 12.0, 13.0, 14.0] * 2
+    change = [p - 5.0 for p in parent]
+    nine = bench_pairs.compare(LOWER, parent[:9], change[:9])
+    assert nine["change_wins"] == 9 and not nine["gain_shown"]
+    ten = bench_pairs.compare(LOWER, parent, change)
+    assert ten["change_wins"] == 10 and ten["gain_shown"]
 
 
 def test_max_abs_du_reads_the_saved_commands(tmp_path):
@@ -54,7 +65,18 @@ def test_max_abs_du_reads_the_saved_commands(tmp_path):
     assert du(tmp_path / "missing.npy", tmp_path / "u.npy") == math.inf
 
 
-def test_each_pair_records_its_max_abs_du(tmp_path, monkeypatch):
+def test_max_abs_u_reads_the_parents_commands(tmp_path):
+    u = np.array([[0.5, -3.0, 1.0], [2.0, 0.0, -0.25]])
+    np.save(tmp_path / "u.npy", u)
+    np.save(tmp_path / "zero.npy", np.zeros((2, 3)))
+    np.save(tmp_path / "empty.npy", np.zeros((0, 6)))
+    assert bench_pairs.max_abs_u(tmp_path / "u.npy") == 3.0
+    assert bench_pairs.max_abs_u(tmp_path / "zero.npy") == 0.0
+    assert bench_pairs.max_abs_u(tmp_path / "empty.npy") == 0.0
+    assert math.isnan(bench_pairs.max_abs_u(tmp_path / "missing.npy"))
+
+
+def test_each_pair_records_its_max_abs_du(tmp_path, monkeypatch, capsys):
     # The change's command differs at seed 1 and is not written at seed 2,
     # where a stale file of an earlier run must not count.
     parent, change = tmp_path / "parent", tmp_path / "change"
@@ -62,6 +84,7 @@ def test_each_pair_records_its_max_abs_du(tmp_path, monkeypatch):
     def fake_run(checkout, workload, seed, seconds, trace):
         u = np.zeros((3, 6))
         u[0, 0] = 1e-3 if (checkout, seed) == (change, 1) else 0.0
+        u[2, 5] = -2.0 - seed
         if (checkout, seed) != (change, 2):
             np.save(bench_pairs.u_file(checkout, workload, seed), u)
         return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}
@@ -73,3 +96,8 @@ def test_each_pair_records_its_max_abs_du(tmp_path, monkeypatch):
     args = SimpleNamespace(first_seed=0, pairs=3, seconds=1.0, traced=False)
     record = bench_pairs.measure(parent, change, "walk_map", args, [{"name": "wall_s", **LOWER}])
     assert record["max_abs_du"] == [0.0, 1e-3, math.inf]
+    assert record["max_abs_u"] == [2.0, 3.0, 4.0]
+    record["max_abs_du"][2] = 1e-3
+    bench_pairs.print_table("walk_map", record)
+    out = capsys.readouterr().out
+    assert "max |du| over the pairs 1.000e-03, max |du| / max |u| 2.500e-04" in out

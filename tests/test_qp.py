@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triwalk.qp import (
@@ -25,7 +25,7 @@ from triwalk.mpc import (
     cost_gradient,
 )
 
-from oracles import solve_qp_by_enumeration
+from oracles import seed_working_set_by_rows, solve_qp_by_enumeration
 
 
 def problem(H, f, A, b, soft=None, penalty=None):
@@ -272,6 +272,20 @@ class TestWarmStart:
         assert sol.iterations == cold.iterations and sol.active_set == cold.active_set
         np.testing.assert_array_equal(sol.z, cold.z)
 
+    @pytest.mark.parametrize("rows", [0, 1, None])
+    def test_numpy_array_warm_start_matches_the_tuple(self, solver, rows):
+        rng = np.random.default_rng(21)
+        p = random_problem(rng, n=6, m=12)
+        p.b -= 0.04
+        active = solver.solve(p).active_set
+        assert len(active) >= 2
+        warm = active[:rows]
+        ref = solver.solve(p, warm_start=warm)
+        sol = solver.solve(p, warm_start=np.array(warm))
+        assert sol.status == ref.status == STATUS_OPTIMAL
+        assert sol.active_set == ref.active_set and sol.iterations == ref.iterations
+        np.testing.assert_array_equal(sol.z, ref.z)
+
     def test_stale_warm_start_is_harmless(self, solver):
         rng = np.random.default_rng(22)
         p = random_problem(rng, n=5, m=8)
@@ -294,6 +308,20 @@ def slack_augmented(H, f, A, b, soft, penalty):
     return H_aug, np.concatenate([f, np.zeros(k)]), A_aug, np.concatenate([b, np.zeros(k)])
 
 
+def dependent_rows(rng, n, m, n_dup, n_par):
+    """A random PD ``H`` and ``m`` random rows followed by ``n_dup``
+    duplicates and ``n_par`` parallel copies of them; returns (H, A, src),
+    ``src`` naming the row each extra row copies."""
+    G = rng.normal(size=(n, n))
+    H = G.T @ G + n * np.eye(n)
+    base = rng.normal(size=(m, n))
+    # Duplicate rows repeat a row exactly; parallel rows are positive or
+    # negative multiples of one, which makes boxes and redundant bounds.
+    src = rng.integers(0, m, size=n_dup + n_par)
+    mult = rng.choice([-2.0, -1.0, 0.5, 3.0], size=n_par)
+    return H, np.vstack([base, base[src[:n_dup]], mult[:, None] * base[src[n_dup:]]]), src
+
+
 class TestFactoredSequences:
     """One factorization of a fixed (H, A), solved for a sequence of (f, b)."""
 
@@ -303,14 +331,7 @@ class TestFactoredSequences:
            n_solves=st.integers(2, 4))
     def test_matches_oracle_and_cold_solve(self, seed, n, m, n_dup, n_par, n_soft, n_solves):
         rng = np.random.default_rng(seed)
-        G = rng.normal(size=(n, n))
-        H = G.T @ G + n * np.eye(n)
-        base = rng.normal(size=(m, n))
-        # Duplicate rows repeat a row exactly; parallel rows are positive or
-        # negative multiples of one, which makes boxes and redundant bounds.
-        src = rng.integers(0, m, size=n_dup + n_par)
-        mult = rng.choice([-2.0, -1.0, 0.5, 3.0], size=n_par)
-        A = np.vstack([base, base[src[:n_dup]], mult[:, None] * base[src[n_dup:]]])
+        H, A, src = dependent_rows(rng, n, m, n_dup, n_par)
         rows = A.shape[0]
         soft = np.zeros(rows, bool)
         soft[rng.choice(rows, size=n_soft, replace=False)] = True
@@ -405,6 +426,55 @@ class TestWarmStartAcrossSoftening:
         if sol.status == STATUS_OPTIMAL:
             _, obj_ref = solve_qp_by_enumeration(*parts(hard))
             assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
+
+
+class TestBlockedSeed:
+    """The warm-start seed factors its candidate rows as one block; it must
+    keep and drop the rows the row-by-row oracle does."""
+
+    @staticmethod
+    def seed(fac, b, z0, warm):
+        N = fac.H.shape[0]
+        W, lam, V, R = [], np.zeros(N), np.empty((N, N)), np.zeros((N, N), order="F")
+        ActiveSetSolver._seed_working_set(fac, b, z0, W, lam, V, R, warm)
+        return W, lam[:len(W)], V[:, :len(W)], R
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 5),
+           n_dup=st.integers(0, 2), n_par=st.integers(0, 2), n_soft=st.integers(0, 2),
+           warm=st.lists(st.integers(-3, 16), max_size=20))
+    # Row 1 depends on row 0 and row 2 does not: the factorization restarts.
+    @example(seed=0, n=2, m=2, n_dup=1, n_par=1, n_soft=0, warm=[0, 1, 2])
+    def test_matches_the_row_by_row_oracle(self, seed, n, m, n_dup, n_par, n_soft, warm):
+        # Duplicate and parallel rows, more candidates than variables,
+        # negative, out-of-range and (hard problem) slack indices.
+        rng = np.random.default_rng(seed)
+        H, A, _ = dependent_rows(rng, n, m, n_dup, n_par)
+        rows = A.shape[0]
+        # Shuffled, a dependent row can come before independent ones.
+        A = A[rng.permutation(rows)]
+        fac = QpFactors.build(H, A)
+        if n_soft:
+            fac = fac.soften(np.isin(np.arange(rows), rng.choice(rows, n_soft, False)), 100.0)
+        f, b = fac.extend(rng.normal(size=n), A @ rng.normal(size=n) + rng.normal(size=rows))
+        # A slack row's bound is zero in a solve, so once its soft row has
+        # left W its multiplier can be exactly zero, and rounding alone then
+        # decides whether it is pruned; random bounds keep the drops decided.
+        b[rows:] = rng.normal(size=b.size - rows)
+        z0 = -fac.hsolve(f)
+        seeded, kept, lam_ref = seed_working_set_by_rows(fac.G, fac.A, b, z0, warm)
+        # With b and z0 zero every multiplier is zero, so nothing is pruned
+        # and W shows which candidates the factorization skipped.
+        assert self.seed(fac, np.zeros_like(b), np.zeros_like(z0), warm)[0] == seeded
+        W, lam, V, R = self.seed(fac, b, z0, warm)
+        assert W == kept
+        k = len(W)
+        Rk, S = R[:k, :k], fac.G[np.ix_(W, W)]
+        assert np.array_equal(R, np.tril(R))
+        assert np.max(np.abs(Rk @ Rk.T - S), initial=0.0) <= 1e-10 * np.max(np.abs(S), initial=1.0)
+        assert np.all(lam >= 0.0)
+        np.testing.assert_allclose(lam, lam_ref, rtol=1e-6, atol=1e-9)
+        np.testing.assert_array_equal(V, fac.V[:, W])
 
 
 class TestWorkingSetFactor:

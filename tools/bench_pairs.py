@@ -13,17 +13,18 @@ change first on odd i, so drift of a shared host hits both sides alike.
 Per workload and end-to-end metric the script prints each side's median and
 quartiles, the relative change of the medians and the pairs the change won
 (ties count for neither side).  Direction and regression bound come from
-``CHANGE_DIR/BENCHMARK.json``.  A gain is shown when the change wins at least
-nine tenths of the pairs and the medians differ by more than the parent's
-interquartile range; a metric is worse than its bound when the change's
-median is worse than the parent's by more than the bound, relative to the
-parent's median.  After each pair, the two sides' per-tick commands
-(``.bench_out/u-<workload>-seed<seed>.npy``, written by ``perfbench/run.py``)
-give the pair's max |du|, inf when a file is missing or the shapes differ;
-the largest over the pairs is printed.  ``--traced`` adds one ``--trace 1``
-run per side at the first seed and keeps its per-layer metrics.  ``--out``
-writes everything, each run's value and each pair's max |du| included, as
-JSON.
+``CHANGE_DIR/BENCHMARK.json``.  A gain is shown when there are at least ten
+pairs, the change wins at least nine tenths of them and the medians differ
+by more than the parent's interquartile range; a metric is worse than its
+bound when the change's median is worse than the parent's by more than the
+bound, relative to the parent's median.  After each pair, the two sides'
+per-tick commands (``.bench_out/u-<workload>-seed<seed>.npy``, written by
+``perfbench/run.py``) give the pair's max |du|, inf when a file is missing
+or the shapes differ, and the parent's max |u|, nan when its file is
+missing; the largest |du| over the pairs is printed, also divided by the
+largest |u|.  ``--traced`` adds one ``--trace 1`` run per side at the first
+seed and keeps its per-layer metrics.  ``--out`` writes everything, each
+run's value and each pair's max |du| and max |u| included, as JSON.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+# A gain needs at least this many pairs: with fewer, chance alone wins nine
+# tenths of them too often (four of four, one time in sixteen).
+MIN_GAIN_PAIRS = 10
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -67,6 +72,14 @@ def max_abs_du(path_a: Path, path_b: Path) -> float:
     return float(np.max(np.abs(a - b), initial=0.0))
 
 
+def max_abs_u(path: Path) -> float:
+    """Largest |u| of a saved command array; nan when the file is missing."""
+    try:
+        return float(np.max(np.abs(np.load(path)), initial=0.0))
+    except FileNotFoundError:
+        return math.nan
+
+
 def quartiles(values) -> tuple[float, float, float]:
     q1, q2, q3 = np.percentile(np.asarray(values, float), [25, 50, 75])
     return float(q1), float(q2), float(q3)
@@ -85,7 +98,8 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
         "parent_q1": p1, "parent_median": pm, "parent_q3": p3,
         "change_q1": c1, "change_median": cm, "change_q3": c3,
         "rel_change": rel, "change_wins": int(wins), "pairs": len(parent),
-        "gain_shown": bool(wins >= 0.9 * len(parent) and sign * (cm - pm) < -(p3 - p1)),
+        "gain_shown": bool(len(parent) >= MIN_GAIN_PAIRS and wins >= 0.9 * len(parent)
+                           and sign * (cm - pm) < -(p3 - p1)),
         "worse_than_bound": bool(sign * rel > spec["bound"]),
         "parent_runs": parent, "change_runs": change,
     }
@@ -95,7 +109,7 @@ def measure(parent_dir: Path, change_dir: Path, workload: str, args, specs) -> d
     sides = {"parent": parent_dir, "change": change_dir}
     runs = {"parent": [], "change": []}
     seeds = [args.first_seed + i for i in range(args.pairs)]
-    du = []
+    du, u = [], []
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
@@ -108,6 +122,7 @@ def measure(parent_dir: Path, change_dir: Path, workload: str, args, specs) -> d
                   file=sys.stderr, flush=True)
         du.append(max_abs_du(*(u_file(sides[side], workload, seed)
                                for side in ("parent", "change"))))
+        u.append(max_abs_u(u_file(parent_dir, workload, seed)))
     record = {
         "pairs": args.pairs, "seeds": seeds, "seconds": args.seconds,
         "first_side": ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)],
@@ -115,6 +130,7 @@ def measure(parent_dir: Path, change_dir: Path, workload: str, args, specs) -> d
         "attempted": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
         "max_abs_du": du,
+        "max_abs_u": u,
         "metrics": {
             spec["name"]: compare(spec, *([r["metrics"][spec["name"]]["value"] for r in runs[side]]
                                           for side in ("parent", "change")))
@@ -131,9 +147,11 @@ def measure(parent_dir: Path, change_dir: Path, workload: str, args, specs) -> d
 
 
 def print_table(workload: str, record: dict) -> None:
+    du = max(record["max_abs_du"])
     print(f"{workload}: {record['pairs']} pairs, seeds {record['seeds'][0]}.."
           f"{record['seeds'][-1]}, all correct: {record['correct']}, "
-          f"max |du| over the pairs {max(record['max_abs_du']):.3e}")
+          f"max |du| over the pairs {du:.3e}, max |du| / max |u| "
+          f"{du / np.max(record['max_abs_u']):.3e}")
     for name, m in record["metrics"].items():
         flags = ("  GAIN" if m["gain_shown"] else "") + ("  WORSE" if m["worse_than_bound"] else "")
         print(f"  {name:<18} parent {m['parent_median']:.6g} [{m['parent_q1']:.6g}, "

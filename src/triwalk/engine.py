@@ -261,7 +261,8 @@ class WalkEngine:
             raise ValueError("measurements must be finite (3,) arrays")
         self.setpoints = filter_setpoints(self.setpoints, self.config.ts, _LAG_TAU)
 
-        y_pair = _rot(-self.frame_angle) @ np.vstack(y_meas)   # world -> frame
+        refs = self._references()   # builds the frame's tables and rotations if stale
+        y_pair = self._R_wf @ np.vstack(y_meas)   # world -> frame
         local = self._local_cycle(self.k)
         key = (name, idx) = self._timeline.phase(local)
         phase = _PHASE_OF[name]
@@ -270,16 +271,13 @@ class WalkEngine:
             sigmas = self.observer.innovation_sigmas(self.estimates[i], ctrl.u_prev[i], y_pair[i])
             self.estimates[i] = self.observer.step(self.estimates[i], ctrl.u_prev[i], y_pair[i],
                                                    boosted=gate.update(sigmas))
-        ids = self._timeline.phase_ids(local, self.config.constraint_window)
         try:
-            u_frame, infos = ctrl.control_step(self.estimates, self._references(),
-                                               *self._bounds(ids))
+            u_frame, infos = ctrl.control_step(self.estimates, refs, *self._bounds())
         except ControllerFault as exc:
             raise ControllerFault(f"cycle {self.k}, phase {phase.value}: {exc}") from exc
 
-        R_fw = _rot(self.frame_angle)
-        u_pair = R_fw @ u_frame
-        zmp_pred_world = R_fw @ np.array([info.predicted_output[2] for info in infos])
+        u_pair = self._R_fw @ u_frame
+        zmp_pred_world = self._R_fw @ np.array([info.predicted_output[2] for info in infos])
 
         diag = CycleDiagnostics(
             k=self.k,
@@ -387,16 +385,34 @@ class WalkEngine:
                                       include_initialize=initialize)
         self._timeline_origin = self.k
         self._feet_of: dict[tuple[str, int], tuple[SupportFoot, ...]] = {}
-        self._boxes = np.full((2, len(self._timeline.keys), 2, 3), np.nan)
+        # Per timeline and working frame: the frame rotations and read-only
+        # tables with row r for cycle r, clamped like ``WalkTimeline.window``,
+        # up to ``total_cycles + n_pred``.  ``_refs`` holds the (2, rows, 3)
+        # working-frame references in stacked order, ``_lohi`` the (axis,
+        # rows, lo/hi, output) bounds and ``_ids`` each row's phase id.
+        # ``_window_row`` builds them on first use after the timeline or the
+        # frame changes, so a tick reads its windows as slices.
+        self._refs = None
 
     def _local_cycle(self, k: int) -> int:
         return k - self._timeline_origin
 
+    def _window_row(self) -> int:
+        """Table row of the next cycle, clamped at the timeline's end."""
+        tl = self._timeline
+        if self._refs is None:
+            self._R_wf, self._R_fw = _rot(-self.frame_angle), _rot(self.frame_angle)
+            rows = tl.window(-1, tl.total_cycles + 1 + self.config.n_pred)
+            self._refs = np.stack([(rows @ self._R_wf[i])[:, _STACKED] for i in range(2)])
+            self._lohi = np.empty((2, len(rows), 2, 3)).view()   # filled through its base
+            self._refs.flags.writeable = self._lohi.flags.writeable = False
+            self._ids, self._next_id = tl.phase_ids(-1, len(rows)), 0
+        return min(self._local_cycle(self.k), tl.total_cycles) + 1
+
     def _references(self) -> np.ndarray:
         """Working-frame (2, n_pred, 3) reference windows of the x and y axes."""
-        rows = self._timeline.window(self._local_cycle(self.k), self.config.n_pred)
-        R_wf = _rot(-self.frame_angle)
-        return np.stack([(rows @ R_wf[i])[:, _STACKED] for i in range(2)])
+        row = self._window_row()
+        return self._refs[:, row:row + self.config.n_pred]
 
     # ------------------------------------------------------------ constraints
 
@@ -410,22 +426,23 @@ class WalkEngine:
                                        for fp in contact_feet(self._timeline.plan, key))
         return self._feet_of[key]
 
-    def _bounds(self, ids: np.ndarray):
-        """Per-sample (lo, hi) output bounds, each (2, window, 3), of the
-        timeline phases ``ids``.
+    def _bounds(self):
+        """Per-sample (lo, hi) output bounds of the next cycle, each (2, window, 3).
 
         Scheduling the bounds per upcoming phase gives the controller preview
         of support-box changes, so weight transfer starts before a
         single-support box tightens.
         """
-        # A phase's boxes (NaN until built) hold for its timeline in the
-        # current frame; a window's ids are one contiguous range.
-        boxes = self._boxes
-        for kid in range(ids[0], ids[-1] + 1):
-            if np.isnan(boxes[0, kid, 0, 0]):
-                boxes[:, kid] = self._phase_box(self._timeline.keys[kid])
-        box = boxes[:, ids]   # (axis, window, lo/hi, output)
-        return box[:, :, 0], box[:, :, 1]
+        # Windows only move forward and phase ids never decrease, so the
+        # phases built form one range ending before ``_next_id``; each new one
+        # is built once, for all its rows, when it enters the window.
+        row = self._window_row()
+        end = row + self.config.constraint_window
+        for kid in range(max(self._ids[row], self._next_id), self._ids[end - 1] + 1):
+            first, last = np.searchsorted(self._ids, (kid, kid + 1))
+            self._lohi.base[:, first:last] = self._phase_box(self._timeline.keys[kid])[:, None]
+            self._next_id = kid + 1
+        return self._lohi[:, row:end, 0], self._lohi[:, row:end, 1]
 
     def _phase_box(self, key: tuple[str, int]) -> np.ndarray:
         """(axis, lo/hi, output) bounds of the timeline phase ``key`` in the working frame."""
@@ -454,4 +471,4 @@ class WalkEngine:
         self.estimates = R @ self.estimates
         self.controller.reset(R @ self.controller.u_prev)
         self.frame_angle = wrap_angle(self.frame_angle + delta)
-        self._boxes[:] = np.nan
+        self._refs = None

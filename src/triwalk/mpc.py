@@ -257,16 +257,20 @@ def condense_constraints(config: MpcConfig, lo: np.ndarray, hi: np.ndarray,
     ``u_prev`` (..., 3) the held input.  Leading dimensions index the axes;
     row i of the result is the right-hand side of row i.
     """
-    window = config.constraint_window
+    window, lim = config.constraint_window, config.jerk_limit
     if lo.shape != hi.shape or lo.shape[-2:] != (window, N_OUTPUTS):
         raise ValueError("output bounds must have shape (..., constraint_window, 3)")
     lead = free.shape[:-1]
     y = free.reshape(*lead, -1, N_OUTPUTS)[..., :window, :]
-    out = np.moveaxis(np.stack([hi - y, y - lo], axis=-3), -1, -3)[..., _OUTPUT_ROW_ORDER, :, :]
-    lim = config.jerk_limit
-    jerk = np.stack([lim - u_prev, lim + u_prev], axis=-1).reshape(*lead, -1)
-    return np.concatenate([out.reshape(*lead, -1), np.repeat(jerk, config.n_ctrl, axis=-1)],
-                          axis=-1)
+    # b is written block by block through views: (output row, upper/lower,
+    # sample), then (input, upper/lower, move).
+    b = np.empty((*lead, 2 * (N_OUTPUTS * window + N_INPUTS * config.n_ctrl)))
+    out = b[..., :2 * N_OUTPUTS * window].reshape(*lead, N_OUTPUTS, 2, window)
+    out[..., 0, :] = np.swapaxes(hi - y, -1, -2)[..., _OUTPUT_ROW_ORDER, :]
+    out[..., 1, :] = np.swapaxes(y - lo, -1, -2)[..., _OUTPUT_ROW_ORDER, :]
+    jerk = b[..., 2 * N_OUTPUTS * window:].reshape(*lead, N_INPUTS, 2, config.n_ctrl)
+    jerk[..., 0, :], jerk[..., 1, :] = (lim - u_prev)[..., None], (lim + u_prev)[..., None]
+    return b
 
 
 @dataclass(frozen=True)
@@ -310,8 +314,8 @@ class PushGate:
     def update(self, sigmas: np.ndarray) -> bool:
         """Record one cycle's innovations (in sigmas); True while boosted."""
         self.window.append(sigmas)
-        peak = float(np.max(np.abs(sigmas)))
-        bias = float(np.max(np.abs(np.sum(self.window, axis=0))))
+        peak = float(np.abs(sigmas).max())
+        bias = float(np.abs(sum(self.window)).max())   # rows in order, bitwise as np.sum(axis=0)
         if (peak > _BOOST_GATE_HIGH or bias > _BOOST_GATE_SUM
                 or (self.hold > 0 and peak > _BOOST_GATE)):
             self.hold = _BOOST_HOLD

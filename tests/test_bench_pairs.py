@@ -101,3 +101,25 @@ def test_each_pair_records_its_max_abs_du(tmp_path, monkeypatch, capsys):
     bench_pairs.print_table("walk_map", record)
     out = capsys.readouterr().out
     assert "max |du| over the pairs 1.000e-03, max |du| / max |u| 2.500e-04" in out
+
+
+def test_header_prints_each_sides_median_ticks_per_run(tmp_path, monkeypatch, capsys):
+    # ``attempted`` is the run's tick count; the change runs more ticks.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        np.save(bench_pairs.u_file(checkout, workload, seed), np.ones((2, 6)))
+        attempted = 100 + seed if checkout == parent else 130 + 10 * seed
+        return {"correct": True, "attempted": attempted, "failed": 0,
+                "metrics": {"wall_s": {"value": 1.0}}}
+
+    for checkout in (parent, change):
+        (checkout / ".bench_out").mkdir(parents=True)
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    args = SimpleNamespace(first_seed=0, pairs=4, seconds=1.0, traced=False)
+    record = bench_pairs.measure(parent, change, "omni_turn", args, [{"name": "wall_s", **LOWER}])
+    assert record["attempted"] == {"parent": [100, 101, 102, 103], "change": [130, 140, 150, 160]}
+    bench_pairs.print_table("omni_turn", record)
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.startswith("omni_turn: 4 pairs")
+    assert header.endswith("median ticks per run parent 101.5 change 145")

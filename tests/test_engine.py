@@ -13,6 +13,7 @@ from triwalk.engine import (
     SupportFoot,
     WalkEngine,
     WalkPhase,
+    _rot,
     contact_feet,
     filter_setpoints,
 )
@@ -188,6 +189,71 @@ class TestReferenceWindows:
             np.testing.assert_array_equal(windowed[:, 2], rows[:, 0, i])
             np.testing.assert_array_equal(windowed[:, 0], rows[:, 1, i])
             np.testing.assert_array_equal(windowed[:, 1], rows[:, 2, i])
+
+    @pytest.mark.parametrize("walk", ["turning_setpoints", "arc_path", "idle"])
+    def test_slices_match_the_per_tick_computation(self, params, timing, monkeypatch, walk):
+        # A turning setpoint walk rotates the frame and rolls the timeline at
+        # every step; a path on an arc rotates the frame inside one timeline;
+        # idle ticks run past the stand timeline's total_cycles.
+        phase_box, tick = WalkEngine._phase_box, WalkEngine.tick
+        window, step = WalkTimeline.window, AxisController.control_step
+        built, passed, calls, ticks = [], [], [], []
+        monkeypatch.setattr(WalkTimeline, "window",
+                            lambda tl, *args: calls.append(tl) or window(tl, *args))
+        monkeypatch.setattr(WalkEngine, "_phase_box",
+                            lambda engine, key: built.append(key) or phase_box(engine, key))
+        monkeypatch.setattr(AxisController, "control_step",
+                            lambda ctrl, X, *args: passed.append(args) or step(ctrl, X, *args))
+
+        def checked_tick(engine, y_x, y_y):
+            tl, local, cfg = engine._timeline, engine._local_cycle(engine.k), engine.config
+            frame = engine.frame_angle
+            expected = per_tick_windows(engine, phase_box)
+            in_window = {tl.phase(local + j) for j in range(1, cfg.constraint_window + 1)}
+            del built[:], calls[:]
+            np.testing.assert_array_equal(engine._references(), expected[0])
+            diag = tick(engine, y_x, y_y)
+            for got, exp in zip(passed[-1], expected):
+                np.testing.assert_array_equal(got, exp)
+            assert set(built) <= in_window
+            ticks.append((tl, local, frame, len(calls)))
+            return diag
+
+        monkeypatch.setattr(WalkEngine, "tick", checked_tick)
+        engine = make_engine(params, timing)
+        if walk == "turning_setpoints":
+            engine.command_setpoints(0.05, 0.0, 12.0)
+        elif walk == "arc_path":
+            angles = np.linspace(0.0, math.radians(30.0), 20)
+            arc = np.column_stack([np.sin(angles), 1.0 - np.cos(angles)])
+            engine.command_path(footsteps_from_path(arc, initial_feet_on_path(arc)))
+        run_closed_loop(engine, N_INIT + 5 * N_STEP)
+        # One table build per (timeline, frame) pair, none at the pair's
+        # later ticks.
+        pairs = [(tl, frame) for tl, _, frame, _ in ticks]
+        assert sum(n for *_, n in ticks) == len(set(pairs))
+        timelines, frames = len({tl for tl, _ in pairs}), len({f for _, f in pairs})
+        if walk == "turning_setpoints":
+            assert timelines > 4 and frames > 3
+        elif walk == "arc_path":
+            assert timelines == 2 and frames > 3
+        else:
+            assert min(local - tl.total_cycles for tl, local, *_ in ticks) >= 0
+
+    def test_windows_passed_to_control_step_are_read_only(self, params, timing, monkeypatch):
+        passed, step = [], AxisController.control_step
+        monkeypatch.setattr(AxisController, "control_step",
+                            lambda ctrl, X, *args: passed.append(args) or step(ctrl, X, *args))
+        engine = make_engine(params, timing)
+        engine.command_path(straight_plan(2))
+        run_closed_loop(engine, N_INIT + 5)
+        for array in passed[-1]:   # refs, lo, hi
+            kept = array.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1.0
+            np.testing.assert_array_equal(array, kept)
 
     def test_single_support_ticks_evaluate_no_reference_curves(self, params, timing,
                                                                monkeypatch):
@@ -413,6 +479,21 @@ class TestConstraintSchedule:
         softened = [engine.tick(y_x, y_y).softened for _ in range(3)]
         assert (True, False) in softened
         assert shapes == [(3 * engine.config.n_ctrl,) * 2]
+
+
+def per_tick_windows(engine, phase_box):
+    """The next cycle's reference windows and (lo, hi) bounds as a tick
+    computed them before the tables: the timeline's window rotated into the
+    frame, and each window phase's box built afresh by ``phase_box`` and
+    fancy-indexed by the window's phase ids."""
+    tl, local, cfg = engine._timeline, engine._local_cycle(engine.k), engine.config
+    rows = tl.window(local, cfg.n_pred)
+    R_wf = _rot(-engine.frame_angle)
+    refs = np.stack([(rows @ R_wf[i])[:, [1, 2, 0]] for i in range(2)])
+    ids = tl.phase_ids(local, cfg.constraint_window)
+    boxes = {kid: phase_box(engine, tl.keys[kid]) for kid in set(ids.tolist())}
+    box = np.array([boxes[kid] for kid in ids]).swapaxes(0, 1)   # (axis, window, lo/hi, output)
+    return refs, box[:, :, 0], box[:, :, 1]
 
 
 def record_schedule(monkeypatch):

@@ -22,8 +22,10 @@ per-tick commands (``.bench_out/u-<workload>-seed<seed>.npy``, written by
 ``perfbench/run.py``) give the pair's max |du|, inf when a file is missing
 or the shapes differ, and the parent's max |u|, nan when its file is
 missing; the largest |du| over the pairs is printed, also divided by the
-largest |u|.  ``--traced`` adds one ``--trace 1`` run per side at the first
-seed and keeps its per-layer metrics.  ``--out`` writes everything, each
+largest |u|, with each side's median ``attempted`` (ticks per run: a faster
+tick fits more ticks, and more per-tick records, into the fixed run time).
+``--traced`` adds one ``--trace 1`` run per side at the first seed and
+keeps its per-layer metrics.  ``--out`` writes everything, each
 run's value and each pair's max |du| and max |u| included, as JSON.
 """
 
@@ -148,10 +150,12 @@ def measure(parent_dir: Path, change_dir: Path, workload: str, args, specs) -> d
 
 def print_table(workload: str, record: dict) -> None:
     du = max(record["max_abs_du"])
+    ticks = {side: np.median(n) for side, n in record["attempted"].items()}
     print(f"{workload}: {record['pairs']} pairs, seeds {record['seeds'][0]}.."
           f"{record['seeds'][-1]}, all correct: {record['correct']}, "
           f"max |du| over the pairs {du:.3e}, max |du| / max |u| "
-          f"{du / np.max(record['max_abs_u']):.3e}")
+          f"{du / np.max(record['max_abs_u']):.3e}, median ticks per run parent "
+          f"{ticks['parent']:g} change {ticks['change']:g}")
     for name, m in record["metrics"].items():
         flags = ("  GAIN" if m["gain_shown"] else "") + ("  WORSE" if m["worse_than_bound"] else "")
         print(f"  {name:<18} parent {m['parent_median']:.6g} [{m['parent_q1']:.6g}, "

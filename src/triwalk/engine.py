@@ -123,6 +123,7 @@ class CycleDiagnostics:
     qp_status: tuple[str, str]
     softened: tuple[bool, bool]
     qp_iterations: tuple[int, int]
+    certified: tuple[bool, bool]     # a certificate skipped the axis's hard solve
     zmp_pred: np.ndarray
     refs: RefSample
     support_feet: tuple[SupportFoot, ...]
@@ -256,13 +257,13 @@ class WalkEngine:
         Raises ValueError, leaving the engine untouched, unless each
         measurement is a finite (3,) array.
         """
-        y_meas = [np.asarray(y, dtype=float) for y in (y_meas_x, y_meas_y)]
-        if any(y.shape != (N_OUTPUTS,) or not np.isfinite(y).all() for y in y_meas):
+        y_meas = np.array((y_meas_x, y_meas_y), dtype=float)   # ragged ones raise here
+        if y_meas.shape != (2, N_OUTPUTS) or not np.isfinite(y_meas).all():
             raise ValueError("measurements must be finite (3,) arrays")
         self.setpoints = filter_setpoints(self.setpoints, self.config.ts, _LAG_TAU)
 
         refs = self._references()   # builds the frame's tables and rotations if stale
-        y_pair = self._R_wf @ np.vstack(y_meas)   # world -> frame
+        y_pair = self._R_wf @ y_meas   # world -> frame
         local = self._local_cycle(self.k)
         key = (name, idx) = self._timeline.phase(local)
         phase = _PHASE_OF[name]
@@ -288,6 +289,7 @@ class WalkEngine:
             qp_status=tuple(info.status for info in infos),
             softened=tuple(info.softened for info in infos),
             qp_iterations=tuple(info.iterations for info in infos),
+            certified=tuple(info.certified for info in infos),
             zmp_pred=zmp_pred_world,
             refs=self._timeline.sample(local),
             support_feet=self.support_feet(),

@@ -7,8 +7,12 @@ both; row i of every (2, ...) array is axis i.  Per axis, the controller
 optimizes input increments over a control horizon against a prediction of the
 three outputs (stance mass, swing mass, zero-moment point), subject to
 phase-dependent bounds on the swing-mass position, the ZMP and the jerk
-inputs.  A steady-state Kalman observer reconstructs each axis's 9-entry
-state from its three measured outputs.
+inputs.  The QP's Hessian and constraint matrix are fixed; its gradient and
+right-hand side are affine in the cycle's state estimate, held input,
+reference window and bound window, so each cycle forms them with one fixed
+map each (``cost_matrices``, ``constraint_maps``).  A steady-state Kalman
+observer reconstructs each axis's 9-entry state from its three measured
+outputs.
 """
 
 from __future__ import annotations
@@ -160,27 +164,17 @@ def build_prediction(ss: StateSpace, config: MpcConfig) -> PredictionMatrices:
 
 
 def cost_matrices(pred: PredictionMatrices, config: MpcConfig):
-    """Fixed parts of the tracking cost: the Hessian H and the weighted
-    transposes ``GtW``, ``UtW`` that map the free-response error and the held
-    input to the gradient (see ``cost_gradient``)."""
+    """The fixed Hessian H and the map from a cycle's parameters [refs; x;
+    u_prev] to the gradient ``2 GtW (phi x + phi_u u_prev - refs) + 2 UtW
+    tile(u_prev)``: blocks ``-2 GtW``, ``2 GtW phi``, ``2 (GtW phi_u + UtW tile(I))``."""
     w_out = np.tile([config.w_stance, config.w_swing, config.w_zmp], config.n_pred)
     w_in = np.tile(config.w_jerk, config.n_pred)
     G, U = pred.gamma, pred.u_map
     GW, UW = G * w_out[:, None], U * w_in[:, None]
     H = 2.0 * (G.T @ GW + U.T @ UW)
-    return 0.5 * (H + H.T), GW.T, UW.T
-
-
-def cost_gradient(GtW: np.ndarray, UtW: np.ndarray, err: np.ndarray,
-                  u_prev: np.ndarray) -> np.ndarray:
-    """Linear cost term for the free-response tracking error ``err``.
-
-    ``err`` (..., 3 n_pred) and ``u_prev`` (..., 3) may carry a leading axis
-    dimension; row i of the result is the gradient of row i.  ``np.matvec``
-    keeps every row bitwise equal to a one-axis call.
-    """
-    held = np.tile(u_prev, UtW.shape[1] // N_INPUTS)
-    return 2.0 * (np.matvec(GtW, err) + np.matvec(UtW, held))
+    held = np.tile(np.eye(N_INPUTS), (config.n_pred, 1))
+    f_map = 2.0 * np.hstack([-GW.T, GW.T @ pred.phi, GW.T @ pred.phi_u + UW.T @ held])
+    return 0.5 * (H + H.T), f_map
 
 
 def build_constraints(centers, half, params: ThreeMassParams, config: MpcConfig,
@@ -225,52 +219,39 @@ def build_constraints(centers, half, params: ThreeMassParams, config: MpcConfig,
     return np.stack([lo, hi], axis=1)
 
 
-# Output-row order of the constraint matrix: zmp, stance, swing.
-_OUTPUT_ROW_ORDER = [2, 0, 1]
+def constraint_maps(pred: PredictionMatrices, config: MpcConfig):
+    """The fixed rows A of ``A dU <= b`` and the map ``b = b_map [x; u_prev;
+    lo; hi] + b0`` from a cycle's parameters.  Per output (zmp, stance,
+    swing), upper then lower bound rows over samples k+1 .. k+window; then,
+    per input, upper then lower jerk rows over the n_ctrl decided moves.  Row
+    r signs one entry v_r of the outputs over the window and the inputs over
+    the control horizon, ``s v_r <= s bound``: A's row is s times v_r's
+    response to dU, b's is s times the bound (hi, lo or jerk_limit) less v_r
+    at zero increments."""
+    window, nc = config.constraint_window, pred.n_ctrl
+    entries = ([N_OUTPUTS * np.arange(window) + i for i in (2, 0, 1)]
+               + [N_OUTPUTS * window + N_INPUTS * np.arange(nc) + i for i in range(N_INPUTS)])
+    rows = np.concatenate([np.r_[e, e] for e in entries])
+    sign = np.concatenate([np.repeat([1.0, -1.0], len(e)) for e in entries])
+    n_y, n_free = N_OUTPUTS * window, N_STATES + N_INPUTS
+    dU_response = np.vstack([pred.gamma[:n_y], pred.u_map[:N_INPUTS * nc]])
+    # The response to (x, u_prev) at zero increments: the free response over
+    # the window, then the held input at every move.
+    zero_response = np.vstack([np.hstack([pred.phi, pred.phi_u])[:n_y],
+                               np.eye(n_free)[N_STATES + np.arange(N_INPUTS * nc) % N_INPUTS]])
+    b_map = np.zeros((len(rows), n_free + 2 * n_y))
+    b_map[:, :n_free] = -sign[:, None] * zero_response[rows]
+    out = np.flatnonzero(rows < n_y)
+    b_map[out, n_free + rows[out] + n_y * (sign[out] > 0)] = sign[out]
+    b0 = np.where(rows < n_y, 0.0, config.jerk_limit)
+    return sign[:, None] * dU_response[rows], b_map, b0
 
 
-def constraint_matrix(pred: PredictionMatrices, window: int) -> np.ndarray:
-    """The fixed rows of ``A dU <= b`` for one controller.
-
-    Per output in ``_OUTPUT_ROW_ORDER``, upper then lower bound rows over the
-    predicted samples k+1 .. k+window; then, per input, upper then lower jerk
-    rows over the n_ctrl decided moves (inputs are constant beyond the
-    control horizon).  Only ``b`` changes from cycle to cycle.
-    """
-    blocks = []
-    for i in _OUTPUT_ROW_ORDER:
-        g = pred.gamma[i::N_OUTPUTS][:window]
-        blocks += [g, -g]
-    for i in range(N_INPUTS):
-        u = pred.u_map[i::N_INPUTS][:pred.n_ctrl]
-        blocks += [u, -u]
-    return np.vstack(blocks)
-
-
-def condense_constraints(config: MpcConfig, lo: np.ndarray, hi: np.ndarray,
-                         free: np.ndarray, u_prev: np.ndarray) -> np.ndarray:
-    """Right-hand side ``b`` of ``constraint_matrix`` for one cycle.
-
-    ``lo`` and ``hi`` have shape (..., constraint_window, 3): row j bounds
-    the outputs (stance, swing, zmp) at sample k+1+j.  ``free``
-    (..., 3 n_pred) is the predicted output response with zero increments and
-    ``u_prev`` (..., 3) the held input.  Leading dimensions index the axes;
-    row i of the result is the right-hand side of row i.
-    """
-    window, lim = config.constraint_window, config.jerk_limit
-    if lo.shape != hi.shape or lo.shape[-2:] != (window, N_OUTPUTS):
-        raise ValueError("output bounds must have shape (..., constraint_window, 3)")
-    lead = free.shape[:-1]
-    y = free.reshape(*lead, -1, N_OUTPUTS)[..., :window, :]
-    # b is written block by block through views: (output row, upper/lower,
-    # sample), then (input, upper/lower, move).
-    b = np.empty((*lead, 2 * (N_OUTPUTS * window + N_INPUTS * config.n_ctrl)))
-    out = b[..., :2 * N_OUTPUTS * window].reshape(*lead, N_OUTPUTS, 2, window)
-    out[..., 0, :] = np.swapaxes(hi - y, -1, -2)[..., _OUTPUT_ROW_ORDER, :]
-    out[..., 1, :] = np.swapaxes(y - lo, -1, -2)[..., _OUTPUT_ROW_ORDER, :]
-    jerk = b[..., 2 * N_OUTPUTS * window:].reshape(*lead, N_INPUTS, 2, config.n_ctrl)
-    jerk[..., 0, :], jerk[..., 1, :] = (lim - u_prev)[..., None], (lim + u_prev)[..., None]
-    return b
+def condense_constraints(b_map: np.ndarray, b0: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """A cycle's right-hand sides from its parameters [x; u_prev; lo; hi]
+    (..., 12 + 6 constraint_window), flattened per axis (``constraint_maps``);
+    ``np.matvec`` computes each axis's row exactly as a one-axis call."""
+    return np.matvec(b_map, params) + b0
 
 
 @dataclass(frozen=True)
@@ -402,6 +383,7 @@ class ControlCycleInfo:
     iterations: int                # QP iterations of the solves that ran: the
                                    # softened fallback's, plus the failed hard
                                    # solve's unless a certificate skipped it
+    certified: bool                # a certificate skipped the hard solve
     predicted_output: np.ndarray   # first predicted sample (stance, swing, zmp)
 
 
@@ -469,9 +451,18 @@ class AxisController:
         self.config = config
         self.pred = build_prediction(ss, config)
         self.solver = ActiveSetSolver()
-        H, self._GtW, self._UtW = cost_matrices(self.pred, config)
-        self._factors = QpFactors.build(H, constraint_matrix(self.pred, config.constraint_window))
+        H, self._f_map = cost_matrices(self.pred, config)
+        A, self._b_map, self._b0 = constraint_maps(self.pred, config)
+        self._factors = QpFactors.build(H, A)
         self.A = self._factors.A
+        # Shapes of a cycle's parameters (refs, X, u_prev, lo, hi), which
+        # each axis flattens in this order: f maps the first three, b all but
+        # refs, and ``_first_output`` (x, u_prev) to the first predicted
+        # sample at zero increments.
+        window = (N_AXES, config.constraint_window, N_OUTPUTS)
+        self._shapes = ((N_AXES, config.n_pred, N_OUTPUTS), (N_AXES, N_STATES),
+                        (N_AXES, N_INPUTS), window, window)
+        self._first_output = np.hstack([self.pred.phi, self.pred.phi_u])[:N_OUTPUTS]
         # The softened fallback relaxes every output row; jerk rows stay hard.
         self._output_rows = np.arange(self.A.shape[0]) < 2 * N_OUTPUTS * config.constraint_window
         self._certificates: list[_Certificate | None] = [None] * N_AXES
@@ -508,21 +499,28 @@ class AxisController:
         others.  The cycle reports the status, the axis's warm set is
         dropped so the next cycle starts cold, and ``RunMetrics`` counts the
         cycle in ``nonoptimal_cycles``.  Only a softened fallback that is
-        still infeasible raises ``ControllerFault``.
+        still infeasible raises ``ControllerFault``.  An argument, or the held
+        input, of another shape or with a non-finite entry raises
+        ``ValueError`` naming it, before any state changes.
         """
-        pred = self.pred
-        refs = np.asarray(refs, dtype=float)
-        if refs.shape != (N_AXES, pred.n_pred, N_OUTPUTS) or not np.isfinite(refs).all():
-            raise ValueError("references must be a finite (2, n_pred, 3) array")
-        free = np.matvec(pred.phi, np.asarray(X, float)) + np.matvec(pred.phi_u, self.u_prev)
-        F = cost_gradient(self._GtW, self._UtW, free - refs.reshape(N_AXES, -1), self.u_prev)
-        B = condense_constraints(self.config, lo, hi, free, self.u_prev)
+        args = tuple(map(np.asarray, (refs, X, self.u_prev, lo, hi)))
+        P = (np.concatenate([a.reshape(N_AXES, -1) for a in args], axis=1)
+             if tuple(map(np.shape, args)) == self._shapes else None)
+        if P is None or not np.isfinite(P).all():
+            for name, a, shape in zip(("refs", "X", "u_prev", "lo", "hi"), args, self._shapes):
+                if np.shape(a) != shape or not np.isfinite(a).all():
+                    raise ValueError(f"{name} must be a finite {shape} array")
+        n_refs, n_free = self.pred.gamma.shape[0], N_STATES + N_INPUTS
+        F = np.matvec(self._f_map, P[:, :n_refs + n_free])
+        B = condense_constraints(self._b_map, self._b0, P[:, n_refs:])
+        Y1 = np.matvec(self._first_output, P[:, n_refs:n_refs + n_free])
 
         sols, infos = [], []
-        for axis, (f, b, warm, y_free) in enumerate(zip(F, B, self._warm, free)):
+        for axis, (f, b, warm, y1) in enumerate(zip(F, B, self._warm, Y1)):
             cert = self._certificates[axis]
             iterations = 0
-            softened = cert is not None and cert.proves_infeasible(b, self.u_prev[axis])
+            softened = certified = (cert is not None
+                                    and cert.proves_infeasible(b, self.u_prev[axis]))
             if not softened:
                 sol = self.solver.solve(QpProblem(self._factors, f, b), warm_start=warm)
                 iterations = sol.iterations
@@ -538,12 +536,9 @@ class AxisController:
                         "cycle subproblem infeasible even after softening outputs")
             sols.append(sol)
             infos.append(ControlCycleInfo(
-                status=sol.status,
-                softened=softened,
-                objective=sol.objective,
-                iterations=iterations,
-                predicted_output=y_free[:N_OUTPUTS] + pred.gamma[:N_OUTPUTS] @ sol.z,
-            ))
+                status=sol.status, softened=softened, objective=sol.objective,
+                iterations=iterations, certified=certified,
+                predicted_output=y1 + self.pred.gamma[:N_OUTPUTS] @ sol.z))
         self._warm = [sol.active_set if sol.status == STATUS_OPTIMAL else None for sol in sols]
         U = self.u_prev + np.array([sol.z[:N_INPUTS] for sol in sols])
         self.u_prev = U.copy()

@@ -2,8 +2,8 @@
 
 Everything here is deliberately brute force or off the shelf: truncated
 series, exhaustive enumeration, uniform-cost search, a linear-programming
-feasibility check and a row-by-row warm-start seed.  None of it shares code
-with the package.
+feasibility check, a row-by-row warm-start seed and a controller cycle's QP
+data written block by block.  None of it shares code with the package.
 """
 
 from __future__ import annotations
@@ -270,3 +270,44 @@ def phase_box_per_axis(centers, half, params, config, swing_side=None) -> np.nda
             sw_lo, sw_hi = min(a, b), max(a, b)
         out[axis] = [[st_lo, sw_lo, z_lo], [st_hi, sw_hi, z_hi]]
     return out
+
+
+def tracking_transposes(pred, config):
+    """The weighted transposes ``GtW`` and ``UtW`` of the tracking cost: they
+    map the free-response error and the held input over the prediction
+    horizon to the gradient."""
+    w_out = np.tile([config.w_stance, config.w_swing, config.w_zmp], config.n_pred)
+    w_in = np.tile(config.w_jerk, config.n_pred)
+    return (pred.gamma * w_out[:, None]).T, (pred.u_map * w_in[:, None]).T
+
+
+def condensed_qp_data(pred, config, X, u_prev, refs, lo, hi, free=None):
+    """A controller cycle's QP gradient F and right-hand side B, formed block
+    by block from the free response.
+
+    The free response is the predicted output at zero increments, ``phi x +
+    phi_u u_prev``; a given ``free`` (..., 3 n_pred) replaces it, for cycles
+    moved off the model.  F is ``2 GtW (free - refs) + 2 UtW tile(u_prev)``.
+    B is written per output (zmp, stance, swing), upper bounds ``hi - free``
+    then lower ``free - lo`` over the constraint window, then per input the
+    jerk rows ``lim - u_prev`` and ``lim + u_prev`` over the control horizon.
+    Leading dimensions of X (..., 9), u_prev (..., 3), refs (..., n_pred, 3),
+    lo and hi (..., window, 3) index the axes; ``np.matvec`` keeps each row
+    bitwise equal to a one-axis call.
+    """
+    window, lim, nc = config.constraint_window, config.jerk_limit, config.n_ctrl
+    u_prev = np.asarray(u_prev, float)
+    lead = u_prev.shape[:-1]
+    GtW, UtW = tracking_transposes(pred, config)
+    if free is None:
+        free = np.matvec(pred.phi, np.asarray(X, float)) + np.matvec(pred.phi_u, u_prev)
+    err = free - np.asarray(refs, float).reshape(*lead, -1)
+    F = 2.0 * (np.matvec(GtW, err) + np.matvec(UtW, np.tile(u_prev, config.n_pred)))
+    y = free.reshape(*lead, -1, 3)[..., :window, :]
+    B = np.empty((*lead, 6 * (window + nc)))
+    out = B[..., :6 * window].reshape(*lead, 3, 2, window)
+    out[..., 0, :] = np.swapaxes(hi - y, -1, -2)[..., [2, 0, 1], :]
+    out[..., 1, :] = np.swapaxes(y - lo, -1, -2)[..., [2, 0, 1], :]
+    jerk = B[..., 6 * window:].reshape(*lead, 3, 2, nc)
+    jerk[..., 0, :], jerk[..., 1, :] = (lim - u_prev)[..., None], (lim + u_prev)[..., None]
+    return F, B

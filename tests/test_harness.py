@@ -266,6 +266,9 @@ class TestSimulation:
         assert m.softened_cycles == sum(sum(d.softened) for d in diags)
         assert m.qp_iterations == sum(sum(d.qp_iterations) for d in diags)
         assert m.summary()["softened_cycles"] == 50
+        # Certificates skip some of those cycles' hard solves.
+        assert 0 < m.certified_cycles == sum(sum(d.certified) for d in diags) < 50
+        assert m.summary()["certified_cycles"] == m.certified_cycles
 
     def test_max_iterations_cycles_counted(self, monkeypatch):
         # Capped at one iteration, the hard solve of every cycle that needs a

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +23,6 @@ from triwalk.mpc import (
     PushGate,
     build_constraints,
     build_prediction,
-    condense_constraints,
-    cost_gradient,
     cost_matrices,
 )
 from triwalk.qp import (
@@ -36,7 +35,12 @@ from triwalk.qp import (
     kkt_residual,
 )
 
-from oracles import phase_box_per_axis, polyhedron_is_empty
+from oracles import (
+    condensed_qp_data,
+    phase_box_per_axis,
+    polyhedron_is_empty,
+    tracking_transposes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -55,11 +59,11 @@ def constant_refs(n, stance=0.0, swing=0.0, zmp=0.0):
 
 
 def cost(pred, refs, cfg, x, u_prev):
-    """One axis's cost ``1/2 z'Hz + f'z`` through the controller's path:
-    H from ``cost_matrices``, f from ``cost_gradient``."""
-    H, GtW, UtW = cost_matrices(pred, cfg)
-    free = pred.phi @ x + pred.phi_u @ u_prev
-    return H, cost_gradient(GtW, UtW, free - refs.ravel(), u_prev)
+    """One axis's cost ``1/2 z'Hz + f'z``: H from ``cost_matrices``, f from
+    the block-wise oracle, which ``TestCondensedMaps`` ties to the
+    controller's gradient map."""
+    box = np.zeros((cfg.constraint_window, 3))
+    return cost_matrices(pred, cfg)[0], condensed_qp_data(pred, cfg, x, u_prev, refs, box, box)[0]
 
 
 def step_both(ctrl, x, refs, lo, hi):
@@ -219,7 +223,8 @@ class TestConstraints:
         ctrl = AxisController(ssd, cfg)
         lo, hi = window_box(
             foot_box(params, cfg, [[0.0, 0.0], [0.0, 0.0]])[0], cfg)
-        b = condense_constraints(cfg, lo, hi, np.zeros(3 * cfg.n_pred), np.zeros(3))
+        _, b = condensed_qp_data(ctrl.pred, cfg, np.zeros(9), np.zeros(3),
+                                 constant_refs(cfg.n_pred), lo, hi)
         jerk = slice(6 * cfg.constraint_window, None)
         assert ctrl.A[jerk].shape[0] == 6 * cfg.n_ctrl == b[jerk].shape[0]
         assert set(np.unique(ctrl.A[jerk])) == {-1.0, 0.0, 1.0}
@@ -337,9 +342,8 @@ class TestControlStep:
         refs = constant_refs(cfg.n_pred, 0.0, 0.0, 0.15)
         lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
         x = rng.normal(size=9) * 0.01
-        free = ctrl.pred.phi @ x + ctrl.pred.phi_u @ ctrl.u_prev[0]
         A = ctrl.A
-        b = condense_constraints(cfg, lo, hi, free, ctrl.u_prev[0])
+        _, b = condensed_qp_data(ctrl.pred, cfg, x, ctrl.u_prev[0], refs, lo, hi)
         u, info = step_both(ctrl, x, refs, lo, hi)
         assert info.status == "optimal"
         dU = np.zeros(3 * cfg.n_ctrl)
@@ -486,8 +490,8 @@ class TestCertificate:
     @pytest.fixture(scope="class")
     def streak(self, ssd, params):
         """The three infeasible cycles of the softened-streak push, recorded
-        as ``condense_constraints`` arguments of axis 0, with the certificate
-        the first cycle leaves."""
+        as the oracle arguments (lo, hi, free response, held input) of axis 0,
+        with the certificate the first cycle leaves."""
         cfg = MpcConfig()
         ctrl = AxisController(ssd, cfg)
         lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
@@ -513,12 +517,14 @@ class TestCertificate:
         cfg = ctrl.config
         lo, hi, free, u_prev = cycles[cycle]
         rng = np.random.default_rng(seed)
-        b = condense_constraints(cfg, lo, hi, free, u_prev)
+        refs = constant_refs(cfg.n_pred)
+        _, b = condensed_qp_data(ctrl.pred, cfg, None, u_prev, refs, lo, hi, free=free)
         width = -(b[cert.rows] @ cert.y) / cert.y[ctrl._output_rows[cert.rows]].sum()
         free = free + noise * rng.standard_normal(free.shape)
         u_prev = u_prev + du * rng.uniform(-1.0, 1.0, 3)
-        return condense_constraints(cfg, lo - reach * width, hi + reach * width, free,
-                                    u_prev), u_prev
+        _, b = condensed_qp_data(ctrl.pred, cfg, None, u_prev, refs, lo - reach * width,
+                                 hi + reach * width, free=free)
+        return b, u_prev
 
     def test_infeasible_verdicts_agree_with_cold_solves(self, streak):
         # Ask the certificate about widened and moved cycles.  Every
@@ -561,6 +567,22 @@ class TestCertificate:
         assert sol.status == STATUS_MAX_ITERATIONS and sol.certificate is None
         assert np.all(np.isfinite(sol.z))
 
+    def test_skipped_hard_solves_are_reported(self, ssd, params):
+        # The 3 m/s push: the first cycle's infeasible hard solves leave the
+        # certificates that skip both axes' hard solves in the next two.
+        cfg = MpcConfig()
+        ctrl = AxisController(ssd, cfg)
+        lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
+        x = make_state((0.1, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 50.0, 0.0))
+        certified = []
+        for _ in range(4):
+            U, infos = ctrl.control_step(*(np.stack([a, a]) for a in
+                                           (x, constant_refs(cfg.n_pred), lo, hi)))
+            certified.append(tuple(info.certified for info in infos))
+            x = step_plant(ssd, x, U[0])
+        assert certified == [(False, False), (True, True), (True, True), (False, False)]
+        assert sum(map(sum, certified)) == 4
+
     @settings(max_examples=60, deadline=None)
     @given(kappa=st.floats(0.0, 2.0), u_prev=st.lists(st.floats(-1.0, 1.0), min_size=3,
                                                       max_size=3))
@@ -580,7 +602,8 @@ class TestCertificate:
         hi = np.full((cfg.constraint_window, 3), 10.0)
         hi[0, 2] = -kappa * reach
         lo = np.full_like(hi, -10.0)
-        b = condense_constraints(cfg, lo, hi, np.zeros(3 * cfg.n_pred), u_prev)
+        _, b = condensed_qp_data(ctrl.pred, cfg, None, u_prev, constant_refs(cfg.n_pred), lo, hi,
+                                 free=np.zeros(3 * cfg.n_pred))
         cert = mpc._Certificate(ctrl.A, (0,), np.ones(1), cfg.jerk_limit)
         proved = cert.proves_infeasible(b, u_prev)
         if kappa > 1.0 + 1e-9:
@@ -595,24 +618,25 @@ class TestTwoAxes:
     one-axis call computes it."""
 
     def test_helpers_match_per_row_calls_bitwise(self, ssd):
+        # The block-by-block oracle the controller's maps are checked against.
         rng = np.random.default_rng(51)
         cfg = MpcConfig()
-        _, GtW, UtW = cost_matrices(build_prediction(ssd, cfg), cfg)
-        err, free = rng.normal(size=(2, 2, 3 * cfg.n_pred))
-        u_prev = rng.normal(size=(2, 3))
+        pred = build_prediction(ssd, cfg)
+        GtW, UtW = tracking_transposes(pred, cfg)
+        X, u_prev = rng.normal(size=(2, 9)), rng.normal(size=(2, 3))
+        refs = rng.normal(size=(2, cfg.n_pred, 3))
+        err = np.matvec(pred.phi, X) + np.matvec(pred.phi_u, u_prev) - refs.reshape(2, -1)
         lo = rng.normal(size=(2, cfg.constraint_window, 3)) - 1.0
         hi = lo + 2.0
-        F = cost_gradient(GtW, UtW, err, u_prev)
-        B = condense_constraints(cfg, lo, hi, free, u_prev)
+        F, B = condensed_qp_data(pred, cfg, X, u_prev, refs, lo, hi)
         assert F.shape == (2, 3 * cfg.n_ctrl) and B.shape == (2, len(B[0]))
         for i in range(2):
-            f = cost_gradient(GtW, UtW, err[i], u_prev[i])
+            f, b = condensed_qp_data(pred, cfg, X[i], u_prev[i], refs[i], lo[i], hi[i])
             np.testing.assert_array_equal(F[i], f)
             # The matrix-vector products a one-axis controller would take.
             np.testing.assert_array_equal(
                 f, 2.0 * (GtW @ err[i] + UtW @ np.tile(u_prev[i], cfg.n_pred)))
-            np.testing.assert_array_equal(
-                B[i], condense_constraints(cfg, lo[i], hi[i], free[i], u_prev[i]))
+            np.testing.assert_array_equal(B[i], b)
 
     def test_swapping_axes_swaps_results(self, ssd, params):
         # Axis 0 carries a torso pushed at 3 m/s and softens for three
@@ -639,6 +663,116 @@ class TestTwoAxes:
             softened.append(tuple(info.softened for info in infos))
             X = np.stack([step_plant(ssd, x, u) for x, u in zip(X, U)])
         assert softened == [(True, False)] * 3 + [(False, False)] * 2
+
+
+class _RecordingSolver:
+    """Stands in for the QP solver: keeps every problem's (f, b) and returns
+    a zero step."""
+
+    def __init__(self):
+        self.problems = []
+
+    def solve(self, problem, warm_start=None):
+        self.problems.append((problem.f, problem.b))
+        return SimpleNamespace(status=STATUS_OPTIMAL, z=np.zeros(problem.factors.n),
+                               active_set=(), objective=0.0, iterations=0)
+
+
+class TestCondensedMaps:
+    """The controller forms each cycle's (F, B) with fixed affine maps; the
+    block-wise oracle forms them from the free response."""
+
+    CONFIGS = (MpcConfig(), MpcConfig(n_constrained=12), MpcConfig(n_constrained=35),
+               MpcConfig(n_pred=6, n_ctrl=3), MpcConfig(n_pred=6, n_ctrl=3, n_constrained=2))
+
+    @pytest.fixture(scope="class")
+    def controllers(self, ssd):
+        return [AxisController(ssd, cfg) for cfg in self.CONFIGS]
+
+    @staticmethod
+    def qp_data(ctrl, X, u_prev, refs, lo, hi):
+        """The (F, B) rows the controller hands the solver, and its infos."""
+        ctrl.solver = _RecordingSolver()
+        ctrl.reset(u_prev)
+        _, infos = ctrl.control_step(X, refs, lo, hi)
+        F, B = (np.array(rows) for rows in zip(*ctrl.solver.problems))
+        return F, B, infos
+
+    @settings(max_examples=60, deadline=None)
+    @given(which=st.integers(0, len(CONFIGS) - 1), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(-3.0, 2.0))
+    def test_maps_match_the_oracle(self, controllers, which, seed, scale):
+        ctrl = controllers[which]
+        cfg, pred = ctrl.config, ctrl.pred
+        rng = np.random.default_rng(seed)
+        X = 10.0 ** scale * rng.normal(size=(2, 9))
+        u_prev = cfg.jerk_limit * rng.uniform(-2.0, 2.0, (2, 3))
+        refs = rng.normal(size=(2, cfg.n_pred, 3))
+        lo = rng.normal(size=(2, cfg.constraint_window, 3))
+        hi = lo + rng.exponential(size=lo.shape)
+        F, B, infos = self.qp_data(ctrl, X, u_prev, refs, lo, hi)
+        F_o, B_o = condensed_qp_data(pred, cfg, X, u_prev, refs, lo, hi)
+        n_out = 6 * cfg.constraint_window
+        for got, want in ((F, F_o), (B[:, :n_out], B_o[:, :n_out])):
+            assert np.all(np.abs(got - want).max(axis=1) <= 1e-12 * np.abs(want).max(axis=1))
+        np.testing.assert_array_equal(B[:, n_out:], B_o[:, n_out:])   # lim -+ u_prev
+        first = (np.matvec(pred.phi, X) + np.matvec(pred.phi_u, u_prev))[:, :3]
+        predicted = np.array([info.predicted_output for info in infos])
+        assert np.abs(predicted - first).max() <= 1e-12 * np.abs(first).max()
+
+        # Each axis's rows are computed alone, exactly as a one-axis product,
+        # so swapping the axes swaps them.
+        n_refs = 3 * cfg.n_pred
+        for i in range(2):
+            p = np.concatenate([refs[i].ravel(), X[i], u_prev[i], lo[i].ravel(), hi[i].ravel()])
+            np.testing.assert_array_equal(F[i], ctrl._f_map @ p[:n_refs + 12])
+            np.testing.assert_array_equal(B[i], ctrl._b_map @ p[n_refs:] + ctrl._b0)
+        F_s, B_s, infos_s = self.qp_data(ctrl, X[::-1], u_prev[::-1], refs[::-1], lo[::-1],
+                                         hi[::-1])
+        np.testing.assert_array_equal(F_s, F[::-1])
+        np.testing.assert_array_equal(B_s, B[::-1])
+        for a, b in zip(infos, infos_s[::-1]):
+            np.testing.assert_array_equal(a.predicted_output, b.predicted_output)
+
+    @pytest.fixture
+    def pushed(self, ssd, params):
+        """A controller after one cycle of the 3 m/s push, which leaves both
+        axes a held input, a warm set and a certificate; and that cycle's
+        arguments."""
+        cfg = MpcConfig()
+        ctrl = AxisController(ssd, cfg)
+        lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
+        x = make_state((0.1, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 50.0, 0.0))
+        args = dict(zip(("X", "refs", "lo", "hi"), (np.stack([a, a]) for a in
+                                                    (x, constant_refs(cfg.n_pred), lo, hi))))
+        ctrl.control_step(**args)
+        assert all(cert is not None for cert in ctrl._certificates) and all(ctrl._warm)
+        return ctrl, args
+
+    @staticmethod
+    def assert_rejected_untouched(ctrl, args, match):
+        before = ctrl.u_prev.copy(), list(ctrl._warm), list(ctrl._certificates)
+        with pytest.raises(ValueError, match=match):
+            ctrl.control_step(**args)
+        np.testing.assert_array_equal(ctrl.u_prev, before[0])
+        assert ctrl._warm == before[1]
+        assert all(a is b for a, b in zip(ctrl._certificates, before[2]))
+
+    @pytest.mark.parametrize("name, index", [("X", (0, 0)), ("lo", (0, 0, 0)),
+                                             ("hi", (0, 0, 0)), ("refs", (1, 7, 2))])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected_by_name(self, pushed, name, index, bad):
+        # A NaN estimate or bound used to surface as an infeasible cycle.
+        ctrl, args = pushed
+        args[name] = args[name].copy()
+        args[name][index] = bad
+        self.assert_rejected_untouched(ctrl, args, f"^{name} must be a finite")
+
+    @pytest.mark.parametrize("name", ["X", "refs", "lo", "hi"])
+    def test_misshapen_parameter_rejected_by_name(self, pushed, name):
+        ctrl, args = pushed
+        args[name] = args[name][:, :-1]
+        self.assert_rejected_untouched(ctrl, args, f"^{name} must be a finite")
 
 
 class TestObserver:

@@ -21,11 +21,9 @@ from triwalk.mpc import (
     AxisController,
     MpcConfig,
     build_constraints,
-    condense_constraints,
-    cost_gradient,
 )
 
-from oracles import seed_working_set_by_rows, solve_qp_by_enumeration
+from oracles import condensed_qp_data, seed_working_set_by_rows, solve_qp_by_enumeration
 
 
 def problem(H, f, A, b, soft=None, penalty=None):
@@ -558,9 +556,9 @@ class TestLargeSoftenedSolves:
     ])
     def test_softened_solve_is_optimal(self, controller, velocities, accelerations):
         ctrl, lo, hi = controller
-        free = ctrl.pred.phi @ make_state((0.1, 0.0, 0.0), velocities, accelerations)
-        f = cost_gradient(ctrl._GtW, ctrl._UtW, free, ctrl.u_prev[0])
-        b = condense_constraints(ctrl.config, lo, hi, free, ctrl.u_prev[0])
+        x = make_state((0.1, 0.0, 0.0), velocities, accelerations)
+        f, b = condensed_qp_data(ctrl.pred, ctrl.config, x, ctrl.u_prev[0],
+                                 np.zeros((ctrl.config.n_pred, 3)), lo, hi)
         H = ctrl._factors.H
         hard = ActiveSetSolver().solve(QpProblem(ctrl._factors, f, b))
         assert hard.status == STATUS_INFEASIBLE

@@ -257,8 +257,11 @@ class WalkEngine:
         Raises ValueError, leaving the engine untouched, unless each
         measurement is a finite (3,) array.
         """
-        y_meas = np.array((y_meas_x, y_meas_y), dtype=float)   # ragged ones raise here
-        if y_meas.shape != (2, N_OUTPUTS) or not np.isfinite(y_meas).all():
+        try:
+            y_meas = np.array((y_meas_x, y_meas_y), dtype=float)
+        except ValueError:   # a ragged pair
+            y_meas = None
+        if np.shape(y_meas) != (2, N_OUTPUTS) or not np.isfinite(y_meas).all():
             raise ValueError("measurements must be finite (3,) arrays")
         self.setpoints = filter_setpoints(self.setpoints, self.config.ts, _LAG_TAU)
 

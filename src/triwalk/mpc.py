@@ -9,8 +9,8 @@ three outputs (stance mass, swing mass, zero-moment point), subject to
 phase-dependent bounds on the swing-mass position, the ZMP and the jerk
 inputs.  The QP's Hessian and constraint matrix are fixed; its gradient and
 right-hand side are affine in the cycle's state estimate, held input,
-reference window and bound window, so each cycle forms them with one fixed
-map each (``cost_matrices``, ``constraint_maps``).  A steady-state Kalman
+reference window and bound window, so each cycle forms them with maps fixed
+at construction (``cost_matrices``, ``constraint_maps``).  A steady-state Kalman
 observer reconstructs each axis's 9-entry state from its three measured
 outputs.
 """
@@ -122,8 +122,9 @@ class PredictionMatrices:
     """Condensed prediction: ``Y = phi x + phi_u u_prev + gamma dU`` and
     ``U = tile(u_prev) + u_map dU`` with dU zero beyond the control horizon."""
 
-    phi: np.ndarray      # (3 n_pred, 9)
-    phi_u: np.ndarray    # (3 n_pred, 3)
+    free_map: np.ndarray  # (3 n_pred, 12): the free response [phi, phi_u] [x; u_prev]
+    phi: np.ndarray      # (3 n_pred, 9), a view of free_map
+    phi_u: np.ndarray    # (3 n_pred, 3), a view of free_map
     gamma: np.ndarray    # (3 n_pred, 3 n_ctrl)
     u_map: np.ndarray    # (3 n_pred, 3 n_ctrl)
     n_pred: int
@@ -145,36 +146,29 @@ def build_prediction(ss: StateSpace, config: MpcConfig) -> PredictionMatrices:
         S.append(Ad @ S[-1] + Bd)
         powers.append(Ad @ powers[-1])
 
-    phi = np.vstack([Cd @ powers[j] for j in range(1, np_ + 1)])
-    phi_u = np.vstack([Cd @ S[j] for j in range(1, np_ + 1)])
-    gamma = np.zeros((N_OUTPUTS * np_, N_INPUTS * nc))
-    CS = [None] + [Cd @ S[j] for j in range(1, np_ + 1)]
-    for j in range(1, np_ + 1):
-        for l in range(min(j, nc)):
-            gamma[N_OUTPUTS * (j - 1):N_OUTPUTS * j,
-                  N_INPUTS * l:N_INPUTS * (l + 1)] = CS[j - l]
-    u_map = np.zeros((N_INPUTS * np_, N_INPUTS * nc))
-    eye = np.eye(N_INPUTS)
-    for j in range(np_):
-        for l in range(min(j + 1, nc)):
-            u_map[N_INPUTS * j:N_INPUTS * (j + 1),
-                  N_INPUTS * l:N_INPUTS * (l + 1)] = eye
-    return PredictionMatrices(phi=phi, phi_u=phi_u, gamma=gamma, u_map=u_map,
-                              n_pred=np_, n_ctrl=nc)
+    # Output sample j responds to x through C Ad^j and to a unit input held
+    # from move l on through C S[j-l], zero for l >= j.
+    CS = Cd @ np.stack(S)
+    free_map = np.concatenate([Cd @ np.stack(powers[1:]), CS[1:]], axis=2)
+    free_map = free_map.reshape(N_OUTPUTS * np_, N_STATES + N_INPUTS)
+    lag = np.maximum(np.arange(1, np_ + 1)[:, None] - np.arange(nc), 0)
+    gamma = CS[lag].transpose(0, 2, 1, 3).reshape(N_OUTPUTS * np_, N_INPUTS * nc)
+    u_map = np.kron(np.tri(np_, nc), np.eye(N_INPUTS))
+    return PredictionMatrices(free_map, free_map[:, :N_STATES], free_map[:, N_STATES:],
+                              gamma, u_map, np_, nc)
 
 
 def cost_matrices(pred: PredictionMatrices, config: MpcConfig):
-    """The fixed Hessian H and the map from a cycle's parameters [refs; x;
-    u_prev] to the gradient ``2 GtW (phi x + phi_u u_prev - refs) + 2 UtW
-    tile(u_prev)``: blocks ``-2 GtW``, ``2 GtW phi``, ``2 (GtW phi_u + UtW tile(I))``."""
+    """H and the maps of f = f_err (free - refs) + f_held u_prev: 2 GtW, 2 UtW tile(I).
+    Mapping the error keeps f in GtW's range; a map folding GtW phi adds rounding
+    that H^-1 amplifies by cond(H), 2e9 without jerk weights."""
     w_out = np.tile([config.w_stance, config.w_swing, config.w_zmp], config.n_pred)
     w_in = np.tile(config.w_jerk, config.n_pred)
     G, U = pred.gamma, pred.u_map
     GW, UW = G * w_out[:, None], U * w_in[:, None]
     H = 2.0 * (G.T @ GW + U.T @ UW)
     held = np.tile(np.eye(N_INPUTS), (config.n_pred, 1))
-    f_map = 2.0 * np.hstack([-GW.T, GW.T @ pred.phi, GW.T @ pred.phi_u + UW.T @ held])
-    return 0.5 * (H + H.T), f_map
+    return 0.5 * (H + H.T), 2.0 * GW.T, 2.0 * (UW.T @ held)
 
 
 def build_constraints(centers, half, params: ThreeMassParams, config: MpcConfig,
@@ -220,14 +214,13 @@ def build_constraints(centers, half, params: ThreeMassParams, config: MpcConfig,
 
 
 def constraint_maps(pred: PredictionMatrices, config: MpcConfig):
-    """The fixed rows A of ``A dU <= b`` and the map ``b = b_map [x; u_prev;
-    lo; hi] + b0`` from a cycle's parameters.  Per output (zmp, stance,
-    swing), upper then lower bound rows over samples k+1 .. k+window; then,
-    per input, upper then lower jerk rows over the n_ctrl decided moves.  Row
-    r signs one entry v_r of the outputs over the window and the inputs over
-    the control horizon, ``s v_r <= s bound``: A's row is s times v_r's
-    response to dU, b's is s times the bound (hi, lo or jerk_limit) less v_r
-    at zero increments."""
+    """The fixed rows A of ``A dU <= b`` and b's map (b_map, b0, cols, sign).
+    Per output (zmp, stance, swing), upper then lower bound rows over samples
+    k+1 .. k+window; then, per input, upper then lower jerk rows over the
+    n_ctrl decided moves.  Row r signs one entry v_r of the outputs over the
+    window and the inputs over the control horizon, ``s v_r <= s bound``: A's
+    row is s times v_r's response to dU, b's is s times the bound (hi, lo or
+    +-jerk_limit) less v_r at zero increments."""
     window, nc = config.constraint_window, pred.n_ctrl
     entries = ([N_OUTPUTS * np.arange(window) + i for i in (2, 0, 1)]
                + [N_OUTPUTS * window + N_INPUTS * np.arange(nc) + i for i in range(N_INPUTS)])
@@ -237,21 +230,23 @@ def constraint_maps(pred: PredictionMatrices, config: MpcConfig):
     dU_response = np.vstack([pred.gamma[:n_y], pred.u_map[:N_INPUTS * nc]])
     # The response to (x, u_prev) at zero increments: the free response over
     # the window, then the held input at every move.
-    zero_response = np.vstack([np.hstack([pred.phi, pred.phi_u])[:n_y],
+    zero_response = np.vstack([pred.free_map[:n_y],
                                np.eye(n_free)[N_STATES + np.arange(N_INPUTS * nc) % N_INPUTS]])
-    b_map = np.zeros((len(rows), n_free + 2 * n_y))
-    b_map[:, :n_free] = -sign[:, None] * zero_response[rows]
-    out = np.flatnonzero(rows < n_y)
-    b_map[out, n_free + rows[out] + n_y * (sign[out] > 0)] = sign[out]
-    b0 = np.where(rows < n_y, 0.0, config.jerk_limit)
-    return sign[:, None] * dU_response[rows], b_map, b0
+    out = rows < n_y   # output rows come first
+    return sign[:, None] * dU_response[rows], (
+        -sign[:, None] * zero_response[rows], np.where(out, 0.0, config.jerk_limit),
+        rows[out] + n_y * (sign[out] > 0), sign[out])
 
 
-def condense_constraints(b_map: np.ndarray, b0: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """A cycle's right-hand sides from its parameters [x; u_prev; lo; hi]
-    (..., 12 + 6 constraint_window), flattened per axis (``constraint_maps``);
-    ``np.matvec`` computes each axis's row exactly as a one-axis call."""
-    return np.matvec(b_map, params) + b0
+def condense_constraints(rhs, xu: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """A cycle's right-hand sides ``b_map [x; u_prev] + b0``, plus on each
+    output row its sign times entry ``cols`` of the bound window [lo; hi];
+    xu (..., 12) and bounds (..., 6 window) are flattened per axis.
+    ``np.matvec`` and the gather compute each axis's row as a one-axis call."""
+    b_map, b0, cols, sign = rhs
+    b = np.matvec(b_map, xu) + b0
+    b[..., :len(cols)] += sign * bounds.take(cols, axis=-1)
+    return b
 
 
 @dataclass(frozen=True)
@@ -451,18 +446,15 @@ class AxisController:
         self.config = config
         self.pred = build_prediction(ss, config)
         self.solver = ActiveSetSolver()
-        H, self._f_map = cost_matrices(self.pred, config)
-        A, self._b_map, self._b0 = constraint_maps(self.pred, config)
+        H, self._f_err, self._f_held = cost_matrices(self.pred, config)
+        A, self._rhs = constraint_maps(self.pred, config)
         self._factors = QpFactors.build(H, A)
         self.A = self._factors.A
         # Shapes of a cycle's parameters (refs, X, u_prev, lo, hi), which
-        # each axis flattens in this order: f maps the first three, b all but
-        # refs, and ``_first_output`` (x, u_prev) to the first predicted
-        # sample at zero increments.
+        # each axis flattens in this order.
         window = (N_AXES, config.constraint_window, N_OUTPUTS)
         self._shapes = ((N_AXES, config.n_pred, N_OUTPUTS), (N_AXES, N_STATES),
                         (N_AXES, N_INPUTS), window, window)
-        self._first_output = np.hstack([self.pred.phi, self.pred.phi_u])[:N_OUTPUTS]
         # The softened fallback relaxes every output row; jerk rows stay hard.
         self._output_rows = np.arange(self.A.shape[0]) < 2 * N_OUTPUTS * config.constraint_window
         self._certificates: list[_Certificate | None] = [None] * N_AXES
@@ -511,12 +503,13 @@ class AxisController:
                 if np.shape(a) != shape or not np.isfinite(a).all():
                     raise ValueError(f"{name} must be a finite {shape} array")
         n_refs, n_free = self.pred.gamma.shape[0], N_STATES + N_INPUTS
-        F = np.matvec(self._f_map, P[:, :n_refs + n_free])
-        B = condense_constraints(self._b_map, self._b0, P[:, n_refs:])
-        Y1 = np.matvec(self._first_output, P[:, n_refs:n_refs + n_free])
+        xu = P[:, n_refs:n_refs + n_free]
+        free = np.matvec(self.pred.free_map, xu)
+        F = np.matvec(self._f_err, free - P[:, :n_refs]) + np.matvec(self._f_held, self.u_prev)
+        B = condense_constraints(self._rhs, xu, P[:, n_refs + n_free:])
 
         sols, infos = [], []
-        for axis, (f, b, warm, y1) in enumerate(zip(F, B, self._warm, Y1)):
+        for axis, (f, b, warm, y_free) in enumerate(zip(F, B, self._warm, free)):
             cert = self._certificates[axis]
             iterations = 0
             softened = certified = (cert is not None
@@ -538,7 +531,7 @@ class AxisController:
             infos.append(ControlCycleInfo(
                 status=sol.status, softened=softened, objective=sol.objective,
                 iterations=iterations, certified=certified,
-                predicted_output=y1 + self.pred.gamma[:N_OUTPUTS] @ sol.z))
+                predicted_output=y_free[:N_OUTPUTS] + self.pred.gamma[:N_OUTPUTS] @ sol.z))
         self._warm = [sol.active_set if sol.status == STATUS_OPTIMAL else None for sol in sols]
         U = self.u_prev + np.array([sol.z[:N_INPUTS] for sol in sols])
         self.u_prev = U.copy()

@@ -566,11 +566,13 @@ class TestMeasurementValidation:
             y_bad = y.copy()
             y_bad[2] = bad
             bad_values.append(y_bad)
-        # Wrong shapes: a scalar would broadcast to all three outputs.
-        bad_values += [0.0, y[:2], np.append(y, 0.0)]
+        # Wrong shapes: a scalar would broadcast to all three outputs.  Paired
+        # with a (3,) array, each makes a ragged pair.
+        bad_values += [0.0, y[:2], np.append(y, 0.0), [y]]
+        message = r"^measurements must be finite \(3,\) arrays$"
         for y_bad in bad_values:
             for pair in ((y, y_bad), (y_bad, y), (y_bad, y_bad)):
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match=message):
                     engine.tick(*pair)
         assert_untouched(engine, before)
 

@@ -59,11 +59,12 @@ def constant_refs(n, stance=0.0, swing=0.0, zmp=0.0):
 
 
 def cost(pred, refs, cfg, x, u_prev):
-    """One axis's cost ``1/2 z'Hz + f'z``: H from ``cost_matrices``, f from
-    the block-wise oracle, which ``TestCondensedMaps`` ties to the
-    controller's gradient map."""
-    box = np.zeros((cfg.constraint_window, 3))
-    return cost_matrices(pred, cfg)[0], condensed_qp_data(pred, cfg, x, u_prev, refs, box, box)[0]
+    """One axis's cost ``1/2 z'Hz + f'z`` through the controller's maps:
+    H, f_err and f_held from ``cost_matrices``, the free response from
+    ``free_map``."""
+    H, f_err, f_held = cost_matrices(pred, cfg)
+    free = pred.free_map @ np.concatenate([x, u_prev])
+    return H, f_err @ (free - refs.ravel()) + f_held @ u_prev
 
 
 def step_both(ctrl, x, refs, lo, hi):
@@ -682,8 +683,12 @@ class TestCondensedMaps:
     """The controller forms each cycle's (F, B) with fixed affine maps; the
     block-wise oracle forms them from the free response."""
 
+    # The last config weighs every output and every jerk differently, so a
+    # map that mixes up weights does not match the oracle.
     CONFIGS = (MpcConfig(), MpcConfig(n_constrained=12), MpcConfig(n_constrained=35),
-               MpcConfig(n_pred=6, n_ctrl=3), MpcConfig(n_pred=6, n_ctrl=3, n_constrained=2))
+               MpcConfig(n_pred=6, n_ctrl=3), MpcConfig(n_pred=6, n_ctrl=3, n_constrained=2),
+               MpcConfig(n_pred=10, n_ctrl=4, w_zmp=3.0, w_stance=5.0, w_swing=7.0,
+                         w_jerk=(0.1, 0.2, 0.3)))
 
     @pytest.fixture(scope="class")
     def controllers(self, ssd):
@@ -720,13 +725,15 @@ class TestCondensedMaps:
         predicted = np.array([info.predicted_output for info in infos])
         assert np.abs(predicted - first).max() <= 1e-12 * np.abs(first).max()
 
-        # Each axis's rows are computed alone, exactly as a one-axis product,
+        # Each axis's rows are computed alone, exactly as one-axis products,
         # so swapping the axes swaps them.
-        n_refs = 3 * cfg.n_pred
         for i in range(2):
-            p = np.concatenate([refs[i].ravel(), X[i], u_prev[i], lo[i].ravel(), hi[i].ravel()])
-            np.testing.assert_array_equal(F[i], ctrl._f_map @ p[:n_refs + 12])
-            np.testing.assert_array_equal(B[i], ctrl._b_map @ p[n_refs:] + ctrl._b0)
+            xu = np.concatenate([X[i], u_prev[i]])
+            free = np.matvec(pred.free_map, xu)
+            f = np.matvec(ctrl._f_err, free - refs[i].ravel()) + np.matvec(ctrl._f_held, u_prev[i])
+            np.testing.assert_array_equal(F[i], f)
+            bounds = np.concatenate([lo[i].ravel(), hi[i].ravel()])
+            np.testing.assert_array_equal(B[i], mpc.condense_constraints(ctrl._rhs, xu, bounds))
         F_s, B_s, infos_s = self.qp_data(ctrl, X[::-1], u_prev[::-1], refs[::-1], lo[::-1],
                                          hi[::-1])
         np.testing.assert_array_equal(F_s, F[::-1])

@@ -25,13 +25,14 @@ Within a solve, the working set W keeps a lower Cholesky factor R of its Gram
 block ``A_W H^-1 A_W' = R R'`` in a Fortran-ordered buffer whose leading
 block LAPACK reads in place.  A step direction costs two triangular solves;
 appending a row extends R by one row, and dropping one deletes its row of R
-and re-triangularises the rows below it.  A warm start seeds W from an
-earlier active set in one block: one triangular solve and one Cholesky
-factorization cover all its rows.  No refinement pass runs between steps:
-the final working set is re-solved once (``_polish``) and the KKT gate
-checks the result.  Should rounding leave the working-set Gram block
-indefinite, a warm-started solve starts over cold, and a cold solve ends
-there with status ``max_iterations``, as it does at the iteration cap.
+and re-triangularises the rows below it.  The final R travels with the
+solution's ``active_set``, and a warm start of the same factors copies it;
+any other warm start is factored in one block.  On the final working set,
+``_polish`` runs one refinement pass, re-solving first only if the loop took
+steps, and the KKT gate checks the incremental iterate only when the polished
+one misses it, keeping the better.  Should rounding leave the working-set
+Gram block indefinite, a warm-started solve starts over cold, and a cold
+solve ends there with status ``max_iterations``, as at the iteration cap.
 
 A hard problem is infeasible exactly when the violated row p that the loop
 tries to add depends on the working set and no working-set multiplier blocks
@@ -49,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dtrtrs
-from scipy.optimize import nnls
 
 STATUS_OPTIMAL = "optimal"
 STATUS_MAX_ITERATIONS = "max_iterations"
@@ -69,8 +69,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _peak(v: np.ndarray) -> float:
-    """Largest entry of a non-empty vector (``argmax`` costs far less than
-    ``max`` on short vectors)."""
+    """Largest entry of a non-empty vector (``argmax`` is far cheaper than ``max``)."""
     return float(v[v.argmax()])
 
 
@@ -178,6 +177,14 @@ class QpProblem:
     f: np.ndarray
     b: np.ndarray
 
+    def __post_init__(self):
+        fac = self.factors
+        if np.shape(self.f) != (fac.n,):
+            raise ValueError(f"f must have shape ({fac.n},)")
+        m = fac.A.shape[0] - (fac.H.shape[0] - fac.n)   # the slack bounds are not given
+        if np.shape(self.b) != (m,):
+            raise ValueError(f"b must have shape ({m},), one entry per hard row")
+
     @property
     def n(self) -> int:
         return self.f.shape[0]
@@ -187,17 +194,27 @@ class QpProblem:
         return self.b.shape[0]
 
 
+class ActiveSet(tuple):
+    """Working-set rows with their ``factors``, Gram factor R and H^-1 A_W' columns V."""
+
+    def __new__(cls, rows=(), factors=None, R=None, V=None):
+        self = super().__new__(cls, rows)
+        self.factors, self.R, self.V = factors, R, V
+        return self
+
+
 @dataclass
 class QpSolution:
     """Solver result.  ``z`` holds the original decision variables only.
 
     ``objective`` is the value of the solved problem, including the quadratic
     penalty of any soft-row slacks.  ``active_set`` indexes rows of the
-    internal (slack-augmented) constraint matrix and can seed the next solve's
-    warm start.  It may also seed a problem with the same hard rows and a
-    different soft mask: the augmented matrix keeps the m hard rows first, at
-    their own indices, and appends the slack bounds at m and above.  So a hard
-    active set names the same rows in the softened problem, and a hard problem
+    internal (slack-augmented) constraint matrix in working-set order and can
+    seed the next solve's warm start, which copies an ``ActiveSet``'s factor.
+    It may also seed a problem with the same hard rows and a different soft
+    mask: the augmented matrix keeps the m hard rows first, at their own
+    indices, and appends the slack bounds at m and above.  So a hard active
+    set names the same rows in the softened problem, and a hard problem
     seeded with a softened active set ignores its slack rows.
 
     ``certificate`` is ``(rows, y)`` when the status is ``STATUS_INFEASIBLE``
@@ -212,7 +229,7 @@ class QpSolution:
     objective: float
     kkt_residual: float
     status: str
-    active_set: tuple[int, ...] = ()
+    active_set: tuple[int, ...] = ()    # an ActiveSet when non-empty and optimal
     iterations: int = 0
     slacks: np.ndarray | None = None
     certificate: tuple[tuple[int, ...], np.ndarray] | None = None
@@ -298,12 +315,14 @@ class ActiveSetSolver:
         z = z0
         W: list[int] = []
         lam = np.zeros(n)            # first len(W) entries are the multipliers
-        V = np.empty((n, n))         # columns 0..k-1 hold H^-1 A_W' (columns of V_all)
-        # Leading k-by-k block: lower Cholesky factor R of A_W H^-1 A_W' (of G).
-        # Nothing is ever written above the diagonal, which ``_drop`` reads.
-        R = np.zeros((n, n), order="F")
+        # Working-set buffers, made on first use.  Columns 0..k-1 of V hold
+        # H^-1 A_W' (columns of V_all).  The leading k-by-k block of the
+        # Fortran-ordered R is the lower Cholesky factor of A_W H^-1 A_W' (of
+        # G); nothing is ever written above its diagonal, which ``_drop`` reads.
+        V = R = None
 
         if warm_start is not None:
+            V, R = np.empty((n, n)), np.zeros((n, n), order="F")
             self._seed_working_set(fac, b, z0, W, lam, V, R, warm_start)
             if W:
                 z = z0 - V[:, :len(W)] @ lam[:len(W)]
@@ -325,6 +344,8 @@ class ActiveSetSolver:
                     status = STATUS_MAX_ITERATIONS
                     break
                 iterations += 1
+                if R is None:
+                    V, R = np.empty((n, n)), np.zeros((n, n), order="F")
 
                 a_p = A[p]
                 r = V_all[:, p]
@@ -387,34 +408,39 @@ class ActiveSetSolver:
                 if status != STATUS_OPTIMAL:
                     break
 
+        k = len(W)
+        AW = A[W] if W else None
+        iterates = [(z, resid, lam[:k])]
         if status == STATUS_OPTIMAL and W:
-            # Re-solving on the final working set removes drift accumulated by
-            # the incremental updates, but can itself lose accuracy when the
-            # working-set Gram matrix is ill conditioned; keep the better one.
-            k = len(W)
-            z_p, lam_p = self._polish(fac, f, b, z0, W, V[:, :k], R)
-            resid_p = A @ z_p - b
-            if (self._kkt_from_multipliers(fac, f, z_p, resid_p, W, lam_p)[0]
-                    <= self._kkt_from_multipliers(fac, f, z, resid, W, lam[:k])[0]):
-                z, resid = z_p, resid_p
-                lam[:k] = lam_p
-
-        kkt, Hz = self._kkt_from_multipliers(fac, f, z, resid, W, lam[:len(W)])
-        # The convergence check is relative to the gradient scale so that
-        # heavily penalised soft rows do not mask an accurate solve.
-        scale = 1.0 + _peak(np.abs(f)) + _peak(np.abs(Hz))
-        if status == STATUS_OPTIMAL and kkt >= 1e-8 * scale:
+            # Polishing removes drift accumulated by the incremental updates,
+            # but can itself lose accuracy when the working-set Gram matrix is
+            # ill conditioned: the incremental iterate is checked only when
+            # the polished one misses the KKT gate, and the better one kept.
+            z_p, lam_p = self._polish(fac, f, b[W], z0, AW, V[:, :k], R,
+                                      None if iterations else (z, lam[:k]))
+            iterates.insert(0, (z_p, A @ z_p - b, lam_p))
+        for i, (z_i, resid_i, lam_i) in enumerate(iterates):
+            kkt_i, Hz_i = self._kkt_from_multipliers(fac, f, z_i, resid_i, W, AW, lam_i)
+            if not i or kkt_i < kkt:
+                z, kkt, Hz = z_i, kkt_i, Hz_i
+                # The gate is relative to the gradient scale so that heavily
+                # penalised soft rows do not mask an accurate solve.
+                passed = kkt < 1e-8 * (1.0 + _peak(np.abs(f)) + _peak(np.abs(Hz)))
+            if passed:
+                break
+        if status == STATUS_OPTIMAL and not passed:
             status = STATUS_MAX_ITERATIONS
         objective = float(z @ (0.5 * Hz + f))
-        n_orig = fac.n
         return QpSolution(
-            z=z[:n_orig].copy(),
+            z=z[:fac.n].copy(),
             objective=objective,
             kkt_residual=kkt,
             status=status,
-            active_set=tuple(W),
+            active_set=(ActiveSet(W, fac, _frozen(R[:k, :k].copy(order="F")),
+                                  _frozen(V[:, :k].copy()))
+                        if W and status == STATUS_OPTIMAL else tuple(W)),
             iterations=iterations,
-            slacks=None if fac.slack_scale is None else z[n_orig:] / fac.slack_scale,
+            slacks=None if fac.slack_scale is None else z[fac.n:] / fac.slack_scale,
             certificate=certificate,
         )
 
@@ -422,37 +448,43 @@ class ActiveSetSolver:
     def _seed_working_set(fac: QpFactors, b, z0, W, lam, V, R, warm_start) -> None:
         """Recreate a dual-feasible working set from a previous active set.
 
-        Indices outside this problem's rows (the slack rows of a softened
-        problem when this one is hard, stale or negative ones) are skipped.
-        The sorted candidates are factored as one block: a triangular solve
-        against R, then a Cholesky factorization of their Schur block.  The
-        leading rows whose squared pivot exceeds 1e-10 max(1, G_ii) enter W,
-        at most n in all; the first row that fails depends on those before
-        it, is skipped, and the rest are factored again.  Pruning then drops
-        the most negative multiplier until none is negative.  Should a
-        factor update find a nearly dependent seed's Gram block indefinite,
-        ``solve`` starts over cold.
+        An ``ActiveSet`` of these factors brings its factor, which is copied.
+        Of any other, indices outside this problem's rows (the slack rows of a
+        softened problem when this one is hard, stale or negative ones) are
+        skipped, and the sorted candidates are factored as one block: a
+        triangular solve against R, then a Cholesky factorization of their
+        Schur block.  The leading rows whose squared pivot exceeds 1e-10
+        max(1, G_ii) enter W, at most n in all; the first row that fails
+        depends on those before it, is skipped, and the rest are factored
+        again.  Pruning then drops the most negative multiplier until none is
+        negative.  Should a factor update find a nearly dependent seed's Gram
+        block indefinite, ``solve`` starts over cold.
         """
         A, G = fac.A, fac.G
         n, m = fac.H.shape[0], A.shape[0]
-        cand = np.array(sorted({int(i) for i in warm_start if 0 <= int(i) < m}), dtype=int)
-        while cand.size and len(W) < n:
-            k = len(W)
-            S = G[cand[:, None], cand]
-            tol = 1e-10 * np.maximum(1.0, S.diagonal())
-            if k:
-                L = dtrtrs(R[:, :k], G[np.ix_(W, cand)], lower=1)[0]
-                S -= L.T @ L
-            F, info = dpotrf(S, lower=1)
-            c = info - 1 if info else cand.size
-            bad = np.flatnonzero(F.diagonal()[:c] ** 2 <= tol[:c])
-            j = min(int(bad[0]) if bad.size else c, n - k)
-            if k:
-                R[k:k + j, :k] = L[:, :j].T
-            R[k:k + j, k:k + j] = F[:j, :j]
-            V[:, k:k + j] = fac.V[:, cand[:j]]
-            W.extend(cand[:j].tolist())
-            cand = cand[j + 1:]
+        if getattr(warm_start, "factors", None) is fac:
+            k = len(warm_start)
+            W.extend(warm_start)
+            R[:k, :k], V[:, :k] = warm_start.R, warm_start.V
+        else:
+            cand = np.array(sorted({int(i) for i in warm_start if 0 <= int(i) < m}), dtype=int)
+            while cand.size and len(W) < n:
+                k = len(W)
+                S = G[cand[:, None], cand]
+                tol = 1e-10 * np.maximum(1.0, S.diagonal())
+                if k:
+                    L = dtrtrs(R[:, :k], G[np.ix_(W, cand)], lower=1)[0]
+                    S -= L.T @ L
+                F, info = dpotrf(S, lower=1)
+                c = info - 1 if info else cand.size
+                bad = np.flatnonzero(F.diagonal()[:c] ** 2 <= tol[:c])
+                j = min(int(bad[0]) if bad.size else c, n - k)
+                if k:
+                    R[k:k + j, :k] = L[:, :j].T
+                R[k:k + j, k:k + j] = F[:j, :j]
+                V[:, k:k + j] = fac.V[:, cand[:j]]
+                W.extend(cand[:j].tolist())
+                cand = cand[j + 1:]
         # Prune until the equality-constrained multipliers are all nonnegative.
         # A row's gap b_i - a_i z0 does not depend on the rest of W.
         gap = b[W] - A[W] @ z0
@@ -464,67 +496,37 @@ class ActiveSetSolver:
                 return
             pos = int(mult.argmin())
             _drop(W, lam, V, R, G, pos)
-            gap = np.delete(gap, pos)
+            gap[pos:-1] = gap[pos + 1:]
+            gap = gap[:-1]
 
     @staticmethod
-    def _polish(fac: QpFactors, f, b, z0, W, V, R):
-        """Re-solve the equality-constrained problem on the final working set,
-        given its ``H^-1 A_W'`` columns ``V`` and Gram factor ``R``, with one
-        iterative-refinement pass on the KKT system."""
-        AW = fac.A[W]
-        k = len(W)
-        lam = -_gram_solve(R, k, b[W] - AW @ z0)
-        z = z0 - V @ lam
+    def _polish(fac: QpFactors, f, bW, z0, AW, V, R, start=None):
+        """One iterative-refinement pass on the KKT system of the final
+        working set (rows ``AW``, bounds ``bW``, ``H^-1 A_W'`` columns ``V``,
+        Gram factor ``R``) from ``start`` = (z, lam), which must solve its
+        equality-constrained problem; None re-solves that problem first."""
+        k = len(bW)
+        if start is None:
+            lam = -_gram_solve(R, k, bW - AW @ z0)
+            start = z0 - V @ lam, lam
+        z, lam = start
         res1 = fac.H @ z + f + AW.T @ lam
-        res2 = AW @ z - b[W]
+        res2 = AW @ z - bW
         corr = fac.hsolve(res1)
         dlam = _gram_solve(R, k, res2 - AW @ corr)
         return z - corr - V @ dlam, lam + dlam
 
     @staticmethod
-    def _kkt_from_multipliers(fac: QpFactors, f, z, resid, W, lam):
-        """Return the KKT residual of (z, lam) on the working set, given
-        ``resid = A z - b``, and H z."""
+    def _kkt_from_multipliers(fac: QpFactors, f, z, resid, W, AW, lam):
+        """Return the KKT residual of (z, lam) on the working set W with rows
+        ``AW``, given ``resid = A z - b``, and H z."""
         Hz = fac.H @ z
         grad = Hz + f
         if W:
-            grad = grad + fac.A[W].T @ lam
+            grad = grad + AW.T @ lam
             compl = _peak(np.abs(lam * resid[W]))
             dual = max(0.0, -float(lam.min()))
         else:
-            compl = 0.0
-            dual = 0.0
+            compl = dual = 0.0
         primal = max(0.0, _peak(resid)) if resid.size else 0.0
         return max(_peak(np.abs(grad)), primal, compl, dual), Hz
-
-
-def kkt_residual(problem: QpProblem, z: np.ndarray, active_tol: float = 1e-6) -> float:
-    """Max of stationarity, primal-feasibility and complementarity residuals.
-
-    Multipliers are fitted by nonnegative least squares over the rows active
-    at ``z`` (within ``active_tol``); the result is zero exactly when ``z`` is
-    a KKT point.  For problems with soft rows the slacks are reconstructed as
-    the penalty-optimal values ``max(0, A z - b)``.
-    """
-    fac = problem.factors
-    f, b = fac.extend(np.asarray(problem.f, float), np.asarray(problem.b, float))
-    z = np.asarray(z, float)
-    if z.shape != (fac.n,):
-        raise ValueError("z length must match the number of decision variables")
-    H, A = fac.H, fac.A
-    if fac.soft_rows is not None:
-        s = np.maximum(0.0, A[fac.soft_rows, :z.size] @ z - b[fac.soft_rows])
-        z = np.concatenate([z, s * fac.slack_scale])
-
-    grad = H @ z + f
-    if b.shape[0] == 0:
-        return float(np.max(np.abs(grad), initial=0.0))
-    resid = A @ z - b
-    act = np.flatnonzero(resid >= -active_tol)
-    primal = max(0.0, float(np.max(resid)))
-    if act.size == 0:
-        return max(float(np.max(np.abs(grad))), primal)
-    lam, _ = nnls(A[act].T, -grad)
-    stationarity = float(np.max(np.abs(grad + A[act].T @ lam)))
-    compl = float(np.max(np.abs(lam * resid[act])))
-    return max(stationarity, primal, compl)

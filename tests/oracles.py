@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute force or off the shelf: truncated
 series, exhaustive enumeration, uniform-cost search, a linear-programming
-feasibility check, a row-by-row warm-start seed and a controller cycle's QP
-data written block by block.  None of it shares code with the package.
+feasibility check, a nonnegative-least-squares KKT residual, a row-by-row
+warm-start seed and a controller cycle's QP data written block by block.
+None of it shares code with the package.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 
 def zoh_discretize_series(A: np.ndarray, B: np.ndarray, ts: float, terms: int = 20):
@@ -99,6 +100,41 @@ def polyhedron_is_empty(A, b) -> bool:
     if result.status not in (0, 2):
         raise RuntimeError(f"feasibility LP inconclusive: {result.message}")
     return result.status == 2
+
+
+def kkt_residual(problem, z: np.ndarray, active_tol: float = 1e-6) -> float:
+    """Max of stationarity, primal-feasibility and complementarity residuals
+    of ``z`` for a ``triwalk.qp.QpProblem``.
+
+    Multipliers are fitted by nonnegative least squares over the rows active
+    at ``z`` (within ``active_tol``); the result is zero exactly when ``z`` is
+    a KKT point.  For problems with soft rows the slacks are reconstructed as
+    the penalty-optimal values ``max(0, A z - b)``.
+    """
+    fac = problem.factors
+    k = fac.H.shape[0] - fac.n
+    f = np.concatenate([np.asarray(problem.f, float), np.zeros(k)])
+    b = np.concatenate([np.asarray(problem.b, float), np.zeros(k)])
+    z = np.asarray(z, float)
+    if z.shape != (fac.n,):
+        raise ValueError("z length must match the number of decision variables")
+    H, A = fac.H, fac.A
+    if fac.soft_rows is not None:
+        s = np.maximum(0.0, A[fac.soft_rows, :z.size] @ z - b[fac.soft_rows])
+        z = np.concatenate([z, s * fac.slack_scale])
+
+    grad = H @ z + f
+    if b.shape[0] == 0:
+        return float(np.max(np.abs(grad), initial=0.0))
+    resid = A @ z - b
+    act = np.flatnonzero(resid >= -active_tol)
+    primal = max(0.0, float(np.max(resid)))
+    if act.size == 0:
+        return max(float(np.max(np.abs(grad))), primal)
+    lam, _ = nnls(A[act].T, -grad)
+    stationarity = float(np.max(np.abs(grad + A[act].T @ lam)))
+    compl = float(np.max(np.abs(lam * resid[act])))
+    return max(stationarity, primal, compl)
 
 
 def seed_working_set_by_rows(G, A, b, z0, warm_start):

@@ -123,3 +123,38 @@ def test_header_prints_each_sides_median_ticks_per_run(tmp_path, monkeypatch, ca
     header = capsys.readouterr().out.splitlines()[0]
     assert header.startswith("omni_turn: 4 pairs")
     assert header.endswith("median ticks per run parent 101.5 change 145")
+
+
+def test_traced_runs_at_every_pairs_seed_give_per_layer_quartiles(tmp_path, monkeypatch, capsys):
+    # Each pair adds one traced run per side, at its own seed and in its own
+    # order; a per-layer metric is summarised by each side's quartiles.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        side = "parent" if checkout == parent else "change"
+        calls.append((side, seed, trace))
+        np.save(bench_pairs.u_file(checkout, workload, seed), np.ones((2, 6)))
+        metrics = {"wall_s": {"value": 1.0, "unit": "s"}}
+        if trace:
+            solve_s = 2.0 + seed if side == "parent" else 1.0 + seed
+            metrics["qp.solve_s"] = {"value": solve_s, "unit": "s"}
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+
+    for checkout in (parent, change):
+        (checkout / ".bench_out").mkdir(parents=True)
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    args = SimpleNamespace(first_seed=3, pairs=5, seconds=1.0, traced=True)
+    record = bench_pairs.measure(parent, change, "push_bisect", args, [{"name": "wall_s", **LOWER}])
+    assert calls[:8] == [("parent", 3, 0), ("change", 3, 0), ("parent", 3, 1), ("change", 3, 1),
+                         ("change", 4, 0), ("parent", 4, 0), ("change", 4, 1), ("parent", 4, 1)]
+    order = [("parent", "change") if i % 2 == 0 else ("change", "parent") for i in range(5)]
+    assert [c for c in calls if c[2]] == [(side, 3 + i, 1) for i, o in enumerate(order) for side in o]
+    assert record["traced_correct"] == {"parent": True, "change": True}
+    m = record["per_layer"]["qp.solve_s"]
+    assert m["parent_runs"] == [5.0, 6.0, 7.0, 8.0, 9.0]
+    assert (m["parent_q1"], m["parent_median"], m["parent_q3"]) == (6.0, 7.0, 8.0)
+    assert (m["change_q1"], m["change_median"], m["change_q3"]) == (5.0, 6.0, 7.0)
+    bench_pairs.print_table("push_bisect", record)
+    out = capsys.readouterr().out
+    assert "qp.solve_s" in out and "parent 7 [6, 8]  change 6 [5, 7] s" in out

@@ -32,11 +32,11 @@ from triwalk.qp import (
     ActiveSetSolver,
     QpFactors,
     QpProblem,
-    kkt_residual,
 )
 
 from oracles import (
     condensed_qp_data,
+    kkt_residual,
     phase_box_per_axis,
     polyhedron_is_empty,
     tracking_transposes,

@@ -7,6 +7,7 @@ from triwalk.qp import (
     STATUS_INFEASIBLE,
     STATUS_MAX_ITERATIONS,
     STATUS_OPTIMAL,
+    ActiveSet,
     ActiveSetSolver,
     ControlSolverError,
     QpFactors,
@@ -14,7 +15,6 @@ from triwalk.qp import (
     _append,
     _drop,
     _forward,
-    kkt_residual,
 )
 from triwalk.dynamics import ThreeMassParams, build_continuous, discretize, make_state
 from triwalk.mpc import (
@@ -23,7 +23,12 @@ from triwalk.mpc import (
     build_constraints,
 )
 
-from oracles import condensed_qp_data, seed_working_set_by_rows, solve_qp_by_enumeration
+from oracles import (
+    condensed_qp_data,
+    kkt_residual,
+    seed_working_set_by_rows,
+    solve_qp_by_enumeration,
+)
 
 
 def problem(H, f, A, b, soft=None, penalty=None):
@@ -93,6 +98,24 @@ class TestBasics:
     def test_shapes_checked(self, H, A, match):
         with pytest.raises(ValueError, match=match):
             QpFactors.build(H, A)
+
+    @pytest.mark.parametrize("f, b, match", [
+        (np.zeros(2), np.zeros(1), r"b must have shape \(6,\)"),
+        (np.zeros(2), np.zeros((6, 1)), r"b must have shape \(6,\)"),
+        (np.zeros(2), np.zeros(7), r"b must have shape \(6,\)"),
+        (np.zeros(3), np.zeros(6), r"f must have shape \(2,\)"),
+        (np.zeros((2, 1)), np.zeros(6), r"f must have shape \(2,\)"),
+        (np.zeros(1), np.zeros(6), r"f must have shape \(2,\)"),
+    ])
+    def test_problem_shapes_checked(self, f, b, match):
+        factors = QpFactors.build(np.eye(2), np.vstack([np.eye(2), -np.eye(2), np.ones((2, 2))]))
+        with pytest.raises(ValueError, match=match):
+            QpProblem(factors, f, b)
+        # Softened factors take the same (f, b): the slack entries are not given.
+        softened = factors.soften(np.arange(6) < 3, 10.0)
+        with pytest.raises(ValueError, match=match):
+            QpProblem(softened, f, b)
+        assert QpProblem(softened, np.zeros(2), np.zeros(6)).m == 6
 
     @pytest.mark.parametrize("soft, penalty, match", [
         ([True], 1.0, "one flag per row"),
@@ -370,6 +393,157 @@ class TestFactoredSequences:
             assert not arr.flags.writeable
         assert factors.A.shape == (6, 5) and factors.n == 3
         np.testing.assert_array_equal(factors.soft_rows, [0, 3])
+
+
+class TestCarriedWarmStart:
+    """A solve's ``active_set`` carries its working-set factor; a warm start
+    of the same factors copies it instead of refactoring the rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 5),
+           n_dup=st.integers(0, 2), n_par=st.integers(0, 2), n_soft=st.integers(0, 2),
+           n_solves=st.integers(2, 5))
+    def test_matches_the_blocked_seed_of_its_rows(self, seed, n, m, n_dup, n_par, n_soft,
+                                                  n_solves):
+        rng = np.random.default_rng(seed)
+        H, A, src = dependent_rows(rng, n, m, n_dup, n_par)
+        rows = A.shape[0]
+        soft = np.isin(np.arange(rows), rng.choice(rows, n_soft, False))
+        factors = QpFactors.build(H, A)
+        if n_soft:
+            factors = factors.soften(soft, 100.0)
+        solver = ActiveSetSolver()
+        warm = None
+        for _ in range(n_solves):
+            margin = rng.uniform(0.05, 1.0, size=rows)
+            margin[m:m + n_dup] = margin[src[:n_dup]]   # exact duplicate constraints
+            b = A @ (rng.normal(size=n) * 0.3) + margin
+            qp = QpProblem(factors, rng.normal(size=n), b)
+            sol = solver.solve(qp, warm_start=warm)
+            assert sol.status == STATUS_OPTIMAL
+            if warm:
+                assert type(warm) is ActiveSet and warm.factors is factors
+                ref = solver.solve(qp, warm_start=tuple(warm))
+                assert sol.status == ref.status
+                assert np.max(np.abs(sol.z - ref.z)) <= 1e-9 * max(1.0, np.max(np.abs(ref.z)))
+                # The blocked seed sorts its rows; the carried set keeps the
+                # order in which they entered.  A row with a zero multiplier
+                # (a soft row whose slack is zero beside its hard duplicate)
+                # is kept or pruned as rounding decides; it is tight at z.
+                z = sol.z if not n_soft else np.concatenate([sol.z, sol.slacks * factors.slack_scale])
+                tight = np.abs(factors.A @ z - factors.extend(qp.f, b)[1]) <= 1e-9
+                assert all(tight[i] for i in set(sol.active_set) ^ set(ref.active_set))
+            warm = sol.active_set
+
+    def test_carries_the_final_factor(self, solver):
+        rng = np.random.default_rng(21)
+        p = random_problem(rng, n=6, m=12)
+        p.b -= 0.04
+        sol = solver.solve(p)
+        W = list(sol.active_set)
+        assert type(sol.active_set) is ActiveSet and len(W) >= 2
+        assert sol.active_set == tuple(W) and sol.active_set.factors is p.factors
+        R, V = sol.active_set.R, sol.active_set.V
+        assert not R.flags.writeable and not V.flags.writeable
+        np.testing.assert_array_equal(V, p.factors.V[:, W])
+        assert np.array_equal(R, np.tril(R))
+        np.testing.assert_allclose(R @ R.T, p.factors.G[np.ix_(W, W)], rtol=1e-12, atol=1e-12)
+
+    def test_warm_start_leaves_its_solution_unchanged(self, solver):
+        rng = np.random.default_rng(21)
+        p = random_problem(rng, n=6, m=12)
+        p.b -= 0.04
+        first = solver.solve(p)
+        carried = first.active_set
+        before = (first.z.copy(), first.objective, first.kkt_residual, first.status,
+                  tuple(carried), carried.R.copy(), carried.V.copy(), first.iterations)
+        # A tighter problem of the same factors prunes and adds rows.
+        p.b -= 0.3
+        again = solver.solve(p, warm_start=carried)
+        assert again.iterations > 0 and again.active_set != carried
+        after = (first.z, first.objective, first.kkt_residual, first.status,
+                 tuple(first.active_set), first.active_set.R, first.active_set.V,
+                 first.iterations)
+        assert first.active_set is carried
+        for x, y in zip(before, after):
+            assert np.array_equal(x, y)
+
+    def test_other_factors_take_the_blocked_seed(self):
+        # A softened solve's set seeding a hard solve of the same rows.
+        *hard_data, soft = TestWarmStartAcrossSoftening.soft_problem(5, 4, 5, 2)
+        softened = ActiveSetSolver().solve(problem(*hard_data, soft, 100.0))
+        assert type(softened.active_set) is ActiveSet and len(softened.active_set)
+        hard = problem(*hard_data)
+        sol = ActiveSetSolver().solve(hard, warm_start=softened.active_set)
+        ref = ActiveSetSolver().solve(hard, warm_start=tuple(softened.active_set))
+        assert sol.status == ref.status and sol.iterations == ref.iterations
+        assert sol.active_set == ref.active_set
+        np.testing.assert_array_equal(sol.z, ref.z)
+
+
+class TestExitPolicy:
+    """A non-empty optimal exit evaluates the KKT residual of the polished
+    iterate, and of the incremental one only when the polished one misses
+    the gate; then the better of the two is kept and gated."""
+
+    @staticmethod
+    def record_kkt(monkeypatch, offset=0.0):
+        """Record (residual, z) of every KKT evaluation, each residual raised
+        by ``offset``."""
+        calls = []
+        kkt = ActiveSetSolver._kkt_from_multipliers
+
+        def recorded(*args):
+            res, Hz = kkt(*args)
+            calls.append((res + offset, args[2].copy()))
+            return res + offset, Hz
+
+        monkeypatch.setattr(ActiveSetSolver, "_kkt_from_multipliers", staticmethod(recorded))
+        return calls
+
+    @staticmethod
+    def tight_problem():
+        rng = np.random.default_rng(21)
+        p = random_problem(rng, n=6, m=12)
+        p.b -= 0.04
+        return p
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_one_kkt_pass_when_the_polished_iterate_passes(self, solver, monkeypatch, warm):
+        p = self.tight_problem()
+        seed = solver.solve(p).active_set if warm else None
+        calls = self.record_kkt(monkeypatch)
+        sol = solver.solve(p, warm_start=seed)
+        assert sol.status == STATUS_OPTIMAL and len(sol.active_set) >= 2
+        assert (sol.iterations == 0) == warm
+        assert len(calls) == 1 and sol.kkt_residual == calls[0][0]
+        np.testing.assert_array_equal(sol.z, calls[0][1])
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("shift, offset, status", [
+        (1e-3, 0.0, STATUS_OPTIMAL),        # the incremental iterate passes
+        (0.0, 1.0, STATUS_MAX_ITERATIONS),   # neither passes
+        (1e-3, 1.0, STATUS_MAX_ITERATIONS),
+    ])
+    def test_polish_missing_the_gate_keeps_the_better_iterate(self, solver, monkeypatch, warm,
+                                                              shift, offset, status):
+        p = self.tight_problem()
+        seed = solver.solve(p).active_set if warm else None
+        polish = ActiveSetSolver._polish
+
+        def shifted(*args):
+            z, lam = polish(*args)
+            return z + shift, lam
+
+        monkeypatch.setattr(ActiveSetSolver, "_polish", staticmethod(shifted))
+        calls = self.record_kkt(monkeypatch, offset)
+        sol = solver.solve(p, warm_start=seed)
+        assert len(calls) == 2
+        best = int(np.argmin([c[0] for c in calls]))
+        if shift:
+            assert best == 1
+        assert sol.status == status and sol.kkt_residual == calls[best][0]
+        np.testing.assert_array_equal(sol.z, calls[best][1])
 
 
 class TestWarmStartAcrossSoftening:

@@ -24,9 +24,11 @@ or the shapes differ, and the parent's max |u|, nan when its file is
 missing; the largest |du| over the pairs is printed, also divided by the
 largest |u|, with each side's median ``attempted`` (ticks per run: a faster
 tick fits more ticks, and more per-tick records, into the fixed run time).
-``--traced`` adds one ``--trace 1`` run per side at the first seed and
-keeps its per-layer metrics.  ``--out`` writes everything, each
-run's value and each pair's max |du| and max |u| included, as JSON.
+``--traced`` adds a ``--trace 1`` run of each side to every pair, at the
+pair's seed and in the pair's order, and prints each per-layer metric as
+each side's median and quartiles over the pairs, since one traced run per
+side swings with the host.  ``--out`` writes everything, each run's value
+and each pair's max |du| and max |u| included, as JSON.
 """
 
 from __future__ import annotations
@@ -107,9 +109,24 @@ def compare(spec: dict, parent: list[float], change: list[float]) -> dict:
     }
 
 
+def per_layer(parent: list[dict], change: list[dict]) -> dict:
+    """Each side's quartiles and runs of every metric of its traced runs
+    (each run's ``metrics``); a metric missing from a run counts as nan."""
+    out = {}
+    for name, first in parent[0].items():
+        m = {"unit": first["unit"]}
+        for side, rs in (("parent", parent), ("change", change)):
+            vs = [r.get(name, {}).get("value", math.nan) for r in rs]
+            m.update(zip((f"{side}_q1", f"{side}_median", f"{side}_q3"), quartiles(vs)))
+            m[f"{side}_runs"] = vs
+        out[name] = m
+    return out
+
+
 def measure(parent_dir: Path, change_dir: Path, workload: str, args, specs) -> dict:
     sides = {"parent": parent_dir, "change": change_dir}
     runs = {"parent": [], "change": []}
+    traced = {"parent": [], "change": []}
     seeds = [args.first_seed + i for i in range(args.pairs)]
     du, u = [], []
     for i, seed in enumerate(seeds):
@@ -125,6 +142,9 @@ def measure(parent_dir: Path, change_dir: Path, workload: str, args, specs) -> d
         du.append(max_abs_du(*(u_file(sides[side], workload, seed)
                                for side in ("parent", "change"))))
         u.append(max_abs_u(u_file(parent_dir, workload, seed)))
+        if args.traced:
+            for side in order:
+                traced[side].append(run_bench(sides[side], workload, seed, args.seconds, 1))
     record = {
         "pairs": args.pairs, "seeds": seeds, "seconds": args.seconds,
         "first_side": ["parent" if i % 2 == 0 else "change" for i in range(args.pairs)],
@@ -140,11 +160,10 @@ def measure(parent_dir: Path, change_dir: Path, workload: str, args, specs) -> d
         },
     }
     if args.traced:
-        traced = {side: run_bench(path, workload, args.first_seed, args.seconds, 1)
-                  for side, path in sides.items()}
-        record["traced_correct"] = {side: r["correct"] for side, r in traced.items()}
-        record["per_layer"] = {side: {k: v["value"] for k, v in r["metrics"].items()}
-                               for side, r in traced.items()}
+        record["traced_correct"] = {side: all(r["correct"] for r in rs)
+                                    for side, rs in traced.items()}
+        record["per_layer"] = per_layer(*([r["metrics"] for r in traced[side]]
+                                          for side in ("parent", "change")))
     return record
 
 
@@ -162,10 +181,10 @@ def print_table(workload: str, record: dict) -> None:
               f"{m['parent_q3']:.6g}]  change {m['change_median']:.6g} [{m['change_q1']:.6g}, "
               f"{m['change_q3']:.6g}]  {m['rel_change']:+.1%}  wins {m['change_wins']}/"
               f"{m['pairs']} {m['unit']}{flags}")
-    if "per_layer" in record:
-        parent, change = record["per_layer"]["parent"], record["per_layer"]["change"]
-        for name in parent:
-            print(f"  {name:<28} parent {parent[name]:.6g}  change {change.get(name, float('nan')):.6g}")
+    for name, m in record.get("per_layer", {}).items():
+        print(f"  {name:<28} parent {m['parent_median']:.6g} [{m['parent_q1']:.6g}, "
+              f"{m['parent_q3']:.6g}]  change {m['change_median']:.6g} [{m['change_q1']:.6g}, "
+              f"{m['change_q3']:.6g}] {m['unit']}")
 
 
 def main(argv=None) -> int:
@@ -177,7 +196,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=35.0)
     ap.add_argument("--first-seed", type=int, default=0)
     ap.add_argument("--traced", action="store_true",
-                    help="add one traced run per side at the first seed")
+                    help="add a traced run of each side to every pair")
     ap.add_argument("--out", type=Path, help="write the results as JSON here")
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:

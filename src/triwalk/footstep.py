@@ -64,12 +64,6 @@ class GridMap:
               inflation_scale: float = 1.1) -> "GridMap":
         return cls(width, height, np.zeros((height, width), dtype=bool), cell_size, inflation_scale)
 
-    def with_block(self, r0: int, c0: int, r1: int, c1: int) -> "GridMap":
-        """Copy of the map with the inclusive cell rectangle marked occupied."""
-        occ = self.occupancy.copy()
-        occ[r0:r1 + 1, c0:c1 + 1] = True
-        return replace(self, occupancy=occ)
-
     def cell_center(self, cell) -> np.ndarray:
         r, c = cell
         return np.array([(c + 0.5) * self.cell_size, (r + 0.5) * self.cell_size])
@@ -227,14 +221,6 @@ def plan_path(grid: GridMap, start, goal) -> list[tuple[int, int]]:
         f"{int(np.sum(~occ))} free cells reachable")
 
 
-def path_cost(grid: GridMap, path) -> float:
-    cost = 0.0
-    for a, b in zip(path, path[1:]):
-        dr, dc = abs(a[0] - b[0]), abs(a[1] - b[1])
-        cost += grid.cell_size * (_SQRT2 if dr and dc else 1.0)
-    return cost
-
-
 @dataclass(frozen=True)
 class FeetState:
     """Pose of both feet plus swing flags (+1 = swing foot, -1 = support)."""
@@ -353,9 +339,6 @@ class FootstepPlan:
 
     def support(self, i: int) -> Footprint:
         return self.footprints[i + 1]
-
-    def swing_from(self, i: int) -> Footprint:
-        return self.footprints[i]
 
     def swing_to(self, i: int) -> Footprint:
         return self.footprints[i + 2]

@@ -288,11 +288,6 @@ def _violation(point, hull: np.ndarray, planes) -> float:
                default=-math.inf)
 
 
-def polygon_excursion(point, hull: np.ndarray) -> float:
-    """Largest half-plane violation of ``point`` (<= 0 means inside)."""
-    return _violation(np.asarray(point, dtype=float), hull, _half_planes(hull))
-
-
 @lru_cache(maxsize=8)
 def _support_polygon(feet: tuple[SupportFoot, ...], scale: float):
     if scale != 1.0:

@@ -421,13 +421,11 @@ class AxisController:
     ``u_prev`` and of every ``control_step`` argument is axis i (x, y), and
     each axis keeps its own previous active set for warm starts.  Because
     ``A`` never changes, a warm-start row index always names the same (bound
-    family, sample).  The softened fallback keeps those rows first and adds
-    its slack bounds after them, so one warm set serves both solves of an
-    axis's cycle: after every optimal cycle, softened or not, it becomes that
-    cycle's active set (``qp.ActiveSet``, which carries its factor for the
-    next solve of the same kind), and the next cycle seeds its hard solve
-    and, if that is infeasible, its softened fallback with it (the hard solve
-    skips the slack rows).
+    family, sample), in the softened fallback too, so one warm set serves
+    both solves of an axis's cycle: after every optimal cycle, softened or
+    not, it becomes that cycle's active set (``qp.ActiveSet``, which carries
+    its factor for the next solve of the same kind), and the next cycle seeds
+    its hard solve and, if that is infeasible, its softened fallback with it.
 
     ``A`` being fixed also lets an infeasible hard solve speak for later
     cycles.  Each axis keeps the Farkas certificate of its last infeasible

@@ -7,19 +7,18 @@ Solves
 with H symmetric positive definite.  The solver is a dual active-set method:
 it starts from the unconstrained minimum and adds one violated constraint at a
 time while keeping the working-set multipliers nonnegative, which terminates
-in finitely many steps and detects infeasibility exactly.  Rows flagged soft
-are reformulated internally with one nonnegative slack variable each and a
-quadratic penalty, so a soft problem is always feasible.
+in finitely many steps and detects infeasibility exactly.  A soft row's
+violation s costs (rho/2) s^2, so a soft problem is always feasible; as s =
+lam/rho at the optimum, it is solved over the same rows with 1/rho added to
+their Gram diagonal, a soft working row held at ``a z - b = lam/rho``.
 
 Everything that depends on (H, A) alone is computed once per (H, A) and held
 read-only in ``QpFactors``: the inverse Cholesky factor, ``H^-1 A'`` and the
 Gram matrix ``A H^-1 A'``.  A solve then needs only ``f`` and ``b``: a cycle
 whose active set stays empty costs a few matrix-vector products, and an
-active-set step reads its columns and Gram entries instead of solving.  The
-slack-augmented factors of a soft problem are derived from the hard ones.
-So a problem is its factors plus (f, b), ``QpProblem(factors, f, b)``, with
-``QpFactors.build(H, A)`` as the factors, or its ``.soften(mask, penalty)``
-when rows are soft.
+active-set step reads its columns and Gram entries instead of solving.  So a
+problem is its factors plus (f, b), ``QpProblem(factors, f, b)``, with
+``QpFactors.build(H, A)`` as the factors, or its ``.soften(mask, penalty)``.
 
 Within a solve, the working set W keeps a lower Cholesky factor R of its Gram
 block ``A_W H^-1 A_W' = R R'`` in a Fortran-ordered buffer whose leading
@@ -45,7 +44,7 @@ against a later ``b`` in O(|y|) without solving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -77,18 +76,18 @@ def _peak(v: np.ndarray) -> float:
 class QpFactors:
     """The fixed part of a family of QPs sharing (H, A); arrays are read-only.
 
-    With soft rows the arrays describe the slack-augmented problem, whose
-    first ``n`` variables are the original ones.
+    With soft rows, ``reg`` (m,) holds 1/penalty on them and 0 elsewhere, and
+    ``G`` is the hard Gram matrix plus diag(reg).
     """
 
-    H: np.ndarray       # (N, N)
-    A: np.ndarray       # (M, N)
-    L_inv: np.ndarray   # (N, N) lower triangular, H^-1 = L_inv' L_inv
-    V: np.ndarray       # (N, M) H^-1 A'
-    G: np.ndarray       # (M, M) A H^-1 A'
+    H: np.ndarray       # (n, n)
+    A: np.ndarray       # (m, n)
+    L_inv: np.ndarray   # (n, n) lower triangular, H^-1 = L_inv' L_inv
+    V: np.ndarray       # (n, m) H^-1 A'
+    G: np.ndarray       # (m, m) A H^-1 A' + diag(reg)
     n: int
     soft_rows: np.ndarray | None = None     # (k,) indices of the soft rows
-    slack_scale: np.ndarray | None = None   # (k,) scaled slack per physical slack
+    reg: np.ndarray | None = None           # (m,) Gram regularization
 
     @classmethod
     def build(cls, H, A) -> QpFactors:
@@ -112,78 +111,40 @@ class QpFactors:
 
     def soften(self, soft, penalty: float) -> QpFactors:
         """Factors of the problem with the rows in the mask ``soft`` relaxed,
-        each by one slack with the quadratic weight ``penalty``.
-
-        Slacks are scaled by sqrt(penalty), so the augmented Hessian is
-        diag(H, I) and keeps the conditioning of H; a physical slack is its
-        scaled variable divided by ``slack_scale``.  No new factorization is
-        needed: with S the slack columns of the soft rows, ``H^-1 A'`` gains
-        the slack rows of ``A'`` and the Gram matrix is G + S S' on the
-        original rows, -S against the slack bounds and I among them.
-        Without soft rows the factors are returned unchanged.
+        each with the quadratic weight ``penalty`` on its violation: these
+        factors' own H, A, L_inv and V, and G regularized by 1/penalty on the
+        soft diagonal.  Without soft rows the factors are returned unchanged.
         """
-        n, m = self.n, self.A.shape[0]
         soft = np.asarray(soft, bool)
-        if soft.shape != (m,):
+        if soft.shape != (self.A.shape[0],):
             raise ValueError("soft mask must have one flag per row")
         if not penalty > 0.0:
             raise ValueError("soft penalty must be positive")
-        idx = np.flatnonzero(soft)
-        k = idx.size
-        if k == 0:
+        if not soft.any():
             return self
-        scale = np.full(k, np.sqrt(float(penalty)))
-        inv = 1.0 / scale
-        slack, cols = m + np.arange(k), n + np.arange(k)
-        H = np.zeros((n + k, n + k))
-        H[:n, :n] = self.H
-        H[n:, n:] = np.eye(k)
-        A = np.zeros((m + k, n + k))
-        A[:m, :n] = self.A
-        A[idx, cols] = -inv       # A_i z - s_i <= b_i
-        A[slack, cols] = -1.0     # scaled slack >= 0
-        L_inv = np.zeros_like(H)
-        L_inv[:n, :n] = self.L_inv
-        L_inv[n:, n:] = np.eye(k)
-        V = A.T.copy()
-        V[:n, :m] = self.V
-        G = np.zeros((m + k, m + k))
-        G[:m, :m] = self.G
-        G[idx, idx] += inv * inv
-        G[idx, slack] = inv
-        G[slack, idx] = inv
-        G[slack, slack] = 1.0
-        return QpFactors(H=_frozen(H), A=_frozen(A), L_inv=_frozen(L_inv), V=_frozen(V),
-                         G=_frozen(G), n=n, soft_rows=_frozen(idx), slack_scale=_frozen(scale))
+        reg = np.where(soft, 1.0 / float(penalty), 0.0)
+        return replace(self, G=_frozen(self.G + np.diag(reg)),
+                       soft_rows=_frozen(np.flatnonzero(soft)), reg=_frozen(reg))
 
     def hsolve(self, v: np.ndarray) -> np.ndarray:
         return self.L_inv.T @ (self.L_inv @ v)
-
-    def extend(self, f: np.ndarray, b: np.ndarray):
-        """Gradient and bounds of the factored problem: zero for the slacks."""
-        k = self.H.shape[0] - self.n
-        if not k:
-            return f, b
-        return np.concatenate([f, np.zeros(k)]), np.concatenate([b, np.zeros(k)])
 
 
 @dataclass
 class QpProblem:
     """One QP of the family that shares ``factors``: its gradient ``f`` (n,)
-    and the right-hand side ``b`` (m,) of its hard rows.  With softened
-    factors the slack entries of f and b are zero and not given."""
+    and right-hand side ``b`` (m,)."""
 
     factors: QpFactors
     f: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        fac = self.factors
-        if np.shape(self.f) != (fac.n,):
-            raise ValueError(f"f must have shape ({fac.n},)")
-        m = fac.A.shape[0] - (fac.H.shape[0] - fac.n)   # the slack bounds are not given
+        m, n = self.factors.A.shape
+        if np.shape(self.f) != (n,):
+            raise ValueError(f"f must have shape ({n},)")
         if np.shape(self.b) != (m,):
-            raise ValueError(f"b must have shape ({m},), one entry per hard row")
+            raise ValueError(f"b must have shape ({m},), one entry per row")
 
     @property
     def n(self) -> int:
@@ -205,17 +166,13 @@ class ActiveSet(tuple):
 
 @dataclass
 class QpSolution:
-    """Solver result.  ``z`` holds the original decision variables only.
+    """Solver result.
 
-    ``objective`` is the value of the solved problem, including the quadratic
-    penalty of any soft-row slacks.  ``active_set`` indexes rows of the
-    internal (slack-augmented) constraint matrix in working-set order and can
-    seed the next solve's warm start, which copies an ``ActiveSet``'s factor.
-    It may also seed a problem with the same hard rows and a different soft
-    mask: the augmented matrix keeps the m hard rows first, at their own
-    indices, and appends the slack bounds at m and above.  So a hard active
-    set names the same rows in the softened problem, and a hard problem
-    seeded with a softened active set ignores its slack rows.
+    ``objective`` is the value of the solved problem, including the penalty
+    of any soft-row violations, and ``slacks`` those violations, one per soft
+    row.  ``active_set`` holds row indices in working-set order and can seed
+    the next solve's warm start, which copies an ``ActiveSet``'s factor; a
+    hard and a softened problem of the same (H, A) share their row indices.
 
     ``certificate`` is ``(rows, y)`` when the status is ``STATUS_INFEASIBLE``
     and ``None`` otherwise: ``rows`` are the working set W followed by the
@@ -244,6 +201,11 @@ def _forward(R, k: int, v: np.ndarray) -> np.ndarray:
 def _gram_solve(R, k: int, v: np.ndarray) -> np.ndarray:
     """``S^-1 v`` for the working-set Gram matrix ``S = R_k R_k'``."""
     return dtrtrs(R[:, :k], _forward(R, k, v), lower=1, trans=1)[0]
+
+
+def _hard_count(W: list[int], reg) -> int:
+    """Number of hard rows in the working set ``W`` (rows where ``reg`` is 0)."""
+    return len(W) if reg is None else len(W) - int(np.count_nonzero(reg[W]))
 
 
 def _append(W: list[int], V, R, p: int, v_p: np.ndarray, l: np.ndarray, schur: float) -> None:
@@ -299,30 +261,33 @@ class ActiveSetSolver:
                 return self._solve(problem, warm_start)
             except np.linalg.LinAlgError:
                 # A seed can be nearly dependent in this problem (a softened
-                # active set may name more hard rows than there are
-                # variables), and the factor updates may then lose
-                # definiteness on the way; the warm start is only a hint.
+                # active set may name rows that depend on each other once
+                # hard), and the factor updates may then lose definiteness
+                # on the way; the warm start is only a hint.
                 pass
         return self._solve(problem, None)
 
     def _solve(self, problem: QpProblem, warm_start) -> QpSolution:
         fac = problem.factors
-        f, b = fac.extend(np.asarray(problem.f, float), np.asarray(problem.b, float))
-        H, A, V_all, G = fac.H, fac.A, fac.V, fac.G
-        n, m = H.shape[0], A.shape[0]
+        f, b = np.asarray(problem.f, float), np.asarray(problem.b, float)
+        A, V_all, G, reg = fac.A, fac.V, fac.G, fac.reg
+        m, n = A.shape
+        # At most n hard rows are independent; soft rows always are.
+        N = n if reg is None else n + fac.soft_rows.size
 
         z0 = -fac.hsolve(f)
         z = z0
         W: list[int] = []
-        lam = np.zeros(n)            # first len(W) entries are the multipliers
+        lam = np.zeros(N)            # first len(W) entries are the multipliers
         # Working-set buffers, made on first use.  Columns 0..k-1 of V hold
         # H^-1 A_W' (columns of V_all).  The leading k-by-k block of the
-        # Fortran-ordered R is the lower Cholesky factor of A_W H^-1 A_W' (of
-        # G); nothing is ever written above its diagonal, which ``_drop`` reads.
+        # Fortran-ordered R is the lower Cholesky factor of the Gram block
+        # G[W, W]; nothing is ever written above its diagonal, which ``_drop``
+        # reads.
         V = R = None
 
         if warm_start is not None:
-            V, R = np.empty((n, n)), np.zeros((n, n), order="F")
+            V, R = np.empty((n, N)), np.zeros((N, N), order="F")
             self._seed_working_set(fac, b, z0, W, lam, V, R, warm_start)
             if W:
                 z = z0 - V[:, :len(W)] @ lam[:len(W)]
@@ -330,7 +295,7 @@ class ActiveSetSolver:
         iterations = 0
         status = STATUS_OPTIMAL
         certificate = None
-        resid = A @ z - b            # kept current with z
+        resid = A @ z - b            # kept current with z; W's rows are skipped
         if m > 0:
             while True:
                 viol = resid
@@ -345,16 +310,17 @@ class ActiveSetSolver:
                     break
                 iterations += 1
                 if R is None:
-                    V, R = np.empty((n, n)), np.zeros((n, n), order="F")
+                    V, R = np.empty((n, N)), np.zeros((N, N), order="F")
 
                 a_p = A[p]
                 r = V_all[:, p]
                 apr = float(G[p, p])
+                reg_p = 0.0 if reg is None else float(reg[p])
                 lam_p = 0.0
                 guard = 0
                 while True:
                     guard += 1
-                    if guard > n + m + 1:
+                    if guard > N + m + 1:
                         status = STATUS_MAX_ITERATIONS
                         break
                     k = len(W)
@@ -365,8 +331,10 @@ class ActiveSetSolver:
                     else:
                         l = e = np.zeros(0)
                         d = -r
-                    s = float(a_p @ d)
-                    v_p = float(a_p @ z - b[p])
+                    # Curvature and violation of row p, held at a z - b = reg lam
+                    # (reg_p is 0 on a hard row, which leaves both bitwise).
+                    s = float(a_p @ d) - reg_p
+                    v_p = float(a_p @ z - b[p]) - reg_p * lam_p
 
                     t_block = np.inf
                     blk = -1
@@ -377,9 +345,10 @@ class ActiveSetSolver:
                             j = int(np.argmin(ratios))
                             t_block = float(ratios[j])
                             blk = int(neg[j])
-                    # A full working set makes any further row linearly
-                    # dependent regardless of the computed curvature.
-                    dependent = k >= n or s >= -1e-11 * max(1.0, apr)
+                    # A working set of n hard rows makes any further hard row
+                    # linearly dependent regardless of the computed curvature.
+                    dependent = (not reg_p and _hard_count(W, reg) >= n
+                                 or s >= -1e-11 * max(1.0, apr))
                     t_full = np.inf if dependent else (-v_p / s)
 
                     t = min(t_full, t_block)
@@ -416,13 +385,13 @@ class ActiveSetSolver:
             # but can itself lose accuracy when the working-set Gram matrix is
             # ill conditioned: the incremental iterate is checked only when
             # the polished one misses the KKT gate, and the better one kept.
-            z_p, lam_p = self._polish(fac, f, b[W], z0, AW, V[:, :k], R,
+            z_p, lam_p = self._polish(fac, f, b[W], z0, W, AW, V[:, :k], R,
                                       None if iterations else (z, lam[:k]))
             iterates.insert(0, (z_p, A @ z_p - b, lam_p))
         for i, (z_i, resid_i, lam_i) in enumerate(iterates):
             kkt_i, Hz_i = self._kkt_from_multipliers(fac, f, z_i, resid_i, W, AW, lam_i)
             if not i or kkt_i < kkt:
-                z, kkt, Hz = z_i, kkt_i, Hz_i
+                z, kkt, Hz, lam_k = z_i, kkt_i, Hz_i, lam_i
                 # The gate is relative to the gradient scale so that heavily
                 # penalised soft rows do not mask an accurate solve.
                 passed = kkt < 1e-8 * (1.0 + _peak(np.abs(f)) + _peak(np.abs(Hz)))
@@ -431,8 +400,13 @@ class ActiveSetSolver:
         if status == STATUS_OPTIMAL and not passed:
             status = STATUS_MAX_ITERATIONS
         objective = float(z @ (0.5 * Hz + f))
+        if reg is not None:
+            # A soft working row's slack is reg lam, any other row's 0.
+            slack = np.zeros(m)
+            slack[W] = reg[W] * lam_k
+            objective += 0.5 * float(slack[W] @ lam_k)
         return QpSolution(
-            z=z[:fac.n].copy(),
+            z=z,
             objective=objective,
             kkt_residual=kkt,
             status=status,
@@ -440,7 +414,7 @@ class ActiveSetSolver:
                                   _frozen(V[:, :k].copy()))
                         if W and status == STATUS_OPTIMAL else tuple(W)),
             iterations=iterations,
-            slacks=None if fac.slack_scale is None else z[fac.n:] / fac.slack_scale,
+            slacks=None if reg is None else slack[fac.soft_rows],
             certificate=certificate,
         )
 
@@ -449,26 +423,25 @@ class ActiveSetSolver:
         """Recreate a dual-feasible working set from a previous active set.
 
         An ``ActiveSet`` of these factors brings its factor, which is copied.
-        Of any other, indices outside this problem's rows (the slack rows of a
-        softened problem when this one is hard, stale or negative ones) are
-        skipped, and the sorted candidates are factored as one block: a
-        triangular solve against R, then a Cholesky factorization of their
-        Schur block.  The leading rows whose squared pivot exceeds 1e-10
-        max(1, G_ii) enter W, at most n in all; the first row that fails
-        depends on those before it, is skipped, and the rest are factored
-        again.  Pruning then drops the most negative multiplier until none is
-        negative.  Should a factor update find a nearly dependent seed's Gram
-        block indefinite, ``solve`` starts over cold.
+        Of any other, indices outside this problem's rows are skipped, and the
+        sorted candidates are factored as one block: a triangular solve
+        against R, then a Cholesky factorization of their Schur block.  The
+        leading rows whose squared pivot exceeds 1e-10 max(1, G_ii) enter W,
+        at most n hard rows in all; the first row that fails depends on those
+        before it (or is a hard row beyond n), is skipped, and the rest are
+        factored again.  Pruning then drops the most negative multiplier until
+        none is negative.  Should a factor update find a nearly dependent
+        seed's Gram block indefinite, ``solve`` starts over cold.
         """
-        A, G = fac.A, fac.G
-        n, m = fac.H.shape[0], A.shape[0]
+        A, G, reg = fac.A, fac.G, fac.reg
+        m, n = A.shape
         if getattr(warm_start, "factors", None) is fac:
             k = len(warm_start)
             W.extend(warm_start)
             R[:k, :k], V[:, :k] = warm_start.R, warm_start.V
         else:
             cand = np.array(sorted({int(i) for i in warm_start if 0 <= int(i) < m}), dtype=int)
-            while cand.size and len(W) < n:
+            while cand.size:
                 k = len(W)
                 S = G[cand[:, None], cand]
                 tol = 1e-10 * np.maximum(1.0, S.diagonal())
@@ -478,13 +451,19 @@ class ActiveSetSolver:
                 F, info = dpotrf(S, lower=1)
                 c = info - 1 if info else cand.size
                 bad = np.flatnonzero(F.diagonal()[:c] ** 2 <= tol[:c])
-                j = min(int(bad[0]) if bad.size else c, n - k)
+                j = int(bad[0]) if bad.size else c
+                room = n - _hard_count(W, reg)
+                hard = np.arange(j) if reg is None else np.flatnonzero(reg[cand[:j]] == 0.0)
+                if hard.size > room:
+                    j = int(hard[room])
                 if k:
                     R[k:k + j, :k] = L[:, :j].T
                 R[k:k + j, k:k + j] = F[:j, :j]
                 V[:, k:k + j] = fac.V[:, cand[:j]]
                 W.extend(cand[:j].tolist())
                 cand = cand[j + 1:]
+                if _hard_count(W, reg) == n:    # no room for another hard row
+                    cand = cand[:0] if reg is None else cand[reg[cand] > 0.0]
         # Prune until the equality-constrained multipliers are all nonnegative.
         # A row's gap b_i - a_i z0 does not depend on the rest of W.
         gap = b[W] - A[W] @ z0
@@ -500,11 +479,11 @@ class ActiveSetSolver:
             gap = gap[:-1]
 
     @staticmethod
-    def _polish(fac: QpFactors, f, bW, z0, AW, V, R, start=None):
+    def _polish(fac: QpFactors, f, bW, z0, W, AW, V, R, start=None):
         """One iterative-refinement pass on the KKT system of the final
-        working set (rows ``AW``, bounds ``bW``, ``H^-1 A_W'`` columns ``V``,
-        Gram factor ``R``) from ``start`` = (z, lam), which must solve its
-        equality-constrained problem; None re-solves that problem first."""
+        working set ``W`` (rows ``AW``, bounds ``bW``, ``H^-1 A_W'`` columns
+        ``V``, Gram factor ``R``) from ``start`` = (z, lam), which must solve
+        its equality-constrained problem; None re-solves that problem first."""
         k = len(bW)
         if start is None:
             lam = -_gram_solve(R, k, bW - AW @ z0)
@@ -512,6 +491,8 @@ class ActiveSetSolver:
         z, lam = start
         res1 = fac.H @ z + f + AW.T @ lam
         res2 = AW @ z - bW
+        if fac.reg is not None:
+            res2 -= fac.reg[W] * lam
         corr = fac.hsolve(res1)
         dlam = _gram_solve(R, k, res2 - AW @ corr)
         return z - corr - V @ dlam, lam + dlam
@@ -524,6 +505,9 @@ class ActiveSetSolver:
         grad = Hz + f
         if W:
             grad = grad + AW.T @ lam
+            if fac.reg is not None:
+                resid = resid.copy()
+                resid[W] -= fac.reg[W] * lam
             compl = _peak(np.abs(lam * resid[W]))
             dual = max(0.0, -float(lam.min()))
         else:

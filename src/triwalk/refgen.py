@@ -11,10 +11,8 @@ positions; the swing foot follows polynomial arcs with zero end velocity.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -276,25 +274,3 @@ class WalkTimeline:
         swing = np.vstack([np.tile([*xy[0], 0.0], (pre, 1)),
                            np.column_stack([step_xy, np.tile(lift, n)]), [*xy[-1], 0.0]])
         return zmp, hip, swing
-
-
-REFERENCE_CSV_COLUMNS = ("t", "r_z_x", "r_z_y", "r_st_x", "r_st_y",
-                         "r_sw_x", "r_sw_y", "hip_x", "hip_y", "swing_z")
-
-
-def export_references(timeline: WalkTimeline, path, n_cycles: int | None = None) -> None:
-    """Write the sampled reference signals as CSV."""
-    n = timeline.total_cycles if n_cycles is None else n_cycles
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(REFERENCE_CSV_COLUMNS)
-        for k in range(n):
-            s = timeline.sample(k)
-            writer.writerow([
-                f"{k * timeline.ts:.6f}",
-                s.zmp[0], s.zmp[1],
-                s.stance_mass[0], s.stance_mass[1],
-                s.swing_mass[0], s.swing_mass[1],
-                s.hip[0], s.hip[1],
-                s.swing[2],
-            ])

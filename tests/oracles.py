@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the main code paths.
 
 Everything here is deliberately brute force or off the shelf: truncated
-series, exhaustive enumeration, uniform-cost search, a linear-programming
-feasibility check, a nonnegative-least-squares KKT residual, a row-by-row
-warm-start seed and a controller cycle's QP data written block by block.
+series, exhaustive enumeration, a path's length, uniform-cost search, a
+linear-programming feasibility check, a nonnegative-least-squares KKT
+residual, a row-by-row warm-start seed and a controller cycle's QP data
+written block by block.
 None of it shares code with the package.
 """
 
@@ -108,20 +109,31 @@ def kkt_residual(problem, z: np.ndarray, active_tol: float = 1e-6) -> float:
 
     Multipliers are fitted by nonnegative least squares over the rows active
     at ``z`` (within ``active_tol``); the result is zero exactly when ``z`` is
-    a KKT point.  For problems with soft rows the slacks are reconstructed as
-    the penalty-optimal values ``max(0, A z - b)``.
+    a KKT point.  A problem with soft rows (``factors.reg`` 1/penalty on them)
+    is checked as the slack-augmented problem it stands for: one slack per
+    soft row, scaled by sqrt(penalty) so its Hessian block is the identity,
+    with a nonnegativity row each, at the penalty-optimal slacks
+    ``max(0, A z - b)``.
     """
     fac = problem.factors
-    k = fac.H.shape[0] - fac.n
-    f = np.concatenate([np.asarray(problem.f, float), np.zeros(k)])
-    b = np.concatenate([np.asarray(problem.b, float), np.zeros(k)])
+    H, A = fac.H, fac.A
+    f = np.asarray(problem.f, float)
+    b = np.asarray(problem.b, float)
     z = np.asarray(z, float)
     if z.shape != (fac.n,):
         raise ValueError("z length must match the number of decision variables")
-    H, A = fac.H, fac.A
-    if fac.soft_rows is not None:
-        s = np.maximum(0.0, A[fac.soft_rows, :z.size] @ z - b[fac.soft_rows])
-        z = np.concatenate([z, s * fac.slack_scale])
+    if fac.reg is not None:
+        idx = np.flatnonzero(fac.reg)
+        n, m, k = z.size, b.size, idx.size
+        root = np.sqrt(fac.reg[idx])
+        H = np.block([[H, np.zeros((n, k))], [np.zeros((k, n)), np.eye(k)]])
+        A_aug = np.zeros((m + k, n + k))
+        A_aug[:m, :n] = A
+        A_aug[idx, n + np.arange(k)] = -root          # a z - sqrt(reg) s <= b
+        A_aug[m + np.arange(k), n + np.arange(k)] = -1.0   # s >= 0
+        s = np.maximum(0.0, A[idx] @ z - b[idx]) / root
+        A, f, b = A_aug, np.concatenate([f, np.zeros(k)]), np.concatenate([b, np.zeros(k)])
+        z = np.concatenate([z, s])
 
     grad = H @ z + f
     if b.shape[0] == 0:
@@ -137,26 +149,28 @@ def kkt_residual(problem, z: np.ndarray, active_tol: float = 1e-6) -> float:
     return max(stationarity, primal, compl)
 
 
-def seed_working_set_by_rows(G, A, b, z0, warm_start):
+def seed_working_set_by_rows(G, A, b, z0, warm_start, reg=None):
     """A QP warm start rebuilt one candidate row at a time.
 
     The candidates are the distinct indices of ``warm_start`` that name a row
-    of ``A``, in ascending order.  Each enters the working set W unless W
-    already holds one row per variable or its Schur complement against W,
-    ``G_ii - l'l`` with ``R l = G[W, i]`` and ``R R' = G[W, W]``, is at most
-    1e-10 max(1, G_ii).  Then, while an equality-constrained multiplier
-    ``-G[W, W]^-1 (b[W] - A[W] z0)`` is negative, the row with the most
-    negative one leaves W.  Returns (seeded, W, lam): the rows that entered,
-    the rows kept and their multipliers.
+    of ``A``, in ascending order; a row is soft where ``reg`` is positive.
+    Each enters the working set W unless it is hard and W already holds one
+    hard row per variable, or its Schur complement against W, ``G_ii - l'l``
+    with ``R l = G[W, i]`` and ``R R' = G[W, W]``, is at most 1e-10 max(1,
+    G_ii).  Then, while an equality-constrained multiplier ``-G[W, W]^-1
+    (b[W] - A[W] z0)`` is negative, the row with the most negative one leaves
+    W.  Returns (seeded, W, lam): the rows that entered, the rows kept and
+    their multipliers.
     """
     G = np.asarray(G, float)
     A = np.asarray(A, float)
     m, n = A.shape
+    hard = np.ones(m, bool) if reg is None else np.asarray(reg) == 0.0
     W: list[int] = []
     R = np.zeros((0, 0))
     for i in sorted({int(i) for i in warm_start if 0 <= int(i) < m}):
-        if len(W) >= n:
-            break
+        if hard[i] and np.count_nonzero(hard[W]) >= n:
+            continue
         l = solve_triangular(R, G[W, i], lower=True)
         schur = G[i, i] - l @ l
         if schur <= 1e-10 * max(1.0, G[i, i]):
@@ -172,6 +186,16 @@ def seed_working_set_by_rows(G, A, b, z0, warm_start):
         W.pop(int(np.argmin(lam)))
         lam = np.zeros(0)
     return seeded, W, lam
+
+
+def path_cost(grid, path) -> float:
+    """Length of a cell path on ``grid``: a cell per orthogonal move and
+    sqrt(2) cells per diagonal one."""
+    cost = 0.0
+    for a, b in zip(path, path[1:]):
+        diagonal = a[0] != b[0] and a[1] != b[1]
+        cost += grid.cell_size * (math.sqrt(2.0) if diagonal else 1.0)
+    return cost
 
 
 def dijkstra_grid(occupancy: np.ndarray, start, goal, cell_size: float):

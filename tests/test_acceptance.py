@@ -13,7 +13,7 @@ import pytest
 
 from triwalk.dynamics import ThreeMassParams, build_continuous, discretize, step_plant
 from triwalk.engine import WalkEngine
-from triwalk.footstep import inflate, plan_footsteps, plan_path, path_cost
+from triwalk.footstep import inflate, plan_footsteps, plan_path
 from triwalk.harness import (
     Simulation,
     disturbance_scenario,
@@ -26,7 +26,7 @@ from triwalk.harness import (
 from triwalk.qp import ActiveSetSolver, QpFactors, QpProblem
 from triwalk.refgen import GaitTiming, hip_reference, swing_reference, zmp_reference
 
-from oracles import dijkstra_grid, solve_qp_by_enumeration, zoh_discretize_series
+from oracles import dijkstra_grid, path_cost, solve_qp_by_enumeration, zoh_discretize_series
 from test_footstep import fig_style_map
 
 

@@ -6,11 +6,13 @@ from triwalk.cli import main
 from triwalk.footstep import GridMap, save_map
 from triwalk.harness import tracking_scenario
 
+from helpers import with_block
+
 
 @pytest.fixture
 def arena(tmp_path):
     grid = GridMap.empty(30, 20)
-    grid = grid.with_block(6, 10, 11, 15)
+    grid = with_block(grid, 6, 10, 11, 15)
     path = tmp_path / "map.json"
     save_map(grid, path, start=(3, 3), goal=(16, 26))
     return path

@@ -17,13 +17,14 @@ from triwalk.harness import (
     inplace_scenario,
     max_withstand,
     noise_sample,
-    polygon_excursion,
     run,
     support_excursion,
     tracking_scenario,
     with_impulse,
 )
 from triwalk.qp import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, ActiveSetSolver
+
+from helpers import polygon_excursion
 
 
 class TestNoiseSample:

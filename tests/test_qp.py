@@ -111,7 +111,7 @@ class TestBasics:
         factors = QpFactors.build(np.eye(2), np.vstack([np.eye(2), -np.eye(2), np.ones((2, 2))]))
         with pytest.raises(ValueError, match=match):
             QpProblem(factors, f, b)
-        # Softened factors take the same (f, b): the slack entries are not given.
+        # Softened factors take the same (f, b).
         softened = factors.soften(np.arange(6) < 3, 10.0)
         with pytest.raises(ValueError, match=match):
             QpProblem(softened, f, b)
@@ -389,10 +389,23 @@ class TestFactoredSequences:
         p = random_problem(rng, n=3, m=4)
         factors = p.factors.soften(np.array([True, False, False, True]), 1e6)
         for arr in (factors.H, factors.A, factors.L_inv, factors.V, factors.G, factors.soft_rows,
-                    factors.slack_scale):
+                    factors.reg):
             assert not arr.flags.writeable
-        assert factors.A.shape == (6, 5) and factors.n == 3
+        assert factors.A.shape == (4, 3) and factors.n == 3
         np.testing.assert_array_equal(factors.soft_rows, [0, 3])
+
+    def test_soften_shares_the_hard_factors(self):
+        rng = np.random.default_rng(7)
+        hard = random_problem(rng, n=3, m=4).factors
+        mask = np.array([True, False, False, True])
+        soft = hard.soften(mask, 1e6)
+        for name in ("H", "A", "L_inv", "V"):
+            assert getattr(soft, name) is getattr(hard, name)
+        # G differs from the hard Gram matrix only on the soft diagonal.
+        assert np.array_equal(soft.G != hard.G, np.diag(mask))
+        np.testing.assert_allclose(np.diag(soft.G - hard.G)[mask], 1e-6, rtol=1e-9)
+        np.testing.assert_array_equal(soft.reg, np.where(mask, 1e-6, 0.0))
+        assert hard.reg is None and hard.soften(np.zeros(4, bool), 1e6) is hard
 
 
 class TestCarriedWarmStart:
@@ -429,9 +442,12 @@ class TestCarriedWarmStart:
                 # The blocked seed sorts its rows; the carried set keeps the
                 # order in which they entered.  A row with a zero multiplier
                 # (a soft row whose slack is zero beside its hard duplicate)
-                # is kept or pruned as rounding decides; it is tight at z.
-                z = sol.z if not n_soft else np.concatenate([sol.z, sol.slacks * factors.slack_scale])
-                tight = np.abs(factors.A @ z - factors.extend(qp.f, b)[1]) <= 1e-9
+                # is kept or pruned as rounding decides; it is tight at z,
+                # less its slack.
+                resid = factors.A @ sol.z - b
+                if n_soft:
+                    resid[factors.soft_rows] -= sol.slacks
+                tight = np.abs(resid) <= 1e-9
                 assert all(tight[i] for i in set(sol.active_set) ^ set(ref.active_set))
             warm = sol.active_set
 
@@ -547,9 +563,9 @@ class TestExitPolicy:
 
 
 class TestWarmStartAcrossSoftening:
-    """A warm start from a problem with the same hard rows and another soft
-    mask: the slack-augmented matrix keeps the hard rows first, so only
-    the slack rows (index >= m) differ between the two."""
+    """A warm start from a problem with the same rows and another soft mask:
+    both problems name their rows alike, and an index >= m is out of range
+    in either."""
 
     @staticmethod
     def soft_problem(seed, n, m, n_soft):
@@ -569,8 +585,8 @@ class TestWarmStartAcrossSoftening:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 5),
            n_soft=st.integers(1, 2), warm=st.lists(st.integers(-3, 10), max_size=12))
     def test_soft_solve_from_any_index_set(self, seed, n, m, n_soft, warm):
-        # Hard rows, slack rows (index >= m), rows inactive at the optimum and
-        # indices outside the augmented problem, in any mix.
+        # Hard and soft rows, rows inactive at the optimum and indices
+        # outside the problem, in any mix.
         data = self.soft_problem(seed, n, m, n_soft)
         qp = problem(*data, penalty=100.0)
         sol = ActiveSetSolver().solve(qp, warm_start=warm)
@@ -587,7 +603,7 @@ class TestWarmStartAcrossSoftening:
     def test_hard_solve_ignores_slack_rows(self, seed, n, m, n_soft):
         *hard_data, soft = self.soft_problem(seed, n, m, n_soft)
         soft_set = ActiveSetSolver().solve(problem(*hard_data, soft, 100.0)).active_set
-        # Every slack row of the softened problem, active or not, rides along.
+        # Out-of-range indices (m and above) ride along.
         warm = soft_set + tuple(range(m, m + n_soft))
         hard = problem(*hard_data)
         sol = ActiveSetSolver().solve(hard, warm_start=warm)
@@ -600,14 +616,54 @@ class TestWarmStartAcrossSoftening:
             assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
 
 
+class TestMoreBindingRowsThanVariables:
+    """Soft rows in opposed pairs, ``a z <= a c - w`` and ``-a z <= -a c - w``
+    with w > 0, cannot both hold, so both bind: n pairs bind 2n rows in n
+    variables.  Only soft rows can, each independent of the others through
+    its regularized Gram diagonal."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), n_hard=st.integers(0, 2),
+           n_solves=st.integers(1, 3))
+    def test_matches_oracle_and_cold_solve(self, seed, n, n_hard, n_solves):
+        rng = np.random.default_rng(seed)
+        G = rng.normal(size=(n, n))
+        H = G.T @ G + n * np.eye(n)
+        P = rng.normal(size=(n, n))
+        A = np.vstack([P, -P, rng.normal(size=(n_hard, n))])
+        soft = np.arange(A.shape[0]) < 2 * n
+        factors = QpFactors.build(H, A).soften(soft, 100.0)
+        warm = None
+        for _ in range(n_solves):
+            c, w = rng.normal(size=n) * 0.3, rng.uniform(0.5, 1.0, size=n)
+            b = np.concatenate([P @ c - w, -P @ c - w,
+                                A[2 * n:] @ c + rng.uniform(0.05, 1.0, size=n_hard)])
+            f = rng.normal(size=n)
+            qp = QpProblem(factors, f, b)
+            sol = ActiveSetSolver().solve(qp, warm_start=warm)
+            assert sol.status == STATUS_OPTIMAL
+            assert np.count_nonzero(soft[list(sol.active_set)]) > n
+            _, obj_ref = solve_qp_by_enumeration(*slack_augmented(H, f, A, b, soft, 100.0))
+            assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
+            assert sol.kkt_residual < 1e-8
+            assert kkt_residual(qp, sol.z) < 1e-8
+            for other in (ActiveSetSolver().solve(qp),
+                          ActiveSetSolver().solve(qp, warm_start=tuple(sol.active_set))):
+                assert other.status == STATUS_OPTIMAL
+                np.testing.assert_allclose(sol.z, other.z, atol=1e-8)
+                assert sol.objective == pytest.approx(other.objective, abs=1e-9)
+            warm = sol.active_set
+
+
 class TestBlockedSeed:
     """The warm-start seed factors its candidate rows as one block; it must
     keep and drop the rows the row-by-row oracle does."""
 
     @staticmethod
     def seed(fac, b, z0, warm):
-        N = fac.H.shape[0]
-        W, lam, V, R = [], np.zeros(N), np.empty((N, N)), np.zeros((N, N), order="F")
+        n = fac.n
+        N = n if fac.soft_rows is None else n + fac.soft_rows.size
+        W, lam, V, R = [], np.zeros(N), np.empty((n, N)), np.zeros((N, N), order="F")
         ActiveSetSolver._seed_working_set(fac, b, z0, W, lam, V, R, warm)
         return W, lam[:len(W)], V[:, :len(W)], R
 
@@ -619,7 +675,7 @@ class TestBlockedSeed:
     @example(seed=0, n=2, m=2, n_dup=1, n_par=1, n_soft=0, warm=[0, 1, 2])
     def test_matches_the_row_by_row_oracle(self, seed, n, m, n_dup, n_par, n_soft, warm):
         # Duplicate and parallel rows, more candidates than variables,
-        # negative, out-of-range and (hard problem) slack indices.
+        # negative and out-of-range indices.
         rng = np.random.default_rng(seed)
         H, A, _ = dependent_rows(rng, n, m, n_dup, n_par)
         rows = A.shape[0]
@@ -628,13 +684,9 @@ class TestBlockedSeed:
         fac = QpFactors.build(H, A)
         if n_soft:
             fac = fac.soften(np.isin(np.arange(rows), rng.choice(rows, n_soft, False)), 100.0)
-        f, b = fac.extend(rng.normal(size=n), A @ rng.normal(size=n) + rng.normal(size=rows))
-        # A slack row's bound is zero in a solve, so once its soft row has
-        # left W its multiplier can be exactly zero, and rounding alone then
-        # decides whether it is pruned; random bounds keep the drops decided.
-        b[rows:] = rng.normal(size=b.size - rows)
+        f, b = rng.normal(size=n), A @ rng.normal(size=n) + rng.normal(size=rows)
         z0 = -fac.hsolve(f)
-        seeded, kept, lam_ref = seed_working_set_by_rows(fac.G, fac.A, b, z0, warm)
+        seeded, kept, lam_ref = seed_working_set_by_rows(fac.G, fac.A, b, z0, warm, fac.reg)
         # With b and z0 zero every multiplier is zero, so nothing is pruned
         # and W shows which candidates the factorization skipped.
         assert self.seed(fac, np.zeros_like(b), np.zeros_like(z0), warm)[0] == seeded
@@ -647,6 +699,29 @@ class TestBlockedSeed:
         assert np.all(lam >= 0.0)
         np.testing.assert_allclose(lam, lam_ref, rtol=1e-6, atol=1e-9)
         np.testing.assert_array_equal(V, fac.V[:, W])
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 5),
+           n_dup=st.integers(0, 2), n_par=st.integers(0, 2), n_soft=st.integers(1, 9),
+           warm=st.lists(st.integers(-3, 16), max_size=20))
+    def test_softened_seed_admits_every_soft_candidate(self, seed, n, m, n_dup, n_par, n_soft,
+                                                       warm):
+        # With the controller's penalty of 1e6, a soft row's squared pivot is
+        # at least reg = 1e-6, far above the dependence test's 1e-10 max(1,
+        # G_ii), and soft rows do not count toward the cap of n hard rows: the
+        # test and the cap decide only hard rows, and every soft candidate
+        # enters, duplicates and parallel copies included.
+        rng = np.random.default_rng(seed)
+        H, A, _ = dependent_rows(rng, n, m, n_dup, n_par)
+        rows = A.shape[0]
+        A = A[rng.permutation(rows)]
+        soft = np.isin(np.arange(rows), rng.choice(rows, min(n_soft, rows), False))
+        fac = QpFactors.build(H, A).soften(soft, 1e6)
+        # With b and z0 zero nothing is pruned: W holds the seeded rows.
+        W = self.seed(fac, np.zeros(rows), np.zeros(n), warm)[0]
+        assert {i for i in warm if 0 <= i < rows and soft[i]} <= set(W)
+        assert np.count_nonzero(~soft[W]) <= n
 
 
 class TestWorkingSetFactor:

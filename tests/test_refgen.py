@@ -8,12 +8,13 @@ from triwalk.footstep import Footprint, FootstepPlan, footsteps_from_path, initi
 from triwalk.refgen import (
     GaitTiming,
     WalkTimeline,
-    export_references,
     hip_reference,
     mass_references,
     swing_reference,
     zmp_reference,
 )
+
+from helpers import export_references
 
 
 @pytest.fixture(scope="module")
@@ -324,7 +325,7 @@ def expected_sample(tl, cycle):
     hip = hip_reference(plan.support(i).xy(), 0.5 * (fps[i].xy() + fps[i + 1].xy()),
                         0.5 * (fps[i + 1].xy() + fps[i + 2].xy()), 0.0, timing.step_period,
                         t, tl.params.omega)
-    swing = swing_reference(plan.swing_from(i).xy(), plan.swing_to(i).xy(), timing, t)
+    swing = swing_reference(fps[i].xy(), plan.swing_to(i).xy(), timing, t)
     return zmp, hip, swing
 
 

@@ -47,7 +47,7 @@ from .mpc import (
     PushGate,
     build_constraints,
 )
-from .refgen import GaitTiming, RefSample, StepGeometry, WalkTimeline
+from .refgen import GaitTiming, RefSample, WalkTimeline
 
 # First-order lag (s) of the operator setpoint filter.
 _LAG_TAU = 0.5
@@ -336,9 +336,10 @@ class WalkEngine:
 
     # --------------------------------------------------- setpoint synthesis
 
-    def plan_next_step(self, support: Footprint, landing_side: str) -> StepGeometry:
+    def plan_next_step(self, support: Footprint, landing_side: str) -> tuple[Footprint, bool]:
         """Next footprint from the filtered setpoints, landing relative to the
-        support foot and clamped to the reachable window."""
+        support foot and clamped to the reachable window; the flag says
+        whether it was clamped."""
         sp = self.setpoints
         sigma = math.radians(sp.filtered_alpha_deg) * self.timing.step_period
         clamped = abs(sigma) > DEFAULT_SIGMA_MAX
@@ -357,7 +358,7 @@ class WalkEngine:
             separation = min(hi, max(lo, separation))
         rel = np.array([forward, side_sign * separation])
         landing = support.xy() + _rot(heading) @ rel
-        return StepGeometry(footprint_xy=landing, heading=heading, clamped=clamped)
+        return Footprint(landing[0], landing[1], heading, landing_side), clamped
 
     def _synthesize_plan(self, swing: str) -> FootstepPlan:
         """Rolling plan: the current feet, ``swing`` stepping first, plus one
@@ -367,12 +368,9 @@ class WalkEngine:
         prints = [self.feet[swing], self.feet[other]]
         self._clamped_step = False
         for _ in range(1 + _PROVISIONAL_STEPS):
-            support = prints[-1]
-            landing_side = prints[-2].side
-            geo = self.plan_next_step(support, landing_side)
-            self._clamped_step = self._clamped_step or geo.clamped
-            prints.append(Footprint(geo.footprint_xy[0], geo.footprint_xy[1],
-                                    geo.heading, landing_side))
+            landing, clamped = self.plan_next_step(prints[-1], prints[-2].side)
+            self._clamped_step = self._clamped_step or clamped
+            prints.append(landing)
         return FootstepPlan(tuple(prints), step_distance=None)
 
     # ------------------------------------------------------------ references

@@ -3,7 +3,9 @@
 Planning runs in two stages.  First an 8-connected A* finds a collision-free
 body path over an inflated occupancy grid.  Second, a greedy follower turns
 the path into an alternating left/right footstep sequence using a fixed step
-distance and a bounded per-step turn.
+distance and a bounded per-step turn.  A foot pose is a ``Footprint`` from
+the follower to the engine: the follower steps from the plan's last two
+footprints, the swing foot's and the support foot's, and appends the next.
 """
 
 from __future__ import annotations
@@ -222,78 +224,16 @@ def plan_path(grid: GridMap, start, goal) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True)
-class FeetState:
-    """Pose of both feet plus swing flags (+1 = swing foot, -1 = support)."""
-
-    x_l: float
-    y_l: float
-    theta_l: float
-    phi_l: int
-    x_r: float
-    y_r: float
-    theta_r: float
-    phi_r: int
-
-    def __post_init__(self) -> None:
-        if self.phi_l not in (-1, 1) or self.phi_r != -self.phi_l:
-            raise ValueError("swing flags must be +1/-1 and opposite")
-
-    @property
-    def swing_is_left(self) -> bool:
-        return self.phi_l == 1
-
-    def left(self) -> np.ndarray:
-        return np.array([self.x_l, self.y_l])
-
-    def right(self) -> np.ndarray:
-        return np.array([self.x_r, self.y_r])
-
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.left() + self.right())
-
-
-@dataclass(frozen=True)
-class StepAction:
-    """One step: travel ``distance`` at the swing heading turned by ``angle``."""
-
-    distance: float = DEFAULT_STEP_DISTANCE
-    angle: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.distance <= 0.0:
-            raise ValueError("step distance must be positive")
-
-
-def transition(state: FeetState, action: StepAction,
-               sigma_max: float = DEFAULT_SIGMA_MAX) -> FeetState:
-    """Apply one step: the swing foot moves ``distance`` along its heading
-    turned by ``angle``, its heading updates, and the swing flags toggle."""
-    if abs(action.angle) > sigma_max + 1e-12:
-        raise ValueError(f"step angle {action.angle:.3f} exceeds limit {sigma_max:.3f}")
-    if state.swing_is_left:
-        heading = state.theta_l + action.angle
-        return FeetState(
-            x_l=state.x_l + action.distance * math.cos(heading),
-            y_l=state.y_l + action.distance * math.sin(heading),
-            theta_l=heading, phi_l=-1,
-            x_r=state.x_r, y_r=state.y_r, theta_r=state.theta_r, phi_r=1,
-        )
-    heading = state.theta_r + action.angle
-    return FeetState(
-        x_l=state.x_l, y_l=state.y_l, theta_l=state.theta_l, phi_l=1,
-        x_r=state.x_r + action.distance * math.cos(heading),
-        y_r=state.y_r + action.distance * math.sin(heading),
-        theta_r=heading, phi_r=-1,
-    )
-
-
-@dataclass(frozen=True)
 class Footprint:
     x: float
     y: float
     theta: float
     side: str              # "L" or "R"
     closing: bool = False  # terminal alignment step, exempt from the fixed length
+
+    def __post_init__(self) -> None:
+        if self.side not in ("L", "R"):
+            raise ValueError(f"footprint side must be 'L' or 'R', got {self.side!r}")
 
     def xy(self) -> np.ndarray:
         return np.array([self.x, self.y])
@@ -359,29 +299,56 @@ class FootstepPlan:
 
     @classmethod
     def from_json(cls, data: dict) -> "FootstepPlan":
-        fps = tuple(Footprint(**f) for f in data["footprints"])
+        try:
+            fps = tuple(Footprint(**f) for f in data["footprints"])
+        except TypeError as exc:  # an unknown or missing footprint key
+            raise ValueError(f"bad footprint: {exc}") from None
         return cls(fps, data.get("step_distance", DEFAULT_STEP_DISTANCE))
 
 
-def _as_footprint(state: FeetState, side: str, closing: bool = False) -> Footprint:
-    if side == "L":
-        return Footprint(state.x_l, state.y_l, state.theta_l, "L", closing)
-    return Footprint(state.x_r, state.y_r, state.theta_r, "R", closing)
+def transition(foot: Footprint, distance: float, angle: float,
+               sigma_max: float = DEFAULT_SIGMA_MAX) -> Footprint:
+    """One step of ``foot``: its heading turns by ``angle`` and it moves
+    ``distance`` along the new heading."""
+    if distance <= 0.0:
+        raise ValueError("step distance must be positive")
+    if abs(angle) > sigma_max + 1e-12:
+        raise ValueError(f"step angle {angle:.3f} exceeds limit {sigma_max:.3f}")
+    heading = foot.theta + angle
+    return Footprint(foot.x + distance * math.cos(heading),
+                     foot.y + distance * math.sin(heading), heading, foot.side)
 
 
-def footsteps_from_path(path_xy, initial: FeetState,
+def _check_positive(name: str, value: float, or_zero: bool = False) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is finite and
+    positive (or zero, with ``or_zero``)."""
+    if not (math.isfinite(value) and (value > 0.0 or or_zero and value == 0.0)):
+        bound = ">= 0" if or_zero else "> 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+
+
+def footsteps_from_path(path_xy, initial: tuple[Footprint, Footprint],
                         step_distance: float = DEFAULT_STEP_DISTANCE,
                         sigma_max: float = DEFAULT_SIGMA_MAX,
                         lookahead: float = DEFAULT_LOOKAHEAD_CELLS * DEFAULT_CELL_SIZE,
                         grid: GridMap | None = None) -> FootstepPlan:
     """Follow a world-frame waypoint sequence with alternating steps.
 
-    Each step turns the swing heading toward the furthest waypoint within the
-    lookahead distance of the feet midpoint (clamped to ``sigma_max``) and
-    advances the swing foot by ``step_distance``.  Two closing steps bring the
-    feet side by side near the final waypoint.  When a grid is supplied every
+    ``initial`` is the stance, first-swing foot then support foot, as
+    ``initial_feet_on_path`` returns it.  The plan's last two footprints are
+    the follower's state: the second last is the swing foot and the last
+    the support foot.  Each step turns the swing heading toward
+    the furthest waypoint within the lookahead distance of the feet midpoint
+    (clamped to ``sigma_max``) and advances the swing foot by
+    ``step_distance``.  Two closing steps set each foot beside the other at
+    the stance width, near the final waypoint.  When a grid is supplied every
     placement is checked against it.
     """
+    _check_positive("step_distance", step_distance)
+    _check_positive("sigma_max", sigma_max, or_zero=True)
+    _check_positive("lookahead", lookahead)
+    if len(initial) != 2 or initial[0].side == initial[1].side:
+        raise ValueError("initial must be one left and one right footprint")
     pts = np.atleast_2d(np.asarray(path_xy, dtype=float))
     if pts.shape[0] == 0:
         raise PlanningError("path is empty")
@@ -392,16 +359,13 @@ def footsteps_from_path(path_xy, initial: FeetState,
             raise PlanningError(f"footprint {f.side} at ({f.x:.2f}, {f.y:.2f}) is in collision")
         return f
 
-    state = initial
-    first_swing = "L" if state.swing_is_left else "R"
-    first_support = "R" if first_swing == "L" else "L"
-    prints = [check(_as_footprint(state, first_swing)),
-              check(_as_footprint(state, first_support))]
-    step_width = float(np.linalg.norm(state.left() - state.right()))
+    prints = [check(f) for f in initial]
+    step_width = float(np.linalg.norm(initial[0].xy() - initial[1].xy()))
 
     max_total = int(20 * (np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)) / step_distance + 10))
     for _ in range(max_total):
-        mid = state.midpoint()
+        swing, support = prints[-2], prints[-1]
+        mid = 0.5 * (swing.xy() + support.xy())
         if np.linalg.norm(goal - mid) <= 0.6 * step_distance:
             break
         dists = np.linalg.norm(pts - mid, axis=1)
@@ -409,38 +373,27 @@ def footsteps_from_path(path_xy, initial: FeetState,
         target = pts[near[-1]] if near.size else pts[int(np.argmin(dists))]
         if np.allclose(target, mid):
             target = goal
-        heading = state.theta_l if state.swing_is_left else state.theta_r
         desired = math.atan2(target[1] - mid[1], target[0] - mid[0])
-        sigma = max(-sigma_max, min(sigma_max, wrap_angle(desired - heading)))
-        moving = "L" if state.swing_is_left else "R"
-        state = transition(state, StepAction(step_distance, sigma), sigma_max)
-        prints.append(check(_as_footprint(state, moving)))
+        sigma = max(-sigma_max, min(sigma_max, wrap_angle(desired - swing.theta)))
+        prints.append(check(transition(swing, step_distance, sigma, sigma_max)))
     else:
         raise PlanningError("step budget exhausted before reaching the goal")
 
     for _ in range(2):
-        moving = "L" if state.swing_is_left else "R"
-        if state.swing_is_left:
-            sup = state.right()
-            heading = state.theta_r
-            offset = np.array([-math.sin(heading), math.cos(heading)]) * step_width
-            state = FeetState(x_l=sup[0] + offset[0], y_l=sup[1] + offset[1],
-                              theta_l=heading, phi_l=-1,
-                              x_r=state.x_r, y_r=state.y_r, theta_r=heading, phi_r=1)
-        else:
-            sup = state.left()
-            heading = state.theta_l
-            offset = np.array([math.sin(heading), -math.cos(heading)]) * step_width
-            state = FeetState(x_l=state.x_l, y_l=state.y_l, theta_l=heading, phi_l=1,
-                              x_r=sup[0] + offset[0], y_r=sup[1] + offset[1],
-                              theta_r=heading, phi_r=-1)
-        prints.append(check(_as_footprint(state, moving, closing=True)))
+        swing, support = prints[-2], prints[-1]
+        # The left normal of the support heading points to where a left foot stands.
+        width = step_width if swing.side == "L" else -step_width
+        offset = np.array([-math.sin(support.theta), math.cos(support.theta)]) * width
+        prints.append(check(Footprint(support.x + offset[0], support.y + offset[1],
+                                      support.theta, swing.side, closing=True)))
     return FootstepPlan(tuple(prints), step_distance)
 
 
-def initial_feet_on_path(path_xy, step_width: float = DEFAULT_STEP_WIDTH,
-                         swing_first: str = "R") -> FeetState:
-    """Stand astride the first waypoint, heading along the path."""
+def initial_feet_on_path(path_xy, step_width: float = DEFAULT_STEP_WIDTH
+                         ) -> tuple[Footprint, Footprint]:
+    """Stand astride the first waypoint, heading along the path: the right
+    foot, which swings first, then the left foot."""
+    _check_positive("step_width", step_width)
     pts = np.atleast_2d(np.asarray(path_xy, dtype=float))
     start = pts[0]
     direction = pts[-1] - pts[0]
@@ -452,9 +405,8 @@ def initial_feet_on_path(path_xy, step_width: float = DEFAULT_STEP_WIDTH,
     lateral = np.array([-math.sin(heading), math.cos(heading)]) * (step_width / 2.0)
     left = start + lateral
     right = start - lateral
-    phi_l = 1 if swing_first == "L" else -1
-    return FeetState(x_l=left[0], y_l=left[1], theta_l=heading, phi_l=phi_l,
-                     x_r=right[0], y_r=right[1], theta_r=heading, phi_r=-phi_l)
+    return (Footprint(right[0], right[1], heading, "R"),
+            Footprint(left[0], left[1], heading, "L"))
 
 
 def pad_obstacles(grid: GridMap, margin_cells: int) -> GridMap:
@@ -476,6 +428,9 @@ def plan_footsteps(grid: GridMap, start_cell, goal_cell,
     stance width (rounded up to whole cells) so that footprints straddling the
     path stay on free cells of the inflated map.
     """
+    _check_positive("step_distance", step_distance)
+    _check_positive("step_width", step_width)
+    _check_positive("sigma_max", sigma_max, or_zero=True)
     inflated = inflate(grid)
     margin = int(math.ceil((step_width / 2.0 + grid.cell_size / 2.0) / grid.cell_size))
     body_map = pad_obstacles(inflated, margin)

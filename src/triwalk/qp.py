@@ -317,12 +317,9 @@ class ActiveSetSolver:
                 apr = float(G[p, p])
                 reg_p = 0.0 if reg is None else float(reg[p])
                 lam_p = 0.0
-                guard = 0
+                # Each pass that does not break drops a row, so this loop
+                # makes at most len(W) + 1 passes.
                 while True:
-                    guard += 1
-                    if guard > N + m + 1:
-                        status = STATUS_MAX_ITERATIONS
-                        break
                     k = len(W)
                     if k:
                         l = _forward(R, k, G[W, p])

@@ -56,15 +56,6 @@ class GaitTiming:
         return out[0], out[1]
 
 
-@dataclass(frozen=True)
-class StepGeometry:
-    """Next footprint position and heading; ``clamped`` if cut back to reach."""
-
-    footprint_xy: np.ndarray
-    heading: float
-    clamped: bool = False
-
-
 def _xy(point) -> np.ndarray:
     if hasattr(point, "xy"):
         return point.xy()

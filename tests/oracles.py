@@ -3,8 +3,9 @@
 Everything here is deliberately brute force or off the shelf: truncated
 series, exhaustive enumeration, a path's length, uniform-cost search, a
 linear-programming feasibility check, a nonnegative-least-squares KKT
-residual, a row-by-row warm-start seed and a controller cycle's QP data
-written block by block.
+residual, a row-by-row warm-start seed, a footstep follower over a two-feet
+state with swing flags and a controller cycle's QP data written block by
+block.
 None of it shares code with the package.
 """
 
@@ -196,6 +197,135 @@ def path_cost(grid, path) -> float:
         diagonal = a[0] != b[0] and a[1] != b[1]
         cost += grid.cell_size * (math.sqrt(2.0) if diagonal else 1.0)
     return cost
+
+
+class FeetState:
+    """Pose of both feet plus swing flags (+1 = swing foot, -1 = support)."""
+
+    def __init__(self, x_l, y_l, theta_l, phi_l, x_r, y_r, theta_r, phi_r):
+        if phi_l not in (-1, 1) or phi_r != -phi_l:
+            raise ValueError("swing flags must be +1/-1 and opposite")
+        self.x_l, self.y_l, self.theta_l, self.phi_l = x_l, y_l, theta_l, phi_l
+        self.x_r, self.y_r, self.theta_r, self.phi_r = x_r, y_r, theta_r, phi_r
+
+    @property
+    def swing_is_left(self) -> bool:
+        return self.phi_l == 1
+
+    def left(self) -> np.ndarray:
+        return np.array([self.x_l, self.y_l])
+
+    def right(self) -> np.ndarray:
+        return np.array([self.x_r, self.y_r])
+
+    def midpoint(self) -> np.ndarray:
+        return 0.5 * (self.left() + self.right())
+
+    def footprint(self, side: str, closing: bool = False) -> tuple:
+        if side == "L":
+            return (self.x_l, self.y_l, self.theta_l, "L", closing)
+        return (self.x_r, self.y_r, self.theta_r, "R", closing)
+
+
+def _feet_transition(state: FeetState, distance: float, angle: float,
+                     sigma_max: float) -> FeetState:
+    """The swing foot moves ``distance`` along its heading turned by
+    ``angle``, its heading updates, and the swing flags toggle."""
+    if distance <= 0.0:
+        raise ValueError("step distance must be positive")
+    if abs(angle) > sigma_max + 1e-12:
+        raise ValueError(f"step angle {angle:.3f} exceeds limit {sigma_max:.3f}")
+    if state.swing_is_left:
+        heading = state.theta_l + angle
+        return FeetState(state.x_l + distance * math.cos(heading),
+                         state.y_l + distance * math.sin(heading), heading, -1,
+                         state.x_r, state.y_r, state.theta_r, 1)
+    heading = state.theta_r + angle
+    return FeetState(state.x_l, state.y_l, state.theta_l, 1,
+                     state.x_r + distance * math.cos(heading),
+                     state.y_r + distance * math.sin(heading), heading, -1)
+
+
+def _wrap(a: float) -> float:
+    a = math.fmod(a, 2.0 * math.pi)
+    if a > math.pi:
+        a -= 2.0 * math.pi
+    elif a <= -math.pi:
+        a += 2.0 * math.pi
+    return a
+
+
+def footsteps_by_feet_state(path_xy, step_distance=0.1, sigma_max=math.radians(20.0),
+                            lookahead=0.3, occupancy=None, cell_size=0.1,
+                            step_width=0.2) -> tuple:
+    """Footsteps along a waypoint path, followed in a two-feet state with
+    swing flags: the right foot swings first from a stance astride the first
+    waypoint; each step turns the swing heading toward the furthest waypoint
+    within ``lookahead`` of the feet midpoint, clamped to ``sigma_max``; two
+    closing steps set the feet side by side.  Returns the footprints as
+    ``(x, y, theta, side, closing)`` tuples, initial stance first.  A
+    placement on a blocked or off-grid cell of ``occupancy`` (cells of
+    ``cell_size``), an empty path or a spent step budget raises a
+    RuntimeError.
+    """
+    pts = np.atleast_2d(np.asarray(path_xy, dtype=float))
+    if pts.shape[0] == 0:
+        raise RuntimeError("path is empty")
+    goal = pts[-1]
+
+    direction = pts[-1] - pts[0]
+    for p in pts[1:]:
+        if np.linalg.norm(p - pts[0]) > 1e-9:
+            direction = p - pts[0]
+            break
+    heading = math.atan2(direction[1], direction[0]) if np.linalg.norm(direction) > 1e-12 else 0.0
+    lateral = np.array([-math.sin(heading), math.cos(heading)]) * (step_width / 2.0)
+    left, right = pts[0] + lateral, pts[0] - lateral
+    state = FeetState(left[0], left[1], heading, -1, right[0], right[1], heading, 1)
+
+    def check(f: tuple) -> tuple:
+        if occupancy is not None:
+            r, c = math.floor(f[1] / cell_size), math.floor(f[0] / cell_size)
+            rows, cols = occupancy.shape
+            if not (0 <= r < rows and 0 <= c < cols) or occupancy[r, c]:
+                raise RuntimeError(f"footprint {f[3]} at ({f[0]:.2f}, {f[1]:.2f}) is in collision")
+        return f
+
+    prints = [check(state.footprint("R")), check(state.footprint("L"))]
+    width = float(np.linalg.norm(state.left() - state.right()))
+    max_total = int(20 * (np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)) / step_distance + 10))
+    for _ in range(max_total):
+        mid = state.midpoint()
+        if np.linalg.norm(goal - mid) <= 0.6 * step_distance:
+            break
+        dists = np.linalg.norm(pts - mid, axis=1)
+        near = np.flatnonzero(dists <= lookahead)
+        target = pts[near[-1]] if near.size else pts[int(np.argmin(dists))]
+        if np.allclose(target, mid):
+            target = goal
+        heading = state.theta_l if state.swing_is_left else state.theta_r
+        desired = math.atan2(target[1] - mid[1], target[0] - mid[0])
+        sigma = max(-sigma_max, min(sigma_max, _wrap(desired - heading)))
+        moving = "L" if state.swing_is_left else "R"
+        state = _feet_transition(state, step_distance, sigma, sigma_max)
+        prints.append(check(state.footprint(moving)))
+    else:
+        raise RuntimeError("step budget exhausted before reaching the goal")
+
+    for _ in range(2):
+        moving = "L" if state.swing_is_left else "R"
+        if state.swing_is_left:
+            sup, heading = state.right(), state.theta_r
+            offset = np.array([-math.sin(heading), math.cos(heading)]) * width
+            state = FeetState(sup[0] + offset[0], sup[1] + offset[1], heading, -1,
+                              state.x_r, state.y_r, heading, 1)
+        else:
+            sup, heading = state.left(), state.theta_l
+            offset = np.array([math.sin(heading), -math.cos(heading)]) * width
+            state = FeetState(state.x_l, state.y_l, heading, 1,
+                              sup[0] + offset[0], sup[1] + offset[1], heading, -1)
+        prints.append(check(state.footprint(moving, closing=True)))
+    return tuple(prints)
 
 
 def dijkstra_grid(occupancy: np.ndarray, start, goal, cell_size: float):

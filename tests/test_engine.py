@@ -276,33 +276,34 @@ class TestPlanNextStep:
         engine = make_engine(params, timing)
         engine.command_setpoints(0.0, 0.0, 0.0)
         support = engine.feet["R"]
-        geo = engine.plan_next_step(support, "L")
+        landing, clamped = engine.plan_next_step(support, "L")
         home = support.xy() + np.array([0.0, DEFAULT_STEP_WIDTH])
-        np.testing.assert_allclose(geo.footprint_xy, home, atol=1e-12)
-        assert not geo.clamped
+        np.testing.assert_allclose(landing.xy(), home, atol=1e-12)
+        assert landing.side == "L" and not landing.closing
+        assert not clamped
 
     def test_forward_setpoint_spacing(self, params, timing):
         engine = make_engine(params, timing)
         engine.setpoints = Setpoints(x=0.1, filtered_x=0.1)
-        geo = engine.plan_next_step(engine.feet["R"], "L")
-        assert geo.footprint_xy[0] - engine.feet["R"].x == pytest.approx(0.1)
-        assert geo.heading == pytest.approx(0.0)
+        landing, _ = engine.plan_next_step(engine.feet["R"], "L")
+        assert landing.x - engine.feet["R"].x == pytest.approx(0.1)
+        assert landing.theta == pytest.approx(0.0)
 
     def test_turning_rotates_heading(self, params, timing):
         engine = make_engine(params, timing)
         engine.setpoints = Setpoints(x=0.1, y=0.025, alpha_deg=10.0,
                                      filtered_x=0.1, filtered_y=0.025,
                                      filtered_alpha_deg=10.0)
-        geo = engine.plan_next_step(engine.feet["R"], "L")
-        assert geo.heading == pytest.approx(math.radians(10.0) * timing.step_period)
-        assert geo.footprint_xy[0] > 0.05  # advances forward while turning
+        landing, _ = engine.plan_next_step(engine.feet["R"], "L")
+        assert landing.theta == pytest.approx(math.radians(10.0) * timing.step_period)
+        assert landing.x > 0.05  # advances forward while turning
 
     def test_unreachable_step_clamped_and_flagged(self, params, timing):
         engine = make_engine(params, timing)
         engine.setpoints = Setpoints(x=0.9, filtered_x=0.9)
-        geo = engine.plan_next_step(engine.feet["R"], "L")
-        assert geo.clamped
-        assert geo.footprint_xy[0] == pytest.approx(engine.config.swing_reach)
+        landing, clamped = engine.plan_next_step(engine.feet["R"], "L")
+        assert clamped
+        assert landing.x == pytest.approx(engine.config.swing_reach)
 
 
 class TestSetpointWalking:

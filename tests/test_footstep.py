@@ -1,18 +1,20 @@
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import triwalk
+from triwalk import footstep
 from triwalk.footstep import (
-    FeetState,
     Footprint,
     FootstepPlan,
     GridMap,
     PlanningError,
-    StepAction,
     footsteps_from_path,
     inflate,
     initial_feet_on_path,
@@ -30,6 +32,7 @@ from oracles import (
     dijkstra_all_costs,
     dijkstra_grid,
     dilate_by_shifts,
+    footsteps_by_feet_state,
     inflate_by_components,
     path_cost,
 )
@@ -191,36 +194,36 @@ class TestPlanPath:
 
 class TestTransition:
     def test_straight_step_moves_swing_foot(self):
-        s = FeetState(x_l=0.0, y_l=0.1, theta_l=0.0, phi_l=1,
-                      x_r=0.0, y_r=-0.1, theta_r=0.0, phi_r=-1)
-        out = transition(s, StepAction(0.1, 0.0))
-        assert (out.x_l, out.y_l, out.theta_l) == pytest.approx((0.1, 0.1, 0.0))
-        assert out.phi_l == -1 and out.phi_r == 1
-        assert (out.x_r, out.y_r) == (0.0, -0.1)
+        foot = Footprint(0.0, 0.1, 0.0, "L")
+        out = transition(foot, 0.1, 0.0)
+        assert (out.x, out.y, out.theta) == pytest.approx((0.1, 0.1, 0.0))
+        assert out.side == "L" and not out.closing
 
     def test_quarter_turn_displacement(self):
-        s = FeetState(x_l=0.0, y_l=0.1, theta_l=0.0, phi_l=1,
-                      x_r=0.0, y_r=-0.1, theta_r=0.0, phi_r=-1)
-        out = transition(s, StepAction(0.1, math.pi / 2), sigma_max=math.pi / 2)
-        assert (out.x_l - s.x_l, out.y_l - s.y_l) == pytest.approx((0.0, 0.1), abs=1e-12)
+        foot = Footprint(0.0, 0.1, 0.0, "L")
+        out = transition(foot, 0.1, math.pi / 2, sigma_max=math.pi / 2)
+        assert (out.x - foot.x, out.y - foot.y) == pytest.approx((0.0, 0.1), abs=1e-12)
+        assert out.theta == math.pi / 2
 
     def test_angle_limit_enforced(self):
-        s = FeetState(0.0, 0.1, 0.0, 1, 0.0, -0.1, 0.0, -1)
-        with pytest.raises(ValueError):
-            transition(s, StepAction(0.1, math.radians(30)))
+        with pytest.raises(ValueError, match="angle"):
+            transition(Footprint(0.0, 0.1, 0.0, "L"), 0.1, math.radians(30))
+
+    @pytest.mark.parametrize("distance", [0.0, -0.1])
+    def test_distance_must_be_positive(self, distance):
+        with pytest.raises(ValueError, match="distance"):
+            transition(Footprint(0.0, 0.1, 0.0, "L"), distance, 0.0)
 
     def test_n_straight_steps_alternate(self):
-        s = FeetState(0.0, 0.1, 0.0, 1, 0.0, -0.1, 0.0, -1)
+        # The swing foot is always the second last footprint.
+        prints = [Footprint(0.0, -0.1, 0.0, "R"), Footprint(0.0, 0.1, 0.0, "L")]
         n, dist = 8, 0.1
         for _ in range(n):
-            s = transition(s, StepAction(dist, 0.0))
-        assert s.x_l == pytest.approx(n / 2 * dist)
-        assert s.x_r == pytest.approx(n / 2 * dist)
-        assert s.midpoint()[0] == pytest.approx(n * dist / 2)
-
-    def test_invalid_flags_rejected(self):
-        with pytest.raises(ValueError):
-            FeetState(0.0, 0.1, 0.0, 1, 0.0, -0.1, 0.0, 1)
+            prints.append(transition(prints[-2], dist, 0.0))
+        assert [f.side for f in prints[2:]] == ["R", "L"] * (n // 2)
+        assert prints[-1].x == pytest.approx(n / 2 * dist)
+        assert prints[-2].x == pytest.approx(n / 2 * dist)
+        assert 0.5 * (prints[-1].x + prints[-2].x) == pytest.approx(n * dist / 2)
 
 
 class TestFootstepsFromPath:
@@ -255,6 +258,17 @@ class TestFootstepsFromPath:
         plan = footsteps_from_path(path, initial)
         assert plan.n_steps == 2
         assert all(f.closing for f in plan.footprints[2:])
+
+    def test_initial_feet_one_left_one_right(self):
+        """The follower swings ``initial[0]`` first; two feet of one side
+        have no alternation to follow."""
+        path = self.straight_path()
+        right, left = initial_feet_on_path(path)
+        assert (right.side, left.side) == ("R", "L")
+        assert right.y < left.y
+        for initial in ((left, left), (right, right), (right,), (right, left, right)):
+            with pytest.raises(ValueError, match="initial"):
+                footsteps_from_path(path, initial)
 
     def test_collision_checked_when_grid_given(self):
         grid = with_block(GridMap.empty(10, 10), 0, 0, 9, 9)
@@ -367,3 +381,158 @@ class TestMapIO:
             data[key] = value
         with pytest.raises(ValueError, match=key):
             load_map(data)
+
+
+class TestBadFootstepInputs:
+    """A bad parameter raises a ValueError naming it before any search or
+    placement; earlier, some overflowed, ran out the step budget, or
+    returned a plan with the feet crossed."""
+
+    PATH = np.column_stack([np.arange(0.0, 1.01, 0.1), np.full(11, 0.5)])
+
+    @pytest.mark.parametrize("name, value", [
+        ("step_distance", 0.0), ("step_distance", -0.1), ("step_distance", math.nan),
+        ("step_distance", math.inf), ("sigma_max", math.nan), ("sigma_max", -0.1),
+        ("sigma_max", math.inf), ("lookahead", math.nan), ("lookahead", 0.0),
+        ("lookahead", -0.3), ("lookahead", math.inf),
+    ])
+    def test_follower_parameter_named(self, name, value):
+        # Every cell is blocked, so only a check made before the first
+        # placement can raise a ValueError.
+        blocked = with_block(GridMap.empty(20, 20), 0, 0, 19, 19)
+        with pytest.raises(ValueError, match=name):
+            footsteps_from_path(self.PATH, initial_feet_on_path(self.PATH),
+                                grid=blocked, **{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -0.2, math.nan, math.inf])
+    def test_step_width_named(self, value):
+        with pytest.raises(ValueError, match="step_width"):
+            initial_feet_on_path(self.PATH, value)
+
+    @pytest.mark.parametrize("name, value", [
+        ("step_width", -0.2), ("step_width", 0.0), ("step_width", math.nan),
+        ("step_distance", 0.0), ("step_distance", math.nan), ("sigma_max", math.nan),
+    ])
+    def test_pipeline_checks_before_search(self, monkeypatch, name, value):
+        def no_search(*args):
+            raise AssertionError("searched with a bad parameter")
+        monkeypatch.setattr(footstep, "plan_path", no_search)
+        grid, start, goal = fig_style_map()
+        with pytest.raises(ValueError, match=name):
+            plan_footsteps(grid, start, goal, **{name: value})
+
+    @pytest.mark.parametrize("sides", [("Q", "Z"), ("L", "Z"), ("l", "r")])
+    def test_json_sides_must_be_left_or_right(self, sides):
+        data = {"step_distance": None, "footprints": [
+            {"x": 0.0, "y": 0.1, "theta": 0.0, "side": sides[0]},
+            {"x": 0.0, "y": -0.1, "theta": 0.0, "side": sides[1]}]}
+        with pytest.raises(ValueError, match="side"):
+            FootstepPlan.from_json(data)
+
+    @pytest.mark.parametrize("change", [{"heading": 0.0}, {"theta": None}])
+    def test_json_footprint_key_named(self, change):
+        fp = {"x": 0.0, "y": 0.1, "theta": 0.0, "side": "L", **change}
+        if fp["theta"] is None:
+            del fp["theta"]
+        data = {"footprints": [fp, {"x": 0.0, "y": -0.1, "theta": 0.0, "side": "R"}]}
+        with pytest.raises(ValueError, match="heading" if "heading" in change else "theta"):
+            FootstepPlan.from_json(data)
+
+
+GRID_CELLS = 50  # 5 m square at the default 0.1 m cells
+
+
+@st.composite
+def waypoint_walks(draw):
+    """1-30 waypoints of a random walk whose turns reach +-pi, beyond any
+    per-step limit, with repeated points among them."""
+    n = draw(st.integers(1, 30))
+    x, y = draw(st.floats(1.5, 3.5)), draw(st.floats(1.5, 3.5))
+    heading = draw(st.floats(-math.pi, math.pi))
+    pts = [(x, y)]
+    for _ in range(n - 1):
+        heading += draw(st.floats(-math.pi, math.pi))
+        length = draw(st.sampled_from((0.0, 0.1)) | st.floats(0.0, 0.3))
+        x, y = x + length * math.cos(heading), y + length * math.sin(heading)
+        pts.append((x, y))
+    return np.array(pts)
+
+
+@st.composite
+def blocks_near(draw, pts):
+    """An occupancy grid with one block of 1-4 cells a side beside a
+    waypoint, where it often blocks a placement; or None."""
+    if draw(st.booleans()):
+        return None
+    occ = np.zeros((GRID_CELLS, GRID_CELLS), dtype=bool)
+    x, y = pts[draw(st.integers(0, len(pts) - 1))]
+    r = int(y / 0.1) + draw(st.integers(-3, 3))
+    c = int(x / 0.1) + draw(st.integers(-3, 3))
+    h, w = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    occ[max(r, 0):max(r + h, 0), max(c, 0):max(c + w, 0)] = True
+    return occ
+
+
+class TestFollowerMatchesFeetStateOracle:
+    """The follower that steps on the plan's last two footprints returns
+    the footprints of a follower over a two-feet state with swing flags,
+    bit for bit, or fails with the same PlanningError."""
+
+    @staticmethod
+    def assert_same(path, occupancy=None, lookahead=0.3, **params):
+        grid = None if occupancy is None else GridMap(GRID_CELLS, GRID_CELLS, occupancy)
+        width = params.pop("step_width", 0.2)
+        try:
+            ref = footsteps_by_feet_state(path, lookahead=lookahead, occupancy=occupancy,
+                                          step_width=width, **params)
+        except RuntimeError as exc:
+            with pytest.raises(PlanningError) as err:
+                footsteps_from_path(path, initial_feet_on_path(path, width),
+                                    lookahead=lookahead, grid=grid, **params)
+            assert str(err.value) == str(exc)
+            return
+        plan = footsteps_from_path(path, initial_feet_on_path(path, width),
+                                   lookahead=lookahead, grid=grid, **params)
+        assert tuple((f.x, f.y, f.theta, f.side, f.closing) for f in plan.footprints) == ref
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(), path=waypoint_walks(),
+           step_distance=st.floats(0.05, 0.2), lookahead=st.floats(0.05, 0.6),
+           sigma_max=st.sampled_from((0.0, math.radians(20.0), math.pi)) | st.floats(0.0, 1.5),
+           step_width=st.floats(0.1, 0.3))
+    def test_random_walks(self, data, path, step_distance, lookahead, sigma_max, step_width):
+        occupancy = data.draw(blocks_near(path))
+        self.assert_same(path, occupancy, lookahead, step_distance=step_distance,
+                         sigma_max=sigma_max, step_width=step_width)
+
+    @pytest.mark.parametrize("path", [
+        [[0.3, 0.4]],
+        [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+        [[1.0, 1.0], [2.0, 1.0], [1.0, 1.0]],          # a half turn
+        [[1.0, 1.0], [1.5, 1.0], [1.5, 1.5], [1.0, 1.5]],
+    ])
+    def test_edge_paths(self, path):
+        self.assert_same(np.array(path))
+
+    def test_blocked_placement(self):
+        path = np.column_stack([np.arange(1.0, 2.01, 0.1), np.full(11, 1.0)])
+        occ = np.zeros((GRID_CELLS, GRID_CELLS), dtype=bool)
+        occ[11, 14] = True  # beside the path, under the left foot's line
+        with pytest.raises(PlanningError, match="collision"):
+            footsteps_from_path(path, initial_feet_on_path(path),
+                                grid=GridMap(GRID_CELLS, GRID_CELLS, occ))
+        self.assert_same(path, occ)
+
+    def test_generated_maps(self):
+        """The benchmark's planned maps, seeds 0-9."""
+        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+        for seed in range(10):
+            grid, plan, cells, _ = workloads.generate_map(triwalk, seed)
+            inflated = inflate(grid)
+            pts = [inflated.cell_center(c) for c in cells]
+            ref = footsteps_by_feet_state(pts, lookahead=3 * grid.cell_size,
+                                          occupancy=inflated.occupancy,
+                                          cell_size=grid.cell_size)
+            assert tuple((f.x, f.y, f.theta, f.side, f.closing)
+                         for f in plan.footprints) == ref, seed

@@ -385,8 +385,8 @@ class TestMapIO:
 
 class TestBadFootstepInputs:
     """A bad parameter raises a ValueError naming it before any search or
-    placement; earlier, some overflowed, ran out the step budget, or
-    returned a plan with the feet crossed."""
+    placement, rather than an overflow, a spent step budget or a plan with
+    the feet crossed."""
 
     PATH = np.column_stack([np.arange(0.0, 1.01, 0.1), np.full(11, 0.5)])
 
@@ -476,22 +476,21 @@ def blocks_near(draw, pts):
 class TestFollowerMatchesFeetStateOracle:
     """The follower that steps on the plan's last two footprints returns
     the footprints of a follower over a two-feet state with swing flags,
-    bit for bit, or fails with the same PlanningError."""
+    as equal tuples, or fails with the same PlanningError."""
 
     @staticmethod
-    def assert_same(path, occupancy=None, lookahead=0.3, **params):
+    def assert_same(path, occupancy=None, lookahead=0.3, step_width=0.2, **params):
         grid = None if occupancy is None else GridMap(GRID_CELLS, GRID_CELLS, occupancy)
-        width = params.pop("step_width", 0.2)
         try:
             ref = footsteps_by_feet_state(path, lookahead=lookahead, occupancy=occupancy,
-                                          step_width=width, **params)
+                                          step_width=step_width, **params)
         except RuntimeError as exc:
             with pytest.raises(PlanningError) as err:
-                footsteps_from_path(path, initial_feet_on_path(path, width),
+                footsteps_from_path(path, initial_feet_on_path(path, step_width),
                                     lookahead=lookahead, grid=grid, **params)
             assert str(err.value) == str(exc)
             return
-        plan = footsteps_from_path(path, initial_feet_on_path(path, width),
+        plan = footsteps_from_path(path, initial_feet_on_path(path, step_width),
                                    lookahead=lookahead, grid=grid, **params)
         assert tuple((f.x, f.y, f.theta, f.side, f.closing) for f in plan.footprints) == ref
 

@@ -123,7 +123,6 @@ class CycleDiagnostics:
     qp_status: tuple[str, str]
     softened: tuple[bool, bool]
     qp_iterations: tuple[int, int]
-    certified: tuple[bool, bool]     # a certificate skipped the axis's hard solve
     zmp_pred: np.ndarray
     refs: RefSample
     support_feet: tuple[SupportFoot, ...]
@@ -292,7 +291,6 @@ class WalkEngine:
             qp_status=tuple(info.status for info in infos),
             softened=tuple(info.softened for info in infos),
             qp_iterations=tuple(info.iterations for info in infos),
-            certified=tuple(info.certified for info in infos),
             zmp_pred=zmp_pred_world,
             refs=self._timeline.sample(local),
             support_feet=self.support_feet(),

@@ -327,6 +327,14 @@ def _check_positive(name: str, value: float, or_zero: bool = False) -> None:
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
+def _waypoints(path_xy) -> np.ndarray:
+    """``path_xy`` as an array of (x, y) rows, rejected by name unless finite."""
+    pts = np.atleast_2d(np.asarray(path_xy, dtype=float))
+    if not np.isfinite(pts).all():
+        raise ValueError("path_xy must hold finite waypoints")
+    return pts
+
+
 def footsteps_from_path(path_xy, initial: tuple[Footprint, Footprint],
                         step_distance: float = DEFAULT_STEP_DISTANCE,
                         sigma_max: float = DEFAULT_SIGMA_MAX,
@@ -349,7 +357,7 @@ def footsteps_from_path(path_xy, initial: tuple[Footprint, Footprint],
     _check_positive("lookahead", lookahead)
     if len(initial) != 2 or initial[0].side == initial[1].side:
         raise ValueError("initial must be one left and one right footprint")
-    pts = np.atleast_2d(np.asarray(path_xy, dtype=float))
+    pts = _waypoints(path_xy)
     if pts.shape[0] == 0:
         raise PlanningError("path is empty")
     goal = pts[-1]
@@ -394,7 +402,7 @@ def initial_feet_on_path(path_xy, step_width: float = DEFAULT_STEP_WIDTH
     """Stand astride the first waypoint, heading along the path: the right
     foot, which swings first, then the left foot."""
     _check_positive("step_width", step_width)
-    pts = np.atleast_2d(np.asarray(path_xy, dtype=float))
+    pts = _waypoints(path_xy)
     start = pts[0]
     direction = pts[-1] - pts[0]
     for p in pts[1:]:

@@ -218,10 +218,9 @@ class RunMetrics:
     tracking_rms: dict[str, float]
     n_cycles: int
     fault: str | None
-    softened_cycles: int = 0      # axis control steps solved softened, both axes summed
-    qp_iterations: int = 0        # QP iterations of both axes, softened fallbacks included
-    nonoptimal_cycles: int = 0    # axis control steps whose final QP status is not optimal
-    certified_cycles: int = 0     # axis control steps whose hard solve a certificate skipped
+    softened_cycles: int = 0      # axis control steps that softened, both axes summed
+    qp_iterations: int = 0        # QP iterations of both axes
+    nonoptimal_cycles: int = 0    # axis control steps whose QP status is not optimal
     torso_sway_scores: tuple[float, ...] = ()   # per single-support phase, >0 when
                                                 # the torso leans toward the support
     trace: Trace | None = None
@@ -383,9 +382,8 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None,
     u, out = np.empty((n, 2, 3)), np.empty((n, 2, 3))
     meas, pred, zmp, torso = (np.empty((n, 2)) for _ in range(4))
     refs, excursion = np.empty((n, 6)), np.empty(n)
-    # Per cycle: softened axes, QP iterations, axes whose final status is not
-    # optimal, axes whose hard solve a certificate skipped.
-    qp_counts = np.empty((n, 4), dtype=np.int64)
+    # Per cycle: softened axes, QP iterations, axes whose status is not optimal.
+    qp_counts = np.empty((n, 3), dtype=np.int64)
     tags = []   # per cycle: phase, QP statuses, support feet, swing target, step index
     fault = fall_time = None
     consecutive = 0
@@ -400,8 +398,7 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None,
         pred[k], torso[k] = diag.zmp_pred, sim.plant[:, 3]
         refs[k] = np.concatenate([diag.refs.zmp, diag.refs.stance_mass, diag.refs.swing_mass])
         qp_counts[k] = (sum(diag.softened), sum(diag.qp_iterations),
-                        sum(status != STATUS_OPTIMAL for status in diag.qp_status),
-                        sum(diag.certified))
+                        sum(status != STATUS_OPTIMAL for status in diag.qp_status))
         tags.append((diag.phase.value, diag.qp_status, diag.support_feet, diag.swing_target,
                      diag.step_index))
         excursion[k] = support_excursion(sim.zmp_true, diag.support_feet)
@@ -450,7 +447,6 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None,
         softened_cycles=int(qp_counts[:n, 0].sum()),
         qp_iterations=int(qp_counts[:n, 1].sum()),
         nonoptimal_cycles=int(qp_counts[:n, 2].sum()),
-        certified_cycles=int(qp_counts[:n, 3].sum()),
         torso_sway_scores=tuple(sway),
         trace=trace,
     )

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -30,10 +29,18 @@ from .qp import (
     ActiveSetSolver,
     QpFactors,
     QpProblem,
+    _peak,
 )
 
 # Horizontal axes (x, y), which share one controller.
 N_AXES = 2
+# A cycle reports ``softened`` when its largest output-row slack exceeds this
+# (m).  A quadratic penalty is not exact: it moves even a hard-feasible
+# optimum by lambda/rho.  That reached 4.4e-5 m in the tracking and
+# omnidirectional walks and 6.8e-4 m in the +-300 N and -440 N push runs,
+# which survive, while in the +440 N and -540 N runs, which fall, no cycle
+# whose hard problem is infeasible had a slack below 3.9e-3 m.
+_SOFTENED_SLACK = 1e-3
 # Standard deviation (m/s^2) added to the prior of each acceleration state
 # for the observer's push-recovery gain.
 _BOOST_ACCEL_NOISE = 6.0
@@ -56,7 +63,8 @@ _BOOST_RATE = 1.6
 
 
 class ControllerFault(RuntimeError):
-    """The controller could not produce a command even after softening."""
+    """The controller could not produce a command: its hard jerk rows admit
+    no input sequence."""
 
 
 @dataclass(frozen=True)
@@ -373,43 +381,10 @@ class Observer:
 @dataclass
 class ControlCycleInfo:
     status: str
-    softened: bool
+    softened: bool                 # largest slack above _SOFTENED_SLACK
     objective: float
-    iterations: int                # QP iterations of the solves that ran: the
-                                   # softened fallback's, plus the failed hard
-                                   # solve's unless a certificate skipped it
-    certified: bool                # a certificate skipped the hard solve
+    iterations: int                # QP iterations of the cycle's one solve
     predicted_output: np.ndarray   # first predicted sample (stance, swing, zmp)
-
-
-class _Certificate:
-    """A hard cycle's Farkas certificate, kept to prove later cycles
-    infeasible without solving them.
-
-    ``y`` >= 0 weighs the constraint ``rows``.  ``A`` is fixed, so for any
-    cycle's ``b``, every z with ``A z <= b`` satisfies ``b'y >= (A'y)'z``.
-    The hard jerk rows bound every such z: |z_j| <= lim + |u_prev,i| on the
-    first move of input i and <= 2 lim on every later move.  So
-    ``b'y < -sum_j |(A'y)_j| zbar_j`` proves the cycle infeasible.  ``|A'y|``
-    is widened by the rounding of its own products and ``b'y`` by that of the
-    dot product, so a verdict never rests on rounding.
-    """
-
-    def __init__(self, A: np.ndarray, rows, y: np.ndarray, jerk_limit: float):
-        self.rows = np.asarray(rows)
-        self.y = y
-        self.ulps = (len(rows) + A.shape[1]) * np.finfo(float).eps
-        AW = A[self.rows]
-        slope = np.abs(y @ AW) + self.ulps * (y @ np.abs(AW))
-        self.lim = jerk_limit
-        self.first = slope[:N_INPUTS]
-        self.later = 2.0 * jerk_limit * float(slope[N_INPUTS:].sum())
-
-    def proves_infeasible(self, b: np.ndarray, u_prev: np.ndarray) -> bool:
-        """True when no z satisfies ``A z <= b`` given the held input ``u_prev``."""
-        bw = b[self.rows]
-        bound = (self.first @ (self.lim + np.abs(u_prev)) + self.later) * (1.0 + self.ulps)
-        return float(bw @ self.y) + self.ulps * float(np.abs(bw) @ self.y) < -bound
 
 
 class AxisController:
@@ -419,26 +394,17 @@ class AxisController:
     fixed cost and constraint matrices, factored once for the QP solver, for
     a whole walk session.  Row i of the (2, 3) previous applied inputs
     ``u_prev`` and of every ``control_step`` argument is axis i (x, y), and
-    each axis keeps its own previous active set for warm starts.  Because
-    ``A`` never changes, a warm-start row index always names the same (bound
-    family, sample), in the softened fallback too, so one warm set serves
-    both solves of an axis's cycle: after every optimal cycle, softened or
-    not, it becomes that cycle's active set (``qp.ActiveSet``, which carries
-    its factor for the next solve of the same kind), and the next cycle seeds
-    its hard solve and, if that is infeasible, its softened fallback with it.
+    each axis keeps its own previous active set for warm starts.
 
-    ``A`` being fixed also lets an infeasible hard solve speak for later
-    cycles.  Each axis keeps the Farkas certificate of its last infeasible
-    hard solve (``QpSolution.certificate``).  Before the next hard solve of
-    that axis, the certificate is tested against the new ``b``
-    (``_Certificate``): bᵀy < −Σ|(Aᵀy)_j|·z̄_j, with z̄ bounding |z| through
-    the hard jerk rows (``jerk_limit`` + |u_prev,i| on the first move of input
-    i, 2·``jerk_limit`` on every later one) and a rounding allowance.  If it
-    holds, no z meets the hard rows, and the axis goes straight to its
-    softened fallback with the same warm set; the skipped solve would have
-    returned infeasible, and the fallback does not depend on it, so the
-    command is the same.  Otherwise the hard solve runs, and an infeasible
-    one replaces the certificate.
+    Every output row is soft: its violation s costs ``soft_penalty``/2 s^2,
+    so each axis's cycle is one always-feasible QP, solved once
+    (``QpFactors.soften``: the hard factors with 1/rho on the output rows'
+    Gram diagonal); only the jerk rows stay hard.  A cycle reports
+    ``softened`` when its largest slack exceeds ``_SOFTENED_SLACK``.
+    Because ``A`` never changes, a warm-start row index always names the
+    same (bound family, sample): after every optimal cycle the axis keeps
+    that cycle's active set (``qp.ActiveSet``, which carries its factor)
+    and seeds its next solve with it.
     """
 
     def __init__(self, ss: StateSpace, config: MpcConfig):
@@ -447,27 +413,20 @@ class AxisController:
         self.solver = ActiveSetSolver()
         H, self._f_err, self._f_held = cost_matrices(self.pred, config)
         A, self._rhs = constraint_maps(self.pred, config)
-        self._factors = QpFactors.build(H, A)
+        # Soft output rows come first; the jerk rows after them stay hard.
+        output_rows = np.arange(A.shape[0]) < 2 * N_OUTPUTS * config.constraint_window
+        self._factors = QpFactors.build(H, A).soften(output_rows, config.soft_penalty)
         self.A = self._factors.A
         # Shapes of a cycle's parameters (refs, X, u_prev, lo, hi), which
         # each axis flattens in this order.
         window = (N_AXES, config.constraint_window, N_OUTPUTS)
         self._shapes = ((N_AXES, config.n_pred, N_OUTPUTS), (N_AXES, N_STATES),
                         (N_AXES, N_INPUTS), window, window)
-        # The softened fallback relaxes every output row; jerk rows stay hard.
-        self._output_rows = np.arange(self.A.shape[0]) < 2 * N_OUTPUTS * config.constraint_window
-        self._certificates: list[_Certificate | None] = [None] * N_AXES
         self.reset()
-
-    @cached_property
-    def _soft_factors(self) -> QpFactors:
-        """Factors of the softened fallback, derived from the hard ones on first use."""
-        return self._factors.soften(self._output_rows, self.config.soft_penalty)
 
     def reset(self, u_prev=None) -> None:
         """Hold ``u_prev`` (2, 3), zero by default, and drop both warm
-        starts (after a frame rotation their rows bound other directions).
-        The certificates stay: their test holds for any ``b`` and ``u_prev``."""
+        starts (after a frame rotation their rows bound other directions)."""
         self.u_prev = (np.zeros((N_AXES, N_INPUTS)) if u_prev is None
                        else np.array(u_prev, dtype=float))
         self._warm: list[tuple[int, ...] | None] = [None] * N_AXES
@@ -483,14 +442,14 @@ class AxisController:
         at sample k+1+j.  Samples beyond the window follow the references
         only; the jerks are boxed by ``config.jerk_limit``.
 
-        Every axis applies its last solve's first move, whatever its status.
+        Every axis applies its solve's first move, whatever its status.
         On ``STATUS_MAX_ITERATIONS`` (iteration cap, a cold solve whose
         working-set factor broke down, or KKT gate missed) that is the
         solver's last iterate: it meets the working-set rows and may violate
         others.  The cycle reports the status, the axis's warm set is
         dropped so the next cycle starts cold, and ``RunMetrics`` counts the
-        cycle in ``nonoptimal_cycles``.  Only a softened fallback that is
-        still infeasible raises ``ControllerFault``.  An argument, or the held
+        cycle in ``nonoptimal_cycles``.  Only a solve whose hard jerk rows
+        are infeasible raises ``ControllerFault``.  An argument, or the held
         input, of another shape or with a non-finite entry raises
         ``ValueError`` naming it, before any state changes.
         """
@@ -508,28 +467,14 @@ class AxisController:
         B = condense_constraints(self._rhs, xu, P[:, n_refs + n_free:])
 
         sols, infos = [], []
-        for axis, (f, b, warm, y_free) in enumerate(zip(F, B, self._warm, free)):
-            cert = self._certificates[axis]
-            iterations = 0
-            softened = certified = (cert is not None
-                                    and cert.proves_infeasible(b, self.u_prev[axis]))
-            if not softened:
-                sol = self.solver.solve(QpProblem(self._factors, f, b), warm_start=warm)
-                iterations = sol.iterations
-                softened = sol.status == STATUS_INFEASIBLE
-                if softened:
-                    self._certificates[axis] = _Certificate(self.A, *sol.certificate,
-                                                            self.config.jerk_limit)
-            if softened:
-                sol = self.solver.solve(QpProblem(self._soft_factors, f, b), warm_start=warm)
-                iterations += sol.iterations
-                if sol.status == STATUS_INFEASIBLE:
-                    raise ControllerFault(
-                        "cycle subproblem infeasible even after softening outputs")
+        for f, b, warm, y_free in zip(F, B, self._warm, free):
+            sol = self.solver.solve(QpProblem(self._factors, f, b), warm_start=warm)
+            if sol.status == STATUS_INFEASIBLE:
+                raise ControllerFault("cycle subproblem infeasible in its hard jerk rows")
             sols.append(sol)
             infos.append(ControlCycleInfo(
-                status=sol.status, softened=softened, objective=sol.objective,
-                iterations=iterations, certified=certified,
+                status=sol.status, softened=_peak(sol.slacks) > _SOFTENED_SLACK,
+                objective=sol.objective, iterations=sol.iterations,
                 predicted_output=y_free[:N_OUTPUTS] + self.pred.gamma[:N_OUTPUTS] @ sol.z))
         self._warm = [sol.active_set if sol.status == STATUS_OPTIMAL else None for sol in sols]
         U = self.u_prev + np.array([sol.z[:N_INPUTS] for sol in sols])

@@ -32,14 +32,6 @@ steps, and the KKT gate checks the incremental iterate only when the polished
 one misses it, keeping the better.  Should rounding leave the working-set
 Gram block indefinite, a warm-started solve starts over cold, and a cold
 solve ends there with status ``max_iterations``, as at the iteration cap.
-
-A hard problem is infeasible exactly when the violated row p that the loop
-tries to add depends on the working set and no working-set multiplier blocks
-the dual step (Goldfarb & Idnani, Math. Prog. 1983): the step is then
-unbounded.  Its direction is a Farkas certificate, which the solution returns:
-y >= 0 on the rows W + [p] with ``A'y`` zero up to rounding and ``b'y`` < 0.
-It involves only ``A`` and ``b``, so a caller whose ``A`` is fixed can test it
-against a later ``b`` in O(|y|) without solving.
 """
 
 from __future__ import annotations
@@ -173,13 +165,6 @@ class QpSolution:
     row.  ``active_set`` holds row indices in working-set order and can seed
     the next solve's warm start, which copies an ``ActiveSet``'s factor; a
     hard and a softened problem of the same (H, A) share their row indices.
-
-    ``certificate`` is ``(rows, y)`` when the status is ``STATUS_INFEASIBLE``
-    and ``None`` otherwise: ``rows`` are the working set W followed by the
-    violated row p (indices like ``active_set``) and ``y`` = (max(e, 0), 1),
-    with e the working-set multiplier change per unit step on p.  So y >= 0,
-    ``A[rows]' y`` vanishes up to rounding and ``b[rows] @ y`` is negative:
-    about minus the violation of row p.
     """
 
     z: np.ndarray
@@ -189,7 +174,6 @@ class QpSolution:
     active_set: tuple[int, ...] = ()    # an ActiveSet when non-empty and optimal
     iterations: int = 0
     slacks: np.ndarray | None = None
-    certificate: tuple[tuple[int, ...], np.ndarray] | None = None
 
 
 def _forward(R, k: int, v: np.ndarray) -> np.ndarray:
@@ -210,9 +194,11 @@ def _hard_count(W: list[int], reg) -> int:
 
 def _append(W: list[int], V, R, p: int, v_p: np.ndarray, l: np.ndarray, schur: float) -> None:
     """Append row ``p`` with its ``H^-1 a`` column ``v_p``.  ``l = R_k^-1 G[W, p]``
-    and ``schur = G[p, p] - l.l > 0`` give the new factor row [l', sqrt(schur)]."""
+    and ``schur = G[p, p] - l.l > 0`` give the new factor row [l', sqrt(schur)],
+    with zeros above it in its column."""
     k = len(W)
     V[:, k] = v_p
+    R[:k, k] = 0.0
     R[k, :k] = l
     R[k, k] = np.sqrt(schur)
     W.append(p)
@@ -282,19 +268,20 @@ class ActiveSetSolver:
         # Working-set buffers, made on first use.  Columns 0..k-1 of V hold
         # H^-1 A_W' (columns of V_all).  The leading k-by-k block of the
         # Fortran-ordered R is the lower Cholesky factor of the Gram block
-        # G[W, W]; nothing is ever written above its diagonal, which ``_drop``
-        # reads.
+        # G[W, W], zero above its diagonal, which ``_drop`` reads.  R is not
+        # zeroed when made: with soft rows it holds n + k_soft rows, and
+        # clearing them cost more than a small solve, so each row that
+        # enters W clears its column above the diagonal instead.
         V = R = None
 
         if warm_start is not None:
-            V, R = np.empty((n, N)), np.zeros((N, N), order="F")
+            V, R = np.empty((n, N)), np.empty((N, N), order="F")
             self._seed_working_set(fac, b, z0, W, lam, V, R, warm_start)
             if W:
                 z = z0 - V[:, :len(W)] @ lam[:len(W)]
 
         iterations = 0
         status = STATUS_OPTIMAL
-        certificate = None
         resid = A @ z - b            # kept current with z; W's rows are skipped
         if m > 0:
             while True:
@@ -310,7 +297,7 @@ class ActiveSetSolver:
                     break
                 iterations += 1
                 if R is None:
-                    V, R = np.empty((n, N)), np.zeros((N, N), order="F")
+                    V, R = np.empty((n, N)), np.empty((N, N), order="F")
 
                 a_p = A[p]
                 r = V_all[:, p]
@@ -351,7 +338,6 @@ class ActiveSetSolver:
                     t = min(t_full, t_block)
                     if not np.isfinite(t):
                         status = STATUS_INFEASIBLE
-                        certificate = (tuple(W) + (p,), np.append(np.maximum(e, 0.0), 1.0))
                         break
                     z = z + t * d
                     lam[:k] += t * e
@@ -397,11 +383,16 @@ class ActiveSetSolver:
         if status == STATUS_OPTIMAL and not passed:
             status = STATUS_MAX_ITERATIONS
         objective = float(z @ (0.5 * Hz + f))
+        slacks = None
         if reg is not None:
-            # A soft working row's slack is reg lam, any other row's 0.
-            slack = np.zeros(m)
-            slack[W] = reg[W] * lam_k
-            objective += 0.5 * float(slack[W] @ lam_k)
+            # A soft working row's slack is reg lam, any other row's 0; an
+            # empty exit does no more work than a hard one.
+            slacks = np.zeros(fac.soft_rows.size)
+            if W:
+                slack = np.zeros(m)
+                slack[W] = reg[W] * lam_k
+                objective += 0.5 * float(slack[W] @ lam_k)
+                slacks = slack[fac.soft_rows]
         return QpSolution(
             z=z,
             objective=objective,
@@ -411,8 +402,7 @@ class ActiveSetSolver:
                                   _frozen(V[:, :k].copy()))
                         if W and status == STATUS_OPTIMAL else tuple(W)),
             iterations=iterations,
-            slacks=None if reg is None else slack[fac.soft_rows],
-            certificate=certificate,
+            slacks=slacks,
         )
 
     @staticmethod
@@ -456,6 +446,7 @@ class ActiveSetSolver:
                 if k:
                     R[k:k + j, :k] = L[:, :j].T
                 R[k:k + j, k:k + j] = F[:j, :j]
+                R[:k, k:k + j] = 0.0
                 V[:, k:k + j] = fac.V[:, cand[:j]]
                 W.extend(cand[:j].tolist())
                 cand = cand[j + 1:]

@@ -471,13 +471,12 @@ def tracking_transposes(pred, config):
     return (pred.gamma * w_out[:, None]).T, (pred.u_map * w_in[:, None]).T
 
 
-def condensed_qp_data(pred, config, X, u_prev, refs, lo, hi, free=None):
+def condensed_qp_data(pred, config, X, u_prev, refs, lo, hi):
     """A controller cycle's QP gradient F and right-hand side B, formed block
     by block from the free response.
 
     The free response is the predicted output at zero increments, ``phi x +
-    phi_u u_prev``; a given ``free`` (..., 3 n_pred) replaces it, for cycles
-    moved off the model.  F is ``2 GtW (free - refs) + 2 UtW tile(u_prev)``.
+    phi_u u_prev``.  F is ``2 GtW (free - refs) + 2 UtW tile(u_prev)``.
     B is written per output (zmp, stance, swing), upper bounds ``hi - free``
     then lower ``free - lo`` over the constraint window, then per input the
     jerk rows ``lim - u_prev`` and ``lim + u_prev`` over the control horizon.
@@ -489,8 +488,7 @@ def condensed_qp_data(pred, config, X, u_prev, refs, lo, hi, free=None):
     u_prev = np.asarray(u_prev, float)
     lead = u_prev.shape[:-1]
     GtW, UtW = tracking_transposes(pred, config)
-    if free is None:
-        free = np.matvec(pred.phi, np.asarray(X, float)) + np.matvec(pred.phi_u, u_prev)
+    free = np.matvec(pred.phi, np.asarray(X, float)) + np.matvec(pred.phi_u, u_prev)
     err = free - np.asarray(refs, float).reshape(*lead, -1)
     F = 2.0 * (np.matvec(GtW, err) + np.matvec(UtW, np.tile(u_prev, config.n_pred)))
     y = free.reshape(*lead, -1, 3)[..., :window, :]

@@ -404,6 +404,19 @@ class TestBadFootstepInputs:
             footsteps_from_path(self.PATH, initial_feet_on_path(self.PATH),
                                 grid=blocked, **{name: value})
 
+    @pytest.mark.parametrize("row", [0, 5, -1])
+    @pytest.mark.parametrize("coord", [0, 1])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_waypoint_named(self, bad, coord, row):
+        # Both used to go on: the follower to numpy's integer conversion or
+        # an OverflowError, the stance to NaN footprints or to none at all.
+        path = self.PATH.copy()
+        path[row, coord] = bad
+        with pytest.raises(ValueError, match="path_xy"):
+            initial_feet_on_path(path)
+        with pytest.raises(ValueError, match="path_xy"):
+            footsteps_from_path(path, initial_feet_on_path(self.PATH))
+
     @pytest.mark.parametrize("value", [0.0, -0.2, math.nan, math.inf])
     def test_step_width_named(self, value):
         with pytest.raises(ValueError, match="step_width"):

@@ -257,22 +257,20 @@ class TestSimulation:
 
     def test_softened_cycles_counted(self):
         # +440 N struggles for seconds, then falls.  Whether a cycle softens
-        # depends only on its hard problem's feasibility, not on warm starts.
+        # depends only on its QP's optimum, whose slacks warm starts do not
+        # change.
         sc = disturbance_scenario(440.0)
         m = run(sc, keep_trace=False)
-        assert m.fall_detected and m.fall_time == pytest.approx(5.32)
-        assert m.softened_cycles == 50
+        assert m.fall_detected and m.fall_time == pytest.approx(5.26)
+        assert m.softened_cycles == 111
         sim = Simulation(sc)
         diags = [sim.step() for _ in range(m.n_cycles)]
         assert m.softened_cycles == sum(sum(d.softened) for d in diags)
         assert m.qp_iterations == sum(sum(d.qp_iterations) for d in diags)
-        assert m.summary()["softened_cycles"] == 50
-        # Certificates skip some of those cycles' hard solves.
-        assert 0 < m.certified_cycles == sum(sum(d.certified) for d in diags) < 50
-        assert m.summary()["certified_cycles"] == m.certified_cycles
+        assert m.summary()["softened_cycles"] == 111
 
     def test_max_iterations_cycles_counted(self, monkeypatch):
-        # Capped at one iteration, the hard solve of every cycle that needs a
+        # Capped at one iteration, the solve of every cycle that needs a
         # second active row ends on max_iterations.  Its iterate is applied,
         # the status reported, the axis's warm set dropped, and the run
         # counts the cycle.

@@ -3,11 +3,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triwalk.dynamics import (
-    N_INPUTS,
     ThreeMassParams,
     build_continuous,
     discretize,
@@ -26,8 +25,6 @@ from triwalk.mpc import (
     cost_matrices,
 )
 from triwalk.qp import (
-    STATUS_INFEASIBLE,
-    STATUS_MAX_ITERATIONS,
     STATUS_OPTIMAL,
     ActiveSetSolver,
     QpFactors,
@@ -371,37 +368,67 @@ class TestControlStep:
         windows = [max(diffs[i:i + 20]) for i in range(20, 120, 20)]
         assert all(b <= a + 1e-12 for a, b in zip(windows, windows[1:]))
 
-    def test_softening_fallback_on_infeasible_state(self, ssd, params):
+    @staticmethod
+    def record_solves(ctrl, monkeypatch):
+        """Every (problem, solution) of ``ctrl``'s solver from now on."""
+        calls = []
+        solve = ctrl.solver.solve
+        monkeypatch.setattr(ctrl.solver, "solve", lambda problem, warm_start=None: calls.append(
+            (problem, solve(problem, warm_start=warm_start))) or calls[-1][1])
+        return calls
+
+    def test_softening_fallback_on_infeasible_state(self, ssd, params, monkeypatch):
+        # Both sides of ``_SOFTENED_SLACK``: a cycle whose hard problem is
+        # infeasible softens; a hard-feasible cycle with active output rows
+        # moves them by far less than the threshold and does not.
         ctrl, cfg = self.make_controller(ssd, jerk_limit=1.0, swing_reach=0.01)
         refs = constant_refs(cfg.n_pred)
         lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
+        calls = self.record_solves(ctrl, monkeypatch)
         x = make_state((0.0, 0.0, 1.0))  # swing mass far outside its corridor
         u, info = step_both(ctrl, x, refs, lo, hi)
-        assert info.softened
+        problem, sol = calls[0]
+        assert polyhedron_is_empty(ctrl.A, problem.b)
+        assert info.softened and sol.slacks.max() > mpc._SOFTENED_SLACK
         assert np.all(np.isfinite(u))
         assert np.all(np.abs(u) <= 1.0 + 1e-9)  # input rows stayed hard
 
-    def test_softened_cycle_reports_both_solves_iterations(self, ssd, params, monkeypatch):
-        ctrl, cfg = self.make_controller(ssd, jerk_limit=1.0, swing_reach=0.01)
-        refs = constant_refs(cfg.n_pred)
+        ctrl, cfg = self.make_controller(ssd)
+        refs = constant_refs(cfg.n_pred, 0.0, 0.0, 0.2)  # outside the support polygon
         lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
-        solutions = []
-        solve = ctrl.solver.solve
-        monkeypatch.setattr(ctrl.solver, "solve",
-                            lambda *a, **kw: solutions.append(solve(*a, **kw)) or solutions[-1])
-        _, info = step_both(ctrl, make_state((0.0, 0.0, 1.0)), refs, lo, hi)
-        hard, relaxed, _, _ = solutions   # two solves per axis
-        assert info.softened and hard.status == STATUS_INFEASIBLE
-        assert relaxed.status == STATUS_OPTIMAL
-        assert hard.iterations > 0 and relaxed.iterations > 0
-        assert info.iterations == hard.iterations + relaxed.iterations
+        calls = self.record_solves(ctrl, monkeypatch)
+        _, info = step_both(ctrl, np.zeros(9), refs, lo, hi)
+        problem, sol = calls[0]
+        assert not polyhedron_is_empty(ctrl.A, problem.b)
+        assert np.any(np.asarray(sol.active_set) < problem.factors.soft_rows.size)
+        assert not info.softened and 0.0 < sol.slacks.max() <= 1e-4
+
+    def test_one_solve_per_axis_per_cycle(self, ssd, params, monkeypatch):
+        # Hard-feasible or not, each axis solves its softened QP once, and
+        # the cycle reports that solve's status, objective and iterations.
+        ctrl, cfg = self.make_controller(ssd, jerk_limit=1.0, swing_reach=0.01)
+        lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
+        calls = self.record_solves(ctrl, monkeypatch)
+        X = np.stack([make_state((0.0, 0.0, 1.0)), np.zeros(9)])
+        refs = np.stack([constant_refs(cfg.n_pred), constant_refs(cfg.n_pred, 0.0, 0.0, 0.02)])
+        for cycle in range(3):
+            U, infos = ctrl.control_step(X, refs, np.stack([lo, lo]), np.stack([hi, hi]))
+            assert len(calls) == 2 * (cycle + 1)
+            for (problem, sol), info in zip(calls[-2:], infos):
+                assert problem.factors is ctrl._factors
+                assert (info.status, info.objective, info.iterations) == (
+                    sol.status, sol.objective, sol.iterations)
+            if not cycle:
+                assert [info.softened for info in infos] == [True, False]
+                assert infos[0].iterations > 0
+            X = np.stack([step_plant(ssd, x, u) for x, u in zip(X, U)])
 
     def test_warm_start_carries_through_a_softened_streak(self, ssd, params, monkeypatch):
-        # A torso pushed at 3 m/s makes three cycles in a row infeasible; the
-        # fourth is feasible again.  Every solve is seeded with the previous
-        # cycle's active set, softened or not.  The first cycle's infeasible
-        # hard solves leave certificates that prove the next two cycles
-        # infeasible, so those cycles run their softened fallbacks only.
+        # A torso pushed at 3 m/s makes three cycles in a row hard-infeasible;
+        # the fourth is feasible again, but so barely that the penalty still
+        # prefers 7 cm of violation: a quadratic penalty is not exact, and
+        # all four cycles soften.  Every solve is seeded with the previous
+        # cycle's active set.
         cfg = MpcConfig()
         ctrl = AxisController(ssd, cfg)
         lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
@@ -418,44 +445,37 @@ class TestControlStep:
             start = len(calls)
             U, infos = ctrl.control_step(*(np.stack([a, a]) for a in
                                            (x, constant_refs(cfg.n_pred), lo, hi)))
-            assert all(info.softened for info in infos) == (len(cycles) < 3)
+            assert all(info.softened for info in infos)
             cycles.append(calls[start:])
             iterations += sum(info.iterations for info in infos)
             x = step_plant(ssd, x, U[0])
-        assert [len(c) for c in cycles] == [4, 2, 2, 2]   # both axes
+        assert [len(c) for c in cycles] == [2, 2, 2, 2]   # both axes
         assert cycles[3][0][2].status == STATUS_OPTIMAL
         for prev, cur in zip(cycles, cycles[1:]):
-            seed = prev[-1][2].active_set
-            assert prev[-1][0].factors.soft_rows is not None and seed
-            # Both the hard solve and the softened fallback start from it.
-            assert all(warm == seed for _, warm, _ in cur)
+            # Each axis starts from its own last active set, which carries
+            # its factor.
+            for (_, _, sol), (problem, warm, _) in zip(prev, cur):
+                assert warm is sol.active_set and warm.factors is problem.factors
+        assert [[polyhedron_is_empty(ctrl.A, b) for b in B] for B in rhs] == (
+            [[True, True]] * 3 + [[False, False]])
+        assert 0.05 < cycles[3][0][2].slacks.max() < 0.1
 
-        # Every skipped hard problem is infeasible: a cold solve proves it.
         cold_iterations = 0
-        for cycle, B in zip(cycles[1:3], rhs[1:3]):
-            for (relaxed, _, _), b in zip(cycle, B):
-                assert relaxed.factors.soft_rows is not None
-                cold = ActiveSetSolver().solve(QpProblem(ctrl._factors, relaxed.f, b))
-                assert cold.status == STATUS_INFEASIBLE
-                cold_iterations += cold.iterations
         for problem, _, sol in (call for cycle in cycles for call in cycle):
             cold = ActiveSetSolver().solve(problem)
             cold_iterations += cold.iterations
             assert cold.status == sol.status
-            if problem.factors.soft_rows is None:
-                continue
             scale = 1.0 + np.max(np.abs(problem.f)) + np.max(np.abs(ctrl._factors.H @ sol.z))
             assert kkt_residual(problem, sol.z) <= 1e-8 * scale
             assert sol.objective == pytest.approx(cold.objective, rel=1e-9)
             np.testing.assert_allclose(sol.z, cold.z, atol=1e-5)
-        # Cold solves of the same problems, the skipped ones included, are
-        # what a cleared warm start and no certificate cost.
+        # Cold solves of the same problems are what a cleared warm start costs.
         assert iterations < cold_iterations
 
     def test_qp_factored_once_per_controller(self, ssd, params, monkeypatch):
         # (H, A) never change, so the QP is factored at construction only:
-        # neither hard cycles, with or without active rows, nor the softened
-        # fallback factor a Hessian again.
+        # no cycle, with or without active rows, softened or not, factors a
+        # Hessian again.
         shapes = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
@@ -485,135 +505,6 @@ class TestControlStep:
         assert len(shapes) == 2
 
 
-class TestCertificate:
-    """A certificate's verdict on the controller's own ``A`` and jerk box."""
-
-    @pytest.fixture(scope="class")
-    def streak(self, ssd, params):
-        """The three infeasible cycles of the softened-streak push, recorded
-        as the oracle arguments (lo, hi, free response, held input) of axis 0,
-        with the certificate the first cycle leaves."""
-        cfg = MpcConfig()
-        ctrl = AxisController(ssd, cfg)
-        lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
-        x = make_state((0.1, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 50.0, 0.0))
-        cycles, cert = [], None
-        for _ in range(3):
-            cycles.append((lo, hi, ctrl.pred.phi @ x + ctrl.pred.phi_u @ ctrl.u_prev[0],
-                           ctrl.u_prev[0].copy()))
-            U, infos = ctrl.control_step(*(np.stack([a, a]) for a in
-                                           (x, constant_refs(cfg.n_pred), lo, hi)))
-            assert infos[0].softened
-            cert = cert or ctrl._certificates[0]
-            x = step_plant(ssd, x, U[0])
-        assert cert is not None and np.all(cert.y >= 0.0)
-        return ctrl, cycles, cert
-
-    @staticmethod
-    def widened(streak, cycle, reach, noise, du, seed):
-        """A recorded cycle's output box widened by ``reach`` times the width
-        at which b'y reaches zero, its free response and held input moved:
-        that cycle's (b, u_prev)."""
-        ctrl, cycles, cert = streak
-        cfg = ctrl.config
-        lo, hi, free, u_prev = cycles[cycle]
-        rng = np.random.default_rng(seed)
-        refs = constant_refs(cfg.n_pred)
-        _, b = condensed_qp_data(ctrl.pred, cfg, None, u_prev, refs, lo, hi, free=free)
-        width = -(b[cert.rows] @ cert.y) / cert.y[ctrl._output_rows[cert.rows]].sum()
-        free = free + noise * rng.standard_normal(free.shape)
-        u_prev = u_prev + du * rng.uniform(-1.0, 1.0, 3)
-        _, b = condensed_qp_data(ctrl.pred, cfg, None, u_prev, refs, lo - reach * width,
-                                 hi + reach * width, free=free)
-        return b, u_prev
-
-    def test_infeasible_verdicts_agree_with_cold_solves(self, streak):
-        # Ask the certificate about widened and moved cycles.  Every
-        # "infeasible" must hold for an LP feasibility check of A z <= b, and
-        # a cold solve may never call such a problem optimal.
-        ctrl, cycles, cert = streak
-        cfg, n = ctrl.config, ctrl._factors.n
-        assert cert.y[ctrl._output_rows[cert.rows]].sum() > 0.0
-        verdicts = set()
-
-        @settings(max_examples=40, deadline=None)
-        @given(cycle=st.integers(0, len(cycles) - 1), reach=st.floats(0.0, 1.5),
-               noise=st.floats(0.0, 0.02), du=st.floats(0.0, 0.5 * cfg.jerk_limit),
-               seed=st.integers(0, 2**32 - 1))
-        # The cold solve breaks down on a near-dependent working set here ...
-        @example(cycle=2, reach=0.75, noise=0.0, du=129.0, seed=61)
-        # ... and needs 763 iterations here.
-        @example(cycle=2, reach=0.5, noise=0.0, du=60.0, seed=61)
-        def check(cycle, reach, noise, du, seed):
-            b, u_prev = self.widened(streak, cycle, reach, noise, du, seed)
-            proved = cert.proves_infeasible(b, u_prev)
-            verdicts.add(proved)
-            if proved:
-                assert polyhedron_is_empty(ctrl.A, b)
-                cold = ActiveSetSolver().solve(QpProblem(ctrl._factors, np.zeros(n), b))
-                assert cold.status != STATUS_OPTIMAL
-
-        check()
-        assert verdicts == {True, False}
-
-    def test_cold_breakdown_ends_as_max_iterations(self, streak):
-        # A cold solve of this proved-infeasible cycle grows a working set of
-        # nearly all 60 variables, and dropping a row leaves its Gram block
-        # indefinite.  The solve keeps its iterate and reports the cap's
-        # status, with no certificate.
-        ctrl, _, cert = streak
-        b, u_prev = self.widened(streak, 2, 0.75, 0.0, 129.0, 61)
-        assert cert.proves_infeasible(b, u_prev)
-        sol = ActiveSetSolver().solve(QpProblem(ctrl._factors, np.zeros(ctrl._factors.n), b))
-        assert sol.status == STATUS_MAX_ITERATIONS and sol.certificate is None
-        assert np.all(np.isfinite(sol.z))
-
-    def test_skipped_hard_solves_are_reported(self, ssd, params):
-        # The 3 m/s push: the first cycle's infeasible hard solves leave the
-        # certificates that skip both axes' hard solves in the next two.
-        cfg = MpcConfig()
-        ctrl = AxisController(ssd, cfg)
-        lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
-        x = make_state((0.1, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 50.0, 0.0))
-        certified = []
-        for _ in range(4):
-            U, infos = ctrl.control_step(*(np.stack([a, a]) for a in
-                                           (x, constant_refs(cfg.n_pred), lo, hi)))
-            certified.append(tuple(info.certified for info in infos))
-            x = step_plant(ssd, x, U[0])
-        assert certified == [(False, False), (True, True), (True, True), (False, False)]
-        assert sum(map(sum, certified)) == 4
-
-    @settings(max_examples=60, deadline=None)
-    @given(kappa=st.floats(0.0, 2.0), u_prev=st.lists(st.floats(-1.0, 1.0), min_size=3,
-                                                      max_size=3))
-    def test_one_row_verdict_needs_the_whole_jerk_box(self, streak, kappa, u_prev):
-        # Any y >= 0 is a valid test direction.  With y on row 0 alone (the
-        # ZMP's upper bound at the next sample, which only the first move
-        # reaches) and a loose box elsewhere, the verdict must allow every
-        # first move the jerk rows allow, |z_i| <= lim + |u_prev,i|, before
-        # it declares the row unreachable.  ``kappa`` sets b_0 = -kappa times
-        # that bound; u_prev is drawn within the jerk box.
-        ctrl = streak[0]
-        cfg, n = ctrl.config, ctrl._factors.n
-        u_prev = cfg.jerk_limit * np.array(u_prev)
-        a = ctrl.A[0]
-        assert np.all(a[N_INPUTS:] == 0.0)
-        reach = np.abs(a[:N_INPUTS]) @ (cfg.jerk_limit + np.abs(u_prev))
-        hi = np.full((cfg.constraint_window, 3), 10.0)
-        hi[0, 2] = -kappa * reach
-        lo = np.full_like(hi, -10.0)
-        _, b = condensed_qp_data(ctrl.pred, cfg, None, u_prev, constant_refs(cfg.n_pred), lo, hi,
-                                 free=np.zeros(3 * cfg.n_pred))
-        cert = mpc._Certificate(ctrl.A, (0,), np.ones(1), cfg.jerk_limit)
-        proved = cert.proves_infeasible(b, u_prev)
-        if kappa > 1.0 + 1e-9:
-            assert proved
-        if proved:
-            cold = ActiveSetSolver().solve(QpProblem(ctrl._factors, np.zeros(n), b))
-            assert cold.status == STATUS_INFEASIBLE
-
-
 class TestTwoAxes:
     """Row i of every (2, ...) array is axis i, computed exactly as a
     one-axis call computes it."""
@@ -640,8 +531,8 @@ class TestTwoAxes:
             np.testing.assert_array_equal(B[i], b)
 
     def test_swapping_axes_swaps_results(self, ssd, params):
-        # Axis 0 carries a torso pushed at 3 m/s and softens for three
-        # cycles; axis 1 tracks a ZMP offset in double support.
+        # Axis 0 carries a torso pushed at 3 m/s and softens; axis 1 tracks a
+        # ZMP offset in double support.
         cfg = MpcConfig()
         single = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
         double = window_box(
@@ -663,7 +554,7 @@ class TestTwoAxes:
             assert swapped._warm == ctrl._warm[::-1]
             softened.append(tuple(info.softened for info in infos))
             X = np.stack([step_plant(ssd, x, u) for x, u in zip(X, U)])
-        assert softened == [(True, False)] * 3 + [(False, False)] * 2
+        assert softened == [(True, False)] * 5
 
 
 class _RecordingSolver:
@@ -676,7 +567,8 @@ class _RecordingSolver:
     def solve(self, problem, warm_start=None):
         self.problems.append((problem.f, problem.b))
         return SimpleNamespace(status=STATUS_OPTIMAL, z=np.zeros(problem.factors.n),
-                               active_set=(), objective=0.0, iterations=0)
+                               active_set=(), objective=0.0, iterations=0,
+                               slacks=np.zeros(problem.factors.soft_rows.size))
 
 
 class TestCondensedMaps:
@@ -744,8 +636,7 @@ class TestCondensedMaps:
     @pytest.fixture
     def pushed(self, ssd, params):
         """A controller after one cycle of the 3 m/s push, which leaves both
-        axes a held input, a warm set and a certificate; and that cycle's
-        arguments."""
+        axes a held input and a warm set; and that cycle's arguments."""
         cfg = MpcConfig()
         ctrl = AxisController(ssd, cfg)
         lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
@@ -753,17 +644,16 @@ class TestCondensedMaps:
         args = dict(zip(("X", "refs", "lo", "hi"), (np.stack([a, a]) for a in
                                                     (x, constant_refs(cfg.n_pred), lo, hi))))
         ctrl.control_step(**args)
-        assert all(cert is not None for cert in ctrl._certificates) and all(ctrl._warm)
+        assert all(ctrl._warm)
         return ctrl, args
 
     @staticmethod
     def assert_rejected_untouched(ctrl, args, match):
-        before = ctrl.u_prev.copy(), list(ctrl._warm), list(ctrl._certificates)
+        before = ctrl.u_prev.copy(), list(ctrl._warm)
         with pytest.raises(ValueError, match=match):
             ctrl.control_step(**args)
         np.testing.assert_array_equal(ctrl.u_prev, before[0])
-        assert ctrl._warm == before[1]
-        assert all(a is b for a, b in zip(ctrl._certificates, before[2]))
+        assert all(a is b for a, b in zip(ctrl._warm, before[1]))
 
     @pytest.mark.parametrize("name, index", [("X", (0, 0)), ("lo", (0, 0, 0)),
                                              ("hi", (0, 0, 0)), ("refs", (1, 7, 2))])

@@ -161,6 +161,21 @@ class TestInfeasibility:
         assert sol.status == STATUS_OPTIMAL and sol.slacks.max() > 0.0
 
 
+class TestCertificate:
+    """The rows that certify an infeasibility, read off softened solves: each
+    row of the conflict, softened alone, takes the whole gap as its slack."""
+
+    def test_one_row_infeasibility(self, solver):
+        # z <= 0 and z >= 1: the two rows with equal weights sum to 0 <= -1.
+        H, f, A, b = np.eye(1), [0.0], [[1.0], [-1.0]], [0.0, -1.0]
+        assert solver.solve(problem(H, f, A, b)).status == STATUS_INFEASIBLE
+        for row, z in ((0, 1.0), (1, 0.0)):
+            sol = solver.solve(problem(H, f, A, b, np.arange(2) == row, 1e4))
+            assert sol.status == STATUS_OPTIMAL
+            np.testing.assert_allclose(sol.z, [z], atol=1e-12)
+            np.testing.assert_allclose(sol.slacks, [1.0], atol=1e-12)
+
+
 class TestAgainstEnumeration:
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_oracle(self, solver, seed):

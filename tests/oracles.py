@@ -4,8 +4,8 @@ Everything here is deliberately brute force or off the shelf: truncated
 series, exhaustive enumeration, a path's length, uniform-cost search, a
 linear-programming feasibility check, a nonnegative-least-squares KKT
 residual, a row-by-row warm-start seed, a footstep follower over a two-feet
-state with swing flags and a controller cycle's QP data written block by
-block.
+state with swing flags, a controller cycle's QP data written block by
+block and a Riccati equation's residual.
 None of it shares code with the package.
 """
 
@@ -102,6 +102,14 @@ def polyhedron_is_empty(A, b) -> bool:
     if result.status not in (0, 2):
         raise RuntimeError(f"feasibility LP inconclusive: {result.message}")
     return result.status == 2
+
+
+def riccati_residual(A, C, Q, R, P) -> float:
+    """Relative residual of ``P`` in the prediction-form discrete Riccati
+    equation: max |A P A' - A P C' (C P C' + R)^-1 C P A' + Q - P| / max |P|."""
+    APC = A @ P @ C.T
+    residual = A @ P @ A.T - APC @ np.linalg.solve(C @ P @ C.T + R, APC.T) + Q - P
+    return float(np.max(np.abs(residual)) / np.max(np.abs(P)))
 
 
 def kkt_residual(problem, z: np.ndarray, active_tol: float = 1e-6) -> float:

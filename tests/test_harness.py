@@ -136,6 +136,9 @@ class TestScenarioJson:
         (("path_points",), [[0.0, 0.0], [math.nan, 0.0]]), (("noise", "seed"), "3"),
         (("timing", "t_single"), math.nan), (("observer", "boost_rate"), math.nan),
         (("observer", "boost_window"), 2.5), (("observer", "boost_hold"), 2.5),
+        # Tuples of the wrong length, named before any matrix is built.
+        (("config", "swing_band"), [0.05]), (("config", "w_jerk"), [1e-4]),
+        (("observer", "jerk_noise"), [1.0]), (("observer", "measurement_noise"), 0.1),
     ])
     def test_scenario_values_checked(self, path, value):
         data = json.loads(json.dumps(tracking_scenario(noise=True).to_json()))

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -36,6 +37,7 @@ from oracles import (
     kkt_residual,
     phase_box_per_axis,
     polyhedron_is_empty,
+    riccati_residual,
     tracking_transposes,
 )
 
@@ -286,6 +288,17 @@ class TestConfig:
     def test_non_finite_or_inverted_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             MpcConfig(**{field: value})
+
+    @pytest.mark.parametrize("config, field, value", [
+        (MpcConfig, "w_jerk", (1e-4,)), (MpcConfig, "w_jerk", 1e-4),
+        (MpcConfig, "swing_band", (0.05,)), (MpcConfig, "swing_band", (0.05, 0.3, 0.4)),
+        (ObserverConfig, "jerk_noise", (1.0,)), (ObserverConfig, "jerk_noise", 1.0),
+        (ObserverConfig, "measurement_noise", (0.1, 0.1)),
+        (ObserverConfig, "measurement_noise", 0.1),
+    ])
+    def test_wrong_lengths_rejected(self, config, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must hold"):
+            config(**{field: value})
 
 
 class TestControlStep:
@@ -733,6 +746,27 @@ class TestObserver:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             ObserverConfig(jerk_noise=(0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("measurement_noise", [1e-4, 1e-2, 1.0, 1e6])
+    @pytest.mark.parametrize("jerk_noise", [1e-3, 1.0, 1e3])
+    def test_gain_from_stabilizing_riccati_solution(self, ssd, jerk_noise, measurement_noise):
+        obs = Observer(ssd, ObserverConfig((jerk_noise,) * 3, (measurement_noise,) * 3))
+        Q = jerk_noise ** 2 * ssd.B @ ssd.B.T
+        R = measurement_noise ** 2 * np.eye(3)
+        P = Observer._steady_state_covariance(ssd.A, ssd.C, Q, R)
+        assert riccati_residual(ssd.A, ssd.C, Q, R, P) <= 1e-11
+        np.testing.assert_allclose(obs.gain, P @ ssd.C.T @ np.linalg.inv(ssd.C @ P @ ssd.C.T + R))
+        assert np.max(np.abs(np.linalg.eigvals((np.eye(9) - obs.gain @ ssd.C) @ ssd.A))) < 1.0
+
+    def test_undetectable_model_fails_fast(self, ssd):
+        # Without the ZMP row nothing observes the torso, whose covariance
+        # then grows without bound.
+        C = ssd.C.copy()
+        C[2] = 0.0
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="did not converge"):
+            Observer(replace(ssd, C=C))
+        assert time.perf_counter() - start < 1.0
 
 
 def run_gate(sigma_rows, gate=None):

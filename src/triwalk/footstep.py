@@ -56,7 +56,10 @@ class GridMap:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.cell_size) and self.cell_size > 0.0):
             raise ValueError("cell_size must be finite and positive")
-        if self.occupancy.shape != (self.height, self.width):
+        occ = self.occupancy
+        if not (isinstance(occ, np.ndarray) and occ.dtype == bool and occ.ndim == 2):
+            raise ValueError("occupancy must be a 2-D boolean array")
+        if occ.shape != (self.height, self.width):
             raise ValueError("occupancy shape must be (height, width)")
         if not (math.isfinite(self.inflation_scale) and self.inflation_scale >= 1.0):
             raise ValueError("inflation_scale must be finite and >= 1")
@@ -115,12 +118,19 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _two_ints(cell, name: str) -> tuple[int, int]:
+    """``cell`` as a (row, col) of Python ints; ``name`` is its field in
+    error messages."""
+    if not (isinstance(cell, (list, tuple, np.ndarray)) and getattr(cell, "ndim", 1) == 1
+            and len(cell) == 2 and all(map(_is_int, cell))):
+        raise ValueError(f"{name} {cell!r} must hold two integers")
+    return int(cell[0]), int(cell[1])
+
+
 def _grid_cell(cell, name: str, shape) -> tuple[int, int]:
     """``cell`` as a (row, col) inside a grid of ``shape``; ``name`` is its
     field in error messages."""
-    if not (isinstance(cell, (list, tuple)) and len(cell) == 2 and all(map(_is_int, cell))):
-        raise ValueError(f"{name} {cell!r} must hold two integers")
-    r, c = int(cell[0]), int(cell[1])
+    r, c = _two_ints(cell, name)
     if not (0 <= r < shape[0] and 0 <= c < shape[1]):
         raise ValueError(f"{name} {cell!r} lies outside the {shape[0]}x{shape[1]} grid")
     return r, c
@@ -174,53 +184,65 @@ def plan_path(grid: GridMap, start, goal) -> list[tuple[int, int]]:
     Axis moves cost ``cell_size`` and diagonals ``cell_size * sqrt(2)``;
     diagonal moves are allowed only when both adjacent axis cells are free.
     The Euclidean distance to the goal guides the search and ties break on
-    (f, h, row-major index), making the result deterministic.
+    (f, h, row-major index), making the result deterministic.  Start and
+    goal must be two integers each (else ``ValueError``); a blocked or
+    off-grid one raises ``PlanningError``.
+
+    The search runs over the grid flattened with a border of one blocked
+    cell, so no neighbour needs a bounds check.  Cell (r, c) has index
+    (r + 1) * (width + 2) + c + 1, which orders cells as their row-major
+    index does.
     """
-    start = (int(start[0]), int(start[1]))
-    goal = (int(goal[0]), int(goal[1]))
+    start = _two_ints(start, "start")
+    goal = _two_ints(goal, "goal")
     for name, cell in (("start", start), ("goal", goal)):
         if not grid.is_free(cell):
             raise PlanningError(f"{name} cell {cell} is not free")
-    occ = grid.occupancy
     cs = grid.cell_size
-
-    def heuristic(cell):
-        return cs * math.hypot(cell[0] - goal[0], cell[1] - goal[1])
-
-    g_cost = {start: 0.0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    h0 = heuristic(start)
-    heap = [(h0, h0, start[0] * grid.width + start[1], start)]
-    closed = set()
+    padded = np.pad(grid.occupancy, 1, constant_values=True)
+    w = padded.shape[1]
+    blocked = padded.tobytes()
+    # Per neighbour: index offset, the offsets of the two axis cells a
+    # diagonal move passes (0, the expanded cell itself, for an axis move),
+    # row and column offset, cost.
+    moves = tuple((dr * w + dc, dr * w if dc else 0, dc if dr else 0, dr, dc,
+                   cs * _SQRT2 if dr and dc else cs) for dr, dc in _NEIGHBORS)
+    origin = (start[0] + 1) * w + start[1] + 1
+    target = (goal[0] + 1) * w + goal[1] + 1
+    g_cost = [math.inf] * len(blocked)
+    parent = [0] * len(blocked)
+    done = bytearray(blocked)  # blocked or closed
+    g_cost[origin] = 0.0
+    h0 = cs * math.hypot(start[0] - goal[0], start[1] - goal[1])
+    heap = [(h0, h0, origin)]
+    pop, push, hypot = heapq.heappop, heapq.heappush, math.hypot
     while heap:
-        f, h, _, cell = heapq.heappop(heap)
-        if cell in closed:
+        cell = pop(heap)[2]
+        if done[cell]:
             continue
-        if cell == goal:
+        if cell == target:
             path = [cell]
-            while cell in parent:
+            while cell != origin:
                 cell = parent[cell]
                 path.append(cell)
-            return path[::-1]
-        closed.add(cell)
-        r, c = cell
-        for dr, dc in _NEIGHBORS:
-            nr, nc = r + dr, c + dc
-            nxt = (nr, nc)
-            if not grid.in_bounds(nxt) or occ[nr, nc] or nxt in closed:
+            return [(p // w - 1, p % w - 1) for p in reversed(path)]
+        done[cell] = 1
+        g = g_cost[cell]
+        to_r = cell // w - 1 - goal[0]
+        to_c = cell % w - 1 - goal[1]
+        for off, side_r, side_c, dr, dc, step in moves:
+            nxt = cell + off
+            if done[nxt] or blocked[cell + side_r] or blocked[cell + side_c]:
                 continue
-            if dr and dc and (occ[r + dr, c] or occ[r, c + dc]):
-                continue
-            step = cs * _SQRT2 if dr and dc else cs
-            cand = g_cost[cell] + step
-            if cand < g_cost.get(nxt, math.inf) - 1e-12:
+            cand = g + step
+            if cand < g_cost[nxt] - 1e-12:
                 g_cost[nxt] = cand
                 parent[nxt] = cell
-                hn = heuristic(nxt)
-                heapq.heappush(heap, (cand + hn, hn, nr * grid.width + nc, nxt))
+                hn = cs * hypot(to_r + dr, to_c + dc)
+                push(heap, (cand + hn, hn, nxt))
     raise PlanningError(
-        f"goal {goal} unreachable from {start}: {len(g_cost)} of "
-        f"{int(np.sum(~occ))} free cells reachable")
+        f"goal {goal} unreachable from {start}: {len(g_cost) - g_cost.count(math.inf)} of "
+        f"{blocked.count(0)} free cells reachable")
 
 
 @dataclass(frozen=True)
@@ -328,8 +350,11 @@ def _check_positive(name: str, value: float, or_zero: bool = False) -> None:
 
 
 def _waypoints(path_xy) -> np.ndarray:
-    """``path_xy`` as an array of (x, y) rows, rejected by name unless finite."""
+    """``path_xy`` as an array of (x, y) rows, rejected by name unless it
+    holds such rows, all finite."""
     pts = np.atleast_2d(np.asarray(path_xy, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("path_xy must hold (x, y) rows")
     if not np.isfinite(pts).all():
         raise ValueError("path_xy must hold finite waypoints")
     return pts
@@ -360,7 +385,8 @@ def footsteps_from_path(path_xy, initial: tuple[Footprint, Footprint],
     pts = _waypoints(path_xy)
     if pts.shape[0] == 0:
         raise PlanningError("path is empty")
-    goal = pts[-1]
+    xs, ys = pts[:, 0].copy(), pts[:, 1].copy()
+    goal_x, goal_y = float(xs[-1]), float(ys[-1])
 
     def check(f: Footprint) -> Footprint:
         if grid is not None and not grid.is_free(grid.world_to_cell((f.x, f.y))):
@@ -371,17 +397,24 @@ def footsteps_from_path(path_xy, initial: tuple[Footprint, Footprint],
     step_width = float(np.linalg.norm(initial[0].xy() - initial[1].xy()))
 
     max_total = int(20 * (np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)) / step_distance + 10))
+    stop = 0.6 * step_distance
     for _ in range(max_total):
         swing, support = prints[-2], prints[-1]
-        mid = 0.5 * (swing.xy() + support.xy())
-        if np.linalg.norm(goal - mid) <= 0.6 * step_distance:
+        mx, my = 0.5 * (swing.x + support.x), 0.5 * (swing.y + support.y)
+        # A dot product, as np.linalg.norm takes it: BLAS may fuse its
+        # multiply-add, so sqrt(dx*dx + dy*dy) can differ in the last bit.
+        to_goal = np.array((goal_x - mx, goal_y - my))
+        if math.sqrt(to_goal.dot(to_goal)) <= stop:
             break
-        dists = np.linalg.norm(pts - mid, axis=1)
-        near = np.flatnonzero(dists <= lookahead)
-        target = pts[near[-1]] if near.size else pts[int(np.argmin(dists))]
-        if np.allclose(target, mid):
-            target = goal
-        desired = math.atan2(target[1] - mid[1], target[0] - mid[0])
+        dx, dy = xs - mx, ys - my
+        dists = np.sqrt(dx * dx + dy * dy)
+        near = (dists <= lookahead).nonzero()[0]
+        i = near[-1] if near.size else dists.argmin()
+        tx, ty = float(xs[i]), float(ys[i])
+        # np.allclose((tx, ty), (mx, my)) per coordinate.
+        if abs(tx - mx) <= 1e-8 + 1e-5 * abs(mx) and abs(ty - my) <= 1e-8 + 1e-5 * abs(my):
+            tx, ty = goal_x, goal_y
+        desired = math.atan2(ty - my, tx - mx)
         sigma = max(-sigma_max, min(sigma_max, wrap_angle(desired - swing.theta)))
         prints.append(check(transition(swing, step_distance, sigma, sigma_max)))
     else:
@@ -391,8 +424,8 @@ def footsteps_from_path(path_xy, initial: tuple[Footprint, Footprint],
         swing, support = prints[-2], prints[-1]
         # The left normal of the support heading points to where a left foot stands.
         width = step_width if swing.side == "L" else -step_width
-        offset = np.array([-math.sin(support.theta), math.cos(support.theta)]) * width
-        prints.append(check(Footprint(support.x + offset[0], support.y + offset[1],
+        prints.append(check(Footprint(support.x - math.sin(support.theta) * width,
+                                      support.y + math.cos(support.theta) * width,
                                       support.theta, swing.side, closing=True)))
     return FootstepPlan(tuple(prints), step_distance)
 

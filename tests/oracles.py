@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the main code paths.
 
 Everything here is deliberately brute force or off the shelf: truncated
-series, exhaustive enumeration, a path's length, uniform-cost search, a
-linear-programming feasibility check, a nonnegative-least-squares KKT
+series, exhaustive enumeration, a path's length, uniform-cost search, an
+A* over dicts and sets, a linear-programming feasibility check, a nonnegative-least-squares KKT
 residual, a row-by-row warm-start seed, a footstep follower over a two-feet
 state with swing flags, a controller cycle's QP data written block by
 block and a Riccati equation's residual.
@@ -368,6 +368,63 @@ def dijkstra_grid(occupancy: np.ndarray, start, goal, cell_size: float):
                 dist[(nr, nc)] = nd
                 heapq.heappush(heap, (nd, (nr, nc)))
     return None
+
+
+def astar_by_dicts(occupancy: np.ndarray, start, goal, cell_size: float) -> list:
+    """The planner's A* as it stood over tuple cells, dicts and a set: the
+    same heap key (f, h, row-major index), heuristic and ``- 1e-12``
+    improvement test, so it returns the same cell list.  Where the planner
+    raises a ``PlanningError`` this raises a RuntimeError with the same
+    text."""
+    rows, cols = occupancy.shape
+    start = (int(start[0]), int(start[1]))
+    goal = (int(goal[0]), int(goal[1]))
+
+    def is_free(cell):
+        return 0 <= cell[0] < rows and 0 <= cell[1] < cols and not occupancy[cell]
+
+    for name, cell in (("start", start), ("goal", goal)):
+        if not is_free(cell):
+            raise RuntimeError(f"{name} cell {cell} is not free")
+
+    def heuristic(cell):
+        return cell_size * math.hypot(cell[0] - goal[0], cell[1] - goal[1])
+
+    g_cost = {start: 0.0}
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+    h0 = heuristic(start)
+    heap = [(h0, h0, start[0] * cols + start[1], start)]
+    closed = set()
+    while heap:
+        f, h, _, cell = heapq.heappop(heap)
+        if cell in closed:
+            continue
+        if cell == goal:
+            path = [cell]
+            while cell in parent:
+                cell = parent[cell]
+                path.append(cell)
+            return path[::-1]
+        closed.add(cell)
+        r, c = cell
+        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1),
+                       (-1, -1), (-1, 1), (1, -1), (1, 1)):
+            nr, nc = r + dr, c + dc
+            nxt = (nr, nc)
+            if not (0 <= nr < rows and 0 <= nc < cols) or occupancy[nr, nc] or nxt in closed:
+                continue
+            if dr and dc and (occupancy[r + dr, c] or occupancy[r, c + dc]):
+                continue
+            step = cell_size * math.sqrt(2.0) if dr and dc else cell_size
+            cand = g_cost[cell] + step
+            if cand < g_cost.get(nxt, math.inf) - 1e-12:
+                g_cost[nxt] = cand
+                parent[nxt] = cell
+                hn = heuristic(nxt)
+                heapq.heappush(heap, (cand + hn, hn, nr * cols + nc, nxt))
+    raise RuntimeError(
+        f"goal {goal} unreachable from {start}: {len(g_cost)} of "
+        f"{int(np.sum(~occupancy))} free cells reachable")
 
 
 def dijkstra_all_costs(occupancy: np.ndarray, start, cell_size: float):

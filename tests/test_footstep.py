@@ -29,6 +29,7 @@ from triwalk.footstep import (
 
 from helpers import with_block
 from oracles import (
+    astar_by_dicts,
     dijkstra_all_costs,
     dijkstra_grid,
     dilate_by_shifts,
@@ -59,6 +60,13 @@ def irregular_map(seed, shape=(40, 50)):
             occ[(r - d) % shape[0], (c + d) % shape[1]] = True
     occ[0, 7] = occ[shape[0] - 1, shape[1] - 3] = True
     return occ
+
+
+def bench_workloads():
+    """``perfbench/workloads.py``, imported read-only for its seeded maps."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+    return workloads
 
 
 class TestWrapAngle:
@@ -179,6 +187,71 @@ class TestPlanPath:
             assert max(abs(dr), abs(dc)) == 1 and not occ[nr, nc]
             assert not (dr and dc and (occ[r + dr, c] or occ[r, c + dc]))
         assert path_cost(grid, path) == pytest.approx(ref, abs=1e-12)
+
+    @staticmethod
+    def assert_same_cells(grid, start, goal):
+        """``plan_path`` returns the dict-based A*'s cells, or raises a
+        PlanningError with its text."""
+        try:
+            ref = astar_by_dicts(grid.occupancy, start, goal, grid.cell_size)
+        except RuntimeError as exc:
+            with pytest.raises(PlanningError) as err:
+                plan_path(grid, start, goal)
+            assert str(err.value) == str(exc)
+            return
+        assert plan_path(grid, start, goal) == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.integers(1, 20), cols=st.integers(1, 20), density=st.floats(0.0, 0.6),
+           seed=st.integers(0, 2**32 - 1), clear_ends=st.booleans(),
+           cell_size=st.sampled_from((0.1, 0.05, 0.37, 1.0)), data=st.data())
+    def test_cells_match_dict_search(self, rows, cols, density, seed, clear_ends,
+                                     cell_size, data):
+        """The maps of the cost property, with ends that may also be blocked
+        or one cell off the grid: same cells, or the same error text."""
+        occ = np.random.default_rng(seed).random((rows, cols)) < density
+        start, goal = (data.draw(st.tuples(st.integers(-1, rows), st.integers(-1, cols)))
+                       for _ in range(2))
+        for r, c in (start, goal):
+            if clear_ends and 0 <= r < rows and 0 <= c < cols:
+                occ[r, c] = False
+        self.assert_same_cells(GridMap(cols, rows, occ, cell_size), start, goal)
+
+    def test_generated_maps_match_dict_search(self):
+        """The benchmark's planned maps, seeds 0-9, searched on the map
+        ``plan_footsteps`` searches: inflated, then padded by 2 cells for the
+        0.2 m stance on 0.1 m cells."""
+        workloads = bench_workloads()
+        for seed in range(10):
+            grid, _, cells, _ = workloads.generate_map(triwalk, seed)
+            body = pad_obstacles(inflate(grid), 2)
+            assert cells == astar_by_dicts(body.occupancy, workloads.MAP_START,
+                                           workloads.MAP_GOAL, grid.cell_size), seed
+
+    @pytest.mark.parametrize("name, cell", [
+        ("start", (0.7, 0)), ("start", (0, 1.0)), ("start", (True, 0)), ("start", (0,)),
+        ("goal", (4, 4.5)), ("goal", (np.float64(4.0), 4)), ("goal", (4, 4, 0)),
+        ("goal", "44"), ("goal", np.array([[4], [4]])),
+    ])
+    def test_non_integer_end_named(self, name, cell):
+        # Each of these used to be truncated, read digit by digit, cut short
+        # or fail with an IndexError.
+        ends = {"start": (0, 0), "goal": (4, 4), name: cell}
+        with pytest.raises(ValueError, match=name):
+            plan_path(GridMap.empty(5, 5), ends["start"], ends["goal"])
+
+    @pytest.mark.parametrize("cell", [(-1, 0), (0, 5), (5, 4), (2, 2)])
+    def test_off_grid_or_blocked_end_is_a_planning_error(self, cell):
+        grid = with_block(GridMap.empty(5, 5), 2, 2, 2, 2)
+        with pytest.raises(PlanningError, match=re.escape(f"start cell {cell} is not free")):
+            plan_path(grid, cell, (4, 4))
+        with pytest.raises(PlanningError, match=re.escape(f"goal cell {cell} is not free")):
+            plan_path(grid, (0, 0), cell)
+
+    def test_integer_types_accepted(self):
+        grid = GridMap.empty(5, 5)
+        assert (plan_path(grid, np.array([0, 0]), [np.int64(4), 3])
+                == plan_path(grid, (0, 0), (4, 3)))
 
     def test_heuristic_is_admissible(self):
         grid, start, goal = fig_style_map()
@@ -343,6 +416,19 @@ class TestFullPipeline:
         assert checked > 10
 
 
+class TestGridMap:
+    @pytest.mark.parametrize("occupancy", [
+        [[False, True], [False, False]],        # a list, not an array
+        np.array([[0.0, 0.5], [0.0, 0.0]]),    # a fractional cell, read as blocked
+        np.array([[0.0, np.nan], [0.0, 0.0]]),
+        np.array([[0, 1], [0, 0]]),
+        np.zeros((2, 2, 1), dtype=bool),
+    ])
+    def test_occupancy_must_be_a_boolean_grid(self, occupancy):
+        with pytest.raises(ValueError, match="occupancy"):
+            GridMap(2, 2, occupancy)
+
+
 class TestMapIO:
     def test_round_trip(self, tmp_path):
         grid, start, goal = fig_style_map()
@@ -412,6 +498,16 @@ class TestBadFootstepInputs:
         # an OverflowError, the stance to NaN footprints or to none at all.
         path = self.PATH.copy()
         path[row, coord] = bad
+        with pytest.raises(ValueError, match="path_xy"):
+            initial_feet_on_path(path)
+        with pytest.raises(ValueError, match="path_xy"):
+            footsteps_from_path(path, initial_feet_on_path(self.PATH))
+
+    @pytest.mark.parametrize("path", [[], [[0.0, 0.5, 0.0], [1.0, 0.5, 0.0]], [[0.0], [1.0]],
+                                      np.zeros((2, 2, 2))])
+    def test_waypoints_must_be_xy_rows(self, path):
+        # These used to fail inside numpy (broadcasting or an IndexError);
+        # read as x and y columns, a third column would be dropped unseen.
         with pytest.raises(ValueError, match="path_xy"):
             initial_feet_on_path(path)
         with pytest.raises(ValueError, match="path_xy"):
@@ -522,6 +618,10 @@ class TestFollowerMatchesFeetStateOracle:
         [[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
         [[1.0, 1.0], [2.0, 1.0], [1.0, 1.0]],          # a half turn
         [[1.0, 1.0], [1.5, 1.0], [1.5, 1.5], [1.0, 1.5]],
+        # The first target lies 5e-6 m from the stance midpoint, close to it
+        # only by np.allclose's relative tolerance, so the walk aims at the goal.
+        [[1.0, 1.0], [1.000005, 1.0], [1.31, 1.05], [1.4, 1.1], [1.5, 1.15]],
+        [[1.0, 1.0], [1.0, 1.000005], [1.05, 1.31], [1.1, 1.4], [1.15, 1.5]],
     ])
     def test_edge_paths(self, path):
         self.assert_same(np.array(path))
@@ -536,10 +636,9 @@ class TestFollowerMatchesFeetStateOracle:
         self.assert_same(path, occ)
 
     def test_generated_maps(self):
-        """The benchmark's planned maps, seeds 0-9."""
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-        import workloads
-        for seed in range(10):
+        """The benchmark's planned maps, seeds 0-39."""
+        workloads = bench_workloads()
+        for seed in range(40):
             grid, plan, cells, _ = workloads.generate_map(triwalk, seed)
             inflated = inflate(grid)
             pts = [inflated.cell_center(c) for c in cells]

@@ -54,6 +54,8 @@ class GridMap:
     inflation_scale: float = 1.1
 
     def __post_init__(self) -> None:
+        for key in ("width", "height"):
+            object.__setattr__(self, key, _positive_int(getattr(self, key), key))
         if not (math.isfinite(self.cell_size) and self.cell_size > 0.0):
             raise ValueError("cell_size must be finite and positive")
         occ = self.occupancy
@@ -67,7 +69,8 @@ class GridMap:
     @classmethod
     def empty(cls, width: int, height: int, cell_size: float = DEFAULT_CELL_SIZE,
               inflation_scale: float = 1.1) -> "GridMap":
-        return cls(width, height, np.zeros((height, width), dtype=bool), cell_size, inflation_scale)
+        w, h = _positive_int(width, "width"), _positive_int(height, "height")
+        return cls(w, h, np.zeros((h, w), dtype=bool), cell_size, inflation_scale)
 
     def cell_center(self, cell) -> np.ndarray:
         r, c = cell
@@ -96,15 +99,13 @@ def load_map(source) -> tuple[GridMap, tuple[int, int] | None, tuple[int, int] |
         data = json.loads(Path(source).read_text())
     else:
         data = source
-    for key in ("width", "height"):
-        if not (_is_int(data.get(key)) and data[key] > 0):
-            raise ValueError(f"{key} must be a positive integer")
-    occ = np.zeros((data["height"], data["width"]), dtype=bool)
+    width, height = (_positive_int(data.get(key), key) for key in ("width", "height"))
+    occ = np.zeros((height, width), dtype=bool)
     for cell in data.get("occupied", []):
         occ[_grid_cell(cell, "occupied cell", occ.shape)] = True
     grid = GridMap(
-        width=data["width"],
-        height=data["height"],
+        width=width,
+        height=height,
         occupancy=occ,
         cell_size=data.get("cell_size", DEFAULT_CELL_SIZE),
         inflation_scale=data.get("inflation_scale", 1.1),
@@ -116,6 +117,13 @@ def load_map(source) -> tuple[GridMap, tuple[int, int] | None, tuple[int, int] |
 
 def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _positive_int(v, name: str) -> int:
+    """``v`` as a Python int; ``name`` is its field in error messages."""
+    if not (_is_int(v) and v > 0):
+        raise ValueError(f"{name} must be a positive integer")
+    return int(v)
 
 
 def _two_ints(cell, name: str) -> tuple[int, int]:

@@ -10,7 +10,9 @@ time while keeping the working-set multipliers nonnegative, which terminates
 in finitely many steps and detects infeasibility exactly.  A soft row's
 violation s costs (rho/2) s^2, so a soft problem is always feasible; as s =
 lam/rho at the optimum, it is solved over the same rows with 1/rho added to
-their Gram diagonal, a soft working row held at ``a z - b = lam/rho``.
+their Gram diagonal, a soft working row held at ``a z - b = lam/rho``.  A
+hard row is a row whose added 1/rho is 0, so hard and soft rows share one
+code path.
 
 Everything that depends on (H, A) alone is computed once per (H, A) and held
 read-only in ``QpFactors``: the inverse Cholesky factor, ``H^-1 A'`` and the
@@ -25,8 +27,9 @@ block ``A_W H^-1 A_W' = R R'`` in a Fortran-ordered buffer whose leading
 block LAPACK reads in place.  A step direction costs two triangular solves;
 appending a row extends R by one row, and dropping one deletes its row of R
 and re-triangularises the rows below it.  The final R travels with the
-solution's ``active_set``, and a warm start of the same factors copies it;
-any other warm start is factored in one block.  On the final working set,
+solution's ``active_set``, and a warm start from that set copies it and
+prunes rows with negative multipliers; any other warm start is ignored, and
+the solve starts cold.  On the final working set,
 ``_polish`` runs one refinement pass, re-solving first only if the loop took
 steps, and the KKT gate checks the incremental iterate only when the polished
 one misses it, keeping the better.  Should rounding leave the working-set
@@ -68,8 +71,9 @@ def _peak(v: np.ndarray) -> float:
 class QpFactors:
     """The fixed part of a family of QPs sharing (H, A); arrays are read-only.
 
-    With soft rows, ``reg`` (m,) holds 1/penalty on them and 0 elsewhere, and
-    ``G`` is the hard Gram matrix plus diag(reg).
+    ``reg`` (m,) holds 1/penalty on the soft rows, listed in ``soft_rows``,
+    and 0 on the hard ones, and ``G`` is the hard Gram matrix plus
+    diag(reg).  ``build`` makes every row hard.
     """
 
     H: np.ndarray       # (n, n)
@@ -78,8 +82,8 @@ class QpFactors:
     V: np.ndarray       # (n, m) H^-1 A'
     G: np.ndarray       # (m, m) A H^-1 A' + diag(reg)
     n: int
-    soft_rows: np.ndarray | None = None     # (k,) indices of the soft rows
-    reg: np.ndarray | None = None           # (m,) Gram regularization
+    soft_rows: np.ndarray   # (k,) indices of the soft rows
+    reg: np.ndarray         # (m,) Gram regularization
 
     @classmethod
     def build(cls, H, A) -> QpFactors:
@@ -99,7 +103,8 @@ class QpFactors:
         L_inv = solve_triangular(L, np.eye(H.shape[0]), lower=True)
         K = L_inv @ A.T
         return cls(H=_frozen(H), A=_frozen(A), L_inv=_frozen(L_inv),
-                   V=_frozen(L_inv.T @ K), G=_frozen(K.T @ K), n=H.shape[0])
+                   V=_frozen(L_inv.T @ K), G=_frozen(K.T @ K), n=H.shape[0],
+                   soft_rows=_frozen(np.zeros(0, int)), reg=_frozen(np.zeros(A.shape[0])))
 
     def soften(self, soft, penalty: float) -> QpFactors:
         """Factors of the problem with the rows in the mask ``soft`` relaxed,
@@ -162,9 +167,9 @@ class QpSolution:
 
     ``objective`` is the value of the solved problem, including the penalty
     of any soft-row violations, and ``slacks`` those violations, one per soft
-    row.  ``active_set`` holds row indices in working-set order and can seed
-    the next solve's warm start, which copies an ``ActiveSet``'s factor; a
-    hard and a softened problem of the same (H, A) share their row indices.
+    row (empty without soft rows).  ``active_set`` holds row indices in
+    working-set order; when it is an ``ActiveSet`` it carries its factor and
+    can warm-start the next solve over the same factors.
     """
 
     z: np.ndarray
@@ -185,11 +190,6 @@ def _forward(R, k: int, v: np.ndarray) -> np.ndarray:
 def _gram_solve(R, k: int, v: np.ndarray) -> np.ndarray:
     """``S^-1 v`` for the working-set Gram matrix ``S = R_k R_k'``."""
     return dtrtrs(R[:, :k], _forward(R, k, v), lower=1, trans=1)[0]
-
-
-def _hard_count(W: list[int], reg) -> int:
-    """Number of hard rows in the working set ``W`` (rows where ``reg`` is 0)."""
-    return len(W) if reg is None else len(W) - int(np.count_nonzero(reg[W]))
 
 
 def _append(W: list[int], V, R, p: int, v_p: np.ndarray, l: np.ndarray, schur: float) -> None:
@@ -240,16 +240,18 @@ class ActiveSetSolver:
         self.max_iter = max_iter
 
     def solve(self, problem: QpProblem, warm_start=None) -> QpSolution:
-        """Solve ``problem`` from ``warm_start``: None (cold), or any sequence
-        of row indices, such as an earlier ``active_set``; empty is cold."""
-        if warm_start is not None and len(warm_start):
+        """Solve ``problem``, warm-started from ``warm_start`` when it is the
+        non-empty ``active_set`` of an earlier solve over the same factors.
+        Any other warm start (None, empty, row indices, another factors'
+        set) is only a hint that does not apply, and the solve starts cold."""
+        # Only an ``ActiveSet`` has ``factors``; testing it first keeps None
+        # away from ``len``.
+        if getattr(warm_start, "factors", None) is problem.factors and len(warm_start):
             try:
                 return self._solve(problem, warm_start)
             except np.linalg.LinAlgError:
-                # A seed can be nearly dependent in this problem (a softened
-                # active set may name rows that depend on each other once
-                # hard), and the factor updates may then lose definiteness
-                # on the way; the warm start is only a hint.
+                # Rounding can cost a pruned or extended carried factor its
+                # definiteness; the warm start is only a hint.
                 pass
         return self._solve(problem, None)
 
@@ -259,7 +261,7 @@ class ActiveSetSolver:
         A, V_all, G, reg = fac.A, fac.V, fac.G, fac.reg
         m, n = A.shape
         # At most n hard rows are independent; soft rows always are.
-        N = n if reg is None else n + fac.soft_rows.size
+        N = n + fac.soft_rows.size
 
         z0 = -fac.hsolve(f)
         z = z0
@@ -275,10 +277,24 @@ class ActiveSetSolver:
         V = R = None
 
         if warm_start is not None:
+            # Copy the carried factor, then drop the most negative
+            # equality-constrained multiplier until none is negative.  A
+            # row's gap b_i - a_i z0 does not depend on the rest of W.
+            k = len(warm_start)
             V, R = np.empty((n, N)), np.empty((N, N), order="F")
-            self._seed_working_set(fac, b, z0, W, lam, V, R, warm_start)
-            if W:
-                z = z0 - V[:, :len(W)] @ lam[:len(W)]
+            W.extend(warm_start)
+            R[:k, :k], V[:, :k] = warm_start.R, warm_start.V
+            gap = b[W] - A[W] @ z0
+            while W:
+                mult = -_gram_solve(R, len(W), gap)
+                if mult.min() >= 0.0:
+                    lam[:len(W)] = mult
+                    z = z0 - V[:, :len(W)] @ lam[:len(W)]
+                    break
+                pos = int(mult.argmin())
+                _drop(W, lam, V, R, G, pos)
+                gap[pos:-1] = gap[pos + 1:]
+                gap = gap[:-1]
 
         iterations = 0
         status = STATUS_OPTIMAL
@@ -302,7 +318,7 @@ class ActiveSetSolver:
                 a_p = A[p]
                 r = V_all[:, p]
                 apr = float(G[p, p])
-                reg_p = 0.0 if reg is None else float(reg[p])
+                reg_p = float(reg[p])
                 lam_p = 0.0
                 # Each pass that does not break drops a row, so this loop
                 # makes at most len(W) + 1 passes.
@@ -329,9 +345,10 @@ class ActiveSetSolver:
                             j = int(np.argmin(ratios))
                             t_block = float(ratios[j])
                             blk = int(neg[j])
-                    # A working set of n hard rows makes any further hard row
-                    # linearly dependent regardless of the computed curvature.
-                    dependent = (not reg_p and _hard_count(W, reg) >= n
+                    # A working set of n hard rows (rows with zero reg) makes
+                    # any further hard row linearly dependent regardless of
+                    # the computed curvature.
+                    dependent = (not reg_p and len(W) - np.count_nonzero(reg[W]) >= n
                                  or s >= -1e-11 * max(1.0, apr))
                     t_full = np.inf if dependent else (-v_p / s)
 
@@ -383,16 +400,14 @@ class ActiveSetSolver:
         if status == STATUS_OPTIMAL and not passed:
             status = STATUS_MAX_ITERATIONS
         objective = float(z @ (0.5 * Hz + f))
-        slacks = None
-        if reg is not None:
-            # A soft working row's slack is reg lam, any other row's 0; an
-            # empty exit does no more work than a hard one.
-            slacks = np.zeros(fac.soft_rows.size)
-            if W:
-                slack = np.zeros(m)
-                slack[W] = reg[W] * lam_k
-                objective += 0.5 * float(slack[W] @ lam_k)
-                slacks = slack[fac.soft_rows]
+        # A working row's slack is reg lam (0 if hard), any other row's 0; an
+        # empty exit, the common one, builds no per-row array.
+        slacks = np.zeros(fac.soft_rows.size)
+        if W:
+            slack = np.zeros(m)
+            slack[W] = reg[W] * lam_k
+            objective += 0.5 * float(slack[W] @ lam_k)
+            slacks = slack[fac.soft_rows]
         return QpSolution(
             z=z,
             objective=objective,
@@ -406,67 +421,6 @@ class ActiveSetSolver:
         )
 
     @staticmethod
-    def _seed_working_set(fac: QpFactors, b, z0, W, lam, V, R, warm_start) -> None:
-        """Recreate a dual-feasible working set from a previous active set.
-
-        An ``ActiveSet`` of these factors brings its factor, which is copied.
-        Of any other, indices outside this problem's rows are skipped, and the
-        sorted candidates are factored as one block: a triangular solve
-        against R, then a Cholesky factorization of their Schur block.  The
-        leading rows whose squared pivot exceeds 1e-10 max(1, G_ii) enter W,
-        at most n hard rows in all; the first row that fails depends on those
-        before it (or is a hard row beyond n), is skipped, and the rest are
-        factored again.  Pruning then drops the most negative multiplier until
-        none is negative.  Should a factor update find a nearly dependent
-        seed's Gram block indefinite, ``solve`` starts over cold.
-        """
-        A, G, reg = fac.A, fac.G, fac.reg
-        m, n = A.shape
-        if getattr(warm_start, "factors", None) is fac:
-            k = len(warm_start)
-            W.extend(warm_start)
-            R[:k, :k], V[:, :k] = warm_start.R, warm_start.V
-        else:
-            cand = np.array(sorted({int(i) for i in warm_start if 0 <= int(i) < m}), dtype=int)
-            while cand.size:
-                k = len(W)
-                S = G[cand[:, None], cand]
-                tol = 1e-10 * np.maximum(1.0, S.diagonal())
-                if k:
-                    L = dtrtrs(R[:, :k], G[np.ix_(W, cand)], lower=1)[0]
-                    S -= L.T @ L
-                F, info = dpotrf(S, lower=1)
-                c = info - 1 if info else cand.size
-                bad = np.flatnonzero(F.diagonal()[:c] ** 2 <= tol[:c])
-                j = int(bad[0]) if bad.size else c
-                room = n - _hard_count(W, reg)
-                hard = np.arange(j) if reg is None else np.flatnonzero(reg[cand[:j]] == 0.0)
-                if hard.size > room:
-                    j = int(hard[room])
-                if k:
-                    R[k:k + j, :k] = L[:, :j].T
-                R[k:k + j, k:k + j] = F[:j, :j]
-                R[:k, k:k + j] = 0.0
-                V[:, k:k + j] = fac.V[:, cand[:j]]
-                W.extend(cand[:j].tolist())
-                cand = cand[j + 1:]
-                if _hard_count(W, reg) == n:    # no room for another hard row
-                    cand = cand[:0] if reg is None else cand[reg[cand] > 0.0]
-        # Prune until the equality-constrained multipliers are all nonnegative.
-        # A row's gap b_i - a_i z0 does not depend on the rest of W.
-        gap = b[W] - A[W] @ z0
-        while W:
-            k = len(W)
-            mult = -_gram_solve(R, k, gap)
-            if mult.min() >= 0.0:
-                lam[:k] = mult
-                return
-            pos = int(mult.argmin())
-            _drop(W, lam, V, R, G, pos)
-            gap[pos:-1] = gap[pos + 1:]
-            gap = gap[:-1]
-
-    @staticmethod
     def _polish(fac: QpFactors, f, bW, z0, W, AW, V, R, start=None):
         """One iterative-refinement pass on the KKT system of the final
         working set ``W`` (rows ``AW``, bounds ``bW``, ``H^-1 A_W'`` columns
@@ -478,9 +432,7 @@ class ActiveSetSolver:
             start = z0 - V @ lam, lam
         z, lam = start
         res1 = fac.H @ z + f + AW.T @ lam
-        res2 = AW @ z - bW
-        if fac.reg is not None:
-            res2 -= fac.reg[W] * lam
+        res2 = AW @ z - bW - fac.reg[W] * lam
         corr = fac.hsolve(res1)
         dlam = _gram_solve(R, k, res2 - AW @ corr)
         return z - corr - V @ dlam, lam + dlam
@@ -493,9 +445,8 @@ class ActiveSetSolver:
         grad = Hz + f
         if W:
             grad = grad + AW.T @ lam
-            if fac.reg is not None:
-                resid = resid.copy()
-                resid[W] -= fac.reg[W] * lam
+            resid = resid.copy()
+            resid[W] -= fac.reg[W] * lam
             compl = _peak(np.abs(lam * resid[W]))
             dual = max(0.0, -float(lam.min()))
         else:

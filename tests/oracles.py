@@ -2,10 +2,10 @@
 
 Everything here is deliberately brute force or off the shelf: truncated
 series, exhaustive enumeration, a path's length, uniform-cost search, an
-A* over dicts and sets, a linear-programming feasibility check, a nonnegative-least-squares KKT
-residual, a row-by-row warm-start seed, a footstep follower over a two-feet
-state with swing flags, a controller cycle's QP data written block by
-block and a Riccati equation's residual.
+A* over dicts and sets, a linear-programming feasibility check, a
+nonnegative-least-squares KKT residual, a footstep follower over a two-feet
+state with swing flags, a controller cycle's QP data written block by block
+and a Riccati equation's residual.
 None of it shares code with the package.
 """
 
@@ -16,7 +16,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.optimize import linprog, nnls
 
 
@@ -131,8 +130,8 @@ def kkt_residual(problem, z: np.ndarray, active_tol: float = 1e-6) -> float:
     z = np.asarray(z, float)
     if z.shape != (fac.n,):
         raise ValueError("z length must match the number of decision variables")
-    if fac.reg is not None:
-        idx = np.flatnonzero(fac.reg)
+    if fac.soft_rows.size:
+        idx = fac.soft_rows
         n, m, k = z.size, b.size, idx.size
         root = np.sqrt(fac.reg[idx])
         H = np.block([[H, np.zeros((n, k))], [np.zeros((k, n)), np.eye(k)]])
@@ -156,45 +155,6 @@ def kkt_residual(problem, z: np.ndarray, active_tol: float = 1e-6) -> float:
     stationarity = float(np.max(np.abs(grad + A[act].T @ lam)))
     compl = float(np.max(np.abs(lam * resid[act])))
     return max(stationarity, primal, compl)
-
-
-def seed_working_set_by_rows(G, A, b, z0, warm_start, reg=None):
-    """A QP warm start rebuilt one candidate row at a time.
-
-    The candidates are the distinct indices of ``warm_start`` that name a row
-    of ``A``, in ascending order; a row is soft where ``reg`` is positive.
-    Each enters the working set W unless it is hard and W already holds one
-    hard row per variable, or its Schur complement against W, ``G_ii - l'l``
-    with ``R l = G[W, i]`` and ``R R' = G[W, W]``, is at most 1e-10 max(1,
-    G_ii).  Then, while an equality-constrained multiplier ``-G[W, W]^-1
-    (b[W] - A[W] z0)`` is negative, the row with the most negative one leaves
-    W.  Returns (seeded, W, lam): the rows that entered, the rows kept and
-    their multipliers.
-    """
-    G = np.asarray(G, float)
-    A = np.asarray(A, float)
-    m, n = A.shape
-    hard = np.ones(m, bool) if reg is None else np.asarray(reg) == 0.0
-    W: list[int] = []
-    R = np.zeros((0, 0))
-    for i in sorted({int(i) for i in warm_start if 0 <= int(i) < m}):
-        if hard[i] and np.count_nonzero(hard[W]) >= n:
-            continue
-        l = solve_triangular(R, G[W, i], lower=True)
-        schur = G[i, i] - l @ l
-        if schur <= 1e-10 * max(1.0, G[i, i]):
-            continue
-        R = np.block([[R, np.zeros((len(W), 1))], [l[None, :], np.sqrt(schur)]])
-        W.append(i)
-    seeded = list(W)
-    lam = np.zeros(0)
-    while W:
-        lam = -np.linalg.solve(G[np.ix_(W, W)], b[W] - A[W] @ z0)
-        if lam.min() >= 0.0:
-            break
-        W.pop(int(np.argmin(lam)))
-        lam = np.zeros(0)
-    return seeded, W, lam
 
 
 def path_cost(grid, path) -> float:

@@ -26,6 +26,7 @@ from triwalk.footstep import (
 )
 from triwalk.harness import omnidirectional_scenario, run
 from triwalk.mpc import AxisController, MpcConfig, build_constraints
+from triwalk.qp import ActiveSet
 from triwalk import refgen
 from triwalk.refgen import GaitTiming, WalkTimeline
 
@@ -465,6 +466,12 @@ class TestConstraintSchedule:
         # cycle.
         assert all(factors.A is ctrl.A for factors, _ in seen)
         np.testing.assert_array_equal(ctrl.A, original)
+        # Every non-empty warm start is a carried set of the controller's
+        # factors, the only kind the solver seeds from; without one every
+        # cycle would solve cold, the same commands only slower.
+        carried = [warm for _, warm in seen if warm]
+        assert carried and all(type(warm) is ActiveSet and warm.factors is ctrl._factors
+                               for warm in carried)
 
     def test_qp_factored_once_per_engine(self, params, timing, monkeypatch):
         # Both axes share one controller, so an engine factors its QP once,

@@ -428,6 +428,28 @@ class TestGridMap:
         with pytest.raises(ValueError, match="occupancy"):
             GridMap(2, 2, occupancy)
 
+    @pytest.mark.parametrize("key, value", [
+        ("width", 5.0), ("width", True), ("height", 5.0), ("height", 0), ("height", -5),
+    ])
+    def test_sides_must_be_positive_integers(self, key, value):
+        # The rule and the words of ``load_map``, so that a map saves only
+        # when it loads back.
+        sides = {"width": 5, "height": 5, key: value}
+        with pytest.raises(ValueError, match=f"{key} must be a positive integer"):
+            GridMap(**sides, occupancy=np.zeros((5, 5), bool))
+        with pytest.raises(ValueError, match=f"{key} must be a positive integer"):
+            GridMap.empty(**sides)
+
+    def test_numpy_integer_sides_round_trip(self, tmp_path):
+        occ = np.zeros((3, 4), bool)
+        occ[1, 2] = True
+        grid = GridMap(np.int64(4), np.int32(3), occ)
+        assert type(grid.width) is int and type(grid.height) is int
+        save_map(grid, tmp_path / "map.json")
+        loaded, _, _ = load_map(tmp_path / "map.json")
+        assert (loaded.width, loaded.height) == (4, 3)
+        np.testing.assert_array_equal(loaded.occupancy, grid.occupancy)
+
 
 class TestMapIO:
     def test_round_trip(self, tmp_path):

@@ -28,7 +28,6 @@ from oracles import (
     condensed_qp_data,
     kkt_residual,
     polyhedron_is_empty,
-    seed_working_set_by_rows,
     solve_qp_by_enumeration,
 )
 
@@ -45,6 +44,14 @@ def problem(H, f, A, b, soft=None, penalty=None):
 def parts(p):
     """(H, f, A, b) of a hard problem, as the enumeration oracle takes them."""
     return p.factors.H, p.f, p.factors.A, p.b
+
+
+def assert_same_solve(sol, ref):
+    """``sol`` equals ``ref`` bit for bit: iterate, status, iterations and
+    active set."""
+    assert sol.status == ref.status and sol.iterations == ref.iterations
+    assert sol.active_set == ref.active_set
+    np.testing.assert_array_equal(sol.z, ref.z)
 
 
 def random_problem(rng, n=5, m=8):
@@ -276,40 +283,47 @@ class TestWarmStart:
         assert warm.iterations <= cold.iterations
 
     def test_warm_start_that_breaks_the_factor_solves_cold(self, solver, monkeypatch):
-        # A seed that leaves the working-set Gram factor indefinite is dropped:
-        # the solve restarts cold instead of raising.
+        # A carried set whose factor loses definiteness on the way is
+        # dropped: the solve restarts cold instead of raising.
+        rng = np.random.default_rng(21)
+        p = random_problem(rng, n=6, m=12)
+        p.b -= 0.04
+        carried = solver.solve(p).active_set
+        # Loosening a working row this far turns its multiplier negative, so
+        # the warm start drops it from the carried factor.
+        p.b[carried[0]] += 10.0
+        cold = solver.solve(p)
+        drops = []
+
+        def indefinite(*args):
+            drops.append(args)
+            if len(drops) == 1:
+                raise np.linalg.LinAlgError("working-set Gram matrix is not positive definite")
+            return _drop(*args)
+
+        monkeypatch.setattr(qp, "_drop", indefinite)
+        sol = solver.solve(p, warm_start=carried)
+        assert drops and cold.status == STATUS_OPTIMAL
+        assert_same_solve(sol, cold)
+
+    @pytest.mark.parametrize("rows", [0, 1, None])
+    def test_numpy_array_warm_start_matches_the_tuple(self, solver, rows):
+        # Row indices without their factor seed nothing: a tuple or an
+        # array of them gives the cold solve.
         rng = np.random.default_rng(21)
         p = random_problem(rng, n=6, m=12)
         p.b -= 0.04
         cold = solver.solve(p)
-
-        def indefinite(*args):
-            raise np.linalg.LinAlgError("working-set Gram matrix is not positive definite")
-
-        monkeypatch.setattr(ActiveSetSolver, "_seed_working_set", staticmethod(indefinite))
-        sol = solver.solve(p, warm_start=cold.active_set)
-        assert sol.status == cold.status == STATUS_OPTIMAL
-        assert sol.iterations == cold.iterations and sol.active_set == cold.active_set
-        np.testing.assert_array_equal(sol.z, cold.z)
-
-    @pytest.mark.parametrize("rows", [0, 1, None])
-    def test_numpy_array_warm_start_matches_the_tuple(self, solver, rows):
-        rng = np.random.default_rng(21)
-        p = random_problem(rng, n=6, m=12)
-        p.b -= 0.04
-        active = solver.solve(p).active_set
-        assert len(active) >= 2
-        warm = active[:rows]
-        ref = solver.solve(p, warm_start=warm)
-        sol = solver.solve(p, warm_start=np.array(warm))
-        assert sol.status == ref.status == STATUS_OPTIMAL
-        assert sol.active_set == ref.active_set and sol.iterations == ref.iterations
-        np.testing.assert_array_equal(sol.z, ref.z)
+        assert cold.status == STATUS_OPTIMAL and len(cold.active_set) >= 2
+        warm = cold.active_set[:rows]
+        for start in (warm, np.array(warm)):
+            assert_same_solve(solver.solve(p, warm_start=start), cold)
 
     def test_stale_warm_start_is_harmless(self, solver):
         rng = np.random.default_rng(22)
         p = random_problem(rng, n=5, m=8)
         sol = solver.solve(p, warm_start=(0, 3, 7, 99, -1))
+        assert_same_solve(sol, solver.solve(p))
         z_ref, obj_ref = solve_qp_by_enumeration(*parts(p))
         assert sol.objective == pytest.approx(obj_ref, abs=1e-8)
 
@@ -387,9 +401,9 @@ class TestFactoredSequences:
         rng = np.random.default_rng(7)
         p = random_problem(rng, n=3, m=4)
         factors = p.factors.soften(np.array([True, False, False, True]), 1e6)
-        for arr in (factors.H, factors.A, factors.L_inv, factors.V, factors.G, factors.soft_rows,
-                    factors.reg):
-            assert not arr.flags.writeable
+        for fac in (p.factors, factors):
+            for arr in (fac.H, fac.A, fac.L_inv, fac.V, fac.G, fac.soft_rows, fac.reg):
+                assert not arr.flags.writeable
         assert factors.A.shape == (4, 3) and factors.n == 3
         np.testing.assert_array_equal(factors.soft_rows, [0, 3])
 
@@ -404,19 +418,20 @@ class TestFactoredSequences:
         assert np.array_equal(soft.G != hard.G, np.diag(mask))
         np.testing.assert_allclose(np.diag(soft.G - hard.G)[mask], 1e-6, rtol=1e-9)
         np.testing.assert_array_equal(soft.reg, np.where(mask, 1e-6, 0.0))
-        assert hard.reg is None and hard.soften(np.zeros(4, bool), 1e6) is hard
+        # Built factors are all hard rows: zero regularization, no soft rows.
+        np.testing.assert_array_equal(hard.reg, np.zeros(4))
+        assert hard.soft_rows.shape == (0,) and hard.soften(np.zeros(4, bool), 1e6) is hard
 
 
 class TestCarriedWarmStart:
     """A solve's ``active_set`` carries its working-set factor; a warm start
-    of the same factors copies it instead of refactoring the rows."""
+    of the same factors copies it and prunes it."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 5),
            n_dup=st.integers(0, 2), n_par=st.integers(0, 2), n_soft=st.integers(0, 2),
            n_solves=st.integers(2, 5))
-    def test_matches_the_blocked_seed_of_its_rows(self, seed, n, m, n_dup, n_par, n_soft,
-                                                  n_solves):
+    def test_matches_the_cold_solve(self, seed, n, m, n_dup, n_par, n_soft, n_solves):
         rng = np.random.default_rng(seed)
         H, A, src = dependent_rows(rng, n, m, n_dup, n_par)
         rows = A.shape[0]
@@ -435,17 +450,15 @@ class TestCarriedWarmStart:
             assert sol.status == STATUS_OPTIMAL
             if warm:
                 assert type(warm) is ActiveSet and warm.factors is factors
-                ref = solver.solve(qp, warm_start=tuple(warm))
+                ref = solver.solve(qp)
                 assert sol.status == ref.status
                 assert np.max(np.abs(sol.z - ref.z)) <= 1e-9 * max(1.0, np.max(np.abs(ref.z)))
-                # The blocked seed sorts its rows; the carried set keeps the
-                # order in which they entered.  A row with a zero multiplier
-                # (a soft row whose slack is zero beside its hard duplicate)
-                # is kept or pruned as rounding decides; it is tight at z,
-                # less its slack.
+                # The two solves can enter rows in another order.  A row
+                # with a zero multiplier (a soft row whose slack is zero
+                # beside its hard duplicate) is kept or pruned as rounding
+                # decides; it is tight at z, less its slack.
                 resid = factors.A @ sol.z - b
-                if n_soft:
-                    resid[factors.soft_rows] -= sol.slacks
+                resid[factors.soft_rows] -= sol.slacks
                 tight = np.abs(resid) <= 1e-9
                 assert all(tight[i] for i in set(sol.active_set) ^ set(ref.active_set))
             warm = sol.active_set
@@ -482,18 +495,6 @@ class TestCarriedWarmStart:
         assert first.active_set is carried
         for x, y in zip(before, after):
             assert np.array_equal(x, y)
-
-    def test_other_factors_take_the_blocked_seed(self):
-        # A softened solve's set seeding a hard solve of the same rows.
-        *hard_data, soft = TestWarmStartAcrossSoftening.soft_problem(5, 4, 5, 2)
-        softened = ActiveSetSolver().solve(problem(*hard_data, soft, 100.0))
-        assert type(softened.active_set) is ActiveSet and len(softened.active_set)
-        hard = problem(*hard_data)
-        sol = ActiveSetSolver().solve(hard, warm_start=softened.active_set)
-        ref = ActiveSetSolver().solve(hard, warm_start=tuple(softened.active_set))
-        assert sol.status == ref.status and sol.iterations == ref.iterations
-        assert sol.active_set == ref.active_set
-        np.testing.assert_array_equal(sol.z, ref.z)
 
 
 class TestExitPolicy:
@@ -580,9 +581,9 @@ class TestExitPolicy:
 
 
 class TestWarmStartAcrossSoftening:
-    """A warm start from a problem with the same rows and another soft mask:
-    both problems name their rows alike, and an index >= m is out of range
-    in either."""
+    """A warm start that is no carried set of the problem's own factors, such
+    as row indices or the set of a problem with the same rows and another
+    soft mask, gives the cold solve."""
 
     @staticmethod
     def soft_problem(seed, n, m, n_soft):
@@ -603,34 +604,36 @@ class TestWarmStartAcrossSoftening:
            n_soft=st.integers(1, 2), warm=st.lists(st.integers(-3, 10), max_size=12))
     def test_soft_solve_from_any_index_set(self, seed, n, m, n_soft, warm):
         # Hard and soft rows, rows inactive at the optimum and indices
-        # outside the problem, in any mix.
+        # outside the problem, in any mix; then the carried set of equal
+        # factors built apart.
         data = self.soft_problem(seed, n, m, n_soft)
         qp = problem(*data, penalty=100.0)
-        sol = ActiveSetSolver().solve(qp, warm_start=warm)
-        assert sol.status == STATUS_OPTIMAL
-        z_ref, obj_ref = solve_qp_by_enumeration(*slack_augmented(*data, 100.0))
-        assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
         cold = ActiveSetSolver().solve(qp)
-        np.testing.assert_allclose(sol.z, cold.z, atol=1e-8)
-        assert kkt_residual(qp, sol.z) < 1e-8
+        assert cold.status == STATUS_OPTIMAL
+        twin = ActiveSetSolver().solve(problem(*data, penalty=100.0)).active_set
+        for start in (warm, twin):
+            assert_same_solve(ActiveSetSolver().solve(qp, warm_start=start), cold)
+        z_ref, obj_ref = solve_qp_by_enumeration(*slack_augmented(*data, 100.0))
+        assert cold.objective == pytest.approx(obj_ref, abs=1e-6)
+        assert kkt_residual(qp, cold.z) < 1e-8
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 5),
            n_soft=st.integers(1, 2))
+    # The softened solve ends with a non-empty carried set.
+    @example(seed=5, n=4, m=5, n_soft=2)
     def test_hard_solve_ignores_slack_rows(self, seed, n, m, n_soft):
+        # A softened solve's carried set seeds nothing in a hard solve of
+        # the same rows, alone or with out-of-range indices (m and above).
         *hard_data, soft = self.soft_problem(seed, n, m, n_soft)
         soft_set = ActiveSetSolver().solve(problem(*hard_data, soft, 100.0)).active_set
-        # Out-of-range indices (m and above) ride along.
-        warm = soft_set + tuple(range(m, m + n_soft))
         hard = problem(*hard_data)
-        sol = ActiveSetSolver().solve(hard, warm_start=warm)
-        ref = ActiveSetSolver().solve(hard, warm_start=[i for i in warm if i < m])
-        assert sol.status == ref.status and sol.iterations == ref.iterations
-        assert sol.active_set == ref.active_set and all(i < m for i in sol.active_set)
-        np.testing.assert_array_equal(sol.z, ref.z)
-        if sol.status == STATUS_OPTIMAL:
+        cold = ActiveSetSolver().solve(hard)
+        for warm in (soft_set, soft_set + tuple(range(m, m + n_soft))):
+            assert_same_solve(ActiveSetSolver().solve(hard, warm_start=warm), cold)
+        if cold.status == STATUS_OPTIMAL:
             _, obj_ref = solve_qp_by_enumeration(*parts(hard))
-            assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
+            assert cold.objective == pytest.approx(obj_ref, abs=1e-6)
 
 
 class TestMoreBindingRowsThanVariables:
@@ -664,81 +667,11 @@ class TestMoreBindingRowsThanVariables:
             assert sol.objective == pytest.approx(obj_ref, abs=1e-6)
             assert sol.kkt_residual < 1e-8
             assert kkt_residual(qp, sol.z) < 1e-8
-            for other in (ActiveSetSolver().solve(qp),
-                          ActiveSetSolver().solve(qp, warm_start=tuple(sol.active_set))):
-                assert other.status == STATUS_OPTIMAL
-                np.testing.assert_allclose(sol.z, other.z, atol=1e-8)
-                assert sol.objective == pytest.approx(other.objective, abs=1e-9)
+            cold = ActiveSetSolver().solve(qp)
+            assert cold.status == STATUS_OPTIMAL
+            np.testing.assert_allclose(sol.z, cold.z, atol=1e-8)
+            assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
             warm = sol.active_set
-
-
-class TestBlockedSeed:
-    """The warm-start seed factors its candidate rows as one block; it must
-    keep and drop the rows the row-by-row oracle does."""
-
-    @staticmethod
-    def seed(fac, b, z0, warm):
-        n = fac.n
-        N = n if fac.soft_rows is None else n + fac.soft_rows.size
-        W, lam, V, R = [], np.zeros(N), np.empty((n, N)), np.zeros((N, N), order="F")
-        ActiveSetSolver._seed_working_set(fac, b, z0, W, lam, V, R, warm)
-        return W, lam[:len(W)], V[:, :len(W)], R
-
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 5),
-           n_dup=st.integers(0, 2), n_par=st.integers(0, 2), n_soft=st.integers(0, 2),
-           warm=st.lists(st.integers(-3, 16), max_size=20))
-    # Row 1 depends on row 0 and row 2 does not: the factorization restarts.
-    @example(seed=0, n=2, m=2, n_dup=1, n_par=1, n_soft=0, warm=[0, 1, 2])
-    def test_matches_the_row_by_row_oracle(self, seed, n, m, n_dup, n_par, n_soft, warm):
-        # Duplicate and parallel rows, more candidates than variables,
-        # negative and out-of-range indices.
-        rng = np.random.default_rng(seed)
-        H, A, _ = dependent_rows(rng, n, m, n_dup, n_par)
-        rows = A.shape[0]
-        # Shuffled, a dependent row can come before independent ones.
-        A = A[rng.permutation(rows)]
-        fac = QpFactors.build(H, A)
-        if n_soft:
-            fac = fac.soften(np.isin(np.arange(rows), rng.choice(rows, n_soft, False)), 100.0)
-        f, b = rng.normal(size=n), A @ rng.normal(size=n) + rng.normal(size=rows)
-        z0 = -fac.hsolve(f)
-        seeded, kept, lam_ref = seed_working_set_by_rows(fac.G, fac.A, b, z0, warm, fac.reg)
-        # With b and z0 zero every multiplier is zero, so nothing is pruned
-        # and W shows which candidates the factorization skipped.
-        assert self.seed(fac, np.zeros_like(b), np.zeros_like(z0), warm)[0] == seeded
-        W, lam, V, R = self.seed(fac, b, z0, warm)
-        assert W == kept
-        k = len(W)
-        Rk, S = R[:k, :k], fac.G[np.ix_(W, W)]
-        assert np.array_equal(R, np.tril(R))
-        assert np.max(np.abs(Rk @ Rk.T - S), initial=0.0) <= 1e-10 * np.max(np.abs(S), initial=1.0)
-        assert np.all(lam >= 0.0)
-        np.testing.assert_allclose(lam, lam_ref, rtol=1e-6, atol=1e-9)
-        np.testing.assert_array_equal(V, fac.V[:, W])
-
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4), m=st.integers(2, 5),
-           n_dup=st.integers(0, 2), n_par=st.integers(0, 2), n_soft=st.integers(1, 9),
-           warm=st.lists(st.integers(-3, 16), max_size=20))
-    def test_softened_seed_admits_every_soft_candidate(self, seed, n, m, n_dup, n_par, n_soft,
-                                                       warm):
-        # With the controller's penalty of 1e6, a soft row's squared pivot is
-        # at least reg = 1e-6, far above the dependence test's 1e-10 max(1,
-        # G_ii), and soft rows do not count toward the cap of n hard rows: the
-        # test and the cap decide only hard rows, and every soft candidate
-        # enters, duplicates and parallel copies included.
-        rng = np.random.default_rng(seed)
-        H, A, _ = dependent_rows(rng, n, m, n_dup, n_par)
-        rows = A.shape[0]
-        A = A[rng.permutation(rows)]
-        soft = np.isin(np.arange(rows), rng.choice(rows, min(n_soft, rows), False))
-        fac = QpFactors.build(H, A).soften(soft, 1e6)
-        # With b and z0 zero nothing is pruned: W holds the seeded rows.
-        W = self.seed(fac, np.zeros(rows), np.zeros(n), warm)[0]
-        assert {i for i in warm if 0 <= i < rows and soft[i]} <= set(W)
-        assert np.count_nonzero(~soft[W]) <= n
 
 
 class TestWorkingSetFactor:

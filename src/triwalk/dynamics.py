@@ -81,9 +81,14 @@ class ThreeMassParams:
         return np.array([self.z1, self.z2, self.z3])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
-    """State-space matrices, continuous (``ts is None``) or discrete."""
+    """State-space matrices, continuous (``ts is None``) or discrete.
+
+    Two models compare and hash by value (the shapes and entries of A, B
+    and C, and ``ts``), so models built apart from equal parameters share
+    the controller and observer matrices cached for them.
+    """
 
     A: np.ndarray
     B: np.ndarray
@@ -93,6 +98,18 @@ class StateSpace:
     @property
     def is_discrete(self) -> bool:
         return self.ts is not None
+
+    def _value(self) -> tuple:
+        return (self.ts, *((np.shape(m), tuple(np.ravel(m).tolist()))
+                           for m in (self.A, self.B, self.C)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StateSpace):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

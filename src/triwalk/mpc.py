@@ -10,15 +10,18 @@ phase-dependent bounds on the swing-mass position, the ZMP and the jerk
 inputs.  The QP's Hessian and constraint matrix are fixed; its gradient and
 right-hand side are affine in the cycle's state estimate, held input,
 reference window and bound window, so each cycle forms them with maps fixed
-at construction (``cost_matrices``, ``constraint_maps``).  A steady-state Kalman
-observer reconstructs each axis's 9-entry state from its three measured
-outputs.
+by the model and ``MpcConfig`` (``cost_matrices``, ``constraint_maps``).  A
+steady-state Kalman observer reconstructs each axis's 9-entry state from its
+three measured outputs.  What a model and configuration fix, the
+controller's matrices and QP factors and the observer's gains, is computed
+once per process for each equal pair and shared read-only.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +32,7 @@ from .qp import (
     ActiveSetSolver,
     QpFactors,
     QpProblem,
+    _frozen,
     _peak,
 )
 
@@ -67,10 +71,13 @@ _RICCATI_DOUBLINGS = 64
 
 def _check_lengths(config, **lengths: int) -> None:
     """Raise ``ValueError`` naming the first field of ``config`` that does
-    not hold its number of values."""
+    not hold its number of values; store each as a tuple of floats, so equal
+    configs hash equal whatever sequence they were given."""
     for name, n in lengths.items():
-        if np.shape(getattr(config, name)) != (n,):
+        value = getattr(config, name)
+        if np.shape(value) != (n,):
             raise ValueError(f"{name} must hold {n} values")
+        object.__setattr__(config, name, tuple(map(float, value)))
 
 
 class ControllerFault(RuntimeError):
@@ -321,34 +328,45 @@ class PushGate:
         return boosted
 
 
+@lru_cache(maxsize=8)
+def _observer_gains(ss: StateSpace, config: ObserverConfig):
+    """The read-only nominal gain, push-recovery gain and nominal innovation
+    standard deviations of a discrete model and noise configuration,
+    computed once per process for each equal pair; an undetectable
+    configuration raises, and a failure is not cached."""
+    R = np.diag(np.asarray(config.measurement_noise, dtype=float) ** 2)
+    Q = ss.B @ np.diag(np.asarray(config.jerk_noise, dtype=float) ** 2) @ ss.B.T
+    P = Observer._steady_state_covariance(ss.A, ss.C, Q, R)
+    gain = P @ ss.C.T @ np.linalg.inv(ss.C @ P @ ss.C.T + R)
+    poles = np.abs(np.linalg.eigvals((np.eye(N_STATES) - gain @ ss.C) @ ss.A))
+    if np.max(poles) >= 1.0 - 1e-9:
+        raise ValueError("observer configuration is not detectable")
+    # Normalization for innovation gating under nominal operation.
+    innovation_std = np.sqrt(np.diag(ss.C @ P @ ss.C.T + R))
+    # Push recovery: a fresh impulse corrupts the acceleration states
+    # only, so the stiff gain comes from inflating their prior variance
+    # while positions and velocities keep the nominal one.
+    Pb = P.copy()
+    for slot in (2, 5, 8):
+        Pb[slot, slot] += _BOOST_ACCEL_NOISE ** 2
+    gain_boost = Pb @ ss.C.T @ np.linalg.inv(ss.C @ Pb @ ss.C.T + R)
+    return _frozen(gain), _frozen(gain_boost), _frozen(innovation_std)
+
+
 class Observer:
     """Steady-state Kalman filter: predict with the model, correct with a
     precomputed gain.  Two gains are prepared: the nominal one and a stiffer
     push-recovery gain used while innovations are implausibly large, both
-    from the Riccati solution of ``_steady_state_covariance``.  The object
-    is immutable; callers own the estimate and a ``PushGate`` per axis."""
+    from the Riccati solution of ``_steady_state_covariance``.  The gains
+    are computed once per process for each equal (model, config) pair and
+    shared read-only by every observer built from it.  The object is
+    immutable; callers own the estimate and a ``PushGate`` per axis."""
 
     def __init__(self, ss: StateSpace, config: ObserverConfig = ObserverConfig()):
         if not ss.is_discrete:
             raise ValueError("observer requires a discrete model")
         self.ss = ss
-        r = np.asarray(config.measurement_noise, dtype=float) ** 2
-        R = np.diag(r)
-        Q = ss.B @ np.diag(np.asarray(config.jerk_noise, dtype=float) ** 2) @ ss.B.T
-        P = self._steady_state_covariance(ss.A, ss.C, Q, R)
-        self.gain = P @ ss.C.T @ np.linalg.inv(ss.C @ P @ ss.C.T + R)
-        poles = np.abs(np.linalg.eigvals((np.eye(N_STATES) - self.gain @ ss.C) @ ss.A))
-        if np.max(poles) >= 1.0 - 1e-9:
-            raise ValueError("observer configuration is not detectable")
-        # Normalization for innovation gating under nominal operation.
-        self.innovation_std = np.sqrt(np.diag(ss.C @ P @ ss.C.T + R))
-        # Push recovery: a fresh impulse corrupts the acceleration states
-        # only, so the stiff gain comes from inflating their prior variance
-        # while positions and velocities keep the nominal one.
-        Pb = P.copy()
-        for slot in (2, 5, 8):
-            Pb[slot, slot] += _BOOST_ACCEL_NOISE ** 2
-        self.gain_boost = Pb @ ss.C.T @ np.linalg.inv(ss.C @ Pb @ ss.C.T + R)
+        self.gain, self.gain_boost, self.innovation_std = _observer_gains(ss, config)
 
     @staticmethod
     def _steady_state_covariance(A, C, Q, R) -> np.ndarray:
@@ -416,14 +434,34 @@ class ControlCycleInfo:
     predicted_output: np.ndarray   # first predicted sample (stance, swing, zmp)
 
 
+@lru_cache(maxsize=8)
+def _controller_matrices(ss: StateSpace, config: MpcConfig):
+    """The fixed matrices of a discrete model and ``MpcConfig``: prediction,
+    the gradient maps ``f_err`` and ``f_held``, the right-hand-side maps and
+    the softened QP factors (output rows soft, jerk rows hard).  They are
+    computed once per process for each equal pair and shared read-only."""
+    pred = build_prediction(ss, config)
+    H, f_err, f_held = cost_matrices(pred, config)
+    A, rhs = constraint_maps(pred, config)
+    # Soft output rows come first; the jerk rows after them stay hard.
+    output_rows = np.arange(A.shape[0]) < 2 * N_OUTPUTS * config.constraint_window
+    factors = QpFactors.build(H, A).soften(output_rows, config.soft_penalty)
+    for a in (pred.free_map, pred.phi, pred.phi_u, pred.gamma, pred.u_map, f_err, f_held, *rhs):
+        _frozen(a)
+    return pred, f_err, f_held, rhs, factors
+
+
 class AxisController:
     """Receding-horizon controller of both axes.
 
     Both axes share the model and ``MpcConfig``, so one instance holds the
-    fixed cost and constraint matrices, factored once for the QP solver, for
-    a whole walk session.  Row i of the (2, 3) previous applied inputs
-    ``u_prev`` and of every ``control_step`` argument is axis i (x, y), and
-    each axis keeps its own previous active set for warm starts.
+    fixed cost and constraint matrices and the QP factors.  These are
+    computed and factored once per process for each equal (model, config)
+    pair and shared read-only by every controller built from it; a
+    controller's own state is its held input, solver and warm starts.  Row
+    i of the (2, 3) previous applied inputs ``u_prev`` and of every
+    ``control_step`` argument is axis i (x, y), and each axis keeps its own
+    previous active set for warm starts.
 
     Every output row is soft: its violation s costs ``soft_penalty``/2 s^2,
     so each axis's cycle is one always-feasible QP, solved once
@@ -438,13 +476,9 @@ class AxisController:
 
     def __init__(self, ss: StateSpace, config: MpcConfig):
         self.config = config
-        self.pred = build_prediction(ss, config)
+        self.pred, self._f_err, self._f_held, self._rhs, self._factors = (
+            _controller_matrices(ss, config))
         self.solver = ActiveSetSolver()
-        H, self._f_err, self._f_held = cost_matrices(self.pred, config)
-        A, self._rhs = constraint_maps(self.pred, config)
-        # Soft output rows come first; the jerk rows after them stay hard.
-        output_rows = np.arange(A.shape[0]) < 2 * N_OUTPUTS * config.constraint_window
-        self._factors = QpFactors.build(H, A).soften(output_rows, config.soft_penalty)
         self.A = self._factors.A
         # Shapes of a cycle's parameters (refs, X, u_prev, lo, hi), which
         # each axis flattens in this order.

@@ -111,7 +111,11 @@ class QpFactors:
         each with the quadratic weight ``penalty`` on its violation: these
         factors' own H, A, L_inv and V, and G regularized by 1/penalty on the
         soft diagonal.  Without soft rows the factors are returned unchanged.
+        Factors that are already softened raise ``ValueError``: their ``G``
+        holds the earlier regularization, which ``reg`` would no longer match.
         """
+        if self.soft_rows.size:
+            raise ValueError("factors are already softened")
         soft = np.asarray(soft, bool)
         if soft.shape != (self.A.shape[0],):
             raise ValueError("soft mask must have one flag per row")

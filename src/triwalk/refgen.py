@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,6 +152,27 @@ class RefSample:
     swing_mass: np.ndarray   # (2,)
 
 
+@lru_cache(maxsize=8)
+def _step_weights(timing: GaitTiming, ts: float, omega: float):
+    """Per-sample weights of one step, t = j * ts into the step, as read-only
+    columns: landed (bool), the double-support ramp fraction, the two
+    ``hip_reference`` sinh terms, the swing blend and the swing lift.  They
+    are computed once per process for each equal (timing, ts, omega)."""
+    t = [j * ts for j in range(sum(timing.cycles(ts)))]
+    landed = [t_j >= timing.t_single for t_j in t]
+    frac = [min((t_j - timing.t_single) / timing.t_double, 1.0) if done and timing.t_double
+            else 0.0 for t_j, done in zip(t, landed)]
+    s_from = [math.sinh((t_j - 0.0) * omega) for t_j in t]
+    s_to = [math.sinh((t_j - timing.step_period) * omega) for t_j in t]
+    tau = [0.0 if done else t_j / timing.t_single for t_j, done in zip(t, landed)]
+    blend = [a * a * (3.0 - 2.0 * a) for a in tau]
+    lift = [16.0 * timing.swing_height * a * a * (1.0 - a) * (1.0 - a) for a in tau]
+    columns = tuple(np.array(w) for w in (landed, frac, s_from, s_to, blend, lift))
+    for w in columns:
+        w.flags.writeable = False
+    return columns
+
+
 class WalkTimeline:
     """Cycle-indexed references for one footstep plan.
 
@@ -162,8 +184,9 @@ class WalkTimeline:
 
     Every cycle from -1 to ``total_cycles`` is evaluated once, at
     construction, into read-only tables of references and phase ids.  A
-    step's curves are its endpoints times per-sample weights, evaluated once
-    in the scalar arithmetic of the free functions, which they match exactly.
+    step's curves are its endpoints times per-sample weights, evaluated in
+    the scalar arithmetic of the free functions, which they match exactly,
+    once per process for each equal (timing, ts, omega) (``_step_weights``).
     """
 
     def __init__(self, plan: FootstepPlan, timing: GaitTiming, params: ThreeMassParams,
@@ -222,27 +245,17 @@ class WalkTimeline:
     def _curves(self):
         """ZMP, hip (rows, 2) and swing foot (rows, 3) of every table row."""
         timing, omega = self.timing, self.params.omega
-        tf = timing.step_period
         n = self.plan.n_steps
         xy = np.array([fp.xy() for fp in self.plan.footprints])
         mid0 = 0.5 * (xy[0] + xy[1])
         mid_final = 0.5 * (xy[-2] + xy[-1])
 
         def col(w):
-            return np.array(w)[None, :, None]
+            return w[None, :, None]
 
-        # Per-sample weights of one step, t = j * ts into the step.
-        t = [j * self.ts for j in range(self.n_step)]
-        landed = [t_j >= timing.t_single for t_j in t]
+        landed, frac, s_from, s_to, blend, lift = _step_weights(timing, self.ts, omega)
         ramp = col(landed) & (timing.t_double != 0.0)
-        frac = [min((t_j - timing.t_single) / timing.t_double, 1.0) if done and timing.t_double
-                else 0.0 for t_j, done in zip(t, landed)]
-        s_from = [math.sinh((t_j - 0.0) * omega) for t_j in t]
-        s_to = [math.sinh((t_j - tf) * omega) for t_j in t]
-        s_span = math.sinh((0.0 - tf) * omega)
-        tau = [0.0 if done else t_j / timing.t_single for t_j, done in zip(t, landed)]
-        blend = [a * a * (3.0 - 2.0 * a) for a in tau]
-        lift = [16.0 * timing.swing_height * a * a * (1.0 - a) * (1.0 - a) for a in tau]
+        s_span = math.sinh((0.0 - timing.step_period) * omega)
 
         # Per-step endpoints, shape (steps, 1, 2).
         sup = xy[1:n + 1, None]

@@ -10,12 +10,20 @@ from pathlib import Path
 
 import numpy as np
 
+from triwalk import harness, mpc, refgen
 from triwalk.footstep import GridMap
 from triwalk.harness import _half_planes, _violation
 from triwalk.refgen import WalkTimeline
 
 REFERENCE_CSV_COLUMNS = ("t", "r_z_x", "r_z_y", "r_st_x", "r_st_y",
                          "r_sw_x", "r_sw_y", "hip_x", "hip_y", "swing_z")
+
+
+def clear_caches() -> None:
+    """Empty every per-process cache of configuration-fixed quantities."""
+    for cached in (mpc._controller_matrices, mpc._observer_gains, refgen._step_weights,
+                   harness._support_polygon):
+        cached.cache_clear()
 
 
 def with_block(grid: GridMap, r0: int, c0: int, r1: int, c1: int) -> GridMap:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,18 @@ class TestDiscretize:
         Ad, Bd = zoh_discretize_series(ss.A, ss.B, ts, terms=20)
         np.testing.assert_allclose(ssd.A, Ad, atol=1e-10)
         np.testing.assert_allclose(ssd.B, Bd, atol=1e-10)
+
+    def test_equal_models_compare_and_hash_equal(self, params):
+        a = discretize(build_continuous(params), 0.02)
+        b = discretize(build_continuous(params), 0.02)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        A = a.A.copy()
+        A[0, 1] += 1e-12
+        for other in (replace(a, A=A), discretize(build_continuous(params), 0.01),
+                      build_continuous(params), replace(a, C=a.C[:2])):
+            assert other != a and hash(other) != hash(a)
+        assert a != "model"
 
     def test_rejects_bad_sample_time(self, params):
         ss = build_continuous(params)

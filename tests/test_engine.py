@@ -27,7 +27,7 @@ from triwalk.footstep import (
 from triwalk.harness import omnidirectional_scenario, run
 from triwalk.mpc import AxisController, MpcConfig, build_constraints
 from triwalk.qp import ActiveSet
-from triwalk import refgen
+from triwalk import mpc, refgen
 from triwalk.refgen import GaitTiming, WalkTimeline
 
 # Cycle counts of the default gait at the default sample time; the walk
@@ -474,12 +474,15 @@ class TestConstraintSchedule:
                                for warm in carried)
 
     def test_qp_factored_once_per_engine(self, params, timing, monkeypatch):
-        # Both axes share one controller, so an engine factors its QP once,
+        # Both axes share one controller, and engines of one configuration
+        # share its matrices, so the QP is factored once per configuration,
         # softened cycles included.
         shapes = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+        mpc._controller_matrices.cache_clear()
         engine = make_engine(params, timing)
+        assert len(shapes) == 1
         standing = engine.standing_states()
         y_x = engine.model.C @ standing[0]
         y_x[1] += 1.0   # the swing mass measured 1 m off softens the x axis
@@ -487,6 +490,11 @@ class TestConstraintSchedule:
         softened = [engine.tick(y_x, y_y).softened for _ in range(3)]
         assert (True, False) in softened
         assert shapes == [(3 * engine.config.n_ctrl,) * 2]
+        make_engine(params, timing)
+        assert len(shapes) == 1
+        WalkEngine(params, MpcConfig(soft_penalty=1e5), timing)
+        WalkEngine(params, MpcConfig(n_pred=60), timing)
+        assert len(shapes) == 3
 
 
 def per_tick_windows(engine, phase_box):

@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from triwalk.harness import (
 )
 from triwalk.qp import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, ActiveSetSolver
 
-from helpers import polygon_excursion
+from helpers import clear_caches, polygon_excursion
 
 
 class TestNoiseSample:
@@ -213,6 +213,16 @@ class TestRun:
         csv_a = (tmp_path / "a" / f"{sc.name}.csv").read_bytes()
         csv_b = (tmp_path / "b" / f"{sc.name}.csv").read_bytes()
         assert csv_a == csv_b
+
+    def test_cold_and_warm_caches_give_the_same_run(self):
+        # Cached configuration matrices are the ones a cold build computes.
+        clear_caches()
+        cold = run(disturbance_scenario(340.0))
+        warm = run(disturbance_scenario(340.0))
+        assert cold.summary() == warm.summary()
+        for f in fields(cold.trace):
+            a, b = getattr(cold.trace, f.name), getattr(warm.trace, f.name)
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
 
     def test_row_count_matches_duration(self, tmp_path):
         sc = replace(tracking_scenario(), duration=5.0, name="short")

@@ -486,12 +486,14 @@ class TestControlStep:
         assert iterations < cold_iterations
 
     def test_qp_factored_once_per_controller(self, ssd, params, monkeypatch):
-        # (H, A) never change, so the QP is factored at construction only:
-        # no cycle, with or without active rows, softened or not, factors a
-        # Hessian again.
+        # (H, A) are fixed by the model and config, so the QP is factored
+        # once per configuration: by the first controller built from it, in
+        # no cycle, with or without active rows, softened or not, and not by
+        # a second controller of an equal configuration.
         shapes = []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: shapes.append(a.shape) or cholesky(a))
+        mpc._controller_matrices.cache_clear()
         cfg = MpcConfig()
         ctrl = AxisController(ssd, cfg)
         assert shapes == [(3 * cfg.n_ctrl,) * 2]
@@ -508,6 +510,14 @@ class TestControlStep:
         assert len(shapes) == 1
         assert not ctrl.A.flags.writeable
 
+        # An equal model built apart and an equal config factor nothing.
+        again = AxisController(discretize(build_continuous(params), 0.02), MpcConfig())
+        assert len(shapes) == 1 and again._factors is ctrl._factors
+        # Another soft penalty or prediction horizon factors anew.
+        AxisController(ssd, replace(cfg, soft_penalty=1e5))
+        AxisController(ssd, replace(cfg, n_pred=60))
+        assert len(shapes) == 3
+
         cfg = MpcConfig(jerk_limit=1.0, swing_reach=0.01)
         soft = AxisController(ssd, cfg)
         lo, hi = window_box(foot_box(params, cfg, [[0.0, 0.0]], 1.0)[0], cfg)
@@ -515,7 +525,39 @@ class TestControlStep:
             _, info = step_both(soft, make_state((0.0, 0.0, 1.0)), constant_refs(cfg.n_pred),
                                         lo, hi)
             assert info.softened
-        assert len(shapes) == 2
+        assert len(shapes) == 4
+
+
+class TestSharedMatrices:
+    """Controllers and observers of equal configurations share their fixed
+    arrays, read-only."""
+
+    def test_shared_arrays_are_read_only(self, ssd, params):
+        ctrl = AxisController(ssd, MpcConfig())
+        twin = AxisController(discretize(build_continuous(params), 0.02), MpcConfig())
+        obs = Observer(ssd)
+        shared = (ctrl.pred.free_map, ctrl.pred.phi, ctrl.pred.phi_u, ctrl.pred.gamma,
+                  ctrl.pred.u_map, ctrl._f_err, ctrl._f_held, *ctrl._rhs, ctrl._factors.G,
+                  obs.gain, obs.gain_boost, obs.innovation_std)
+        for a in shared:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 1.0
+        assert twin.pred is ctrl.pred and twin._rhs is ctrl._rhs
+        assert Observer(discretize(build_continuous(params), 0.02)).gain is obs.gain
+
+    def test_undetectable_config_raises_on_every_construction(self, ssd):
+        config = ObserverConfig(jerk_noise=(1e-6,) * 3, measurement_noise=(1e10,) * 3)
+        before = mpc._observer_gains.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not detectable"):
+                Observer(ssd, config)
+        assert mpc._observer_gains.cache_info().currsize == before
+
+    def test_sequences_stored_as_tuples(self, ssd):
+        cfg = MpcConfig(w_jerk=np.array([1e-4, 1e-4, 1e-4]), swing_band=[0.05, 0.30])
+        assert cfg == MpcConfig() and hash(cfg) == hash(MpcConfig())
+        assert AxisController(ssd, cfg)._factors is AxisController(ssd, MpcConfig())._factors
+        assert ObserverConfig(jerk_noise=[1, 1, 1]).jerk_noise == (1.0, 1.0, 1.0)
 
 
 class TestTwoAxes:

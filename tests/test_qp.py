@@ -135,6 +135,18 @@ class TestBasics:
         with pytest.raises(ValueError, match=match):
             QpFactors.build(np.eye(2), np.eye(2)).soften(soft, penalty)
 
+    def test_soften_twice_rejected(self):
+        # H = 1, rows z <= 0 and -z <= -1, both soft with penalty 1: the
+        # optimum is z = 1/3.  Softening again would add to G's diagonal
+        # but replace reg, and the solve would end at z = 0.3, not optimal.
+        once = QpFactors.build(np.eye(1), [[1.0], [-1.0]]).soften([True, True], 1.0)
+        sol = ActiveSetSolver().solve(QpProblem(once, np.zeros(1), np.array([0.0, -1.0])))
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.z[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+        for mask in ([True, True], [False, False]):
+            with pytest.raises(ValueError, match="already softened"):
+                once.soften(mask, 1.0)
+
     def test_max_iterations_status(self):
         rng = np.random.default_rng(3)
         p = random_problem(rng, n=6, m=12)

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from triwalk import refgen
 from triwalk.dynamics import ThreeMassParams
 from triwalk.footstep import Footprint, FootstepPlan, footsteps_from_path, initial_feet_on_path
 from triwalk.refgen import (
@@ -370,6 +372,14 @@ class TestReferenceTable:
         rows = tl.window(0, 10)
         rows[:] = 1.0   # a window is the caller's copy
         assert tl.sample(1).zmp[0] != 1.0
+
+    def test_step_weights_shared_read_only(self, timing, params):
+        weights = refgen._step_weights(timing, 0.02, params.omega)
+        assert refgen._step_weights(replace(timing), 0.02, params.omega) is weights
+        for w in weights:
+            assert w.shape == (sum(timing.cycles(0.02)),)
+            with pytest.raises(ValueError, match="read-only"):
+                w[0] = 1
 
 
 class TestExport:

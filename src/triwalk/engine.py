@@ -23,6 +23,7 @@ every re-projection is the identity.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -185,7 +186,9 @@ class WalkEngine:
         self._queued_path: FootstepPlan | None = None
         self._first_swing = "R"
         self._clamped_step = False
-        self._set_stand_timeline()
+        self._followed: WalkTimeline | None = None   # see ``_timeline``
+        self._feet_of = {}
+        self._refs = None
 
         self.gates = (PushGate(), PushGate())
         self.reset_posture()
@@ -209,7 +212,28 @@ class WalkEngine:
     @property
     def phase(self) -> WalkPhase:
         """Phase of the next cycle, as the timeline fixes it."""
+        if self._followed is None:
+            return WalkPhase.IDLE
         return _PHASE_OF[self._timeline.phase(self._local_cycle(self.k))[0]]
+
+    def fork(self) -> WalkEngine:
+        """Copy that ticks on from this engine's state, leaving this engine as
+        it is.  The copy owns what a tick changes, the bounds table included
+        (a read-only view filled through its base, which ``copy.deepcopy``
+        cannot copy); the model, the controller and observer matrices, the
+        timeline and the reference table are never written, and are shared."""
+        twin = copy.copy(self)
+        twin.estimates = self.estimates.copy()
+        twin.feet = dict(self.feet)
+        twin.gates = copy.deepcopy(self.gates)
+        # A controller rebinds its held input and warm starts every cycle
+        # and writes neither in place, so a shallow copy owns them.
+        twin.controller = copy.copy(self.controller)
+        twin._feet_of = dict(self._feet_of)
+        if self._refs is not None:
+            twin._lohi = self._lohi.base.copy().view()
+            twin._lohi.flags.writeable = False
+        return twin
 
     def command_path(self, plan: FootstepPlan) -> None:
         """Queue a planned walk from standing; it starts at the end of the
@@ -264,10 +288,11 @@ class WalkEngine:
             raise ValueError("measurements must be finite (3,) arrays")
         self.setpoints = filter_setpoints(self.setpoints, self.config.ts, _LAG_TAU)
 
+        tl = self._timeline   # built here if no command set one
         refs = self._references()   # builds the frame's tables and rotations if stale
         y_pair = self._R_wf @ y_meas   # world -> frame
         local = self._local_cycle(self.k)
-        key = (name, idx) = self._timeline.phase(local)
+        key = (name, idx) = tl.phase(local)
         phase = _PHASE_OF[name]
         ctrl = self.controller
         for i, gate in enumerate(self.gates):
@@ -292,11 +317,11 @@ class WalkEngine:
             softened=tuple(info.softened for info in infos),
             qp_iterations=tuple(info.iterations for info in infos),
             zmp_pred=zmp_pred_world,
-            refs=self._timeline.sample(local),
+            refs=tl.sample(local),
             support_feet=self.support_feet(),
             clamped_step=self._clamped_step,
             step_index=idx if name in ("single", "double") else -1,
-            swing_target=self._timeline.plan.swing_to(idx).xy() if name == "single" else None,
+            swing_target=tl.plan.swing_to(idx).xy() if name == "single" else None,
         )
         self.k += 1
         self._advance_state_machine(key)
@@ -307,7 +332,7 @@ class WalkEngine:
     def _advance_state_machine(self, prev: tuple[str, int]) -> None:
         """Act on the timeline's phase change at the boundary just crossed
         (``prev`` is the phase of the cycle that ended)."""
-        key = self._timeline.phase(self._local_cycle(self.k))
+        key = self._followed.phase(self._local_cycle(self.k))
         if key == prev:
             if key[0] == "stand" and self._pending_walk:
                 self._pending_walk = False
@@ -317,10 +342,10 @@ class WalkEngine:
             return
         if prev[0] == "double" and self.mode == "setpoints":
             # The foot that supported the finished step swings next.
-            self._set_timeline(self._synthesize_plan(self._timeline.plan.support(prev[1]).side))
-            key = self._timeline.phase(0)
+            self._set_timeline(self._synthesize_plan(self._followed.plan.support(prev[1]).side))
+            key = self._followed.phase(0)
         name, idx = key
-        plan = self._timeline.plan
+        plan = self._followed.plan
         if name == "single":
             self._update_frame(plan.support(idx).theta)
         elif name == "double":
@@ -373,6 +398,15 @@ class WalkEngine:
 
     # ------------------------------------------------------------ references
 
+    @property
+    def _timeline(self) -> WalkTimeline:
+        """The timeline followed: until a command or a tick sets one, a
+        standing timeline on the current feet, built on first use.  Code
+        that runs only inside ``tick`` reads ``_followed`` directly."""
+        if self._followed is None:
+            self._set_stand_timeline()
+        return self._followed
+
     def _set_stand_timeline(self) -> None:
         # Ordered so the terminal footprint is the swing-role anchor.
         self._set_timeline(FootstepPlan((self.feet["R" if self._first_swing == "L" else "L"],
@@ -382,7 +416,7 @@ class WalkEngine:
     def _set_timeline(self, plan: FootstepPlan, initialize: bool = False) -> None:
         """Follow ``plan`` from the current cycle on, optionally starting
         with the initialization window."""
-        self._timeline = WalkTimeline(plan, self.timing, self.params, self.config.ts,
+        self._followed = WalkTimeline(plan, self.timing, self.params, self.config.ts,
                                       include_initialize=initialize)
         self._timeline_origin = self.k
         self._feet_of: dict[tuple[str, int], tuple[SupportFoot, ...]] = {}
@@ -400,7 +434,7 @@ class WalkEngine:
 
     def _window_row(self) -> int:
         """Table row of the next cycle, clamped at the timeline's end."""
-        tl = self._timeline
+        tl = self._followed
         if self._refs is None:
             self._R_wf, self._R_fw = _rot(-self.frame_angle), _rot(self.frame_angle)
             rows = tl.window(-1, tl.total_cycles + 1 + self.config.n_pred)
@@ -424,7 +458,7 @@ class WalkEngine:
             hl = self.params.foot_length / 2.0
             hw = self.params.foot_width / 2.0
             self._feet_of[key] = tuple(SupportFoot(fp.x, fp.y, fp.theta, hl, hw)
-                                       for fp in contact_feet(self._timeline.plan, key))
+                                       for fp in contact_feet(self._followed.plan, key))
         return self._feet_of[key]
 
     def _bounds(self):
@@ -441,14 +475,14 @@ class WalkEngine:
         end = row + self.config.constraint_window
         for kid in range(max(self._ids[row], self._next_id), self._ids[end - 1] + 1):
             first, last = np.searchsorted(self._ids, (kid, kid + 1))
-            self._lohi.base[:, first:last] = self._phase_box(self._timeline.keys[kid])[:, None]
+            self._lohi.base[:, first:last] = self._phase_box(self._followed.keys[kid])[:, None]
             self._next_id = kid + 1
         return self._lohi[:, row:end, 0], self._lohi[:, row:end, 1]
 
     def _phase_box(self, key: tuple[str, int]) -> np.ndarray:
         """(axis, lo/hi, output) bounds of the timeline phase ``key`` in the working frame."""
         name, idx = key
-        plan = self._timeline.plan
+        plan = self._followed.plan
         R_wf = _rot(-self.frame_angle)
         feet = contact_feet(plan, key)
         hl, hw = self.params.foot_length / 2.0, self.params.foot_width / 2.0

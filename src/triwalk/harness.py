@@ -12,6 +12,7 @@ recorded cycles, against the true plant state.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -332,12 +333,18 @@ class Simulation:
     state.  After a step, ``measured`` holds the (axis, output) values the
     engine saw, ``outputs`` the true outputs of the stepped plant (the next
     measurement before noise) and ``zmp_true`` their ZMP column.
+
+    ``advance`` is the run loop: it steps, records each cycle (row k of the
+    record arrays for cycle k) and stops at a fault or a fall, which
+    ``fault`` and ``fall_time`` then hold.  ``fork`` copies the simulation,
+    records and fall counter included, to continue with another push table.
     """
 
     def __init__(self, scenario: Scenario, seed: int | None = None):
         scenario.validate()
         self.scenario = scenario
-        self.n_cycles = int(round(scenario.duration / scenario.config.ts))
+        self.seed = scenario.noise.seed if seed is None else seed
+        self.n_cycles = n = int(round(scenario.duration / scenario.config.ts))
         self.engine = WalkEngine(scenario.params, scenario.config, scenario.timing,
                                  observer=scenario.observer)
         self._schedule = sorted(scenario.schedule) if scenario.mode == "setpoints" else []
@@ -347,8 +354,16 @@ class Simulation:
             self.engine.command_path(scenario.build_plan())
         self.plant = self.engine.standing_states()
         self.outputs = np.matvec(self.engine.model.C, self.plant)
-        self._rng = np.random.default_rng(scenario.noise.seed if seed is None else seed)
+        self._rng = np.random.default_rng(self.seed)
         self._kicks = _disturbance_schedule(scenario)
+        self.u, self.out = np.empty((n, 2, 3)), np.empty((n, 2, 3))
+        self.meas, self.pred, self.zmp, self.torso = (np.empty((n, 2)) for _ in range(4))
+        self.refs, self.excursion = np.empty((n, 6)), np.empty(n)
+        # Per cycle: softened axes, QP iterations, axes whose status is not optimal.
+        self.qp_counts = np.empty((n, 3), dtype=np.int64)
+        self.tags = []   # per cycle: phase, QP statuses, support feet, swing target, step index
+        self.fault = self.fall_time = None
+        self._consecutive = 0
 
     def step(self) -> CycleDiagnostics:
         """Apply due setpoints, measure, tick the engine and step the plant.
@@ -368,44 +383,85 @@ class Simulation:
         self.zmp_true = self.outputs[:, 2]
         return diag
 
+    def advance(self, stop: int) -> None:
+        """Step and record cycles until ``stop`` are recorded or a fault or
+        fall ends the run.  Only these cycles are recorded, so a simulation
+        is stepped either by ``step`` or by ``advance``."""
+        scenario = self.scenario
+        k = len(self.tags)
+        while k < stop and self.fault is None and self.fall_time is None:
+            try:
+                diag = self.step()
+            except ControllerFault as exc:
+                self.fault = str(exc)
+                return
+            self.u[k] = diag.u_x, diag.u_y
+            self.out[k], self.zmp[k], self.meas[k] = self.outputs, self.zmp_true, self.measured[:, 2]
+            self.pred[k], self.torso[k] = diag.zmp_pred, self.plant[:, 3]
+            self.refs[k] = np.concatenate([diag.refs.zmp, diag.refs.stance_mass,
+                                           diag.refs.swing_mass])
+            self.qp_counts[k] = (sum(diag.softened), sum(diag.qp_iterations),
+                                 sum(status != STATUS_OPTIMAL for status in diag.qp_status))
+            self.tags.append((diag.phase.value, diag.qp_status, diag.support_feet,
+                              diag.swing_target, diag.step_index))
+            self.excursion[k] = support_excursion(self.zmp_true, diag.support_feet)
+            self._consecutive = self._consecutive + 1 if self.excursion[k] > 1e-9 else 0
+            if self._consecutive > scenario.n_fall:
+                self.fall_time = k * scenario.config.ts
+            k += 1
+
+    def fork(self, scenario: Scenario, seed: int | None = None) -> Simulation:
+        """Copy that continues with ``scenario``'s pushes and leaves this
+        simulation as it is; its cycles equal those of a fresh
+        ``Simulation(scenario, seed)`` bit for bit.  ``scenario`` must equal
+        this one's apart from its disturbances, none of either before the
+        next cycle, and ``seed`` must be this simulation's."""
+        scenario.validate()
+        if (replace(scenario, disturbances=()) != replace(self.scenario, disturbances=())
+                or (scenario.noise.seed if seed is None else seed) != self.seed
+                or min(map(_first_push_cycle, (scenario, self.scenario))) < self.engine.k):
+            raise ValueError("a fork continues the same scenario and seed, "
+                             "with no disturbance before its next cycle")
+        twin = copy.copy(self)
+        twin.scenario = scenario
+        twin.engine = self.engine.fork()
+        twin._schedule = list(self._schedule)
+        twin._rng = copy.deepcopy(self._rng)
+        twin._kicks = _disturbance_schedule(scenario)
+        for name in ("u", "out", "meas", "pred", "zmp", "torso", "refs", "excursion",
+                     "qp_counts", "tags"):
+            setattr(twin, name, getattr(self, name).copy())
+        return twin
+
+
+def _first_push_cycle(scenario: Scenario) -> int:
+    """The cycle of the scenario's earliest disturbance; its cycle count
+    when it has none."""
+    return min((int(round(d.t_start / scenario.config.ts)) for d in scenario.disturbances),
+               default=int(round(scenario.duration / scenario.config.ts)))
+
 
 def run(scenario: Scenario, out_dir=None, seed: int | None = None,
-        keep_trace: bool = True) -> RunMetrics:
+        keep_trace: bool = True, prefix: Simulation | None = None) -> RunMetrics:
     """Simulate one scenario to its end, first fault or fall; return its metrics.
 
     Only the fall is checked online; the rest is scored afterwards from the
     recorded cycles.  ``seed`` overrides the scenario's noise seed; with
     ``out_dir`` set, the trace CSV and a JSON summary are written there.
+
+    With ``prefix``, a ``Simulation`` of the same scenario but for its
+    disturbances, the run continues from a fork of it, after advancing it
+    here up to the scenario's earliest disturbance cycle; the metrics still
+    cover every cycle from 0 and equal a run's without ``prefix`` bit for bit.
     """
-    sim = Simulation(scenario, seed)
-    n = sim.n_cycles
-    u, out = np.empty((n, 2, 3)), np.empty((n, 2, 3))
-    meas, pred, zmp, torso = (np.empty((n, 2)) for _ in range(4))
-    refs, excursion = np.empty((n, 6)), np.empty(n)
-    # Per cycle: softened axes, QP iterations, axes whose status is not optimal.
-    qp_counts = np.empty((n, 3), dtype=np.int64)
-    tags = []   # per cycle: phase, QP statuses, support feet, swing target, step index
-    fault = fall_time = None
-    consecutive = 0
-    for k in range(n):
-        try:
-            diag = sim.step()
-        except ControllerFault as exc:
-            fault = str(exc)
-            break
-        u[k] = diag.u_x, diag.u_y
-        out[k], zmp[k], meas[k] = sim.outputs, sim.zmp_true, sim.measured[:, 2]
-        pred[k], torso[k] = diag.zmp_pred, sim.plant[:, 3]
-        refs[k] = np.concatenate([diag.refs.zmp, diag.refs.stance_mass, diag.refs.swing_mass])
-        qp_counts[k] = (sum(diag.softened), sum(diag.qp_iterations),
-                        sum(status != STATUS_OPTIMAL for status in diag.qp_status))
-        tags.append((diag.phase.value, diag.qp_status, diag.support_feet, diag.swing_target,
-                     diag.step_index))
-        excursion[k] = support_excursion(sim.zmp_true, diag.support_feet)
-        consecutive = consecutive + 1 if excursion[k] > 1e-9 else 0
-        if consecutive > scenario.n_fall:
-            fall_time = k * scenario.config.ts
-            break
+    if prefix is None:
+        sim = Simulation(scenario, seed)
+    else:
+        prefix.advance(_first_push_cycle(scenario))
+        sim = prefix.fork(scenario, seed)
+    sim.advance(sim.n_cycles)
+    u, out, meas, pred, zmp, torso = sim.u, sim.out, sim.meas, sim.pred, sim.zmp, sim.torso
+    refs, excursion, qp_counts, tags = sim.refs, sim.excursion, sim.qp_counts, sim.tags
 
     # Scoring pass over the recorded cycles.
     n = len(tags)
@@ -434,16 +490,16 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None,
                   qp_status=[c[1] for c in tags], u=u[:n], zmp_meas=meas[:n],
                   zmp_pred=pred[:n], zmp_true=zmp[:n], refs=refs[:n]) if keep_trace else None
     metrics = RunMetrics(
-        completed=fault is None,
-        fall_detected=fall_time is not None,
-        fall_time=fall_time,
+        completed=sim.fault is None,
+        fall_detected=sim.fall_time is not None,
+        fall_time=sim.fall_time,
         zmp_violation_cycles=int(np.count_nonzero(excursion[:n] > 1e-9)),
         zmp_max_excursion=float(excursion[:n].max()) if n else 0.0,
         scaled_violation_cycles=sum(support_excursion(zmp[k], tags[k][2], scale) > 1e-9
                                     for k in range(n)),
         tracking_rms=rms,
         n_cycles=n,
-        fault=fault,
+        fault=sim.fault,
         softened_cycles=int(qp_counts[:n, 0].sum()),
         qp_iterations=int(qp_counts[:n, 1].sum()),
         nonoptimal_cycles=int(qp_counts[:n, 2].sum()),
@@ -496,7 +552,11 @@ def max_withstand(scenario: Scenario, direction, bracket=(100.0, 1000.0),
     """Largest impulse amplitude the closed loop survives, by bisection.
 
     ``direction`` is "fwd"/"bwd" or +1/-1 and signs the applied force.  The
-    bracket low end must survive and the high end must fall.
+    bracket low end must survive and the high end must fall; the search
+    stops once the bracket is at most ``tol`` (finite and positive) wide.
+    Each probe is one ``run`` of ``with_impulse(scenario, force)``, forked
+    from one prefix that the first probe's run advances to the earliest
+    disturbance cycle, so the cycles before the push are simulated once.
     """
     sign = {"fwd": 1.0, "bwd": -1.0, 1: 1.0, -1: -1.0, 1.0: 1.0, -1.0: -1.0}.get(direction)
     if sign is None:
@@ -504,9 +564,12 @@ def max_withstand(scenario: Scenario, direction, bracket=(100.0, 1000.0),
     lo, hi = float(bracket[0]), float(bracket[1])
     if not 0.0 < lo < hi:
         raise BracketError("bracket must satisfy 0 < low < high")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise BracketError(f"tol must be finite and positive, not {tol!r}")
+    prefix = Simulation(with_impulse(scenario, sign * lo))
 
     def survives(amplitude: float) -> bool:
-        m = run(with_impulse(scenario, sign * amplitude), keep_trace=False)
+        m = run(with_impulse(scenario, sign * amplitude), keep_trace=False, prefix=prefix)
         return m.completed and not m.fall_detected
 
     if not survives(lo):

@@ -103,6 +103,31 @@ def test_each_pair_records_its_max_abs_du(tmp_path, monkeypatch, capsys):
     assert "max |du| over the pairs 1.000e-03, max |du| / max |u| 2.500e-04" in out
 
 
+def test_shape_changes_are_recorded_and_printed(tmp_path, monkeypatch, capsys):
+    # A unit that runs fewer ticks gives an inf |du| by construction; both
+    # shapes are kept for that pair, and pairs of equal shape record None.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        ticks = 1720 if (checkout, seed) == (change, 0) else 2200
+        np.save(bench_pairs.u_file(checkout, workload, seed), np.zeros((ticks, 6)))
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}
+
+    for checkout in (parent, change):
+        (checkout / ".bench_out").mkdir(parents=True)
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    args = SimpleNamespace(first_seed=0, pairs=2, seconds=1.0, traced=False)
+    record = bench_pairs.measure(parent, change, "push_bisect", args, [{"name": "wall_s", **LOWER}])
+    assert record["max_abs_du"] == [math.inf, 0.0]
+    assert record["u_shapes"] == [[[2200, 6], [1720, 6]], None]
+    present = bench_pairs.u_file(parent, "push_bisect", 0)
+    assert bench_pairs.u_shapes(tmp_path / "missing.npy", present) is None
+    bench_pairs.print_table("push_bisect", record)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "  seed 0: command shapes differ, parent (2200, 6) change (1720, 6)"
+    assert not any("seed 1:" in line for line in lines)
+
+
 def test_header_prints_each_sides_median_ticks_per_run(tmp_path, monkeypatch, capsys):
     # ``attempted`` is the run's tick count; the change runs more ticks.
     parent, change = tmp_path / "parent", tmp_path / "change"

@@ -62,3 +62,13 @@ class TestWithstandCommand:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(sc.to_json()))
         assert main(["withstand", str(path), "--direction", "fwd"]) == 2
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    def test_tol_must_be_finite_and_positive(self, tol, tmp_path, capsys):
+        # At the parent "0" and "-1" bisected forever and "nan" returned the
+        # low end after two probes.
+        from triwalk.harness import disturbance_scenario
+        path = tmp_path / "push.json"
+        path.write_text(json.dumps(disturbance_scenario(300.0, run_time=3.0).to_json()))
+        assert main(["withstand", str(path), "--direction", "fwd", "--tol", tol]) == 2
+        assert "bracket error: tol must be finite and positive" in capsys.readouterr().err

@@ -616,6 +616,52 @@ class TestCommandPath:
         assert engine.feet[plan.footprints[0].side] == plan.footprints[0]
 
 
+    def test_builds_only_its_own_timeline(self, params, timing, monkeypatch):
+        # A new engine builds its standing timeline on first use, so a path
+        # commanded right away builds one standing timeline, on the plan's
+        # feet, and the walk's own at the first cycle boundary.
+        built = []
+        init = WalkTimeline.__init__
+        monkeypatch.setattr(WalkTimeline, "__init__",
+                            lambda tl, plan, *args, **kw: built.append(plan)
+                            or init(tl, plan, *args, **kw))
+        engine = make_engine(params, timing)
+        assert engine.phase == WalkPhase.IDLE and built == []
+        with pytest.raises(ValueError, match="at least one step"):
+            engine.command_path(straight_plan(0))
+        assert built == []
+        plan = straight_plan(2)
+        engine.command_path(plan)
+        assert [b.footprints for b in built] == [plan.footprints[1::-1]]
+        run_closed_loop(engine, 2)
+        assert len(built) == 2 and built[1] is plan
+
+
+class TestFork:
+    @pytest.mark.parametrize("walk", ["path", "turning_setpoints"])
+    def test_twin_ticks_as_the_original_would(self, params, timing, walk):
+        # Forked in single support, the twin walks on through rolls, turns
+        # and new bounds-table phases; the original, stepped afterwards,
+        # computes the same cycles, so the twin wrote none of its state.
+        engine = make_engine(params, timing)
+        if walk == "path":
+            engine.command_path(straight_plan(3))
+        else:
+            engine.command_setpoints(0.05, 0.0, 12.0)
+        run_closed_loop(engine, N_INIT + 10)
+        twin = engine.fork()
+        assert twin.controller is not engine.controller
+        assert twin.controller._factors is engine.controller._factors
+        assert twin._timeline is engine._timeline
+        ahead = run_closed_loop(twin, 2 * N_STEP)
+        again = run_closed_loop(engine, 2 * N_STEP)
+        for (a, xa, ya), (b, xb, yb) in zip(ahead, again):
+            assert a.k == b.k and a.phase == b.phase
+            np.testing.assert_array_equal(np.stack([a.u_x, a.u_y]), np.stack([b.u_x, b.u_y]))
+            np.testing.assert_array_equal(np.stack([xa, ya]), np.stack([xb, yb]))
+            assert a.support_feet == b.support_feet
+
+
 def support_side(diag):
     """Side of the single-support foot: the swing foot lands to the left of
     a right support foot, in the support's heading frame."""

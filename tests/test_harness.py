@@ -4,8 +4,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from triwalk.engine import SupportFoot
+from triwalk import harness
+from triwalk.engine import SupportFoot, WalkEngine
 from triwalk.harness import (
     BracketError,
     Disturbance,
@@ -355,6 +358,140 @@ class TestMaxWithstand:
     def test_direction_sign(self):
         with pytest.raises(ValueError):
             max_withstand(self.toy_template(), "sideways")
+
+    @pytest.mark.parametrize("tol", [0.0, -5.0, math.nan, math.inf])
+    def test_tol_must_be_finite_and_positive(self, tol, monkeypatch):
+        # With tol <= 0 the bisection never ends (adjacent floats stay one
+        # ulp apart); with nan it returned the low end after two probes.
+        monkeypatch.setattr(harness, "Simulation", None)   # no probe may start
+        with pytest.raises(BracketError, match="tol"):
+            max_withstand(self.toy_template(), "fwd", bracket=(200.0, 800.0), tol=tol)
+
+
+def assert_same_run(a, b):
+    """Bitwise-equal summaries and traces of two runs."""
+    assert a.summary() == b.summary()
+    for f in fields(a.trace):
+        x, y = getattr(a.trace, f.name), getattr(b.trace, f.name)
+        assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+
+
+def prefix_state(sim):
+    """Everything of a simulation that a cycle could change, as comparable values."""
+    engine, n = sim.engine, len(sim.tags)
+    return (engine.k, sim.plant.tobytes(), sim.outputs.tobytes(), engine.estimates.tobytes(),
+            engine.controller.u_prev.tobytes(), tuple(engine.controller._warm),
+            tuple((g.hold, tuple(w.tobytes() for w in g.window)) for g in engine.gates),
+            dict(engine.feet), dict(engine._feet_of), engine.frame_angle, engine.setpoints,
+            engine._followed,
+            None if engine._refs is None else engine._lohi.base.tobytes(),
+            str(sim._rng.bit_generator.state), tuple(sim._schedule), tuple(sim.tags),
+            sim.u[:n].tobytes(), sim.excursion[:n].tobytes(), sim.fall_time, sim.fault)
+
+
+class TestForkedProbes:
+    """``run(probe, prefix=...)``, as ``max_withstand`` makes it, against a
+    fresh ``run(probe)``."""
+
+    @staticmethod
+    def template(kind, onset, axis, mass_index, seed):
+        push = (Disturbance(t_start=onset, duration=0.02, force=1.0, mass_index=mass_index,
+                            axis=axis),)
+        if kind == "path":   # two steps; the second, the last, spans about 1.3-2.3 s
+            base = tracking_scenario(n_steps=2, noise=True, seed=seed, duration=3.0)
+            return replace(base, disturbances=push)
+        # A setpoint entry after the onset: the fork must copy the pending ones.
+        return replace(inplace_scenario(duration=3.0, seed=seed, disturbances=push),
+                       schedule=((0.0, 0.0, 0.0, 0.0), (min(onset + 0.3, 2.9), 0.08, 0.0, 5.0)))
+
+    @settings(max_examples=5, deadline=None)
+    @given(kind=st.sampled_from(["path", "setpoints"]),
+           onset=st.floats(0.0, 2.9).map(lambda t: round(t, 2)),
+           axis=st.sampled_from(["x", "y"]), mass_index=st.sampled_from([0, 1, 2]),
+           seed=st.integers(0, 2**16),
+           forces=st.lists(st.sampled_from([-900.0, -450.0, -120.0, 0.0, 60.0, 300.0, 700.0]),
+                           min_size=2, max_size=3, unique=True))
+    # Falling probes: both at 0 s (1.46, 2.52 s), -2000 N in the last step
+    # (2.72 s), +700 N on the swing leg (2.80 s).
+    @example(kind="path", onset=0.0, axis="x", mass_index=1, seed=0, forces=[300.0, 900.0])
+    @example(kind="path", onset=1.9, axis="x", mass_index=1, seed=3, forces=[-2000.0, 200.0])
+    @example(kind="setpoints", onset=1.0, axis="y", mass_index=2, seed=1,
+             forces=[700.0, -150.0, 40.0])
+    def test_forked_probe_equals_a_fresh_run(self, kind, onset, axis, mass_index, seed, forces):
+        template = self.template(kind, onset, axis, mass_index, seed)
+        fresh = {f: run(with_impulse(template, f)) for f in forces}
+        prefix = Simulation(with_impulse(template, forces[0]))
+        prefix.advance(round(onset / template.config.ts))   # as the first probe's run would
+        shared = prefix_state(prefix)
+        # Every probe forks from the prefix, in the drawn order and reversed.
+        for force in forces + forces[::-1]:
+            forked = run(with_impulse(template, force), prefix=prefix)
+            assert_same_run(forked, fresh[force])
+            assert prefix_state(prefix) == shared
+
+    def test_prefix_stops_at_the_earliest_push(self):
+        template = replace(disturbance_scenario(300.0, run_time=3.0),
+                           disturbances=(Disturbance(1.6, 0.01, 300.0),
+                                         Disturbance(1.1, 0.01, 50.0, axis="y")))
+        prefix = Simulation(template)
+        run(with_impulse(template, 400.0), prefix=prefix)
+        assert prefix.engine.k == len(prefix.tags) == 55
+
+    @pytest.mark.parametrize("change", [
+        {"noise": NoiseSpec(enabled=True, seed=1)},
+        {"n_fall": 10},
+        {"disturbances": (Disturbance(0.5, 0.01, 300.0),)},   # before the prefix's cycle
+    ])
+    def test_fork_refuses_another_scenario(self, change):
+        template = disturbance_scenario(300.0, run_time=3.0)
+        prefix = Simulation(template)
+        prefix.advance(40)
+        with pytest.raises(ValueError, match="fork"):
+            prefix.fork(replace(template, **change))
+        with pytest.raises(ValueError, match="fork"):
+            prefix.fork(template, seed=7)
+
+    @pytest.mark.parametrize("direction", ["fwd", "bwd"])
+    def test_bisection_ticks_only_inside_its_probes(self, direction, monkeypatch):
+        # The push_bisect workload's bracket and tolerance.  Each tick's
+        # innermost enclosing call is a ``run``, and the first probe runs the
+        # shared prefix, so the bisection ticks (probes - 1) * onset fewer
+        # cycles than fresh probes would.
+        bracket, tol = (240.0, 640.0), 100.0
+        template = disturbance_scenario(300.0)
+        onset = round(1.6 / template.config.ts)
+        stack, ticks, probes = [], [], []
+        tick, run_probe = WalkEngine.tick, harness.run
+
+        def counted_tick(engine, *args):
+            ticks.append(stack[-1] if stack else None)
+            return tick(engine, *args)
+
+        def counted_run(scenario, *args, **kwargs):
+            stack.append(len(probes))
+            probes.append(scenario.disturbances[0].force)
+            try:
+                return run_probe(scenario, *args, **kwargs)
+            finally:
+                stack.pop()
+
+        monkeypatch.setattr(WalkEngine, "tick", counted_tick)
+        monkeypatch.setattr(harness, "run", counted_run)
+        max_withstand(template, direction, bracket=bracket, tol=tol)
+        assert None not in ticks and len(probes) == 4
+        assert ticks.count(0) > onset and all(ticks.count(i) > 0 for i in range(4))
+        monkeypatch.undo()
+        fresh = sum(run(with_impulse(template, f), keep_trace=False).n_cycles for f in probes)
+        assert len(ticks) == fresh - (len(probes) - 1) * onset
+
+    def test_template_without_disturbance_fails_before_any_cycle(self, monkeypatch):
+        ticks = []
+        tick = WalkEngine.tick
+        monkeypatch.setattr(WalkEngine, "tick",
+                            lambda engine, *args: ticks.append(engine.k) or tick(engine, *args))
+        with pytest.raises(ValueError, match="no disturbance to scale"):
+            max_withstand(tracking_scenario(), "fwd")
+        assert ticks == []
 
 
 class TestWithImpulse:

@@ -24,6 +24,9 @@ or the shapes differ, and the parent's max |u|, nan when its file is
 missing; the largest |du| over the pairs is printed, also divided by the
 largest |u|, with each side's median ``attempted`` (ticks per run: a faster
 tick fits more ticks, and more per-tick records, into the fixed run time).
+When the two sides' command arrays differ in shape, both shapes are
+recorded for the pair and printed, so an inf |du| from a change in the
+number of ticks a unit runs reads apart from a changed command.
 ``--traced`` adds a ``--trace 1`` run of each side to every pair, at the
 pair's seed and in the pair's order, and prints each per-layer metric as
 each side's median and quartiles over the pairs, since one traced run per
@@ -74,6 +77,16 @@ def max_abs_du(path_a: Path, path_b: Path) -> float:
     if a.shape != b.shape:
         return math.inf
     return float(np.max(np.abs(a - b), initial=0.0))
+
+
+def u_shapes(path_a: Path, path_b: Path) -> list[list[int]] | None:
+    """Both saved command arrays' shapes when they differ; None when they
+    agree or a file is missing."""
+    try:
+        a, b = (np.load(path, mmap_mode="r").shape for path in (path_a, path_b))
+    except FileNotFoundError:
+        return None
+    return [list(a), list(b)] if a != b else None
 
 
 def max_abs_u(path: Path) -> float:
@@ -128,7 +141,7 @@ def measure(parent_dir: Path, change_dir: Path, workload: str, args, specs) -> d
     runs = {"parent": [], "change": []}
     traced = {"parent": [], "change": []}
     seeds = [args.first_seed + i for i in range(args.pairs)]
-    du, u = [], []
+    du, u, shapes = [], [], []
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
@@ -139,8 +152,9 @@ def measure(parent_dir: Path, change_dir: Path, workload: str, args, specs) -> d
             print(f"  {workload} seed {seed} {side}: correct={result['correct']} "
                   f"tick_p99_ms={result['metrics'].get('tick_p99_ms', {}).get('value')}",
                   file=sys.stderr, flush=True)
-        du.append(max_abs_du(*(u_file(sides[side], workload, seed)
-                               for side in ("parent", "change"))))
+        files = [u_file(sides[side], workload, seed) for side in ("parent", "change")]
+        du.append(max_abs_du(*files))
+        shapes.append(u_shapes(*files))
         u.append(max_abs_u(u_file(parent_dir, workload, seed)))
         if args.traced:
             for side in order:
@@ -153,6 +167,7 @@ def measure(parent_dir: Path, change_dir: Path, workload: str, args, specs) -> d
         "failed": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
         "max_abs_du": du,
         "max_abs_u": u,
+        "u_shapes": shapes,
         "metrics": {
             spec["name"]: compare(spec, *([r["metrics"][spec["name"]]["value"] for r in runs[side]]
                                           for side in ("parent", "change")))
@@ -175,6 +190,10 @@ def print_table(workload: str, record: dict) -> None:
           f"max |du| over the pairs {du:.3e}, max |du| / max |u| "
           f"{du / np.max(record['max_abs_u']):.3e}, median ticks per run parent "
           f"{ticks['parent']:g} change {ticks['change']:g}")
+    for seed, pair in zip(record["seeds"], record["u_shapes"]):
+        if pair is not None:
+            print(f"  seed {seed}: command shapes differ, parent {tuple(pair[0])} "
+                  f"change {tuple(pair[1])}")
     for name, m in record["metrics"].items():
         flags = ("  GAIN" if m["gain_shown"] else "") + ("  WORSE" if m["worse_than_bound"] else "")
         print(f"  {name:<18} parent {m['parent_median']:.6g} [{m['parent_q1']:.6g}, "

@@ -218,10 +218,10 @@ class WalkEngine:
 
     def fork(self) -> WalkEngine:
         """Copy that ticks on from this engine's state, leaving this engine as
-        it is.  The copy owns what a tick changes, the bounds table included
-        (a read-only view filled through its base, which ``copy.deepcopy``
-        cannot copy); the model, the controller and observer matrices, the
-        timeline and the reference table are never written, and are shared."""
+        it is.  The copy owns what a tick changes, the bounds table included;
+        the model, the controller and observer matrices, the timeline and the
+        reference table are never written, and are shared.  A
+        ``copy.deepcopy`` ticks on alike, but copies the shared parts too."""
         twin = copy.copy(self)
         twin.estimates = self.estimates.copy()
         twin.feet = dict(self.feet)
@@ -231,7 +231,7 @@ class WalkEngine:
         twin.controller = copy.copy(self.controller)
         twin._feet_of = dict(self._feet_of)
         if self._refs is not None:
-            twin._lohi = self._lohi.base.copy().view()
+            twin._lohi = self._lohi.copy()
             twin._lohi.flags.writeable = False
         return twin
 
@@ -439,7 +439,7 @@ class WalkEngine:
             self._R_wf, self._R_fw = _rot(-self.frame_angle), _rot(self.frame_angle)
             rows = tl.window(-1, tl.total_cycles + 1 + self.config.n_pred)
             self._refs = np.stack([(rows @ self._R_wf[i])[:, _STACKED] for i in range(2)])
-            self._lohi = np.empty((2, len(rows), 2, 3)).view()   # filled through its base
+            self._lohi = np.empty((2, len(rows), 2, 3))   # unlocked while filled
             self._refs.flags.writeable = self._lohi.flags.writeable = False
             self._ids, self._next_id = tl.phase_ids(-1, len(rows)), 0
         return min(self._local_cycle(self.k), tl.total_cycles) + 1
@@ -475,7 +475,9 @@ class WalkEngine:
         end = row + self.config.constraint_window
         for kid in range(max(self._ids[row], self._next_id), self._ids[end - 1] + 1):
             first, last = np.searchsorted(self._ids, (kid, kid + 1))
-            self._lohi.base[:, first:last] = self._phase_box(self._followed.keys[kid])[:, None]
+            self._lohi.flags.writeable = True
+            self._lohi[:, first:last] = self._phase_box(self._followed.keys[kid])[:, None]
+            self._lohi.flags.writeable = False
             self._next_id = kid + 1
         return self._lohi[:, row:end, 0], self._lohi[:, row:end, 1]
 

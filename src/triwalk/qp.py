@@ -22,19 +22,22 @@ active-set step reads its columns and Gram entries instead of solving.  So a
 problem is its factors plus (f, b), ``QpProblem(factors, f, b)``, with
 ``QpFactors.build(H, A)`` as the factors, or its ``.soften(mask, penalty)``.
 
-Within a solve, the working set W keeps a lower Cholesky factor R of its Gram
-block ``A_W H^-1 A_W' = R R'`` in a Fortran-ordered buffer whose leading
-block LAPACK reads in place.  A step direction costs two triangular solves;
-appending a row extends R by one row, and dropping one deletes its row of R
-and re-triangularises the rows below it.  The final R travels with the
-solution's ``active_set``, and a warm start from that set copies it and
-prunes rows with negative multipliers; any other warm start is ignored, and
-the solve starts cold.  On the final working set,
-``_polish`` runs one refinement pass, re-solving first only if the loop took
-steps, and the KKT gate checks the incremental iterate only when the polished
-one misses it, keeping the better.  Should rounding leave the working-set
-Gram block indefinite, a warm-started solve starts over cold, and a cold
-solve ends there with status ``max_iterations``, as at the iteration cap.
+Within a solve, the working set W is an index buffer whose first k entries
+are its rows, with a kept count of its hard rows; like R and V it is made
+on first use, so a cold solve that adds no row makes none of them.  W keeps
+a lower Cholesky factor R of its Gram block ``A_W H^-1 A_W' = R R'`` in a
+Fortran-ordered buffer whose leading block LAPACK reads in place.  A step
+direction costs two triangular solves; appending a row extends R by one
+row, and dropping one deletes its row of R and re-triangularises the rows
+below it.  The final R travels with the solution's ``active_set`` (rows as
+Python ints), and a warm start from that set copies it and prunes rows with
+negative multipliers; any other warm start is ignored, and the solve starts
+cold.  On the final working set, ``_polish`` runs one refinement pass,
+re-solving first only if the loop took steps, and the KKT gate checks the
+incremental iterate only when the polished one misses it, keeping the
+better.  Should rounding leave the working-set Gram block indefinite, a
+warm-started solve starts over cold, and a cold solve ends there with
+status ``max_iterations``, as at the iteration cap.
 """
 
 from __future__ import annotations
@@ -196,29 +199,27 @@ def _gram_solve(R, k: int, v: np.ndarray) -> np.ndarray:
     return dtrtrs(R[:, :k], _forward(R, k, v), lower=1, trans=1)[0]
 
 
-def _append(W: list[int], V, R, p: int, v_p: np.ndarray, l: np.ndarray, schur: float) -> None:
-    """Append row ``p`` with its ``H^-1 a`` column ``v_p``.  ``l = R_k^-1 G[W, p]``
-    and ``schur = G[p, p] - l.l > 0`` give the new factor row [l', sqrt(schur)],
-    with zeros above it in its column."""
-    k = len(W)
+def _append(W, k: int, V, R, p: int, v_p: np.ndarray, l: np.ndarray, schur: float) -> None:
+    """Append row ``p`` with its ``H^-1 a`` column ``v_p`` to the k rows of W.
+    ``l = R_k^-1 G[W, p]`` and ``schur = G[p, p] - l.l > 0`` give the new
+    factor row [l', sqrt(schur)], with zeros above it in its column."""
     V[:, k] = v_p
     R[:k, k] = 0.0
     R[k, :k] = l
     R[k, k] = np.sqrt(schur)
-    W.append(p)
+    W[k] = p
 
 
-def _drop(W: list[int], lam, V, R, G, pos: int) -> None:
-    """Remove working-set entry ``pos`` with its multiplier, its ``H^-1 a``
-    column and its factor row, keeping the rest packed in order.
+def _drop(W, k: int, lam, V, R, G, pos: int) -> None:
+    """Remove entry ``pos`` of the k rows of W with its multiplier, its
+    ``H^-1 a`` column and its factor row, keeping the rest packed in order.
 
     Without row ``pos`` of R, the rows below it still hold the Gram entries
     among themselves in ``T = R[pos+1:k, pos:k]``; refactoring ``T T'``
     re-triangularises them.  Should rounding have cost that block its
     definiteness, the whole factor is rebuilt from ``G``.
     """
-    k = len(W)
-    W.pop(pos)
+    W[pos:k - 1] = W[pos + 1:k]
     lam[pos:k - 1] = lam[pos + 1:k]
     V[:, pos:k - 1] = V[:, pos + 1:k]
     T = R[pos + 1:k, pos:k]
@@ -226,7 +227,7 @@ def _drop(W: list[int], lam, V, R, G, pos: int) -> None:
     block, info = dpotrf(T @ T.T, lower=1)
     if info:
         pos = 0
-        block, info = dpotrf(G[np.ix_(W, W)], lower=1)
+        block, info = dpotrf(G[np.ix_(W[:k - 1], W[:k - 1])], lower=1)
         if info:
             raise np.linalg.LinAlgError("working-set Gram matrix is not positive definite")
     R[pos:k - 1, pos:k - 1] = block
@@ -269,36 +270,39 @@ class ActiveSetSolver:
 
         z0 = -fac.hsolve(f)
         z = z0
-        W: list[int] = []
-        lam = np.zeros(N)            # first len(W) entries are the multipliers
-        # Working-set buffers, made on first use.  Columns 0..k-1 of V hold
-        # H^-1 A_W' (columns of V_all).  The leading k-by-k block of the
-        # Fortran-ordered R is the lower Cholesky factor of the Gram block
-        # G[W, W], zero above its diagonal, which ``_drop`` reads.  R is not
-        # zeroed when made: with soft rows it holds n + k_soft rows, and
-        # clearing them cost more than a small solve, so each row that
+        k = hard = 0                 # rows in the working set, and its hard rows
+        lam = np.zeros(N)            # first k entries are the multipliers
+        # Working-set buffers, made on first use.  The first k entries of
+        # the index buffer W are the working rows; columns 0..k-1 of V hold
+        # their H^-1 A_W' (columns of V_all).  The leading k-by-k block of
+        # the Fortran-ordered R is the lower Cholesky factor of the Gram
+        # block G[W, W], zero above its diagonal, which ``_drop`` reads.  R
+        # is not zeroed when made: with soft rows it holds n + k_soft rows,
+        # and clearing them cost more than a small solve, so each row that
         # enters W clears its column above the diagonal instead.
-        V = R = None
+        W = V = R = None
 
         if warm_start is not None:
             # Copy the carried factor, then drop the most negative
             # equality-constrained multiplier until none is negative.  A
             # row's gap b_i - a_i z0 does not depend on the rest of W.
             k = len(warm_start)
-            V, R = np.empty((n, N)), np.empty((N, N), order="F")
-            W.extend(warm_start)
+            W, V, R = np.empty(N, np.intp), np.empty((n, N)), np.empty((N, N), order="F")
+            W[:k] = warm_start
             R[:k, :k], V[:, :k] = warm_start.R, warm_start.V
-            gap = b[W] - A[W] @ z0
-            while W:
-                mult = -_gram_solve(R, len(W), gap)
+            gap = b[W[:k]] - A[W[:k]] @ z0
+            while k:
+                mult = -_gram_solve(R, k, gap)
                 if mult.min() >= 0.0:
-                    lam[:len(W)] = mult
-                    z = z0 - V[:, :len(W)] @ lam[:len(W)]
+                    lam[:k] = mult
+                    z = z0 - V[:, :k] @ lam[:k]
                     break
                 pos = int(mult.argmin())
-                _drop(W, lam, V, R, G, pos)
+                _drop(W, k, lam, V, R, G, pos)
+                k -= 1
                 gap[pos:-1] = gap[pos + 1:]
                 gap = gap[:-1]
+            hard = k - np.count_nonzero(reg[W[:k]])
 
         iterations = 0
         status = STATUS_OPTIMAL
@@ -306,9 +310,9 @@ class ActiveSetSolver:
         if m > 0:
             while True:
                 viol = resid
-                if W:
+                if k:
                     viol = resid.copy()
-                    viol[W] = -np.inf
+                    viol[W[:k]] = -np.inf
                 p = int(viol.argmax())
                 if viol[p] <= _FEAS_TOL:
                     break
@@ -317,7 +321,7 @@ class ActiveSetSolver:
                     break
                 iterations += 1
                 if R is None:
-                    V, R = np.empty((n, N)), np.empty((N, N), order="F")
+                    W, V, R = np.empty(N, np.intp), np.empty((n, N)), np.empty((N, N), order="F")
 
                 a_p = A[p]
                 r = V_all[:, p]
@@ -325,11 +329,10 @@ class ActiveSetSolver:
                 reg_p = float(reg[p])
                 lam_p = 0.0
                 # Each pass that does not break drops a row, so this loop
-                # makes at most len(W) + 1 passes.
+                # makes at most k + 1 passes.
                 while True:
-                    k = len(W)
                     if k:
-                        l = _forward(R, k, G[W, p])
+                        l = _forward(R, k, G[W[:k], p])
                         e = -dtrtrs(R[:, :k], l, lower=1, trans=1)[0]
                         d = -r - V[:, :k] @ e
                     else:
@@ -343,16 +346,16 @@ class ActiveSetSolver:
                     t_block = np.inf
                     blk = -1
                     if k:
-                        neg = np.flatnonzero(e < -1e-12)
+                        neg = (e < -1e-12).nonzero()[0]
                         if neg.size:
                             ratios = -lam[neg] / e[neg]
-                            j = int(np.argmin(ratios))
+                            j = int(ratios.argmin())
                             t_block = float(ratios[j])
                             blk = int(neg[j])
                     # A working set of n hard rows (rows with zero reg) makes
                     # any further hard row linearly dependent regardless of
                     # the computed curvature.
-                    dependent = (not reg_p and len(W) - np.count_nonzero(reg[W]) >= n
+                    dependent = (not reg_p and hard >= n
                                  or s >= -1e-11 * max(1.0, apr))
                     t_full = np.inf if dependent else (-v_p / s)
 
@@ -365,11 +368,16 @@ class ActiveSetSolver:
                     lam_p += t
                     if t_full <= t_block:
                         # apr - l.l equals -s, which ``dependent`` keeps positive.
-                        _append(W, V, R, p, r, l, apr - l @ l)
+                        _append(W, k, V, R, p, r, l, apr - l @ l)
                         lam[k] = lam_p
+                        k += 1
+                        hard += not reg_p
                         break
+                    # The row leaves W even when its refactor fails.
+                    hard -= not reg[W[blk]]
+                    k -= 1
                     try:
-                        _drop(W, lam, V, R, G, blk)
+                        _drop(W, k + 1, lam, V, R, G, blk)
                     except np.linalg.LinAlgError:
                         # A near-dependent working set: a warm start is
                         # retried cold, a cold solve keeps its iterate.
@@ -381,10 +389,10 @@ class ActiveSetSolver:
                 if status != STATUS_OPTIMAL:
                     break
 
-        k = len(W)
-        AW = A[W] if W else None
+        W = W[:k] if k else None
+        AW = A[W] if k else None
         iterates = [(z, resid, lam[:k])]
-        if status == STATUS_OPTIMAL and W:
+        if status == STATUS_OPTIMAL and k:
             # Polishing removes drift accumulated by the incremental updates,
             # but can itself lose accuracy when the working-set Gram matrix is
             # ill conditioned: the incremental iterate is checked only when
@@ -407,19 +415,21 @@ class ActiveSetSolver:
         # A working row's slack is reg lam (0 if hard), any other row's 0; an
         # empty exit, the common one, builds no per-row array.
         slacks = np.zeros(fac.soft_rows.size)
-        if W:
+        rows = ()
+        if k:
             slack = np.zeros(m)
             slack[W] = reg[W] * lam_k
             objective += 0.5 * float(slack[W] @ lam_k)
             slacks = slack[fac.soft_rows]
+            rows = W.tolist()        # Python ints, as the set's API promises
         return QpSolution(
             z=z,
             objective=objective,
             kkt_residual=kkt,
             status=status,
-            active_set=(ActiveSet(W, fac, _frozen(R[:k, :k].copy(order="F")),
+            active_set=(ActiveSet(rows, fac, _frozen(R[:k, :k].copy(order="F")),
                                   _frozen(V[:, :k].copy()))
-                        if W and status == STATUS_OPTIMAL else tuple(W)),
+                        if k and status == STATUS_OPTIMAL else tuple(rows)),
             iterations=iterations,
             slacks=slacks,
         )
@@ -443,11 +453,12 @@ class ActiveSetSolver:
 
     @staticmethod
     def _kkt_from_multipliers(fac: QpFactors, f, z, resid, W, AW, lam):
-        """Return the KKT residual of (z, lam) on the working set W with rows
-        ``AW``, given ``resid = A z - b``, and H z."""
+        """Return the KKT residual of (z, lam) on the working set W (row
+        indices, None when empty) with rows ``AW``, given ``resid = A z - b``,
+        and H z."""
         Hz = fac.H @ z
         grad = Hz + f
-        if W:
+        if W is not None:
             grad = grad + AW.T @ lam
             resid = resid.copy()
             resid[W] -= fac.reg[W] * lam

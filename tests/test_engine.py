@@ -655,6 +655,23 @@ class TestFork:
         assert twin._timeline is engine._timeline
         ahead = run_closed_loop(twin, 2 * N_STEP)
         again = run_closed_loop(engine, 2 * N_STEP)
+        self.assert_same_cycles(ahead, again)
+
+    def test_deep_copy_ticks_as_a_fork(self, params, timing):
+        # A deep copy owns its bounds table too, so it builds the new phases'
+        # bounds as it walks into them, cycle for cycle as a fork does.
+        engine = make_engine(params, timing)
+        engine.command_path(straight_plan(3))
+        run_closed_loop(engine, N_INIT + 10)
+        copied, twin = copy.deepcopy(engine), engine.fork()
+        ahead = run_closed_loop(copied, 2 * N_STEP)
+        phases = [d.phase for d, _, _ in ahead]
+        assert sum(p != q for p, q in zip(phases, phases[1:])) >= 2
+        self.assert_same_cycles(ahead, run_closed_loop(twin, 2 * N_STEP))
+
+    @staticmethod
+    def assert_same_cycles(ahead, again):
+        assert len(ahead) == len(again)
         for (a, xa, ya), (b, xb, yb) in zip(ahead, again):
             assert a.k == b.k and a.phase == b.phase
             np.testing.assert_array_equal(np.stack([a.u_x, a.u_y]), np.stack([b.u_x, b.u_y]))

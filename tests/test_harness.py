@@ -384,7 +384,7 @@ def prefix_state(sim):
             tuple((g.hold, tuple(w.tobytes() for w in g.window)) for g in engine.gates),
             dict(engine.feet), dict(engine._feet_of), engine.frame_angle, engine.setpoints,
             engine._followed,
-            None if engine._refs is None else engine._lohi.base.tobytes(),
+            None if engine._refs is None else engine._lohi.tobytes(),
             str(sim._rng.bit_generator.state), tuple(sim._schedule), tuple(sim.tags),
             sim.u[:n].tobytes(), sim.excursion[:n].tobytes(), sim.fall_time, sim.fault)
 

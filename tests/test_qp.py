@@ -509,6 +509,25 @@ class TestCarriedWarmStart:
         for x, y in zip(before, after):
             assert np.array_equal(x, y)
 
+    def test_a_pruned_hard_row_makes_room_for_another(self, solver):
+        # The carried set holds n = 2 hard rows.  Loosening row 0 prunes it,
+        # and row 2 must then enter beside row 1: a hard-row count not
+        # lowered by the prune would call row 2 dependent.
+        H, A = np.eye(2), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        factors = QpFactors.build(H, A)
+        f = np.array([-1.0, -1.0])
+        carried = solver.solve(QpProblem(factors, f, np.array([0.0, 0.0, 5.0]))).active_set
+        assert type(carried) is ActiveSet and sorted(carried) == [0, 1]
+        p = QpProblem(factors, f, np.array([10.0, 0.0, 0.5]))
+        sol, ref = solver.solve(p, warm_start=carried), solver.solve(p)
+        assert sol.iterations == 1 and set(sol.active_set) == {1, 2}
+        assert sol.status == ref.status == STATUS_OPTIMAL
+        np.testing.assert_allclose(sol.z, ref.z, rtol=0.0, atol=1e-9)
+        assert sol.kkt_residual < 1e-8 * (1.0 + np.max(np.abs(f)) + np.max(np.abs(H @ sol.z)))
+        # Rows are Python ints, whatever the solver keeps them in.
+        for s in (carried, sol.active_set, ref.active_set):
+            assert all(type(i) is int for i in s)
+
     def test_other_factors_take_the_blocked_seed(self):
         # A softened solve's non-empty carried set seeding a hard solve of
         # the same rows: another factors' set seeds nothing, so the solve
@@ -705,13 +724,16 @@ class TestWorkingSetFactor:
     def empty_working_set(n):
         # R starts as NaN, as the solver's unzeroed buffer may hold anything:
         # every entry the factor reads must have been written.
-        return [], np.zeros(n), np.empty((n, n)), np.full((n, n), np.nan, order="F")
+        return (np.empty(n, np.intp), np.zeros(n), np.empty((n, n)),
+                np.full((n, n), np.nan, order="F"))
 
     @staticmethod
-    def append(W, lam, V, R, G, p):
-        l = _forward(R, len(W), G[W, p])
-        lam[len(W)] = p
-        _append(W, V, R, p, np.full(V.shape[0], float(p)), l, G[p, p] - l @ l)
+    def append(W, k, lam, V, R, G, p):
+        """Append row p to the k rows of W; the new count."""
+        l = _forward(R, k, G[W[:k], p])
+        lam[k] = p
+        _append(W, k, V, R, p, np.full(V.shape[0], float(p)), l, G[p, p] - l @ l)
+        return k + 1
 
     @staticmethod
     def assert_factor(W, lam, V, R, G):
@@ -733,30 +755,33 @@ class TestWorkingSetFactor:
         B = rng.normal(size=(m, m + 2)) * rng.uniform(0.1, 10.0, size=(m, 1))
         G = B @ B.T
         W, lam, V, R = self.empty_working_set(m)
+        k = 0
         for op in ["append"] * fill + ops:
-            if op == "append" and len(W) < m or not W:
-                free = [i for i in range(m) if i not in W]
-                self.append(W, lam, V, R, G, free[rng.integers(len(free))])
+            if op == "append" and k < m or not k:
+                free = [i for i in range(m) if i not in W[:k]]
+                k = self.append(W, k, lam, V, R, G, free[rng.integers(len(free))])
             else:
-                pos = {"first": 0, "middle": len(W) // 2}.get(op, len(W) - 1)
-                kept = W[:pos] + W[pos + 1:]
-                _drop(W, lam, V, R, G, pos)
-                assert W == kept
-            self.assert_factor(W, lam, V, R, G)
+                pos = {"first": 0, "middle": k // 2}.get(op, k - 1)
+                kept = np.delete(W[:k], pos)
+                _drop(W, k, lam, V, R, G, pos)
+                k -= 1
+                np.testing.assert_array_equal(W[:k], kept)
+            self.assert_factor(W[:k], lam, V, R, G)
 
     def test_drop_refactors_a_factor_that_lost_definiteness(self):
         rng = np.random.default_rng(3)
         B = rng.normal(size=(6, 8))
         G = B @ B.T
         W, lam, V, R = self.empty_working_set(6)
+        k = 0
         for p in (4, 1, 5, 0, 2):
-            self.append(W, lam, V, R, G, p)
+            k = self.append(W, k, lam, V, R, G, p)
         # A zero last row makes the trailing block's downdate singular, so the
         # drop must rebuild the factor from G.
         R[4, :5] = 0.0
-        _drop(W, lam, V, R, G, 1)
-        assert W == [4, 5, 0, 2]
-        self.assert_factor(W, lam, V, R, G)
+        _drop(W, k, lam, V, R, G, 1)
+        assert W[:4].tolist() == [4, 5, 0, 2]
+        self.assert_factor(W[:4], lam, V, R, G)
 
 
 class TestLargeSoftenedSolves:

@@ -2,15 +2,15 @@
 
 Usage, from anywhere:
 
-    python3 tools/qp_replay.py PARENT_DIR CHANGE_DIR --workload W \\
-        [--seed 0] [--passes 10]
+    python3 tools/qp_replay.py PARENT_DIR CHANGE_DIR --workload W [--passes 10]
 
 Every ``ActiveSetSolver.solve`` call of one unit runs in PARENT_DIR and is
 recorded: its factors' (H, A, soft rows, penalty), its f and b, and which
 earlier recorded call returned the ``active_set`` it was warm-started from.
-W is one of this script's ``SCENARIOS`` (a ``harness.run`` of a scenario) or
-the name of a workload in PARENT_DIR's ``perfbench/workloads.py``, whose
-unit 0 at ``--seed`` is recorded.
+W is ``short_push``, a 2.6 s noisy walk with a 440 N push that this script
+runs through ``harness.run`` without ``perfbench``, or the name of a workload
+in PARENT_DIR's ``perfbench/workloads.py``, whose unit 0 at seed 0 is
+recorded.
 
 Each checkout then replays the calls in order in its own process, through
 its own ``QpFactors.build`` / ``soften`` and its own solver.  A call warm-
@@ -44,11 +44,6 @@ from pathlib import Path
 
 import numpy as np
 
-# Short scenarios recorded without ``perfbench``: name -> Scenario of a
-# ``harness`` module.  A 440 N push makes the noisy walk struggle and fall.
-SCENARIOS = {
-    "short_push": lambda hr: hr.disturbance_scenario(440.0, run_time=2.6),
-}
 GROUPS = ("empty exit", "0 iterations", "1-5 iterations", "6+ iterations")
 # One BLAS thread, as the bench runs: small products are faster and steadier.
 ENV = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
@@ -65,7 +60,7 @@ def import_program(checkout: Path):
     return triwalk
 
 
-def record(checkout: Path, workload: str, seed: int, out: Path) -> None:
+def record(checkout: Path, workload: str, out: Path) -> None:
     """Run one unit of ``workload`` in ``checkout`` and pickle its solves."""
     th = import_program(checkout)
     solver_cls = th.qp.ActiveSetSolver
@@ -94,12 +89,13 @@ def record(checkout: Path, workload: str, seed: int, out: Path) -> None:
         return sol
 
     solver_cls.solve = recorded
-    if workload in SCENARIOS:
-        th.harness.run(SCENARIOS[workload](th.harness))
+    if workload == "short_push":
+        # A 440 N push makes the noisy walk struggle and fall.
+        th.harness.run(th.harness.disturbance_scenario(440.0, run_time=2.6))
     else:
         sys.path.insert(0, str(checkout / "perfbench"))
         import workloads
-        workloads.WORKLOADS[workload](th, seed).unit(0)
+        workloads.WORKLOADS[workload](th, 0).unit(0)
     solver_cls.solve = solve
     # Factors are numbered in insertion order, which the dict keeps.
     out.write_bytes(pickle.dumps({"factors": [data for _, _, data in factors.values()],
@@ -165,7 +161,7 @@ def compare(parent: list, change: list) -> dict:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["_record"]:
-        record(Path(argv[1]), argv[2], int(argv[3]), Path(argv[4]))
+        record(Path(argv[1]), argv[2], Path(argv[3]))
         return 0
     if argv[:1] == ["_replay"]:
         replay(Path(argv[1]), Path(argv[2]))
@@ -174,8 +170,7 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("--workload", required=True,
-                    help=f"one of {', '.join(SCENARIOS)} or a perfbench workload")
-    ap.add_argument("--seed", type=int, default=0, help="perfbench workload seed")
+                    help="short_push or a perfbench workload")
     ap.add_argument("--passes", type=int, default=10, help="passes per side")
     args = ap.parse_args(argv)
     if args.passes < 1:
@@ -186,7 +181,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         recording = Path(tmp) / "calls.pkl"
         subprocess.run([sys.executable, me, "_record", str(sides["parent"]), args.workload,
-                        str(args.seed), str(recording)], env=ENV, check=True)
+                        str(recording)], env=ENV, check=True)
         workers = {side: subprocess.Popen([sys.executable, me, "_replay", str(path),
                                            str(recording)], env=ENV, text=True,
                                           stdin=subprocess.PIPE, stdout=subprocess.PIPE)

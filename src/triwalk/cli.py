@@ -6,22 +6,40 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .footstep import load_map, plan_footsteps
 from .harness import BracketError, Scenario, max_withstand, run
 
 
+def _load_scenario(path, seed: int | None = None) -> Scenario | None:
+    """The scenario file at ``path``, with ``seed`` as its noise seed when
+    given; None, with the reason printed, when it cannot be run."""
+    try:
+        scenario = Scenario.from_json(path)
+        if seed is not None:
+            scenario = replace(scenario, noise=replace(scenario.noise, seed=seed))
+            scenario.validate()
+        return scenario
+    except (ValueError, OSError) as exc:
+        print(f"scenario error: {exc}", file=sys.stderr)
+
+
 def _cmd_run(args) -> int:
-    scenario = Scenario.from_json(args.scenario)
-    metrics = run(scenario, out_dir=args.out, seed=args.seed)
+    scenario = _load_scenario(args.scenario, args.seed)
+    if scenario is None:
+        return 2
+    metrics = run(scenario, out_dir=args.out)
     summary = metrics.summary()
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if metrics.completed and not metrics.fall_detected else 1
 
 
 def _cmd_withstand(args) -> int:
-    scenario = Scenario.from_json(args.scenario)
+    scenario = _load_scenario(args.scenario)
+    if scenario is None:
+        return 2
     if not scenario.disturbances:
         print("scenario has no disturbance entry to scale", file=sys.stderr)
         return 2
@@ -61,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a scenario file")
     p_run.add_argument("scenario", help="scenario JSON file")
     p_run.add_argument("--out", default=None, help="directory for trace CSV/JSON")
-    p_run.add_argument("--seed", type=int, default=None, help="override the noise seed")
+    p_run.add_argument("--seed", type=int, default=None,
+                       help="noise seed, replacing the scenario's")
     p_run.set_defaults(func=_cmd_run)
 
     p_w = sub.add_parser("withstand", help="bisect the maximum surviving impulse")

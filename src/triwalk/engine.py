@@ -92,26 +92,6 @@ def filter_setpoints(sp: Setpoints, ts: float, lag_tau: float) -> Setpoints:
     )
 
 
-@dataclass(frozen=True)
-class SupportFoot:
-    """World-frame footprint geometry for support-polygon checks."""
-
-    x: float
-    y: float
-    theta: float
-    half_length: float
-    half_width: float
-
-    def corners(self) -> np.ndarray:
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        rot = np.array([[c, -s], [s, c]])
-        local = np.array([[self.half_length, self.half_width],
-                          [self.half_length, -self.half_width],
-                          [-self.half_length, -self.half_width],
-                          [-self.half_length, self.half_width]])
-        return local @ rot.T + np.array([self.x, self.y])
-
-
 @dataclass
 class CycleDiagnostics:
     """Per-cycle record emitted by ``tick`` (world frame throughout)."""
@@ -126,20 +106,10 @@ class CycleDiagnostics:
     qp_iterations: tuple[int, int]
     zmp_pred: np.ndarray
     refs: RefSample
-    support_feet: tuple[SupportFoot, ...]
+    support_feet: tuple[Footprint, ...]   # the plan's, one shared tuple per phase
     clamped_step: bool = False
     step_index: int = -1
     swing_target: np.ndarray | None = None   # landing position during single support
-
-
-def contact_feet(plan: FootstepPlan, key: tuple[str, int]) -> tuple[Footprint, ...]:
-    """Footprints of ``plan`` on the ground in the timeline phase ``key``."""
-    name, idx = key
-    if name == "single":
-        return (plan.support(idx),)
-    if name == "double":
-        return (plan.support(idx), plan.swing_to(idx))
-    return plan.footprints[:2] if name == "initialize" or idx < 0 else plan.footprints[-2:]
 
 
 # Reference window columns (zmp, stance mass, swing mass) in stacked output
@@ -187,7 +157,6 @@ class WalkEngine:
         self._first_swing = "R"
         self._clamped_step = False
         self._followed: WalkTimeline | None = None   # see ``_timeline``
-        self._feet_of = {}
         self._refs = None
 
         self.gates = (PushGate(), PushGate())
@@ -219,8 +188,9 @@ class WalkEngine:
     def fork(self) -> WalkEngine:
         """Copy that ticks on from this engine's state, leaving this engine as
         it is.  The copy owns what a tick changes, the bounds table included;
-        the model, the controller and observer matrices, the timeline and the
-        reference table are never written, and are shared.  A
+        the model, the controller and observer matrices, the timeline (its
+        per-phase feet included) and the reference table are never written,
+        and are shared.  A
         ``copy.deepcopy`` ticks on alike, but copies the shared parts too."""
         twin = copy.copy(self)
         twin.estimates = self.estimates.copy()
@@ -229,7 +199,6 @@ class WalkEngine:
         # A controller rebinds its held input and warm starts every cycle
         # and writes neither in place, so a shallow copy owns them.
         twin.controller = copy.copy(self.controller)
-        twin._feet_of = dict(self._feet_of)
         if self._refs is not None:
             twin._lohi = self._lohi.copy()
             twin._lohi.flags.writeable = False
@@ -318,7 +287,7 @@ class WalkEngine:
             qp_iterations=tuple(info.iterations for info in infos),
             zmp_pred=zmp_pred_world,
             refs=tl.sample(local),
-            support_feet=self.support_feet(),
+            support_feet=tl.feet[key],
             clamped_step=self._clamped_step,
             step_index=idx if name in ("single", "double") else -1,
             swing_target=tl.plan.swing_to(idx).xy() if name == "single" else None,
@@ -419,7 +388,6 @@ class WalkEngine:
         self._followed = WalkTimeline(plan, self.timing, self.params, self.config.ts,
                                       include_initialize=initialize)
         self._timeline_origin = self.k
-        self._feet_of: dict[tuple[str, int], tuple[SupportFoot, ...]] = {}
         # Per timeline and working frame: the frame rotations and read-only
         # tables with row r for cycle r, clamped like ``WalkTimeline.window``,
         # up to ``total_cycles + n_pred``.  ``_refs`` holds the (2, rows, 3)
@@ -451,16 +419,6 @@ class WalkEngine:
 
     # ------------------------------------------------------------ constraints
 
-    def support_feet(self) -> tuple[SupportFoot, ...]:
-        """World-frame feet in ground contact, one shared tuple per phase."""
-        key = self._timeline.phase(self._local_cycle(self.k))
-        if key not in self._feet_of:
-            hl = self.params.foot_length / 2.0
-            hw = self.params.foot_width / 2.0
-            self._feet_of[key] = tuple(SupportFoot(fp.x, fp.y, fp.theta, hl, hw)
-                                       for fp in contact_feet(self._followed.plan, key))
-        return self._feet_of[key]
-
     def _bounds(self):
         """Per-sample (lo, hi) output bounds of the next cycle, each (2, window, 3).
 
@@ -486,7 +444,7 @@ class WalkEngine:
         name, idx = key
         plan = self._followed.plan
         R_wf = _rot(-self.frame_angle)
-        feet = contact_feet(plan, key)
+        feet = self._followed.feet[key]
         hl, hw = self.params.foot_length / 2.0, self.params.foot_width / 2.0
         centers = np.array([R_wf @ fp.xy() for fp in feet])
         half = np.array([_inscribed_extents(hl, hw, wrap_angle(fp.theta - self.frame_angle))

@@ -3,11 +3,11 @@ disturbances, fall detection and trace export.
 
 A ``Simulation`` couples the walking engine with the three-mass plant: per
 ``step()`` the plant outputs are measured (optionally with truncated-Gaussian
-noise), the engine produces jerk commands, and disturbances enter as extra
-acceleration on a target mass.  ``run`` steps it and checks only for a fall
-online (the true ZMP outside the unscaled support polygon for more than
-``n_fall`` consecutive cycles); the metrics are scored afterwards from the
-recorded cycles, against the true plant state.
+noise, seeded by the scenario), the engine produces jerk commands,
+disturbances enter as extra acceleration on a target mass, and the cycle is
+recorded.  Only a fall is checked online (the true ZMP outside the unscaled
+support polygon for more than ``n_fall`` consecutive cycles); ``run`` scores
+the metrics afterwards from the recorded cycles, against the true plant state.
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import ThreeMassParams, step_plant
-from .engine import CycleDiagnostics, SupportFoot, WalkEngine
+from .engine import CycleDiagnostics, WalkEngine, _rot
 from .footstep import (
+    Footprint,
     FootstepPlan,
+    _is_int,
     footsteps_from_path,
     initial_feet_on_path,
     load_map,
@@ -88,16 +90,15 @@ class Scenario:
             raise ValueError("path mode needs map_source or path_points")
         if self.mode == "setpoints" and not self.schedule:
             raise ValueError("setpoints mode needs at least one schedule entry")
-        if not (math.isfinite(self.duration) and self.duration > 0.0):
+        if not (_finite((self.duration,)) and self.duration > 0.0):
             raise ValueError("duration must be finite and positive")
-        if self.noise.enabled and not (math.isfinite(self.noise.bound) and self.noise.bound > 0.0):
+        if self.noise.enabled and not (_finite((self.noise.bound,)) and self.noise.bound > 0.0):
             raise ValueError("noise bound must be finite and positive")
-        if not (isinstance(self.n_fall, int) and self.n_fall >= 0):
+        if not (_is_int(self.n_fall) and self.n_fall >= 0):
             raise ValueError("n_fall must be a nonnegative integer")
-        if not (isinstance(self.noise.seed, int) and self.noise.seed >= 0):
+        if not (_is_int(self.noise.seed) and self.noise.seed >= 0):
             raise ValueError("noise seed must be a nonnegative integer")
-        if self.max_steps is not None and not (isinstance(self.max_steps, int)
-                                               and self.max_steps >= 1):
+        if self.max_steps is not None and not (_is_int(self.max_steps) and self.max_steps >= 1):
             raise ValueError("max_steps must be a positive integer")
         if not all(len(row) == 4 and _finite(row) for row in self.schedule):
             raise ValueError("schedule entries must be four finite numbers (t, x, y, alpha_deg)")
@@ -105,13 +106,12 @@ class Scenario:
                                                     for p in self.path_points):
             raise ValueError("path_points must be finite (x, y) pairs")
         for d in self.disturbances:
-            if not (all(map(math.isfinite, (d.t_start, d.duration, d.force)))
-                    and d.duration > 0.0):
+            if not (_finite((d.t_start, d.duration, d.force)) and d.duration > 0.0):
                 raise ValueError("disturbance values must be finite and its duration positive")
             if not (0.0 <= d.t_start and d.t_start + d.duration <= self.duration):
                 raise ValueError("disturbance window must lie within the run")
-            if d.mass_index not in (0, 1, 2) or d.axis not in _AXES:
-                raise ValueError("disturbance target is out of range")
+            if not (_is_int(d.mass_index) and d.mass_index in (0, 1, 2) and d.axis in _AXES):
+                raise ValueError("disturbance mass_index must be 0, 1 or 2 and axis 'x' or 'y'")
 
     def build_plan(self) -> FootstepPlan | None:
         if self.mode != "path":
@@ -158,32 +158,35 @@ class Scenario:
             data = json.loads(Path(source).read_text())
         else:
             data = source
+        if not isinstance(data, dict):
+            raise ValueError("a scenario must be a JSON object")
         unknown = sorted(set(data) - set(cls().to_json()) - {"map", "path_points", "max_steps"})
         if unknown:
             raise ValueError(f"unknown scenario key {unknown[0]!r}")
         kwargs = {key: data[key] for key in ("name", "mode", "duration", "n_fall", "max_steps")
                   if key in data}
-        for key, kind in (("params", ThreeMassParams), ("config", MpcConfig),
-                          ("timing", GaitTiming), ("observer", ObserverConfig),
-                          ("noise", NoiseSpec)):
-            if key in data:
-                kwargs[key] = _from_section(kind, key, data[key])
-        if "disturbances" in data:
-            kwargs["disturbances"] = tuple(_from_section(Disturbance, "disturbances", d)
-                                           for d in data["disturbances"])
         if "map" in data:
             kwargs["map_source"] = data["map"]
-        for key in ("path_points", "schedule"):
-            if key in data:
-                kwargs[key] = tuple(tuple(p) for p in data[key])
+        sections = {"params": ThreeMassParams, "config": MpcConfig, "timing": GaitTiming,
+                    "observer": ObserverConfig, "noise": NoiseSpec}
+        for key, value in data.items():
+            try:
+                if key in sections:
+                    kwargs[key] = _from_section(sections[key], key, value)
+                elif key == "disturbances":
+                    kwargs[key] = tuple(_from_section(Disturbance, key, d) for d in value)
+                elif key in ("path_points", "schedule"):
+                    kwargs[key] = tuple(tuple(p) for p in value)
+            except TypeError as exc:   # a missing key, or a value of the wrong shape or type
+                raise ValueError(f"scenario section {key!r}: {exc}") from None
         scenario = cls(**kwargs)
         scenario.validate()
         return scenario
 
 
 def _finite(values) -> bool:
-    """True when every entry is a finite real number."""
-    return all(isinstance(v, (int, float)) and math.isfinite(v) for v in values)
+    """True when every entry is a finite real number (not a boolean)."""
+    return all((_is_int(v) or isinstance(v, float)) and math.isfinite(v) for v in values)
 
 
 def _from_section(kind, section: str, values: dict):
@@ -288,25 +291,32 @@ def _violation(point, hull: np.ndarray, planes) -> float:
                default=-math.inf)
 
 
+def _corners(feet: tuple[Footprint, ...], hl: float, hw: float) -> np.ndarray:
+    """World-frame corners of the footprints' (2 hl, 2 hw) rectangles, four rows a foot."""
+    local = np.array([[hl, hw], [hl, -hw], [-hl, -hw], [-hl, hw]])
+    return np.vstack([local @ _rot(fp.theta).T + (fp.x, fp.y) for fp in feet])
+
+
 @lru_cache(maxsize=8)
-def _support_polygon(feet: tuple[SupportFoot, ...], scale: float):
-    if scale != 1.0:
-        feet = tuple(replace(f, half_length=f.half_length * scale,
-                             half_width=f.half_width * scale) for f in feet)
-    hull = convex_hull(np.vstack([f.corners() for f in feet]))
+def _support_polygon(feet: tuple[Footprint, ...], half_extents: tuple[float, float],
+                     scale: float):
+    hull = convex_hull(_corners(feet, half_extents[0] * scale, half_extents[1] * scale))
     hull.setflags(write=False)   # shared by every caller of the cache
     return hull, _half_planes(hull)
 
 
-def support_excursion(zmp, feet: tuple[SupportFoot, ...], scale: float = 1.0) -> float:
-    """Distance of the ZMP outside the support polygon (<= 0 inside).
+def support_excursion(zmp, feet: tuple[Footprint, ...], half_extents: tuple[float, float],
+                      scale: float = 1.0) -> float:
+    """Distance of the ZMP outside the hull of the footprints' rectangles
+    of (half length, half width) ``half_extents`` (<= 0 inside).
 
-    ``scale`` shrinks every footprint about its own center, matching the
-    safety margin the controller enforces.  The polygon of a (feet, scale)
-    pair comes from a small cache; the engine shares one feet tuple per
-    phase, so a run builds each polygon once per phase.
+    ``scale`` shrinks every rectangle about its own center, matching the
+    safety margin the controller enforces.  Each polygon comes from a small
+    cache; the timeline shares one feet tuple per phase, so a run builds
+    each polygon once per phase.
     """
-    return _violation(np.asarray(zmp, dtype=float), *_support_polygon(tuple(feet), scale))
+    return _violation(np.asarray(zmp, dtype=float),
+                      *_support_polygon(tuple(feet), half_extents, scale))
 
 
 def _disturbance_schedule(scenario: Scenario) -> dict[int, np.ndarray]:
@@ -326,24 +336,23 @@ def _disturbance_schedule(scenario: Scenario) -> dict[int, np.ndarray]:
 
 
 class Simulation:
-    """One closed-loop run of a scenario, one control cycle per ``step()``.
+    """One closed-loop run of a scenario; each ``step()`` runs and records
+    one control cycle, row k of the record arrays for cycle k.
 
-    ``seed`` overrides the scenario's noise seed.  Setpoint entries apply in
-    time order, the earliest at construction.  ``plant`` is the true (2, 9)
-    state.  After a step, ``measured`` holds the (axis, output) values the
-    engine saw, ``outputs`` the true outputs of the stepped plant (the next
-    measurement before noise) and ``zmp_true`` their ZMP column.
+    Setpoint entries apply in time order, the earliest at construction; the
+    noise seed is the scenario's.  ``plant`` is the true (2, 9) state.  After
+    a step, ``measured`` holds the (axis, output) values the engine saw,
+    ``outputs`` the true outputs of the stepped plant (the next measurement
+    before noise) and ``zmp_true`` their ZMP column.
 
-    ``advance`` is the run loop: it steps, records each cycle (row k of the
-    record arrays for cycle k) and stops at a fault or a fall, which
-    ``fault`` and ``fall_time`` then hold.  ``fork`` copies the simulation,
-    records and fall counter included, to continue with another push table.
+    ``advance`` steps until a cycle count, a fault or a fall, which ``fault``
+    and ``fall_time`` then hold.  ``fork`` copies the simulation, records and
+    fall counter included, to continue with another push table.
     """
 
-    def __init__(self, scenario: Scenario, seed: int | None = None):
+    def __init__(self, scenario: Scenario):
         scenario.validate()
         self.scenario = scenario
-        self.seed = scenario.noise.seed if seed is None else seed
         self.n_cycles = n = int(round(scenario.duration / scenario.config.ts))
         self.engine = WalkEngine(scenario.params, scenario.config, scenario.timing,
                                  observer=scenario.observer)
@@ -354,10 +363,11 @@ class Simulation:
             self.engine.command_path(scenario.build_plan())
         self.plant = self.engine.standing_states()
         self.outputs = np.matvec(self.engine.model.C, self.plant)
-        self._rng = np.random.default_rng(self.seed)
+        self._rng = np.random.default_rng(scenario.noise.seed)
         self._kicks = _disturbance_schedule(scenario)
+        self._half = (scenario.params.foot_length / 2.0, scenario.params.foot_width / 2.0)
         self.u, self.out = np.empty((n, 2, 3)), np.empty((n, 2, 3))
-        self.meas, self.pred, self.zmp, self.torso = (np.empty((n, 2)) for _ in range(4))
+        self.meas, self.pred, self.torso = (np.empty((n, 2)) for _ in range(3))
         self.refs, self.excursion = np.empty((n, 6)), np.empty(n)
         # Per cycle: softened axes, QP iterations, axes whose status is not optimal.
         self.qp_counts = np.empty((n, 3), dtype=np.int64)
@@ -366,11 +376,15 @@ class Simulation:
         self._consecutive = 0
 
     def step(self) -> CycleDiagnostics:
-        """Apply due setpoints, measure, tick the engine and step the plant.
-        A ``ControllerFault`` from the tick propagates, the plant unstepped."""
-        engine, noise = self.engine, self.scenario.noise
-        t = engine.k * engine.config.ts
-        while self._schedule and self._schedule[0][0] <= t + 1e-12:
+        """Run and record the next of the ``n_cycles`` cycles: apply due
+        setpoints, measure, tick the engine, step the plant, then record the
+        cycle and count it toward a fall.  A ``ControllerFault`` from the
+        tick propagates, the plant unstepped and nothing recorded."""
+        engine, scenario = self.engine, self.scenario
+        noise, k = scenario.noise, engine.k
+        if k >= self.n_cycles:
+            raise IndexError(f"the run has {self.n_cycles} cycles")
+        while self._schedule and self._schedule[0][0] <= k * engine.config.ts + 1e-12:
             engine.set_setpoints(*self._schedule.pop(0)[1:])
         self.measured = self.outputs
         if noise.enabled:
@@ -378,49 +392,43 @@ class Simulation:
                                              for _ in range(3)] for _ in range(2)]
         diag = engine.tick(*self.measured)
         self.plant = step_plant(engine.model, self.plant, np.stack([diag.u_x, diag.u_y]),
-                                self._kicks.get(diag.k))
+                                self._kicks.get(k))
         self.outputs = np.matvec(engine.model.C, self.plant)
         self.zmp_true = self.outputs[:, 2]
+        self.u[k] = diag.u_x, diag.u_y
+        self.out[k], self.meas[k] = self.outputs, self.measured[:, 2]
+        self.pred[k], self.torso[k] = diag.zmp_pred, self.plant[:, 3]
+        self.refs[k] = np.concatenate([diag.refs.zmp, diag.refs.stance_mass,
+                                       diag.refs.swing_mass])
+        self.qp_counts[k] = (sum(diag.softened), sum(diag.qp_iterations),
+                             sum(status != STATUS_OPTIMAL for status in diag.qp_status))
+        self.tags.append((diag.phase.value, diag.qp_status, diag.support_feet,
+                          diag.swing_target, diag.step_index))
+        self.excursion[k] = support_excursion(self.zmp_true, diag.support_feet, self._half)
+        self._consecutive = self._consecutive + 1 if self.excursion[k] > 1e-9 else 0
+        if self._consecutive > scenario.n_fall and self.fall_time is None:
+            self.fall_time = k * engine.config.ts
         return diag
 
     def advance(self, stop: int) -> None:
-        """Step and record cycles until ``stop`` are recorded or a fault or
-        fall ends the run.  Only these cycles are recorded, so a simulation
-        is stepped either by ``step`` or by ``advance``."""
-        scenario = self.scenario
-        k = len(self.tags)
-        while k < stop and self.fault is None and self.fall_time is None:
+        """Step until ``stop`` cycles are recorded or a fault or fall ends
+        the run."""
+        while len(self.tags) < stop and self.fault is None and self.fall_time is None:
             try:
-                diag = self.step()
+                self.step()
             except ControllerFault as exc:
                 self.fault = str(exc)
-                return
-            self.u[k] = diag.u_x, diag.u_y
-            self.out[k], self.zmp[k], self.meas[k] = self.outputs, self.zmp_true, self.measured[:, 2]
-            self.pred[k], self.torso[k] = diag.zmp_pred, self.plant[:, 3]
-            self.refs[k] = np.concatenate([diag.refs.zmp, diag.refs.stance_mass,
-                                           diag.refs.swing_mass])
-            self.qp_counts[k] = (sum(diag.softened), sum(diag.qp_iterations),
-                                 sum(status != STATUS_OPTIMAL for status in diag.qp_status))
-            self.tags.append((diag.phase.value, diag.qp_status, diag.support_feet,
-                              diag.swing_target, diag.step_index))
-            self.excursion[k] = support_excursion(self.zmp_true, diag.support_feet)
-            self._consecutive = self._consecutive + 1 if self.excursion[k] > 1e-9 else 0
-            if self._consecutive > scenario.n_fall:
-                self.fall_time = k * scenario.config.ts
-            k += 1
 
-    def fork(self, scenario: Scenario, seed: int | None = None) -> Simulation:
+    def fork(self, scenario: Scenario) -> Simulation:
         """Copy that continues with ``scenario``'s pushes and leaves this
         simulation as it is; its cycles equal those of a fresh
-        ``Simulation(scenario, seed)`` bit for bit.  ``scenario`` must equal
-        this one's apart from its disturbances, none of either before the
-        next cycle, and ``seed`` must be this simulation's."""
+        ``Simulation(scenario)`` bit for bit.  ``scenario`` must equal this
+        one's, noise seed included, apart from its disturbances, none of
+        either before the next cycle."""
         scenario.validate()
         if (replace(scenario, disturbances=()) != replace(self.scenario, disturbances=())
-                or (scenario.noise.seed if seed is None else seed) != self.seed
                 or min(map(_first_push_cycle, (scenario, self.scenario))) < self.engine.k):
-            raise ValueError("a fork continues the same scenario and seed, "
+            raise ValueError("a fork continues the same scenario, "
                              "with no disturbance before its next cycle")
         twin = copy.copy(self)
         twin.scenario = scenario
@@ -428,8 +436,8 @@ class Simulation:
         twin._schedule = list(self._schedule)
         twin._rng = copy.deepcopy(self._rng)
         twin._kicks = _disturbance_schedule(scenario)
-        for name in ("u", "out", "meas", "pred", "zmp", "torso", "refs", "excursion",
-                     "qp_counts", "tags"):
+        for name in ("u", "out", "meas", "pred", "torso", "refs", "excursion", "qp_counts",
+                     "tags"):
             setattr(twin, name, getattr(self, name).copy())
         return twin
 
@@ -441,13 +449,13 @@ def _first_push_cycle(scenario: Scenario) -> int:
                default=int(round(scenario.duration / scenario.config.ts)))
 
 
-def run(scenario: Scenario, out_dir=None, seed: int | None = None,
-        keep_trace: bool = True, prefix: Simulation | None = None) -> RunMetrics:
+def run(scenario: Scenario, out_dir=None, keep_trace: bool = True,
+        prefix: Simulation | None = None) -> RunMetrics:
     """Simulate one scenario to its end, first fault or fall; return its metrics.
 
     Only the fall is checked online; the rest is scored afterwards from the
-    recorded cycles.  ``seed`` overrides the scenario's noise seed; with
-    ``out_dir`` set, the trace CSV and a JSON summary are written there.
+    recorded cycles.  With ``out_dir`` set, the trace CSV and a JSON summary
+    are written there.
 
     With ``prefix``, a ``Simulation`` of the same scenario but for its
     disturbances, the run continues from a fork of it, after advancing it
@@ -455,12 +463,12 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None,
     cover every cycle from 0 and equal a run's without ``prefix`` bit for bit.
     """
     if prefix is None:
-        sim = Simulation(scenario, seed)
+        sim = Simulation(scenario)
     else:
         prefix.advance(_first_push_cycle(scenario))
-        sim = prefix.fork(scenario, seed)
+        sim = prefix.fork(scenario)
     sim.advance(sim.n_cycles)
-    u, out, meas, pred, zmp, torso = sim.u, sim.out, sim.meas, sim.pred, sim.zmp, sim.torso
+    u, out, meas, pred, torso = sim.u, sim.out, sim.meas, sim.pred, sim.torso
     refs, excursion, qp_counts, tags = sim.refs, sim.excursion, sim.qp_counts, sim.tags
 
     # Scoring pass over the recorded cycles.
@@ -485,18 +493,18 @@ def run(scenario: Scenario, out_dir=None, seed: int | None = None,
     # One torso-sway score per single-support phase.
     sway = [float(np.mean([lean(k) for k in ks]))
             for step, ks in groupby(range(n), key=single_support_step) if step is not None]
-    scale = scenario.params.zmp_safety_scale
+    zmp, scale = out[:n, :, 2], scenario.params.zmp_safety_scale
     trace = Trace(t=np.arange(n) * scenario.config.ts, phase=[c[0] for c in tags],
                   qp_status=[c[1] for c in tags], u=u[:n], zmp_meas=meas[:n],
-                  zmp_pred=pred[:n], zmp_true=zmp[:n], refs=refs[:n]) if keep_trace else None
+                  zmp_pred=pred[:n], zmp_true=zmp, refs=refs[:n]) if keep_trace else None
     metrics = RunMetrics(
         completed=sim.fault is None,
         fall_detected=sim.fall_time is not None,
         fall_time=sim.fall_time,
         zmp_violation_cycles=int(np.count_nonzero(excursion[:n] > 1e-9)),
         zmp_max_excursion=float(excursion[:n].max()) if n else 0.0,
-        scaled_violation_cycles=sum(support_excursion(zmp[k], tags[k][2], scale) > 1e-9
-                                    for k in range(n)),
+        scaled_violation_cycles=sum(support_excursion(zmp[k], tags[k][2], sim._half, scale)
+                                    > 1e-9 for k in range(n)),
         tracking_rms=rms,
         n_cycles=n,
         fault=sim.fault,

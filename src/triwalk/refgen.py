@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import ThreeMassParams
-from .footstep import FootstepPlan
+from .footstep import Footprint, FootstepPlan
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,16 @@ def mass_references(zmp_ref, hip_ref, swing_ref):
     return r_st, hip_ref.copy(), r_sw
 
 
+def contact_feet(plan: FootstepPlan, key: tuple[str, int]) -> tuple[Footprint, ...]:
+    """Footprints of ``plan`` on the ground in the timeline phase ``key``."""
+    name, idx = key
+    if name == "single":
+        return (plan.support(idx),)
+    if name == "double":
+        return (plan.support(idx), plan.swing_to(idx))
+    return plan.footprints[:2] if name == "initialize" or idx < 0 else plan.footprints[-2:]
+
+
 @dataclass(frozen=True)
 class RefSample:
     """All reference signals at one control cycle (world frame, read-only)."""
@@ -183,7 +193,8 @@ class WalkTimeline:
     that start before the walk are well defined.
 
     Every cycle from -1 to ``total_cycles`` is evaluated once, at
-    construction, into read-only tables of references and phase ids.  A
+    construction, into read-only tables of references and phase ids, and each
+    phase's contact feet into one tuple of plan footprints, ``feet[key]``.  A
     step's curves are its endpoints times per-sample weights, evaluated in
     the scalar arithmetic of the free functions, which they match exactly,
     once per process for each equal (timing, ts, omega) (``_step_weights``).
@@ -208,6 +219,7 @@ class WalkTimeline:
         init = [("initialize", -1)] if self.n_init else []
         names = ["single", "double"] if self.n_double else ["single"]
         self.keys = (("stand", -1), *init, *((m, i) for i in range(n) for m in names), ("stand", n))
+        self.feet = {key: contact_feet(plan, key) for key in self.keys}
         in_double = np.arange(self.n_step) >= self.n_single
         steps = 1 + len(init) + np.arange(n)[:, None] * len(names) + in_double
         self._ids = np.concatenate([[0], np.ones(self.n_init, int), steps.ravel(),

@@ -20,7 +20,6 @@ from triwalk.harness import (
     max_withstand,
     omnidirectional_scenario,
     run,
-    support_excursion,
     tracking_scenario,
 )
 from triwalk.qp import ActiveSetSolver, QpFactors, QpProblem
@@ -245,17 +244,13 @@ class TestCriterion10Omnidirectional:
         sim = Simulation(sc)
         engine = sim.engine
         filtered = {"x": [], "y": [], "a": []}
-        consecutive = 0
-        fell = False
         n_cycles = sim.n_cycles
         for _ in range(n_cycles):
-            diag = sim.step()
-            exc = support_excursion(sim.zmp_true, diag.support_feet)
-            consecutive = consecutive + 1 if exc > 1e-9 else 0
-            fell = fell or consecutive > sc.n_fall
+            sim.step()   # records the cycle and counts it toward a fall
             filtered["x"].append(engine.setpoints.filtered_x)
             filtered["y"].append(engine.setpoints.filtered_y)
             filtered["a"].append(engine.setpoints.filtered_alpha_deg)
+        fell = sim.fall_time is not None
         monotone = all(
             all(b >= a - 1e-12 for a, b in zip(series, series[1:]))
             for series in filtered.values()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -56,6 +57,33 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 1
 
 
+    @pytest.mark.parametrize("data, args", [
+        ({"mode": "bogus"}, []),
+        ({"disturbances": [{"force": 300.0}]}, []),
+        (None, ["--seed", "-1"]),
+    ])
+    def test_bad_input_is_a_scenario_error(self, tmp_path, capsys, data, args):
+        # Each ended in a traceback before; --seed -1 leaked numpy's ValueError.
+        path = tmp_path / "bad.json"
+        sc = tracking_scenario(n_steps=1, duration=1.0).to_json()
+        path.write_text(json.dumps(sc if data is None else {**sc, **data}))
+        assert main(["run", str(path), *args]) == 2
+        assert capsys.readouterr().err.startswith("scenario error: ")
+
+    def test_seed_replaces_the_scenario_seed(self, tmp_path, capsys):
+        sc = tracking_scenario(n_steps=1, noise=True, seed=0, duration=1.0)
+        path = tmp_path / "noisy.json"
+        path.write_text(json.dumps(sc.to_json()))
+        runs = {}
+        for seed in (None, 0, 3):
+            assert main(["run", str(path)] + ([] if seed is None else ["--seed", str(seed)])) == 0
+            runs[seed] = json.loads(capsys.readouterr().out)
+        assert runs[None] == runs[0] != runs[3]
+        path.write_text(json.dumps(replace(sc, noise=replace(sc.noise, seed=3)).to_json()))
+        assert main(["run", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == runs[3]
+
+
 class TestWithstandCommand:
     def test_requires_disturbance(self, tmp_path, capsys):
         sc = tracking_scenario(n_steps=2, duration=3.0)
@@ -72,3 +100,9 @@ class TestWithstandCommand:
         path.write_text(json.dumps(disturbance_scenario(300.0, run_time=3.0).to_json()))
         assert main(["withstand", str(path), "--direction", "fwd", "--tol", tol]) == 2
         assert "bracket error: tol must be finite and positive" in capsys.readouterr().err
+
+    def test_bad_scenario_is_a_scenario_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"mode": "bogus"}))
+        assert main(["withstand", str(path), "--direction", "fwd"]) == 2
+        assert capsys.readouterr().err.startswith("scenario error: unknown mode")

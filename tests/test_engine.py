@@ -8,15 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triwalk.dynamics import ThreeMassParams, step_plant
-from triwalk.engine import (
-    Setpoints,
-    SupportFoot,
-    WalkEngine,
-    WalkPhase,
-    _rot,
-    contact_feet,
-    filter_setpoints,
-)
+from triwalk.engine import Setpoints, WalkEngine, WalkPhase, _rot, filter_setpoints
 from triwalk.footstep import (
     DEFAULT_STEP_WIDTH,
     Footprint,
@@ -28,7 +20,7 @@ from triwalk.harness import omnidirectional_scenario, run
 from triwalk.mpc import AxisController, MpcConfig, build_constraints
 from triwalk.qp import ActiveSet
 from triwalk import mpc, refgen
-from triwalk.refgen import GaitTiming, WalkTimeline
+from triwalk.refgen import GaitTiming, WalkTimeline, contact_feet
 
 # Cycle counts of the default gait at the default sample time; the walk
 # starts with one double-support duration of initialization.
@@ -421,12 +413,12 @@ class TestConstraintSchedule:
             checked += 1
         assert checked > 0
 
-    def test_bounds_and_feet_follow_phases_under_turns_and_rolls(self, params, monkeypatch):
+    def test_bounds_and_feet_follow_phases_under_turns_and_rolls(self, monkeypatch):
         # Setpoint walking rolls a new timeline every step; the turn from
         # 42 s on rotates the working frame at every step.
         ticks = record_schedule(monkeypatch)
         assert run(omnidirectional_scenario(duration=45.0), keep_trace=False).completed
-        check_schedule(ticks, params)
+        check_schedule(ticks)
         assert len({tl for _, _, tl, _, _, _ in ticks}) > 40
         assert len({frame for *_, frame, _ in ticks}) >= 3
 
@@ -441,7 +433,7 @@ class TestConstraintSchedule:
             engine = make_engine(params, timing)
             engine.command_path(plan)
             run_closed_loop(engine, N_INIT + plan.n_steps * N_STEP + 20)
-            check_schedule(ticks, params)
+            check_schedule(ticks)
             assert {key[0] for _, _, _, key, _, _ in ticks} == {"stand", "initialize",
                                                                   "single", "double"}
         assert len({frame for *_, frame, _ in ticks}) > plan.n_steps / 2
@@ -538,15 +530,21 @@ def record_schedule(monkeypatch):
     return ticks
 
 
-def check_schedule(ticks, params):
-    hl, hw = params.foot_length / 2.0, params.foot_width / 2.0
+def check_schedule(ticks):
     shared = {}
     for expected, passed, tl, key, _, feet in ticks:
         for exp, got in zip(expected, passed):
             np.testing.assert_array_equal(got, exp)
         assert feet is shared.setdefault((tl, key), feet)
-        assert feet == tuple(SupportFoot(fp.x, fp.y, fp.theta, hl, hw)
-                             for fp in contact_feet(tl.plan, key))
+        assert_plan_feet(feet, tl, key)
+
+
+def assert_plan_feet(feet, tl, key):
+    """``feet`` are the plan's own footprints in contact during phase ``key``,
+    as the timeline's one tuple for that phase."""
+    assert feet is tl.feet[key]
+    assert feet == contact_feet(tl.plan, key)
+    assert all(any(fp is planned for planned in tl.plan.footprints) for fp in feet)
 
 
 def assert_untouched(engine, before):
@@ -780,8 +778,24 @@ class TestSupportFeet:
         assert diag.phase == WalkPhase.SINGLE_SUPPORT
         assert len(diag.support_feet) == 1
 
-    def test_corner_geometry(self):
-        foot = SupportFoot(1.0, 2.0, 0.0, 0.1, 0.05)
-        corners = foot.corners()
-        np.testing.assert_allclose(corners.mean(axis=0), [1.0, 2.0], atol=1e-12)
-        np.testing.assert_allclose(corners.max(axis=0), [1.1, 2.05], atol=1e-12)
+    @pytest.mark.parametrize("walk", ["path", "turning_setpoints"])
+    def test_a_fork_shares_the_phase_tuples(self, params, timing, walk):
+        # ``check_schedule`` checks every tick's feet against its timeline's
+        # tuple for the phase; a fork, ticking on, gets the very tuples of
+        # the timeline it was forked on (each later timeline is its own).
+        engine = make_engine(params, timing)
+        if walk == "path":
+            engine.command_path(straight_plan(3))
+        else:
+            engine.command_setpoints(0.05, 0.0, 12.0)
+        run_closed_loop(engine, N_INIT + 10)
+        twin, shared = engine.fork(), engine._timeline
+        assert twin._timeline is shared
+        ahead, again = run_closed_loop(twin, 2 * N_STEP), run_closed_loop(engine, 2 * N_STEP)
+        n_shared = 0
+        for (a, _, _), (b, _, _) in zip(ahead, again):
+            assert a.support_feet == b.support_feet
+            if any(a.support_feet is feet for feet in shared.feet.values()):
+                assert b.support_feet is a.support_feet
+                n_shared += 1
+        assert n_shared > 0

@@ -8,13 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triwalk import harness
-from triwalk.engine import SupportFoot, WalkEngine
+from triwalk.engine import WalkEngine
+from triwalk.footstep import Footprint
 from triwalk.harness import (
     BracketError,
     Disturbance,
     NoiseSpec,
     Scenario,
     Simulation,
+    _corners,
     convex_hull,
     disturbance_scenario,
     inplace_scenario,
@@ -28,6 +30,8 @@ from triwalk.harness import (
 from triwalk.qp import STATUS_MAX_ITERATIONS, STATUS_OPTIMAL, ActiveSetSolver
 
 from helpers import clear_caches, polygon_excursion
+
+HALF = (0.1, 0.05)   # (half length, half width) of a 0.2 x 0.1 m foot
 
 
 class TestNoiseSample:
@@ -61,15 +65,21 @@ class TestGeometry:
         assert polygon_excursion((0.5, 0.5), hull) == pytest.approx(-0.5)
         assert polygon_excursion((1.25, 0.5), hull) == pytest.approx(0.25)
 
+    def test_corner_geometry(self):
+        corners = _corners((Footprint(1.0, 2.0, 0.0, "L"),), *HALF)
+        assert corners.shape == (4, 2)
+        np.testing.assert_allclose(corners.mean(axis=0), [1.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(corners.max(axis=0), [1.1, 2.05], atol=1e-12)
+
     def test_support_excursion_single_foot(self):
-        foot = SupportFoot(0.0, 0.0, 0.0, 0.1, 0.05)
-        assert support_excursion((0.0, 0.0), (foot,)) == pytest.approx(-0.05)
-        assert support_excursion((0.15, 0.0), (foot,)) == pytest.approx(0.05)
+        foot = Footprint(0.0, 0.0, 0.0, "L")
+        assert support_excursion((0.0, 0.0), (foot,), HALF) == pytest.approx(-0.05)
+        assert support_excursion((0.15, 0.0), (foot,), HALF) == pytest.approx(0.05)
 
     def test_scaled_polygon_is_tighter(self):
-        foot = SupportFoot(0.0, 0.0, 0.0, 0.1, 0.05)
-        assert support_excursion((0.095, 0.0), (foot,)) < 0.0
-        assert support_excursion((0.095, 0.0), (foot,), scale=0.9) > 0.0
+        foot = Footprint(0.0, 0.0, 0.0, "R")
+        assert support_excursion((0.095, 0.0), (foot,), HALF) < 0.0
+        assert support_excursion((0.095, 0.0), (foot,), HALF, scale=0.9) > 0.0
 
     def test_cached_polygon_matches_the_edge_loop(self):
         def loop_excursion(point, hull):
@@ -82,21 +92,20 @@ class TestGeometry:
             return worst
 
         rng = np.random.default_rng(3)
-        feet = (SupportFoot(0.0, 0.0, 0.3, 0.1, 0.05), SupportFoot(0.05, 0.2, -0.2, 0.1, 0.05))
+        feet = (Footprint(0.0, 0.0, 0.3, "R"), Footprint(0.05, 0.2, -0.2, "L"))
         for scale in (1.0, 0.9):
-            scaled = [replace(f, half_length=f.half_length * scale,
-                              half_width=f.half_width * scale) for f in feet]
-            hull = convex_hull(np.vstack([f.corners() for f in scaled]))
+            hull = convex_hull(_corners(feet, HALF[0] * scale, HALF[1] * scale))
             for p in rng.uniform(-0.3, 0.4, size=(50, 2)):
                 expected = loop_excursion(p, hull)
-                assert support_excursion(p, feet, scale) == pytest.approx(expected, abs=1e-15)
+                assert support_excursion(p, feet, HALF, scale) == pytest.approx(expected,
+                                                                                abs=1e-15)
                 assert polygon_excursion(p, hull) == pytest.approx(expected, abs=1e-15)
 
     def test_rotated_foot_containment(self):
-        foot = SupportFoot(0.0, 0.0, math.pi / 4, 0.1, 0.05)
+        foot = Footprint(0.0, 0.0, math.pi / 4, "L")
         along = 0.09 * np.array([math.cos(math.pi / 4), math.sin(math.pi / 4)])
-        assert support_excursion(along, (foot,)) < 0.0
-        assert support_excursion((0.09, 0.0), (foot,)) > 0.0
+        assert support_excursion(along, (foot,), HALF) < 0.0
+        assert support_excursion((0.09, 0.0), (foot,), HALF) > 0.0
 
 
 class TestScenarioJson:
@@ -142,9 +151,16 @@ class TestScenarioJson:
         # Tuples of the wrong length, named before any matrix is built.
         (("config", "swing_band"), [0.05]), (("config", "w_jerk"), [1e-4]),
         (("observer", "jerk_noise"), [1.0]), (("observer", "measurement_noise"), 0.1),
+        # Booleans are not integers: True planned one step, ran seed 1 or
+        # pushed the torso, and passed as a schedule or waypoint number.
+        (("max_steps",), True), (("n_fall",), True), (("n_fall",), False),
+        (("noise", "seed"), True), (("noise", "seed"), False),
+        (("disturbances", 0, "mass_index"), True), (("disturbances", 0, "mass_index"), False),
+        (("disturbances", 0, "mass_index"), 1.0),
+        (("schedule",), [[0.0, True, 0.0, 0.0]]), (("path_points",), [[0.0, 0.0], [True, 0.0]]),
     ])
     def test_scenario_values_checked(self, path, value):
-        data = json.loads(json.dumps(tracking_scenario(noise=True).to_json()))
+        data = json.loads(json.dumps(disturbance_scenario(300.0).to_json()))
         *parents, key = path
         section = data
         for name in parents:
@@ -152,6 +168,22 @@ class TestScenarioJson:
         section[key] = value
         with pytest.raises(ValueError, match=key):
             Scenario.from_json(data)
+
+    @pytest.mark.parametrize("section, value", [
+        ("disturbances", [{"force": 300.0}]), ("disturbances", [5]), ("disturbances", 5),
+        ("params", {"m1": 1.0}), ("noise", 5), ("timing", {"t_single": "0.7"}),
+        ("schedule", 5), ("schedule", [5]), ("path_points", [[0.0, 0.0], 1.0]),
+    ])
+    def test_malformed_section_named(self, section, value):
+        # Each raised TypeError from a constructor or an iteration before.
+        data = json.loads(json.dumps(disturbance_scenario(300.0).to_json()))
+        data[section] = value
+        with pytest.raises(ValueError, match=f"scenario section '{section}'"):
+            Scenario.from_json(data)
+
+    def test_scenario_must_be_an_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            Scenario.from_json([tracking_scenario().to_json()])
 
     @pytest.mark.parametrize("section, key", [
         ("config", "w_move"), ("observer", "accel_noise"), ("observer", "boost_accel_noise"),
@@ -248,6 +280,14 @@ class TestSimulation:
         np.testing.assert_array_equal(np.asarray(u), m.trace.u)
         np.testing.assert_array_equal(np.asarray(zmp), m.trace.zmp_true)
 
+    def test_step_past_the_last_cycle_raises(self):
+        sim = Simulation(replace(inplace_scenario(noise=False), duration=0.1))
+        for _ in range(sim.n_cycles):
+            sim.step()
+        with pytest.raises(IndexError):
+            sim.step()
+        assert sim.engine.k == sim.n_cycles == len(sim.tags) == 5
+
     def test_true_zmp_is_the_output_column(self):
         sim = Simulation(disturbance_scenario(300.0, run_time=2.0))
         for _ in range(sim.n_cycles):
@@ -281,6 +321,9 @@ class TestSimulation:
         assert m.softened_cycles == 111
         sim = Simulation(sc)
         diags = [sim.step() for _ in range(m.n_cycles)]
+        # Stepped alone, the simulation records the run's cycles and its fall.
+        assert sim.fall_time == m.fall_time and len(sim.tags) == m.n_cycles
+        assert sim.excursion[:m.n_cycles].max() == m.zmp_max_excursion
         assert m.softened_cycles == sum(sum(d.softened) for d in diags)
         assert m.qp_iterations == sum(sum(d.qp_iterations) for d in diags)
         assert m.summary()["softened_cycles"] == 111
@@ -382,7 +425,7 @@ def prefix_state(sim):
     return (engine.k, sim.plant.tobytes(), sim.outputs.tobytes(), engine.estimates.tobytes(),
             engine.controller.u_prev.tobytes(), tuple(engine.controller._warm),
             tuple((g.hold, tuple(w.tobytes() for w in g.window)) for g in engine.gates),
-            dict(engine.feet), dict(engine._feet_of), engine.frame_angle, engine.setpoints,
+            dict(engine.feet), engine.frame_angle, engine.setpoints,
             engine._followed,
             None if engine._refs is None else engine._lohi.tobytes(),
             str(sim._rng.bit_generator.state), tuple(sim._schedule), tuple(sim.tags),
@@ -438,7 +481,7 @@ class TestForkedProbes:
         assert prefix.engine.k == len(prefix.tags) == 55
 
     @pytest.mark.parametrize("change", [
-        {"noise": NoiseSpec(enabled=True, seed=1)},
+        {"noise": NoiseSpec(enabled=True, seed=1)},   # another noise seed
         {"n_fall": 10},
         {"disturbances": (Disturbance(0.5, 0.01, 300.0),)},   # before the prefix's cycle
     ])
@@ -448,8 +491,6 @@ class TestForkedProbes:
         prefix.advance(40)
         with pytest.raises(ValueError, match="fork"):
             prefix.fork(replace(template, **change))
-        with pytest.raises(ValueError, match="fork"):
-            prefix.fork(template, seed=7)
 
     @pytest.mark.parametrize("direction", ["fwd", "bwd"])
     def test_bisection_ticks_only_inside_its_probes(self, direction, monkeypatch):

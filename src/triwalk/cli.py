@@ -9,7 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .footstep import load_map, plan_footsteps
+from .footstep import PlanningError, load_map, plan_footsteps
 from .harness import BracketError, Scenario, max_withstand, run
 
 
@@ -56,11 +56,18 @@ def _cmd_withstand(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    grid, start, goal = load_map(args.map)
-    if start is None or goal is None:
-        print("map must define start and goal cells", file=sys.stderr)
+    try:
+        grid, start, goal = load_map(args.map)
+        if start is None or goal is None:
+            raise ValueError("map must define start and goal cells")
+    except (ValueError, OSError) as exc:
+        print(f"map error: {exc}", file=sys.stderr)
         return 2
-    plan, cells = plan_footsteps(grid, start, goal)
+    try:
+        plan, cells = plan_footsteps(grid, start, goal)
+    except PlanningError as exc:
+        print(f"planning error: {exc}", file=sys.stderr)
+        return 2
     payload = plan.to_json()
     payload["body_path_cells"] = [[int(r), int(c)] for r, c in cells]
     if args.out:

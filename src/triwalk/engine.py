@@ -8,10 +8,13 @@ horizon, schedules the output bounds of the upcoming support phases sample by
 sample over the constraint window, and returns the jerk commands for both
 axes.
 
-The ``WalkTimeline`` the engine holds is its only clock: each cycle's phase,
-step index and footstep plan are read from it, and the engine acts only at the
-cycle boundaries where the timeline's phase key changes (rotating the frame,
-landing a foot, rolling the next setpoint step or returning to stand).
+The ``WalkTimeline`` the engine holds is its only clock and its only record
+of the feet on the ground: each cycle's phase, step index, footstep plan and
+contact feet are read from it, and the engine acts only at the cycle
+boundaries where the timeline's phase key changes (rotating the frame or
+rolling the next setpoint step) or, standing, holds (starting a queued walk).
+A finished walk keeps its timeline, which past its end stands on the plan's
+last two footprints.
 
 Turning support: the controller treats its two axes as decoupled, so the
 engine keeps a working frame aligned with the current support heading.  At
@@ -54,6 +57,10 @@ from .refgen import GaitTiming, RefSample, WalkTimeline
 _LAG_TAU = 0.5
 # Provisional landings planned beyond the committed one in setpoint walking.
 _PROVISIONAL_STEPS = 3
+# Standing feet of a new engine, ordered as a finished walk's last two
+# footprints: the terminal one, here the right foot, swings first.
+_HOME = (Footprint(0.0, DEFAULT_STEP_WIDTH / 2.0, 0.0, "L"),
+         Footprint(0.0, -DEFAULT_STEP_WIDTH / 2.0, 0.0, "R"))
 
 
 class WalkPhase(Enum):
@@ -145,16 +152,11 @@ class WalkEngine:
         self.controller = AxisController(self.model, config)
         self.observer = Observer(self.model, observer or ObserverConfig())
 
-        w = DEFAULT_STEP_WIDTH / 2.0
-        self.feet: dict[str, Footprint] = {"L": Footprint(0.0, w, 0.0, "L"),
-                                           "R": Footprint(0.0, -w, 0.0, "R")}
         self.k = 0
         self.frame_angle = 0.0
         self.setpoints = Setpoints()
-        self.mode: str | None = None
-        self._pending_walk = False
-        self._queued_path: FootstepPlan | None = None
-        self._first_swing = "R"
+        self._queued: FootstepPlan | None = None   # walked from the next stand
+        self._rolling = False   # setpoints drive the walk
         self._clamped_step = False
         self._followed: WalkTimeline | None = None   # see ``_timeline``
         self._refs = None
@@ -165,7 +167,8 @@ class WalkEngine:
     # ------------------------------------------------------------------ setup
 
     def standing_states(self) -> np.ndarray:
-        """Static standing posture at the current feet: the (2, 9)
+        """Static standing posture on the followed plan's last two
+        footprints, or the home stance before any timeline: the (2, 9)
         world-frame states, row i for axis i.
 
         Leg masses sit on their standing references and the torso is placed so
@@ -173,8 +176,9 @@ class WalkEngine:
         a true equilibrium of the standing references.
         """
         p = self.params
-        mid = 0.5 * (self.feet["L"].xy() + self.feet["R"].xy())
-        c3 = 0.5 * (self.feet[self._first_swing].xy() + mid)
+        other, last = _HOME if self._followed is None else self._followed.plan.footprints[-2:]
+        mid = 0.5 * (other.xy() + last.xy())
+        c3 = 0.5 * (last.xy() + mid)
         c2 = (p.M * mid - p.m1 * mid - p.m3 * c3) / p.m2
         return np.array([make_state(c) for c in zip(mid, c2, c3)])
 
@@ -188,13 +192,12 @@ class WalkEngine:
     def fork(self) -> WalkEngine:
         """Copy that ticks on from this engine's state, leaving this engine as
         it is.  The copy owns what a tick changes, the bounds table included;
-        the model, the controller and observer matrices, the timeline (its
-        per-phase feet included) and the reference table are never written,
-        and are shared.  A
-        ``copy.deepcopy`` ticks on alike, but copies the shared parts too."""
+        the model, the controller and observer matrices, the timeline (the
+        feet on the ground included), the queued plan and the reference
+        table are never written, and are shared.  A ``copy.deepcopy`` ticks on
+        alike, but copies the shared parts too."""
         twin = copy.copy(self)
         twin.estimates = self.estimates.copy()
-        twin.feet = dict(self.feet)
         twin.gates = copy.deepcopy(self.gates)
         # A controller rebinds its held input and warm starts every cycle
         # and writes neither in place, so a shallow copy owns them.
@@ -216,21 +219,16 @@ class WalkEngine:
         if plan.n_steps < 1:
             raise ValueError("plan must contain at least one step")
         first, second = plan.footprints[0], plan.footprints[1]
-        self.feet[first.side] = first
-        self.feet[second.side] = second
-        self._first_swing = first.side
-        self.mode = "path"
-        self._queued_path = plan
-        self._pending_walk = True
+        self._queued, self._rolling = plan, False
         self._update_frame(wrap_angle(0.5 * (first.theta + second.theta)))
-        self._set_stand_timeline()
+        # Standing on the plan's initial feet, the first to swing last.
+        self._set_timeline(FootstepPlan((second, first), step_distance=None))
         self.reset_posture()
 
     def command_setpoints(self, x: float = 0.0, y: float = 0.0, alpha_deg: float = 0.0) -> None:
         """Start setpoint-driven walking (continues until the caller stops)."""
         self.set_setpoints(x, y, alpha_deg)
-        self.mode = "setpoints"
-        self._pending_walk = True
+        self._queued, self._rolling = None, True
 
     def reset_posture(self) -> None:
         """Re-seed the state estimates with the current standing posture,
@@ -301,30 +299,21 @@ class WalkEngine:
     def _advance_state_machine(self, prev: tuple[str, int]) -> None:
         """Act on the timeline's phase change at the boundary just crossed
         (``prev`` is the phase of the cycle that ended)."""
-        key = self._followed.phase(self._local_cycle(self.k))
+        tl = self._followed
+        key = tl.phase(self._local_cycle(self.k))
         if key == prev:
-            if key[0] == "stand" and self._pending_walk:
-                self._pending_walk = False
-                plan = (self._queued_path if self.mode == "path"
-                        else self._synthesize_plan(self._first_swing))
+            if key[0] == "stand" and (self._queued or self._rolling):
+                # The foot that landed last swings first.
+                plan = self._queued or self._synthesize_plan(tl.feet[key][::-1])
+                self._queued = None
                 self._set_timeline(plan, initialize=True)
             return
-        if prev[0] == "double" and self.mode == "setpoints":
+        if prev[0] == "double" and self._rolling:
             # The foot that supported the finished step swings next.
-            self._set_timeline(self._synthesize_plan(self._followed.plan.support(prev[1]).side))
+            self._set_timeline(self._synthesize_plan(tl.feet[prev]))
             key = self._followed.phase(0)
-        name, idx = key
-        plan = self._followed.plan
-        if name == "single":
-            self._update_frame(plan.support(idx).theta)
-        elif name == "double":
-            landed = plan.swing_to(idx)
-            self.feet[landed.side] = landed
-        elif name == "stand":
-            # The reference for the swing-role mass stays anchored at the foot
-            # that landed last, keeping the standing references continuous.
-            self._first_swing = plan.footprints[-1].side
-            self._set_stand_timeline()
+        if key[0] == "single":
+            self._update_frame(self._followed.plan.support(key[1]).theta)
 
     # --------------------------------------------------- setpoint synthesis
 
@@ -352,12 +341,11 @@ class WalkEngine:
         landing = support.xy() + _rot(heading) @ rel
         return Footprint(landing[0], landing[1], heading, landing_side), clamped
 
-    def _synthesize_plan(self, swing: str) -> FootstepPlan:
-        """Rolling plan: the current feet, ``swing`` stepping first, plus one
-        committed and several provisional landings computed from the
-        filtered setpoints."""
-        other = "R" if swing == "L" else "L"
-        prints = [self.feet[swing], self.feet[other]]
+    def _synthesize_plan(self, feet: tuple[Footprint, Footprint]) -> FootstepPlan:
+        """Rolling plan: the two footprints on the ground, as the followed
+        timeline holds them, the first stepping first, plus one committed and
+        several provisional landings computed from the filtered setpoints."""
+        prints = list(feet)
         self._clamped_step = False
         for _ in range(1 + _PROVISIONAL_STEPS):
             landing, clamped = self.plan_next_step(prints[-1], prints[-2].side)
@@ -370,17 +358,11 @@ class WalkEngine:
     @property
     def _timeline(self) -> WalkTimeline:
         """The timeline followed: until a command or a tick sets one, a
-        standing timeline on the current feet, built on first use.  Code
-        that runs only inside ``tick`` reads ``_followed`` directly."""
+        standing timeline on the home stance, built on first use.  Code that
+        runs only inside ``tick`` reads ``_followed`` directly."""
         if self._followed is None:
-            self._set_stand_timeline()
+            self._set_timeline(FootstepPlan(_HOME, step_distance=None))
         return self._followed
-
-    def _set_stand_timeline(self) -> None:
-        # Ordered so the terminal footprint is the swing-role anchor.
-        self._set_timeline(FootstepPlan((self.feet["R" if self._first_swing == "L" else "L"],
-                                         self.feet[self._first_swing]),
-                                        step_distance=None))
 
     def _set_timeline(self, plan: FootstepPlan, initialize: bool = False) -> None:
         """Follow ``plan`` from the current cycle on, optionally starting

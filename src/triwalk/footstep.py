@@ -93,12 +93,15 @@ def load_map(source) -> tuple[GridMap, tuple[int, int] | None, tuple[int, int] |
     Schema: ``{width, height, cell_size, occupied: [[r, c], ...],
     start: [r, c], goal: [r, c]}`` with start/goal optional.  Width and
     height are positive integers and every cell two integers inside the
-    grid; a malformed value raises a ``ValueError`` that names its field.
+    grid; a malformed value raises a ``ValueError`` that names its field, as
+    does a top level that is not an object.
     """
     if isinstance(source, (str, Path)):
         data = json.loads(Path(source).read_text())
     else:
         data = source
+    if not isinstance(data, dict):
+        raise ValueError("map must be a JSON object")
     width, height = (_positive_int(data.get(key), key) for key in ("width", "height"))
     occ = np.zeros((height, width), dtype=bool)
     for cell in data.get("occupied", []):

@@ -84,6 +84,10 @@ class Scenario:
     schedule: tuple[tuple[float, float, float, float], ...] = ((0.0, 0.0, 0.0, 0.0),)
 
     def validate(self) -> None:
+        # ``run`` writes the trace files as ``out_dir / name`` plus a suffix.
+        if not (isinstance(self.name, str) and self.name not in ("", ".", "..")
+                and "/" not in self.name):
+            raise ValueError("name must be a non-empty string usable as a file name")
         if self.mode not in ("path", "setpoints"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "path" and self.map_source is None and self.path_points is None:

@@ -34,6 +34,27 @@ class TestPlanCommand:
         save_map(grid, path)
         assert main(["plan", str(path)]) == 2
 
+    @pytest.mark.parametrize("text, error", [
+        (None, "map error: "),
+        ("not json", "map error: "),
+        ("[]", "map error: map must be a JSON object"),
+        ('{"width": 5, "height": 5, "occupied": [[1.5, 2]], "start": [0, 0], "goal": [4, 4]}',
+         "map error: occupied cell [1.5, 2] must hold two integers"),
+        ('{"width": 5, "height": 5, "occupied": [[0, 0]], "start": [0, 0], "goal": [4, 4]}',
+         "planning error: start cell (0, 0) is not free"),
+        ('{"width": 5, "height": 5, "occupied": [[4, 4]], "start": [0, 0], "goal": [4, 4]}',
+         "planning error: goal cell (4, 4) is not free"),
+    ])
+    def test_bad_input_is_a_map_or_planning_error(self, tmp_path, capsys, text, error):
+        # A missing file, non-JSON text, a bad cell and a blocked start or
+        # goal each ended in a traceback before.
+        path = tmp_path / "map.json"
+        if text is not None:
+            path.write_text(text)
+        assert main(["plan", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(error) and captured.out == ""
+
 
 class TestRunCommand:
     def test_run_scenario_file(self, tmp_path, capsys):

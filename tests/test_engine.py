@@ -50,6 +50,12 @@ def make_engine(params, timing, **kwargs):
     return WalkEngine(params, MpcConfig(), timing, **kwargs)
 
 
+def standing_feet(engine):
+    """The feet a standing engine stands on, by side: its timeline's last two
+    footprints."""
+    return {fp.side: fp for fp in engine._timeline.plan.footprints[-2:]}
+
+
 def run_closed_loop(engine, n_cycles, plant=None):
     """Ideal-plant loop: exact dynamics, exact measurements.  The plant
     starts from the (x, y) states ``plant``, or standing at the feet."""
@@ -268,7 +274,7 @@ class TestPlanNextStep:
     def test_zero_setpoints_step_in_place(self, params, timing):
         engine = make_engine(params, timing)
         engine.command_setpoints(0.0, 0.0, 0.0)
-        support = engine.feet["R"]
+        support = standing_feet(engine)["R"]
         landing, clamped = engine.plan_next_step(support, "L")
         home = support.xy() + np.array([0.0, DEFAULT_STEP_WIDTH])
         np.testing.assert_allclose(landing.xy(), home, atol=1e-12)
@@ -278,8 +284,8 @@ class TestPlanNextStep:
     def test_forward_setpoint_spacing(self, params, timing):
         engine = make_engine(params, timing)
         engine.setpoints = Setpoints(x=0.1, filtered_x=0.1)
-        landing, _ = engine.plan_next_step(engine.feet["R"], "L")
-        assert landing.x - engine.feet["R"].x == pytest.approx(0.1)
+        landing, _ = engine.plan_next_step(standing_feet(engine)["R"], "L")
+        assert landing.x - standing_feet(engine)["R"].x == pytest.approx(0.1)
         assert landing.theta == pytest.approx(0.0)
 
     def test_turning_rotates_heading(self, params, timing):
@@ -287,14 +293,14 @@ class TestPlanNextStep:
         engine.setpoints = Setpoints(x=0.1, y=0.025, alpha_deg=10.0,
                                      filtered_x=0.1, filtered_y=0.025,
                                      filtered_alpha_deg=10.0)
-        landing, _ = engine.plan_next_step(engine.feet["R"], "L")
+        landing, _ = engine.plan_next_step(standing_feet(engine)["R"], "L")
         assert landing.theta == pytest.approx(math.radians(10.0) * timing.step_period)
         assert landing.x > 0.05  # advances forward while turning
 
     def test_unreachable_step_clamped_and_flagged(self, params, timing):
         engine = make_engine(params, timing)
         engine.setpoints = Setpoints(x=0.9, filtered_x=0.9)
-        landing, clamped = engine.plan_next_step(engine.feet["R"], "L")
+        landing, clamped = engine.plan_next_step(standing_feet(engine)["R"], "L")
         assert clamped
         assert landing.x == pytest.approx(engine.config.swing_reach)
 
@@ -369,7 +375,9 @@ class TestPlanWalkTracking:
         n = N_INIT + 3 * N_STEP + 60
         log = run_closed_loop(engine, n)
         assert log[-1][0].phase == WalkPhase.IDLE
-        final_mid = 0.5 * (engine.feet["L"].xy() + engine.feet["R"].xy())
+        feet = standing_feet(engine)
+        assert set(feet.values()) == set(plan.footprints[-2:])
+        final_mid = 0.5 * (feet["L"].xy() + feet["R"].xy())
         _, x_state, y_state = log[-1]
         assert abs(x_state[3] - final_mid[0]) < 0.02
         assert abs(y_state[3] - final_mid[1]) < 0.02
@@ -550,8 +558,9 @@ def assert_plan_feet(feet, tl, key):
 def assert_untouched(engine, before):
     """``engine`` matches its earlier deep copy ``before`` and computes the
     same next cycle."""
-    for name in ("k", "phase", "setpoints", "estimates", "feet", "mode"):
+    for name in ("k", "phase", "setpoints", "estimates", "_queued", "_rolling"):
         np.testing.assert_equal(getattr(engine, name), getattr(before, name))
+    assert engine._timeline.plan == before._timeline.plan
     for gate, gate_ref in zip(engine.gates, before.gates):
         assert len(gate_ref.window) == gate_ref.window.maxlen
         np.testing.assert_equal(list(gate.window), list(gate_ref.window))
@@ -611,7 +620,7 @@ class TestCommandPath:
         assert engine.phase == WalkPhase.IDLE
         plan = straight_plan(1, y=0.5)
         engine.command_path(plan)
-        assert engine.feet[plan.footprints[0].side] == plan.footprints[0]
+        assert standing_feet(engine) == {fp.side: fp for fp in plan.footprints[:2]}
 
 
     def test_builds_only_its_own_timeline(self, params, timing, monkeypatch):
@@ -633,6 +642,37 @@ class TestCommandPath:
         assert [b.footprints for b in built] == [plan.footprints[1::-1]]
         run_closed_loop(engine, 2)
         assert len(built) == 2 and built[1] is plan
+
+    def test_a_finished_walk_stands_on_its_own_timeline(self, params, timing, monkeypatch):
+        # Past its end the walked timeline stands on the plan's last two
+        # footprints: the walk's end builds no timeline, and the standing
+        # posture and a later setpoint walk start there, the foot that
+        # landed last swinging first.
+        built = []
+        init = WalkTimeline.__init__
+        monkeypatch.setattr(WalkTimeline, "__init__",
+                            lambda tl, plan, *args, **kw: built.append(plan)
+                            or init(tl, plan, *args, **kw))
+        engine = make_engine(params, timing)
+        plan = straight_plan(2)
+        engine.command_path(plan)
+        log = run_closed_loop(engine, 1 + N_INIT + 2 * N_STEP + 5)
+        assert [d.phase for d, _, _ in log[-6:]] == [WalkPhase.DOUBLE_SUPPORT] + 5 * [WalkPhase.IDLE]
+        assert len(built) == 2 and engine._timeline.plan is plan
+        *_, other, last = plan.footprints
+        assert log[-1][0].support_feet == (other, last)
+        standing = engine.standing_states()
+
+        engine.command_setpoints(0.1, 0.0, 0.0)
+        run_closed_loop(engine, 1)
+        assert len(built) == 3
+        rolled = engine._timeline.plan
+        assert rolled.footprints[0] is last and rolled.footprints[1] is other
+        assert rolled.footprints[2] == engine.plan_next_step(other, last.side)[0]
+        # A walk commanded on the reversed plan stands on the same two feet.
+        reverse = make_engine(params, timing)
+        reverse.command_path(FootstepPlan(plan.footprints[::-1], step_distance=None))
+        np.testing.assert_array_equal(standing, reverse.standing_states())
 
 
 class TestFork:
@@ -739,7 +779,7 @@ class TestPhaseGrammar:
         for k in range(1 + N_INIT + 4 * N_STEP):
             if start is not None and schedule and k - start >= schedule[0][0]:
                 entry = schedule.pop(0)[1]
-                if engine.mode == "setpoints":
+                if engine._rolling:
                     engine.set_setpoints(*entry)
                 else:
                     engine.command_setpoints(*entry)

@@ -158,6 +158,10 @@ class TestScenarioJson:
         (("disturbances", 0, "mass_index"), True), (("disturbances", 0, "mass_index"), False),
         (("disturbances", 0, "mass_index"), 1.0),
         (("schedule",), [[0.0, True, 0.0, 0.0]]), (("path_points",), [[0.0, 0.0], [True, 0.0]]),
+        # A name that is not a string failed in the trace export after the
+        # whole run; an empty one wrote the trace files beside ``out_dir``.
+        (("name",), 5), (("name",), None), (("name",), ""), (("name",), "."),
+        (("name",), "a/b"),
     ])
     def test_scenario_values_checked(self, path, value):
         data = json.loads(json.dumps(disturbance_scenario(300.0).to_json()))
@@ -425,7 +429,7 @@ def prefix_state(sim):
     return (engine.k, sim.plant.tobytes(), sim.outputs.tobytes(), engine.estimates.tobytes(),
             engine.controller.u_prev.tobytes(), tuple(engine.controller._warm),
             tuple((g.hold, tuple(w.tobytes() for w in g.window)) for g in engine.gates),
-            dict(engine.feet), engine.frame_angle, engine.setpoints,
+            engine._queued, engine._rolling, engine.frame_angle, engine.setpoints,
             engine._followed,
             None if engine._refs is None else engine._lohi.tobytes(),
             str(sim._rng.bit_generator.state), tuple(sim._schedule), tuple(sim.tags),

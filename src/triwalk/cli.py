@@ -20,7 +20,6 @@ def _load_scenario(path, seed: int | None = None) -> Scenario | None:
         scenario = Scenario.from_json(path)
         if seed is not None:
             scenario = replace(scenario, noise=replace(scenario.noise, seed=seed))
-            scenario.validate()
         return scenario
     except (ValueError, OSError) as exc:
         print(f"scenario error: {exc}", file=sys.stderr)

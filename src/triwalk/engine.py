@@ -226,7 +226,8 @@ class WalkEngine:
         self.reset_posture()
 
     def command_setpoints(self, x: float = 0.0, y: float = 0.0, alpha_deg: float = 0.0) -> None:
-        """Start setpoint-driven walking (continues until the caller stops)."""
+        """Start setpoint-driven walking.  It never stops: zero setpoints walk
+        in place, the engine is never idle again and ``command_path`` raises."""
         self.set_setpoints(x, y, alpha_deg)
         self._queued, self._rolling = None, True
 

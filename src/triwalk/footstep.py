@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -322,13 +322,7 @@ class FootstepPlan:
         return FootstepPlan(self.footprints[:n_steps + 2], self.step_distance)
 
     def to_json(self) -> dict:
-        return {
-            "step_distance": self.step_distance,
-            "footprints": [
-                {"x": f.x, "y": f.y, "theta": f.theta, "side": f.side, "closing": f.closing}
-                for f in self.footprints
-            ],
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "FootstepPlan":

@@ -63,8 +63,13 @@ class Disturbance:
     axis: str = "x"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """One scripted experiment, checked when it is built: the constructor,
+    ``dataclasses.replace`` and ``from_json`` raise a ``ValueError`` that
+    names the first bad value.  Its JSON form is its fields, ``map_source``
+    written as ``"map"`` and None fields left out."""
+
     name: str = "scenario"
     mode: str = "path"                  # "path" | "setpoints"
     duration: float = 8.0
@@ -83,7 +88,7 @@ class Scenario:
     # Setpoint schedule (setpoints mode): entries (t, x, y, alpha_deg).
     schedule: tuple[tuple[float, float, float, float], ...] = ((0.0, 0.0, 0.0, 0.0),)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # ``run`` writes the trace files as ``out_dir / name`` plus a suffix.
         if not (isinstance(self.name, str) and self.name not in ("", ".", "..")
                 and "/" not in self.name):
@@ -125,67 +130,43 @@ class Scenario:
             if start is None or goal is None:
                 raise ValueError("map must define start and goal cells")
             plan, _ = plan_footsteps(grid, start, goal)
-        elif self.path_points is not None:
+        else:
             pts = np.asarray(self.path_points, dtype=float)
             plan = footsteps_from_path(pts, initial_feet_on_path(pts))
-        else:
-            raise ValueError("path mode needs map_source or path_points")
         if self.max_steps is not None:
             plan = plan.truncated(self.max_steps)
         return plan
 
     def to_json(self) -> dict:
-        data = {
-            "name": self.name,
-            "mode": self.mode,
-            "duration": self.duration,
-            "params": asdict(self.params),
-            "config": asdict(self.config),
-            "timing": asdict(self.timing),
-            "observer": asdict(self.observer),
-            "noise": asdict(self.noise),
-            "disturbances": [asdict(d) for d in self.disturbances],
-            "n_fall": self.n_fall,
-            "schedule": [list(s) for s in self.schedule],
-        }
-        if self.map_source is not None:
-            data["map"] = self.map_source
-        if self.path_points is not None:
-            data["path_points"] = [list(p) for p in self.path_points]
-        if self.max_steps is not None:
-            data["max_steps"] = self.max_steps
-        return data
+        return {_JSON_KEYS.get(key, key): value for key, value in asdict(self).items()
+                if value is not None}
 
     @classmethod
     def from_json(cls, source) -> "Scenario":
-        if isinstance(source, (str, Path)):
-            data = json.loads(Path(source).read_text())
-        else:
-            data = source
+        data = json.loads(Path(source).read_text()) if isinstance(source, (str, Path)) else source
         if not isinstance(data, dict):
             raise ValueError("a scenario must be a JSON object")
-        unknown = sorted(set(data) - set(cls().to_json()) - {"map", "path_points", "max_steps"})
+        names = {_JSON_KEYS.get(f.name, f.name): f.name for f in fields(cls)}
+        unknown = sorted(set(data) - set(names))
         if unknown:
             raise ValueError(f"unknown scenario key {unknown[0]!r}")
-        kwargs = {key: data[key] for key in ("name", "mode", "duration", "n_fall", "max_steps")
-                  if key in data}
-        if "map" in data:
-            kwargs["map_source"] = data["map"]
-        sections = {"params": ThreeMassParams, "config": MpcConfig, "timing": GaitTiming,
-                    "observer": ObserverConfig, "noise": NoiseSpec}
+        kwargs = {}
         for key, value in data.items():
             try:
-                if key in sections:
-                    kwargs[key] = _from_section(sections[key], key, value)
-                elif key == "disturbances":
-                    kwargs[key] = tuple(_from_section(Disturbance, key, d) for d in value)
-                elif key in ("path_points", "schedule"):
-                    kwargs[key] = tuple(tuple(p) for p in value)
+                kwargs[names[key]] = (_from_section(_SECTIONS[key], key, value)
+                                      if key in _SECTIONS else value)
             except TypeError as exc:   # a missing key, or a value of the wrong shape or type
                 raise ValueError(f"scenario section {key!r}: {exc}") from None
-        scenario = cls(**kwargs)
-        scenario.validate()
-        return scenario
+        return cls(**kwargs)
+
+
+# The scenario fields whose JSON key is another name.
+_JSON_KEYS = {"map_source": "map"}
+# How ``Scenario.from_json`` reads a section: a dataclass from an object, or,
+# from a list, a tuple of rows, each a dataclass or a tuple.
+_SECTIONS = {"params": ThreeMassParams, "config": MpcConfig, "timing": GaitTiming,
+             "observer": ObserverConfig, "noise": NoiseSpec, "disturbances": [Disturbance],
+             "path_points": [tuple], "schedule": [tuple]}
 
 
 def _finite(values) -> bool:
@@ -193,8 +174,13 @@ def _finite(values) -> bool:
     return all((_is_int(v) or isinstance(v, float)) and math.isfinite(v) for v in values)
 
 
-def _from_section(kind, section: str, values: dict):
-    """``kind`` built from one JSON section; lists become tuples."""
+def _from_section(kind, section: str, values):
+    """``kind`` built from one JSON section, as ``_SECTIONS`` reads it; the
+    lists in an object become tuples."""
+    if isinstance(kind, list):
+        return tuple(_from_section(kind[0], section, row) for row in values)
+    if kind is tuple:
+        return tuple(values)
     unknown = sorted(set(values) - {f.name for f in fields(kind) if f.init})
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in scenario section {section!r}")
@@ -340,8 +326,9 @@ def _disturbance_schedule(scenario: Scenario) -> dict[int, np.ndarray]:
 
 
 class Simulation:
-    """One closed-loop run of a scenario; each ``step()`` runs and records
-    one control cycle, row k of the record arrays for cycle k.
+    """One closed-loop run of a scenario, which was checked when it was
+    built; each ``step()`` runs and records one control cycle, row k of the
+    record arrays for cycle k.
 
     Setpoint entries apply in time order, the earliest at construction; the
     noise seed is the scenario's.  ``plant`` is the true (2, 9) state.  After
@@ -355,7 +342,6 @@ class Simulation:
     """
 
     def __init__(self, scenario: Scenario):
-        scenario.validate()
         self.scenario = scenario
         self.n_cycles = n = int(round(scenario.duration / scenario.config.ts))
         self.engine = WalkEngine(scenario.params, scenario.config, scenario.timing,
@@ -429,8 +415,8 @@ class Simulation:
         ``Simulation(scenario)`` bit for bit.  ``scenario`` must equal this
         one's, noise seed included, apart from its disturbances, none of
         either before the next cycle."""
-        scenario.validate()
-        if (replace(scenario, disturbances=()) != replace(self.scenario, disturbances=())
+        if (any(getattr(scenario, f.name) != getattr(self.scenario, f.name)
+                for f in fields(Scenario) if f.name != "disturbances")
                 or min(map(_first_push_cycle, (scenario, self.scenario))) < self.engine.k):
             raise ValueError("a fork continues the same scenario, "
                              "with no disturbance before its next cycle")
@@ -530,11 +516,11 @@ TRACE_SCHEMA = ("t,phase,qp_status_x,qp_status_y,"
 
 
 def export_traces(metrics: RunMetrics, path_prefix) -> tuple[Path, Path]:
-    """Write the per-cycle CSV and the JSON summary; returns both paths."""
+    """Write the per-cycle CSV and the JSON summary to ``path_prefix`` with
+    ``.csv`` and ``.json`` appended; returns both paths."""
     prefix = Path(path_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = prefix.with_suffix(".csv")
-    json_path = prefix.with_suffix(".json")
+    csv_path, json_path = Path(f"{prefix}.csv"), Path(f"{prefix}.json")
     lines = ["# triwalk-trace v1", TRACE_SCHEMA]
     tr = metrics.trace
     if tr is not None:

@@ -1,6 +1,7 @@
 import json
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,117 @@ class TestGeometry:
         assert support_excursion((0.09, 0.0), (foot,), HALF) > 0.0
 
 
+DATA = Path(__file__).resolve().parent / "data"
+_PUSH = disturbance_scenario(250.0, seed=3)
+# The scenarios the files in ``DATA`` were written from.
+COMMITTED = {
+    "scenario_two_pushes.json": replace(_PUSH, max_steps=4, disturbances=_PUSH.disturbances + (
+        Disturbance(t_start=2.3, duration=0.02, force=-10.0, mass_index=0, axis="y"),)),
+    "scenario_map.json": Scenario(
+        name="map-walk", mode="path", duration=4.0, max_steps=6,
+        map_source={"width": 16, "height": 9, "cell_size": 0.1,
+                    "occupied": [[0, 7], [8, 7]], "start": [4, 2], "goal": [4, 13]}),
+}
+
+
+def as_tuples(value):
+    """``value`` with its lists, nested ones too, as tuples."""
+    return tuple(map(as_tuples, value)) if isinstance(value, list) else value
+
+
+def replaced(obj, path, value):
+    """Copy of ``obj`` with ``value`` at ``path``, a sequence of field names
+    and tuple indices, built by ``dataclasses.replace``."""
+    head, *rest = path
+    if rest:
+        value = replaced(obj[head] if isinstance(head, int) else getattr(obj, head), rest, value)
+    if isinstance(head, int):
+        return obj[:head] + (value,) + obj[head + 1:]
+    return replace(obj, **{head: value})
+
+
+finite = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios of both modes, each plan source, pushes on both axes
+    and all three masses, schedules and noise."""
+    duration = draw(st.floats(0.1, 30.0))
+    half = duration / 2.0   # a push that starts by ``half`` and lasts ``half`` ends in the run
+    pushes = st.builds(Disturbance, t_start=st.floats(0.0, half), duration=st.floats(1e-3, half),
+                       force=finite, mass_index=st.sampled_from((0, 1, 2)),
+                       axis=st.sampled_from(("x", "y")))
+    mode = draw(st.sampled_from(("path", "setpoints")))
+    source = draw(st.sampled_from(("points", "map", "map file")
+                                  + (("none",) if mode == "setpoints" else ())))
+    map_dict = st.fixed_dictionaries({
+        "width": st.integers(1, 50), "height": st.integers(1, 50),
+        "start": st.lists(st.integers(0, 49), min_size=2, max_size=2)})
+    return Scenario(
+        name=draw(st.text("abz09._-", min_size=1).filter(lambda n: n not in (".", ".."))),
+        mode=mode,
+        duration=duration,
+        noise=draw(st.builds(NoiseSpec, enabled=st.booleans(), bound=st.floats(1e-3, 0.2),
+                             seed=st.integers(0, 2**32))),
+        disturbances=tuple(draw(st.lists(pushes, min_size=1, max_size=4))),
+        n_fall=draw(st.integers(0, 100)),
+        map_source=draw({"map": map_dict, "map file": st.text("abz/.", min_size=1)}.get(
+            source, st.none())),
+        path_points=draw(st.lists(st.tuples(finite, finite), min_size=1, max_size=5).map(tuple)
+                         if source == "points" else st.none()),
+        max_steps=draw(st.none() | st.integers(1, 40)),
+        schedule=tuple(draw(st.lists(st.tuples(finite, finite, finite, finite), min_size=1,
+                                     max_size=4))),
+    )
+
+
+# (JSON path, value) pairs that a scenario rejects with a ValueError naming
+# the path's last key.
+BAD_VALUES = [
+    (("duration",), math.nan), (("duration",), math.inf), (("noise", "bound"), 0.0),
+    (("noise", "bound"), -0.05), (("n_fall",), -1),
+    (("config", "jerk_limit"), math.nan), (("config", "jerk_limit"), math.inf),
+    (("config", "soft_penalty"), math.nan), (("config", "w_zmp"), math.nan),
+    (("config", "swing_reach"), -0.1), (("config", "swing_band"), [0.3, 0.05]),
+    # Each of these loaded before, then failed mid-run or was misread.
+    (("schedule",), [[0, 0.1]]), (("schedule",), [[0.0, math.nan, 0.0, 0.0]]),
+    (("schedule",), [[math.inf, 0.0, 0.0, 0.0]]), (("max_steps",), 0),
+    (("max_steps",), -1), (("max_steps",), 1.5),
+    (("path_points",), [[0.0, 0.0], [math.nan, 0.0]]), (("noise", "seed"), "3"),
+    (("timing", "t_single"), math.nan), (("observer", "boost_rate"), math.nan),
+    (("observer", "boost_window"), 2.5), (("observer", "boost_hold"), 2.5),
+    # Tuples of the wrong length, named before any matrix is built.
+    (("config", "swing_band"), [0.05]), (("config", "w_jerk"), [1e-4]),
+    (("observer", "jerk_noise"), [1.0]), (("observer", "measurement_noise"), 0.1),
+    # Booleans are not integers: True planned one step, ran seed 1 or
+    # pushed the torso, and passed as a schedule or waypoint number.
+    (("max_steps",), True), (("n_fall",), True), (("n_fall",), False),
+    (("noise", "seed"), True), (("noise", "seed"), False),
+    (("disturbances", 0, "mass_index"), True), (("disturbances", 0, "mass_index"), False),
+    (("disturbances", 0, "mass_index"), 1.0),
+    (("schedule",), [[0.0, True, 0.0, 0.0]]), (("path_points",), [[0.0, 0.0], [True, 0.0]]),
+    # A name that is not a string failed in the trace export after the
+    # whole run; an empty one wrote the trace files beside ``out_dir``.
+    (("name",), 5), (("name",), None), (("name",), ""), (("name",), "."),
+    (("name",), "a/b"),
+]
+
+
+def names_a_field(path, obj) -> bool:
+    """True when ``path`` leads through ``obj``'s fields and tuple indices."""
+    for key in path:
+        if not isinstance(key, int) and key not in {f.name for f in fields(obj)}:
+            return False
+        obj = obj[key] if isinstance(key, int) else getattr(obj, key)
+    return True
+
+
+# The entries ``replace`` can set; the others are keys that no section has.
+REPLACEABLE = [(path, value) for path, value in BAD_VALUES
+               if names_a_field(path, disturbance_scenario(300.0))]
+
+
 class TestScenarioJson:
     def test_round_trip(self, tmp_path):
         sc = disturbance_scenario(250.0, seed=3)
@@ -118,7 +230,7 @@ class TestScenarioJson:
 
     def test_validation_rejects_bad_mode(self):
         with pytest.raises(ValueError):
-            Scenario(mode="fly").validate()
+            Scenario(mode="fly")
 
     @pytest.mark.parametrize("field, value", [
         ("duration", 0.0), ("duration", -0.01), ("duration", math.nan), ("duration", math.inf),
@@ -127,42 +239,14 @@ class TestScenarioJson:
     ])
     def test_disturbance_values_checked(self, field, value):
         sc = disturbance_scenario(300.0)
-        bad = replace(sc, disturbances=(replace(sc.disturbances[0], **{field: value}),))
         with pytest.raises(ValueError):
-            bad.validate()
+            replace(sc, disturbances=(replace(sc.disturbances[0], **{field: value}),))
         data = json.loads(json.dumps(sc.to_json()))
         data["disturbances"][0][field] = value
         with pytest.raises(ValueError):
             Scenario.from_json(data)
 
-    @pytest.mark.parametrize("path, value", [
-        (("duration",), math.nan), (("duration",), math.inf), (("noise", "bound"), 0.0),
-        (("noise", "bound"), -0.05), (("n_fall",), -1),
-        (("config", "jerk_limit"), math.nan), (("config", "jerk_limit"), math.inf),
-        (("config", "soft_penalty"), math.nan), (("config", "w_zmp"), math.nan),
-        (("config", "swing_reach"), -0.1), (("config", "swing_band"), [0.3, 0.05]),
-        # Each of these loaded before, then failed mid-run or was misread.
-        (("schedule",), [[0, 0.1]]), (("schedule",), [[0.0, math.nan, 0.0, 0.0]]),
-        (("schedule",), [[math.inf, 0.0, 0.0, 0.0]]), (("max_steps",), 0),
-        (("max_steps",), -1), (("max_steps",), 1.5),
-        (("path_points",), [[0.0, 0.0], [math.nan, 0.0]]), (("noise", "seed"), "3"),
-        (("timing", "t_single"), math.nan), (("observer", "boost_rate"), math.nan),
-        (("observer", "boost_window"), 2.5), (("observer", "boost_hold"), 2.5),
-        # Tuples of the wrong length, named before any matrix is built.
-        (("config", "swing_band"), [0.05]), (("config", "w_jerk"), [1e-4]),
-        (("observer", "jerk_noise"), [1.0]), (("observer", "measurement_noise"), 0.1),
-        # Booleans are not integers: True planned one step, ran seed 1 or
-        # pushed the torso, and passed as a schedule or waypoint number.
-        (("max_steps",), True), (("n_fall",), True), (("n_fall",), False),
-        (("noise", "seed"), True), (("noise", "seed"), False),
-        (("disturbances", 0, "mass_index"), True), (("disturbances", 0, "mass_index"), False),
-        (("disturbances", 0, "mass_index"), 1.0),
-        (("schedule",), [[0.0, True, 0.0, 0.0]]), (("path_points",), [[0.0, 0.0], [True, 0.0]]),
-        # A name that is not a string failed in the trace export after the
-        # whole run; an empty one wrote the trace files beside ``out_dir``.
-        (("name",), 5), (("name",), None), (("name",), ""), (("name",), "."),
-        (("name",), "a/b"),
-    ])
+    @pytest.mark.parametrize("path, value", BAD_VALUES)
     def test_scenario_values_checked(self, path, value):
         data = json.loads(json.dumps(disturbance_scenario(300.0).to_json()))
         *parents, key = path
@@ -214,10 +298,24 @@ class TestScenarioJson:
         assert Scenario.from_json(data).to_json() == sc.to_json()
 
     def test_disturbance_window_checked(self):
-        sc = inplace_scenario(duration=1.0,
-                              disturbances=(Disturbance(t_start=0.9, duration=0.5, force=10.0),))
         with pytest.raises(ValueError):
-            sc.validate()
+            inplace_scenario(duration=1.0,
+                             disturbances=(Disturbance(t_start=0.9, duration=0.5, force=10.0),))
+
+    @pytest.mark.parametrize("name", sorted(COMMITTED))
+    def test_committed_files_load_to_their_scenarios(self, name):
+        # Written by ``to_json`` before the JSON form became the fields.
+        assert Scenario.from_json(DATA / name) == COMMITTED[name]
+
+    @settings(max_examples=80, deadline=None)
+    @given(scenarios(), st.sampled_from(REPLACEABLE))
+    def test_valid_scenarios_round_trip_and_bad_values_raise(self, sc, bad):
+        assert Scenario.from_json(json.loads(json.dumps(sc.to_json()))) == sc
+        (*keys, key), value = bad
+        if keys == ["noise"] and key == "bound" and not sc.noise.enabled:
+            return   # the bound of disabled noise is never read
+        with pytest.raises(ValueError, match=key):
+            replaced(sc, (*keys, key), as_tuples(value))
 
 
 class TestRun:
@@ -368,6 +466,15 @@ class TestExport:
         m = run(sc, out_dir=tmp_path)
         lines = (tmp_path / "empty.csv").read_text().strip().splitlines()
         assert len(lines) == 2
+
+    def test_dotted_names_keep_their_files_apart(self, tmp_path):
+        # ``with_suffix`` cut both names to ``run`` and the second run
+        # overwrote the first one's files.
+        base = replace(inplace_scenario(noise=False), duration=0.005)
+        for name in ("run.v1", "run.v2"):
+            run(replace(base, name=name), out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.v1.csv", "run.v1.json", "run.v2.csv", "run.v2.json"]
 
     def test_summary_round_trips(self, tmp_path):
         sc = replace(tracking_scenario(), duration=3.0, name="rt")

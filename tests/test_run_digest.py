@@ -21,6 +21,15 @@ def test_a_short_push_digests_bitwise_equal():
     assert lines[-1] == "all 1 runs bitwise equal: summary and every trace field"
 
 
+def test_a_scenario_file_digests_bitwise_equal():
+    path = ROOT / "tests" / "data" / "scenario_map.json"
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "run_digest.py"), str(ROOT),
+                           str(ROOT), "--runs", str(path)],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[1].split() == [str(path), "1", "runs", "bitwise", "equal"]
+
+
 def test_compare_names_the_parts_that_differ():
     a = {"summary": "s", "u": "1", "refs": "2"}
     assert run_digest.compare([a, a], [a, a]) == []

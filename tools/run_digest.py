@@ -5,10 +5,12 @@ Usage, from anywhere:
     python3 tools/run_digest.py PARENT_DIR CHANGE_DIR [--runs NAME [NAME ...]]
 
 A run name is a scenario factory of ``triwalk.harness`` with fixed arguments
-(see ``SCENARIOS``), run once through ``harness.run``, or ``W:SEED``, unit 0
-of the workload W of the checkout's ``perfbench/workloads.py`` at that seed
-(perfbench is imported, never written).  The default is every scenario and
-unit 0 of every workload at seed 0.
+(see ``SCENARIOS``), run once through ``harness.run``; the path of a
+scenario JSON file, run once as ``harness.run(Scenario.from_json(path))``;
+or ``W:SEED``, unit 0 of the workload W of the checkout's
+``perfbench/workloads.py`` at that seed (perfbench is imported, never
+written).  The default is every scenario and unit 0 of every workload at
+seed 0.
 
 Each checkout runs the names in its own process, the two at once, with its
 own ``triwalk`` and one BLAS thread, and digests every ``harness.run`` call
@@ -82,6 +84,8 @@ def run_side(checkout: Path, names: list[str]) -> None:
         runs.clear()
         if name in SCENARIOS:
             hr.run(SCENARIOS[name](hr))
+        elif Path(name).is_file():
+            hr.run(hr.Scenario.from_json(name))
         else:
             workload, seed = name.split(":")
             workloads.WORKLOADS[workload](th, int(seed)).unit(0)
@@ -100,13 +104,13 @@ def compare(parent: list[dict], change: list[dict]) -> list[str]:
 
 
 def check_name(name: str) -> str:
-    if name in SCENARIOS:
+    if name in SCENARIOS or Path(name).is_file():
         return name
     workload, _, seed = name.partition(":")
     if workload not in WORKLOADS or not seed.isdigit():
         raise argparse.ArgumentTypeError(
-            f"{name!r} is neither a scenario ({', '.join(SCENARIOS)}) nor W:SEED "
-            f"with W one of {', '.join(WORKLOADS)}")
+            f"{name!r} is neither a scenario ({', '.join(SCENARIOS)}), a scenario file "
+            f"nor W:SEED with W one of {', '.join(WORKLOADS)}")
     return name
 
 
@@ -119,7 +123,8 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
     ap.add_argument("change", type=Path, help="checkout of the change")
     ap.add_argument("--runs", nargs="+", type=check_name, default=list(DEFAULT_RUNS),
-                    metavar="NAME", help="scenario names and W:SEED workload units")
+                    metavar="NAME",
+                    help="scenario names, scenario JSON files and W:SEED workload units")
     args = ap.parse_args(argv)
     me = str(Path(__file__).resolve())
     procs = {side: subprocess.Popen([sys.executable, me, "_side",

@@ -22,6 +22,15 @@ step boundaries the frame rotates with the gait and the stateful quantities
 (the (2, 9) estimates, the (2, 3) previous inputs) are re-projected, one
 matrix product each; straight walking leaves the frame at the world axes and
 every re-projection is the identity.
+
+Setpoint walking rolls its plan at each step boundary: the two feet on the
+ground, one committed landing and ``ceil((n_pred + n_double) / n_step)``
+provisional ones (two at the defaults).  A plan's last step ramps the ZMP to
+its closing stance from its first double-support cycle on (the ramp's weight
+there is zero only up to the rounding of ``j * ts``), and the last horizon
+before the next roll ends ``n_step - 1 + n_pred`` cycles into the plan's
+first step.  That count is the fewest landings that keep the ramp out of
+every horizon; a landing more would change no tick.
 """
 
 from __future__ import annotations
@@ -55,8 +64,6 @@ from .refgen import GaitTiming, RefSample, WalkTimeline
 
 # First-order lag (s) of the operator setpoint filter.
 _LAG_TAU = 0.5
-# Provisional landings planned beyond the committed one in setpoint walking.
-_PROVISIONAL_STEPS = 3
 # Standing feet of a new engine, ordered as a finished walk's last two
 # footprints: the terminal one, here the right foot, swings first.
 _HOME = (Footprint(0.0, DEFAULT_STEP_WIDTH / 2.0, 0.0, "L"),
@@ -121,7 +128,7 @@ class CycleDiagnostics:
 
 # Reference window columns (zmp, stance mass, swing mass) in stacked output
 # order (stance, swing, zmp).
-_STACKED = [1, 2, 0]
+_STACKED = np.array([1, 2, 0])
 
 
 def _rot(angle: float) -> np.ndarray:
@@ -142,7 +149,8 @@ class WalkEngine:
 
     def __init__(self, params: ThreeMassParams, config: MpcConfig, timing: GaitTiming,
                  observer: ObserverConfig | None = None):
-        if timing.cycles(config.ts)[1] < 1:
+        n_single, n_double = timing.cycles(config.ts)
+        if n_double < 1:
             raise ValueError("double-support duration must span at least one cycle")
         self.params = params
         self.config = config
@@ -152,8 +160,12 @@ class WalkEngine:
         self.controller = AxisController(self.model, config)
         self.observer = Observer(self.model, observer or ObserverConfig())
 
+        # Provisional landings of a rolled plan; see the module docstring.
+        self._provisional = -(-(config.n_pred + n_double) // (n_single + n_double))
         self.k = 0
         self.frame_angle = 0.0
+        # World -> frame and back; see ``_update_frame``.
+        self._R_wf, self._R_fw = _rot(-self.frame_angle), _rot(self.frame_angle)
         self.setpoints = Setpoints()
         self._queued: FootstepPlan | None = None   # walked from the next stand
         self._rolling = False   # setpoints drive the walk
@@ -234,7 +246,7 @@ class WalkEngine:
     def reset_posture(self) -> None:
         """Re-seed the state estimates with the current standing posture,
         expressed in the working frame."""
-        self.estimates = _rot(-self.frame_angle) @ self.standing_states()
+        self.estimates = self._R_wf @ self.standing_states()
         self.controller.reset()
 
     def set_setpoints(self, x: float, y: float, alpha_deg: float) -> None:
@@ -338,17 +350,19 @@ class WalkEngine:
         if not lo <= separation <= hi:
             clamped = True
             separation = min(hi, max(lo, separation))
-        rel = np.array([forward, side_sign * separation])
-        landing = support.xy() + _rot(heading) @ rel
-        return Footprint(landing[0], landing[1], heading, landing_side), clamped
+        dx, dy = (_rot(heading) @ np.array([forward, side_sign * separation])).tolist()
+        return Footprint(support.x + dx, support.y + dy, heading, landing_side), clamped
 
     def _synthesize_plan(self, feet: tuple[Footprint, Footprint]) -> FootstepPlan:
         """Rolling plan: the two footprints on the ground, as the followed
         timeline holds them, the first stepping first, plus one committed and
-        several provisional landings computed from the filtered setpoints."""
+        ``_provisional`` landings computed from the filtered setpoints.  They
+        are as many as the horizon previews before the next roll: with one
+        fewer, the preview would reach the closing ramp of the plan's last
+        step (see the module docstring)."""
         prints = list(feet)
         self._clamped_step = False
-        for _ in range(1 + _PROVISIONAL_STEPS):
+        for _ in range(1 + self._provisional):
             landing, clamped = self.plan_next_step(prints[-1], prints[-2].side)
             self._clamped_step = self._clamped_step or clamped
             prints.append(landing)
@@ -371,9 +385,9 @@ class WalkEngine:
         self._followed = WalkTimeline(plan, self.timing, self.params, self.config.ts,
                                       include_initialize=initialize)
         self._timeline_origin = self.k
-        # Per timeline and working frame: the frame rotations and read-only
-        # tables with row r for cycle r, clamped like ``WalkTimeline.window``,
-        # up to ``total_cycles + n_pred``.  ``_refs`` holds the (2, rows, 3)
+        # Per timeline and working frame: read-only tables with row r for
+        # cycle r, clamped like ``WalkTimeline.window``, up to
+        # ``total_cycles + n_pred``.  ``_refs`` holds the (2, rows, 3)
         # working-frame references in stacked order, ``_lohi`` the (axis,
         # rows, lo/hi, output) bounds and ``_ids`` each row's phase id.
         # ``_window_row`` builds them on first use after the timeline or the
@@ -387,9 +401,8 @@ class WalkEngine:
         """Table row of the next cycle, clamped at the timeline's end."""
         tl = self._followed
         if self._refs is None:
-            self._R_wf, self._R_fw = _rot(-self.frame_angle), _rot(self.frame_angle)
             rows = tl.window(-1, tl.total_cycles + 1 + self.config.n_pred)
-            self._refs = np.stack([(rows @ self._R_wf[i])[:, _STACKED] for i in range(2)])
+            self._refs = np.stack([rows @ R for R in self._R_wf])[..., _STACKED]
             self._lohi = np.empty((2, len(rows), 2, 3))   # unlocked while filled
             self._refs.flags.writeable = self._lohi.flags.writeable = False
             self._ids, self._next_id = tl.phase_ids(-1, len(rows)), 0
@@ -425,23 +438,26 @@ class WalkEngine:
     def _phase_box(self, key: tuple[str, int]) -> np.ndarray:
         """(axis, lo/hi, output) bounds of the timeline phase ``key`` in the working frame."""
         name, idx = key
-        plan = self._followed.plan
-        R_wf = _rot(-self.frame_angle)
+        R_wf = self._R_wf
         feet = self._followed.feet[key]
         hl, hw = self.params.foot_length / 2.0, self.params.foot_width / 2.0
-        centers = np.array([R_wf @ fp.xy() for fp in feet])
-        half = np.array([_inscribed_extents(hl, hw, wrap_angle(fp.theta - self.frame_angle))
-                         for fp in feet])
-        if np.any(half <= 0.0):
+        centers = [(R_wf @ fp.xy()).tolist() for fp in feet]
+        half = [_inscribed_extents(hl, hw, wrap_angle(fp.theta - self.frame_angle))
+                for fp in feet]
+        if min(min(h) for h in half) <= 0.0:
             raise ValueError("foot heading too far from the working frame")
         side = None
         if name == "single":   # the side the swing foot lands on
-            side = 1.0 if (R_wf @ plan.swing_to(idx).xy())[1] >= centers[0, 1] else -1.0
+            swing_y = (R_wf @ self._followed.plan.swing_to(idx).xy())[1]
+            side = 1.0 if swing_y >= centers[0][1] else -1.0
         return build_constraints(centers, half, self.params, self.config, side)
 
     # ----------------------------------------------------------------- frame
 
     def _update_frame(self, new_angle: float) -> None:
+        """Turn the working frame to ``new_angle``, re-projecting the state.
+        The frame's rotations are kept here, not with the tables, since a
+        phase box is also built outside a tick."""
         delta = wrap_angle(new_angle - self.frame_angle)
         if delta == 0.0:
             return
@@ -449,4 +465,5 @@ class WalkEngine:
         self.estimates = R @ self.estimates
         self.controller.reset(R @ self.controller.u_prev)
         self.frame_angle = wrap_angle(self.frame_angle + delta)
+        self._R_wf, self._R_fw = _rot(-self.frame_angle), _rot(self.frame_angle)
         self._refs = None

@@ -369,7 +369,8 @@ def footsteps_from_path(path_xy, initial: tuple[Footprint, Footprint],
                         step_distance: float = DEFAULT_STEP_DISTANCE,
                         sigma_max: float = DEFAULT_SIGMA_MAX,
                         lookahead: float = DEFAULT_LOOKAHEAD_CELLS * DEFAULT_CELL_SIZE,
-                        grid: GridMap | None = None) -> FootstepPlan:
+                        grid: GridMap | None = None,
+                        max_steps: int | None = None) -> FootstepPlan:
     """Follow a world-frame waypoint sequence with alternating steps.
 
     ``initial`` is the stance, first-swing foot then support foot, as
@@ -380,8 +381,12 @@ def footsteps_from_path(path_xy, initial: tuple[Footprint, Footprint],
     (clamped to ``sigma_max``) and advances the swing foot by
     ``step_distance``.  Two closing steps set each foot beside the other at
     the stance width, near the final waypoint.  When a grid is supplied every
-    placement is checked against it.
+    placement is checked against it.  With ``max_steps`` the follower stops
+    once it has placed that many steps: the plan is the full plan's
+    ``truncated(max_steps)``, found without following the rest of the path.
     """
+    if max_steps is not None:
+        max_steps = _positive_int(max_steps, "max_steps")
     _check_positive("step_distance", step_distance)
     _check_positive("sigma_max", sigma_max, or_zero=True)
     _check_positive("lookahead", lookahead)
@@ -403,6 +408,7 @@ def footsteps_from_path(path_xy, initial: tuple[Footprint, Footprint],
 
     max_total = int(20 * (np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)) / step_distance + 10))
     stop = 0.6 * step_distance
+    max_prints = math.inf if max_steps is None else len(prints) + max_steps
     for _ in range(max_total):
         swing, support = prints[-2], prints[-1]
         mx, my = 0.5 * (swing.x + support.x), 0.5 * (swing.y + support.y)
@@ -422,10 +428,12 @@ def footsteps_from_path(path_xy, initial: tuple[Footprint, Footprint],
         desired = math.atan2(ty - my, tx - mx)
         sigma = max(-sigma_max, min(sigma_max, wrap_angle(desired - swing.theta)))
         prints.append(check(transition(swing, step_distance, sigma, sigma_max)))
+        if len(prints) == max_prints:
+            break
     else:
         raise PlanningError("step budget exhausted before reaching the goal")
 
-    for _ in range(2):
+    for _ in range(min(2, max_prints - len(prints))):
         swing, support = prints[-2], prints[-1]
         # The left normal of the support heading points to where a left foot stands.
         width = step_width if swing.side == "L" else -step_width

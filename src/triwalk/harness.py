@@ -125,17 +125,15 @@ class Scenario:
     def build_plan(self) -> FootstepPlan | None:
         if self.mode != "path":
             return None
-        if self.map_source is not None:
-            grid, start, goal = load_map(self.map_source)
-            if start is None or goal is None:
-                raise ValueError("map must define start and goal cells")
-            plan, _ = plan_footsteps(grid, start, goal)
-        else:
+        if self.map_source is None:
+            # Followed only as far as the steps kept.
             pts = np.asarray(self.path_points, dtype=float)
-            plan = footsteps_from_path(pts, initial_feet_on_path(pts))
-        if self.max_steps is not None:
-            plan = plan.truncated(self.max_steps)
-        return plan
+            return footsteps_from_path(pts, initial_feet_on_path(pts), max_steps=self.max_steps)
+        grid, start, goal = load_map(self.map_source)
+        if start is None or goal is None:
+            raise ValueError("map must define start and goal cells")
+        plan, _ = plan_footsteps(grid, start, goal)
+        return plan if self.max_steps is None else plan.truncated(self.max_steps)
 
     def to_json(self) -> dict:
         return {_JSON_KEYS.get(key, key): value for key, value in asdict(self).items()

@@ -19,6 +19,7 @@ once per process for each equal pair and shared read-only.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -128,8 +129,11 @@ class MpcConfig:
             raise ValueError("ts must be positive")
         if max(self.w_zmp, self.w_stance, self.w_swing) <= 0.0:
             raise ValueError("at least one output weight must be positive")
-        if min(self.w_zmp, self.w_stance, self.w_swing, *self.w_jerk) < 0.0:
+        if min(self.w_zmp, self.w_stance, self.w_swing) < 0.0:
             raise ValueError("weights must be nonnegative")
+        if min(self.w_jerk) <= 0.0:
+            # A zero jerk weight leaves the QP Hessian singular to rounding.
+            raise ValueError("w_jerk must be positive")
         if self.jerk_limit <= 0.0 or self.soft_penalty <= 0.0:
             raise ValueError("jerk_limit and soft_penalty must be positive")
         if self.zmp_margin < 0.0:
@@ -209,35 +213,40 @@ def build_constraints(centers, half, params: ThreeMassParams, config: MpcConfig,
     offset; two feet (double support or standing) take none.  The jerk
     bounds are ``config.jerk_limit`` in every phase.
     """
-    centers = np.asarray(centers, dtype=float)
-    half = np.asarray(half, dtype=float)
-    if centers.shape not in ((1, 2), (2, 2)) or half.shape != centers.shape:
+    try:
+        cs = [(float(x), float(y)) for x, y in centers]
+        hs = [(float(x), float(y)) for x, y in half]
+    except (TypeError, ValueError):   # not (k, 2)
+        cs = hs = ()
+    if len(cs) not in (1, 2) or len(hs) != len(cs):
         raise ValueError("centers and half must both have shape (k, 2), k = 1 or 2")
-    if swing_side not in ((-1.0, 1.0) if len(centers) == 1 else (None,)):
+    if swing_side not in ((-1.0, 1.0) if len(cs) == 1 else (None,)):
         raise ValueError("single support needs swing_side of +1 or -1, two feet none")
-    if not np.all(np.isfinite(centers)):
+    if not all(map(math.isfinite, (v for c in cs for v in c))):
         raise ValueError("support centers must be finite")
 
-    # The toe-ward bias is sagittal only.
-    margin = params.zmp_safety_scale * half
-    z_lo = (centers - margin).min(axis=0) + config.zmp_margin + (config.zmp_bias, 0.0)
-    z_hi = (centers + margin).max(axis=0) - config.zmp_margin + (config.zmp_bias, 0.0)
-    if np.any(z_lo > z_hi):
-        raise ValueError(f"inconsistent ZMP bounds [{z_lo}, {z_hi}]")
-
-    # The stance-leg mass belongs to a planted foot, so its position is
-    # mechanically confined near the support.  The corridor also removes the
-    # escape route along the ZMP output's unstable zero direction, where a
-    # mass position can run away without moving the ZMP.
-    st_lo = centers.min(axis=0) - config.swing_reach
-    st_hi = centers.max(axis=0) + config.swing_reach
-    # The swing-role mass shares that corridor, except in single support
-    # along y, where it keeps the swing band on the swing side.
-    lo = np.column_stack([st_lo, st_lo, z_lo])
-    hi = np.column_stack([st_hi, st_hi, z_hi])
-    if swing_side is not None:
-        lo[1, 1], hi[1, 1] = np.sort(centers[0, 1] + swing_side * np.array(config.swing_band))
-    return np.stack([lo, hi], axis=1)
+    # Per axis in float arithmetic on the one or two feet.  The toe-ward
+    # bias is sagittal only.
+    box = []
+    for axis, bias in ((0, config.zmp_bias), (1, 0.0)):
+        c = [p[axis] for p in cs]
+        margin = [params.zmp_safety_scale * h[axis] for h in hs]
+        z_lo = min(ci - mi for ci, mi in zip(c, margin)) + config.zmp_margin + bias
+        z_hi = max(ci + mi for ci, mi in zip(c, margin)) - config.zmp_margin + bias
+        if z_lo > z_hi:
+            raise ValueError(f"inconsistent ZMP bounds [{z_lo}, {z_hi}] along axis {axis}")
+        # The stance-leg mass belongs to a planted foot, so its position is
+        # mechanically confined near the support.  The corridor also removes
+        # the escape route along the ZMP output's unstable zero direction,
+        # where a mass position can run away without moving the ZMP.
+        st_lo, st_hi = min(c) - config.swing_reach, max(c) + config.swing_reach
+        # The swing-role mass shares that corridor, except in single support
+        # along y, where it keeps the swing band on the swing side.
+        sw_lo, sw_hi = st_lo, st_hi
+        if swing_side is not None and axis == 1:
+            sw_lo, sw_hi = sorted(c[0] + swing_side * w for w in config.swing_band)
+        box.append(((st_lo, sw_lo, z_lo), (st_hi, sw_hi, z_hi)))
+    return np.array(box)
 
 
 def constraint_maps(pred: PredictionMatrices, config: MpcConfig):

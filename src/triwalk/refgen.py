@@ -183,6 +183,33 @@ def _step_weights(timing: GaitTiming, ts: float, omega: float):
     return columns
 
 
+@lru_cache(maxsize=32)
+def _layout(n_steps: int, n_init: int, n_single: int, n_double: int):
+    """A timeline's distinct phases in time order, ``keys``, and the read-only
+    ``keys`` index of every table row, computed once per process for each
+    layout.  Row c + 1 holds cycle c's, so a window's ids are one contiguous
+    range."""
+    init = [("initialize", -1)] if n_init else []
+    names = ["single", "double"] if n_double else ["single"]
+    keys = (("stand", -1), *init, *((m, i) for i in range(n_steps) for m in names),
+            ("stand", n_steps))
+    in_double = np.arange(n_single + n_double) >= n_single
+    steps = 1 + len(init) + np.arange(n_steps)[:, None] * len(names) + in_double
+    ids = np.concatenate([[0], np.ones(n_init, int), steps.ravel(), [len(keys) - 1]])
+    ids.flags.writeable = False
+    return keys, ids
+
+
+@lru_cache(maxsize=32)
+def _clamped_rows(first: int, n: int, total_cycles: int) -> np.ndarray:
+    """Read-only table rows of cycles ``first .. first + n - 1``, clamped to
+    -1 .. ``total_cycles``; computed once per process for each window, so
+    the engine's per-timeline windows, which recur, take one index each."""
+    rows = np.clip(np.arange(first, first + n), -1, total_cycles) + 1
+    rows.flags.writeable = False
+    return rows
+
+
 class WalkTimeline:
     """Cycle-indexed references for one footstep plan.
 
@@ -193,11 +220,13 @@ class WalkTimeline:
     that start before the walk are well defined.
 
     Every cycle from -1 to ``total_cycles`` is evaluated once, at
-    construction, into read-only tables of references and phase ids, and each
-    phase's contact feet into one tuple of plan footprints, ``feet[key]``.  A
-    step's curves are its endpoints times per-sample weights, evaluated in
-    the scalar arithmetic of the free functions, which they match exactly,
-    once per process for each equal (timing, ts, omega) (``_step_weights``).
+    construction, into a read-only table of references, and each phase's
+    contact feet into one tuple of plan footprints, ``feet[key]``; the phase
+    keys and each cycle's phase id depend on the layout alone and are shared
+    by the timelines of one layout (``_layout``).  A step's curves are its
+    endpoints times per-sample weights, evaluated in the scalar arithmetic of
+    the free functions, which they match exactly, once per process for each
+    equal (timing, ts, omega) (``_step_weights``).
     """
 
     def __init__(self, plan: FootstepPlan, timing: GaitTiming, params: ThreeMassParams,
@@ -212,24 +241,9 @@ class WalkTimeline:
             raise ValueError("step period must span at least one cycle")
         self.n_init = self.n_double if include_initialize else 0
         self.total_cycles = self.n_init + plan.n_steps * self.n_step
-        n = plan.n_steps
-        # ``keys`` holds the distinct phases in time order and row c + 1 of
-        # ``_ids`` the index of cycle c's phase, so a window's ids are one
-        # contiguous range.
-        init = [("initialize", -1)] if self.n_init else []
-        names = ["single", "double"] if self.n_double else ["single"]
-        self.keys = (("stand", -1), *init, *((m, i) for i in range(n) for m in names), ("stand", n))
+        self.keys, self._ids = _layout(plan.n_steps, self.n_init, self.n_single, self.n_double)
         self.feet = {key: contact_feet(plan, key) for key in self.keys}
-        in_double = np.arange(self.n_step) >= self.n_single
-        steps = 1 + len(init) + np.arange(n)[:, None] * len(names) + in_double
-        self._ids = np.concatenate([[0], np.ones(self.n_init, int), steps.ravel(),
-                                    [len(self.keys) - 1]])
-        self._ids.flags.writeable = False
-        # Row c + 1 holds cycle c: zmp, stance mass, swing mass, hip (xy
-        # pairs), then the swing foot (x, y, z).
-        zmp, hip, swing = self._curves()
-        self._table = np.column_stack(
-            [zmp, 0.5 * (zmp + hip), 0.5 * (swing[:, :2] + hip), hip, swing])
+        self._table = self._build_table()
         self._table.flags.writeable = False
 
     def phase(self, cycle: int) -> tuple[str, int]:
@@ -252,41 +266,53 @@ class WalkTimeline:
         return self._table[self._rows(cycle, n), :6].reshape(n, 3, 2)
 
     def _rows(self, cycle: int, n: int) -> np.ndarray:
-        return np.clip(np.arange(cycle + 1, cycle + 1 + n), -1, self.total_cycles) + 1
+        return _clamped_rows(cycle + 1, n, self.total_cycles)
 
-    def _curves(self):
-        """ZMP, hip (rows, 2) and swing foot (rows, 3) of every table row."""
+    def _build_table(self) -> np.ndarray:
+        """The (rows, 11) table, row c + 1 for cycle c: zmp, stance mass,
+        swing mass, hip (xy pairs), then the swing foot (x, y, z).
+
+        It is filled as its transpose, one buffer of 11 columns each running
+        along the cycles, so every array operation below works on whole
+        curves rather than on pairs; one copy returns it row by row."""
         timing, omega = self.timing, self.params.omega
-        n = self.plan.n_steps
-        xy = np.array([fp.xy() for fp in self.plan.footprints])
-        mid0 = 0.5 * (xy[0] + xy[1])
-        mid_final = 0.5 * (xy[-2] + xy[-1])
+        n, fps = self.plan.n_steps, self.plan.footprints
+        xy = np.array([[fp.x for fp in fps], [fp.y for fp in fps]])
+        mids = 0.5 * (xy[:, :-1] + xy[:, 1:])   # between consecutive footprints
+        mid0, mid_final = mids[:, :1], mids[:, -1:]
 
-        def col(w):
-            return w[None, :, None]
-
+        # Per-sample weights broadcast along the last axis of the per-step
+        # endpoints, shape (xy, steps, 1).  The last step ramps the ZMP to
+        # the terminal midpoint.
         landed, frac, s_from, s_to, blend, lift = _step_weights(timing, self.ts, omega)
-        ramp = col(landed) & (timing.t_double != 0.0)
+        ramp = landed & (timing.t_double != 0.0)
         s_span = math.sinh((0.0 - timing.step_period) * omega)
+        sup = xy[:, 1:n + 1, None]
+        target = np.concatenate([xy[:, 2:n + 1], mid_final], axis=1)[..., None]
+        h0, hf = mids[:, :n, None], mids[:, 1:n + 1, None]
+        src, dst = xy[:, :n, None], xy[:, 2:n + 2, None]
 
-        # Per-step endpoints, shape (steps, 1, 2).
-        sup = xy[1:n + 1, None]
-        target = np.concatenate([xy[2:n + 1], mid_final[None]])[:n, None]
-        h0 = 0.5 * (xy[:n] + xy[1:n + 1])[:, None]
-        hf = 0.5 * (xy[1:n + 1] + xy[2:n + 2])[:, None]
-        src, dst = xy[:n, None], xy[2:n + 2, None]
-
-        shape = (n * self.n_step, 2)
-        step_zmp = np.where(ramp, sup + (target - sup) * col(frac), sup).reshape(shape)
-        num = (sup - hf) * col(s_from) + (h0 - sup) * col(s_to)
-        step_hip = (sup + num / s_span).reshape(shape)
-        step_xy = np.where(col(landed), dst, src + (dst - src) * col(blend)).reshape(shape)
-
-        # Cycle -1 and the initialize window stand on the initial feet.
+        # Cycle -1 and the initialize window stand on the initial feet; the
+        # last row stands on the terminal ones.
         pre = self.n_init + 1
-        init_zmp = mid0 + (xy[1] - mid0) * (np.arange(self.n_init)[:, None] / max(self.n_init, 1))
-        zmp = np.vstack([mid0, init_zmp, step_zmp, mid_final])
-        hip = np.vstack([np.tile(mid0, (pre, 1)), step_hip, mid_final])
-        swing = np.vstack([np.tile([*xy[0], 0.0], (pre, 1)),
-                           np.column_stack([step_xy, np.tile(lift, n)]), [*xy[-1], 0.0]])
-        return zmp, hip, swing
+        cols = np.empty((11, pre + n * self.n_step + 1))
+        cols[0:2, :1] = cols[6:8, :pre] = mid0
+        if self.n_init:
+            cols[0:2, 1:pre] = mid0 + (xy[:, 1:2] - mid0) * (np.arange(self.n_init)
+                                                             / self.n_init)
+        cols[8:10, :pre] = xy[:, :1]
+        cols[0:2, -1:] = cols[6:8, -1:] = mid_final
+        cols[8:10, -1:] = xy[:, -1:]
+        cols[10, :pre] = cols[10, -1] = 0.0
+        # A view of the steps' columns, (column, steps, cycles).
+        steps = cols[:, pre:-1].reshape(11, n, self.n_step)
+        steps[0:2] = np.where(ramp, sup + (target - sup) * frac, sup)
+        np.add(sup, ((sup - hf) * s_from + (h0 - sup) * s_to) / s_span, out=steps[6:8])
+        steps[8:10] = np.where(landed, dst, src + (dst - src) * blend)
+        steps[10] = lift
+        # The stance and swing masses sit midway between the hip and the
+        # ZMP or the swing foot.
+        for mass, of in ((2, 0), (4, 8)):
+            np.add(cols[of:of + 2], cols[6:8], out=cols[mass:mass + 2])
+            cols[mass:mass + 2] *= 0.5
+        return np.ascontiguousarray(cols.T)

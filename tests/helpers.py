@@ -22,7 +22,7 @@ REFERENCE_CSV_COLUMNS = ("t", "r_z_x", "r_z_y", "r_st_x", "r_st_y",
 def clear_caches() -> None:
     """Empty every per-process cache of configuration-fixed quantities."""
     for cached in (mpc._controller_matrices, mpc._observer_gains, refgen._step_weights,
-                   harness._support_polygon):
+                   refgen._layout, refgen._clamped_rows, harness._support_polygon):
         cached.cache_clear()
 
 

@@ -350,6 +350,42 @@ class TestSetpointWalking:
         np.testing.assert_allclose(rot[:, 1, :], base[:, 0, :], atol=1e-9)
 
 
+def setpoint_commands(params, config, timing, extra_landings):
+    """Per-tick world commands of a turning setpoint walk over three steps,
+    its rolled plans holding ``extra_landings`` more provisional landings
+    than the engine derives from the horizon."""
+    engine = WalkEngine(params, config, timing)
+    engine._provisional += extra_landings
+    engine.command_setpoints(0.1, 0.02, 8.0)
+    n_single, n_double = timing.cycles(config.ts)
+    log = run_closed_loop(engine, n_double + 3 * (n_single + n_double))
+    return np.array([np.concatenate([d.u_x, d.u_y, d.zmp_pred]) for d, _, _ in log])
+
+
+class TestProvisionalLandings:
+    """A rolled plan holds the landings the horizon previews before the next
+    roll, ceil((n_pred + n_double) / n_step), and no more."""
+
+    @settings(max_examples=12, deadline=None)
+    @example(n_pred=85, split=(0.7, 0.3)).via("the last horizon with two landings")
+    @example(n_pred=86, split=(0.7, 0.3)).via("the first horizon with three")
+    @given(n_pred=st.integers(20, 160),
+           split=st.sampled_from([(0.7, 0.3), (0.5, 0.1), (0.4, 0.4), (0.9, 0.1), (0.3, 0.06)]))
+    def test_more_landings_change_no_tick(self, params, n_pred, split):
+        config, timing = MpcConfig(n_pred=n_pred), GaitTiming(*split)
+        derived = setpoint_commands(params, config, timing, 0)
+        assert derived.tobytes() == setpoint_commands(params, config, timing, 2).tobytes()
+
+    @pytest.mark.parametrize("n_pred, landings", [(86, 3), (87, 3), (137, 4)])
+    def test_one_landing_fewer_changes_the_commands(self, params, timing, n_pred, landings):
+        # At 86 the horizon reaches the last step's first double-support
+        # cycle, whose ramp weight (35 * 0.02 - 0.7) / 0.3 is 3.7e-16, not 0.
+        config = MpcConfig(n_pred=n_pred)
+        assert WalkEngine(params, config, timing)._provisional == landings
+        derived = setpoint_commands(params, config, timing, 0)
+        assert derived.tobytes() != setpoint_commands(params, config, timing, -1).tobytes()
+
+
 class TestPlanWalkTracking:
     def test_three_step_walk_tracks_references(self, params, timing):
         engine = make_engine(params, timing)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triwalk
-from triwalk import footstep
+from triwalk import footstep, harness
 from triwalk.footstep import (
     Footprint,
     FootstepPlan,
@@ -349,6 +349,49 @@ class TestFootstepsFromPath:
         initial = initial_feet_on_path(path)
         with pytest.raises(PlanningError):
             footsteps_from_path(path, initial, grid=grid)
+
+
+class TestMaxSteps:
+    """A follower given ``max_steps`` stops once it has placed them: its plan
+    is the full plan truncated, and so is a scenario's."""
+
+    SQUARE = ((1.0, 1.0), (1.5, 1.0), (1.5, 1.5), (1.0, 1.5))
+
+    @staticmethod
+    def assert_truncates(path, n):
+        initial = initial_feet_on_path(path)
+        full = footsteps_from_path(path, initial)
+        assert footsteps_from_path(path, initial, max_steps=n) == full.truncated(n)
+        scenario = harness.Scenario(name="follow", mode="path", duration=1.0,
+                                    path_points=tuple(map(tuple, path)), max_steps=n)
+        assert scenario.build_plan() == full.truncated(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 19, 20, 21, 22, 40])
+    def test_straight_path(self, n):
+        # 19 forward steps, then the two closing ones.
+        path = np.column_stack([np.arange(0.0, 1.05, 0.1), np.zeros(11)])
+        self.assert_truncates(path, n)
+
+    def test_generated_maps(self):
+        """The benchmark's walked maps, seeds 0-4, at the steps it walks."""
+        workloads = bench_workloads()
+        for seed in range(5):
+            grid, _, cells, _ = workloads.generate_map(triwalk, seed)
+            path = np.array([grid.cell_center(c) for c in cells])
+            self.assert_truncates(path, workloads.WALK_STEPS)
+
+    def test_a_square_plans_its_first_steps(self):
+        # The full follow circles the first corner until its budget is spent.
+        with pytest.raises(PlanningError, match="step budget exhausted"):
+            footsteps_from_path(self.SQUARE, initial_feet_on_path(self.SQUARE))
+        scenario = harness.Scenario(name="square", mode="path", duration=1.0,
+                                    path_points=self.SQUARE, max_steps=5)
+        assert scenario.build_plan().n_steps == 5
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, "3"])
+    def test_max_steps_must_be_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match="max_steps must be a positive integer"):
+            footsteps_from_path(self.SQUARE, initial_feet_on_path(self.SQUARE), max_steps=n)
 
 
 class TestFootstepPlan:

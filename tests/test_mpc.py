@@ -120,7 +120,8 @@ class TestPrediction:
 class TestCost:
     def test_on_reference_gradient_vanishes(self, ssd):
         rng = np.random.default_rng(23)
-        cfg = MpcConfig(n_pred=10, n_ctrl=4, w_jerk=(0.0, 0.0, 0.0))
+        # f is zero for any jerk weight; a positive one keeps H regular.
+        cfg = MpcConfig(n_pred=10, n_ctrl=4, w_jerk=(1e-4, 1e-4, 1e-4))
         pred = build_prediction(ssd, cfg)
         x = rng.normal(size=9)
         free = pred.phi @ x  # u_prev = 0
@@ -284,6 +285,7 @@ class TestConfig:
         ("w_zmp", np.nan), ("w_jerk", (1e-4, np.inf, 1e-4)), ("ts", np.nan),
         ("zmp_bias", -np.inf), ("swing_reach", -0.1), ("swing_reach", 0.0),
         ("swing_band", (0.30, 0.05)), ("swing_band", (-0.01, 0.30)), ("swing_band", (0.1, 0.1)),
+        ("w_jerk", (0.0, 0.0, 0.0)), ("w_jerk", (1e-4, 0.0, 1e-4)), ("w_jerk", (1e-4, 1e-4, -1e-4)),
     ])
     def test_non_finite_or_inverted_values_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -87,21 +87,33 @@ class StateSpace:
 
     Two models compare and hash by value (the shapes and entries of A, B
     and C, and ``ts``), so models built apart from equal parameters share
-    the controller and observer matrices cached for them.
+    the controller and observer matrices cached for them.  When A, B and C
+    are all read-only arrays, as in every model the package builds, that
+    value is computed once, on first use, and kept while they stay
+    read-only; a model with a writeable array (a deep copy's, say) computes
+    it on every comparison and hash, so it compares by its current entries.
     """
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
     ts: float | None = None
+    _key: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def is_discrete(self) -> bool:
         return self.ts is not None
 
-    def _value(self) -> tuple:
+    def _entries(self) -> tuple:
         return (self.ts, *((np.shape(m), tuple(np.ravel(m).tolist()))
                            for m in (self.A, self.B, self.C)))
+
+    def _value(self) -> tuple:
+        if any(np.asarray(m).flags.writeable for m in (self.A, self.B, self.C)):
+            return self._entries()
+        if self._key is None:
+            object.__setattr__(self, "_key", self._entries())
+        return self._key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, StateSpace):

@@ -44,11 +44,11 @@ import numpy as np
 
 from .dynamics import (
     N_OUTPUTS,
+    N_STATES,
     StateSpace,
     ThreeMassParams,
     build_continuous,
     discretize,
-    make_state,
 )
 from .footstep import DEFAULT_SIGMA_MAX, DEFAULT_STEP_WIDTH, Footprint, FootstepPlan, wrap_angle
 from .mpc import (
@@ -192,7 +192,9 @@ class WalkEngine:
         mid = 0.5 * (other.xy() + last.xy())
         c3 = 0.5 * (last.xy() + mid)
         c2 = (p.M * mid - p.m1 * mid - p.m3 * c3) / p.m2
-        return np.array([make_state(c) for c in zip(mid, c2, c3)])
+        states = np.zeros((2, N_STATES))
+        states[:, ::3] = np.transpose((mid, c2, c3))   # the position slots 0, 3 and 6
+        return states
 
     @property
     def phase(self) -> WalkPhase:
@@ -203,14 +205,17 @@ class WalkEngine:
 
     def fork(self) -> WalkEngine:
         """Copy that ticks on from this engine's state, leaving this engine as
-        it is.  The copy owns what a tick changes, the bounds table included;
-        the model, the controller and observer matrices, the timeline (the
-        feet on the ground included), the queued plan and the reference
-        table are never written, and are shared.  A ``copy.deepcopy`` ticks on
-        alike, but copies the shared parts too."""
+        it is.  The copy owns what a tick writes: the estimates, the push
+        gates' windows (``PushGate.__copy__``), the controller's held input
+        and warm starts, and the bounds table.  Everything else is copied by
+        reference: the model, the controller and observer matrices, the
+        timeline (the feet on the ground included), the queued plan, the
+        reference table and the sigma arrays in the gates' windows are never
+        written.  A ``copy.deepcopy`` ticks on alike, but copies the shared
+        parts too."""
         twin = copy.copy(self)
         twin.estimates = self.estimates.copy()
-        twin.gates = copy.deepcopy(self.gates)
+        twin.gates = tuple(map(copy.copy, self.gates))
         # A controller rebinds its held input and warm starts every cycle
         # and writes neither in place, so a shallow copy owns them.
         twin.controller = copy.copy(self.controller)
@@ -319,11 +324,11 @@ class WalkEngine:
                 # The foot that landed last swings first.
                 plan = self._queued or self._synthesize_plan(tl.feet[key][::-1])
                 self._queued = None
-                self._set_timeline(plan, initialize=True)
+                self._set_timeline(plan, initialize=True, rolled=self._rolling)
             return
         if prev[0] == "double" and self._rolling:
             # The foot that supported the finished step swings next.
-            self._set_timeline(self._synthesize_plan(tl.feet[prev]))
+            self._set_timeline(self._synthesize_plan(tl.feet[prev]), rolled=True)
             key = self._followed.phase(0)
         if key[0] == "single":
             self._update_frame(self._followed.plan.support(key[1]).theta)
@@ -379,19 +384,25 @@ class WalkEngine:
             self._set_timeline(FootstepPlan(_HOME, step_distance=None))
         return self._followed
 
-    def _set_timeline(self, plan: FootstepPlan, initialize: bool = False) -> None:
+    def _set_timeline(self, plan: FootstepPlan, initialize: bool = False,
+                      rolled: bool = False) -> None:
         """Follow ``plan`` from the current cycle on, optionally starting
-        with the initialization window."""
-        self._followed = WalkTimeline(plan, self.timing, self.params, self.config.ts,
-                                      include_initialize=initialize)
+        with the initialization window; a ``rolled`` setpoint plan is
+        followed only until its first step ends."""
+        tl = self._followed = WalkTimeline(plan, self.timing, self.params, self.config.ts,
+                                           include_initialize=initialize)
         self._timeline_origin = self.k
         # Per timeline and working frame: read-only tables with row r for
-        # cycle r, clamped like ``WalkTimeline.window``, up to
-        # ``total_cycles + n_pred``.  ``_refs`` holds the (2, rows, 3)
+        # cycle r, clamped like ``WalkTimeline.window``, up to the last row
+        # a tick reads: row ``total_cycles + n_pred``, or for a rolled plan
+        # row ``n_init + n_step + n_pred - 1``, the window's end on its
+        # first step's last cycle.  ``_refs`` holds the (2, rows, 3)
         # working-frame references in stacked order, ``_lohi`` the (axis,
         # rows, lo/hi, output) bounds and ``_ids`` each row's phase id.
         # ``_window_row`` builds them on first use after the timeline or the
         # frame changes, so a tick reads its windows as slices.
+        self._table_rows = self.config.n_pred + (tl.n_init + tl.n_step if rolled
+                                                 else tl.total_cycles + 1)
         self._refs = None
 
     def _local_cycle(self, k: int) -> int:
@@ -401,7 +412,7 @@ class WalkEngine:
         """Table row of the next cycle, clamped at the timeline's end."""
         tl = self._followed
         if self._refs is None:
-            rows = tl.window(-1, tl.total_cycles + 1 + self.config.n_pred)
+            rows = tl.window(-1, self._table_rows)
             self._refs = np.stack([rows @ R for R in self._R_wf])[..., _STACKED]
             self._lohi = np.empty((2, len(rows), 2, 3))   # unlocked while filled
             self._refs.flags.writeable = self._lohi.flags.writeable = False

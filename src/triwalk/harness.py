@@ -412,7 +412,12 @@ class Simulation:
         simulation as it is; its cycles equal those of a fresh
         ``Simulation(scenario)`` bit for bit.  ``scenario`` must equal this
         one's, noise seed included, apart from its disturbances, none of
-        either before the next cycle."""
+        either before the next cycle.
+
+        The copy owns, with plain copies, what a step writes: the engine's
+        state (``WalkEngine.fork``), the pending setpoints, the records and
+        the noise generator, a new bit generator of the same type given this
+        one's state."""
         if (any(getattr(scenario, f.name) != getattr(self.scenario, f.name)
                 for f in fields(Scenario) if f.name != "disturbances")
                 or min(map(_first_push_cycle, (scenario, self.scenario))) < self.engine.k):
@@ -422,7 +427,9 @@ class Simulation:
         twin.scenario = scenario
         twin.engine = self.engine.fork()
         twin._schedule = list(self._schedule)
-        twin._rng = copy.deepcopy(self._rng)
+        bits = self._rng.bit_generator
+        twin._rng = np.random.Generator(type(bits)(bits.seed_seq))
+        twin._rng.bit_generator.state = bits.state
         twin._kicks = _disturbance_schedule(scenario)
         for name in ("u", "out", "meas", "pred", "torso", "refs", "excursion", "qp_counts",
                      "tags"):

@@ -318,11 +318,21 @@ class PushGate:
     channel (noise is zero-mean).  Either engages the recovery gain for
     ``_BOOST_HOLD`` cycles; while engaged, any innovation beyond
     ``_BOOST_GATE`` re-arms the hold.
+
+    ``copy.copy`` gives a gate that goes on from this one's window and hold
+    and leaves this one as it is: it owns a copy of the window deque and
+    shares the per-cycle sigma arrays in it, which nothing writes after
+    ``update`` appends them.
     """
 
     def __init__(self):
         self.window: deque[np.ndarray] = deque(maxlen=_BOOST_WINDOW)
         self.hold = 0
+
+    def __copy__(self) -> PushGate:
+        twin = PushGate.__new__(PushGate)
+        twin.window, twin.hold = self.window.copy(), self.hold
+        return twin
 
     def update(self, sigmas: np.ndarray) -> bool:
         """Record one cycle's innovations (in sigmas); True while boosted."""
@@ -480,7 +490,12 @@ class AxisController:
     Because ``A`` never changes, a warm-start row index always names the
     same (bound family, sample): after every optimal cycle the axis keeps
     that cycle's active set (``qp.ActiveSet``, which carries its factor)
-    and seeds its next solve with it.
+    and seeds its next solve with it.  The seed is not shifted by the sample
+    the horizon moved on: the rows that bind tend to stay at their window
+    offsets, and a seed shifted by one sample keeps fewer of the next
+    cycle's final rows (on ``push_bisect``'s first unit 11.2 against 12.4
+    of 14.3 per seeded solve, 19.3 against 20.1 of 29.5 on solves of six or
+    more iterations; on ``walk_map``'s 1.3 against 1.9 of 2.1).
     """
 
     def __init__(self, ss: StateSpace, config: MpcConfig):

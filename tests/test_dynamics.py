@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from triwalk.dynamics import (
     ACC_SLOTS,
+    StateSpace,
     ThreeMassParams,
     build_continuous,
     discretize,
@@ -107,6 +109,37 @@ class TestDiscretize:
                       build_continuous(params), replace(a, C=a.C[:2])):
             assert other != a and hash(other) != hash(a)
         assert a != "model"
+
+    def test_a_read_only_model_keeps_its_key(self, params):
+        a = discretize(build_continuous(params), 0.02)
+        b = discretize(build_continuous(params), 0.02)
+        assert a._key is None
+        assert a == b and hash(a) == hash(b)
+        key = a._key
+        assert key is not None and key == b._key
+        hash(a)
+        assert a._key is key
+
+    def test_a_writeable_model_compares_by_its_current_entries(self):
+        A, B, C = np.eye(2), np.ones((2, 1)), np.ones((1, 2))
+        model = StateSpace(A, B, C, ts=0.1)
+        twin = StateSpace(A.copy(), B.copy(), C.copy(), ts=0.1)
+        assert model == twin and hash(model) == hash(twin)
+        A[0, 1] = 0.1
+        assert model != twin and hash(model) != hash(twin)
+        twin.A[0, 1] = 0.1
+        assert model == twin and hash(model) == hash(twin)
+        assert model._key is None and twin._key is None
+
+    def test_a_deep_copy_compares_by_its_current_entries(self, params):
+        # A deep copy's arrays are writeable, so the key it carries over is
+        # not used.
+        model = discretize(build_continuous(params), 0.02)
+        hash(model)
+        copied = copy.deepcopy(model)
+        assert copied.A.flags.writeable and copied == model and hash(copied) == hash(model)
+        copied.A[0, 1] += 1e-12
+        assert copied != model and hash(copied) != hash(model)
 
     def test_rejects_bad_sample_time(self, params):
         ss = build_continuous(params)

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from triwalk.dynamics import ThreeMassParams, step_plant
+from triwalk import engine as engine_module
+from triwalk.dynamics import StateSpace, ThreeMassParams, step_plant
 from triwalk.engine import Setpoints, WalkEngine, WalkPhase, _rot, filter_setpoints
 from triwalk.footstep import (
     DEFAULT_STEP_WIDTH,
@@ -120,6 +121,17 @@ class TestIdle:
         standing = engine.standing_states()
         np.testing.assert_allclose(x_final, standing[0], atol=1e-6)
         np.testing.assert_allclose(y_final, standing[1], atol=1e-6)
+
+    def test_standing_states_hold_the_masses_still_over_the_feet(self, params, timing):
+        engine = make_engine(params, timing)
+        engine.command_path(straight_plan(2, y=0.3))
+        other, last = engine._timeline.plan.footprints[-2:]
+        mid = 0.5 * (other.xy() + last.xy())
+        states = engine.standing_states()
+        assert states.shape == (2, 9) and not states[:, [1, 2, 4, 5, 7, 8]].any()
+        np.testing.assert_array_equal(states[:, 0], mid)
+        np.testing.assert_array_equal(states[:, 6], 0.5 * (last.xy() + mid))
+        np.testing.assert_allclose(states @ engine.model.C[2], mid, atol=1e-15)
 
 
 class TestPhaseSequence:
@@ -743,6 +755,31 @@ class TestFork:
         assert sum(p != q for p, q in zip(phases, phases[1:])) >= 2
         self.assert_same_cycles(ahead, run_closed_loop(twin, 2 * N_STEP))
 
+    def test_deep_copy_ticks_on_as_the_engine(self, params, timing):
+        # The copy's model, with writeable arrays, still steps the plant and
+        # observer alike, and its gates' windows are its own.
+        engine = make_engine(params, timing)
+        engine.command_setpoints(0.05, 0.02, 12.0)
+        run_closed_loop(engine, N_INIT + 10)
+        copied = copy.deepcopy(engine)
+        assert copied.model == engine.model and copied.model.A.flags.writeable
+        assert all(c.window is not g.window for c, g in zip(copied.gates, engine.gates))
+        ahead = run_closed_loop(copied, 2 * N_STEP)
+        self.assert_same_cycles(ahead, run_closed_loop(engine, 2 * N_STEP))
+
+    def test_twin_owns_its_gate_windows_and_shares_their_sigmas(self, params, timing):
+        engine = make_engine(params, timing)
+        engine.command_path(straight_plan(3))
+        run_closed_loop(engine, N_INIT + 10)
+        twin = engine.fork()
+        for mine, theirs in zip(twin.gates, engine.gates):
+            assert mine.window is not theirs.window and mine.window.maxlen == theirs.window.maxlen
+            assert mine.hold == theirs.hold and len(mine.window) == len(theirs.window) > 0
+            assert all(a is b for a, b in zip(mine.window, theirs.window))
+        shared = [list(g.window) for g in engine.gates]
+        run_closed_loop(twin, 5)
+        assert [list(g.window) for g in engine.gates] == shared
+
     @staticmethod
     def assert_same_cycles(ahead, again):
         assert len(ahead) == len(again)
@@ -764,6 +801,62 @@ def support_side(diag):
 def single_support_sides(diags):
     return [support_side(next(run)) for phase, run in groupby(diags, key=lambda d: d.phase)
             if phase == WalkPhase.SINGLE_SUPPORT]
+
+
+class TestSharedModelCaches:
+    def test_a_second_engine_hits_the_caches_and_discretizes_once(self, params, timing,
+                                                                   monkeypatch):
+        # Each engine discretizes its own model, whose value key is computed
+        # once: by the cache lookup that hashes it; every later comparison
+        # and hash reads the kept key.
+        discretized, keyed = [], []
+        discretize, entries = engine_module.discretize, StateSpace._entries
+        monkeypatch.setattr(engine_module, "discretize",
+                            lambda *a: discretized.append(a) or discretize(*a))
+        monkeypatch.setattr(StateSpace, "_entries", lambda ss: keyed.append(ss) or entries(ss))
+        first = make_engine(params, timing)
+        before = mpc._controller_matrices.cache_info(), mpc._observer_gains.cache_info()
+        second = make_engine(params, timing)
+        after = mpc._controller_matrices.cache_info(), mpc._observer_gains.cache_info()
+        for old, new in zip(before, after):
+            assert (new.hits, new.misses) == (old.hits + 1, old.misses)
+        assert len(discretized) == 2
+        assert second.model is not first.model
+        assert len({id(ss) for ss in keyed}) == len(keyed)   # no model keyed twice
+        assert any(ss is second.model for ss in keyed)
+        assert second.controller._factors is first.controller._factors
+        assert second.observer.gain is first.observer.gain
+
+
+class TestFrameTable:
+    @pytest.mark.parametrize("n_pred", [80, 137])
+    def test_a_rolled_plan_tables_only_the_rows_its_ticks_read(self, params, timing, n_pred,
+                                                              monkeypatch):
+        # A rolled plan is replaced when its first step ends, so its table
+        # stops at the window's end on that step's last cycle; the commands
+        # equal those of an engine that tables every timeline to its end.
+        config = MpcConfig(n_pred=n_pred)
+
+        def walk():
+            engine = WalkEngine(params, config, timing)
+            engine.command_setpoints(0.1, 0.02, 12.0)
+            log, rows = [], []
+            for _ in range(N_INIT + 4 * N_STEP):
+                log += run_closed_loop(engine, 1, plant=log[-1][1:] if log else None)
+                engine._window_row()   # the next tick's table, built as that tick would
+                rows.append(engine._refs.shape[1])
+            return log, rows, engine
+
+        trimmed, rows, engine = walk()
+        assert rows[N_INIT:N_INIT + N_STEP] == [N_INIT + N_STEP + n_pred] * N_STEP
+        assert rows[-1] == N_STEP + n_pred
+        set_timeline = WalkEngine._set_timeline
+        monkeypatch.setattr(WalkEngine, "_set_timeline",
+                            lambda self, plan, initialize=False, rolled=False:
+                            set_timeline(self, plan, initialize))
+        full, rows, engine = walk()
+        assert rows[-1] == engine._followed.total_cycles + 1 + n_pred
+        TestFork.assert_same_cycles(trimmed, full)
 
 
 class TestPathToSetpoints:

@@ -583,6 +583,37 @@ class TestForkedProbes:
             assert_same_run(forked, fresh[force])
             assert prefix_state(prefix) == shared
 
+    def test_fork_and_parent_step_on_as_two_fresh_runs(self):
+        # Both step on after the fork, the fork first, through noise and a
+        # push: each records the cycles of a fresh simulation, so neither
+        # wrote the other's gate windows or noise stream.
+        template = disturbance_scenario(440.0, run_time=2.4)
+        sim = Simulation(template)
+        sim.advance(60)
+        twin = sim.fork(template)
+        for mine, theirs in zip(twin.engine.gates, sim.engine.gates):
+            assert mine.window is not theirs.window
+        assert twin._rng is not sim._rng and twin._rng.bit_generator is not sim._rng.bit_generator
+        assert twin._rng.bit_generator.state == sim._rng.bit_generator.state
+        twin.advance(twin.n_cycles)
+        sim.advance(sim.n_cycles)
+        fresh = Simulation(template)
+        fresh.advance(fresh.n_cycles)
+        assert all(len(g.window) == g.window.maxlen for g in fresh.engine.gates)
+        for stepped in (twin, sim):
+            assert self.records(stepped) == self.records(fresh)
+
+    @staticmethod
+    def records(sim):
+        engine, n = sim.engine, len(sim.tags)
+        tags = tuple((*tag[:3], None if tag[3] is None else tag[3].tobytes(), tag[4])
+                     for tag in sim.tags)   # the swing target is an array
+        return (n, sim.plant.tobytes(), engine.estimates.tobytes(), tags,
+                tuple((g.hold, tuple(w.tobytes() for w in g.window)) for g in engine.gates),
+                str(sim._rng.bit_generator.state), sim.fall_time, sim.fault,
+                *(getattr(sim, name)[:n].tobytes() for name in
+                  ("u", "out", "meas", "pred", "torso", "refs", "excursion", "qp_counts")))
+
     def test_prefix_stops_at_the_earliest_push(self):
         template = replace(disturbance_scenario(300.0, run_time=3.0),
                            disturbances=(Disturbance(1.6, 0.01, 300.0),

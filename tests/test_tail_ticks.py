@@ -65,3 +65,45 @@ def test_unknown_workloads_are_refused(name, capsys):
         tail_ticks.main([str(ROOT), "--workload", name])
     assert exc.value.code == 2
     assert "neither a scenario" in capsys.readouterr().err
+
+
+def test_a_short_tracking_run_reports_its_setup():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "tail_ticks.py"), str(ROOT),
+                           "--workload", "tracking", "--duration", "2", "--setup"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "tail_ticks: tracking"
+    assert lines[1].startswith(f"{ROOT}: 1 runs, set-up p50 ")
+    assert [cell.strip() for cell in lines[2].split("|")] == ["run  set-up us",
+                                                              *tail_ticks.SETUP_PARTS]
+    assert lines[3].split()[0] == "0" and lines[4].split()[0] == "p50"
+    # One run: its row is the p50 row; it builds a simulation, not a fork.
+    assert lines[3].split()[1:] == lines[4].split()[1:]
+    setup, check, init, fork, engine = (float(cell.split()[-1]) for cell in lines[3].split("|"))
+    assert fork == 0.0 and 0.0 < engine < init < setup and check > 0.0
+    assert len(lines) == 5
+
+
+def test_a_two_probe_bisection_splits_each_setup(monkeypatch):
+    # The bracket is within the tolerance, so max_withstand probes its two
+    # ends: the first run's set-up builds the prefix simulation, the
+    # second's forks it.
+    import triwalk
+    from triwalk import harness
+
+    for owner, attr, _ in tail_ticks.setup_targets(triwalk):
+        monkeypatch.setattr(owner, attr, getattr(owner, attr))   # restored afterwards
+    monkeypatch.setattr(triwalk.engine.WalkEngine, "tick", triwalk.engine.WalkEngine.tick)
+    monkeypatch.setattr(harness, "run", harness.run)
+    rows, start = tail_ticks.record_setups(triwalk)
+    start()
+    template = harness.disturbance_scenario(300.0, run_time=2.4)
+    assert harness.max_withstand(template, "fwd", bracket=(100.0, 3000.0), tol=5000.0) == 100.0
+    summary = tail_ticks.summarize_setups(rows)
+    (setup0, check0, init0, fork0, engine0), (setup1, check1, init1, fork1, engine1) = \
+        summary["runs"]
+    assert check0 > 0.0 and 0.0 < engine0 < init0 < setup0 and fork0 == 0.0
+    assert check1 > 0.0 and 0.0 < fork1 < setup1 and init1 == engine1 == 0.0
+    assert summary["p50"] == pytest.approx([(a + b) / 2 for a, b in zip(*summary["runs"])])
+    assert "p50" in tail_ticks.report_setups("x", summary)[-1]

@@ -3,7 +3,7 @@
 Usage, from anywhere:
 
     python3 tools/tail_ticks.py CHECKOUT [CHECKOUT ...] --workload W \\
-        [--seed 0] [--units 1] [--duration S]
+        [--seed 0] [--units 1] [--duration S] [--setup]
 
 W is a scenario name of ``tools/run_digest.py`` (``tracking``,
 ``omnidirectional``, ...), run once through ``harness.run``, ``--duration``
@@ -31,6 +31,18 @@ the p95-p99 band.  Per band it gives the mean tick time and, per part, the
 mean time over the band's ticks (zero for a tick that did not call the part)
 and the share of the band's ticks that called it.  Times are wall clock in
 microseconds; the timers' own cost is inside the tick times.
+
+With ``--setup`` the script times set-ups instead of ticks.  A run's set-up
+is what perfbench's ``setup_s`` counts: the time from the unit's start, or
+the previous run's end, to the run's first tick.  Per run that ticked it
+prints the set-up and, within it, the time spent in four parts, then each
+column's p50 over the runs:
+
+- scenario check: ``Scenario.__post_init__``, which also runs in
+  ``dataclasses.replace``;
+- ``Simulation.__init__``;
+- ``Simulation.fork``;
+- ``WalkEngine.__init__``, which runs inside ``Simulation.__init__``.
 """
 
 from __future__ import annotations
@@ -50,6 +62,8 @@ from run_digest import SCENARIOS, WORKLOADS
 
 PARTS = ("timeline", "synthesis", "frame table", "phase boxes", "QP", "observer")
 BANDS = (("slowest 1 %", 0.99, None), ("p95-p99", 0.95, 0.99))
+SETUP_PARTS = ("scenario check", "Simulation.__init__", "Simulation.fork",
+               "WalkEngine.__init__")
 
 
 def timed_parts(th):
@@ -107,6 +121,69 @@ def record_ticks(th) -> list:
     return rows
 
 
+def setup_targets(th):
+    """(owner, attribute, part) of every timed set-up function."""
+    hr = th.harness
+    return [
+        (hr.Scenario, "__post_init__", "scenario check"),
+        (hr.Simulation, "__init__", "Simulation.__init__"),
+        (hr.Simulation, "fork", "Simulation.fork"),
+        (th.engine.WalkEngine, "__init__", "WalkEngine.__init__"),
+    ]
+
+
+def record_setups(th):
+    """Wrap the set-up parts, ``WalkEngine.tick`` and ``harness.run``.
+    Return the list that gets one row per run that ticked, its set-up's ns
+    and then per part its ns, and the function that marks a unit's start."""
+    rows, clock = [], time.perf_counter_ns
+    current = None   # the open set-up: its start, then per part its ns
+
+    def start():
+        nonlocal current
+        current = [clock()] + [0] * len(SETUP_PARTS)
+
+    def wrap_part(orig, col):
+        def wrapper(*args, **kwargs):
+            row = current
+            if row is None:
+                return orig(*args, **kwargs)
+            t0 = clock()
+            try:
+                return orig(*args, **kwargs)
+            finally:
+                row[col] += clock() - t0
+        return wrapper
+
+    for owner, attr, part in setup_targets(th):
+        setattr(owner, attr, wrap_part(getattr(owner, attr), 1 + SETUP_PARTS.index(part)))
+    tick, run = th.engine.WalkEngine.tick, th.harness.run
+
+    def first_tick(*args, **kwargs):
+        nonlocal current
+        if current is not None:
+            rows.append([clock() - current[0], *current[1:]])
+            current = None
+        return tick(*args, **kwargs)
+
+    def timed_run(*args, **kwargs):
+        try:
+            return run(*args, **kwargs)
+        finally:
+            start()
+
+    th.engine.WalkEngine.tick, th.harness.run = first_tick, timed_run
+    return rows, start
+
+
+def summarize_setups(rows) -> dict:
+    """Each run's set-up and part times and their p50s, in us."""
+    if not rows:
+        raise ValueError("no run ticked")
+    data = np.asarray(rows, dtype=float) / 1e3
+    return {"runs": data.tolist(), "p50": np.median(data, axis=0).tolist()}
+
+
 def summarize(rows) -> dict:
     """Tick count, p50/p95/p99 (us) and, per band, its tick count, mean tick
     time and per part the mean time (us) and the share of ticks calling it
@@ -134,11 +211,16 @@ def summarize(rows) -> dict:
 
 
 def run_side(checkout: Path, workload: str, seed: int, units: int,
-             duration: float | None) -> None:
-    """Run the workload in ``checkout``; print its summary as one JSON line."""
+             duration: float | None, setup: bool) -> None:
+    """Run the workload in ``checkout``; print its tick or set-up summary as
+    one JSON line."""
     th = import_program(checkout)
-    rows = record_ticks(th)
+    if setup:
+        rows, start = record_setups(th)
+    else:
+        rows, start = record_ticks(th), lambda: None
     if workload in SCENARIOS:
+        start()
         scenario = SCENARIOS[workload](th.harness)
         if duration is not None:
             scenario = replace(scenario, duration=duration)
@@ -148,8 +230,9 @@ def run_side(checkout: Path, workload: str, seed: int, units: int,
         import workloads
         unit_source = workloads.WORKLOADS[workload](th, seed)
         for index in range(units):
+            start()
             unit_source.unit(index)
-    print(json.dumps(summarize(rows)))
+    print(json.dumps(summarize_setups(rows) if setup else summarize(rows)))
 
 
 def _cell(value, fmt: str) -> str:
@@ -169,6 +252,18 @@ def report(label: str, summary: dict) -> list[str]:
     return lines
 
 
+def report_setups(label: str, summary: dict) -> list[str]:
+    runs, p50 = summary["runs"], summary["p50"]
+    widths = [max(8, len(part)) for part in SETUP_PARTS]
+    lines = [f"{label}: {len(runs)} runs, set-up p50 {p50[0]:.1f} us",
+             f"  {'run':>5} {'set-up us':>10}"
+             + "".join(f" | {part:>{w}}" for part, w in zip(SETUP_PARTS, widths))]
+    for name, row in [*enumerate(runs), ("p50", p50)]:
+        lines.append(f"  {name:>5} {row[0]:10.1f}"
+                     + "".join(f" | {v:{w}.1f}" for v, w in zip(row[1:], widths)))
+    return lines
+
+
 def check_workload(name: str) -> str:
     if name in SCENARIOS or name in WORKLOADS:
         return name
@@ -180,9 +275,9 @@ def check_workload(name: str) -> str:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["_side"]:
-        _, checkout, workload, seed, units, duration = argv
+        _, checkout, workload, seed, units, duration, setup = argv
         run_side(Path(checkout), workload, int(seed), int(units),
-                 None if duration == "-" else float(duration))
+                 None if duration == "-" else float(duration), setup == "setup")
         return 0
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkouts", type=Path, nargs="+", metavar="CHECKOUT")
@@ -192,6 +287,8 @@ def main(argv=None) -> int:
     ap.add_argument("--units", type=int, default=1, help="workload units to run")
     ap.add_argument("--duration", type=float, default=None,
                     help="simulated seconds of a scenario (its own by default)")
+    ap.add_argument("--setup", action="store_true",
+                    help="time each run's set-up instead of the ticks")
     args = ap.parse_args(argv)
     if args.units < 1 or (args.duration is not None and args.duration <= 0):
         ap.error("--units and --duration must be positive")
@@ -202,12 +299,14 @@ def main(argv=None) -> int:
         proc = subprocess.run(
             [sys.executable, me, "_side", str(checkout.resolve()), args.workload,
              str(args.seed), str(args.units),
-             "-" if args.duration is None else repr(args.duration)],
+             "-" if args.duration is None else repr(args.duration),
+             "setup" if args.setup else "ticks"],
             env=ENV, capture_output=True, text=True)
         if proc.returncode != 0:
             print(f"{checkout} failed:\n{proc.stderr}", file=sys.stderr)
             return 1
-        print("\n".join(report(str(checkout), json.loads(proc.stdout.strip().splitlines()[-1]))))
+        summary = json.loads(proc.stdout.strip().splitlines()[-1])
+        print("\n".join((report_setups if args.setup else report)(str(checkout), summary)))
     return 0
 
 
